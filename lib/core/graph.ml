@@ -88,10 +88,12 @@ type t = {
       (** hash-consing interner: every node touched by an edge, seed,
           or op gets a dense id at construction time, so the interned
           solver's freeze step is pure integer work *)
-  edges : (Node.t, (edge_kind * Node.t) list) Hashtbl.t;
+  mutable skeleton : (edge_kind * Node.t) list array;
+      (** structural flow edges ({!add_edge} only, not the clone edges
+          of {!add_edge_ids}): src id -> (kind, dst), newest first *)
   mutable isuccs : (int * int) list array;
-      (** id-level mirror of [edges]: src id -> (cast sym, dst id),
-          newest first *)
+      (** every flow edge, [skeleton] and clone edges alike: src id ->
+          (cast sym, dst id), newest first *)
   icast_tbl : (string, int) Hashtbl.t;  (** cast class -> dense sym *)
   mutable icast_rev : string list;  (** newest first *)
   mutable frozen : (int * flow_csr) option;
@@ -156,7 +158,7 @@ type t = {
 let create ?interner () =
   {
     g_it = (match interner with Some it -> it | None -> Intern.create ());
-    edges = Hashtbl.create 256;
+    skeleton = [||];
     isuccs = [||];
     icast_tbl = Hashtbl.create 8;
     icast_rev = [];
@@ -222,12 +224,14 @@ let cast_sym t cls =
       t.icast_rev <- cls :: t.icast_rev;
       sym
 
-let isuccs_ensure t i =
-  let n = Array.length t.isuccs in
-  if i >= n then begin
+(* Grow an id-indexed adjacency array to cover index [i]. *)
+let ensure_slot arr i =
+  let n = Array.length arr in
+  if i < n then arr
+  else begin
     let grown = Array.make (max 256 (max (i + 1) (2 * n))) [] in
-    Array.blit t.isuccs 0 grown 0 n;
-    t.isuccs <- grown
+    Array.blit arr 0 grown 0 n;
+    grown
   end
 
 let fresh_op t ~kind ~site ~recv ~args ~out =
@@ -247,9 +251,9 @@ let add_edge t ?(kind = E_direct) src dst =
   if not (Edge_seen.mem t.edge_seen key) then begin
     Edge_seen.add t.edge_seen key ();
     t.edge_total <- t.edge_total + 1;
-    let existing = Option.value (Hashtbl.find_opt t.edges src) ~default:[] in
-    Hashtbl.replace t.edges src ((kind, dst) :: existing);
-    isuccs_ensure t sid;
+    t.skeleton <- ensure_slot t.skeleton sid;
+    t.skeleton.(sid) <- (kind, dst) :: t.skeleton.(sid);
+    t.isuccs <- ensure_slot t.isuccs sid;
     t.isuccs.(sid) <- (ksym, did) :: t.isuccs.(sid)
   end
 
@@ -265,8 +269,8 @@ let has_top t = t.g_has_top
 
 (* Id-level emission (context-keyed extraction).  Clone-body
    constraints write only the id-level mirrors — the edge dedup table,
-   [isuccs], and the edge counter — never the structural [edges]
-   table.  The frozen CSR is laid out from [isuccs], so the interned
+   [isuccs], and the edge counter — never the structural [skeleton].
+   The frozen CSR is laid out from [isuccs], so the interned
    solver sees the context-expanded flow graph, while structural
    consumers ([succs], [locations], [pp_dot]) keep the
    context-insensitive skeleton; materialisation installs the clone
@@ -277,7 +281,7 @@ let add_edge_ids t ?(kind = E_direct) sid did =
   if not (Edge_seen.mem t.edge_seen key) then begin
     Edge_seen.add t.edge_seen key ();
     t.edge_total <- t.edge_total + 1;
-    isuccs_ensure t sid;
+    t.isuccs <- ensure_slot t.isuccs sid;
     t.isuccs.(sid) <- (ksym, did) :: t.isuccs.(sid)
   end
 
@@ -670,7 +674,14 @@ let views_of t node =
     (fun v acc -> match Node.view_of_value v with Some view -> view :: acc | None -> acc)
     (set_of t node) []
 
-let succs t node = Option.value (Hashtbl.find_opt t.edges node) ~default:[]
+let succs t node =
+  match Intern.find_node t.g_it node with
+  | Some id when id < Array.length t.skeleton -> t.skeleton.(id)
+  | _ -> []
+
+(* Skeleton sources in id order, each with its successors. *)
+let iter_skeleton t f =
+  Array.iteri (fun id targets -> if targets <> [] then f (Intern.node_of t.g_it id) targets) t.skeleton
 
 let seeds t = Hashtbl.fold (fun node vs acc -> (node, vs) :: acc) t.seed_tbl []
 
@@ -1026,11 +1037,9 @@ let locations t =
       out := node :: !out
     end
   in
-  Hashtbl.iter
-    (fun src targets ->
+  iter_skeleton t (fun src targets ->
       add src;
-      List.iter (fun (_, dst) -> add dst) targets)
-    t.edges;
+      List.iter (fun (_, dst) -> add dst) targets);
   Hashtbl.iter (fun node _ -> add node) t.seed_tbl;
   Hashtbl.iter (fun node _ -> add node) t.sets;
   (match t.sets_base with
@@ -1066,15 +1075,13 @@ let pp_dot ppf t =
         op.op_args;
       Option.iter (fun out -> Fmt.pf ppf "  %s -> %s;@\n" op_node (location_id out)) op.op_out)
     (ops t);
-  Hashtbl.iter
-    (fun src targets ->
+  iter_skeleton t (fun src targets ->
       List.iter
         (fun (kind, dst) ->
           match kind with
           | E_direct -> Fmt.pf ppf "  %s -> %s;@\n" (location_id src) (location_id dst)
           | E_cast c -> Fmt.pf ppf "  %s -> %s [label=\"(%s)\"];@\n" (location_id src) (location_id dst) c)
-        targets)
-    t.edges;
+        targets);
   Hashtbl.iter
     (fun parent children ->
       View_set.iter

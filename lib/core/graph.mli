@@ -76,7 +76,8 @@ val has_top : t -> bool
     space: endpoints are already interned (via {!Intern.ctx_node}), so
     these variants skip the structural mirrors.  [add_edge_ids] writes
     only the id-level stores the frozen CSR is built from; the
-    structural [edges] table keeps the context-insensitive skeleton.
+    structural skeleton behind {!succs} keeps the context-insensitive
+    edges.
     [seed_id] and [fresh_op_ids] decode back to structural nodes (seeds
     and op records are rare and must match the inlining path
     byte-for-byte). *)
@@ -143,6 +144,9 @@ val tainted_nodes : t -> (Node.t * VS.t) list
 (** Every location with a non-empty taint set, in unspecified order. *)
 
 val succs : t -> Node.t -> (edge_kind * Node.t) list
+(** The flow successors of a location added by {!add_edge}, newest
+    first.  Clone edges added by {!add_edge_ids} are not listed.  One
+    interner lookup plus an array read. *)
 
 val seeds : t -> (Node.t * VS.t) list
 
@@ -357,10 +361,16 @@ val remove_solution_row : t -> Node.t -> unit
 val allocs : t -> Node.alloc_site list
 
 val locations : t -> Node.t list
-(** Every location mentioned by an edge, seed, set, or op. *)
+(** Every location mentioned by an edge, seed, set, or op, each once.
+    Enumeration order: the endpoints of {!succs} edges first, by
+    ascending source id (each source, then its successors newest
+    first); then seeded, solved and op-touching locations not yet
+    listed.  Building the same graph twice gives the same order. *)
 
 val edge_count : t -> int
 
 val pp_dot : t Fmt.t
 (** Graphviz rendering of the solved graph: locations, op nodes, flow
-    edges, and relationship edges (Figures 3-4 style). *)
+    edges, and relationship edges (Figures 3-4 style).  Locations come
+    in {!locations} order, op nodes in creation order, and flow edges
+    (the {!succs} skeleton) by ascending source id. *)

@@ -93,8 +93,12 @@ let stmt_def = function
 
 let find_class program name = List.find_opt (fun c -> c.c_name = name) program.p_classes
 
+(* Compares in place rather than through [key_of_meth], so a lookup
+   allocates nothing. *)
 let find_meth cls key =
-  List.find_opt (fun m -> equal_meth_key (key_of_meth m) key) cls.c_methods
+  List.find_opt
+    (fun m -> String.equal m.m_name key.mk_name && List.compare_length_with m.m_params key.mk_arity = 0)
+    cls.c_methods
 
 (** The special receiver variable of instance methods. *)
 let this_var = "this"

@@ -19,8 +19,13 @@ type node = {
 
 type t = {
   nodes : (string, node) Hashtbl.t;
-  mutable anc_cache : (string, SS.t) Hashtbl.t;
-  mutable sub_cache : (string, string list) Hashtbl.t;
+  anc_cache : (string, SS.t) Hashtbl.t;
+  mutable sub_index : (string, string list) Hashtbl.t option;
+      (** every type's reflexive-transitive subtypes, filled in one pass
+          over [nodes] on first use *)
+  by_name : (string, Ast.cls list) Hashtbl.t;
+      (** method name -> every application class defining a method of
+          that name, once each, in class order *)
   program : Ast.program;
 }
 
@@ -52,9 +57,32 @@ let check_acyclic t =
   in
   Hashtbl.iter (fun name _ -> visit name) t.nodes
 
+(* One pass over the program.  Classes are visited last to first, so
+   each list comes out in class order with no reversal; a class with
+   several methods of one name is already at the head of that name's
+   list after the first. *)
+let index_methods t =
+  List.iter
+    (fun (c : Ast.cls) ->
+      List.iter
+        (fun (m : Ast.meth) ->
+          match Hashtbl.find_opt t.by_name m.m_name with
+          | Some (c' :: _) when c' == c -> ()
+          | prev -> Hashtbl.replace t.by_name m.m_name (c :: Option.value prev ~default:[]))
+        c.c_methods)
+    (List.rev t.program.Ast.p_classes)
+
 let create ?(platform = []) program =
   let t =
-    { nodes = Hashtbl.create 128; anc_cache = Hashtbl.create 128; sub_cache = Hashtbl.create 128; program }
+    {
+      nodes = Hashtbl.create 128;
+      anc_cache = Hashtbl.create 128;
+      sub_index = None;
+      (* at most one binding per method, and a table resizes only
+         past two bindings per bucket: indexing never resizes *)
+      by_name = Hashtbl.create (snd (Ast.program_size program) / 2);
+      program;
+    }
   in
   List.iter
     (fun d ->
@@ -73,6 +101,7 @@ let create ?(platform = []) program =
         })
     program.p_classes;
   check_acyclic t;
+  index_methods t;
   t
 
 let mem t name = Hashtbl.mem t.nodes name
@@ -116,15 +145,25 @@ let superclass_chain t name =
 
 let subtype t sub sup = sub = sup || SS.mem sup (ancestors_set t sub)
 
+(* Each type joins the list of every ancestor and of itself, visiting
+   [nodes] in [Hashtbl.iter] order: every list comes out newest-visited
+   first, the order a per-type [Hashtbl.fold] filter would give. *)
+let build_sub_index t =
+  let index = Hashtbl.create (Hashtbl.length t.nodes) in
+  let push sup n =
+    Hashtbl.replace index sup (n :: Option.value (Hashtbl.find_opt index sup) ~default:[])
+  in
+  Hashtbl.iter
+    (fun n _ ->
+      push n n;
+      SS.iter (fun sup -> push sup n) (ancestors_set t n))
+    t.nodes;
+  t.sub_index <- Some index;
+  index
+
 let subtypes t name =
-  match Hashtbl.find_opt t.sub_cache name with
-  | Some xs -> xs
-  | None ->
-      let xs =
-        Hashtbl.fold (fun n _ acc -> if subtype t n name then n :: acc else acc) t.nodes []
-      in
-      Hashtbl.replace t.sub_cache name xs;
-      xs
+  let index = match t.sub_index with Some index -> index | None -> build_sub_index t in
+  Option.value (Hashtbl.find_opt index name) ~default:[]
 
 let rec field_ty t cls f =
   match Hashtbl.find_opt t.nodes cls with
@@ -139,40 +178,53 @@ let rec field_ty t cls f =
       | Some ty -> Some ty
       | None -> ( match node.n_super with Some s -> field_ty t s f | None -> None))
 
-let own_meth t cls key =
-  match Hashtbl.find_opt t.nodes cls with
-  | Some { n_cls = Some c; _ } -> Ast.find_meth c key
-  | _ -> None
-
-let rec resolve t cls key =
-  match own_meth t cls key with
-  | Some m -> Some (cls, m)
-  | None -> ( match super t cls with Some s -> resolve t s key | None -> None)
+let classes_defining t (key : Ast.meth_key) =
+  Option.value (Hashtbl.find_opt t.by_name key.mk_name) ~default:[]
 
 let methods_with_key t key =
   List.filter_map
     (fun (c : Ast.cls) -> Option.map (fun m -> (c.c_name, m)) (Ast.find_meth c key))
-    t.program.Ast.p_classes
+    (classes_defining t key)
 
+let rec find_def cls key = function
+  | [] -> None
+  | (c : Ast.cls) :: rest ->
+      if String.equal c.c_name cls then Ast.find_meth c key else find_def cls key rest
+
+let own_meth t cls key = find_def cls key (classes_defining t key)
+
+(* The classes defining the key's name are looked up once; a name no
+   application class defines resolves to [None] without walking the
+   chain. *)
+let resolve t cls key =
+  match classes_defining t key with
+  | [] -> None
+  | defs ->
+      let rec up cls =
+        match find_def cls key defs with
+        | Some m -> Some (cls, m)
+        | None -> ( match super t cls with Some s -> up s | None -> None)
+      in
+      up cls
+
+(* A name no application class defines has no targets whatever the
+   receiver, so platform calls skip the subtype walk. *)
 let cha_targets t ~recv_ty key =
   match recv_ty with
-  | None -> methods_with_key t key
-  | Some ty ->
-      if not (mem t ty) then methods_with_key t key
-      else
-        let candidates = subtypes t ty in
-        let seen = Hashtbl.create 8 in
-        List.filter_map
-          (fun sub ->
-            match Hashtbl.find_opt t.nodes sub with
-            | Some { n_kind = `Class; n_cls = Some _; _ } -> (
-                match resolve t sub key with
-                | Some (owner, m) when not (Hashtbl.mem seen owner) ->
-                    Hashtbl.add seen owner ();
-                    Some (owner, m)
-                | _ -> None)
-            | _ -> None)
-          candidates
+  | Some ty when mem t ty && classes_defining t key <> [] ->
+      let seen = Hashtbl.create 8 in
+      List.filter_map
+        (fun sub ->
+          match Hashtbl.find_opt t.nodes sub with
+          | Some { n_kind = `Class; n_cls = Some _; _ } -> (
+              match resolve t sub key with
+              | Some (owner, m) when not (Hashtbl.mem seen owner) ->
+                  Hashtbl.add seen owner ();
+                  Some (owner, m)
+              | _ -> None)
+          | _ -> None)
+        (subtypes t ty)
+  | _ -> methods_with_key t key
 
 let iter_methods t f =
   List.iter

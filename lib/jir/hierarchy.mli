@@ -53,29 +53,54 @@ val subtype : t -> string -> string -> bool
     and [implements]. *)
 
 val subtypes : t -> string -> string list
-(** All reflexive-transitive subtypes of a type. *)
+(** All reflexive-transitive subtypes of a type, across [extends] and
+    [implements].  Supertypes unknown to the hierarchy have subtypes
+    too; a name with none gets [[]].
+
+    Order contract: the list is [List.filter (fun n -> subtype t n name)
+    (types t)] — the order of {!types}, which is fixed for a given
+    program and platform.  Callers depend on it: {!cha_targets} keeps
+    it, and extraction mints node ids in that order.
+
+    Cost: the first call fills every type's list in one pass, in time
+    proportional to the sum of the ancestor-set sizes; each call after
+    that is one table lookup. *)
 
 val field_ty : t -> string -> string -> Ast.ty option
 (** [field_ty t cls f] looks up the declared type of field [f] starting
     at [cls] and walking up the superclass chain. *)
 
 val own_meth : t -> string -> Ast.meth_key -> Ast.meth option
-(** A method defined directly in the given application class. *)
+(** A method defined directly in the given application class: its first
+    method with the key, as {!Ast.find_meth} picks it.
+
+    {!create} indexes application classes by the names of the methods
+    they define, once.  This lookup reads the classes defining the
+    key's name from that index and searches only the given class's
+    methods. *)
 
 val resolve : t -> string -> Ast.meth_key -> (string * Ast.meth) option
 (** Dynamic-dispatch lookup: the first definition of the method found
     on the superclass chain starting at the given (runtime) class.
-    Returns the defining class and the method. *)
+    Returns the defining class and the method.  Reads the index once;
+    a method name no application class defines answers [None] without
+    walking the chain. *)
 
 val cha_targets : t -> recv_ty:string option -> Ast.meth_key -> (string * Ast.meth) list
 (** Possible targets of a virtual call, by class hierarchy analysis:
     for every application class that is a subtype of the receiver's
     static type, the dispatch result.  With [recv_ty = None] (statically
     untyped receiver) every application method with the key is a
-    target.  Results are deduplicated by defining class. *)
+    target, as with a receiver type the hierarchy does not know.
+    Results are deduplicated by defining class.  For a known receiver
+    type they come in {!subtypes} order, at the cost of one {!resolve}
+    per subtype; otherwise they are {!methods_with_key}. *)
 
 val methods_with_key : t -> Ast.meth_key -> (string * Ast.meth) list
-(** All application methods having the given key. *)
+(** All application methods having the given key, in class order, one
+    per class (the {!own_meth} one).  Costs one index lookup plus a
+    search of each class defining the key's name, not a scan of the
+    program. *)
 
 val iter_methods : t -> (string -> Ast.meth -> unit) -> unit
 (** Iterate over all application methods with their defining class. *)

@@ -89,10 +89,13 @@ let infer ~hierarchy ~external_return ~owner (m : Ast.meth) =
         | None -> ())
     | Ast.Invoke (None, _, _, _) | Ast.Write_field _ | Ast.Return _ -> ()
   in
-  let rounds = ref 0 in
-  while !changed && !rounds < 10 do
+  (* Run to the fixpoint, with no round budget: a variable goes from
+     untyped to typed once, then only to strict supertypes, or to
+     conflicted, which absorbs.  The subtype order is acyclic, so
+     every round that changes something is a step along a finite
+     chain. *)
+  while !changed do
     changed := false;
-    incr rounds;
     List.iter step m.m_body
   done;
   env

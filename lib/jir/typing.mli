@@ -24,7 +24,8 @@ val infer :
     consulted for calls that resolve to no application method —
     typically Android platform APIs whose return types the framework
     model knows. [owner] is the class defining [m] (gives [this] its
-    type). *)
+    type).  The result is the fixpoint: inference re-walks the body
+    until no type changes, however long the def-use chains. *)
 
 val ty_of : env -> string -> Ast.ty option
 

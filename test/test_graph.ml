@@ -184,6 +184,100 @@ let test_frozen_flow_memo_invalidation () =
   Alcotest.check Alcotest.int "late node is now a tracked singleton" late_id
     fc2.Graph.fc_rep.(late_id)
 
+(* ------------------------------------------------------------------ *)
+(* The structural skeleton over the corpus *)
+
+module Edge_set = Set.Make (struct
+  type t = Node.t * Graph.edge_kind * Node.t
+
+  let compare (s1, k1, d1) (s2, k2, d2) =
+    let c = Node.compare s1 s2 in
+    if c <> 0 then c
+    else
+      let c = compare k1 k2 in
+      if c <> 0 then c else Node.compare d1 d2
+end)
+
+module Node_set = Set.Make (Node)
+
+(* The old [succs] table held exactly the [add_edge] edges.  Rebuilt
+   here from the frozen CSR, which holds every edge: the clone edges of
+   [add_edge_ids] are the ones touching a context clone, and no
+   [add_edge] edge touches one. *)
+let csr_edges g =
+  let it = Graph.interner g in
+  let clones = Hashtbl.create 64 in
+  List.iter (fun id -> Hashtbl.replace clones id ()) (Intern.ctx_clone_ids it);
+  let fc = Graph.frozen_flow g in
+  let skeleton = ref Edge_set.empty and clone_edges = ref 0 in
+  for src = 0 to fc.Graph.fc_nodes - 1 do
+    for e = fc.Graph.fc_row.(src) to fc.Graph.fc_row.(src + 1) - 1 do
+      let dst = fc.Graph.fc_edst.(e) in
+      if Hashtbl.mem clones src || Hashtbl.mem clones dst then incr clone_edges
+      else
+        let k = fc.Graph.fc_ekind.(e) in
+        let kind = if k < 0 then Graph.E_direct else Graph.E_cast fc.Graph.fc_cast_names.(k) in
+        skeleton := Edge_set.add (Intern.node_of it src, kind, Intern.node_of it dst) !skeleton
+    done
+  done;
+  (!skeleton, !clone_edges, clones)
+
+let check_skeleton name config app =
+  let g = Extract.run config app in
+  let it = Graph.interner g in
+  let expected, clone_edges, clones = csr_edges g in
+  let locations = Graph.locations g in
+  let got =
+    List.fold_left
+      (fun acc src ->
+        List.fold_left (fun acc (kind, dst) -> Edge_set.add (src, kind, dst) acc) acc (Graph.succs g src))
+      Edge_set.empty locations
+  in
+  if not (Edge_set.equal expected got) then
+    Alcotest.failf "%s: succs differ from the add_edge skeleton (%d vs %d edges)" name
+      (Edge_set.cardinal expected) (Edge_set.cardinal got);
+  Alcotest.check Alcotest.int (name ^ ": skeleton plus clone edges is every edge")
+    (Graph.edge_count g) (Edge_set.cardinal got + clone_edges);
+  if config.Config.inline_depth > 0 then
+    Alcotest.check Alcotest.bool (name ^ ": the keyed run made clone edges") true (clone_edges > 0);
+  Hashtbl.iter
+    (fun id () ->
+      if Graph.succs g (Intern.node_of it id) <> [] then
+        Alcotest.failf "%s: clone %a has skeleton successors" name Node.pp (Intern.node_of it id))
+    clones;
+  (* the old [locations] of an unsolved graph: skeleton endpoints,
+     seeded locations and op endpoints *)
+  let old_locations =
+    let add_op acc (op : Graph.op) =
+      List.fold_left (Fun.flip Node_set.add) acc
+        ((op.op_recv :: op.op_args) @ Option.to_list op.op_out)
+    in
+    let with_edges =
+      Edge_set.fold (fun (s, _, d) acc -> Node_set.add s (Node_set.add d acc)) expected Node_set.empty
+    in
+    let with_seeds = List.fold_left (fun acc (n, _) -> Node_set.add n acc) with_edges (Graph.seeds g) in
+    List.fold_left add_op with_seeds (Graph.ops g)
+  in
+  let got_locations = Node_set.of_list locations in
+  Alcotest.check Alcotest.int (name ^ ": locations has no duplicates") (List.length locations)
+    (Node_set.cardinal got_locations);
+  if not (Node_set.equal old_locations got_locations) then
+    Alcotest.failf "%s: locations differ from the old definition (%d vs %d)" name
+      (Node_set.cardinal old_locations) (Node_set.cardinal got_locations);
+  let again = Graph.locations (Extract.run config app) in
+  if not (List.equal Node.equal locations again) then
+    Alcotest.failf "%s: locations order differs between two extractions" name
+
+let test_corpus_skeleton () =
+  let keyed_cs2 = { Config.default with inline_depth = 2; ctx_keyed = true } in
+  List.iter
+    (fun spec ->
+      let app = Corpus.Apps.generate spec in
+      let name = spec.Corpus.Spec.sp_name in
+      check_skeleton (name ^ "@0") Config.default app;
+      check_skeleton (name ^ "@cs2") keyed_cs2 app)
+    Corpus.Apps.specs
+
 let suite =
   [
     Alcotest.test_case "add_value grows once" `Quick test_add_value_grows_once;
@@ -202,4 +296,5 @@ let suite =
     Alcotest.test_case "frozen flow: scc condensation" `Quick test_frozen_flow_condensation;
     Alcotest.test_case "frozen flow: memo invalidation" `Quick
       test_frozen_flow_memo_invalidation;
+    Alcotest.test_case "skeleton succs and locations over the corpus" `Quick test_corpus_skeleton;
   ]

@@ -130,6 +130,238 @@ let test_iter_methods () =
   Hierarchy.iter_methods h (fun _ _ -> incr count);
   Alcotest.check Alcotest.int "method count" 4 !count
 
+(* ------------------------------------------------------------------ *)
+(* Differential: the indexed lookups against the scans they replace *)
+
+(* The straightforward definitions, kept here as the oracle.  [types]
+   is a [Hashtbl.fold] over the type table, so filtering it is the old
+   per-type fold, order included.  [find_meth] is the old
+   [Ast.find_meth]: the class's first method whose key equals, scanning
+   the whole method list; the class itself is found by name, as the
+   type table found it. *)
+module Naive = struct
+  type t = { h : Hierarchy.t; classes : (string, Ast.cls) Hashtbl.t }
+
+  let make h =
+    let classes = Hashtbl.create 64 in
+    List.iter (fun (c : Ast.cls) -> Hashtbl.replace classes c.c_name c) (Hierarchy.application_classes h);
+    { h; classes }
+
+  let subtypes n name = List.filter (fun ty -> Hierarchy.subtype n.h ty name) (Hierarchy.types n.h)
+
+  let find_meth (c : Ast.cls) key =
+    List.find_opt (fun m -> Ast.equal_meth_key (Ast.key_of_meth m) key) c.c_methods
+
+  let own_meth n cls key = Option.bind (Hashtbl.find_opt n.classes cls) (fun c -> find_meth c key)
+
+  let rec resolve n cls key =
+    match own_meth n cls key with
+    | Some m -> Some (cls, m)
+    | None -> ( match Hierarchy.super n.h cls with Some s -> resolve n s key | None -> None)
+
+  let methods_with_key n key =
+    List.filter_map
+      (fun (c : Ast.cls) -> Option.map (fun m -> (c.c_name, m)) (find_meth c key))
+      (Hierarchy.application_classes n.h)
+
+  let cha_targets n ~recv_ty key =
+    match recv_ty with
+    | Some ty when Hierarchy.mem n.h ty ->
+        let seen = Hashtbl.create 8 in
+        List.filter_map
+          (fun sub ->
+            if Hierarchy.kind n.h sub = Some `Class && Hierarchy.is_application n.h sub then
+              match resolve n sub key with
+              | Some (owner, m) when not (Hashtbl.mem seen owner) ->
+                  Hashtbl.add seen owner ();
+                  Some (owner, m)
+              | _ -> None
+            else None)
+          (subtypes n ty)
+    | _ -> methods_with_key n key
+end
+
+(* Methods compare physically: with two same-key methods in one class,
+   both sides must pick the same record. *)
+let same_targets = List.equal (fun (c1, m1) (c2, m2) -> String.equal c1 c2 && m1 == m2)
+
+let pp_key (k : Ast.meth_key) = Printf.sprintf "%s/%d" k.mk_name k.mk_arity
+
+let pp_recv = function Some ty -> ty | None -> "?"
+
+(* Every type plus every supertype name the hierarchy does not know. *)
+let probe_types h =
+  let unknown =
+    List.concat_map
+      (fun (c : Ast.cls) ->
+        List.filter
+          (fun n -> not (Hierarchy.mem h n))
+          (Option.to_list c.c_super @ c.c_interfaces))
+      (Hierarchy.application_classes h)
+  in
+  List.sort_uniq compare (("NoSuchType" :: unknown) @ Hierarchy.types h)
+
+let check_subtypes name (n : Naive.t) =
+  List.iter
+    (fun ty ->
+      if Naive.subtypes n ty <> Hierarchy.subtypes n.h ty then
+        Alcotest.failf "%s: subtypes %s differs" name ty)
+    (probe_types n.h)
+
+let check_methods name (n : Naive.t) keys =
+  List.iter
+    (fun key ->
+      if not (same_targets (Naive.methods_with_key n key) (Hierarchy.methods_with_key n.h key)) then
+        Alcotest.failf "%s: methods_with_key %s differs" name (pp_key key))
+    keys
+
+let check_resolve name (n : Naive.t) types keys =
+  List.iter
+    (fun ty ->
+      List.iter
+        (fun key ->
+          let same =
+            match (Naive.resolve n ty key, Hierarchy.resolve n.h ty key) with
+            | None, None -> true
+            | Some (c1, m1), Some (c2, m2) -> String.equal c1 c2 && m1 == m2
+            | _ -> false
+          in
+          if not same then Alcotest.failf "%s: resolve %s %s differs" name ty (pp_key key))
+        keys)
+    types
+
+let check_cha name (n : Naive.t) queries =
+  List.iter
+    (fun (recv_ty, key) ->
+      if
+        not
+          (same_targets (Naive.cha_targets n ~recv_ty key) (Hierarchy.cha_targets n.h ~recv_ty key))
+      then Alcotest.failf "%s: cha_targets %s %s differs" name (pp_recv recv_ty) (pp_key key))
+    queries
+
+let dedup_keys keys = List.sort_uniq Ast.compare_meth_key keys
+
+(* Every corpus app, probed at the queries extraction makes: each call
+   site's key with its inferred receiver type, and with no type. *)
+let test_corpus_differential () =
+  List.iter
+    (fun spec ->
+      let app = Corpus.Apps.generate spec in
+      let h = app.Framework.App.hierarchy in
+      let name = spec.Corpus.Spec.sp_name in
+      let sites = ref [] in
+      List.iter
+        (fun (c : Ast.cls) ->
+          List.iter
+            (fun (m : Ast.meth) ->
+              let env = Framework.App.typing_env app ~owner:c.c_name m in
+              List.iter
+                (function
+                  | Ast.Invoke (_, recv, mname, args) ->
+                      let key = { Ast.mk_name = mname; mk_arity = List.length args } in
+                      sites := (Typing.class_of env recv, key) :: (None, key) :: !sites
+                  | _ -> ())
+                m.m_body)
+            c.c_methods)
+        app.program.p_classes;
+      let queries = List.sort_uniq compare !sites in
+      let keys = dedup_keys (List.map snd queries) in
+      let classes = List.map (fun (c : Ast.cls) -> c.c_name) app.program.p_classes in
+      let n = Naive.make h in
+      check_subtypes name n;
+      check_methods name n keys;
+      check_resolve name n classes keys;
+      check_cha name n queries)
+    Corpus.Apps.specs
+
+let method_names = [ "m"; "n"; "onClick"; "run" ]
+
+(* Random hierarchies: platform and application types, interfaces,
+   supertypes nobody declares, and classes defining one key twice.
+   Supertypes are drawn from earlier types only, so no cycles. *)
+let random_hierarchy seed =
+  let rng = Random.State.make [| seed |] in
+  let pick l = List.nth l (Random.State.int rng (List.length l)) in
+  let unknown = [ "Ghost"; "Phantom" ] in
+  let n_platform = 1 + Random.State.int rng 4 and n_app = 1 + Random.State.int rng 10 in
+  let kind () = if Random.State.int rng 4 = 0 then `Interface else `Class in
+  let super_of earlier =
+    match Random.State.int rng 4 with
+    | 0 -> None
+    | 1 -> Some (pick unknown)
+    | _ -> if earlier = [] then None else Some (pick earlier)
+  in
+  let ifaces_of earlier =
+    List.filter (fun _ -> Random.State.int rng 3 = 0) earlier
+    @ if Random.State.int rng 5 = 0 then [ pick unknown ] else []
+  in
+  let platform, names =
+    List.fold_left
+      (fun (decls, earlier) i ->
+        let name = Printf.sprintf "P%d" i in
+        let d =
+          { Hierarchy.d_name = name; d_kind = kind (); d_super = super_of earlier;
+            d_interfaces = ifaces_of earlier }
+        in
+        (d :: decls, name :: earlier))
+      ([], []) (List.init n_platform Fun.id)
+  in
+  let meth_id = ref 0 in
+  let meth () =
+    incr meth_id;
+    let arity = Random.State.int rng 2 in
+    {
+      Ast.m_name = pick method_names;
+      m_params = List.init arity (fun i -> (Printf.sprintf "p%d" i, Ast.Tint));
+      m_ret = None;
+      (* a distinct local per method keeps same-key methods apart *)
+      m_locals = [ (Printf.sprintf "u%d" !meth_id, Ast.Tint) ];
+      m_body = [];
+    }
+  in
+  let classes, _ =
+    List.fold_left
+      (fun (classes, earlier) i ->
+        let name = Printf.sprintf "A%d" i in
+        let methods = List.init (Random.State.int rng 4) (fun _ -> meth ()) in
+        let methods =
+          (* the same key twice in one class *)
+          match methods with
+          | m :: _ when Random.State.bool rng -> methods @ [ { m with m_locals = [ ("dup", Ast.Tint) ] } ]
+          | _ -> methods
+        in
+        let c =
+          { Ast.c_name = name; c_kind = kind (); c_super = super_of earlier;
+            c_interfaces = ifaces_of earlier; c_fields = []; c_methods = methods }
+        in
+        (c :: classes, name :: earlier))
+      ([], names) (List.init n_app Fun.id)
+  in
+  Hierarchy.create ~platform:(List.rev platform) { Ast.p_classes = List.rev classes }
+
+let qcheck_random_differential =
+  QCheck.Test.make ~count:300 ~name:"indexed lookups equal the scans on random hierarchies"
+    QCheck.(make Gen.(int_range 0 1_000_000))
+    (fun seed ->
+      let h = random_hierarchy seed in
+      let name = Printf.sprintf "seed %d" seed in
+      let keys =
+        dedup_keys
+          (List.concat_map
+             (fun n -> List.init 3 (fun arity -> { Ast.mk_name = n; mk_arity = arity }))
+             ("absent" :: method_names))
+      in
+      let types = probe_types h in
+      let n = Naive.make h in
+      check_subtypes name n;
+      check_methods name n keys;
+      check_resolve name n types keys;
+      check_cha name n
+        (List.concat_map
+           (fun key -> (None, key) :: List.map (fun ty -> (Some ty, key)) types)
+           keys);
+      true)
+
 let suite =
   [
     Alcotest.test_case "mem and kind" `Quick test_mem_kind;
@@ -147,4 +379,7 @@ let suite =
     Alcotest.test_case "cycles rejected" `Quick test_cycle_rejected;
     Alcotest.test_case "unknown supertype tolerated" `Quick test_unknown_super_tolerated;
     Alcotest.test_case "iter_methods" `Quick test_iter_methods;
+    Alcotest.test_case "indexed lookups equal the scans on the corpus" `Quick
+      test_corpus_differential;
+    QCheck_alcotest.to_alcotest qcheck_random_differential;
   ]

@@ -81,6 +81,36 @@ let test_declared_wins () =
   in
   check_ty env "x" (Some (Ast.Tclass "View"))
 
+(* A def-use chain longer than any fixed round budget: each round
+   carries TextView one copy further back through the chain.  Stopping
+   early would leave the tail untyped and type x12 by its later
+   definition alone (Button), and CHA on x12 would then miss the
+   override only a TextView subclass defines. *)
+let test_long_chain_reaches_fixpoint () =
+  let n = 12 in
+  let copies =
+    String.concat " " (List.init n (fun i -> Printf.sprintf "x%d = x%d;" (n - i) (n - i - 1)))
+  in
+  let src =
+    Printf.sprintf
+      "class MyText extends TextView { method m(): void { } }\n\
+       class MyButton extends Button { method m(): void { } }\n\
+       class C { method go(): void { %s x0 = new TextView(); x%d = new Button(); x%d.m(); } }"
+      copies n n
+  in
+  let env = env_of ~owner:"C" src "go" in
+  for i = 0 to n do
+    check_ty env (Printf.sprintf "x%d" i) (Some (Ast.Tclass "TextView"))
+  done;
+  let hierarchy = Hierarchy.create ~platform (Parser.parse_program src) in
+  let owners =
+    List.map fst
+      (Hierarchy.cha_targets hierarchy ~recv_ty:(Typing.class_of env (Printf.sprintf "x%d" n))
+         { Ast.mk_name = "m"; mk_arity = 0 })
+  in
+  Alcotest.check (Alcotest.list Alcotest.string) "CHA on x12 sees both overrides"
+    [ "MyButton"; "MyText" ] (List.sort compare owners)
+
 let test_lcs () =
   let hierarchy = Hierarchy.create ~platform (Parser.parse_program "class C { }") in
   let lcs = Typing.least_common_superclass hierarchy in
@@ -101,5 +131,7 @@ let suite =
     Alcotest.test_case "join to least common superclass" `Quick test_join_to_lcs;
     Alcotest.test_case "conflicting defs stay unknown" `Quick test_conflict_is_unknown;
     Alcotest.test_case "declared types win" `Quick test_declared_wins;
+    Alcotest.test_case "long copy chains reach the fixpoint" `Quick
+      test_long_chain_reaches_fixpoint;
     Alcotest.test_case "least_common_superclass" `Quick test_lcs;
   ]
