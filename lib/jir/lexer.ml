@@ -24,6 +24,7 @@ type token =
   | DOT
   | EQUALS
   | QUESTION
+  | EOF
 
 type pos = { line : int; col : int }
 
@@ -57,22 +58,7 @@ let pp_token ppf = function
   | DOT -> Fmt.string ppf "'.'"
   | EQUALS -> Fmt.string ppf "'='"
   | QUESTION -> Fmt.string ppf "'?'"
-
-let keyword_of_string = function
-  | "class" -> Some KW_CLASS
-  | "interface" -> Some KW_INTERFACE
-  | "extends" -> Some KW_EXTENDS
-  | "implements" -> Some KW_IMPLEMENTS
-  | "field" -> Some KW_FIELD
-  | "method" -> Some KW_METHOD
-  | "var" -> Some KW_VAR
-  | "new" -> Some KW_NEW
-  | "return" -> Some KW_RETURN
-  | "null" -> Some KW_NULL
-  | "int" -> Some KW_INT
-  | "void" -> Some KW_VOID
-  | "R" -> Some KW_R
-  | _ -> None
+  | EOF -> Fmt.string ppf "end of input"
 
 let is_ident_start c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_' || c = '$'
 
@@ -80,139 +66,178 @@ let is_ident_char c = is_ident_start c || (c >= '0' && c <= '9')
 
 let is_digit c = c >= '0' && c <= '9'
 
-type cursor = { src : string; mutable off : int; mutable line : int; mutable col : int }
+let is_hex_digit c = is_digit c || (c >= 'a' && c <= 'f') || (c >= 'A' && c <= 'F')
 
-let peek cur = if cur.off < String.length cur.src then Some cur.src.[cur.off] else None
+(* Line and column come from offsets: a column per byte, a new line
+   after each ['\n'].  [line] / [line_start] follow [off]; the [tok_]
+   fields hold the current token's start.  At end of input the [tok_]
+   fields keep the last real token's start, so errors there point at
+   it (or at 1:1 in an empty source). *)
+type cursor = {
+  src : string;
+  mutable off : int;  (** first byte not yet lexed *)
+  mutable line : int;
+  mutable line_start : int;  (** offset of the first byte of [line] *)
+  mutable tok : token;
+  mutable tok_start : int;
+  mutable tok_line : int;
+  mutable tok_line_start : int;
+}
 
-let peek2 cur = if cur.off + 1 < String.length cur.src then Some cur.src.[cur.off + 1] else None
+let pos_at ~line ~line_start start = { line; col = start - line_start + 1 }
+
+let lex_error cur message start =
+  raise (Lex_error (message, pos_at ~line:cur.line ~line_start:cur.line_start start))
+
+(* Offset of the ["*/"] closing a block comment whose body starts at
+   [i], counting the newlines it crosses; [-1] if there is none. *)
+let rec comment_close cur i =
+  let src = cur.src in
+  if i >= String.length src then -1
+  else
+    match String.unsafe_get src i with
+    | '*' when i + 1 < String.length src && String.unsafe_get src (i + 1) = '/' -> i
+    | '\n' ->
+        cur.line <- cur.line + 1;
+        cur.line_start <- i + 1;
+        comment_close cur (i + 1)
+    | _ -> comment_close cur (i + 1)
+
+let rec span_while pred src i =
+  if i < String.length src && pred (String.unsafe_get src i) then span_while pred src (i + 1) else i
+
+(* Whitespace, [// ...] to end of line and [/* ... */] (non-nesting). *)
+let rec skip_trivia cur =
+  let src = cur.src in
+  let n = String.length src in
+  let i = cur.off in
+  if i < n then
+    match String.unsafe_get src i with
+    | ' ' | '\t' | '\r' ->
+        cur.off <- i + 1;
+        skip_trivia cur
+    | '\n' ->
+        cur.off <- i + 1;
+        cur.line <- cur.line + 1;
+        cur.line_start <- i + 1;
+        skip_trivia cur
+    | '/' when i + 1 < n && String.unsafe_get src (i + 1) = '/' ->
+        cur.off <- span_while (fun c -> c <> '\n') src (i + 2);
+        skip_trivia cur
+    | '/' when i + 1 < n && String.unsafe_get src (i + 1) = '*' ->
+        let line = cur.line and line_start = cur.line_start in
+        let close = comment_close cur (i + 2) in
+        if close < 0 then
+          raise (Lex_error ("unterminated comment", pos_at ~line ~line_start i));
+        cur.off <- close + 2;
+        skip_trivia cur
+    | _ -> ()
+
+let rec same_from src start word i =
+  i = String.length word
+  || (String.unsafe_get src (start + i) = String.unsafe_get word i && same_from src start word (i + 1))
+
+(* Whether [src.[start .. start + len - 1]] is [word], without copying. *)
+let is_word src start len word = String.length word = len && same_from src start word 0
+
+let word_token src start len =
+  match String.unsafe_get src start with
+  | 'c' when is_word src start len "class" -> KW_CLASS
+  | 'e' when is_word src start len "extends" -> KW_EXTENDS
+  | 'f' when is_word src start len "field" -> KW_FIELD
+  | 'i' when is_word src start len "int" -> KW_INT
+  | 'i' when is_word src start len "interface" -> KW_INTERFACE
+  | 'i' when is_word src start len "implements" -> KW_IMPLEMENTS
+  | 'm' when is_word src start len "method" -> KW_METHOD
+  | 'n' when is_word src start len "new" -> KW_NEW
+  | 'n' when is_word src start len "null" -> KW_NULL
+  | 'r' when is_word src start len "return" -> KW_RETURN
+  | 'v' when is_word src start len "var" -> KW_VAR
+  | 'v' when is_word src start len "void" -> KW_VOID
+  | 'R' when len = 1 -> KW_R
+  | _ -> IDENT (String.sub src start len)
+
+let number_token cur start =
+  let src = cur.src in
+  let stop =
+    (* allow 0x prefix for resource-style ids *)
+    if
+      String.unsafe_get src start = '0'
+      && start + 1 < String.length src
+      && (String.unsafe_get src (start + 1) = 'x' || String.unsafe_get src (start + 1) = 'X')
+    then span_while is_hex_digit src (start + 2)
+    else span_while is_digit src start
+  in
+  let text = String.sub src start (stop - start) in
+  match int_of_string_opt text with
+  | Some n ->
+      cur.off <- stop;
+      INT n
+  | None -> lex_error cur (Printf.sprintf "bad integer literal %S" text) start
+
+let punct cur token =
+  cur.off <- cur.off + 1;
+  token
 
 let advance cur =
-  (match peek cur with
-  | Some '\n' ->
-      cur.line <- cur.line + 1;
-      cur.col <- 1
-  | Some _ -> cur.col <- cur.col + 1
-  | None -> ());
-  cur.off <- cur.off + 1
-
-let position cur = { line = cur.line; col = cur.col }
-
-let rec skip_trivia cur =
-  match peek cur with
-  | Some (' ' | '\t' | '\r' | '\n') ->
-      advance cur;
-      skip_trivia cur
-  | Some '/' -> (
-      match peek2 cur with
-      | Some '/' ->
-          let rec to_eol () =
-            match peek cur with
-            | Some '\n' | None -> ()
-            | Some _ ->
-                advance cur;
-                to_eol ()
-          in
-          to_eol ();
-          skip_trivia cur
-      | Some '*' ->
-          let start = position cur in
-          advance cur;
-          advance cur;
-          let rec to_close () =
-            match (peek cur, peek2 cur) with
-            | Some '*', Some '/' ->
-                advance cur;
-                advance cur
-            | Some _, _ ->
-                advance cur;
-                to_close ()
-            | None, _ -> raise (Lex_error ("unterminated comment", start))
-          in
-          to_close ();
-          skip_trivia cur
-      | _ -> ())
-  | _ -> ()
-
-let lex_word cur =
+  skip_trivia cur;
+  let src = cur.src in
   let start = cur.off in
-  while (match peek cur with Some c -> is_ident_char c | None -> false) do
-    advance cur
-  done;
-  String.sub cur.src start (cur.off - start)
-
-let lex_number cur pos =
-  let start = cur.off in
-  (* allow 0x prefix for resource-style ids *)
-  if peek cur = Some '0' && (peek2 cur = Some 'x' || peek2 cur = Some 'X') then begin
-    advance cur;
-    advance cur;
-    while
-      match peek cur with
-      | Some c -> is_digit c || (c >= 'a' && c <= 'f') || (c >= 'A' && c <= 'F')
-      | None -> false
-    do
-      advance cur
-    done
+  if start >= String.length src then cur.tok <- EOF
+  else begin
+    cur.tok <-
+      (match String.unsafe_get src start with
+      | '{' -> punct cur LBRACE
+      | '}' -> punct cur RBRACE
+      | '(' -> punct cur LPAREN
+      | ')' -> punct cur RPAREN
+      | ';' -> punct cur SEMI
+      | ':' -> punct cur COLON
+      | ',' -> punct cur COMMA
+      | '.' -> punct cur DOT
+      | '=' -> punct cur EQUALS
+      | '?' -> punct cur QUESTION
+      | c when is_digit c -> number_token cur start
+      | c when is_ident_start c ->
+          let stop = span_while is_ident_char src (start + 1) in
+          cur.off <- stop;
+          word_token src start (stop - start)
+      | c -> lex_error cur (Printf.sprintf "unexpected character %C" c) start);
+    cur.tok_start <- start;
+    cur.tok_line <- cur.line;
+    cur.tok_line_start <- cur.line_start
   end
-  else
-    while (match peek cur with Some c -> is_digit c | None -> false) do
-      advance cur
-    done;
-  let text = String.sub cur.src start (cur.off - start) in
-  match int_of_string_opt text with
-  | Some n -> n
-  | None -> raise (Lex_error (Printf.sprintf "bad integer literal %S" text, pos))
+
+let cursor src =
+  let cur =
+    { src; off = 0; line = 1; line_start = 0; tok = EOF; tok_start = 0; tok_line = 1; tok_line_start = 0 }
+  in
+  advance cur;
+  cur
+
+let token cur = cur.tok
+
+let line cur = cur.tok_line
+
+let col cur = cur.tok_start - cur.tok_line_start + 1
+
+let pos cur = { line = line cur; col = col cur }
+
+let rec drain cur =
+  match cur.tok with
+  | EOF -> ()
+  | _ ->
+      advance cur;
+      drain cur
 
 let tokenize src =
-  let cur = { src; off = 0; line = 1; col = 1 } in
-  let out = ref [] in
-  let emit token pos = out := { token; pos } :: !out in
-  let rec loop () =
-    skip_trivia cur;
-    match peek cur with
-    | None -> ()
-    | Some c ->
-        let pos = position cur in
-        (match c with
-        | '{' ->
-            advance cur;
-            emit LBRACE pos
-        | '}' ->
-            advance cur;
-            emit RBRACE pos
-        | '(' ->
-            advance cur;
-            emit LPAREN pos
-        | ')' ->
-            advance cur;
-            emit RPAREN pos
-        | ';' ->
-            advance cur;
-            emit SEMI pos
-        | ':' ->
-            advance cur;
-            emit COLON pos
-        | ',' ->
-            advance cur;
-            emit COMMA pos
-        | '.' ->
-            advance cur;
-            emit DOT pos
-        | '=' ->
-            advance cur;
-            emit EQUALS pos
-        | '?' ->
-            advance cur;
-            emit QUESTION pos
-        | c when is_digit c -> emit (INT (lex_number cur pos)) pos
-        | c when is_ident_start c ->
-            let word = lex_word cur in
-            let token =
-              match keyword_of_string word with Some kw -> kw | None -> IDENT word
-            in
-            emit token pos
-        | c -> raise (Lex_error (Printf.sprintf "unexpected character %C" c, pos)));
-        loop ()
+  let cur = cursor src in
+  let rec collect acc =
+    match cur.tok with
+    | EOF -> List.rev acc
+    | token ->
+        let l = { token; pos = pos cur } in
+        advance cur;
+        collect (l :: acc)
   in
-  loop ();
-  List.rev !out
+  collect []

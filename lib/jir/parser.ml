@@ -2,197 +2,207 @@ open Lexer
 
 exception Parse_error of string * Lexer.pos
 
-type state = { tokens : located array; mutable index : int }
+let fail cur message = raise (Parse_error (message, Lexer.pos cur))
 
-let eof_pos state =
-  if Array.length state.tokens = 0 then { line = 1; col = 1 }
-  else (state.tokens.(Array.length state.tokens - 1)).pos
+(* The current token is not one the grammar allows here.  [wanted]
+   describes what would have been, as in ["expected a type"]. *)
+let unexpected cur wanted =
+  match token cur with
+  | EOF -> fail cur "unexpected end of input"
+  | t -> fail cur (Fmt.str "%s, found %a" wanted pp_token t)
 
-let peek state = if state.index < Array.length state.tokens then Some state.tokens.(state.index) else None
+(* [token] must carry no payload: physical equality is then constructor
+   equality, with no polymorphic compare. *)
+let expect cur token what = if Lexer.token cur == token then advance cur else unexpected cur ("expected " ^ what)
 
-let fail state message =
-  let pos = match peek state with Some l -> l.pos | None -> eof_pos state in
-  raise (Parse_error (message, pos))
+let accept cur token =
+  if Lexer.token cur == token then begin
+    advance cur;
+    true
+  end
+  else false
 
-let next state =
-  match peek state with
-  | Some l ->
-      state.index <- state.index + 1;
-      l
-  | None -> fail state "unexpected end of input"
+let ident cur =
+  match token cur with
+  | IDENT s ->
+      advance cur;
+      s
+  | _ -> unexpected cur "expected identifier"
 
-let expect state token what =
-  let l = next state in
-  if l.token <> token then
-    raise (Parse_error (Fmt.str "expected %s, found %a" what pp_token l.token, l.pos))
+let parse_ty cur =
+  match token cur with
+  | KW_INT ->
+      advance cur;
+      Ast.Tint
+  | KW_VOID -> fail cur "'void' is only allowed as a return type"
+  | IDENT s ->
+      advance cur;
+      Ast.Tclass s
+  | _ -> unexpected cur "expected a type"
 
-let accept state token =
-  match peek state with
-  | Some l when l.token = token ->
-      state.index <- state.index + 1;
-      true
-  | _ -> false
-
-let ident state =
-  let l = next state in
-  match l.token with
-  | IDENT s -> s
-  | t -> raise (Parse_error (Fmt.str "expected identifier, found %a" pp_token t, l.pos))
-
-let parse_ty state =
-  let l = next state in
-  match l.token with
-  | KW_INT -> Ast.Tint
-  | KW_VOID -> raise (Parse_error ("'void' is only allowed as a return type", l.pos))
-  | IDENT s -> Ast.Tclass s
-  | t -> raise (Parse_error (Fmt.str "expected a type, found %a" pp_token t, l.pos))
-
-let parse_ret_ty state =
-  if accept state COLON then
-    let l = next state in
-    match l.token with
-    | KW_VOID -> None
-    | KW_INT -> Some Ast.Tint
-    | IDENT s -> Some (Ast.Tclass s)
-    | t -> raise (Parse_error (Fmt.str "expected a return type, found %a" pp_token t, l.pos))
+let parse_ret_ty cur =
+  if accept cur COLON then
+    match token cur with
+    | KW_VOID ->
+        advance cur;
+        None
+    | KW_INT ->
+        advance cur;
+        Some Ast.Tint
+    | IDENT s ->
+        advance cur;
+        Some (Ast.Tclass s)
+    | _ -> unexpected cur "expected a return type"
   else None
 
-let parse_params state =
-  expect state LPAREN "'('";
-  if accept state RPAREN then []
+let parse_params cur =
+  expect cur LPAREN "'('";
+  if accept cur RPAREN then []
   else
     let rec more acc =
-      let name = ident state in
-      expect state COLON "':'";
-      let ty = parse_ty state in
+      let name = ident cur in
+      expect cur COLON "':'";
+      let ty = parse_ty cur in
       let acc = (name, ty) :: acc in
-      if accept state COMMA then more acc
+      if accept cur COMMA then more acc
       else begin
-        expect state RPAREN "')'";
+        expect cur RPAREN "')'";
         List.rev acc
       end
     in
     more []
 
-let parse_args state =
-  expect state LPAREN "'('";
-  if accept state RPAREN then []
+let parse_args cur =
+  expect cur LPAREN "'('";
+  if accept cur RPAREN then []
   else
     let rec more acc =
-      let name = ident state in
+      let name = ident cur in
       let acc = name :: acc in
-      if accept state COMMA then more acc
+      if accept cur COMMA then more acc
       else begin
-        expect state RPAREN "')'";
+        expect cur RPAREN "')'";
         List.rev acc
       end
     in
     more []
+
+let unknown_category category ~line ~col =
+  raise (Parse_error (Fmt.str "unknown resource category R.%s (want layout or id)" category, { line; col }))
+
+(* [R.category.name] / [R.category.?], the [R] already consumed; an
+   unknown category is reported at the [R], at [line]:[col]. *)
+let parse_resource cur x ~line ~col =
+  expect cur DOT "'.'";
+  let category = ident cur in
+  expect cur DOT "'.'";
+  (* [R.layout.?] / [R.id.?]: a resource id the analysis cannot
+     resolve statically (reflection, computed names). *)
+  if accept cur QUESTION then
+    match category with
+    | "layout" -> Ast.Read_layout_top x
+    | "id" -> Ast.Read_view_top x
+    | other -> unknown_category other ~line ~col
+  else
+    let name = ident cur in
+    match category with
+    | "layout" -> Ast.Read_layout_id (x, name)
+    | "id" -> Ast.Read_view_id (x, name)
+    | other -> unknown_category other ~line ~col
 
 (* Right-hand sides of [x = rhs;].  [x] has already been consumed. *)
-let parse_rhs state x =
-  let l = next state in
-  match l.token with
+let parse_rhs cur x =
+  match token cur with
   | KW_NEW ->
-      let cls = ident state in
-      expect state LPAREN "'('";
-      expect state RPAREN "')'";
+      advance cur;
+      let cls = ident cur in
+      expect cur LPAREN "'('";
+      expect cur RPAREN "')'";
       Ast.New (x, cls)
-  | KW_NULL -> Ast.Const_null x
-  | INT n -> Ast.Const_int (x, n)
-  | KW_R -> (
-      expect state DOT "'.'";
-      let category = ident state in
-      expect state DOT "'.'";
-      (* [R.layout.?] / [R.id.?]: a resource id the analysis cannot
-         resolve statically (reflection, computed names). *)
-      if accept state QUESTION then
-        match category with
-        | "layout" -> Ast.Read_layout_top x
-        | "id" -> Ast.Read_view_top x
-        | other ->
-            raise
-              (Parse_error (Fmt.str "unknown resource category R.%s (want layout or id)" other, l.pos))
-      else
-        let name = ident state in
-        match category with
-        | "layout" -> Ast.Read_layout_id (x, name)
-        | "id" -> Ast.Read_view_id (x, name)
-        | other ->
-            raise (Parse_error (Fmt.str "unknown resource category R.%s (want layout or id)" other, l.pos)))
+  | KW_NULL ->
+      advance cur;
+      Ast.Const_null x
+  | INT n ->
+      advance cur;
+      Ast.Const_int (x, n)
+  | KW_R ->
+      let line = line cur and col = col cur in
+      advance cur;
+      parse_resource cur x ~line ~col
   | LPAREN ->
-      let cls = ident state in
-      expect state RPAREN "')'";
-      let y = ident state in
+      advance cur;
+      let cls = ident cur in
+      expect cur RPAREN "')'";
+      let y = ident cur in
       Ast.Cast (x, cls, y)
-  | IDENT y -> (
-      match peek state with
-      | Some { token = DOT; _ } -> (
-          state.index <- state.index + 1;
-          let member = ident state in
-          match peek state with
-          | Some { token = LPAREN; _ } ->
-              let args = parse_args state in
-              Ast.Invoke (Some x, y, member, args)
-          | _ -> Ast.Read_field (x, y, member))
-      | _ -> Ast.Copy (x, y))
-  | t -> raise (Parse_error (Fmt.str "expected an expression, found %a" pp_token t, l.pos))
+  | IDENT y ->
+      advance cur;
+      if accept cur DOT then
+        let member = ident cur in
+        match token cur with
+        | LPAREN ->
+            let args = parse_args cur in
+            Ast.Invoke (Some x, y, member, args)
+        | _ -> Ast.Read_field (x, y, member)
+      else Ast.Copy (x, y)
+  | _ -> unexpected cur "expected an expression"
 
-let parse_stmt state =
-  let l = next state in
-  match l.token with
+let parse_stmt cur =
+  match token cur with
   | KW_RETURN ->
-      if accept state SEMI then Ast.Return None
+      advance cur;
+      if accept cur SEMI then Ast.Return None
       else
-        let x = ident state in
-        expect state SEMI "';'";
+        let x = ident cur in
+        expect cur SEMI "';'";
         Ast.Return (Some x)
   | IDENT x -> (
-      match peek state with
-      | Some { token = EQUALS; _ } ->
-          state.index <- state.index + 1;
-          let stmt = parse_rhs state x in
-          expect state SEMI "';'";
+      advance cur;
+      match token cur with
+      | EQUALS ->
+          advance cur;
+          let stmt = parse_rhs cur x in
+          expect cur SEMI "';'";
           stmt
-      | Some { token = DOT; _ } -> (
-          state.index <- state.index + 1;
-          let member = ident state in
-          match peek state with
-          | Some { token = LPAREN; _ } ->
-              let args = parse_args state in
-              expect state SEMI "';'";
+      | DOT -> (
+          advance cur;
+          let member = ident cur in
+          match token cur with
+          | LPAREN ->
+              let args = parse_args cur in
+              expect cur SEMI "';'";
               Ast.Invoke (None, x, member, args)
-          | Some { token = EQUALS; _ } ->
-              state.index <- state.index + 1;
-              let y = ident state in
-              expect state SEMI "';'";
+          | EQUALS ->
+              advance cur;
+              let y = ident cur in
+              expect cur SEMI "';'";
               Ast.Write_field (x, member, y)
-          | _ -> fail state "expected '(' (call) or '=' (field write) after member access")
-      | _ -> fail state "expected '=' or '.' after identifier")
-  | t -> raise (Parse_error (Fmt.str "expected a statement, found %a" pp_token t, l.pos))
+          | _ -> fail cur "expected '(' (call) or '=' (field write) after member access")
+      | _ -> fail cur "expected '=' or '.' after identifier")
+  | _ -> unexpected cur "expected a statement"
 
-let parse_method state =
-  let name = ident state in
-  let params = parse_params state in
-  let ret = parse_ret_ty state in
-  expect state LBRACE "'{'";
+let parse_method cur =
+  let name = ident cur in
+  let params = parse_params cur in
+  let ret = parse_ret_ty cur in
+  expect cur LBRACE "'{'";
   let locals = ref [] in
   let body = ref [] in
   let rec members () =
-    match peek state with
-    | Some { token = RBRACE; _ } -> state.index <- state.index + 1
-    | Some { token = KW_VAR; _ } ->
-        state.index <- state.index + 1;
-        let v = ident state in
-        expect state COLON "':'";
-        let ty = parse_ty state in
-        expect state SEMI "';'";
+    match token cur with
+    | RBRACE -> advance cur
+    | KW_VAR ->
+        advance cur;
+        let v = ident cur in
+        expect cur COLON "':'";
+        let ty = parse_ty cur in
+        expect cur SEMI "';'";
         locals := (v, ty) :: !locals;
         members ()
-    | Some _ ->
-        body := parse_stmt state :: !body;
+    | EOF -> fail cur "unterminated method body"
+    | _ ->
+        body := parse_stmt cur :: !body;
         members ()
-    | None -> fail state "unterminated method body"
   in
   members ();
   {
@@ -203,40 +213,38 @@ let parse_method state =
     m_body = List.rev !body;
   }
 
-let parse_class state kind =
-  let name = ident state in
-  let super = if accept state KW_EXTENDS then Some (ident state) else None in
+let parse_class cur kind =
+  let name = ident cur in
+  let super = if accept cur KW_EXTENDS then Some (ident cur) else None in
   let interfaces =
-    if accept state KW_IMPLEMENTS then
+    if accept cur KW_IMPLEMENTS then
       let rec more acc =
-        let i = ident state in
-        if accept state COMMA then more (i :: acc) else List.rev (i :: acc)
+        let i = ident cur in
+        if accept cur COMMA then more (i :: acc) else List.rev (i :: acc)
       in
       more []
     else []
   in
-  expect state LBRACE "'{'";
+  expect cur LBRACE "'{'";
   let fields = ref [] in
   let methods = ref [] in
   let rec members () =
-    match peek state with
-    | Some { token = RBRACE; _ } -> state.index <- state.index + 1
-    | Some { token = KW_FIELD; _ } ->
-        state.index <- state.index + 1;
-        let f = ident state in
-        expect state COLON "':'";
-        let ty = parse_ty state in
-        expect state SEMI "';'";
+    match token cur with
+    | RBRACE -> advance cur
+    | KW_FIELD ->
+        advance cur;
+        let f = ident cur in
+        expect cur COLON "':'";
+        let ty = parse_ty cur in
+        expect cur SEMI "';'";
         fields := (f, ty) :: !fields;
         members ()
-    | Some { token = KW_METHOD; _ } ->
-        state.index <- state.index + 1;
-        methods := parse_method state :: !methods;
+    | KW_METHOD ->
+        advance cur;
+        methods := parse_method cur :: !methods;
         members ()
-    | Some l ->
-        raise
-          (Parse_error (Fmt.str "expected 'field', 'method' or '}', found %a" pp_token l.token, l.pos))
-    | None -> fail state "unterminated class body"
+    | EOF -> fail cur "unterminated class body"
+    | _ -> unexpected cur "expected 'field', 'method' or '}'"
   in
   members ();
   {
@@ -248,26 +256,30 @@ let parse_class state kind =
     c_methods = List.rev !methods;
   }
 
-let parse_program src =
-  let tokens = Array.of_list (Lexer.tokenize src) in
-  let state = { tokens; index = 0 } in
-  let classes = ref [] in
-  let rec loop () =
-    match peek state with
-    | None -> ()
-    | Some { token = KW_CLASS; _ } ->
-        state.index <- state.index + 1;
-        classes := parse_class state `Class :: !classes;
-        loop ()
-    | Some { token = KW_INTERFACE; _ } ->
-        state.index <- state.index + 1;
-        classes := parse_class state `Interface :: !classes;
-        loop ()
-    | Some l ->
-        raise (Parse_error (Fmt.str "expected 'class' or 'interface', found %a" pp_token l.token, l.pos))
+let parse_classes cur =
+  let rec loop acc =
+    match token cur with
+    | EOF -> List.rev acc
+    | KW_CLASS ->
+        advance cur;
+        loop (parse_class cur `Class :: acc)
+    | KW_INTERFACE ->
+        advance cur;
+        loop (parse_class cur `Interface :: acc)
+    | _ -> unexpected cur "expected 'class' or 'interface'"
   in
-  loop ();
-  { Ast.p_classes = List.rev !classes }
+  { Ast.p_classes = loop [] }
+
+(* A lexical error anywhere in the source wins over a syntax error, as
+   if the whole source had been lexed before parsing: on a syntax error
+   the rest of the source is still lexed. *)
+let parse_program src =
+  let cur = Lexer.cursor src in
+  match parse_classes cur with
+  | program -> program
+  | exception (Parse_error _ as e) ->
+      Lexer.drain cur;
+      raise e
 
 let parse_program_result src =
   match parse_program src with

@@ -8,6 +8,7 @@ let () =
       ("json", Test_json.suite);
       ("lexer", Test_lexer.suite);
       ("parser", Test_parser.suite);
+      ("alite-oracle", Test_alite_oracle.suite);
       ("roundtrip", Test_roundtrip.suite);
       ("hierarchy", Test_hierarchy.suite);
       ("typing", Test_typing.suite);

@@ -96,10 +96,31 @@ let test_errors () =
   expect_error "toplevel junk" "banana";
   expect_error "void as param type" "class C { method m(x: void): void { } }"
 
+let expect_message msg expected src =
+  match Parser.parse_program_result src with
+  | Error got -> Alcotest.check Alcotest.string msg expected got
+  | Ok _ -> Alcotest.failf "%s: expected an error" msg
+
+(* Exact [line:col]: a column per byte, a new line after each '\n'. *)
 let test_error_position () =
-  match Parser.parse_program_result "class C {\n  banana\n}" with
-  | Error msg -> Alcotest.check Alcotest.bool "position in message" true (String.length msg > 0)
-  | Ok _ -> Alcotest.fail "expected error"
+  expect_message "first token of a line"
+    "parse error at 2:3: expected 'field', 'method' or '}', found identifier \"banana\""
+    "class C {\n  banana\n}";
+  expect_message "middle of a line" "parse error at 2:27: expected an expression, found ';'"
+    "class C {\n  method m() { x = y; z = ; }\n}";
+  expect_message "just after a multi-line comment"
+    "parse error at 4:5: expected 'field', 'method' or '}', found identifier \"banana\""
+    "class C {\n/* one\n   two\n */ banana\n}";
+  expect_message "end of input reports the last token" "parse error at 2:10: unexpected end of input"
+    "class C {\n  field f:\n\n";
+  expect_message "unterminated body at end of input" "parse error at 2:15: unterminated class body"
+    "class C {\n  field f: int;   ";
+  expect_message "lexical error on line 3" "lexical error at 3:5: unexpected character '#'"
+    "class C {\n  field f: int;\n  x # y\n}";
+  expect_message "unterminated comment at its opening" "lexical error at 2:17: unterminated comment"
+    "class C {\n  field f: int; /* never\n closed }\n";
+  expect_message "a later lexical error wins over an earlier syntax error"
+    "lexical error at 3:1: unexpected character '#'" "banana {\n\n#"
 
 let test_r_misuse () =
   expect_error "bare R" "class C { method m(): void { x = R; } }";
