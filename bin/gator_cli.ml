@@ -361,21 +361,14 @@ let () =
           ~doc:"Layout XML file; its basename (minus extension) is the layout name. Repeatable.")
   in
   let solver =
-    let engines =
-      [
-        ("naive", Gator.Config.Naive);
-        ("delta", Gator.Config.Delta);
-        ("interned", Gator.Config.Interned);
-      ]
-    in
+    let engines = [ ("naive", Gator.Config.Naive); ("interned", Gator.Config.Interned) ] in
     Arg.(
       value
       & opt (enum engines) Gator.Config.default.Gator.Config.solver
       & info [ "solver" ] ~docv:"ENGINE"
           ~doc:
-            "Constraint-solver engine: $(b,naive) (executable specification), $(b,delta) \
-             (semi-naive structural), or $(b,interned) (semi-naive over dense ids and bitsets; \
-             default). All three produce the same solution.")
+            "Constraint-solver engine: $(b,naive) (executable specification) or $(b,interned) \
+             (semi-naive over dense ids and bitsets; default). Both produce the same solution.")
   in
   let dot = Arg.(value & flag & info [ "dot" ] ~doc:"Dump the constraint graph in Graphviz form.") in
   let interactions =

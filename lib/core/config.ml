@@ -1,6 +1,6 @@
-type solver = Naive | Delta | Interned
+type solver = Naive | Interned
 
-let solver_name = function Naive -> "naive" | Delta -> "delta" | Interned -> "interned"
+let solver_name = function Naive -> "naive" | Interned -> "interned"
 
 type t = {
   cast_filtering : bool;

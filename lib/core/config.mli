@@ -5,14 +5,14 @@
     switch exists for the ablation benchmarks documented in
     DESIGN.md. *)
 
-(** Fixed-point engine selection.  All three compute the same
-    solution; [Naive] re-applies every operation against full sets
-    each round (the executable specification), [Delta] schedules only
-    ops whose inputs grew via the graph's dependency index and
-    per-node delta sets, and [Interned] (the default) runs the same
-    semi-naive schedule over hash-consed dense integer ids with bitset
-    solution sets and a CSR flow graph. *)
-type solver = Naive | Delta | Interned
+(** Fixed-point engine selection.  Both compute the same solution:
+    [Naive] re-applies every operation against full structural sets
+    each round until nothing changes (the executable specification the
+    differential tests compare against), and [Interned] (the default,
+    the production path) schedules only operations whose inputs grew,
+    over hash-consed dense integer ids with bitset solution sets and an
+    SCC-condensed CSR flow graph. *)
+type solver = Naive | Interned
 
 val solver_name : solver -> string
 
@@ -51,9 +51,8 @@ type t = {
           the inlining path at every depth — the differential batteries
           pin it — but skips the per-occurrence string mangling and
           structural table writes.  Only the [Interned] solver honours
-          it; structural engines always take the inlining path.  [false]
-          forces inlining everywhere, for the equivalence oracle and the
-          bench head-to-head. *)
+          it; the naive engine always takes the inlining path.  [false]
+          forces inlining everywhere, for the equivalence oracle. *)
   max_iterations : int;  (** fixed-point safety valve *)
   solver : solver;  (** fixed-point engine; results are identical *)
   jobs : int;
@@ -73,8 +72,7 @@ type t = {
           ({!Intern.shared_tier}), so the framework resource
           vocabulary is interned once instead of per task.  Results
           are bit-identical either way (only id labels move); [false]
-          forces fully private interners, for the differential tests
-          and the bench head-to-head. *)
+          forces fully private interners, for the differential tests. *)
 }
 
 val default : t

@@ -509,7 +509,7 @@ let seed_dialog_callbacks (app : Framework.App.t) graph =
 
 let run ?interner config (app : Framework.App.t) =
   (* Clone names must be deterministic per extraction, not per process:
-     two runs over the same app (e.g. the naive/delta equivalence
+     two runs over the same app (e.g. the naive/interned equivalence
      tests, or Diff) must name inlined variables identically.  The
      counter lives here rather than at module level so extractions
      running concurrently on separate domains cannot interleave. *)
@@ -527,10 +527,10 @@ let run ?interner config (app : Framework.App.t) =
   in
   let graph = Graph.create ~interner () in
   (* Context-keyed clone expansion only pays off on the interned engine
-     (the structural engines never read the id-level stores), so
-     structural solvers always take the inlining path regardless of the
-     flag.  The template cache is per-extraction: it captures base ids
-     of this graph's interner. *)
+     (the naive engine never reads the id-level stores), so the naive
+     solver always takes the inlining path regardless of the flag.  The
+     template cache is per-extraction: it captures base ids of this
+     graph's interner. *)
   let keyed =
     if
       config.Config.ctx_keyed && config.Config.inline_depth > 0

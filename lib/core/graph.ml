@@ -64,16 +64,6 @@ type flow_csr = {
   fc_largest_scc : int;
 }
 
-(* Dependency index for the delta solver: which ops read a given
-   points-to set, and which ops read each view relation.  Built once
-   from the (static) op list. *)
-type dep_index = {
-  di_node : (Node.t, op list) Hashtbl.t;  (** recv/arg node -> ops reading it *)
-  di_children : op list;  (** ops reading the parent/child relation *)
-  di_ids : op list;  (** ops reading view=>id associations *)
-  di_roots : op list;  (** ops reading holder=>root associations *)
-}
-
 (* Which view relations grew since the last [take_rel_changes]. *)
 type rel_changes = {
   rc_children : bool;
@@ -113,22 +103,12 @@ type t = {
           adopt a previous solve's table instead of O(app) to copy it *)
   sets_dead : (Node.t, unit) Hashtbl.t;
       (** base-layer rows deleted from this graph's view *)
-  delta_tbl : (Node.t, Node.value list) Hashtbl.t;
-      (** values added since the node's last drain, newest first; a
-          list because [add_value] already guarantees uniqueness *)
-  mutable track_deltas : bool;  (** delta bookkeeping on (delta solver only) *)
   mutable op_list : op list;  (** reversed creation order *)
-  mutable dep_index : dep_index option;  (** lazily built, invalidated by [fresh_op] *)
   mutable alloc_list : Node.alloc_site list;  (** reversed creation order *)
   alloc_seen : unit Alloc_seen.t;
   mutable children_tbl : (Node.view_abs, View_set.t) Hashtbl.t;
   mutable parents_tbl : (Node.view_abs, View_set.t) Hashtbl.t;
-  desc_cache : (Node.view_abs, View_set.t) Hashtbl.t;
-      (** memoized strict descendants closures, invalidated by [add_child] *)
-  mutable desc_hits : int;
-  mutable desc_misses : int;
   mutable ids_tbl : (Node.view_abs, Int_set.t) Hashtbl.t;
-  mutable views_by_id_tbl : (int, View_set.t) Hashtbl.t;  (** reverse of [ids_tbl] *)
   mutable roots_tbl : (Node.holder, View_set.t) Hashtbl.t;
   mutable listeners_tbl : (Node.view_abs, Listener_set.t) Hashtbl.t;
   root_layout_tbl : (Node.view_abs, Int_set.t) Hashtbl.t;
@@ -170,19 +150,12 @@ let create ?interner () =
     sets = Hashtbl.create 256;
     sets_base = None;
     sets_dead = Hashtbl.create 16;
-    delta_tbl = Hashtbl.create 256;
-    track_deltas = false;
     op_list = [];
-    dep_index = None;
     alloc_list = [];
     alloc_seen = Alloc_seen.create 64;
     children_tbl = Hashtbl.create 64;
     parents_tbl = Hashtbl.create 64;
-    desc_cache = Hashtbl.create 64;
-    desc_hits = 0;
-    desc_misses = 0;
     ids_tbl = Hashtbl.create 64;
-    views_by_id_tbl = Hashtbl.create 64;
     roots_tbl = Hashtbl.create 16;
     listeners_tbl = Hashtbl.create 32;
     root_layout_tbl = Hashtbl.create 16;
@@ -241,7 +214,6 @@ let fresh_op t ~kind ~site ~recv ~args ~out =
   let oid = match out with Some n -> node_id t n | None -> -1 in
   t.iop_ids <- (rid, aids, oid) :: t.iop_ids;
   t.op_list <- op :: t.op_list;
-  t.dep_index <- None;
   op
 
 let add_edge t ?(kind = E_direct) src dst =
@@ -306,7 +278,6 @@ let fresh_op_ids t ~kind ~site ~recv ~args ~out =
   in
   t.iop_ids <- (recv, Array.of_list args, Option.value out ~default:(-1)) :: t.iop_ids;
   t.op_list <- op :: t.op_list;
-  t.dep_index <- None;
   op
 
 (* Iterative Tarjan over the direct-edge subgraph ([ekind < 0]).  Cast
@@ -626,17 +597,13 @@ let add_value t node value =
   if updated == existing then false
   else begin
     Hashtbl.replace t.sets node updated;
-    if t.track_deltas then begin
-      let d = Option.value (Hashtbl.find_opt t.delta_tbl node) ~default:[] in
-      Hashtbl.replace t.delta_tbl node (value :: d)
-    end;
     true
   end
 
 (* Taint plane: the subset of [sets t node] whose membership was
    justified (transitively) by an unknown-id marker.  Maintained by the
    solvers alongside the value sets; [add_taint] does not require the
-   value to be present yet — structural engines may taint before the
+   value to be present yet — the naive engine may taint before the
    value lands, and the invariant taint ⊆ set holds at fixpoint. *)
 let add_taint t node value =
   let existing = Option.value (Hashtbl.find_opt t.taint_tbl node) ~default:VS.empty in
@@ -655,19 +622,6 @@ let install_taints t node vs =
   if VS.is_empty vs then Hashtbl.remove t.taint_tbl node else Hashtbl.replace t.taint_tbl node vs
 
 let tainted_nodes t = Hashtbl.fold (fun node vs acc -> (node, vs) :: acc) t.taint_tbl []
-
-let set_track_deltas t flag = t.track_deltas <- flag
-
-let delta_of t node = Option.value (Hashtbl.find_opt t.delta_tbl node) ~default:[]
-
-(* Consume a node's delta: the caller commits to having pushed every
-   returned value, so the slate is wiped for the next round. *)
-let take_delta t node =
-  match Hashtbl.find_opt t.delta_tbl node with
-  | None -> []
-  | Some d ->
-      Hashtbl.remove t.delta_tbl node;
-      d
 
 let views_of t node =
   VS.fold
@@ -690,15 +644,9 @@ let reset_sets t =
   t.sets_base <- None;
   Hashtbl.reset t.sets_dead;
   Hashtbl.reset t.taint_tbl;
-  Hashtbl.reset t.delta_tbl;
-  t.track_deltas <- false;
   Hashtbl.reset t.children_tbl;
   Hashtbl.reset t.parents_tbl;
-  Hashtbl.reset t.desc_cache;
-  t.desc_hits <- 0;
-  t.desc_misses <- 0;
   Hashtbl.reset t.ids_tbl;
-  Hashtbl.reset t.views_by_id_tbl;
   Hashtbl.reset t.roots_tbl;
   Hashtbl.reset t.listeners_tbl;
   Hashtbl.reset t.root_layout_tbl;
@@ -726,34 +674,11 @@ let children_of t view = Option.value (Hashtbl.find_opt t.children_tbl view) ~de
 
 let parents_of t view = Option.value (Hashtbl.find_opt t.parents_tbl view) ~default:View_set.empty
 
-(* Reflexive upward closure over the parent relation (cycle-safe). *)
-let ancestors t view =
-  let visited = ref (View_set.singleton view) in
-  let queue = Queue.create () in
-  Queue.add view queue;
-  while not (Queue.is_empty queue) do
-    let current = Queue.take queue in
-    View_set.iter
-      (fun parent ->
-        if not (View_set.mem parent !visited) then begin
-          visited := View_set.add parent !visited;
-          Queue.add parent queue
-        end)
-      (parents_of t current)
-  done;
-  !visited
-
 let add_child t ~parent ~child =
   let grew = add_to_set_tbl (module View_set) t.children_tbl parent child in
   if grew then begin
     ignore (add_to_set_tbl (module View_set) t.parents_tbl child parent);
-    t.rc_children <- true;
-    (* Exactly the views whose descendant closure can now reach [child]
-       are [parent] and the views above it; drop their cached closures.
-       (The edge cannot create new paths *to* [parent], so the ancestor
-       set read here is the same before and after the insertion.) *)
-    if Hashtbl.length t.desc_cache > 0 then
-      View_set.iter (fun v -> Hashtbl.remove t.desc_cache v) (ancestors t parent)
+    t.rc_children <- true
   end;
   grew
 
@@ -773,37 +698,12 @@ let descendants t ~include_self view =
   done;
   !visited
 
-(* Memoized variant of [descendants].  The cache stores the *strict*
-   closure (views reachable through at least one child edge, which under
-   cycles may include [view] itself); both reflexive and strict results
-   derive from it, matching [descendants] exactly. *)
-let descendants_cached t ~include_self view =
-  let strict =
-    match Hashtbl.find_opt t.desc_cache view with
-    | Some s ->
-        t.desc_hits <- t.desc_hits + 1;
-        s
-    | None ->
-        t.desc_misses <- t.desc_misses + 1;
-        let s = descendants t ~include_self:false view in
-        Hashtbl.replace t.desc_cache view s;
-        s
-  in
-  if include_self then View_set.add view strict else strict
-
-let desc_cache_counters t = (t.desc_hits, t.desc_misses)
-
 let add_view_id t view id =
   let grew = add_to_set_tbl (module Int_set) t.ids_tbl view id in
-  if grew then begin
-    ignore (add_to_set_tbl (module View_set) t.views_by_id_tbl id view);
-    t.rc_ids <- true
-  end;
+  if grew then t.rc_ids <- true;
   grew
 
 let ids_of_view t view = Option.value (Hashtbl.find_opt t.ids_tbl view) ~default:Int_set.empty
-
-let views_by_id t id = Option.value (Hashtbl.find_opt t.views_by_id_tbl id) ~default:View_set.empty
 
 let add_holder_root t holder root =
   let grew = add_to_set_tbl (module View_set) t.roots_tbl holder root in
@@ -913,7 +813,6 @@ let reset_solution_tables t =
   Hashtbl.reset t.children_tbl;
   Hashtbl.reset t.parents_tbl;
   Hashtbl.reset t.ids_tbl;
-  Hashtbl.reset t.views_by_id_tbl;
   Hashtbl.reset t.roots_tbl;
   Hashtbl.reset t.listeners_tbl
 
@@ -924,8 +823,6 @@ let install_children t view ws = Hashtbl.replace t.children_tbl view ws
 let install_parents t view ws = Hashtbl.replace t.parents_tbl view ws
 
 let install_ids t view ids = Hashtbl.replace t.ids_tbl view ids
-
-let install_views_by_id t id ws = Hashtbl.replace t.views_by_id_tbl id ws
 
 let install_roots t holder ws = Hashtbl.replace t.roots_tbl holder ws
 
@@ -958,10 +855,7 @@ let copy_solution_tables ~children ~ids ~roots ~listeners ~src dst =
     dst.children_tbl <- Hashtbl.copy src.children_tbl;
     dst.parents_tbl <- Hashtbl.copy src.parents_tbl
   end;
-  if ids then begin
-    dst.ids_tbl <- Hashtbl.copy src.ids_tbl;
-    dst.views_by_id_tbl <- Hashtbl.copy src.views_by_id_tbl
-  end;
+  if ids then dst.ids_tbl <- Hashtbl.copy src.ids_tbl;
   if roots then dst.roots_tbl <- Hashtbl.copy src.roots_tbl;
   if listeners then dst.listeners_tbl <- Hashtbl.copy src.listeners_tbl
 
@@ -972,61 +866,6 @@ let remove_solution_row t node =
 let ops t = List.rev t.op_list
 
 let allocs t = List.rev t.alloc_list
-
-(* Which relations an op's [apply] consults beyond its recv/arg sets:
-   FindView resolves ids over holder roots and their descendants;
-   FindOne/GetParent walk the hierarchy; SetListener re-injects handler
-   flows over the receiver's children (list-item propagation);
-   FragmentAdd resolves container ids over roots and hierarchies. *)
-let reads_children op =
-  match op.site.Node.o_kind with
-  | Framework.Api.Find_view | Find_one _ | Get_parent | Set_listener _ | Fragment_add -> true
-  | _ -> false
-
-let reads_ids op =
-  match op.site.Node.o_kind with Framework.Api.Find_view | Fragment_add -> true | _ -> false
-
-let reads_roots op =
-  match op.site.Node.o_kind with Framework.Api.Find_view | Fragment_add -> true | _ -> false
-
-let dep_index t =
-  match t.dep_index with
-  | Some di -> di
-  | None ->
-      let di_node = Hashtbl.create 256 in
-      let note node op =
-        let existing = Option.value (Hashtbl.find_opt di_node node) ~default:[] in
-        Hashtbl.replace di_node node (op :: existing)
-      in
-      let children = ref [] and ids = ref [] and roots = ref [] in
-      List.iter
-        (fun op ->
-          note op.op_recv op;
-          List.iter (fun arg -> note arg op) op.op_args;
-          if reads_children op then children := op :: !children;
-          if reads_ids op then ids := op :: !ids;
-          if reads_roots op then roots := op :: !roots)
-        (ops t);
-      Hashtbl.filter_map_inplace (fun _ l -> Some (List.rev l)) di_node;
-      let di =
-        {
-          di_node;
-          di_children = List.rev !children;
-          di_ids = List.rev !ids;
-          di_roots = List.rev !roots;
-        }
-      in
-      t.dep_index <- Some di;
-      di
-
-let ops_reading t node =
-  Option.value (Hashtbl.find_opt (dep_index t).di_node node) ~default:[]
-
-let ops_reading_children t = (dep_index t).di_children
-
-let ops_reading_ids t = (dep_index t).di_ids
-
-let ops_reading_roots t = (dep_index t).di_roots
 
 let locations t =
   let seen = Hashtbl.create 256 in

@@ -104,27 +104,13 @@ val add_value : t -> Node.t -> Node.value -> bool
 
 val set_of : t -> Node.t -> VS.t
 
-val set_track_deltas : t -> bool -> unit
-(** Enable or disable per-node delta bookkeeping.  When on, every value
-    admitted by {!add_value} is also recorded in the node's delta
-    until the next {!take_delta}.  Off by default; the delta solver
-    turns it on after {!reset_sets}. *)
-
-val delta_of : t -> Node.t -> Node.value list
-
-val take_delta : t -> Node.t -> Node.value list
-(** Consume a node's delta: returns the values added since the last
-    call (newest first, no duplicates — {!add_value} admits each value
-    once) and clears the slate.  Only meaningful under
-    {!set_track_deltas}. *)
-
 val views_of : t -> Node.t -> Node.view_abs list
 
 (** {2 Imprecision taint}
 
     The subset of each location's points-to set whose membership was
     justified (transitively) by an unknown-id marker.  Purely
-    diagnostic: solving never branches on taint, and all three engines
+    diagnostic: solving never branches on taint, and both engines
     compute the identical plane.  Invariant at fixpoint:
     [taints_of t n ⊆ set_of t n]. *)
 
@@ -165,25 +151,9 @@ val parents_of : t -> Node.view_abs -> View_set.t
 val descendants : t -> include_self:bool -> Node.view_abs -> View_set.t
 (** Reflexive-or-strict transitive closure of parent-child, by BFS. *)
 
-val descendants_cached : t -> include_self:bool -> Node.view_abs -> View_set.t
-(** Memoized {!descendants}: caches the strict closure per view and
-    invalidates the view's ancestors' entries when {!add_child} inserts
-    a new edge.  Result is identical to {!descendants}. *)
-
-val ancestors : t -> Node.view_abs -> View_set.t
-(** Reflexive upward closure over the parent relation. *)
-
-val desc_cache_counters : t -> int * int
-(** (hits, misses) of the {!descendants_cached} memo table. *)
-
 val add_view_id : t -> Node.view_abs -> int -> bool
 
 val ids_of_view : t -> Node.view_abs -> Int_set.t
-
-val views_by_id : t -> int -> View_set.t
-(** Reverse id index: every view carrying [id].  Lets FINDVIEW rules
-    intersect a (typically tiny) candidate set with a hierarchy closure
-    instead of filtering the whole closure by id. *)
 
 val add_holder_root : t -> Node.holder -> Node.view_abs -> bool
 
@@ -253,28 +223,6 @@ val root_layout_entries : t -> (Node.view_abs * int list) list
 val ops : t -> op list
 (** In creation order. *)
 
-(** {1 Dependency index (delta solver)}
-
-    Built lazily from the static op list; maps each location and each
-    view relation to the ops that read it, so the solver can schedule
-    exactly the ops whose inputs grew. *)
-
-val ops_reading : t -> Node.t -> op list
-(** Ops with [node] as receiver or argument, in creation order. *)
-
-val ops_reading_children : t -> op list
-
-val ops_reading_ids : t -> op list
-
-val ops_reading_roots : t -> op list
-
-val reads_children : op -> bool
-(** Does the op's rule consult the parent/child relation? *)
-
-val reads_ids : op -> bool
-
-val reads_roots : op -> bool
-
 (** {1 Interned ids (interned solver)}
 
     The graph hash-conses every node touched by an edge, seed, or op
@@ -324,10 +272,10 @@ val ops_node_ids : t -> (int * int array * int) array
     bitsets back into these structural tables, so every consumer of
     the solved graph is engine-agnostic.  {!reset_solution_tables}
     clears exactly the tables the id-level stores mirror (points-to
-    sets, children/parents, view ids and the reverse index, holder
-    roots, listeners); cold relations the interned engine maintains
-    structurally (onclick, declared fragments, root layouts,
-    inflations, transitions) are untouched. *)
+    sets, children/parents, view ids, holder roots, listeners); cold
+    relations the interned engine maintains structurally (onclick,
+    declared fragments, root layouts, inflations, transitions) are
+    untouched. *)
 
 val reset_solution_tables : t -> unit
 
@@ -338,8 +286,6 @@ val install_children : t -> Node.view_abs -> View_set.t -> unit
 val install_parents : t -> Node.view_abs -> View_set.t -> unit
 
 val install_ids : t -> Node.view_abs -> Int_set.t -> unit
-
-val install_views_by_id : t -> int -> View_set.t -> unit
 
 val install_roots : t -> Node.holder -> View_set.t -> unit
 

@@ -33,10 +33,11 @@ type table2_row = {
 }
 
 (** Solver work counters for one analyzed app — the evidence that the
-    delta engine does strictly less work than naive re-iteration. *)
+    interned engine's semi-naive schedule does strictly less work than
+    naive re-iteration. *)
 type solver_row = {
   sv_app : string;
-  sv_solver : string;  (** "naive", "delta", or "interned" *)
+  sv_solver : string;  (** "naive" or "interned" *)
   sv_ops : int;
   sv_iterations : int;
   sv_op_applications : int;
@@ -47,14 +48,14 @@ type solver_row = {
   sv_desc_hits : int;
   sv_desc_misses : int;
   sv_interned_values : int;
-      (** distinct abstract values hash-consed; [0] for structural engines *)
+      (** distinct abstract values hash-consed; [0] for the naive engine *)
   sv_bitset_words : int;  (** words allocated across solution bitsets *)
   sv_union_calls : int;  (** word-level unions on direct flow edges *)
-  sv_scc_count : int;  (** direct-edge flow SCCs at freeze; [0] for structural engines *)
-  sv_largest_scc : int;  (** largest direct-edge SCC; [0] for structural engines *)
+  sv_scc_count : int;  (** direct-edge flow SCCs at freeze; [0] for the naive engine *)
+  sv_largest_scc : int;  (** largest direct-edge SCC; [0] for the naive engine *)
   sv_ctx_count : int;
       (** call-string contexts minted by the context-keyed extraction;
-          [0] for structural engines or without [ctx_keyed] *)
+          [0] for the naive engine or without [ctx_keyed] *)
   sv_ctx_keys : int;  (** distinct ⟨node, ctx⟩ keys interned; [0] likewise *)
   sv_warm : bool;  (** solved by the incremental (warm) path *)
   sv_dirty_comps : int;  (** components re-solved by a warm solve; [0] when cold *)

@@ -326,7 +326,6 @@ let dconfig j =
     solver =
       (match dstr (dfield "solver" j) with
       | "naive" -> Config.Naive
-      | "delta" -> Config.Delta
       | "interned" -> Config.Interned
       | s -> bad "unknown solver %s" s);
     jobs = dint (dfield "jobs" j);
@@ -346,16 +345,31 @@ let dints j = Array.of_list (List.map dint (dlist j))
 
 let dstrings j = Array.of_list (List.map dstr (dlist j))
 
-let dbitset j =
+(* A pool id read from the file: [what] names the field, [pool] the
+   size of the pool it must index.  Bitsets and row arrays are sized by
+   the largest id they hold, so an unchecked id could demand any amount
+   of memory. *)
+let did ~what ~pool j =
+  let i = dint j in
+  if i < 0 || i >= pool then bad "%s: id %d out of range (pool size %d)" what i pool;
+  i
+
+let dbitset ~what ~members j =
   let b = Util.Bitset.create () in
-  List.iter (fun i -> ignore (Util.Bitset.add b (dint i))) (dlist j);
+  List.iter (fun i -> ignore (Util.Bitset.add b (did ~what ~pool:members i))) (dlist j);
   b
 
-let drows ~size j =
-  let rows = List.map (function J.List [ i; b ] -> (dint i, dbitset b) | _ -> bad "bad row") (dlist j) in
-  let n = List.fold_left (fun acc (i, _) -> max acc (i + 1)) size rows in
+(* Relation rows [[row id, members]]: row ids index the [rows] pool,
+   members the [members] pool. *)
+let drows ~what ?(size = 0) ~rows ~members j =
+  let decode = function
+    | J.List [ i; b ] -> (did ~what ~pool:rows i, dbitset ~what ~members b)
+    | _ -> bad "bad row"
+  in
+  let decoded = List.map decode (dlist j) in
+  let n = List.fold_left (fun acc (i, _) -> max acc (i + 1)) size decoded in
   let a = Array.make n None in
-  List.iter (fun (i, b) -> a.(i) <- Some b) rows;
+  List.iter (fun (i, b) -> a.(i) <- Some b) decoded;
   a
 
 let dpairs j =
@@ -396,16 +410,19 @@ let of_json j =
     let value_total = dint (dfield "value_total" j) in
     if Intern.node_count it < node_total || Intern.value_count it < value_total then
       bad "pool counts below recorded totals";
+    let nodes = Intern.node_count it and values = Intern.value_count it in
+    let views = Intern.view_count it and rids = Intern.rid_count it in
     let csr_n = dint (dfield "csr_n" j) in
-    let nrep = dints (dfield "nrep" j) in
+    let nrep = Array.of_list (List.map (did ~what:"nrep" ~pool:nodes) (dlist (dfield "nrep" j))) in
     if Array.length nrep <> csr_n then bad "nrep size mismatch";
-    let sols = drows ~size:node_total (dfield "sols" j) in
-    let children = drows ~size:0 (dfield "children" j) in
-    let parents = drows ~size:0 (dfield "parents" j) in
-    let ids = drows ~size:0 (dfield "ids" j) in
-    let by_id = drows ~size:0 (dfield "by_id" j) in
-    let roots = drows ~size:0 (dfield "roots" j) in
-    let listeners = drows ~size:0 (dfield "listeners" j) in
+    let rows ?size what ~rows ~members = drows ~what ?size ~rows ~members (dfield what j) in
+    let sols = rows ~size:node_total "sols" ~rows:nodes ~members:values in
+    let children = rows "children" ~rows:views ~members:views in
+    let parents = rows "parents" ~rows:views ~members:views in
+    let ids = rows "ids" ~rows:views ~members:rids in
+    let by_id = rows "by_id" ~rows:rids ~members:views in
+    let roots = rows "roots" ~rows:(Intern.holder_count it) ~members:views in
+    let listeners = rows "listeners" ~rows:views ~members:(Intern.listener_count it) in
     (* Donor graph: structural solution tables decoded from the id
        level, plus the cold tables.  Never re-solved. *)
     let graph = Graph.create ~interner:it () in
@@ -431,7 +448,6 @@ let of_json j =
           (Util.Bitset.fold
              (fun sym acc -> Graph.Int_set.add (Intern.rid_of it sym) acc)
              b Graph.Int_set.empty));
-    each by_id (fun sym b -> Graph.install_views_by_id graph (Intern.rid_of it sym) (view_set b));
     each roots (fun hid b -> Graph.install_roots graph (Intern.holder_of it hid) (view_set b));
     each listeners (fun wid b ->
         Graph.install_listeners graph (Intern.view_of it wid)
@@ -540,7 +556,9 @@ let of_json j =
                   (dint r, if dint rd < 0 then Solve.RD_frags else Solve.RD_op (dint rd))
               | _ -> bad "bad return dependency")
             (dlist (dfield "ret_deps" j));
-        sd_targets = Array.of_list (List.map dbitset (dlist (dfield "targets" j)));
+        sd_targets =
+          Array.of_list
+            (List.map (dbitset ~what:"targets" ~members:nodes) (dlist (dfield "targets" j)));
       }
   with
   | Bad msg -> Error msg

@@ -42,14 +42,8 @@ type state = {
   app : Framework.App.t;
   graph : Graph.t;
   worklist : Node.t Util.Worklist.t;
-  descend : include_self:bool -> Node.view_abs -> Graph.View_set.t;
-      (** descendants closure; memoized under the delta solver *)
-  indexed_find : bool;
-      (** resolve FINDVIEW through the reverse id index (delta solver);
-        the naive path filters the closure, spelling the rule literally *)
   mutable propagations : int;
   mutable op_applications : int;
-  mutable delta_pushes : int;
   mutable dirty : bool;  (** a set or relation grew during the current op pass *)
 }
 
@@ -81,34 +75,6 @@ let propagate_full state =
                 Util.Worklist.add state.worklist dst)
             values)
         (Graph.succs state.graph node))
-
-(* Semi-naive propagation: push only each node's delta (the values that
-   arrived since its last drain).  Sound because flow edges are static
-   during solving, so every (value, edge) pair is attempted exactly
-   once.  [changed] fires for every node whose set grew, letting the
-   caller schedule the ops reading it. *)
-let propagate_delta state ~changed =
-  let hierarchy = state.app.Framework.App.hierarchy in
-  Util.Worklist.drain state.worklist (fun node ->
-      state.propagations <- state.propagations + 1;
-      match Graph.take_delta state.graph node with
-      | [] -> ()
-      | delta ->
-          List.iter
-            (fun (kind, dst) ->
-              List.iter
-                (fun value ->
-                  state.delta_pushes <- state.delta_pushes + 1;
-                  let passes =
-                    match kind with
-                    | Graph.E_direct -> true
-                    | Graph.E_cast cls -> passes_cast hierarchy cls value
-                  in
-                  if passes && Graph.add_value state.graph dst value then
-                    Util.Worklist.add state.worklist dst)
-                delta)
-            (Graph.succs state.graph node);
-          changed node)
 
 (* Values at the argument location of an op, view-id constants only. *)
 let view_ids_at state node =
@@ -225,35 +191,27 @@ let inject_handler_flows state view listener iface =
     iface.Framework.Listeners.i_handlers
 
 (* find(view, id): descendants (reflexively) of the receiver carrying
-   the id — rule FINDVIEW1's [ancestorOf] + [=> id] conditions.  Both
-   paths compute the same set; the indexed one starts from the few
-   views carrying [id] rather than the whole closure. *)
+   the id — rule FINDVIEW1's [ancestorOf] + [=> id] conditions. *)
 let find_in_hierarchy state root id =
-  let scope = state.descend ~include_self:true root in
-  let base =
-    if state.indexed_find then Graph.View_set.inter (Graph.views_by_id state.graph id) scope
-    else
-      Graph.View_set.filter (fun w -> Graph.Int_set.mem id (Graph.ids_of_view state.graph w)) scope
+  let scope = Graph.descendants state.graph ~include_self:true root in
+  let carrying id =
+    Graph.View_set.filter (fun w -> Graph.Int_set.mem id (Graph.ids_of_view state.graph w)) scope
   in
   (* A view whose id row carries the ⊤ sentinel (SetId(v, ⊤)) matches
      any queried id.  The sentinel only enters rows on ⊤ graphs, so
      non-⊤ apps take the unchanged fast path. *)
   if Graph.has_top state.graph then
-    Graph.View_set.union base
-      (Graph.View_set.inter (Graph.views_by_id state.graph Node.top_view_id_raw) scope)
-  else base
+    Graph.View_set.union (carrying id) (carrying Node.top_view_id_raw)
+  else carrying id
 
 (* FindView(v, ⊤): the query may name any id, so it resolves to every
    view in scope carrying at least one id. *)
 let find_any_id state root =
   Graph.View_set.filter
     (fun w -> not (Graph.Int_set.is_empty (Graph.ids_of_view state.graph w)))
-    (state.descend ~include_self:true root)
+    (Graph.descendants state.graph ~include_self:true root)
 
-(* [note_ret] lets the delta solver register the dynamically-resolved
-   [N_ret] locations an op reads (fragment/adapter callbacks), which a
-   static receiver/argument index cannot see. *)
-let apply_op state ?(note_ret = fun (_ : Node.t) -> ()) (op : Graph.op) =
+let apply_op state (op : Graph.op) =
   let g = state.graph in
   let out value = Option.iter (fun node -> push_value state node value) op.op_out in
   let out_view view = out (Node.V_view view) in
@@ -366,7 +324,7 @@ let apply_op state ?(note_ret = fun (_ : Node.t) -> ()) (op : Graph.op) =
             | Framework.Api.Children when state.config.Config.findone_refinement ->
                 Graph.children_of g v
             | Framework.Api.Children | Framework.Api.Descendants ->
-                state.descend ~include_self:false v
+                Graph.descendants g ~include_self:false v
           in
           Graph.View_set.iter out_view results)
         (views_at state op.op_recv)
@@ -425,7 +383,6 @@ let apply_op state ?(note_ret = fun (_ : Node.t) -> ()) (op : Graph.op) =
           | Some (owner, m) ->
               let tmid = Node.mid_of_meth owner m in
               push_value state (Node.N_var (tmid, Jir.Ast.this_var)) (Node.V_obj fragment);
-              note_ret (Node.N_ret tmid);
               let created = Graph.views_of g (Node.N_ret tmid) in
               List.iter
                 (fun parent ->
@@ -509,7 +466,6 @@ let apply_op state ?(note_ret = fun (_ : Node.t) -> ()) (op : Graph.op) =
                   | Some (param, _) ->
                       push_value state (Node.N_var (tmid, param)) (Node.V_view view)
                   | None -> ());
-                  note_ret (Node.N_ret tmid);
                   List.iter
                     (fun child -> mark state (Graph.add_child g ~parent:view ~child))
                     (Graph.views_of g (Node.N_ret tmid))
@@ -586,35 +542,14 @@ let apply_declarative_handlers state =
         (fun root ->
           Graph.View_set.iter
             (fun view -> register_declarative state holder view)
-            (state.descend ~include_self:true root))
+            (Graph.descendants g ~include_self:true root))
         (Graph.roots_of_holder g holder))
     (Graph.holders g)
-
-(* Same registrations, driven from the views that actually carry a
-   handler: [view] sits in [holder]'s hierarchy iff some root of
-   [holder] is a (reflexive) ancestor of [view].  Avoids walking whole
-   hierarchies when almost no view declares an onClick. *)
-let apply_declarative_handlers_indexed state =
-  let g = state.graph in
-  let holders = Graph.holders g in
-  List.iter
-    (fun view ->
-      let above = Graph.ancestors g view in
-      List.iter
-        (fun holder ->
-          let reaches =
-            Graph.View_set.exists
-              (fun root -> Graph.View_set.mem root above)
-              (Graph.roots_of_holder g holder)
-          in
-          if reaches then register_declarative state holder view)
-        holders)
-    (Graph.views_with_onclick g)
 
 (* Declaratively placed fragments (<fragment android:name="F"/>): the
    platform instantiates F during inflation and attaches the views
    returned by F.onCreateView under the placeholder node. *)
-let apply_declared_fragments state ?(note_ret = fun (_ : Node.t) -> ()) () =
+let apply_declared_fragments state =
   let g = state.graph in
   let hierarchy = state.app.Framework.App.hierarchy in
   List.iter
@@ -631,7 +566,6 @@ let apply_declared_fragments state ?(note_ret = fun (_ : Node.t) -> ()) () =
                   let fragment = Node.declared_fragment_site cls infl in
                   let tmid = Node.mid_of_meth owner m in
                   push_value state (Node.N_var (tmid, Jir.Ast.this_var)) (Node.V_obj fragment);
-                  note_ret (Node.N_ret tmid);
                   List.iter
                     (fun child -> mark state (Graph.add_child g ~parent:view ~child))
                     (Graph.views_of g (Node.N_ret tmid))
@@ -662,7 +596,7 @@ let run_naive state =
         apply_op state op)
       ops;
     apply_declarative_handlers state;
-    apply_declared_fragments state ();
+    apply_declared_fragments state;
     propagate_full state;
     continue_ := state.dirty
   done;
@@ -670,81 +604,12 @@ let run_naive state =
     Logs.warn (fun m -> m "solver hit the iteration cap (%d); result may be partial" !iterations);
   !iterations
 
-(* Scheduling targets for dynamically-registered [N_ret] reads. *)
-type ret_target = T_op of Graph.op | T_frags
-
-let ret_target_equal a b =
-  match (a, b) with T_frags, T_frags -> true | T_op x, T_op y -> x == y | _ -> false
-
-(* Semi-naive fixed point: after seeding, every op runs once; from then
-   on an op is re-applied only when a location it reads grew (dependency
-   index + delta propagation) or a relation it consults changed.  Ops
-   still read full sets when applied, so the solution is identical to
-   the naive solver's. *)
-let run_delta state =
-  let g = state.graph in
-  Graph.set_track_deltas g true;
-  let op_wl = Util.Worklist.create () in
-  let schedule op = Util.Worklist.add op_wl op in
-  let pending_decl = ref true in
-  let pending_frags = ref true in
-  let ret_deps : (Node.t, ret_target list) Hashtbl.t = Hashtbl.create 16 in
-  let note_ret target node =
-    let existing = Option.value (Hashtbl.find_opt ret_deps node) ~default:[] in
-    if not (List.exists (ret_target_equal target) existing) then
-      Hashtbl.replace ret_deps node (target :: existing)
-  in
-  let on_changed node =
-    List.iter schedule (Graph.ops_reading g node);
-    match Hashtbl.find_opt ret_deps node with
-    | Some targets ->
-        List.iter
-          (function T_op op -> schedule op | T_frags -> pending_frags := true)
-          targets
-    | None -> ()
-  in
-  seed_and_count state;
-  propagate_delta state ~changed:on_changed;
-  List.iter schedule (Graph.ops g);
-  let iterations = ref 0 in
-  let work_remaining () =
-    (not (Util.Worklist.is_empty op_wl)) || !pending_decl || !pending_frags
-  in
-  while work_remaining () && !iterations < state.config.Config.max_iterations do
-    incr iterations;
-    Util.Worklist.drain op_wl (fun op ->
-        state.op_applications <- state.op_applications + 1;
-        apply_op state ~note_ret:(fun node -> note_ret (T_op op) node) op);
-    if !pending_decl then begin
-      pending_decl := false;
-      apply_declarative_handlers_indexed state
-    end;
-    if !pending_frags then begin
-      pending_frags := false;
-      apply_declared_fragments state ~note_ret:(note_ret T_frags) ()
-    end;
-    propagate_delta state ~changed:on_changed;
-    let rc = Graph.take_rel_changes g in
-    if rc.rc_children then begin
-      List.iter schedule (Graph.ops_reading_children g);
-      (* hierarchy growth can place an onClick view under a new root *)
-      pending_decl := true
-    end;
-    if rc.rc_ids then List.iter schedule (Graph.ops_reading_ids g);
-    if rc.rc_roots then begin
-      List.iter schedule (Graph.ops_reading_roots g);
-      pending_decl := true
-    end;
-    if rc.rc_onclick then pending_decl := true;
-    if rc.rc_fragments then pending_frags := true
-  done;
-  if work_remaining () then
-    Logs.warn (fun m -> m "solver hit the iteration cap (%d); result may be partial" !iterations);
-  !iterations
-
 (* ------------------------------------------------------------------ *)
-(* Interned engine: the same semi-naive fixed point as [run_delta],
-   computed over dense integer ids.  Every location, abstract value,
+(* Interned engine: a semi-naive fixed point over dense integer ids.
+   After seeding, every op runs once; from then on an op is re-applied
+   only when a location it reads grew or a relation it consults
+   changed.  Ops still read full sets when applied, so the solution is
+   identical to [run_naive]'s.  Every location, abstract value,
    view, listener entry and holder is hash-consed ([Intern]) when first
    seen; solution sets, delta sets and the view relations become
    [Util.Bitset] over those ids, and the (static) flow edges are frozen
@@ -869,7 +734,6 @@ type istate = {
   itouched_children : Util.Bitset.t;  (** relation rows written during a warm solve *)
   itouched_parents : Util.Bitset.t;
   itouched_ids : Util.Bitset.t;
-  itouched_by_id : Util.Bitset.t;
   itouched_roots : Util.Bitset.t;
   itouched_listeners : Util.Bitset.t;
   (* write recording: while an op (or the declarative/fragment pseudo
@@ -897,9 +761,10 @@ let ienqueue st nid = if Util.Bitset.add st.npending nid then Queue.push nid st.
    components with no edges and no static readers. *)
 let irep st nid = if nid < st.csr_n then st.nrep.(nid) else nid
 
-(* Delta slots cycle constantly (detached on drain, repopulated on the
-   next push); drawing from the recycle pool keeps their word arrays at
-   capacity instead of regrowing from scratch each round. *)
+(* Per-node delta slots cycle constantly (detached on drain,
+   repopulated on the next push); drawing from the recycle pool keeps
+   their word arrays at capacity instead of regrowing from scratch each
+   round. *)
 let idelta_slot st nid =
   match Slots.find st.ideltas nid with
   | Some d -> d
@@ -978,7 +843,11 @@ let cast_passes st sym vid =
       Bytes.set memo vid (if ok then '\001' else '\002');
       ok
 
-(* Mirror of [propagate_delta] on ids, over the SCC-condensed CSR: the
+(* Semi-naive propagation: push only each node's delta (the values that
+   arrived since its last drain), over the SCC-condensed CSR.  Sound
+   because flow edges are static during solving, so every (value,
+   edge) pair is attempted once; [changed] fires for every node whose
+   set grew, letting the caller schedule the ops reading it.  The
    worklist carries component representatives only (every enqueue goes
    through [ipush]/[irep]), and direct edges inside a component were
    dropped at freeze time — the shared bitset IS their fixpoint.
@@ -1077,9 +946,8 @@ let idesc_cached st wid =
 
 (* Insert [v] into relation row [i], copy-on-write under a warm solve:
    a borrowed row (aliased from the previous solution) is copied before
-   it grows, and every row modified while warm is marked touched so the
-   warm materialisation re-installs exactly those rows. *)
-let rel_add st slots bor touched i v =
+   it grows. *)
+let rel_insert st slots bor i v =
   match Slots.find slots i with
   | Some b when Util.Bitset.mem b v -> false
   | existing ->
@@ -1093,8 +961,15 @@ let rel_add st slots bor touched i v =
         | Some b -> b
         | None -> Slots.get slots i
       in
-      if st.iwarm then ignore (Util.Bitset.add touched i);
       Util.Bitset.add b v
+
+(* [rel_insert] for the relations with a structural table: every row
+   modified while warm is marked touched so the warm materialisation
+   re-installs exactly those rows. *)
+let rel_add st slots bor touched i v =
+  let grew = rel_insert st slots bor i v in
+  if grew && st.iwarm then ignore (Util.Bitset.add touched i);
+  grew
 
 let iadd_child st ~parent ~child =
   let grew = rel_add st st.ichildren st.ibor_children st.itouched_children parent child in
@@ -1108,7 +983,7 @@ let iadd_child st ~parent ~child =
 let iadd_view_id st wid raw =
   let sym = Intern.rid st.it raw in
   if rel_add st st.iids st.ibor_ids st.itouched_ids wid sym then begin
-    ignore (rel_add st st.iby_id st.ibor_by_id st.itouched_by_id sym wid);
+    ignore (rel_insert st st.iby_id st.ibor_by_id sym wid);
     st.irc_ids <- true
   end
 
@@ -1655,6 +1530,22 @@ let iapply_declared_fragments st ~note_ret =
       | Node.V_alloc _ -> ())
     (Graph.views_with_declared_fragments st.igraph)
 
+(* Which relations an op's rule consults beyond its recv/arg sets:
+   FindView resolves ids over holder roots and their descendants;
+   FindOne/GetParent walk the hierarchy; SetListener re-injects handler
+   flows over the receiver's children (list-item propagation);
+   FragmentAdd resolves container ids over roots and hierarchies. *)
+let reads_children (op : Graph.op) =
+  match op.site.o_kind with
+  | Framework.Api.Find_view | Find_one _ | Get_parent | Set_listener _ | Fragment_add -> true
+  | _ -> false
+
+let reads_ids (op : Graph.op) =
+  match op.site.o_kind with Framework.Api.Find_view | Fragment_add -> true | _ -> false
+
+let reads_roots (op : Graph.op) =
+  match op.site.o_kind with Framework.Api.Find_view | Fragment_add -> true | _ -> false
+
 (* Freeze: snapshot the graph's id-level structures.  Nodes were
    hash-consed as the graph was built, so everything here is integer
    work — no node is hashed again. *)
@@ -1688,9 +1579,9 @@ let ifreeze config app graph =
   let children_readers = ref [] and ids_readers = ref [] and roots_readers = ref [] in
   Array.iteri
     (fun oi op ->
-      if Graph.reads_children op then children_readers := oi :: !children_readers;
-      if Graph.reads_ids op then ids_readers := oi :: !ids_readers;
-      if Graph.reads_roots op then roots_readers := oi :: !roots_readers)
+      if reads_children op then children_readers := oi :: !children_readers;
+      if reads_ids op then ids_readers := oi :: !ids_readers;
+      if reads_roots op then roots_readers := oi :: !roots_readers)
     iops;
   {
     iconfig = config;
@@ -1746,7 +1637,6 @@ let ifreeze config app graph =
     itouched_children = Util.Bitset.create ();
     itouched_parents = Util.Bitset.create ();
     itouched_ids = Util.Bitset.create ();
-    itouched_by_id = Util.Bitset.create ();
     itouched_roots = Util.Bitset.create ();
     itouched_listeners = Util.Bitset.create ();
     irec_writer = -1;
@@ -1812,9 +1702,6 @@ let imaterialize st =
               (fun sym acc -> Graph.Int_set.add (Intern.rid_of it sym) acc)
               b Graph.Int_set.empty)))
     st.iids;
-  Slots.iteri
-    (non_empty (fun sym b -> Graph.install_views_by_id g (Intern.rid_of it sym) (view_set b)))
-    st.iby_id;
   Slots.iteri
     (non_empty (fun hid b -> Graph.install_roots g (Intern.holder_of it hid) (view_set b)))
     st.iroots;
@@ -2296,7 +2183,7 @@ let icapture st ?carry_map ?fps ?seeds ?reuse_ops ~config ~(app : Framework.App.
    A second plane over the solution: value [v] at node [n] is tainted
    when its presence may depend on how an unknown-id marker resolves.
    Solving never branches on taint, so it is derivable from the solved
-   tables — one shared post-pass run identically after all three
+   tables — one shared post-pass run identically after both
    engines, which makes cross-engine bit-identity of the plane trivial,
    keeps the warm-solve machinery entirely taint-free (⊤ graphs refuse
    warm starts; see [warm_guard]), and costs nothing on ⊤-free apps
@@ -2329,7 +2216,7 @@ let compute_taints (app : Framework.App.t) graph =
     let hierarchy = app.Framework.App.hierarchy in
     let package = app.Framework.App.package in
     let n = Intern.node_count it in
-    (* The structural engines solve some nodes without ever interning
+    (* The naive engine solves some nodes without ever interning
        them (handler params injected by value, not by edge); the lift
        rule must still see their sets, so append them after the
        CSR-addressable prefix.  They have no flow edges and no op
@@ -2596,8 +2483,6 @@ let imaterialize_warm st ~prev ~dirty ~children_cleared ~ids_cleared ~roots_clea
         (Util.Bitset.fold
            (fun sym acc -> Graph.Int_set.add (Intern.rid_of it sym) acc)
            b Graph.Int_set.empty));
-  fixup ids_cleared st.itouched_by_id st.iby_id (fun sym b ->
-      Graph.install_views_by_id g (Intern.rid_of it sym) (view_set b));
   fixup roots_cleared st.itouched_roots st.iroots (fun hid b ->
       Graph.install_roots g (Intern.holder_of it hid) (view_set b));
   fixup listeners_cleared st.itouched_listeners st.ilisteners (fun wid b ->
@@ -2727,9 +2612,9 @@ let run_incremental ~prev ~edits ?new_shape config (app : Framework.App.t) graph
                 || List.exists
                      (fun r -> Util.Bitset.mem dirty (irep st r))
                      op_ret_reps.(oi)
-                || (!children_cleared && Graph.reads_children op)
-                || (!ids_cleared && Graph.reads_ids op)
-                || (!roots_cleared && Graph.reads_roots op)
+                || (!children_cleared && reads_children op)
+                || (!ids_cleared && reads_ids op)
+                || (!roots_cleared && reads_roots op)
               in
               if sus then begin
                 ignore (Util.Bitset.add suspect oi);
@@ -2967,38 +2852,27 @@ let run config (app : Framework.App.t) graph =
       let stats = run_interned config app graph in
       compute_taints app graph;
       stats
-  | (Config.Naive | Config.Delta) as solver ->
-      let descend =
-        match solver with
-        | Config.Naive -> fun ~include_self view -> Graph.descendants graph ~include_self view
-        | _ -> fun ~include_self view -> Graph.descendants_cached graph ~include_self view
-      in
+  | Config.Naive ->
       let state =
         {
           config;
           app;
           graph;
           worklist = Util.Worklist.create ();
-          descend;
-          indexed_find = (solver = Config.Delta);
           propagations = 0;
           op_applications = 0;
-          delta_pushes = 0;
           dirty = false;
         }
       in
-      let iterations =
-        match solver with Config.Naive -> run_naive state | _ -> run_delta state
-      in
+      let iterations = run_naive state in
       compute_taints app graph;
-      let desc_cache_hits, desc_cache_misses = Graph.desc_cache_counters graph in
       {
         iterations;
         propagations = state.propagations;
         op_applications = state.op_applications;
-        delta_pushes = state.delta_pushes;
-        desc_cache_hits;
-        desc_cache_misses;
+        delta_pushes = 0;
+        desc_cache_hits = 0;
+        desc_cache_misses = 0;
         interned_values = 0;
         interned_nodes = 0;
         bitset_words = 0;

@@ -9,34 +9,36 @@ type stats = {
   propagations : int;  (** total worklist pops *)
   op_applications : int;
       (** op-node rule applications; the naive solver performs
-          [iterations * |ops|], the delta solver only re-applies ops
+          [iterations * |ops|], the interned solver only re-applies ops
           whose inputs grew *)
   delta_pushes : int;
-      (** (value, edge) pushes attempted from delta sets; [0] under
+      (** values pushed from delta sets along flow edges (interned
+          solver); [0] under the naive solver *)
+  desc_cache_hits : int;
+      (** descendants-closure memo hits (interned solver); [0] under
           the naive solver *)
-  desc_cache_hits : int;  (** descendants-closure memo hits *)
-  desc_cache_misses : int;  (** descendants-closure memo misses *)
+  desc_cache_misses : int;  (** descendants-closure memo misses; likewise *)
   interned_values : int;
       (** distinct abstract values hash-consed by the interned engine;
-          [0] under the structural engines *)
-  interned_nodes : int;  (** distinct interned locations; [0] under the structural engines *)
+          [0] under the naive engine *)
+  interned_nodes : int;  (** distinct interned locations; [0] under the naive engine *)
   bitset_words : int;
       (** words allocated across solution-set bitsets at fixpoint; [0]
-          under the structural engines *)
+          under the naive engine *)
   union_calls : int;
       (** word-level bitset unions performed on direct flow edges; [0]
-          under the structural engines *)
+          under the naive engine *)
   scc_count : int;
       (** strongly connected components of the direct-edge flow graph
           at freeze time (singletons included); [0] under the
-          structural engines *)
+          naive engine *)
   largest_scc : int;
       (** member count of the largest direct-edge SCC — every cycle
           this size collapses to one shared bitset; [0] under the
-          structural engines *)
+          naive engine *)
   ctx_count : int;
       (** distinct call-string contexts (clone numbers) minted by the
-          context-keyed extraction; [0] under the structural engines or
+          context-keyed extraction; [0] under the naive engine or
           without [ctx_keyed] context sensitivity *)
   ctx_keys : int;
       (** distinct ⟨node, ctx⟩ keys interned by the context-keyed

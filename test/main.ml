@@ -4,7 +4,6 @@ let () =
     [
       ("prng", Test_prng.suite);
       ("worklist", Test_worklist.suite);
-      ("pretty", Test_pretty.suite);
       ("json", Test_json.suite);
       ("lexer", Test_lexer.suite);
       ("parser", Test_parser.suite);
@@ -20,7 +19,6 @@ let () =
       ("extract", Test_extract.suite);
       ("inflate", Test_inflate.suite);
       ("solve", Test_solve.suite);
-      ("delta", Test_delta.suite);
       ("intern", Test_intern.suite);
       ("shared-intern", Test_shared_intern.suite);
       ("ctx-keyed", Test_ctx_keyed.suite);

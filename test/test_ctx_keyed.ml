@@ -4,7 +4,7 @@
    walks clone bodies in id space instead of re-extracting them as
    [$n]-suffixed program text.  Its correctness oracle is exact
    equivalence with the inlining path: for every app and every depth,
-     structural-inlined (Delta)  =  interned-inlined (ctx_keyed=false)
+     structural-inlined (Naive)  =  interned-inlined (ctx_keyed=false)
                                  =  context-keyed   (ctx_keyed=true)
    over points-to sets, view relations, holder roots, transitions, and
    the op-level Diff.  The batteries cover the fixed corpus, random
@@ -13,7 +13,7 @@
 open Gator
 
 let inlined_structural depth =
-  { Config.default with Config.solver = Config.Delta; inline_depth = depth }
+  { Config.default with Config.solver = Config.Naive; inline_depth = depth }
 
 let inlined_interned depth =
   { Config.default with Config.solver = Config.Interned; inline_depth = depth; ctx_keyed = false }
@@ -21,71 +21,7 @@ let inlined_interned depth =
 let keyed depth =
   { Config.default with Config.solver = Config.Interned; inline_depth = depth; ctx_keyed = true }
 
-(* Every abstract view mentioned by either solution (same collection as
-   test_delta's comparator). *)
-let all_views (r : Analysis.t) =
-  let g = r.graph in
-  let add acc view = Graph.View_set.add view acc in
-  let acc = List.fold_left add Graph.View_set.empty (Graph.inflated_views g) in
-  let acc =
-    List.fold_left
-      (fun acc node -> List.fold_left add acc (Graph.views_of g node))
-      acc (Graph.locations g)
-  in
-  let acc = List.fold_left add acc (Graph.views_with_listeners g) in
-  List.fold_left
-    (fun acc holder -> Graph.View_set.union acc (Graph.roots_of_holder g holder))
-    acc (Graph.holders g)
-
-let check_same_solution name (a : Analysis.t) (b : Analysis.t) =
-  let fail fmt = Alcotest.failf ("%s: " ^^ fmt) name in
-  (* Points-to sets over the union of both graphs' locations.  The
-     keyed graph's [locations] miss clone nodes with empty solutions
-     (clone edges never enter the structural tables), but the inlined
-     side lists them all, so the union still covers every clone row. *)
-  let locations =
-    List.sort_uniq Node.compare (Graph.locations a.graph @ Graph.locations b.graph)
-  in
-  List.iter
-    (fun node ->
-      let va = Graph.set_of a.graph node and vb = Graph.set_of b.graph node in
-      if not (Graph.VS.equal va vb) then
-        fail "points-to sets differ at %a (%d vs %d values)" Node.pp node (Graph.VS.cardinal va)
-          (Graph.VS.cardinal vb))
-    locations;
-  let views = Graph.View_set.union (all_views a) (all_views b) in
-  Graph.View_set.iter
-    (fun view ->
-      if not (Graph.View_set.equal (Graph.children_of a.graph view) (Graph.children_of b.graph view))
-      then fail "children differ at %a" Node.pp_view view;
-      if not (Graph.Int_set.equal (Graph.ids_of_view a.graph view) (Graph.ids_of_view b.graph view))
-      then fail "ids differ at %a" Node.pp_view view;
-      if
-        not
-          (Graph.Listener_set.equal
-             (Graph.listeners_of_view a.graph view)
-             (Graph.listeners_of_view b.graph view))
-      then fail "listeners differ at %a" Node.pp_view view)
-    views;
-  let holders r = List.sort Node.compare_holder (Graph.holders r.Analysis.graph) in
-  let ha = holders a and hb = holders b in
-  if not (List.equal (fun x y -> Node.compare_holder x y = 0) ha hb) then
-    fail "holder populations differ (%d vs %d)" (List.length ha) (List.length hb);
-  List.iter
-    (fun holder ->
-      if
-        not
-          (Graph.View_set.equal (Graph.roots_of_holder a.graph holder)
-             (Graph.roots_of_holder b.graph holder))
-      then fail "roots differ at %a" Node.pp_holder holder)
-    ha;
-  let ta = List.sort compare (Graph.transitions a.graph) in
-  let tb = List.sort compare (Graph.transitions b.graph) in
-  if ta <> tb then fail "transitions differ (%d vs %d)" (List.length ta) (List.length tb);
-  let d = Diff.compare a b in
-  if not (Diff.is_empty d) then fail "op-level diff non-empty:@.%a" Diff.pp d
-
-(* The differential proper: all three engines at the given depth, all
+(* The differential proper: all three configurations at the given depth, all
    three pairs compared. *)
 let three_way ?(depths = [ 1; 2 ]) name app =
   List.iter
@@ -94,9 +30,9 @@ let three_way ?(depths = [ 1; 2 ]) name app =
       let rs = Analysis.analyze ~config:(inlined_structural depth) app in
       let ri = Analysis.analyze ~config:(inlined_interned depth) app in
       let rk = Analysis.analyze ~config:(keyed depth) app in
-      check_same_solution (tag ^ " interned-inlined vs structural") ri rs;
-      check_same_solution (tag ^ " keyed vs structural") rk rs;
-      check_same_solution (tag ^ " keyed vs interned-inlined") rk ri;
+      Same_solution.check (tag ^ " interned-inlined vs structural") ri rs;
+      Same_solution.check (tag ^ " keyed vs structural") rk rs;
+      Same_solution.check (tag ^ " keyed vs interned-inlined") rk ri;
       (* counter plumbing: only the keyed run mints contexts, and it
          mints exactly as many as the inlining path mints clones *)
       Alcotest.check Alcotest.int (tag ^ " inlined run has no ctx keys") 0

@@ -188,6 +188,11 @@ let test_edit_script_kinds () =
 (* ------------------------------------------------------------------ *)
 (* Snapshots *)
 
+let contains ~sub s =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
 let test_snapshot_roundtrip () =
   let app = inc_app () in
   let _, solved = Incremental.analyze_solved app in
@@ -229,15 +234,48 @@ let test_snapshot_stale_version () =
           (List.map (function "version", _ -> ("version", Util.Json.Int 999) | f -> f) fields)
     | _ -> Alcotest.fail "snapshot is not an object"
   in
-  let contains ~sub s =
-    let n = String.length sub in
-    let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
-    go 0
-  in
   match Snapshot.of_json stale with
   | Error e ->
       Alcotest.check Alcotest.bool "reason names the version" true (contains ~sub:"version" e)
   | Ok _ -> Alcotest.fail "stale version accepted"
+
+(* State written by an older build's [delta] engine under
+   [--incremental] names a solver this build lacks:
+   the load is refused with a reason naming it, and the CLI's path —
+   full solve with the reason threaded into [stats.fallback] — prints
+   that reason in the refusal warning. *)
+let test_snapshot_removed_solver () =
+  let app = inc_app () in
+  let _, solved = Incremental.analyze_solved app in
+  let with_delta = function
+    | "config", Util.Json.Obj cfields ->
+        ( "config",
+          Util.Json.Obj
+            (List.map
+               (function "solver", _ -> ("solver", Util.Json.String "delta") | f -> f)
+               cfields) )
+    | f -> f
+  in
+  let path = Filename.temp_file "gator_snap" ".json" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      (match Snapshot.to_json solved with
+      | Util.Json.Obj fields ->
+          Out_channel.with_open_bin path (fun oc ->
+              Out_channel.output_string oc
+                (Util.Json.to_string (Util.Json.Obj (List.map with_delta fields))))
+      | _ -> Alcotest.fail "snapshot is not an object");
+      match Snapshot.load path with
+      | Ok _ -> Alcotest.fail "state naming the delta solver loaded"
+      | Error reason ->
+          Alcotest.check Alcotest.string "reason names the solver" "unknown solver delta" reason;
+          let r, _ = Incremental.analyze_solved ~fallback:reason app in
+          Alcotest.check Alcotest.bool "full solve" false r.stats.Solve.warm_solve;
+          Alcotest.check (Alcotest.option Alcotest.string) "refusal warning"
+            (Some "incremental: warm start refused (unknown solver delta); ran a full solve")
+            (Incremental.refusal_warning r);
+          check_same_solution ~msg:"removed-solver fallback" (Analysis.analyze app) r)
 
 (* Pre-split snapshots: files written before the shared interner tier
    existed carry no [shared_intern] config field.  They must load
@@ -282,11 +320,6 @@ let test_snapshot_pre_split_compat () =
   in
   match Snapshot.of_json bad with
   | Error e ->
-      let contains ~sub s =
-        let n = String.length sub in
-        let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
-        go 0
-      in
       Alcotest.check Alcotest.bool "reason names the field" true (contains ~sub:"shared_intern" e)
   | Ok _ -> Alcotest.fail "malformed shared_intern accepted"
 
@@ -414,6 +447,92 @@ let qcheck_snapshot_roundtrip =
           if not (Diff.is_empty d) then QCheck.Test.fail_reportf "solutions differ: %a" Diff.pp d;
           true)
 
+(* Hostile snapshots: whatever a state file holds, [Snapshot.of_json]
+   and [Snapshot.load] answer [Ok] or [Error] — never an exception, and
+   never an allocation sized by an id read from the file — in bounded
+   time.  The seed document is a real ConnectBot snapshot. *)
+let fuzz_seed =
+  lazy
+    (let _, solved = Incremental.analyze_solved (Corpus.Connectbot.app ()) in
+     Snapshot.to_json solved)
+
+let rec count_ints = function
+  | Util.Json.Int _ -> 1
+  | Util.Json.List l -> List.fold_left (fun acc j -> acc + count_ints j) 0 l
+  | Util.Json.Obj fields -> List.fold_left (fun acc (_, j) -> acc + count_ints j) 0 fields
+  | _ -> 0
+
+(* The document with its [k]-th integer (preorder) replaced by [f n]. *)
+let map_nth_int k f json =
+  let seen = ref 0 in
+  let rec go = function
+    | Util.Json.Int n ->
+        let i = !seen in
+        incr seen;
+        Util.Json.Int (if i = k then f n else n)
+    | Util.Json.List l -> Util.Json.List (List.map go l)
+    | Util.Json.Obj fields -> Util.Json.Obj (List.map (fun (name, j) -> (name, go j)) fields)
+    | j -> j
+  in
+  go json
+
+let fuzz_budget_s = 10.0
+
+let must_answer what decode =
+  let t0 = Unix.gettimeofday () in
+  (match decode () with
+  | Ok _ | Error _ -> ()
+  | exception e -> QCheck.Test.fail_reportf "%s raised %s" what (Printexc.to_string e));
+  let dt = Unix.gettimeofday () -. t0 in
+  if dt > fuzz_budget_s then QCheck.Test.fail_reportf "%s took %.1fs" what dt;
+  true
+
+let qcheck_snapshot_int_mutations =
+  QCheck.Test.make ~name:"hostile snapshots: integer mutations" ~count:300
+    QCheck.(make Gen.(pair (int_range 0 1_000_000) (int_range 0 8)))
+    (fun (pick, how) ->
+      let seed = Lazy.force fuzz_seed in
+      let k = pick mod count_ints seed in
+      let hostile n =
+        match how with
+        | 0 -> 1 lsl 40
+        | 1 -> -1
+        | 2 -> -(1 lsl 40)
+        | 3 -> max_int
+        | 4 -> min_int
+        | 5 -> 0
+        | 6 -> n + 1
+        | 7 -> n - 1
+        | _ -> n * 1000
+      in
+      let mutated = map_nth_int k hostile seed in
+      must_answer
+        (Printf.sprintf "integer #%d (mode %d)" k how)
+        (fun () -> Snapshot.of_json mutated))
+
+let qcheck_snapshot_byte_mutations =
+  QCheck.Test.make ~name:"hostile snapshots: byte mutations" ~count:100
+    QCheck.(make Gen.(int_range 0 1_000_000))
+    (fun seed ->
+      let rng = Util.Prng.create seed in
+      let bytes = Bytes.of_string (Util.Json.to_string (Lazy.force fuzz_seed)) in
+      for _ = 1 to 1 + Util.Prng.int rng 4 do
+        let at = Util.Prng.int rng (Bytes.length bytes) in
+        Bytes.set bytes at
+          (if Util.Prng.bool rng then Char.chr (Util.Prng.int rng 256)
+           else
+             let syntax = "0123456789-[]{}\",:e" in
+             syntax.[Util.Prng.int rng (String.length syntax)])
+      done;
+      let path = Filename.temp_file "gator_fuzz" ".json" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove path)
+        (fun () ->
+          Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc bytes);
+          must_answer
+            (Printf.sprintf "byte mutation (seed %d)" seed)
+            (fun () -> Snapshot.load path)))
+
 let suite =
   [
     Alcotest.test_case "warm identity re-solve" `Quick test_warm_identity;
@@ -428,9 +547,12 @@ let suite =
     Alcotest.test_case "snapshot round-trip" `Quick test_snapshot_roundtrip;
     Alcotest.test_case "snapshot corrupt input" `Quick test_snapshot_corrupt;
     Alcotest.test_case "snapshot stale version" `Quick test_snapshot_stale_version;
+    Alcotest.test_case "snapshot naming a removed solver" `Quick test_snapshot_removed_solver;
     Alcotest.test_case "snapshot pre-split compatibility" `Quick test_snapshot_pre_split_compat;
     Alcotest.test_case "fallback surfaced in stats" `Quick test_fallback_surfaced;
     Alcotest.test_case "context-keyed cs falls back" `Quick test_ctx_keyed_falls_back;
     QCheck_alcotest.to_alcotest qcheck_warm_equals_cold;
     QCheck_alcotest.to_alcotest qcheck_snapshot_roundtrip;
+    QCheck_alcotest.to_alcotest qcheck_snapshot_int_mutations;
+    QCheck_alcotest.to_alcotest qcheck_snapshot_byte_mutations;
   ]

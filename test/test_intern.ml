@@ -1,13 +1,11 @@
-(* The interned solver and its substrate.  Four layers of evidence:
+(* The interned solver and its substrate.  Three layers of evidence:
    the bitset domain must agree operation-for-operation with a
-   reference [Set.Make (Int)]; the generic string interner
-   ([Util.Interner], the substrate's substrate) must be idempotent and
-   round-trip; the hash-consing [Intern] pools must assign dense ids
-   that round-trip; and the interned engine must produce the same
-   solution as both structural engines — on random apps, on the
-   corpus, and under a worker-domain pool — down to byte-identical
-   reports.  (The shared frozen tier has its own differential suite in
-   [test_shared_intern.ml].) *)
+   reference [Set.Make (Int)]; the hash-consing [Intern] pools must
+   assign dense ids that round-trip; and the interned engine must
+   produce the same solution as the naive reference engine — on random
+   apps, on the corpus, and under a worker-domain pool — down to
+   byte-identical reports.  (The shared frozen tier has its own
+   differential suite in [test_shared_intern.ml].) *)
 open Gator
 
 let with_solver solver config = { config with Config.solver }
@@ -85,55 +83,6 @@ let test_bitset_union_delta () =
   done
 
 (* ------------------------------------------------------------------ *)
-(* Util.Interner: the generic string interner (symbols for class,
-   method, and id names).  Folded in from the former
-   [test_interner.ml]; distinct from the [Intern] value/node pools
-   tested below. *)
-
-let test_string_interner_idempotent () =
-  let t = Util.Interner.create () in
-  let a = Util.Interner.intern t "hello" in
-  let b = Util.Interner.intern t "hello" in
-  Alcotest.check Alcotest.int "same symbol" 0 (Util.Interner.compare_sym a b)
-
-let test_string_interner_distinct () =
-  let t = Util.Interner.create () in
-  let a = Util.Interner.intern t "a" in
-  let b = Util.Interner.intern t "b" in
-  Alcotest.check Alcotest.bool "distinct" true (Util.Interner.compare_sym a b <> 0)
-
-let test_string_interner_roundtrip () =
-  let t = Util.Interner.create () in
-  let names = List.init 1000 (Printf.sprintf "sym_%d") in
-  let syms = List.map (Util.Interner.intern t) names in
-  List.iter2
-    (fun name sym -> Alcotest.check Alcotest.string "name roundtrip" name (Util.Interner.name t sym))
-    names syms;
-  Alcotest.check Alcotest.int "count" 1000 (Util.Interner.count t)
-
-let test_string_interner_mem () =
-  let t = Util.Interner.create () in
-  ignore (Util.Interner.intern t "x");
-  Alcotest.check Alcotest.bool "mem interned" true (Util.Interner.mem t "x");
-  Alcotest.check Alcotest.bool "mem foreign" false (Util.Interner.mem t "y")
-
-let test_string_interner_foreign_symbol () =
-  let t = Util.Interner.create () in
-  Alcotest.check_raises "foreign" Not_found (fun () ->
-      let other = Util.Interner.create () in
-      let sym = Util.Interner.intern other "z" in
-      ignore (Util.Interner.name t sym))
-
-let qcheck_string_interner_roundtrip =
-  QCheck.Test.make ~name:"string intern/name roundtrip" ~count:500
-    QCheck.(small_list (string_of_size Gen.(1 -- 20)))
-    (fun names ->
-      let t = Util.Interner.create () in
-      List.for_all
-        (fun name -> Util.Interner.name t (Util.Interner.intern t name) = name)
-        names)
-
-(* ------------------------------------------------------------------ *)
 (* Interner: dense ids, stable on re-intern, structural round-trip *)
 
 let test_interner_roundtrip () =
@@ -170,62 +119,92 @@ let test_interner_roundtrip () =
   done
 
 (* ------------------------------------------------------------------ *)
-(* Engine differential: naive = delta = interned *)
+(* Engine differential: naive = interned *)
 
-let engines = [ Config.Naive; Config.Delta; Config.Interned ]
+let engines = [ Config.Naive; Config.Interned ]
 
 let analyze_with solver app = Analysis.analyze ~config:(with_solver solver Config.default) app
 
-let check_three name app =
+(* Solve [app] with both engines, check they agree, and return the
+   naive reference. *)
+let check_engines name app =
   let reference = analyze_with Config.Naive app in
-  List.iter
-    (fun solver ->
-      let candidate = analyze_with solver app in
-      Test_delta.check_same_solution
-        (Printf.sprintf "%s[naive vs %s]" name (Config.solver_name solver))
-        reference candidate)
-    engines;
+  Same_solution.check (name ^ "[naive vs interned]") reference (analyze_with Config.Interned app);
   reference
 
-let test_connectbot_three_engines () =
+let test_interned_is_default () =
+  Alcotest.check Alcotest.string "default solver" "interned"
+    (Config.solver_name Config.default.Config.solver)
+
+let test_connectbot_engines () = ignore (check_engines "ConnectBot" (Corpus.Connectbot.app ()))
+
+(* Agreement must hold under every ablation, not just the defaults. *)
+let test_connectbot_all_configs () =
   let app = Corpus.Connectbot.app () in
-  ignore (check_three "ConnectBot" app);
-  (* ablation configs flow through the interned engine too *)
   List.iter
-    (fun config ->
+    (fun (label, config) ->
       let naive = Analysis.analyze ~config:(with_solver Config.Naive config) app in
       let interned = Analysis.analyze ~config:(with_solver Config.Interned config) app in
-      Test_delta.check_same_solution "ConnectBot ablation" naive interned)
+      Same_solution.check ("ConnectBot(" ^ label ^ ")") naive interned)
     [
-      Config.baseline;
-      { Config.default with listener_callbacks = false };
-      { Config.default with inline_depth = 1 };
-      { Config.default with cast_filtering = false };
+      ("default", Config.default);
+      ("baseline", Config.baseline);
+      ("no callbacks", { Config.default with listener_callbacks = false });
+      ("inline 1", { Config.default with inline_depth = 1 });
+      ("no cast filtering", { Config.default with cast_filtering = false });
     ]
 
+(* The largest corpus app, solved once by each engine and checked to
+   agree; shared by the two work-counter tests below. *)
+let xbmc_runs =
+  lazy
+    (let app = Corpus.Gen.generate (Option.get (Corpus.Apps.by_name "XBMC")) in
+     let n = analyze_with Config.Naive app in
+     let r = analyze_with Config.Interned app in
+     Same_solution.check "XBMC" n r;
+     (n, r))
+
+(* On XBMC the interned engine's semi-naive schedule applies strictly
+   fewer op rules than the naive [rounds * |ops|] re-iteration, and
+   fewer than its own round count times |ops|. *)
+let test_xbmc_work_counters () =
+  let n, r = Lazy.force xbmc_runs in
+  let s = r.stats in
+  let ops = List.length (Graph.ops n.graph) in
+  Alcotest.check Alcotest.int "naive applies rounds*|ops|"
+    (n.stats.Solve.iterations * ops)
+    n.stats.Solve.op_applications;
+  Alcotest.check Alcotest.bool "interned applies fewer ops than naive" true
+    (s.Solve.op_applications < n.stats.Solve.op_applications);
+  Alcotest.check Alcotest.bool "interned beats its own rounds*|ops| bound" true
+    (s.Solve.op_applications < s.Solve.iterations * ops);
+  Alcotest.check Alcotest.bool "delta pushes recorded" true (s.Solve.delta_pushes > 0);
+  Alcotest.check Alcotest.int "naive records no delta pushes" 0 n.stats.Solve.delta_pushes;
+  Alcotest.check Alcotest.bool "descendants cache exercised" true (s.Solve.desc_cache_hits > 0)
+
+(* The interned engine reports its interner and bitset work; the naive
+   engine reports zeroed interner counters. *)
 let test_interned_work_counters () =
-  let app = Corpus.Gen.generate (Option.get (Corpus.Apps.by_name "XBMC")) in
-  let r = analyze_with Config.Interned app in
+  let n, r = Lazy.force xbmc_runs in
   let s = r.stats in
   Alcotest.check Alcotest.bool "values interned" true (s.Solve.interned_values > 0);
   Alcotest.check Alcotest.bool "nodes interned" true (s.Solve.interned_nodes > 0);
   Alcotest.check Alcotest.bool "bitset words allocated" true (s.Solve.bitset_words > 0);
   Alcotest.check Alcotest.bool "word-level unions performed" true (s.Solve.union_calls > 0);
-  (* structural engines must report zeroed interner counters *)
-  let d = analyze_with Config.Delta app in
-  Alcotest.check Alcotest.int "delta reports no interner work" 0
-    (d.stats.Solve.interned_values + d.stats.Solve.bitset_words + d.stats.Solve.union_calls)
+  Alcotest.check Alcotest.int "naive reports no interner work" 0
+    (n.stats.Solve.interned_values + n.stats.Solve.bitset_words + n.stats.Solve.union_calls
+   + n.stats.Solve.delta_pushes + n.stats.Solve.desc_cache_hits)
 
-let test_qcheck_three_engines =
-  QCheck.Test.make ~count:10 ~name:"random app: naive = delta = interned"
+let test_qcheck_engines =
+  QCheck.Test.make ~count:10 ~name:"random app: naive = interned"
     QCheck.(int_range 0 10_000)
     (fun seed ->
       let rng = Util.Prng.create seed in
       let spec = Corpus.Gen.random_spec ~name:(Printf.sprintf "QIntern_%d" seed) rng in
-      ignore (check_three spec.Corpus.Spec.sp_name (Corpus.Gen.generate spec));
+      ignore (check_engines spec.Corpus.Spec.sp_name (Corpus.Gen.generate spec));
       true)
 
-(* Corpus through all three engines: the solutions must render to
+(* Corpus through both engines: the solutions must render to
    byte-identical tables (solver identity only shows up in the solver
    column of the work-counter report), sequentially and with jobs=4. *)
 let test_corpus_reports_identical () =
@@ -264,12 +243,12 @@ let test_bitset_same () =
   Alcotest.check Alcotest.bool "copy is not same" false (Util.Bitset.same a copy);
   Alcotest.check Alcotest.bool "copy is still equal" true (Util.Bitset.equal a copy)
 
-let test_cyclic_three_engines () =
+let test_cyclic_engines () =
   let app =
     Corpus.Gen.cyclic_app ~name:"CycBig" ~chains:3 ~chain_len:9 ~two_cycles:2 ~bridges:4 ~seed:41
       ()
   in
-  let reference = check_three "CycBig" app in
+  let reference = check_engines "CycBig" app in
   (* the rings actually carry abstract views: the listener registered
      on a ring variable reaches its SETLISTENER operation *)
   let setlistener_ops =
@@ -297,18 +276,18 @@ let test_scc_stats_and_midsolve_minting () =
   let fc = Graph.frozen_flow r.graph in
   Alcotest.check Alcotest.bool "nodes minted after freeze" true
     (s.Solve.interned_nodes > fc.Graph.fc_nodes);
-  (* structural engines report no condensation *)
-  let d = analyze_with Config.Delta app in
-  Alcotest.check Alcotest.int "delta reports no sccs" 0
-    (d.stats.Solve.scc_count + d.stats.Solve.largest_scc)
+  (* the naive engine reports no condensation *)
+  let n = analyze_with Config.Naive app in
+  Alcotest.check Alcotest.int "naive reports no sccs" 0
+    (n.stats.Solve.scc_count + n.stats.Solve.largest_scc)
 
-let test_qcheck_cyclic_three_engines =
-  QCheck.Test.make ~count:10 ~name:"cyclic app: naive = delta = interned"
+let test_qcheck_cyclic_engines =
+  QCheck.Test.make ~count:10 ~name:"cyclic app: naive = interned"
     QCheck.(int_range 0 10_000)
     (fun seed ->
       let rng = Util.Prng.create seed in
       let app = Corpus.Gen.random_cyclic_app ~name:(Printf.sprintf "QCyc_%d" seed) rng in
-      ignore (check_three (Printf.sprintf "QCyc_%d" seed) app);
+      ignore (check_engines (Printf.sprintf "QCyc_%d" seed) app);
       true)
 
 (* Cycle-heavy batch under the worker pool: the condensed engine's
@@ -330,7 +309,7 @@ let test_cyclic_jobs () =
       in
       List.iteri
         (fun i outcome ->
-          Test_delta.check_same_solution
+          Same_solution.check
             (Printf.sprintf "CycJ%d[jobs=%d]" i jobs)
             (List.nth references i) (Pool.value_exn outcome))
         outcomes)
@@ -341,21 +320,17 @@ let suite =
     Alcotest.test_case "bitset vs reference set" `Quick test_bitset_random;
     Alcotest.test_case "bitset union_delta semantics" `Quick test_bitset_union_delta;
     Alcotest.test_case "bitset physical identity (same)" `Quick test_bitset_same;
-    Alcotest.test_case "string interner idempotent" `Quick test_string_interner_idempotent;
-    Alcotest.test_case "string interner distinct symbols" `Quick test_string_interner_distinct;
-    Alcotest.test_case "string interner roundtrip (growth)" `Quick test_string_interner_roundtrip;
-    Alcotest.test_case "string interner mem" `Quick test_string_interner_mem;
-    Alcotest.test_case "string interner foreign symbol raises" `Quick
-      test_string_interner_foreign_symbol;
-    QCheck_alcotest.to_alcotest qcheck_string_interner_roundtrip;
     Alcotest.test_case "interner round-trip and dense ids" `Quick test_interner_roundtrip;
-    Alcotest.test_case "ConnectBot: three engines agree" `Quick test_connectbot_three_engines;
+    Alcotest.test_case "interned solver is the default" `Quick test_interned_is_default;
+    Alcotest.test_case "ConnectBot: naive and interned agree" `Quick test_connectbot_engines;
+    Alcotest.test_case "ConnectBot equivalence (all configs)" `Quick test_connectbot_all_configs;
+    Alcotest.test_case "XBMC work counters" `Quick test_xbmc_work_counters;
     Alcotest.test_case "interned work counters" `Quick test_interned_work_counters;
-    QCheck_alcotest.to_alcotest test_qcheck_three_engines;
-    Alcotest.test_case "cyclic app: three engines agree" `Quick test_cyclic_three_engines;
+    QCheck_alcotest.to_alcotest test_qcheck_engines;
+    Alcotest.test_case "cyclic app: naive and interned agree" `Quick test_cyclic_engines;
     Alcotest.test_case "cyclic app: scc stats and mid-solve minting" `Quick
       test_scc_stats_and_midsolve_minting;
-    QCheck_alcotest.to_alcotest test_qcheck_cyclic_three_engines;
+    QCheck_alcotest.to_alcotest test_qcheck_cyclic_engines;
     Alcotest.test_case "cyclic batch under pool (jobs 1/4)" `Slow test_cyclic_jobs;
     Alcotest.test_case "corpus reports byte-identical (jobs 1/4)" `Slow
       test_corpus_reports_identical;

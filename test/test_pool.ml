@@ -1,7 +1,7 @@
 (* Domain-pool batch analysis: the parallel drivers must be
    observationally identical to the sequential loop — bit-identical
    solutions and byte-identical reports across the engine x schedule
-   matrix ({naive, delta} x {jobs 1, 2, 4}) — and a crashing or
+   matrix ({naive, interned} x {jobs 1, 2, 4}) — and a crashing or
    malformed app must fail alone without taking the batch down. *)
 open Gator
 
@@ -118,7 +118,7 @@ let test_corpus_matrix () =
   let configs =
     List.map
       (fun solver -> (Config.solver_name solver, with_solver solver Config.default))
-      [ Config.Naive; Config.Delta; Config.Interned ]
+      [ Config.Naive; Config.Interned ]
     (* context-keyed cs-2 (interned default) and its inlining twin:
        both must be deterministic across schedules, and byte-identical
        to each other at any jobs level *)
@@ -166,14 +166,14 @@ let test_random_matrix () =
     let analyze solver () =
       Analysis.analyze ~config:(with_solver solver Config.default) (Corpus.Gen.generate spec)
     in
-    let reference = analyze Config.Delta () in
+    let reference = analyze Config.Naive () in
     List.iter
       (fun jobs ->
-        let outcomes = Pool.run ~jobs [ analyze Config.Naive; analyze Config.Delta ] in
+        let outcomes = Pool.run ~jobs [ analyze Config.Naive; analyze Config.Interned ] in
         List.iter
           (fun outcome ->
             let candidate = Pool.value_exn outcome in
-            Test_delta.check_same_solution
+            Same_solution.check
               (Printf.sprintf "%s/jobs=%d" spec.Corpus.Spec.sp_name jobs)
               reference candidate)
           outcomes)
@@ -188,7 +188,7 @@ let test_random_matrix () =
     in
     let reference_cs2 =
       Analysis.analyze
-        ~config:{ (with_solver Config.Delta Config.default) with inline_depth = 2 }
+        ~config:{ (with_solver Config.Naive Config.default) with inline_depth = 2 }
         (Corpus.Gen.generate spec)
     in
     List.iter
@@ -196,7 +196,7 @@ let test_random_matrix () =
         let outcomes = Pool.run ~jobs [ cs2 true; cs2 false ] in
         List.iter
           (fun outcome ->
-            Test_delta.check_same_solution
+            Same_solution.check
               (Printf.sprintf "%s-cs2/jobs=%d" spec.Corpus.Spec.sp_name jobs)
               reference_cs2 (Pool.value_exn outcome))
           outcomes)
@@ -252,7 +252,7 @@ let test_malformed_input_isolation () =
           let reference = good () in
           List.iter
             (fun outcome ->
-              Test_delta.check_same_solution "ConnectBot sibling" reference
+              Same_solution.check "ConnectBot sibling" reference
                 (Pool.value_exn outcome))
             [ a; b ]
       | _ -> Alcotest.fail "wrong outcome count")
@@ -287,7 +287,7 @@ let test_batch_determinism () =
     ]
 
 let test_qcheck_pool_equivalence =
-  QCheck.Test.make ~count:8 ~name:"random app: pooled naive/delta = sequential delta"
+  QCheck.Test.make ~count:8 ~name:"random app: pooled engines = sequential naive"
     QCheck.(int_range 0 10_000)
     (fun seed ->
       let rng = Util.Prng.create seed in
@@ -295,8 +295,8 @@ let test_qcheck_pool_equivalence =
       let analyze solver () =
         Analysis.analyze ~config:(with_solver solver Config.default) (Corpus.Gen.generate spec)
       in
-      let reference = analyze Config.Delta () in
-      let outcomes = Pool.run ~jobs:2 [ analyze Config.Naive; analyze Config.Delta ] in
+      let reference = analyze Config.Naive () in
+      let outcomes = Pool.run ~jobs:2 [ analyze Config.Naive; analyze Config.Interned ] in
       List.for_all
         (fun outcome ->
           Diff.is_empty (Diff.compare reference (Pool.value_exn outcome)))

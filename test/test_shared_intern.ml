@@ -11,7 +11,7 @@ open Gator
 let shared_config = { Config.default with shared_intern = true }
 let private_config = { Config.default with shared_intern = false }
 let with_solver solver config = { config with Config.solver }
-let engines = [ Config.Naive; Config.Delta; Config.Interned ]
+let engines = [ Config.Naive; Config.Interned ]
 let lbase = Layouts.Resource.layout_base
 let vbase = Layouts.Resource.view_base
 
@@ -155,7 +155,7 @@ let check_shared_private name app =
     (fun solver ->
       let shared = Analysis.analyze ~config:(with_solver solver shared_config) app in
       let private_ = Analysis.analyze ~config:(with_solver solver private_config) app in
-      Test_delta.check_same_solution
+      Same_solution.check
         (Printf.sprintf "%s[%s: shared vs private]" name (Config.solver_name solver))
         shared private_)
     engines
@@ -255,7 +255,7 @@ let suite =
       test_global_tier_stable_ids;
     Alcotest.test_case "analysis and queries never write the tier" `Quick
       test_no_mint_through_analysis_and_queries;
-    Alcotest.test_case "corpus apps: shared = private (three engines)" `Quick
+    Alcotest.test_case "corpus apps: shared = private (both engines)" `Quick
       test_corpus_apps_shared_private;
     Alcotest.test_case "app at the watermark edge" `Quick test_watermark_boundary_app;
     Alcotest.test_case "cycle-heavy app: shared = private" `Quick test_cycle_heavy_shared_private;

@@ -3,7 +3,7 @@
    The reflective family routes its content layout, a find-view id and
    a set-id id through unresolvable [R.layout.?] / [R.id.?] lookups.
    The battery checks the whole contract:
-   - all three engines agree bit-for-bit, including the imprecision
+   - both engines agree bit-for-bit, including the imprecision
      taint tables the shared post-pass installs;
    - the static solution covers EVERY concrete resolution of the
      reflective lookups (dynamic-oracle sweep over candidate layouts
@@ -17,7 +17,7 @@
      and warm starts refuse ⊤ state with a pinned reason. *)
 open Gator
 
-let engines = [ Config.Naive; Config.Delta; Config.Interned ]
+let engines = [ Config.Naive; Config.Interned ]
 
 let with_solver solver = { Config.default with Config.solver }
 
@@ -45,14 +45,14 @@ let check_taints_equal name a b =
       Fmt.(Dump.list (pair Node.pp (Dump.list Node.pp_value)))
       tb
 
-let test_three_engines () =
+let test_engines_agree () =
   let app = refl_app () in
   let reference = Analysis.analyze ~config:(with_solver Config.Naive) app in
   Alcotest.(check bool) "⊤ markers detected" true (Graph.has_top reference.Analysis.graph);
   List.iter
     (fun solver ->
       let candidate = Analysis.analyze ~config:(with_solver solver) app in
-      Test_delta.check_same_solution
+      Same_solution.check
         (Printf.sprintf "reflective[naive vs %s]" (Config.solver_name solver))
         reference candidate;
       check_taints_equal
@@ -167,7 +167,7 @@ let test_snapshot_roundtrip_and_warm_refusal () =
             warm-startable); ran a full solve")
         (Incremental.refusal_warning warm);
       (* the fallback still solved correctly *)
-      Test_delta.check_same_solution "⊤ fallback solution" r warm)
+      Same_solution.check "⊤ fallback solution" r warm)
 
 let qcheck_random_reflective =
   QCheck.Test.make ~name:"random reflective apps: engines agree and stay sound" ~count:15
@@ -179,7 +179,7 @@ let qcheck_random_reflective =
       List.iter
         (fun solver ->
           let candidate = Analysis.analyze ~config:(with_solver solver) app in
-          Test_delta.check_same_solution "random reflective engines" reference candidate;
+          Same_solution.check "random reflective engines" reference candidate;
           check_taints_equal "random reflective taints" reference candidate)
         engines;
       let c = Dynamic.Oracle.check reference (Dynamic.Interp.run app) in
@@ -190,7 +190,8 @@ let qcheck_random_reflective =
 
 let suite =
   [
-    Alcotest.test_case "three engines agree on ⊤ apps (with taints)" `Quick test_three_engines;
+    Alcotest.test_case "naive and interned agree on ⊤ apps (with taints)" `Quick
+      test_engines_agree;
     Alcotest.test_case "sound mode covers every candidate resolution" `Quick test_oracle_superset;
     Alcotest.test_case "taint is a meaningful strict subset" `Quick test_taint_meaningful;
     Alcotest.test_case "concrete queries see the ⊤ sentinel" `Quick test_sentinel_concrete_queries;
