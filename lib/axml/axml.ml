@@ -129,8 +129,14 @@ let attr_value cur =
   advance cur;
   decode_entities cur raw
 
-let rec parse_element cur =
+(* Deeper nesting is refused: the reader and every tree walk over its
+   result recurse once per level, and a deep stack makes each minor
+   collection rescan it, so unbounded depth costs quadratic time. *)
+let max_depth = 256
+
+let rec parse_element cur depth =
   if not (looking_at cur "<") then error cur "expected '<'";
+  if depth > max_depth then error cur (Printf.sprintf "elements nested deeper than %d" max_depth);
   advance cur;
   let tag = name cur in
   let rec attrs acc =
@@ -138,7 +144,7 @@ let rec parse_element cur =
     match peek cur with
     | Some '>' ->
         advance cur;
-        let children = parse_children cur tag in
+        let children = parse_children cur tag depth in
         { tag; attrs = List.rev acc; children }
     | Some '/' ->
         advance cur;
@@ -161,7 +167,7 @@ let rec parse_element cur =
   in
   attrs []
 
-and parse_children cur tag =
+and parse_children cur tag depth =
   let out = ref [] in
   let rec loop () =
     skip_misc cur;
@@ -174,7 +180,7 @@ and parse_children cur tag =
         error cur (Printf.sprintf "mismatched closing tag </%s> for <%s>" closing tag)
     end
     else if looking_at cur "<" then begin
-      out := parse_element cur :: !out;
+      out := parse_element cur (depth + 1) :: !out;
       loop ()
     end
     else if cur.off >= String.length cur.src then
@@ -192,7 +198,7 @@ let parse src =
   let cur = { src; off = 0; line = 1; col = 1 } in
   match
     skip_misc cur;
-    let root = parse_element cur in
+    let root = parse_element cur 1 in
     skip_misc cur;
     if cur.off < String.length cur.src then error cur "trailing content after root element";
     root

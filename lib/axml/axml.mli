@@ -13,9 +13,15 @@ val element : ?attrs:(string * string) list -> ?children:t list -> string -> t
 
 val attr : t -> string -> string option
 
+val max_depth : int
+(** The deepest element nesting {!parse} accepts (256; the root is at
+    depth 1). *)
+
 val parse : string -> (t, string) result
 (** Parse a document with a single root element.  Errors carry a
-    line:column position. *)
+    line:column position.  An element nested deeper than {!max_depth}
+    is an error at its opening ['<'], so hostile input costs time
+    linear in its length. *)
 
 val parse_exn : string -> t
 (** @raise Failure with the rendered error. *)

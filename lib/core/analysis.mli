@@ -11,7 +11,10 @@ type t = private {
   config : Config.t;
   graph : Graph.t;
   stats : Solve.stats;
-  solve_seconds : float;  (** wall-clock time of extract + solve *)
+  solve_seconds : float;
+      (** Wall-clock time of extraction plus solving: the time column of
+          Table 2 ({!Metrics.table2_row}).  Building the app (parsing,
+          hierarchy) and computing metrics fall outside it. *)
 }
 
 val analyze : ?config:Config.t -> Framework.App.t -> t

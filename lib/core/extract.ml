@@ -46,11 +46,19 @@ let fresh_clone_suffix ctx =
    The hierarchy-dependent half — dispatch targets and platform
    reachability — is a pure function of (receiver type, name, arity)
    for a fixed app, so it is memoised per extraction run ([cha]).
-   Every consumer hits the same sites repeatedly: the structural
-   inliner re-walks callee bodies once per clone, and template builds
-   re-resolve the sites the top-level walk already saw.  Only the
-   depth/stack-dependent guard tail stays live. *)
-type cha_cache = (string option * string * int, (string * Jir.Ast.meth) list * bool) Hashtbl.t
+   Every consumer hits the same sites repeatedly: typing resolves each
+   call's return type on every inference round, the structural inliner
+   re-walks callee bodies once per clone, and template builds
+   re-resolve the sites the top-level walk already saw.  Typing needs
+   only the targets, so platform reachability (a subtype scan) is
+   filled in by the first call-site lookup.  Only the depth/stack-
+   dependent guard tail stays live. *)
+type cha_facts = {
+  targets : (string * Jir.Ast.meth) list;
+  mutable may_reach_platform : bool option;
+}
+
+type cha_cache = (string option * string * int, cha_facts) Hashtbl.t
 
 (* Per-run caches shared by the structural walk, the inliner and the
    template compiler: CHA facts per call signature, and typing
@@ -63,32 +71,61 @@ type ex_memo = {
 
 let fresh_memo () = { cha = Hashtbl.create 256; envs = Hashtbl.create 256 }
 
-let typing_env_memo app memo ~owner (m : Jir.Ast.meth) =
-  let mid = Node.mid_of_meth owner m in
-  match Hashtbl.find_opt memo.envs mid with
-  | Some env -> env
+let cha_facts hierarchy memo recv_ty name arity =
+  let ck = (recv_ty, name, arity) in
+  match Hashtbl.find_opt memo.cha ck with
+  | Some facts -> facts
   | None ->
-      let env = Framework.App.typing_env app ~owner m in
-      Hashtbl.add memo.envs mid env;
-      env
+      let key = { Jir.Ast.mk_name = name; mk_arity = arity } in
+      let facts =
+        { targets = Jir.Hierarchy.cha_targets hierarchy ~recv_ty key; may_reach_platform = None }
+      in
+      Hashtbl.add memo.cha ck facts;
+      facts
+
+(* Only call sites read a receiver type, so a method's environment is
+   built the first time one of its call sites is resolved: methods with
+   no call are never typed. *)
+let lazy_typing_env (app : Framework.App.t) memo ~mid ~owner (m : Jir.Ast.meth) =
+  lazy
+    (match Hashtbl.find_opt memo.envs mid with
+    | Some env -> env
+    | None ->
+        let cha_targets ~recv_ty name arity =
+          (cha_facts app.hierarchy memo recv_ty name arity).targets
+        in
+        let env = Framework.App.typing_env ~cha_targets app ~owner m in
+        Hashtbl.add memo.envs mid env;
+        env)
+
+let typing_envs (app : Framework.App.t) =
+  let memo = fresh_memo () in
+  List.concat_map
+    (fun (cls : Jir.Ast.cls) ->
+      List.map
+        (fun (m : Jir.Ast.meth) ->
+          let mid = Node.mid_of_meth cls.c_name m in
+          (mid, Lazy.force (lazy_typing_env app memo ~mid ~owner:cls.c_name m)))
+        cls.c_methods)
+    app.program.p_classes
 
 let call_info config hierarchy ~memo env ~depth ~stack recv name arity =
-  let recv_ty = Jir.Typing.class_of env recv in
-  let app_targets, may_reach_platform =
-    let ck = (recv_ty, name, arity) in
-    match Hashtbl.find_opt memo.cha ck with
-    | Some facts -> facts
+  let recv_ty = Jir.Typing.class_of (Lazy.force env) recv in
+  let facts = cha_facts hierarchy memo recv_ty name arity in
+  let app_targets = facts.targets in
+  let may_reach_platform =
+    match facts.may_reach_platform with
+    | Some reach -> reach
     | None ->
-        let key = { Jir.Ast.mk_name = name; mk_arity = arity } in
-        let app_targets = Jir.Hierarchy.cha_targets hierarchy ~recv_ty key in
         (* A call can reach the platform when the receiver's type is
            unknown, or when some concrete class compatible with it has
            no application definition of the method (dispatch then
            falls through to platform code). *)
-        let may_reach_platform =
+        let reach =
           match recv_ty with
           | None -> true
           | Some ty ->
+              let key = { Jir.Ast.mk_name = name; mk_arity = arity } in
               (not (Jir.Hierarchy.mem hierarchy ty))
               || List.exists
                    (fun sub ->
@@ -96,8 +133,8 @@ let call_info config hierarchy ~memo env ~depth ~stack recv name arity =
                      && Jir.Hierarchy.resolve hierarchy sub key = None)
                    (Jir.Hierarchy.subtypes hierarchy ty)
         in
-        Hashtbl.add memo.cha ck (app_targets, may_reach_platform);
-        (app_targets, may_reach_platform)
+        facts.may_reach_platform <- Some reach;
+        reach
   in
   let inlinable =
     config.Config.inline_depth > 0
@@ -186,7 +223,7 @@ type tcache = (Node.mid, tinstr array) Hashtbl.t
 let build_template config (app : Framework.App.t) graph ~memo ~owner (target : Jir.Ast.meth) =
   let mid = Node.mid_of_meth owner target in
   let hierarchy = app.Framework.App.hierarchy in
-  let env = typing_env_memo app memo ~owner target in
+  let env = lazy_typing_env app memo ~mid ~owner target in
   let mapped name = t_mapped (Graph.node_id graph (var mid name)) in
   let instr index stmt =
     let site () = { Node.s_in = mid; s_stmt = index } in
@@ -428,7 +465,7 @@ let rec extract_stmt config (app : Framework.App.t) graph ~keyed ~memo ~ctx mid 
           let ctx' =
             { ctx with depth = ctx.depth + 1; rename = rename'; ret_target; stack = tmid :: ctx.stack }
           in
-          let env' = typing_env_memo app memo ~owner target in
+          let env' = lazy_typing_env app memo ~mid:tmid ~owner target in
           List.iteri
             (fun index stmt ->
               extract_stmt config app graph ~keyed ~memo ~ctx:ctx' tmid env' ~index stmt)
@@ -454,7 +491,7 @@ let rec extract_stmt config (app : Framework.App.t) graph ~keyed ~memo ~ctx mid 
 
 let extract_meth config app graph ~keyed ~memo ~clones ~owner (m : Jir.Ast.meth) =
   let mid = Node.mid_of_meth owner m in
-  let env = typing_env_memo app memo ~owner m in
+  let env = lazy_typing_env app memo ~mid ~owner m in
   let ctx = top_ctx ~clones mid in
   List.iteri
     (fun index stmt -> extract_stmt config app graph ~keyed ~memo ~ctx mid env ~index stmt)

@@ -13,3 +13,10 @@ val run : ?interner:Intern.t -> Config.t -> Framework.App.t -> Graph.t
     operation nodes, allocation sites, and initial-value seeds.
     [?interner] pre-seeds the id pools so an incremental re-extraction
     keeps ids stable with the previous solve. *)
+
+val typing_envs : Framework.App.t -> (Node.mid * Jir.Typing.env) list
+(** Every method's typing environment as extraction builds it: call
+    return types resolve through one CHA memo shared by all methods of
+    the app.  Class and method order.  Equal, method by method, to
+    {!Framework.App.typing_env}, which resolves every call afresh; the
+    typing differential holds the two together. *)

@@ -26,16 +26,37 @@ type edge_kind = E_direct | E_cast of string
 
 (* Hashed-key tables with explicit equal/hash (the polymorphic hash
    walks whole nested records and caps its traversal; these reuse the
-   explicit [Node] hashes).  Edge dedup runs over interned ids — the
-   endpoints are hash-consed before the membership test, so the key is
-   a flat int triple instead of two deep node structures. *)
+   explicit [Node] hashes).  Edge dedup runs over interned ids: the key
+   is the ⟨src, dst⟩ pair packed into one int ({!Intern.pack}), and the
+   value lists the edge kinds already present between the two — cast
+   syms, or [-1] for a direct edge.  A direct-only pair, by far the
+   common case, shares one constant list, so a fresh edge allocates
+   only its table bucket. *)
 module Edge_seen = Hashtbl.Make (struct
-  type t = int * int * int  (** src id, cast sym (-1 = direct), dst id *)
+  type t = int
 
-  let equal (s1, k1, d1) (s2, k2, d2) = s1 = s2 && k1 = k2 && d1 = d2
+  let equal = Int.equal
 
-  let hash (s, k, d) = Node.mix (Node.mix s k) d
+  let hash key = Node.mix (key lsr Intern.pack_bits) (key land ((1 lsl Intern.pack_bits) - 1))
 end)
+
+let direct_only = [ -1 ]
+
+let rec mem_sym (k : int) = function [] -> false | k' :: rest -> k = k' || mem_sym k rest
+
+(* Record edge [src -k-> dst]; [false] when it was already there. *)
+let edge_fresh seen src k dst =
+  let key = Intern.pack src dst in
+  match Edge_seen.find_opt seen key with
+  | None ->
+      Edge_seen.add seen key (if k < 0 then direct_only else [ k ]);
+      true
+  | Some syms ->
+      if mem_sym k syms then false
+      else begin
+        Edge_seen.replace seen key (k :: syms);
+        true
+      end
 
 module Alloc_seen = Hashtbl.Make (struct
   type t = Node.alloc_site
@@ -78,21 +99,20 @@ type t = {
       (** hash-consing interner: every node touched by an edge, seed,
           or op gets a dense id at construction time, so the interned
           solver's freeze step is pure integer work *)
-  mutable skeleton : (edge_kind * Node.t) list array;
-      (** structural flow edges ({!add_edge} only, not the clone edges
-          of {!add_edge_ids}): src id -> (kind, dst), newest first *)
   mutable isuccs : (int * int) list array;
-      (** every flow edge, [skeleton] and clone edges alike: src id ->
-          (cast sym, dst id), newest first *)
+      (** every flow edge, structural and clone edges alike: src id ->
+          (cast sym or [-1], dst id), newest first *)
+  mutable has_clone_edges : bool;
+      (** {!add_edge_ids} ran: some edge may touch a context clone *)
   icast_tbl : (string, int) Hashtbl.t;  (** cast class -> dense sym *)
-  mutable icast_rev : string list;  (** newest first *)
+  mutable icast_names : string array;  (** cast sym -> class; grown by doubling *)
   mutable frozen : (int * flow_csr) option;
       (** CSR snapshot memo, keyed by the edge count it was built at;
           flow edges only grow during extraction, so re-solving reuses
           the frozen arrays *)
   mutable iop_ids : (int * int array * int) list;
       (** per op, newest first: (recv id, arg ids, out id or -1) *)
-  edge_seen : unit Edge_seen.t;
+  edge_seen : int list Edge_seen.t;
   mutable edge_total : int;
   seed_tbl : (Node.t, VS.t) Hashtbl.t;
   mutable sets : (Node.t, VS.t) Hashtbl.t;
@@ -138,10 +158,10 @@ type t = {
 let create ?interner () =
   {
     g_it = (match interner with Some it -> it | None -> Intern.create ());
-    skeleton = [||];
     isuccs = [||];
+    has_clone_edges = false;
     icast_tbl = Hashtbl.create 8;
-    icast_rev = [];
+    icast_names = [||];
     frozen = None;
     iop_ids = [];
     edge_seen = Edge_seen.create 256;
@@ -194,8 +214,16 @@ let cast_sym t cls =
   | None ->
       let sym = Hashtbl.length t.icast_tbl in
       Hashtbl.add t.icast_tbl cls sym;
-      t.icast_rev <- cls :: t.icast_rev;
+      let n = Array.length t.icast_names in
+      if sym >= n then begin
+        let grown = Array.make (max 8 (2 * n)) "" in
+        Array.blit t.icast_names 0 grown 0 n;
+        t.icast_names <- grown
+      end;
+      t.icast_names.(sym) <- cls;
       sym
+
+let kind_of_sym t k = if k < 0 then E_direct else E_cast t.icast_names.(k)
 
 (* Grow an id-indexed adjacency array to cover index [i]. *)
 let ensure_slot arr i =
@@ -216,18 +244,17 @@ let fresh_op t ~kind ~site ~recv ~args ~out =
   t.op_list <- op :: t.op_list;
   op
 
-let add_edge t ?(kind = E_direct) src dst =
-  let sid = node_id t src and did = node_id t dst in
-  let ksym = match kind with E_direct -> -1 | E_cast cls -> cast_sym t cls in
-  let key = (sid, ksym, did) in
-  if not (Edge_seen.mem t.edge_seen key) then begin
-    Edge_seen.add t.edge_seen key ();
+let push_edge t sid ksym did =
+  if edge_fresh t.edge_seen sid ksym did then begin
     t.edge_total <- t.edge_total + 1;
-    t.skeleton <- ensure_slot t.skeleton sid;
-    t.skeleton.(sid) <- (kind, dst) :: t.skeleton.(sid);
     t.isuccs <- ensure_slot t.isuccs sid;
     t.isuccs.(sid) <- (ksym, did) :: t.isuccs.(sid)
   end
+
+let add_edge t ?(kind = E_direct) src dst =
+  let sid = node_id t src and did = node_id t dst in
+  let ksym = match kind with E_direct -> -1 | E_cast cls -> cast_sym t cls in
+  push_edge t sid ksym did
 
 let seed t node value =
   ignore (node_id t node);
@@ -239,23 +266,18 @@ let seed t node value =
 
 let has_top t = t.g_has_top
 
-(* Id-level emission (context-keyed extraction).  Clone-body
-   constraints write only the id-level mirrors — the edge dedup table,
-   [isuccs], and the edge counter — never the structural [skeleton].
-   The frozen CSR is laid out from [isuccs], so the interned
-   solver sees the context-expanded flow graph, while structural
-   consumers ([succs], [locations], [pp_dot]) keep the
-   context-insensitive skeleton; materialisation installs the clone
-   rows structurally after the solve. *)
+(* Id-level emission (context-keyed extraction).  Every clone-body
+   edge touches a context clone ({!Intern.ctx_node} marks them), and no
+   structural edge of the same extraction does: the structural walk
+   never renames.  The frozen CSR is laid out from [isuccs], so the
+   interned solver sees the context-expanded flow graph, while the
+   structural views ([succs], [locations], [pp_dot]) hide the edges
+   that touch a clone and stay context-insensitive; materialisation
+   installs the clone rows structurally after the solve. *)
 let add_edge_ids t ?(kind = E_direct) sid did =
   let ksym = match kind with E_direct -> -1 | E_cast cls -> cast_sym t cls in
-  let key = (sid, ksym, did) in
-  if not (Edge_seen.mem t.edge_seen key) then begin
-    Edge_seen.add t.edge_seen key ();
-    t.edge_total <- t.edge_total + 1;
-    t.isuccs <- ensure_slot t.isuccs sid;
-    t.isuccs.(sid) <- (ksym, did) :: t.isuccs.(sid)
-  end
+  push_edge t sid ksym did;
+  t.has_clone_edges <- true
 
 (* Seed statements are rare (allocations, id constants); decoding the
    id back keeps the seed table structural and identical between the
@@ -374,9 +396,7 @@ let build_condensed n row edst ekind rep =
       let rv = rep.(edst.(e)) in
       if ru <> rv then begin
         let k = ekind.(e) in
-        let key = (ru, k, rv) in
-        if not (Edge_seen.mem seen key) then begin
-          Edge_seen.add seen key ();
+        if edge_fresh seen ru k rv then begin
           lists.(ru) <- (k, rv) :: lists.(ru);
           incr total
         end
@@ -552,7 +572,7 @@ let build_frozen_flow t =
     fc_row = row;
     fc_edst = edst;
     fc_ekind = ekind;
-    fc_cast_names = Array.of_list (List.rev t.icast_rev);
+    fc_cast_names = Array.sub t.icast_names 0 (Hashtbl.length t.icast_tbl);
     fc_rep = rep;
     fc_crow = crow;
     fc_cdst = cdst;
@@ -628,14 +648,29 @@ let views_of t node =
     (fun v acc -> match Node.view_of_value v with Some view -> view :: acc | None -> acc)
     (set_of t node) []
 
+(* The structural view of the flow edges: [isuccs] decoded, minus the
+   edges that touch a context clone (none exist unless {!add_edge_ids}
+   ran, so plain extractions skip the test). *)
+let is_clone t id = t.has_clone_edges && Intern.is_ctx_clone t.g_it id
+
+let rec decode_succs t = function
+  | [] -> []
+  | (k, did) :: rest ->
+      if is_clone t did then decode_succs t rest
+      else (kind_of_sym t k, Intern.node_of t.g_it did) :: decode_succs t rest
+
 let succs t node =
   match Intern.find_node t.g_it node with
-  | Some id when id < Array.length t.skeleton -> t.skeleton.(id)
+  | Some id when id < Array.length t.isuccs && not (is_clone t id) -> decode_succs t t.isuccs.(id)
   | _ -> []
 
-(* Skeleton sources in id order, each with its successors. *)
-let iter_skeleton t f =
-  Array.iteri (fun id targets -> if targets <> [] then f (Intern.node_of t.g_it id) targets) t.skeleton
+(* Structural edge sources in id order, each with its successors. *)
+let iter_succs t f =
+  Array.iteri
+    (fun id targets ->
+      if targets <> [] && not (is_clone t id) then
+        match decode_succs t targets with [] -> () | succs -> f (Intern.node_of t.g_it id) succs)
+    t.isuccs
 
 let seeds t = Hashtbl.fold (fun node vs acc -> (node, vs) :: acc) t.seed_tbl []
 
@@ -876,7 +911,7 @@ let locations t =
       out := node :: !out
     end
   in
-  iter_skeleton t (fun src targets ->
+  iter_succs t (fun src targets ->
       add src;
       List.iter (fun (_, dst) -> add dst) targets);
   Hashtbl.iter (fun node _ -> add node) t.seed_tbl;
@@ -914,7 +949,7 @@ let pp_dot ppf t =
         op.op_args;
       Option.iter (fun out -> Fmt.pf ppf "  %s -> %s;@\n" op_node (location_id out)) op.op_out)
     (ops t);
-  iter_skeleton t (fun src targets ->
+  iter_succs t (fun src targets ->
       List.iter
         (fun (kind, dst) ->
           match kind with

@@ -74,17 +74,20 @@ val has_top : t -> bool
 
     The context-keyed extraction path walks clone bodies entirely in id
     space: endpoints are already interned (via {!Intern.ctx_node}), so
-    these variants skip the structural mirrors.  [add_edge_ids] writes
-    only the id-level stores the frozen CSR is built from; the
-    structural skeleton behind {!succs} keeps the context-insensitive
-    edges.
+    these variants skip re-interning.  Both kinds of edge land in the
+    one id-level adjacency the frozen CSR is built from; every edge
+    [add_edge_ids] adds touches a context clone, and the structural
+    views ({!succs}, {!locations}, {!pp_dot}) hide those edges, so they
+    stay context-insensitive.
     [seed_id] and [fresh_op_ids] decode back to structural nodes (seeds
     and op records are rare and must match the inlining path
     byte-for-byte). *)
 
 val add_edge_ids : t -> ?kind:edge_kind -> int -> int -> unit
 (** [add_edge_ids t src_id dst_id] — idempotent, same dedup key as
-    {!add_edge}. *)
+    {!add_edge}.
+    @raise Invalid_argument when an id is negative or not below
+    [2^31] ({!Intern.pack}); the edge is not added. *)
 
 val seed_id : t -> int -> Node.value -> unit
 
@@ -132,7 +135,7 @@ val tainted_nodes : t -> (Node.t * VS.t) list
 val succs : t -> Node.t -> (edge_kind * Node.t) list
 (** The flow successors of a location added by {!add_edge}, newest
     first.  Clone edges added by {!add_edge_ids} are not listed.  One
-    interner lookup plus an array read. *)
+    interner lookup, then the id-level adjacency decoded. *)
 
 val seeds : t -> (Node.t * VS.t) list
 
@@ -319,4 +322,4 @@ val pp_dot : t Fmt.t
 (** Graphviz rendering of the solved graph: locations, op nodes, flow
     edges, and relationship edges (Figures 3-4 style).  Locations come
     in {!locations} order, op nodes in creation order, and flow edges
-    (the {!succs} skeleton) by ascending source id. *)
+    (those {!succs} lists) by ascending source id. *)

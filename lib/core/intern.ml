@@ -251,6 +251,9 @@ type t = {
           later sightings of a pair an int-keyed hit instead of a
           string allocation plus a node hash. *)
   ctx_seen : (int, unit) Hashtbl.t;  (** distinct contexts that minted at least one clone *)
+  mutable clone_marks : Bytes.t;
+      (** node id -> ['\001'] when {!ctx_node} minted it as a renamed
+          clone variable; ids past the end are unmarked *)
 }
 
 let create ?shared () =
@@ -279,6 +282,7 @@ let create ?shared () =
     rid_local = 0;
     ctx_fwd = Hashtbl.create 64;
     ctx_seen = Hashtbl.create 16;
+    clone_marks = Bytes.empty;
   }
 
 let shared_of t = t.shared
@@ -319,29 +323,51 @@ and view t (w : Node.view_abs) =
 
 let node t n = Node_pool.intern t.nodes n
 
+(* Two dense ids packed into one int key, [hi] in the upper bits.  Both
+   must lie in [0, 2^pack_bits): a larger id would alias another pair's
+   key, so it is refused instead of truncated. *)
+let pack_bits = 31
+
+let pack hi lo =
+  if hi lsr pack_bits <> 0 || lo lsr pack_bits <> 0 then
+    invalid_arg "Intern.pack: id past the packing bound";
+  (hi lsl pack_bits) lor lo
+
 (* Context clones.  The id is minted by interning the actual renamed
    node ([name ^ "$" ^ ctx] — '$' cannot occur in source identifiers),
    so a clone id and the id the inlining path would assign to the same
    renamed variable are THE SAME pool entry: the materialization naming
-   contract is the mint itself.  The packed key fits comfortably in an
-   OCaml int (node ids < 2^31, contexts < 2^31); only [N_var] bases
-   carry contexts — fields and returns are shared across clones, and a
-   non-var base decays to itself. *)
+   contract is the mint itself.  The ⟨base, ctx⟩ key is packed with
+   {!pack}; only [N_var] bases carry contexts — fields and returns are
+   shared across clones, and a non-var base decays to itself. *)
 (* Every clone id below the table bound reuses one preallocated suffix
    string; a miss then costs a single concatenation. *)
 let ctx_suffixes = Array.init 1024 (fun i -> "$" ^ string_of_int i)
 
 let ctx_suffix i = if i < 1024 then Array.unsafe_get ctx_suffixes i else "$" ^ string_of_int i
 
+let mark_clone t id =
+  let n = Bytes.length t.clone_marks in
+  if id >= n then begin
+    let grown = Bytes.make (max 256 (max (id + 1) (2 * n))) '\000' in
+    Bytes.blit t.clone_marks 0 grown 0 n;
+    t.clone_marks <- grown
+  end;
+  Bytes.unsafe_set t.clone_marks id '\001'
+
+let is_ctx_clone t id = id < Bytes.length t.clone_marks && Bytes.get t.clone_marks id <> '\000'
+
 let ctx_node t ~base ~ctx =
-  let key = (base lsl 31) lor ctx in
+  let key = pack base ctx in
   match Hashtbl.find_opt t.ctx_fwd key with
   | Some id -> id
   | None ->
       let id =
         match Node_pool.get t.nodes base with
         | Node.N_var (mid, name) ->
-            Node_pool.intern t.nodes (Node.N_var (mid, name ^ ctx_suffix ctx))
+            let id = Node_pool.intern t.nodes (Node.N_var (mid, name ^ ctx_suffix ctx)) in
+            mark_clone t id;
+            id
         | Node.N_field _ | Node.N_ret _ -> base
       in
       Hashtbl.add t.ctx_fwd key id;
@@ -432,4 +458,4 @@ let ctx_key_count t = Hashtbl.length t.ctx_fwd
    the caller, and every dynamic push (handler injection, declarative
    passes) targets structural base nodes. *)
 let ctx_clone_ids t =
-  Hashtbl.fold (fun key id acc -> if id <> key lsr 31 then id :: acc else acc) t.ctx_fwd []
+  Hashtbl.fold (fun key id acc -> if id <> key lsr pack_bits then id :: acc else acc) t.ctx_fwd []

@@ -99,7 +99,21 @@ val ctx_node : t -> base:int -> ctx:int -> int
     need no special handling — and repeat sightings of a ⟨base, ctx⟩
     pair resolve through a packed int-keyed cache with no string
     allocation.  Non-[N_var] bases (fields, returns) are
-    context-insensitive and decay to [base]. *)
+    context-insensitive and decay to [base]; every other result is
+    marked as a clone ({!is_ctx_clone}). *)
+
+val is_ctx_clone : t -> int -> bool
+(** Was node id minted by {!ctx_node} as a renamed clone variable?
+    Decayed keys (fields, returns) are not clones. *)
+
+val pack_bits : int
+(** Width of each half of a {!pack}ed key (31). *)
+
+val pack : int -> int -> int
+(** [pack hi lo] is one int key for a pair of dense ids, the way
+    {!ctx_node} keys its cache and the graph keys its edge dedup.
+    @raise Invalid_argument when either id is negative or not below
+    [2^31]: such a key would collide with another pair's. *)
 
 val listener : t -> Node.listener_abs * string -> int
 (** Listener entries are keyed by (abstraction, interface name). *)

@@ -25,6 +25,8 @@ type table1_row = {
 type table2_row = {
   t2_app : string;
   t2_seconds : float;
+      (** {!Analysis.t.solve_seconds}: extraction plus solving, not the
+          front end or the metrics *)
   t2_receivers : float option;
       (** avg views reaching an operation's receiver position *)
   t2_parameters : float option;  (** avg views reaching AddView as the child *)

@@ -38,7 +38,7 @@ let listener_classes t = filter_classes t Listeners.is_listener_class
 
 let view_classes t = filter_classes t Views.is_view_class
 
-let typing_env t ~owner m =
-  Jir.Typing.infer ~hierarchy:t.hierarchy ~external_return:Api.return_ty ~owner m
+let typing_env ?cha_targets t ~owner m =
+  Jir.Typing.infer ?cha_targets ~hierarchy:t.hierarchy ~external_return:Api.return_ty ~owner m
 
 let diagnostics t = Jir.Wellformed.check ~platform:Api.platform_decls t.program

@@ -28,7 +28,13 @@ val view_classes : t -> Jir.Ast.cls list
 (** Application-defined view classes (like Figure 1's
     [TerminalView]). *)
 
-val typing_env : t -> owner:string -> Jir.Ast.meth -> Jir.Typing.env
-(** Typing with platform API return types plugged in. *)
+val typing_env :
+  ?cha_targets:(recv_ty:string option -> string -> int -> (string * Jir.Ast.meth) list) ->
+  t ->
+  owner:string ->
+  Jir.Ast.meth ->
+  Jir.Typing.env
+(** Typing with platform API return types plugged in; [?cha_targets]
+    as in {!Jir.Typing.infer}. *)
 
 val diagnostics : t -> Jir.Wellformed.diagnostic list

@@ -22,7 +22,14 @@ let ty_of env v = Hashtbl.find_opt env v
 
 let class_of env v = match ty_of env v with Some (Ast.Tclass c) -> Some c | _ -> None
 
-let infer ~hierarchy ~external_return ~owner (m : Ast.meth) =
+let infer ?cha_targets ~hierarchy ~external_return ~owner (m : Ast.meth) =
+  let cha_targets =
+    match cha_targets with
+    | Some lookup -> lookup
+    | None ->
+        fun ~recv_ty name arity ->
+          Hierarchy.cha_targets hierarchy ~recv_ty { Ast.mk_name = name; mk_arity = arity }
+  in
   let env : env = Hashtbl.create 16 in
   let declared : (string, unit) Hashtbl.t = Hashtbl.create 16 in
   let set_declared v ty =
@@ -58,9 +65,7 @@ let infer ~hierarchy ~external_return ~owner (m : Ast.meth) =
   in
   let return_ty_of_call recv m_name arity =
     let recv_ty = class_of env recv in
-    let key = { Ast.mk_name = m_name; mk_arity = arity } in
-    let application_targets = Hierarchy.cha_targets hierarchy ~recv_ty key in
-    match application_targets with
+    match cha_targets ~recv_ty m_name arity with
     | (_, target) :: _ -> target.Ast.m_ret
     | [] -> external_return ~recv_ty m_name arity
   in

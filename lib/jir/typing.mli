@@ -14,6 +14,7 @@ val least_common_superclass : Hierarchy.t -> string -> string -> string option
     the chains never meet (e.g. unrelated interfaces). *)
 
 val infer :
+  ?cha_targets:(recv_ty:string option -> string -> int -> (string * Ast.meth) list) ->
   hierarchy:Hierarchy.t ->
   external_return:(recv_ty:string option -> string -> int -> Ast.ty option) ->
   owner:string ->
@@ -25,7 +26,11 @@ val infer :
     typically Android platform APIs whose return types the framework
     model knows. [owner] is the class defining [m] (gives [this] its
     type).  The result is the fixpoint: inference re-walks the body
-    until no type changes, however long the def-use chains. *)
+    until no type changes, however long the def-use chains.
+    [?cha_targets ~recv_ty name arity] resolves a call's application
+    targets; it defaults to {!Hierarchy.cha_targets} on [hierarchy],
+    and a caller typing many methods of one app passes a memo of that
+    same function so each call signature is resolved once. *)
 
 val ty_of : env -> string -> Ast.ty option
 

@@ -36,5 +36,6 @@ let () =
       ("stream", Test_stream.suite);
       ("project", Test_project.suite);
       ("misc", Test_misc.suite);
+      ("pinned-views", Test_pinned_views.suite);
       ("isomorphism", Test_isomorphism.suite);
     ]

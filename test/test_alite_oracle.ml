@@ -63,25 +63,7 @@ let fragments =
      "R.layout.?"; "?"; "."; "="; ";"; "{"; "}"; "("; ")"; ":"; ","; "class "; "interface ";
      "method "; "field "; "var "; "new "; "return"; "null"; "int"; "void"; "x"; "$_9"; "\xc3\xa9"; "\000" |]
 
-let random_byte rng = Char.chr (Util.Prng.int rng 256)
-
-let mutate rng src =
-  let n = String.length src in
-  let at () = Util.Prng.int rng (n + 1) in
-  let splice i drop piece =
-    let drop = min drop (n - i) in
-    String.sub src 0 i ^ piece ^ String.sub src (i + drop) (n - i - drop)
-  in
-  match Util.Prng.int rng 6 with
-  | 0 when n > 0 -> splice (Util.Prng.int rng n) 1 (String.make 1 (random_byte rng))
-  | 1 -> splice (at ()) 0 fragments.(Util.Prng.int rng (Array.length fragments))
-  | 2 -> splice (at ()) (1 + Util.Prng.int rng 16) ""
-  | 3 -> String.sub src 0 (at ())
-  | 4 ->
-      let i = at () in
-      let len = min (Util.Prng.int rng 64) (n - i) in
-      splice (at ()) 0 (String.sub src i len)
-  | _ -> splice (at ()) 1 fragments.(Util.Prng.int rng (Array.length fragments))
+let mutate = Byte_mutation.mutate ~fragments
 
 let check_mutant src =
   match disagreement src with
@@ -114,7 +96,7 @@ let fuzz_soup =
       let rng = Util.Prng.create seed in
       let pieces =
         List.init (Util.Prng.int rng 40) (fun _ ->
-            if Util.Prng.chance rng 0.05 then String.make 1 (random_byte rng)
+            if Util.Prng.chance rng 0.05 then String.make 1 (Byte_mutation.random_byte rng)
             else fragments.(Util.Prng.int rng (Array.length fragments)))
       in
       check_mutant (String.concat (if Util.Prng.bool rng then " " else "") pieces))

@@ -16,6 +16,8 @@ let test_add_value_grows_once () =
   Alcotest.check Alcotest.bool "second add" false (Graph.add_value g n (Node.V_view_id 1));
   Alcotest.check Alcotest.int "set size" 1 (Graph.VS.cardinal (Graph.set_of g n))
 
+(* The dedup key is the endpoint pair; the kinds already present
+   between the two ride in the table's value. *)
 let test_edges_dedup () =
   let g = Graph.create () in
   let a = var "m" "a" and b = var "m" "b" in
@@ -23,7 +25,31 @@ let test_edges_dedup () =
   Graph.add_edge g a b;
   Graph.add_edge g ~kind:(Graph.E_cast "Button") a b;
   Alcotest.check Alcotest.int "two distinct edges" 2 (Graph.edge_count g);
-  Alcotest.check Alcotest.int "succs" 2 (List.length (Graph.succs g a))
+  Alcotest.check Alcotest.int "succs" 2 (List.length (Graph.succs g a));
+  List.iter
+    (fun kind -> Graph.add_edge g ~kind a b)
+    Graph.[ E_cast "View"; E_cast "Button"; E_direct; E_cast "View" ];
+  Graph.add_edge g b a;
+  Alcotest.check Alcotest.int "three kinds one way, one edge back" 4 (Graph.edge_count g);
+  Alcotest.check Alcotest.bool "newest first" true
+    (Graph.succs g a = Graph.[ (E_cast "View", b); (E_cast "Button", b); (E_direct, b) ])
+
+(* Ids are packed two to an int key; an id that does not fit would
+   alias another pair's key and silently drop a real edge, so it is
+   refused before anything is recorded. *)
+let test_edge_pack_bound () =
+  let g = Graph.create () in
+  let bound = 1 lsl Intern.pack_bits in
+  Graph.add_edge_ids g 1 0;
+  List.iter
+    (fun (src, dst) ->
+      match Graph.add_edge_ids g src dst with
+      | () -> Alcotest.failf "edge %d -> %d accepted" src dst
+      | exception Invalid_argument _ -> ())
+    [ (0, bound); (bound, 0); (-1, 0); (0, -1); (max_int, max_int) ];
+  Alcotest.check Alcotest.int "only the packable edge" 1 (Graph.edge_count g);
+  Alcotest.check Alcotest.bool "largest ids keep their halves apart" true
+    (Intern.pack (bound - 1) 0 <> Intern.pack 0 (bound - 1))
 
 let test_seeds_survive_reset () =
   let g = Graph.create () in
@@ -278,10 +304,38 @@ let test_corpus_skeleton () =
       check_skeleton (name ^ "@cs2") keyed_cs2 app)
     Corpus.Apps.specs
 
+(* A warm re-extraction after a configuration change can walk the
+   inlining path over a donor interner whose clone ids a keyed run
+   marked.  The inliner renames structurally, so its [$n] edges are
+   ordinary edges and must stay in the structural views. *)
+let test_marked_donor_keeps_inlined_edges () =
+  let app = Corpus.Connectbot.app () in
+  let keyed = { Config.default with inline_depth = 2; ctx_keyed = true } in
+  let inlined = { keyed with ctx_keyed = false } in
+  let donor = Graph.interner (Extract.run keyed app) in
+  let warm = Extract.run ~interner:donor inlined app in
+  let edges g =
+    List.fold_left
+      (fun acc src ->
+        List.fold_left (fun acc (kind, dst) -> Edge_set.add (src, kind, dst) acc) acc (Graph.succs g src))
+      Edge_set.empty (Graph.locations g)
+  in
+  let marked =
+    List.filter
+      (fun n -> match Intern.find_node donor n with Some id -> Intern.is_ctx_clone donor id | None -> false)
+      (Graph.locations warm)
+  in
+  Alcotest.check Alcotest.bool "inlined clones carry the donor's marks" true (marked <> []);
+  Alcotest.check Alcotest.int "every inlined edge is listed" (Graph.edge_count warm)
+    (Edge_set.cardinal (edges warm));
+  if not (Edge_set.equal (edges warm) (edges (Extract.run inlined app))) then
+    Alcotest.fail "warm inlined edges differ from a fresh extraction's"
+
 let suite =
   [
     Alcotest.test_case "add_value grows once" `Quick test_add_value_grows_once;
     Alcotest.test_case "edge dedup by kind" `Quick test_edges_dedup;
+    Alcotest.test_case "edge ids past the packing bound raise" `Quick test_edge_pack_bound;
     Alcotest.test_case "reset keeps seeds" `Quick test_seeds_survive_reset;
     Alcotest.test_case "children relation" `Quick test_children_relation;
     Alcotest.test_case "descendants closure" `Quick test_descendants;
@@ -297,4 +351,6 @@ let suite =
     Alcotest.test_case "frozen flow: memo invalidation" `Quick
       test_frozen_flow_memo_invalidation;
     Alcotest.test_case "skeleton succs and locations over the corpus" `Quick test_corpus_skeleton;
+    Alcotest.test_case "inlined edges over a marked donor interner stay listed" `Quick
+      test_marked_donor_keeps_inlined_edges;
   ]

@@ -119,6 +119,65 @@ let test_lcs () =
   Alcotest.check Alcotest.(option string) "siblings" (Some "View") (lcs "Button" "ImageView");
   Alcotest.check Alcotest.(option string) "distant" (Some "Object") (lcs "Button" "Activity")
 
+(* Extraction types methods through its per-run CHA memo; the memo
+   must change no type.  Environments compare as sorted bindings. *)
+let bindings env =
+  List.sort compare (Hashtbl.fold (fun v ty acc -> (v, ty) :: acc) env [])
+
+let same_envs name (app : Framework.App.t) =
+  let direct =
+    List.concat_map
+      (fun (cls : Ast.cls) ->
+        List.map (fun m -> Framework.App.typing_env app ~owner:cls.c_name m) cls.c_methods)
+      app.program.p_classes
+  in
+  let shared = Gator.Extract.typing_envs app in
+  Alcotest.check Alcotest.int (name ^ ": methods") (List.length direct) (List.length shared);
+  List.iter2
+    (fun env (mid, env') ->
+      if bindings env <> bindings env' then
+        Alcotest.failf "%s: %a typed differently through the shared CHA memo" name Gator.Node.pp_mid
+          mid)
+    direct shared
+
+(* Call signatures whose return type turns on the receiver's type or on
+   the arity, including a receiver typed only in a later round: a memo
+   keyed too coarsely types these wrongly, which the corpus alone would
+   not show. *)
+let overloads_src =
+  "class A { method get(): Button { x = new Button(); return x; }\n\
+  \           method get(n: int): TextView { y = new TextView(); return y; } }\n\
+   class B { method get(): ImageView { z = new ImageView(); return z; } }\n\
+   class C { method go(): void { a = new A(); b = new B(); k = 1; p = a.get(); q = b.get();\n\
+  \           r = a.get(k); u = w; t = u.get(); w = new B(); } }"
+
+let test_shared_cha_corpus () =
+  List.iter
+    (fun spec -> same_envs spec.Corpus.Spec.sp_name (Corpus.Apps.generate spec))
+    Corpus.Apps.specs;
+  same_envs "Figure1" (Corpus.Connectbot.app ());
+  match Framework.App.of_source ~name:"Overloads" ~code:overloads_src ~layouts:[] with
+  | Error e -> Alcotest.failf "Overloads: %s" e
+  | Ok app ->
+      same_envs "Overloads" app;
+      let _, env =
+        List.find
+          (fun ((mid : Gator.Node.mid), _) -> mid.mid_name = "go")
+          (Gator.Extract.typing_envs app)
+      in
+      check_ty env "p" (Some (Ast.Tclass "Button"));
+      check_ty env "q" (Some (Ast.Tclass "ImageView"));
+      check_ty env "r" (Some (Ast.Tclass "TextView"))
+
+let qcheck_shared_cha_random =
+  QCheck.Test.make ~count:40 ~name:"qcheck: shared CHA memo types random apps the same"
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Util.Prng.create seed in
+      let spec = Corpus.Gen.random_spec ~name:(Printf.sprintf "Typing_%d" seed) rng in
+      same_envs spec.Corpus.Spec.sp_name (Corpus.Gen.generate spec);
+      true)
+
 let suite =
   [
     Alcotest.test_case "this and params" `Quick test_this_and_params;
@@ -134,4 +193,6 @@ let suite =
     Alcotest.test_case "long copy chains reach the fixpoint" `Quick
       test_long_chain_reaches_fixpoint;
     Alcotest.test_case "least_common_superclass" `Quick test_lcs;
+    Alcotest.test_case "shared CHA memo = direct CHA over the corpus" `Quick test_shared_cha_corpus;
+    QCheck_alcotest.to_alcotest qcheck_shared_cha_random;
   ]
