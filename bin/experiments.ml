@@ -2,7 +2,7 @@
    experiment index. *)
 
 (* [jobs = None] lets the corpus driver pick the default pool size
-   (recommended domain count capped by [Config.jobs]); [--jobs 1]
+   (recommended domain count capped at 8); [--jobs 1]
    takes the exact sequential path. *)
 let corpus jobs fail_apps = Report.Experiments.run_corpus ?jobs ~fail_apps ()
 
@@ -191,8 +191,8 @@ let verify_daemon () =
 
 (* CI smoke, part 4: the streaming pipeline — a small stream at jobs 4
    must produce exactly one row per app, byte-identical (after order
-   normalization) to the batch pool over the same specs with private
-   interners, without ever writing the frozen shared tier. *)
+   normalization) to the batch pool over the same specs, without ever
+   writing the frozen shared tier. *)
 let verify_stream () =
   let apps = 24 and seed = 77 and jobs = 4 in
   let tier = Gator.Intern.shared_tier () in
@@ -217,17 +217,16 @@ let verify_stream () =
       (fst frozen_before) (snd frozen_before) (fst frozen_after) (snd frozen_after);
     exit 1
   end;
-  (* differential: same specs through the batch pool with fully
-     private interners must yield the same rows *)
+  (* differential: same specs through the batch pool must yield the
+     same rows *)
   let specs = List.init apps (Corpus.Gen.stream_spec ~seed) in
-  let config = { Gator.Config.default with shared_intern = false } in
   let batch =
-    Report.Experiments.run_specs ~config ~jobs specs
+    Report.Experiments.run_specs ~jobs specs
     |> List.map (Report.Experiments.jsonl_row ~timings:false)
   in
   let norm rows = List.sort String.compare rows in
   if norm !rows <> norm batch then begin
-    Fmt.epr "verify: stream (shared tier) rows differ from batch (private) rows@.";
+    Fmt.epr "verify: stream rows differ from batch rows@.";
     exit 1
   end;
   Printf.printf
@@ -241,8 +240,8 @@ let verify_stream () =
    possible concrete resolution, so the check sweeps the dynamic
    oracle over all candidate layouts and view ids (plus the
    no-resolution run) and requires full coverage each time.  The
-   engines and interner tiers must also agree bit-for-bit — solution
-   sets AND imprecision taint tables — and the batch pool must solve
+   engines must also agree bit-for-bit — solution sets AND
+   imprecision taint tables — and the batch pool must solve
    the family identically at jobs 1 and 4. *)
 let verify_reflection () =
   let layouts = 3 in
@@ -274,7 +273,6 @@ let verify_reflection () =
     end
   in
   check_same "interned" (analyze { Gator.Config.default with solver = Gator.Config.Interned });
-  check_same "private-tier" (analyze { Gator.Config.default with shared_intern = false });
   (* the soundness anchor: every concrete resolution of the reflective
      lookups must be covered by the one static solution *)
   let layout_cands =
@@ -338,7 +336,7 @@ let verify_reflection () =
   end;
   let polluted, nonempty = Gator.Analysis.pollution naive in
   Printf.printf
-    "verify: sound mode covers all %d oracle resolutions on ReflHeavy (engines + tiers \
+    "verify: sound mode covers all %d oracle resolutions on ReflHeavy (engines \
      bit-identical with taints, %d/%d sets top-polluted, jobs 1 = jobs 4 on %d reflective apps)\n"
     !resolutions polluted nonempty (List.length family)
 
@@ -370,19 +368,6 @@ let run_verify () =
     | None -> failwith "corpus app XBMC not found"
   in
   check spec.Corpus.Spec.sp_name (Corpus.Gen.generate spec);
-  (* the frozen shared tier only relabels ids — the solution must not
-     move at all relative to a fully private interner *)
-  let xbmc = Corpus.Gen.generate spec in
-  let shared = Gator.Analysis.analyze ~config:{ Gator.Config.default with shared_intern = true } xbmc in
-  let private_ = Gator.Analysis.analyze ~config:{ Gator.Config.default with shared_intern = false } xbmc in
-  let d = Gator.Diff.compare shared private_ in
-  if not (Gator.Diff.is_empty d) then begin
-    Fmt.epr "verify: shared-tier solution DIFFERS from private-tier on XBMC:@.%a@." Gator.Diff.pp d;
-    exit 1
-  end;
-  Printf.printf "verify: shared interner tier = private tier on XBMC (watermarks %d values / %d rids)\n"
-    (fst (Gator.Intern.shared_counts (Gator.Intern.shared_tier ())))
-    (snd (Gator.Intern.shared_counts (Gator.Intern.shared_tier ())));
   (* the condensation earns its keep on cyclic flow, so check it where
      the direct-edge graph is one big tangle of rings *)
   let cycle_heavy =
@@ -390,26 +375,26 @@ let run_verify () =
       ~seed:2014 ()
   in
   check "CycleHeavy" cycle_heavy;
-  (* context-keyed context sensitivity: the id-space clone expansion
-     must agree bit-for-bit with extraction-time inlining *)
+  (* context sensitivity: the interned engine's id-space clone
+     expansion must agree bit-for-bit with the naive reference's
+     extraction-time inlining *)
   let check_cs name app =
     List.iter
       (fun depth ->
-        let cs ctx_keyed =
-          { Gator.Config.default with Gator.Config.inline_depth = depth; ctx_keyed }
-        in
-        let keyed = Gator.Analysis.analyze ~config:(cs true) app in
-        let inlined = Gator.Analysis.analyze ~config:(cs false) app in
+        let cs solver = { Gator.Config.default with Gator.Config.inline_depth = depth; solver } in
+        let keyed = Gator.Analysis.analyze ~config:(cs Gator.Config.Interned) app in
+        let inlined = Gator.Analysis.analyze ~config:(cs Gator.Config.Naive) app in
         let d = Gator.Diff.compare keyed inlined in
         if not (Gator.Diff.is_empty d) then begin
-          Fmt.epr "verify: context-keyed solution DIFFERS from inlined on %s (depth %d):@.%a@."
+          Fmt.epr
+            "verify: context-keyed solution DIFFERS from naive-inlined on %s (depth %d):@.%a@."
             name depth Gator.Diff.pp d;
           exit 1
         end;
         let s = Gator.Metrics.solver_stats keyed in
         Printf.printf
-          "verify: context-keyed = inlined on %s at depth %d (%d contexts, %d ctx keys)\n" name
-          depth s.Gator.Metrics.sv_ctx_count s.Gator.Metrics.sv_ctx_keys)
+          "verify: context-keyed = naive-inlined on %s at depth %d (%d contexts, %d ctx keys)\n"
+          name depth s.Gator.Metrics.sv_ctx_count s.Gator.Metrics.sv_ctx_keys)
       [ 1; 2 ]
   in
   check_cs spec.Corpus.Spec.sp_name (Corpus.Gen.generate spec);
@@ -479,7 +464,7 @@ let jobs_arg =
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:
           "Worker domains for the per-app batch. Defaults to the recommended domain count capped \
-           by the configured maximum; 1 runs the exact sequential path.")
+           at 8; 1 runs the exact sequential path.")
 
 let fail_apps_arg =
   Arg.(
@@ -520,12 +505,11 @@ let () =
         run_precision;
       simple "verify"
         "CI smoke: SCC-condensed interned engine agrees bit-for-bit with naive on XBMC and on a \
-         cycle-heavy app; the frozen shared interner tier changes nothing; the context-keyed \
-         engine agrees with extraction-time inlining on XBMC and an alias-heavy app; \
-         incremental warm solves match cold ones; sound mode stays a superset of every \
-         dynamic-oracle resolution on the reflection-heavy family (engines and tiers \
-         bit-identical, jobs 1 = jobs 4); the query daemon answers a load/query/patch/re-query \
-         round-trip; a small stream matches the batch pool without writing the frozen tier."
+         cycle-heavy app; the context-keyed engine agrees with the naive reference's \
+         extraction-time inlining on XBMC and an alias-heavy app; incremental warm solves \
+         match cold ones; sound mode stays a superset of every dynamic-oracle resolution on the \
+         reflection-heavy family (engines bit-identical, jobs 1 = jobs 4); the query daemon \
+         answers a load/query/patch/re-query round-trip; a small stream matches the batch pool without writing the frozen tier."
         run_verify;
       soundness_cmd;
     ]

@@ -146,11 +146,7 @@ let run code_paths layout_paths solver dump_dot show_interactions show_diagnosti
           Fmt.epr "error: %s@." e;
           exit 1)
   | many ->
-      let jobs =
-        match jobs with
-        | Some j -> max 1 j
-        | None -> Pool.default_jobs ~cap:Gator.Config.default.Gator.Config.jobs ()
-      in
+      let jobs = Option.value jobs ~default:(Pool.default_jobs ()) in
       let outcomes = Pool.map ~jobs analyze many in
       let failed = ref false in
       List.iter2
@@ -195,8 +191,7 @@ let run_query socket payload pretty =
 (* Streaming mode: generated apps flow through the bounded pipeline
    and each result leaves as one JSONL line the moment it completes. *)
 
-let run_stream apps seed jobs high low out_path fail_apps timings private_intern quiet =
-  let config = { Gator.Config.default with shared_intern = not private_intern } in
+let stream_apps apps seed jobs high low out_path fail_apps timings quiet =
   let oc, close =
     match out_path with
     | None -> (stdout, fun () -> flush stdout)
@@ -211,7 +206,7 @@ let run_stream apps seed jobs high low out_path fail_apps timings private_intern
   let start = Unix.gettimeofday () in
   let stats =
     Fun.protect ~finally:close (fun () ->
-        Report.Experiments.run_stream ~config ?jobs ?high ?low ~timings ~fail_apps ~seed ~apps
+        Report.Experiments.run_stream ~jobs ?high ?low ~timings ~fail_apps ~seed ~apps
           ~emit ())
   in
   let seconds = Unix.gettimeofday () -. start in
@@ -221,6 +216,17 @@ let run_stream apps seed jobs high low out_path fail_apps timings private_intern
       (float_of_int stats.Pool.Stream.st_consumed /. Float.max seconds 1e-9)
       stats.Pool.Stream.st_failed stats.Pool.Stream.st_max_queued stats.Pool.Stream.st_steals;
   if stats.Pool.Stream.st_failed > 0 then exit 1
+
+(* Bad --jobs/--high/--low values are usage errors (exit 124), caught
+   before any domain is spawned. *)
+let run_stream apps seed jobs high low out_path fail_apps timings quiet =
+  let jobs = Option.value jobs ~default:(Pool.default_jobs ()) in
+  if jobs < 1 || jobs > Pool.max_jobs then
+    `Error (true, Printf.sprintf "--jobs %d is outside [1, %d]" jobs Pool.max_jobs)
+  else
+    match Pool.Stream.watermarks ~jobs ?high ?low () with
+    | Error msg -> `Error (true, "--high/--low: " ^ msg)
+    | Ok _ -> `Ok (stream_apps apps seed jobs high low out_path fail_apps timings quiet)
 
 open Cmdliner
 
@@ -287,8 +293,8 @@ let stream_cmd =
       & opt (some int) None
       & info [ "j"; "jobs" ] ~docv:"N"
           ~doc:
-            "Worker domains. Defaults to the recommended domain count capped by the configured \
-             maximum; 1 forces the exact sequential loop.")
+            "Worker domains, from 1 to 127. Defaults to the recommended domain count capped at \
+             8; 1 forces the exact sequential loop.")
   in
   let high =
     Arg.(
@@ -324,14 +330,6 @@ let stream_cmd =
       & info [ "no-timings" ]
           ~doc:"Omit per-app wall times, making rows deterministic for byte comparisons.")
   in
-  let private_intern =
-    Arg.(
-      value & flag
-      & info [ "private-intern" ]
-          ~doc:
-            "Give every task a fully private interner instead of the process-wide frozen tier \
-             (results are bit-identical; for measurement).")
-  in
   let quiet = Arg.(value & flag & info [ "q"; "quiet" ] ~doc:"Suppress the summary line on stderr.") in
   Cmd.v
     (Cmd.info "stream"
@@ -340,8 +338,9 @@ let stream_cmd =
           queue, work-stealing worker domains, one JSONL row per app in completion order, \
           failures isolated as ok:false rows. Exits non-zero if any app failed.")
     Term.(
-      const run_stream $ apps $ seed $ jobs $ high $ low $ out $ fail_apps
-      $ Term.app (const not) no_timings $ private_intern $ quiet)
+      ret
+        (const run_stream $ apps $ seed $ jobs $ high $ low $ out $ fail_apps
+        $ Term.app (const not) no_timings $ quiet))
 
 let () =
   let code =
@@ -392,7 +391,7 @@ let () =
       & info [ "j"; "jobs" ] ~docv:"N"
           ~doc:
             "Worker domains for batch (multi-program) runs. Defaults to the recommended domain \
-             count capped by the configured maximum; 1 forces the sequential path.")
+             count capped at 8; 1 forces the sequential path.")
   in
   let incremental =
     Arg.(

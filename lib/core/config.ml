@@ -8,13 +8,8 @@ type t = {
   listener_callbacks : bool;
   model_dialogs : bool;
   inline_depth : int;
-  inline_body_limit : int;
-  ctx_keyed : bool;
   max_iterations : int;
   solver : solver;
-  jobs : int;
-  incremental : bool;
-  shared_intern : bool;
 }
 
 let default =
@@ -24,13 +19,8 @@ let default =
     listener_callbacks = true;
     model_dialogs = true;
     inline_depth = 0;
-    inline_body_limit = 24;
-    ctx_keyed = true;
     max_iterations = 1000;
     solver = Interned;
-    jobs = 8;
-    incremental = false;
-    shared_intern = true;
   }
 
 let baseline =
@@ -40,11 +30,6 @@ let baseline =
     listener_callbacks = false;
     model_dialogs = false;
     inline_depth = 0;
-    inline_body_limit = 24;
-    ctx_keyed = true;
     max_iterations = 1000;
     solver = Interned;
-    jobs = 8;
-    incremental = false;
-    shared_intern = true;
   }

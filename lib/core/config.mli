@@ -38,41 +38,13 @@ type t = {
           value flow.  [0] (the default) reproduces the paper's
           context-insensitive analysis; the paper's Section 5 notes
           context sensitivity as the cure for the XBMC receivers
-          outlier — see the ablation benches. *)
-  inline_body_limit : int;
-      (** Bound on the body size (statement count) of callees eligible
-          for context-sensitive separation; larger callees share their
-          locals context-insensitively. *)
-  ctx_keyed : bool;
-      (** Run context sensitivity natively on the interned engine:
-          clone bodies are walked in id space (each ⟨variable, clone⟩
-          pair interned once, edges emitted id-level only) instead of
-          re-extracted as [$n]-suffixed program text.  Bit-identical to
-          the inlining path at every depth — the differential batteries
-          pin it — but skips the per-occurrence string mangling and
-          structural table writes.  Only the [Interned] solver honours
-          it; the naive engine always takes the inlining path.  [false]
-          forces inlining everywhere, for the equivalence oracle. *)
+          outlier — see the ablation benches.  The [Interned] solver
+          expands clone bodies in id space (each ⟨variable, clone⟩
+          pair interned once); the [Naive] reference re-extracts them
+          as [$n]-suffixed program text.  The two are bit-identical at
+          every depth. *)
   max_iterations : int;  (** fixed-point safety valve *)
   solver : solver;  (** fixed-point engine; results are identical *)
-  jobs : int;
-      (** Cap on worker domains for batch (multi-app) drivers.  The
-          pool size defaults to [Domain.recommended_domain_count ()]
-          capped by this value; an explicit [--jobs N] on the batch
-          CLIs overrides both.  Single-app analysis never spawns
-          domains. *)
-  incremental : bool;
-      (** Drivers that own a state file (the CLI's [--incremental])
-          set this to request warm re-solves against a persisted
-          {!Solve.solved}.  The flag participates in the warm guard's
-          configuration equality, so a warm solution can never leak
-          into a non-incremental run's stats. *)
-  shared_intern : bool;
-      (** Build graphs over the process-wide frozen interner tier
-          ({!Intern.shared_tier}), so the framework resource
-          vocabulary is interned once instead of per task.  Results
-          are bit-identical either way (only id labels move); [false]
-          forces fully private interners, for the differential tests. *)
 }
 
 val default : t

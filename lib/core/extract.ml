@@ -109,6 +109,8 @@ let typing_envs (app : Framework.App.t) =
         cls.c_methods)
     app.program.p_classes
 
+let inline_body_limit = 24
+
 let call_info config hierarchy ~memo env ~depth ~stack recv name arity =
   let recv_ty = Jir.Typing.class_of (Lazy.force env) recv in
   let facts = cha_facts hierarchy memo recv_ty name arity in
@@ -143,13 +145,13 @@ let call_info config hierarchy ~memo env ~depth ~stack recv name arity =
     &&
     match app_targets with
     | [ (owner, target) ] ->
-        List.length target.m_body <= config.Config.inline_body_limit
+        List.length target.m_body <= inline_body_limit
         && not (List.mem (Node.mid_of_meth owner target) stack)
     | _ -> false
   in
   (app_targets, may_reach_platform, inlinable)
 
-(* Context-keyed clone expansion (Config.ctx_keyed, interned engine):
+(* Context-keyed clone expansion (interned engine at inline depth > 0):
    clone bodies are expanded in id space.  Each inlinable method is
    compiled ONCE per extraction into an id-level template — statements
    resolved to base node ids, CHA facts and the depth-independent part
@@ -555,24 +557,20 @@ let run ?interner config (app : Framework.App.t) =
     match interner with
     | Some it -> it
     | None ->
-        (* Fresh graphs sit on the frozen shared tier when the config
-           allows, so the resource vocabulary resolves by arithmetic
-           instead of being re-interned per task.  Donor interners
-           (incremental warm path) are passed through untouched. *)
-        if config.Config.shared_intern then Intern.create ~shared:(Intern.shared_tier ()) ()
-        else Intern.create ()
+        (* Fresh graphs sit on the frozen shared tier, so the resource
+           vocabulary resolves by arithmetic instead of being
+           re-interned per task.  Donor interners (incremental warm
+           path) are passed through untouched. *)
+        Intern.create ~shared:(Intern.shared_tier ()) ()
   in
   let graph = Graph.create ~interner () in
-  (* Context-keyed clone expansion only pays off on the interned engine
-     (the naive engine never reads the id-level stores), so the naive
-     solver always takes the inlining path regardless of the flag.  The
-     template cache is per-extraction: it captures base ids of this
-     graph's interner. *)
+  (* The interned engine expands clones in id space; the naive
+     reference never reads the id-level stores, so it always inlines
+     program text.  The template cache is per-extraction: it captures
+     base ids of this graph's interner. *)
   let keyed =
-    if
-      config.Config.ctx_keyed && config.Config.inline_depth > 0
-      && config.Config.solver = Config.Interned
-    then Some (Hashtbl.create 64 : tcache)
+    if config.Config.inline_depth > 0 && config.Config.solver = Config.Interned then
+      Some (Hashtbl.create 64 : tcache)
     else None
   in
   let memo = fresh_memo () in

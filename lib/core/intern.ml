@@ -285,8 +285,6 @@ let create ?shared () =
     clone_marks = Bytes.empty;
   }
 
-let shared_of t = t.shared
-
 let watermarks t = (t.wm_values, t.wm_rids)
 
 (* Values and views intern each other: every view has a canonical

@@ -17,7 +17,10 @@
     are bit-identical whether a symbol resolves in the shared or the
     private tier (the watermark only relabels ids, and everything
     observable is materialized structurally); the differential
-    batteries in [test/test_shared_intern.ml] pin this.
+    batteries in [test/test_shared_intern.ml] pin this.  Every fresh
+    extraction ([Extract.run] without [?interner]) sits on
+    {!shared_tier}; a fully private interner ([create ()]) exists for
+    those batteries and for snapshot replay.
 
     Determinism contract: private ids are assigned in first-intern
     order, and the interned engine interns from deterministic sources
@@ -69,8 +72,6 @@ val shared_counts : shared -> int * int
 val create : ?shared:shared -> unit -> t
 (** A fresh interner; with [?shared], its private pools mint above
     the tier's watermarks and lookups hit the frozen windows first. *)
-
-val shared_of : t -> shared option
 
 val watermarks : t -> int * int
 (** [(value watermark, rid watermark)]; [(0, 0)] without a shared

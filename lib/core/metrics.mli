@@ -57,7 +57,7 @@ type solver_row = {
   sv_largest_scc : int;  (** largest direct-edge SCC; [0] for the naive engine *)
   sv_ctx_count : int;
       (** call-string contexts minted by the context-keyed extraction;
-          [0] for the naive engine or without [ctx_keyed] *)
+          [0] for the naive engine or at inline depth 0 *)
   sv_ctx_keys : int;  (** distinct ⟨node, ctx⟩ keys interned; [0] likewise *)
   sv_warm : bool;  (** solved by the incremental (warm) path *)
   sv_dirty_comps : int;  (** components re-solved by a warm solve; [0] when cold *)

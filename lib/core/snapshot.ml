@@ -93,6 +93,22 @@ let jkind = function
 
 let jop_site (o : Node.op_site) = J.List [ jsite o.o_site; jkind o.o_kind ]
 
+(* Config fields that no longer exist, each with the one value every
+   build wrote for it.  The writer still emits them, in their old
+   places, so files stay byte-identical across the retirement and
+   older builds (which require [jobs] and [incremental]) can still read
+   new files.  The reader accepts each one absent or at its value. *)
+let retired_fields =
+  [
+    ("inline_body_limit", J.Int Extract.inline_body_limit);
+    ("ctx_keyed", J.Bool true);
+    ("jobs", J.Int 8);
+    ("incremental", J.Bool false);
+    ("shared_intern", J.Bool true);
+  ]
+
+let retired name = (name, List.assoc name retired_fields)
+
 let jconfig (c : Config.t) =
   J.Obj
     [
@@ -101,13 +117,13 @@ let jconfig (c : Config.t) =
       ("listener_callbacks", J.Bool c.listener_callbacks);
       ("model_dialogs", J.Bool c.model_dialogs);
       ("inline_depth", J.Int c.inline_depth);
-      ("inline_body_limit", J.Int c.inline_body_limit);
-      ("ctx_keyed", J.Bool c.ctx_keyed);
+      retired "inline_body_limit";
+      retired "ctx_keyed";
       ("max_iterations", J.Int c.max_iterations);
       ("solver", J.String (Config.solver_name c.solver));
-      ("jobs", J.Int c.jobs);
-      ("incremental", J.Bool c.incremental);
-      ("shared_intern", J.Bool c.shared_intern);
+      retired "jobs";
+      retired "incremental";
+      retired "shared_intern";
     ]
 
 let jints a = J.List (Array.to_list (Array.map (fun i -> J.Int i) a))
@@ -305,40 +321,27 @@ let dop_site = function
 
 let dconfig j =
   let bool_field name = match dfield name j with J.Bool b -> b | _ -> bad "bad %s" name in
+  List.iter
+    (fun (name, value) ->
+      match J.member name j with
+      | None -> ()
+      | Some v when v = value -> ()
+      | Some v ->
+          bad "retired config field %s must be %s, not %s" name (J.to_string value)
+            (J.to_string v))
+    retired_fields;
   {
     Config.cast_filtering = bool_field "cast_filtering";
     findone_refinement = bool_field "findone_refinement";
     listener_callbacks = bool_field "listener_callbacks";
     model_dialogs = bool_field "model_dialogs";
     inline_depth = dint (dfield "inline_depth" j);
-    inline_body_limit =
-      (* Fields below default like [shared_intern]: snapshots written
-         before they existed decode to today's defaults. *)
-      (match J.member "inline_body_limit" j with
-      | None -> 24
-      | Some v -> dint v);
-    ctx_keyed =
-      (match J.member "ctx_keyed" j with
-      | None -> true
-      | Some (J.Bool b) -> b
-      | Some _ -> bad "bad ctx_keyed");
     max_iterations = dint (dfield "max_iterations" j);
     solver =
       (match dstr (dfield "solver" j) with
       | "naive" -> Config.Naive
       | "interned" -> Config.Interned
       | s -> bad "unknown solver %s" s);
-    jobs = dint (dfield "jobs" j);
-    incremental = bool_field "incremental";
-    shared_intern =
-      (* Pre-split snapshots predate the field; default to the shared
-         tier (today's default config) so they stay warm-compatible
-         under it.  Loads replay into a private interner either way —
-         ids are positional — so only the warm guard sees this. *)
-      (match J.member "shared_intern" j with
-      | None -> true
-      | Some (J.Bool b) -> b
-      | Some _ -> bad "bad shared_intern");
   }
 
 let dints j = Array.of_list (List.map dint (dlist j))
@@ -353,6 +356,27 @@ let did ~what ~pool j =
   let i = dint j in
   if i < 0 || i >= pool then bad "%s: id %d out of range (pool size %d)" what i pool;
   i
+
+(* A size read from the file, which must lie in [0, max]. *)
+let dsize what ~max j =
+  let n = dint j in
+  if n < 0 || n > max then bad "%s: %d out of range [0, %d]" what n max;
+  n
+
+(* The frozen flow CSR: [row] holds [csr_n + 1] non-decreasing offsets
+   from 0 to [|edst|], every destination is a CSR node, and every kind
+   is direct ([-1]) or the index of a cast name. *)
+let check_csr ~csr_n ~row ~edst ~ekind ~casts =
+  let edges = Array.length edst in
+  if Array.length row <> csr_n + 1 then
+    bad "row: %d offsets for %d nodes" (Array.length row) csr_n;
+  if row.(0) <> 0 || row.(csr_n) <> edges then bad "row: offsets must run from 0 to %d" edges;
+  for i = 1 to csr_n do
+    if row.(i) < row.(i - 1) then bad "row: offset %d decreases" i
+  done;
+  if Array.length ekind <> edges then bad "ekind: %d kinds for %d edges" (Array.length ekind) edges;
+  Array.iter (fun d -> if d < 0 || d >= csr_n then bad "edst: node %d out of range" d) edst;
+  Array.iter (fun k -> if k < -1 || k >= casts then bad "ekind: kind %d out of range" k) ekind
 
 let dbitset ~what ~members j =
   let b = Util.Bitset.create () in
@@ -406,15 +430,18 @@ let of_json j =
     List.iteri
       (fun i r -> if Intern.rid it (dint r) <> i then bad "rid pool replay diverged at %d" i)
       (dlist (dfield "rids" j));
-    let node_total = dint (dfield "node_total" j) in
-    let value_total = dint (dfield "value_total" j) in
-    if Intern.node_count it < node_total || Intern.value_count it < value_total then
-      bad "pool counts below recorded totals";
     let nodes = Intern.node_count it and values = Intern.value_count it in
     let views = Intern.view_count it and rids = Intern.rid_count it in
-    let csr_n = dint (dfield "csr_n" j) in
-    let nrep = Array.of_list (List.map (did ~what:"nrep" ~pool:nodes) (dlist (dfield "nrep" j))) in
+    (* The totals were taken at capture; a donor interner may have
+       grown since, so the pools can be larger but never smaller. *)
+    let node_total = dsize "node_total" ~max:nodes (dfield "node_total" j) in
+    let value_total = dsize "value_total" ~max:values (dfield "value_total" j) in
+    let csr_n = dsize "csr_n" ~max:node_total (dfield "csr_n" j) in
+    let nrep = Array.of_list (List.map (did ~what:"nrep" ~pool:csr_n) (dlist (dfield "nrep" j))) in
     if Array.length nrep <> csr_n then bad "nrep size mismatch";
+    let row = dints (dfield "row" j) and edst = dints (dfield "edst" j) in
+    let ekind = dints (dfield "ekind" j) and cast_names = dstrings (dfield "cast_names" j) in
+    check_csr ~csr_n ~row ~edst ~ekind ~casts:(Array.length cast_names);
     let rows ?size what ~rows ~members = drows ~what ?size ~rows ~members (dfield what j) in
     let sols = rows ~size:node_total "sols" ~rows:nodes ~members:values in
     let children = rows "children" ~rows:views ~members:views in
@@ -521,10 +548,10 @@ let of_json j =
         sd_value_total = value_total;
         sd_csr_n = csr_n;
         sd_nrep = nrep;
-        sd_row = dints (dfield "row" j);
-        sd_edst = dints (dfield "edst" j);
-        sd_ekind = dints (dfield "ekind" j);
-        sd_cast_names = dstrings (dfield "cast_names" j);
+        sd_row = row;
+        sd_edst = edst;
+        sd_ekind = ekind;
+        sd_cast_names = cast_names;
         sd_seeds = seeds;
         sd_ops =
           Array.of_list
@@ -548,7 +575,10 @@ let of_json j =
         sd_by_id = by_id;
         sd_roots = roots;
         sd_listeners = listeners;
-        sd_holder_ids = List.map dint (dlist (dfield "holder_ids" j));
+        sd_holder_ids =
+          List.map
+            (did ~what:"holder_ids" ~pool:(Intern.holder_count it))
+            (dlist (dfield "holder_ids" j));
         sd_ret_deps =
           List.map
             (function

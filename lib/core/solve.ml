@@ -13,8 +13,8 @@ type stats = {
   largest_scc : int;  (** members in the largest direct-edge SCC (interned solver, else 0) *)
   ctx_count : int;
       (** distinct call-string contexts (clone numbers) minted by the
-          context-keyed extraction (interned solver with [ctx_keyed],
-          else 0) *)
+          context-keyed extraction (interned solver at inline depth
+          > 0, else 0) *)
   ctx_keys : int;  (** distinct ⟨node, ctx⟩ keys interned (ditto) *)
   warm_solve : bool;  (** solved incrementally from a previous solution *)
   dirty_comps : int;  (** condensation components invalidated by the edit script (warm solves) *)
@@ -2387,10 +2387,7 @@ let warm_guard prev config (app : Framework.App.t) graph =
        and the taint plane would have to be re-derived anyway.  Sound
        mode always re-solves from scratch. *)
     Some "unknown-id markers present: sound mode is not warm-startable"
-  else if
-    config.Config.ctx_keyed && config.Config.inline_depth > 0
-    && config.Config.solver = Config.Interned
-  then
+  else if config.Config.inline_depth > 0 && config.Config.solver = Config.Interned then
     (* Context-keyed graphs carry their clone constraints only in the
        id-level stores, so the structural shape diff cannot see them —
        and clone numbers are minted per extraction, so a patched app

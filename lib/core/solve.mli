@@ -38,8 +38,8 @@ type stats = {
           naive engine *)
   ctx_count : int;
       (** distinct call-string contexts (clone numbers) minted by the
-          context-keyed extraction; [0] under the naive engine or
-          without [ctx_keyed] context sensitivity *)
+          context-keyed extraction; [0] under the naive engine or at
+          inline depth 0 *)
   ctx_keys : int;
       (** distinct ⟨node, ctx⟩ keys interned by the context-keyed
           extraction (the id-space footprint context sensitivity added);

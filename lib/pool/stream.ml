@@ -1,5 +1,5 @@
 (* Streaming driver: a bounded producer/consumer pipeline over worker
-   domains, for corpora too large to hold as one in-memory batch.
+   domains, and the pool's only worker loop.
 
    The driver thread owns both ends: it pulls tasks from [produce]
    and hands finished outcomes to [consume] in completion order, so
@@ -13,11 +13,7 @@
    and an idle worker steals from a sibling's tail before sleeping,
    so one slow task cannot strand its queue.  All queue state hides
    behind one mutex — tasks are whole-app analyses, so contention on
-   the scheduler lock is noise.
-
-   [jobs <= 1] runs the exact sequential loop on the calling thread
-   (produce, work, consume, repeat) with no domain spawned, mirroring
-   [Batch.run]'s determinism contract. *)
+   the scheduler lock is noise. *)
 
 type stats = {
   st_produced : int;
@@ -32,7 +28,7 @@ type ('a, 'b) state = {
   work_available : Condition.t;  (** workers wait here for tasks *)
   progress : Condition.t;  (** the driver waits here for drain/completions *)
   deques : (int * 'a) Queue.t array;  (** per-worker task deques *)
-  results : (int * 'a * 'b Batch.outcome) Queue.t;  (** completed, unconsumed *)
+  results : (int * 'a * 'b Outcome.outcome) Queue.t;  (** completed, unconsumed *)
   mutable queued : int;  (** tasks dealt but not yet started *)
   mutable max_queued : int;
   mutable steals : int;
@@ -84,7 +80,7 @@ let worker_loop st w work =
         (* the gate may reopen on this drain *)
         Condition.signal st.progress;
         Mutex.unlock st.mutex;
-        let outcome = Batch.run_task (fun () -> work payload) in
+        let outcome = Outcome.run_task (fun () -> work payload) in
         Mutex.lock st.mutex;
         Queue.add (i, payload, outcome) st.results;
         Condition.signal st.progress;
@@ -93,7 +89,7 @@ let worker_loop st w work =
   in
   loop ()
 
-let failed outcome = Result.is_error outcome.Batch.oc_result
+let failed outcome = Result.is_error outcome.Outcome.oc_result
 
 let run_sequential ~produce ~work ~consume =
   let rec loop i failures =
@@ -107,19 +103,27 @@ let run_sequential ~produce ~work ~consume =
           st_steals = 0;
         }
     | Some payload ->
-        let outcome = Batch.run_task (fun () -> work payload) in
+        let outcome = Outcome.run_task (fun () -> work payload) in
         consume i payload outcome;
         loop (i + 1) (if failed outcome then failures + 1 else failures)
   in
   loop 0 0
 
+let watermarks ~jobs ?high ?low () =
+  let high = match high with Some h -> h | None -> max (2 * jobs) 4 in
+  let low = match low with Some l -> l | None -> (high + 1) / 2 in
+  if low < 0 || low >= high then
+    Error (Printf.sprintf "need 0 <= low < high, got low %d and high %d" low high)
+  else Ok (high, low)
+
 let run ~jobs ?high ?low ~produce ~work ~consume () =
   if jobs <= 1 then run_sequential ~produce ~work ~consume
   else begin
-    let high = match high with Some h -> h | None -> max (2 * jobs) 4 in
-    let low = match low with Some l -> l | None -> (high + 1) / 2 in
-    if high < 1 then invalid_arg "Stream.run: high watermark must be >= 1";
-    if low < 0 || low >= high then invalid_arg "Stream.run: need 0 <= low < high";
+    let high, low =
+      match watermarks ~jobs ?high ?low () with
+      | Ok hl -> hl
+      | Error msg -> invalid_arg ("Stream.run: " ^ msg)
+    in
     let st =
       {
         mutex = Mutex.create ();
@@ -133,20 +137,23 @@ let run ~jobs ?high ?low ~produce ~work ~consume () =
         eof = false;
       }
     in
-    let workers = List.init jobs (fun w -> Domain.spawn (fun () -> worker_loop st w work)) in
+    let workers = ref [] in
     let produced = ref 0 and consumed = ref 0 and failures = ref 0 in
     let gate_open = ref true in
     Fun.protect
       ~finally:(fun () ->
-        (* Reached on driver failure too (a raising [produce]/
-           [consume]): declare EOF so workers drain what is queued and
-           exit, then join them. *)
+        (* Reached on driver failure too (a failed spawn, a raising
+           [produce]/[consume]): declare EOF so the workers started so
+           far drain what is queued and exit, then join them. *)
         Mutex.lock st.mutex;
         st.eof <- true;
         Condition.broadcast st.work_available;
         Mutex.unlock st.mutex;
-        List.iter Domain.join workers)
+        List.iter Domain.join !workers)
       (fun () ->
+        for w = 0 to jobs - 1 do
+          workers := Domain.spawn (fun () -> worker_loop st w work) :: !workers
+        done;
         let rec drive () =
           Mutex.lock st.mutex;
           (* 1. drain completions (consume runs outside the lock) *)

@@ -1,7 +1,8 @@
 (** Streaming driver: bounded producer/consumer pipeline over worker
-    domains, for corpora too large to hold as one in-memory batch
-    (thousands of generated apps rather than {!Batch.run}'s one
-    result-per-slot array).
+    domains.  It is the pool's only worker implementation: batch runs
+    ([Pool.run]) are streams that collect in submission order, and
+    corpora too large to hold in memory (thousands of generated apps)
+    stream their results out as they complete.
 
     The calling thread drives both ends: it pulls tasks from
     [produce] and hands each finished outcome to [consume] in
@@ -13,9 +14,9 @@
     per-domain deques dealt round-robin; an idle worker steals from
     the longest sibling backlog before sleeping.
 
-    Fault isolation matches {!Batch.run}: a task that raises is
-    captured as an [Error] {!Batch.outcome} handed to [consume], and
-    the stream keeps flowing. *)
+    Fault isolation: a task that raises is captured as an [Error]
+    {!Outcome.outcome} handed to [consume], and the stream keeps
+    flowing. *)
 
 type stats = {
   st_produced : int;  (** tasks pulled from the producer *)
@@ -31,7 +32,7 @@ val run :
   ?low:int ->
   produce:(int -> 'a option) ->
   work:('a -> 'b) ->
-  consume:(int -> 'a -> 'b Batch.outcome -> unit) ->
+  consume:(int -> 'a -> 'b Outcome.outcome -> unit) ->
   unit ->
   stats
 (** [run ~jobs ~produce ~work ~consume ()] pulls [produce 0], [produce
@@ -40,10 +41,22 @@ val run :
     the calling thread as each task completes.  [produce] and
     [consume] always run on the calling thread, so they may share
     unsynchronized state (output channels, counters); [work] must be
-    self-contained per {!Batch}'s apps-built-inside-tasks rule.
+    self-contained: it must not share mutable structures (in
+    particular [Framework.App.t] values, whose hierarchy and
+    layout-package caches are unsynchronized) with other concurrently
+    running tasks.  The corpus drivers obey this by generating each
+    application inside its own task.
 
-    [high] defaults to [max (2 * jobs) 4], [low] to [(high + 1) / 2].
-    [jobs <= 1] runs the exact sequential loop — produce, work,
-    consume, repeat — on the calling thread with no domain spawned.
+    [high] and [low] default as in {!watermarks}.  [jobs <= 1] runs
+    the exact sequential loop — produce, work, consume, repeat — on
+    the calling thread with no domain spawned.  If a worker fails to
+    spawn, the workers already started are joined before the failure
+    is re-raised, so later runs in the process are unaffected.
 
     @raise Invalid_argument unless [0 <= low < high]. *)
+
+val watermarks : jobs:int -> ?high:int -> ?low:int -> unit -> (int * int, string) result
+(** The [(high, low)] gate {!run} uses at [jobs > 1]: [high] defaults
+    to [max (2 * jobs) 4] and [low] to [(high + 1) / 2]; [Error]
+    unless [0 <= low < high].  Lets a CLI refuse bad watermarks as a
+    usage error before any work starts. *)

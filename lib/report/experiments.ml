@@ -11,13 +11,13 @@ type corpus_result = {
   cs_run : (corpus_run, string) result;
 }
 
-let effective_jobs ?jobs (config : Gator.Config.t) =
-  match jobs with Some j -> max 1 j | None -> Pool.default_jobs ~cap:config.Gator.Config.jobs ()
-
 (* One batch task: generate, analyze, measure.  The app is built
    inside the task so no mutable structure (hierarchy caches, layout
-   packages, graphs) is shared across worker domains. *)
-let run_one config spec =
+   packages, graphs) is shared across worker domains.  [fail_apps]
+   names apps that crash on purpose. *)
+let run_one config fail_apps spec =
+  if List.mem spec.Corpus.Spec.sp_name fail_apps then
+    failwith ("injected failure in " ^ spec.Corpus.Spec.sp_name);
   let app = Corpus.Gen.generate spec in
   let analysis = Gator.Analysis.analyze ~config app in
   {
@@ -34,17 +34,9 @@ let result_of_outcome spec (outcome : _ Pool.outcome) =
     cs_run = Result.map_error (fun e -> e.Pool.err_exn) outcome.Pool.oc_result;
   }
 
-let run_specs ?(config = Gator.Config.default) ?jobs ?(fail_apps = []) specs =
-  let jobs = effective_jobs ?jobs config in
-  let tasks =
-    List.map
-      (fun spec () ->
-        if List.mem spec.Corpus.Spec.sp_name fail_apps then
-          failwith ("injected failure in " ^ spec.Corpus.Spec.sp_name);
-        run_one config spec)
-      specs
-  in
-  List.map2 result_of_outcome specs (Pool.run ~jobs tasks)
+let run_specs ?(config = Gator.Config.default) ?(jobs = Pool.default_jobs ()) ?(fail_apps = [])
+    specs =
+  List.map2 result_of_outcome specs (Pool.map ~jobs (run_one config fail_apps) specs)
 
 let run_corpus ?config ?jobs ?fail_apps () = run_specs ?config ?jobs ?fail_apps Corpus.Apps.specs
 
@@ -95,15 +87,11 @@ let jsonl_row ?(timings = true) result =
    gate, each row emitted the moment its task completes.  Nothing is
    retained per app beyond its JSONL line, so the stream's footprint
    is bounded by the gate, not the corpus size. *)
-let run_stream ?(config = Gator.Config.default) ?jobs ?high ?low ?(timings = true)
-    ?(fail_apps = []) ?(seed = 42) ~apps ~emit () =
-  let jobs = effective_jobs ?jobs config in
+let run_stream ?(jobs = Pool.default_jobs ()) ?high ?low ?(timings = true) ?(fail_apps = [])
+    ?(seed = 42) ~apps ~emit () =
   Pool.Stream.run ~jobs ?high ?low
     ~produce:(fun i -> if i < apps then Some (Corpus.Gen.stream_spec ~seed i) else None)
-    ~work:(fun spec ->
-      if List.mem spec.Corpus.Spec.sp_name fail_apps then
-        failwith ("injected failure in " ^ spec.Corpus.Spec.sp_name);
-      run_one config spec)
+    ~work:(run_one Gator.Config.default fail_apps)
     ~consume:(fun _i spec outcome -> emit (jsonl_row ~timings (result_of_outcome spec outcome)))
     ()
 

@@ -16,10 +16,6 @@ type corpus_result = {
           apps are unaffected *)
 }
 
-val effective_jobs : ?jobs:int -> Gator.Config.t -> int
-(** [jobs] when given (clamped to >= 1), otherwise
-    [Domain.recommended_domain_count] capped by [config.jobs]. *)
-
 val run_specs :
   ?config:Gator.Config.t ->
   ?jobs:int ->
@@ -27,7 +23,8 @@ val run_specs :
   Corpus.Spec.t list ->
   corpus_result list
 (** Generate and analyze the given specs as one in-memory batch — on
-    a worker-domain pool when the effective job count exceeds 1, else
+    a worker-domain pool when the job count (default
+    {!Pool.default_jobs}) exceeds 1, else
     on the exact sequential path.  Results are in submission order
     either way, and a crashing app yields an [Error] row instead of
     aborting the batch.  [fail_apps] injects a deliberate failure
@@ -45,7 +42,6 @@ val jsonl_row : ?timings:bool -> corpus_result -> string
     solution — streaming and batch runs then compare byte-for-byte. *)
 
 val run_stream :
-  ?config:Gator.Config.t ->
   ?jobs:int ->
   ?high:int ->
   ?low:int ->
@@ -57,7 +53,8 @@ val run_stream :
   unit ->
   Pool.Stream.stats
 (** Streaming ingestion of [apps] generated applications
-    ({!Corpus.Gen.stream_spec} with [seed]): specs are pulled on
+    ({!Corpus.Gen.stream_spec} with [seed]) at the default config:
+    specs are pulled on
     demand behind {!Pool.Stream}'s high/low watermark gate, analyzed
     across the worker domains, and each app's {!jsonl_row} is handed
     to [emit] the moment its task completes (completion order!), so

@@ -1,42 +1,42 @@
 (* Context-keyed interned solving: the three-way differential.
 
-   The context-keyed extraction (Config.ctx_keyed, interned engine)
-   walks clone bodies in id space instead of re-extracting them as
-   [$n]-suffixed program text.  Its correctness oracle is exact
-   equivalence with the inlining path: for every app and every depth,
-     structural-inlined (Naive)  =  interned-inlined (ctx_keyed=false)
-                                 =  context-keyed   (ctx_keyed=true)
+   At inline depth > 0 the interned engine walks clone bodies in id
+   space instead of re-extracting them as [$n]-suffixed program text,
+   which is the naive reference's route.  Its correctness oracle is
+   exact equivalence with that inlining path, on either interner tier:
+   for every app and every depth,
+     naive-inlined  =  context-keyed (shared tier)
+                    =  context-keyed (private tier)
    over points-to sets, view relations, holder roots, transitions, and
    the op-level Diff.  The batteries cover the fixed corpus, random
    spec-driven apps, cycle-heavy apps, and the alias-heavy family
    built specifically to make context sensitivity change answers. *)
 open Gator
 
-let inlined_structural depth =
-  { Config.default with Config.solver = Config.Naive; inline_depth = depth }
+let inlined depth = { Config.default with Config.solver = Config.Naive; inline_depth = depth }
 
-let inlined_interned depth =
-  { Config.default with Config.solver = Config.Interned; inline_depth = depth; ctx_keyed = false }
+let keyed depth = { Config.default with Config.solver = Config.Interned; inline_depth = depth }
 
-let keyed depth =
-  { Config.default with Config.solver = Config.Interned; inline_depth = depth; ctx_keyed = true }
-
-(* The differential proper: all three configurations at the given depth, all
+(* The differential proper: all three runs at the given depth, all
    three pairs compared. *)
 let three_way ?(depths = [ 1; 2 ]) name app =
   List.iter
     (fun depth ->
       let tag = Printf.sprintf "%s@cs%d" name depth in
-      let rs = Analysis.analyze ~config:(inlined_structural depth) app in
-      let ri = Analysis.analyze ~config:(inlined_interned depth) app in
+      let rs = Analysis.analyze ~config:(inlined depth) app in
       let rk = Analysis.analyze ~config:(keyed depth) app in
-      Same_solution.check (tag ^ " interned-inlined vs structural") ri rs;
-      Same_solution.check (tag ^ " keyed vs structural") rk rs;
-      Same_solution.check (tag ^ " keyed vs interned-inlined") rk ri;
-      (* counter plumbing: only the keyed run mints contexts, and it
-         mints exactly as many as the inlining path mints clones *)
-      Alcotest.check Alcotest.int (tag ^ " inlined run has no ctx keys") 0
-        ri.stats.Solve.ctx_keys;
+      let rp = Private_tier.analyze ~config:(keyed depth) app in
+      Same_solution.check (tag ^ " keyed vs naive-inlined") rk rs;
+      Same_solution.check (tag ^ " private-tier keyed vs naive-inlined") rp rs;
+      Same_solution.check (tag ^ " keyed vs private-tier keyed") rk rp;
+      (* counter plumbing: only the keyed runs mint contexts, both
+         tiers mint the same, and they mint exactly as many as the
+         inlining path mints clones *)
+      Alcotest.check Alcotest.int (tag ^ " naive run has no ctx keys") 0 rs.stats.Solve.ctx_keys;
+      Alcotest.check Alcotest.int (tag ^ " tiers mint the same contexts") rk.stats.Solve.ctx_count
+        rp.stats.Solve.ctx_count;
+      Alcotest.check Alcotest.int (tag ^ " tiers mint the same ctx keys") rk.stats.Solve.ctx_keys
+        rp.stats.Solve.ctx_keys;
       if rk.stats.Solve.ctx_count > 0 then
         Alcotest.check Alcotest.bool (tag ^ " ctx_keys >= ctx_count") true
           (rk.stats.Solve.ctx_keys >= rk.stats.Solve.ctx_count))
@@ -102,7 +102,7 @@ let test_alias_precision () =
   in
   let base = avg_recv (Analysis.analyze ~config:Config.default app) in
   let cs2 = avg_recv (Analysis.analyze ~config:(keyed 2) app) in
-  let cs2_inlined = avg_recv (Analysis.analyze ~config:(inlined_interned 2) app) in
+  let cs2_inlined = avg_recv (Analysis.analyze ~config:(inlined 2) app) in
   Alcotest.check (Alcotest.float 1e-9) "keyed and inlined report the same averages" cs2_inlined cs2;
   Alcotest.check Alcotest.bool
     (Printf.sprintf "baseline merges the group (%.2f >= %d)" base sites)

@@ -295,7 +295,7 @@ let check_skeleton name config app =
     Alcotest.failf "%s: locations order differs between two extractions" name
 
 let test_corpus_skeleton () =
-  let keyed_cs2 = { Config.default with inline_depth = 2; ctx_keyed = true } in
+  let keyed_cs2 = { Config.default with inline_depth = 2 } in
   List.iter
     (fun spec ->
       let app = Corpus.Apps.generate spec in
@@ -304,14 +304,14 @@ let test_corpus_skeleton () =
       check_skeleton (name ^ "@cs2") keyed_cs2 app)
     Corpus.Apps.specs
 
-(* A warm re-extraction after a configuration change can walk the
-   inlining path over a donor interner whose clone ids a keyed run
-   marked.  The inliner renames structurally, so its [$n] edges are
-   ordinary edges and must stay in the structural views. *)
+(* A naive-solver re-extraction can walk the inlining path over a
+   donor interner whose clone ids a keyed (interned) run marked.  The
+   inliner renames structurally, so its [$n] edges are ordinary edges
+   and must stay in the structural views. *)
 let test_marked_donor_keeps_inlined_edges () =
   let app = Corpus.Connectbot.app () in
-  let keyed = { Config.default with inline_depth = 2; ctx_keyed = true } in
-  let inlined = { keyed with ctx_keyed = false } in
+  let keyed = { Config.default with inline_depth = 2 } in
+  let inlined = { keyed with solver = Config.Naive } in
   let donor = Graph.interner (Extract.run keyed app) in
   let warm = Extract.run ~interner:donor inlined app in
   let edges g =

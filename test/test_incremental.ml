@@ -277,51 +277,51 @@ let test_snapshot_removed_solver () =
             (Incremental.refusal_warning r);
           check_same_solution ~msg:"removed-solver fallback" (Analysis.analyze app) r)
 
-(* Pre-split snapshots: files written before the shared interner tier
-   existed carry no [shared_intern] config field.  They must load
-   under the two-tier build — the codec defaults the missing field to
-   the shared tier, whose ids coincide with what the positional pool
-   replay reassigns — and warm-solve bit-identically.  A present but
-   malformed field is still a clean, named refusal. *)
+(* Retired config fields.  Files written before the shared interner
+   tier existed carry no [shared_intern] field, and a file may omit any
+   retired field: it loads and warm-solves bit-identically.  A retired
+   field at any other value than the one every build wrote — a
+   [ctx_keyed: false] state file, say — is a clean refusal naming the
+   field. *)
+let retired_fields =
+  [
+    ("inline_body_limit", Util.Json.Int 25);
+    ("ctx_keyed", Util.Json.Bool false);
+    ("jobs", Util.Json.Int 4);
+    ("incremental", Util.Json.Bool true);
+    ("shared_intern", Util.Json.Int 42);
+  ]
+
 let test_snapshot_pre_split_compat () =
   let app = inc_app () in
   let _, solved = Incremental.analyze_solved app in
-  let strip_shared_intern = function
-    | "config", Util.Json.Obj cfields ->
-        ("config", Util.Json.Obj (List.filter (fun (k, _) -> k <> "shared_intern") cfields))
-    | f -> f
-  in
-  let pre_split =
+  let map_config f =
     match Snapshot.to_json solved with
-    | Util.Json.Obj fields -> Util.Json.Obj (List.map strip_shared_intern fields)
+    | Util.Json.Obj fields ->
+        Util.Json.Obj
+          (List.map
+             (function
+               | "config", Util.Json.Obj cfields -> ("config", Util.Json.Obj (f cfields))
+               | fld -> fld)
+             fields)
     | _ -> Alcotest.fail "snapshot is not an object"
   in
-  (match Snapshot.of_json pre_split with
-  | Error e -> Alcotest.failf "pre-split snapshot refused: %s" e
+  let stripped = map_config (List.filter (fun (k, _) -> not (List.mem_assoc k retired_fields))) in
+  (match Snapshot.of_json stripped with
+  | Error e -> Alcotest.failf "snapshot without retired fields refused: %s" e
   | Ok loaded ->
       let app' = apply_patch app (load_patch "add_handler.json") in
       let warm, _ = Incremental.analyze_incremental ~prev:loaded app' in
       check_warm ~msg:"pre-split warm" warm;
       check_same_solution ~msg:"pre-split warm" (Analysis.analyze app') warm);
-  let mangled = function
-    | "config", Util.Json.Obj cfields ->
-        ( "config",
-          Util.Json.Obj
-            (List.map
-               (function
-                 | "shared_intern", _ -> ("shared_intern", Util.Json.Int 42) | f -> f)
-               cfields) )
-    | f -> f
-  in
-  let bad =
-    match Snapshot.to_json solved with
-    | Util.Json.Obj fields -> Util.Json.Obj (List.map mangled fields)
-    | _ -> Alcotest.fail "snapshot is not an object"
-  in
-  match Snapshot.of_json bad with
-  | Error e ->
-      Alcotest.check Alcotest.bool "reason names the field" true (contains ~sub:"shared_intern" e)
-  | Ok _ -> Alcotest.fail "malformed shared_intern accepted"
+  List.iter
+    (fun (field, value) ->
+      let bad = map_config (List.map (fun (k, v) -> if k = field then (k, value) else (k, v))) in
+      match Snapshot.of_json bad with
+      | Error e ->
+          Alcotest.check Alcotest.bool ("reason names " ^ field) true (contains ~sub:field e)
+      | Ok _ -> Alcotest.failf "%s = %s accepted" field (Util.Json.to_string value))
+    retired_fields
 
 (* Context-keyed context sensitivity and warm starts: clone
    constraints live only in the id-level stores, so the structural
@@ -358,15 +358,7 @@ let test_ctx_keyed_falls_back () =
           let warm', _ = Incremental.analyze_incremental ~config ~prev:loaded app' in
           Alcotest.check Alcotest.bool "snapshot fell back" true
             (warm'.stats.Solve.fallback <> None);
-          check_same_solution ~msg:"cs snapshot fallback" (Analysis.analyze ~config app') warm');
-  (* the inlining twin (ctx_keyed = false) has structural clone edges,
-     so its warm path still works end to end *)
-  let config_inl = { config with ctx_keyed = false } in
-  let _, solved_inl = Incremental.analyze_solved ~config:config_inl app in
-  let app' = apply_patch app (load_patch "rename_id.json") in
-  let warm_inl, _ = Incremental.analyze_incremental ~config:config_inl ~prev:solved_inl app' in
-  check_warm ~msg:"inlined cs warm" warm_inl;
-  check_same_solution ~msg:"inlined cs warm" (Analysis.analyze ~config:config_inl app') warm_inl
+          check_same_solution ~msg:"cs snapshot fallback" (Analysis.analyze ~config app') warm')
 
 let test_fallback_surfaced () =
   (* the driver path for a bad state file: full solve with the reason
@@ -450,10 +442,13 @@ let qcheck_snapshot_roundtrip =
 (* Hostile snapshots: whatever a state file holds, [Snapshot.of_json]
    and [Snapshot.load] answer [Ok] or [Error] — never an exception, and
    never an allocation sized by an id read from the file — in bounded
-   time.  The seed document is a real ConnectBot snapshot. *)
+   time, and every integer mutation that loads also warm-starts.  The
+   seed document is a real ConnectBot snapshot. *)
+let fuzz_app = lazy (Corpus.Connectbot.app ())
+
 let fuzz_seed =
   lazy
-    (let _, solved = Incremental.analyze_solved (Corpus.Connectbot.app ()) in
+    (let _, solved = Incremental.analyze_solved (Lazy.force fuzz_app) in
      Snapshot.to_json solved)
 
 let rec count_ints = function
@@ -477,6 +472,14 @@ let map_nth_int k f json =
   go json
 
 let fuzz_budget_s = 10.0
+
+(* A loaded snapshot must also warm-start: against the app it was
+   taken from, the answer is a warm result or a fallback with a
+   reason, never an exception. *)
+let warm_start prev =
+  let r, _ = Incremental.analyze_incremental ~prev (Lazy.force fuzz_app) in
+  if not (r.stats.Solve.warm_solve || r.stats.Solve.fallback <> None) then
+    QCheck.Test.fail_report "neither warm nor a fallback with a reason"
 
 let must_answer what decode =
   let t0 = Unix.gettimeofday () in
@@ -508,7 +511,10 @@ let qcheck_snapshot_int_mutations =
       let mutated = map_nth_int k hostile seed in
       must_answer
         (Printf.sprintf "integer #%d (mode %d)" k how)
-        (fun () -> Snapshot.of_json mutated))
+        (fun () ->
+          match Snapshot.of_json mutated with
+          | Error e -> Error e
+          | Ok prev -> Ok (warm_start prev)))
 
 let qcheck_snapshot_byte_mutations =
   QCheck.Test.make ~name:"hostile snapshots: byte mutations" ~count:100

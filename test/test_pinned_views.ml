@@ -8,7 +8,7 @@
 
 open Gator
 
-let cs2 = { Config.default with inline_depth = 2; ctx_keyed = true }
+let cs2 = { Config.default with inline_depth = 2 }
 
 let corpus name =
   match Corpus.Apps.by_name name with

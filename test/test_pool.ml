@@ -55,10 +55,8 @@ let test_edge_cases () =
   let outcomes = Pool.run ~jobs:16 [ (fun () -> 1); (fun () -> 2) ] in
   Alcotest.check (Alcotest.list Alcotest.int) "two tasks" [ 1; 2 ]
     (List.map Pool.value_exn outcomes);
-  Alcotest.check Alcotest.bool "default_jobs >= 1" true (Pool.default_jobs ~cap:0 () >= 1);
-  Alcotest.check Alcotest.bool "default_jobs capped" true (Pool.default_jobs ~cap:2 () <= 2);
-  Alcotest.check Alcotest.bool "config cap respected" true
-    (Pool.default_jobs ~cap:Config.default.Config.jobs () <= Config.default.Config.jobs);
+  Alcotest.check Alcotest.bool "default_jobs >= 1" true (Pool.default_jobs () >= 1);
+  Alcotest.check Alcotest.bool "default_jobs capped at 8" true (Pool.default_jobs () <= 8);
   match (Pool.run ~jobs:2 [ (fun () -> failwith "nope"); (fun () -> ()) ] : unit Pool.outcome list) with
   | [ bad; _ ] -> (
       match Pool.value_exn bad with
@@ -66,24 +64,68 @@ let test_edge_cases () =
       | () -> Alcotest.fail "value_exn must raise on a failed outcome")
   | _ -> Alcotest.fail "wrong outcome count"
 
-let test_submit_wait_shutdown () =
-  let pool = Pool.create ~jobs:3 in
-  Alcotest.check Alcotest.int "pool size" 3 (Pool.size pool);
-  let counter = Atomic.make 0 in
-  for _ = 1 to 50 do
-    Pool.submit pool (fun () -> Atomic.incr counter)
-  done;
-  (* a raising raw task must not kill its worker *)
-  Pool.submit pool (fun () -> failwith "raw-task crash");
-  Pool.submit pool (fun () -> Atomic.incr counter);
-  Pool.wait pool;
-  Alcotest.check Alcotest.int "all raw tasks ran" 51 (Atomic.get counter);
-  Pool.shutdown pool;
-  Pool.shutdown pool;
-  (* idempotent *)
-  match Pool.submit pool (fun () -> ()) with
-  | exception Invalid_argument _ -> ()
-  | () -> Alcotest.fail "submit after shutdown must be rejected"
+(* An oversized run fails to spawn its workers.  The workers it did
+   start must be joined before the failure surfaces, or they would hold
+   their domain slots and every later run in the process would fail. *)
+let test_oversized_run_recovers () =
+  let oversized = Pool.max_jobs + 8 in
+  (match
+     Pool.Stream.run ~jobs:oversized
+       ~produce:(fun i -> if i < oversized then Some i else None)
+       ~work:Fun.id
+       ~consume:(fun _ _ _ -> ())
+       ()
+   with
+  | exception Failure _ -> ()
+  | _ -> Alcotest.fail "an oversized run spawned every worker");
+  (match Pool.run ~jobs:oversized (List.init oversized (fun i () -> i)) with
+  | exception Failure _ -> ()
+  | _ -> Alcotest.fail "an oversized batch spawned every worker");
+  let outcomes = Pool.run ~jobs:2 (List.init 10 (fun i () -> i)) in
+  Alcotest.check (Alcotest.list Alcotest.int) "a jobs:2 batch after the failure"
+    (List.init 10 Fun.id) (List.map Pool.value_exn outcomes);
+  let sum = ref 0 in
+  let stats =
+    Pool.Stream.run ~jobs:2
+      ~produce:(fun i -> if i < 10 then Some i else None)
+      ~work:(fun i -> i)
+      ~consume:(fun _ _ o -> sum := !sum + Pool.value_exn o)
+      ()
+  in
+  Alcotest.check Alcotest.int "a jobs:2 stream after the failure" 10 stats.Pool.Stream.st_consumed;
+  Alcotest.check Alcotest.int "stream results" 45 !sum
+
+(* Pool.run is a stream that collects in submission order.  Random task
+   lists, some raising, with uneven work: every job count gives the
+   sequential run's outcomes slot for slot, and no more than
+   [min jobs n] distinct domains run tasks. *)
+let test_qcheck_run_on_stream =
+  QCheck.Test.make ~count:30 ~name:"Pool.run on the stream driver = sequential run"
+    QCheck.(pair (oneofl [ 1; 2; 4 ]) (small_list (pair small_nat bool)))
+    (fun (jobs, specs) ->
+      let domains = Mutex.create () and seen = ref [] in
+      let task (work, raises) () =
+        Mutex.protect domains (fun () ->
+            let self = (Domain.self () :> int) in
+            if not (List.mem self !seen) then seen := self :: !seen);
+        (* uneven work: a loop whose length varies per task *)
+        let acc = ref work in
+        for i = 1 to work * 2000 do
+          acc := (!acc * 31) + i land 0xffff
+        done;
+        if raises then failwith (Printf.sprintf "task %d" work);
+        !acc
+      in
+      let result o = Result.map_error (fun e -> e.Pool.err_exn) o.Pool.oc_result in
+      let expected = List.map (fun spec -> result (Pool.run_task (task spec))) specs in
+      seen := [];
+      let got = List.map result (Pool.run ~jobs (List.map task specs)) in
+      if got <> expected then QCheck.Test.fail_report "outcomes differ from the sequential run";
+      let n = List.length specs in
+      if List.length !seen > max 1 (min jobs n) then
+        QCheck.Test.fail_reportf "%d domains ran tasks for jobs %d, %d tasks" (List.length !seen)
+          jobs n;
+      true)
 
 (* ------------------------------------------------------------------ *)
 (* Differential matrix: corpus *)
@@ -119,12 +161,12 @@ let test_corpus_matrix () =
     List.map
       (fun solver -> (Config.solver_name solver, with_solver solver Config.default))
       [ Config.Naive; Config.Interned ]
-    (* context-keyed cs-2 (interned default) and its inlining twin:
-       both must be deterministic across schedules, and byte-identical
-       to each other at any jobs level *)
+    (* context-keyed cs-2 (interned default) and the naive reference's
+       inlining cs-2: both must be deterministic across schedules, and
+       byte-identical to each other at any jobs level *)
     @ [
         ("keyed-cs2", { Config.default with inline_depth = 2 });
-        ("inlined-cs2", { Config.default with inline_depth = 2; ctx_keyed = false });
+        ("inlined-cs2", { Config.default with inline_depth = 2; solver = Config.Naive });
       ]
   in
   let batches =
@@ -179,11 +221,10 @@ let test_random_matrix () =
           outcomes)
       [ 2; 4 ];
     (* the cs-2 pair through the same schedules: pooled context-keyed
-       and pooled inlining runs against a sequential structural cs-2 *)
-    let cs2 ctx_keyed () =
+       and pooled inlining runs against a sequential inlining cs-2 *)
+    let cs2 solver () =
       Analysis.analyze
-        ~config:
-          { (with_solver Config.Interned Config.default) with inline_depth = 2; ctx_keyed }
+        ~config:{ (with_solver solver Config.default) with inline_depth = 2 }
         (Corpus.Gen.generate spec)
     in
     let reference_cs2 =
@@ -193,7 +234,7 @@ let test_random_matrix () =
     in
     List.iter
       (fun jobs ->
-        let outcomes = Pool.run ~jobs [ cs2 true; cs2 false ] in
+        let outcomes = Pool.run ~jobs [ cs2 Config.Interned; cs2 Config.Naive ] in
         List.iter
           (fun outcome ->
             Same_solution.check
@@ -280,10 +321,11 @@ let test_batch_determinism () =
     [
       Config.default;
       { Config.default with inline_depth = 1 };
-      (* context-keyed cs-2 and its inlining twin: clone numbering and
-         ⟨node, ctx⟩ minting must not depend on the schedule either *)
+      (* context-keyed cs-2 and the naive reference's inlining cs-2:
+         clone numbering and ⟨node, ctx⟩ minting must not depend on
+         the schedule either *)
       { Config.default with inline_depth = 2 };
-      { Config.default with inline_depth = 2; ctx_keyed = false };
+      { Config.default with inline_depth = 2; solver = Config.Naive };
     ]
 
 let test_qcheck_pool_equivalence =
@@ -308,7 +350,8 @@ let suite =
     Alcotest.test_case "sequential path matches" `Quick test_sequential_path_matches;
     Alcotest.test_case "exception isolation" `Quick test_exception_isolation;
     Alcotest.test_case "edge cases" `Quick test_edge_cases;
-    Alcotest.test_case "submit/wait/shutdown" `Quick test_submit_wait_shutdown;
+    Alcotest.test_case "oversized run fails, later runs work" `Quick test_oversized_run_recovers;
+    QCheck_alcotest.to_alcotest test_qcheck_run_on_stream;
     Alcotest.test_case "random apps engine x schedule matrix" `Quick test_random_matrix;
     Alcotest.test_case "malformed input isolation" `Quick test_malformed_input_isolation;
     Alcotest.test_case "injected failure isolation (corpus)" `Slow test_injected_failure_isolation;

@@ -8,9 +8,7 @@
    worker pools. *)
 open Gator
 
-let shared_config = { Config.default with shared_intern = true }
-let private_config = { Config.default with shared_intern = false }
-let with_solver solver config = { config with Config.solver }
+let with_solver solver = { Config.default with Config.solver }
 let engines = [ Config.Naive; Config.Interned ]
 let lbase = Layouts.Resource.layout_base
 let vbase = Layouts.Resource.view_base
@@ -133,7 +131,7 @@ let test_global_tier_stable_ids () =
 let test_no_mint_through_analysis_and_queries () =
   let before = Intern.shared_counts (Intern.shared_tier ()) in
   let app = Corpus.Apps.generate (Option.get (Corpus.Apps.by_name "XBMC")) in
-  let r, solved = Incremental.analyze_solved ~config:shared_config app in
+  let r, solved = Incremental.analyze_solved app in
   let it = Solve.solved_interner solved in
   let wm_values, wm_rids = Intern.watermarks it in
   Alcotest.(check (pair int int)) "graph interner sits on the global tier" before
@@ -153,8 +151,8 @@ let test_no_mint_through_analysis_and_queries () =
 let check_shared_private name app =
   List.iter
     (fun solver ->
-      let shared = Analysis.analyze ~config:(with_solver solver shared_config) app in
-      let private_ = Analysis.analyze ~config:(with_solver solver private_config) app in
+      let shared = Analysis.analyze ~config:(with_solver solver) app in
+      let private_ = Private_tier.analyze ~config:(with_solver solver) app in
       Same_solution.check
         (Printf.sprintf "%s[%s: shared vs private]" name (Config.solver_name solver))
         shared private_)
@@ -195,7 +193,7 @@ let test_watermark_boundary_app () =
       let app = Corpus.Apps.generate spec in
       (* rids are minted by the interned solve (one per view-id fact),
          so inspect the interner behind an interned-engine analysis *)
-      let r = Analysis.analyze ~config:(with_solver Config.Interned shared_config) app in
+      let r = Analysis.analyze ~config:(with_solver Config.Interned) app in
       let it = Graph.interner r.Analysis.graph in
       (* the last id of the frozen view window is reachable either way
          (the ⊤ sentinel sits after it, at the last frozen rid) *)
@@ -232,12 +230,32 @@ let test_qcheck_shared_private =
       true)
 
 (* Whole corpus, both tiers, jobs 1 and 4: the rendered tables must be
-   byte-identical — interning strategy may never leak into results. *)
+   byte-identical — interning strategy may never leak into results.
+   The reference analyzes every app over a private interner, in
+   sequence; the candidates are the batch driver's shared-tier runs. *)
+let private_corpus () =
+  List.map
+    (fun spec ->
+      let analysis = Private_tier.analyze (Corpus.Gen.generate spec) in
+      {
+        Report.Experiments.cs_spec = spec;
+        cs_seconds = 0.;
+        cs_run =
+          Ok
+            {
+              cr_spec = spec;
+              cr_analysis = analysis;
+              cr_table1 = Metrics.table1 analysis;
+              cr_table2 = Metrics.table2 analysis;
+            };
+      })
+    Corpus.Apps.specs
+
 let test_corpus_reports_shared_private () =
-  let reference = Report.Experiments.run_corpus ~config:private_config ~jobs:1 () in
+  let reference = private_corpus () in
   List.iter
     (fun jobs ->
-      let candidate = Report.Experiments.run_corpus ~config:shared_config ~jobs () in
+      let candidate = Report.Experiments.run_corpus ~jobs () in
       let label = Printf.sprintf "shared/jobs=%d" jobs in
       Alcotest.check Alcotest.string (label ^ ": table1 bytes")
         (Report.Experiments.table1 reference)

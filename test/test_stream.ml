@@ -5,7 +5,6 @@
    prove the property the subsystem exists for: a long generated
    stream spills exactly the rows a one-shot batch of the same specs
    would, at any job count, failures included. *)
-open Gator
 
 (* ------------------------------------------------------------------ *)
 (* Pool.Stream on integer tasks *)
@@ -105,10 +104,9 @@ let contains haystack needle =
 
 let batch_rows ~seed ~apps =
   let specs = List.init apps (Corpus.Gen.stream_spec ~seed) in
-  let config = { Config.default with shared_intern = false } in
   List.map
     (Report.Experiments.jsonl_row ~timings:false)
-    (Report.Experiments.run_specs ~config ~jobs:1 specs)
+    (Report.Experiments.run_specs ~jobs:1 specs)
 
 let stream_rows ?fail_apps ~seed ~apps ~jobs () =
   let rows = ref [] in
@@ -122,8 +120,7 @@ let stream_rows ?fail_apps ~seed ~apps ~jobs () =
 (* 500 generated apps through the stream at jobs 1/4/8: identical rows
    to the one-shot batch (order-normalized — the stream spills in
    completion order), with the backlog bounded by the default high
-   watermark.  The batch runs the private interner tier and the stream
-   the shared tier, so this doubles as a tier differential. *)
+   watermark. *)
 let test_stream_matches_batch () =
   let seed = 2026 and apps = 500 in
   let reference = sorted_rows (batch_rows ~seed ~apps) in
