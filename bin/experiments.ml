@@ -460,7 +460,7 @@ open Cmdliner
 let jobs_arg =
   Arg.(
     value
-    & opt (some int) None
+    & opt (some Jobs_arg.conv) None
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:
           "Worker domains for the per-app batch. Defaults to the recommended domain count capped \

@@ -217,16 +217,13 @@ let stream_apps apps seed jobs high low out_path fail_apps timings quiet =
       stats.Pool.Stream.st_failed stats.Pool.Stream.st_max_queued stats.Pool.Stream.st_steals;
   if stats.Pool.Stream.st_failed > 0 then exit 1
 
-(* Bad --jobs/--high/--low values are usage errors (exit 124), caught
-   before any domain is spawned. *)
+(* Bad --high/--low values are usage errors (exit 124), caught before
+   any domain is spawned; --jobs is checked as it is parsed. *)
 let run_stream apps seed jobs high low out_path fail_apps timings quiet =
   let jobs = Option.value jobs ~default:(Pool.default_jobs ()) in
-  if jobs < 1 || jobs > Pool.max_jobs then
-    `Error (true, Printf.sprintf "--jobs %d is outside [1, %d]" jobs Pool.max_jobs)
-  else
-    match Pool.Stream.watermarks ~jobs ?high ?low () with
-    | Error msg -> `Error (true, "--high/--low: " ^ msg)
-    | Ok _ -> `Ok (stream_apps apps seed jobs high low out_path fail_apps timings quiet)
+  match Pool.Stream.watermarks ~jobs ?high ?low () with
+  | Error msg -> `Error (true, "--high/--low: " ^ msg)
+  | Ok _ -> `Ok (stream_apps apps seed jobs high low out_path fail_apps timings quiet)
 
 open Cmdliner
 
@@ -290,7 +287,7 @@ let stream_cmd =
   let jobs =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some Jobs_arg.conv) None
       & info [ "j"; "jobs" ] ~docv:"N"
           ~doc:
             "Worker domains, from 1 to 127. Defaults to the recommended domain count capped at \
@@ -387,7 +384,7 @@ let () =
   let jobs =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some Jobs_arg.conv) None
       & info [ "j"; "jobs" ] ~docv:"N"
           ~doc:
             "Worker domains for batch (multi-program) runs. Defaults to the recommended domain \

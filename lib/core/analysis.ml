@@ -86,15 +86,18 @@ let views_with_id t name =
           Graph.Int_set.mem id ids || Graph.Int_set.mem Node.top_view_id_raw ids)
         (all_views t)
 
+(* Counted on the store's rows, without decoding: every location with
+   a non-empty set is an interned node, and taint rows are subsets. *)
 let pollution t =
+  let sol = Graph.solution t.graph in
+  let non_empty = function Some b -> not (Util.Bitset.is_empty b) | None -> false in
   let polluted = ref 0 and nonempty = ref 0 in
-  List.iter
-    (fun node ->
-      if not (Graph.VS.is_empty (Graph.set_of t.graph node)) then begin
-        incr nonempty;
-        if not (Graph.VS.is_empty (Graph.taints_of t.graph node)) then incr polluted
-      end)
-    (Graph.locations t.graph);
+  for nid = 0 to Intern.node_count (Graph.interner t.graph) - 1 do
+    if non_empty (Graph.points_to_row sol nid) then begin
+      incr nonempty;
+      if non_empty (Graph.row sol.Graph.sol_taints nid) then incr polluted
+    end
+  done;
   (!polluted, !nonempty)
 
 let roots_of_activity t activity =

@@ -85,14 +85,31 @@ type flow_csr = {
   fc_largest_scc : int;
 }
 
-(* Which view relations grew since the last [take_rel_changes]. *)
-type rel_changes = {
-  rc_children : bool;
-  rc_ids : bool;
-  rc_roots : bool;
-  rc_onclick : bool;
-  rc_fragments : bool;
+(* The solution store: the solver's id-level rows, read in place. *)
+type rows = Util.Bitset.t option array
+
+type solution = {
+  sol_rep : int array;
+  sol_sets : rows;
+  sol_children : rows;
+  sol_parents : rows;
+  sol_ids : rows;
+  sol_roots : rows;
+  sol_listeners : rows;
+  sol_taints : rows;
 }
+
+let empty_solution =
+  {
+    sol_rep = [||];
+    sol_sets = [||];
+    sol_children = [||];
+    sol_parents = [||];
+    sol_ids = [||];
+    sol_roots = [||];
+    sol_listeners = [||];
+    sol_taints = [||];
+  }
 
 type t = {
   g_it : Intern.t;
@@ -115,40 +132,22 @@ type t = {
   edge_seen : int list Edge_seen.t;
   mutable edge_total : int;
   seed_tbl : (Node.t, VS.t) Hashtbl.t;
-  mutable sets : (Node.t, VS.t) Hashtbl.t;
-  mutable sets_base : (Node.t, VS.t) Hashtbl.t option;
-      (** read-only donor layer under [sets], adopted by warm
-          materialisation: lookups fall through to it, writes land in
-          [sets], removals leave a tombstone in [sets_dead] — O(1) to
-          adopt a previous solve's table instead of O(app) to copy it *)
-  sets_dead : (Node.t, unit) Hashtbl.t;
-      (** base-layer rows deleted from this graph's view *)
   mutable op_list : op list;  (** reversed creation order *)
   mutable alloc_list : Node.alloc_site list;  (** reversed creation order *)
   alloc_seen : unit Alloc_seen.t;
-  mutable children_tbl : (Node.view_abs, View_set.t) Hashtbl.t;
-  mutable parents_tbl : (Node.view_abs, View_set.t) Hashtbl.t;
-  mutable ids_tbl : (Node.view_abs, Int_set.t) Hashtbl.t;
-  mutable roots_tbl : (Node.holder, View_set.t) Hashtbl.t;
-  mutable listeners_tbl : (Node.view_abs, Listener_set.t) Hashtbl.t;
+  mutable sol : solution;  (** the last solve's id-level solution *)
+  mutable points_to : (Node.t, VS.t) Hashtbl.t option;
+      (** read index over [sol]'s points-to rows, decoded in one pass on
+          the first points-to read and dropped with the solution *)
   root_layout_tbl : (Node.view_abs, Int_set.t) Hashtbl.t;
   inflations : (Node.site * string, Node.view_abs list) Hashtbl.t;
   transitions_tbl : (string * string, unit) Hashtbl.t;  (** activity transition edges *)
   onclick_tbl : (Node.view_abs, String_set.t) Hashtbl.t;  (** android:onClick handler names *)
   declared_fragments_tbl : (Node.view_abs, String_set.t) Hashtbl.t;  (** <fragment> classes *)
-  mutable rc_children : bool;
-  mutable rc_ids : bool;
-  mutable rc_roots : bool;
-  mutable rc_onclick : bool;
-  mutable rc_fragments : bool;
   mutable g_has_top : bool;
       (** some seed introduced an unknown-id marker ([V_layout_top] /
           [V_view_id_top]); the warm guard refuses incremental starts
           over such graphs *)
-  mutable taint_tbl : (Node.t, VS.t) Hashtbl.t;
-      (** per-node subset of [sets] reached only through an unknown-id
-          marker (the [imprecise] plane); diagnostic — solving never
-          branches on it *)
 }
 
 (* [?interner] lets an incremental re-extraction mint ids in a
@@ -167,29 +166,17 @@ let create ?interner () =
     edge_seen = Edge_seen.create 256;
     edge_total = 0;
     seed_tbl = Hashtbl.create 128;
-    sets = Hashtbl.create 256;
-    sets_base = None;
-    sets_dead = Hashtbl.create 16;
     op_list = [];
     alloc_list = [];
     alloc_seen = Alloc_seen.create 64;
-    children_tbl = Hashtbl.create 64;
-    parents_tbl = Hashtbl.create 64;
-    ids_tbl = Hashtbl.create 64;
-    roots_tbl = Hashtbl.create 16;
-    listeners_tbl = Hashtbl.create 32;
+    sol = empty_solution;
+    points_to = None;
     root_layout_tbl = Hashtbl.create 16;
     inflations = Hashtbl.create 16;
     transitions_tbl = Hashtbl.create 16;
     onclick_tbl = Hashtbl.create 16;
     declared_fragments_tbl = Hashtbl.create 16;
-    rc_children = false;
-    rc_ids = false;
-    rc_roots = false;
-    rc_onclick = false;
-    rc_fragments = false;
     g_has_top = false;
-    taint_tbl = Hashtbl.create 16;
   }
 
 (* Idempotent per site: inlined clones of a statement denote the same
@@ -272,8 +259,8 @@ let has_top t = t.g_has_top
    never renames.  The frozen CSR is laid out from [isuccs], so the
    interned solver sees the context-expanded flow graph, while the
    structural views ([succs], [locations], [pp_dot]) hide the edges
-   that touch a clone and stay context-insensitive; materialisation
-   installs the clone rows structurally after the solve. *)
+   that touch a clone and stay context-insensitive; the clone rows are
+   read from the solution store like any other node's. *)
 let add_edge_ids t ?(kind = E_direct) sid did =
   let ksym = match kind with E_direct -> -1 | E_cast cls -> cast_sym t cls in
   push_edge t sid ksym did;
@@ -432,10 +419,10 @@ let build_condensed n row edst ekind rep =
    disappears from the condensed CSR.  Context expansion mass-produces
    exactly this shape (recv → this$n, arg → param$n, ret$n → out), so
    the solve over the expanded graph collapses back towards the
-   context-insensitive size.  Materialisation still installs every
-   clone node (from the shared root set), keeping the result
-   bit-identical to the inlining path; non-keyed graphs have no clone
-   ids and skip this entirely. *)
+   context-insensitive size.  Every clone node still reads a solution
+   (its root's row, through [fc_rep]), keeping the result bit-identical
+   to the inlining path; non-keyed graphs have no clone ids and skip
+   this entirely. *)
 let clone_subst t n row edst ekind =
   match Intern.ctx_clone_ids t.g_it with
   | [] -> None
@@ -561,7 +548,7 @@ let build_frozen_flow t =
         let rep, scc_count, largest = condense_direct n row2 edst2 ekind2 in
         let crow, cdst, ckind = build_condensed n row2 edst2 ekind2 rep in
         (* Substituted nodes alias their root's component: reads, op
-           scheduling and materialisation all go through [fc_rep], so
+           scheduling and solution reads all go through [fc_rep], so
            the aliasing is invisible outside the solver core.  They are
            not real components — keep the count honest. *)
         Array.iteri (fun i r -> if r <> i then rep.(i) <- rep.(r)) sub;
@@ -600,48 +587,91 @@ let frozen_flow t =
 
 let ops_node_ids t = Array.of_list (List.rev t.iop_ids)
 
-let set_of t node =
-  match Hashtbl.find_opt t.sets node with
-  | Some vs -> vs
-  | None -> (
-      match t.sets_base with
-      | Some base when not (Hashtbl.mem t.sets_dead node) ->
-          Option.value (Hashtbl.find_opt base node) ~default:VS.empty
-      | _ -> VS.empty)
+(* Decode-on-read.  Solution reads go to the store (points-to reads
+   through the index below): a points-to row lives on the node's
+   component representative (ids past [sol_rep] are their own), every
+   other row on its key's id.  A key the interner never saw has an
+   empty row. *)
+let row (rows : rows) i = if i >= 0 && i < Array.length rows then rows.(i) else None
 
-let add_value t node value =
-  let existing = set_of t node in
-  (* [Set.add] returns the argument physically when the element is
-     already present: one traversal does membership test and insert. *)
-  let updated = VS.add value existing in
-  if updated == existing then false
-  else begin
-    Hashtbl.replace t.sets node updated;
-    true
-  end
+let rep_of sol nid = if nid < Array.length sol.sol_rep then sol.sol_rep.(nid) else nid
 
-(* Taint plane: the subset of [sets t node] whose membership was
-   justified (transitively) by an unknown-id marker.  Maintained by the
-   solvers alongside the value sets; [add_taint] does not require the
-   value to be present yet — the naive engine may taint before the
-   value lands, and the invariant taint ⊆ set holds at fixpoint. *)
-let add_taint t node value =
-  let existing = Option.value (Hashtbl.find_opt t.taint_tbl node) ~default:VS.empty in
-  let updated = VS.add value existing in
-  if updated == existing then false
-  else begin
-    Hashtbl.replace t.taint_tbl node updated;
-    true
-  end
+let points_to_row sol nid = row sol.sol_sets (rep_of sol nid)
 
-let taints_of t node = Option.value (Hashtbl.find_opt t.taint_tbl node) ~default:VS.empty
+let non_empty = function Some b -> not (Util.Bitset.is_empty b) | None -> false
 
-let is_tainted t node value = VS.mem value (taints_of t node)
+let solution t = t.sol
 
-let install_taints t node vs =
-  if VS.is_empty vs then Hashtbl.remove t.taint_tbl node else Hashtbl.replace t.taint_tbl node vs
+let set_solution t sol =
+  t.sol <- sol;
+  t.points_to <- None
 
-let tainted_nodes t = Hashtbl.fold (fun node vs acc -> (node, vs) :: acc) t.taint_tbl []
+let decode_values t = function
+  | None -> VS.empty
+  | Some b -> Util.Bitset.fold (fun vid acc -> VS.add (Intern.value_of t.g_it vid) acc) b VS.empty
+
+let decode_views t = function
+  | None -> View_set.empty
+  | Some b ->
+      Util.Bitset.fold (fun wid acc -> View_set.add (Intern.view_of t.g_it wid) acc) b View_set.empty
+
+(* Points-to reads come in bulk right after a solve (metrics, then
+   per-location queries).  Decoding a row per read costs several cold
+   memory hops plus a sort: against a table decoded moments before,
+   the benchmark's per-read latency measured 1.5x at the median and
+   2.5x at the 99th percentile (perfbench paper and modes, 2-core
+   host).  So the first read decodes every row once, each component's
+   set shared by its members. *)
+let points_to t =
+  match t.points_to with
+  | Some tbl -> tbl
+  | None ->
+      let it = t.g_it in
+      let tbl = Hashtbl.create 256 in
+      let decoded = Array.make (Array.length t.sol.sol_sets) None in
+      for nid = 0 to Intern.node_count it - 1 do
+        let r = rep_of t.sol nid in
+        match row t.sol.sol_sets r with
+        | Some b when not (Util.Bitset.is_empty b) ->
+            let vs =
+              match decoded.(r) with
+              | Some vs -> vs
+              | None ->
+                  let vs = decode_values t (Some b) in
+                  decoded.(r) <- Some vs;
+                  vs
+            in
+            Hashtbl.replace tbl (Intern.node_of it nid) vs
+        | _ -> ()
+      done;
+      t.points_to <- Some tbl;
+      tbl
+
+let set_of t node = Option.value (Hashtbl.find_opt (points_to t) node) ~default:VS.empty
+
+let taints_of t node =
+  match Intern.find_node t.g_it node with
+  | Some nid -> decode_values t (row t.sol.sol_taints nid)
+  | None -> VS.empty
+
+let is_tainted t node value =
+  match (Intern.find_node t.g_it node, Intern.find_value t.g_it value) with
+  | Some nid, Some vid -> (
+      match row t.sol.sol_taints nid with Some b -> Util.Bitset.mem b vid | None -> false)
+  | _ -> false
+
+(* Ids [0, n) of [rows] holding a non-empty row, ascending. *)
+let keys_of rows =
+  let acc = ref [] in
+  for i = Array.length rows - 1 downto 0 do
+    if non_empty rows.(i) then acc := i :: !acc
+  done;
+  !acc
+
+let tainted_nodes t =
+  List.map
+    (fun nid -> (Intern.node_of t.g_it nid, decode_values t t.sol.sol_taints.(nid)))
+    (keys_of t.sol.sol_taints)
 
 let views_of t node =
   VS.fold
@@ -664,36 +694,25 @@ let succs t node =
   | Some id when id < Array.length t.isuccs && not (is_clone t id) -> decode_succs t t.isuccs.(id)
   | _ -> []
 
-(* Structural edge sources in id order, each with its successors. *)
-let iter_succs t f =
+(* Structural edge sources in id order, each with its successor ids. *)
+let iter_succ_ids t f =
   Array.iteri
     (fun id targets ->
       if targets <> [] && not (is_clone t id) then
-        match decode_succs t targets with [] -> () | succs -> f (Intern.node_of t.g_it id) succs)
+        match List.filter (fun (_, did) -> not (is_clone t did)) targets with
+        | [] -> ()
+        | succs -> f id succs)
     t.isuccs
 
 let seeds t = Hashtbl.fold (fun node vs acc -> (node, vs) :: acc) t.seed_tbl []
 
 let reset_sets t =
-  Hashtbl.reset t.sets;
-  t.sets_base <- None;
-  Hashtbl.reset t.sets_dead;
-  Hashtbl.reset t.taint_tbl;
-  Hashtbl.reset t.children_tbl;
-  Hashtbl.reset t.parents_tbl;
-  Hashtbl.reset t.ids_tbl;
-  Hashtbl.reset t.roots_tbl;
-  Hashtbl.reset t.listeners_tbl;
+  set_solution t empty_solution;
   Hashtbl.reset t.root_layout_tbl;
   Hashtbl.reset t.inflations;
   Hashtbl.reset t.transitions_tbl;
   Hashtbl.reset t.onclick_tbl;
-  Hashtbl.reset t.declared_fragments_tbl;
-  t.rc_children <- false;
-  t.rc_ids <- false;
-  t.rc_roots <- false;
-  t.rc_onclick <- false;
-  t.rc_fragments <- false
+  Hashtbl.reset t.declared_fragments_tbl
 
 (* Generic set-valued relation update returning whether it grew. *)
 let add_to_set_tbl (type s elt) (module S : Set.S with type t = s and type elt = elt) tbl key v =
@@ -705,67 +724,56 @@ let add_to_set_tbl (type s elt) (module S : Set.S with type t = s and type elt =
     true
   end
 
-let children_of t view = Option.value (Hashtbl.find_opt t.children_tbl view) ~default:View_set.empty
+let view_row t rows view =
+  match Intern.find_view t.g_it view with Some wid -> row rows wid | None -> None
 
-let parents_of t view = Option.value (Hashtbl.find_opt t.parents_tbl view) ~default:View_set.empty
+let children_of t view = decode_views t (view_row t t.sol.sol_children view)
 
-let add_child t ~parent ~child =
-  let grew = add_to_set_tbl (module View_set) t.children_tbl parent child in
-  if grew then begin
-    ignore (add_to_set_tbl (module View_set) t.parents_tbl child parent);
-    t.rc_children <- true
-  end;
-  grew
+let parents_of t view = decode_views t (view_row t t.sol.sol_parents view)
 
 let descendants t ~include_self view =
-  let visited = ref (if include_self then View_set.singleton view else View_set.empty) in
-  let queue = Queue.create () in
-  Queue.add view queue;
-  while not (Queue.is_empty queue) do
-    let current = Queue.take queue in
-    View_set.iter
-      (fun child ->
-        if not (View_set.mem child !visited) then begin
-          visited := View_set.add child !visited;
-          Queue.add child queue
-        end)
-      (children_of t current)
-  done;
-  !visited
+  match Intern.find_view t.g_it view with
+  | None -> if include_self then View_set.singleton view else View_set.empty
+  | Some wid ->
+      let visited = Util.Bitset.create () in
+      if include_self then ignore (Util.Bitset.add visited wid);
+      let queue = Queue.create () in
+      Queue.add wid queue;
+      while not (Queue.is_empty queue) do
+        match row t.sol.sol_children (Queue.take queue) with
+        | Some cs -> Util.Bitset.iter (fun c -> if Util.Bitset.add visited c then Queue.add c queue) cs
+        | None -> ()
+      done;
+      decode_views t (Some visited)
 
-let add_view_id t view id =
-  let grew = add_to_set_tbl (module Int_set) t.ids_tbl view id in
-  if grew then t.rc_ids <- true;
-  grew
+let ids_of_view t view =
+  match view_row t t.sol.sol_ids view with
+  | Some b -> Util.Bitset.fold (fun sym acc -> Int_set.add (Intern.rid_of t.g_it sym) acc) b Int_set.empty
+  | None -> Int_set.empty
 
-let ids_of_view t view = Option.value (Hashtbl.find_opt t.ids_tbl view) ~default:Int_set.empty
+let roots_of_holder t holder =
+  match Intern.find_holder t.g_it holder with
+  | Some hid -> decode_views t (row t.sol.sol_roots hid)
+  | None -> View_set.empty
 
-let add_holder_root t holder root =
-  let grew = add_to_set_tbl (module View_set) t.roots_tbl holder root in
-  if grew then t.rc_roots <- true;
-  grew
-
-let roots_of_holder t holder = Option.value (Hashtbl.find_opt t.roots_tbl holder) ~default:View_set.empty
-
-let holders t = Hashtbl.fold (fun h _ acc -> h :: acc) t.roots_tbl []
-
-let add_view_listener t view listener ~iface =
-  add_to_set_tbl (module Listener_set) t.listeners_tbl view (listener, iface)
+let holders t = List.map (Intern.holder_of t.g_it) (keys_of t.sol.sol_roots)
 
 let listeners_of_view t view =
-  Option.value (Hashtbl.find_opt t.listeners_tbl view) ~default:Listener_set.empty
+  match view_row t t.sol.sol_listeners view with
+  | Some b ->
+      Util.Bitset.fold
+        (fun eid acc -> Listener_set.add (Intern.listener_of t.g_it eid) acc)
+        b Listener_set.empty
+  | None -> Listener_set.empty
 
-let views_with_listeners t = Hashtbl.fold (fun v _ acc -> v :: acc) t.listeners_tbl []
+let views_with_listeners t = List.map (Intern.view_of t.g_it) (keys_of t.sol.sol_listeners)
 
 let add_root_layout t view id = add_to_set_tbl (module Int_set) t.root_layout_tbl view id
 
 let layouts_of_root t view =
   Option.value (Hashtbl.find_opt t.root_layout_tbl view) ~default:Int_set.empty
 
-let add_onclick t view handler =
-  let grew = add_to_set_tbl (module String_set) t.onclick_tbl view handler in
-  if grew then t.rc_onclick <- true;
-  grew
+let add_onclick t view handler = add_to_set_tbl (module String_set) t.onclick_tbl view handler
 
 let onclicks_of t view =
   match Hashtbl.find_opt t.onclick_tbl view with
@@ -775,9 +783,7 @@ let onclicks_of t view =
 let views_with_onclick t = Hashtbl.fold (fun v _ acc -> v :: acc) t.onclick_tbl []
 
 let add_declared_fragment t view cls =
-  let grew = add_to_set_tbl (module String_set) t.declared_fragments_tbl view cls in
-  if grew then t.rc_fragments <- true;
-  grew
+  add_to_set_tbl (module String_set) t.declared_fragments_tbl view cls
 
 let declared_fragments_of t view =
   match Hashtbl.find_opt t.declared_fragments_tbl view with
@@ -816,117 +822,37 @@ let declared_fragment_entries t =
 let root_layout_entries t =
   Hashtbl.fold (fun v s acc -> (v, Int_set.elements s) :: acc) t.root_layout_tbl []
 
-let take_rel_changes t =
-  let c : rel_changes =
-    {
-      rc_children = t.rc_children;
-      rc_ids = t.rc_ids;
-      rc_roots = t.rc_roots;
-      rc_onclick = t.rc_onclick;
-      rc_fragments = t.rc_fragments;
-    }
-  in
-  t.rc_children <- false;
-  t.rc_ids <- false;
-  t.rc_roots <- false;
-  t.rc_onclick <- false;
-  t.rc_fragments <- false;
-  c
-
-(* Solution installation (interned solver): after solving on dense
-   ids, the engine decodes its bitsets and writes the structural
-   tables wholesale, so downstream consumers are engine-agnostic.
-   [reset_solution_tables] clears exactly the tables the id-level
-   stores mirror; the cold relations maintained structurally during
-   interned solving (onclick, declared fragments, root layouts,
-   inflations, transitions) are left untouched. *)
-let reset_solution_tables t =
-  Hashtbl.reset t.sets;
-  t.sets_base <- None;
-  Hashtbl.reset t.sets_dead;
-  Hashtbl.reset t.taint_tbl;
-  Hashtbl.reset t.children_tbl;
-  Hashtbl.reset t.parents_tbl;
-  Hashtbl.reset t.ids_tbl;
-  Hashtbl.reset t.roots_tbl;
-  Hashtbl.reset t.listeners_tbl
-
-let install_set t node vs = Hashtbl.replace t.sets node vs
-
-let install_children t view ws = Hashtbl.replace t.children_tbl view ws
-
-let install_parents t view ws = Hashtbl.replace t.parents_tbl view ws
-
-let install_ids t view ids = Hashtbl.replace t.ids_tbl view ids
-
-let install_roots t holder ws = Hashtbl.replace t.roots_tbl holder ws
-
-let install_listeners t view ls = Hashtbl.replace t.listeners_tbl view ls
-
-(* Warm materialisation: seed [dst]'s solution tables from a previous
-   solve's, then let the caller decode and re-install only the dirty
-   rows.  Per-kind flags skip relations the warm solver rebuilds from
-   scratch (their invalidation was too coarse to patch row-wise).  The
-   copied tables share the immutable set values with [src]. *)
-let copy_solution_tables ~children ~ids ~roots ~listeners ~src dst =
-  (* The points-to table — by far the largest — is adopted as a
-     read-only base layer instead of copied: [dst]'s own writes land in
-     its overlay.  A layered donor is flattened first so layers never
-     chain (a warm-of-warm pays one copy per generation; re-warming
-     from the same donor pays none). *)
-  (match src.sets_base with
-  | Some base ->
-      let flat = Hashtbl.copy base in
-      Hashtbl.iter (fun n () -> Hashtbl.remove flat n) src.sets_dead;
-      Hashtbl.iter (fun n vs -> Hashtbl.replace flat n vs) src.sets;
-      src.sets <- flat;
-      src.sets_base <- None;
-      Hashtbl.reset src.sets_dead
-  | None -> ());
-  dst.sets <- Hashtbl.create 64;
-  dst.sets_base <- Some src.sets;
-  Hashtbl.reset dst.sets_dead;
-  if children then begin
-    dst.children_tbl <- Hashtbl.copy src.children_tbl;
-    dst.parents_tbl <- Hashtbl.copy src.parents_tbl
-  end;
-  if ids then dst.ids_tbl <- Hashtbl.copy src.ids_tbl;
-  if roots then dst.roots_tbl <- Hashtbl.copy src.roots_tbl;
-  if listeners then dst.listeners_tbl <- Hashtbl.copy src.listeners_tbl
-
-let remove_solution_row t node =
-  Hashtbl.remove t.sets node;
-  if Option.is_some t.sets_base then Hashtbl.replace t.sets_dead node ()
-
 let ops t = List.rev t.op_list
 
 let allocs t = List.rev t.alloc_list
 
+(* The structural part (edge endpoints, seeds and op nodes, all
+   interned at construction) is gathered newest first, then the
+   locations only the solve reached follow by ascending id.
+   Deduplication runs on ids: the interner maps equal nodes to one
+   id. *)
 let locations t =
-  let seen = Hashtbl.create 256 in
-  let out = ref [] in
-  let add node =
-    if not (Hashtbl.mem seen node) then begin
-      Hashtbl.add seen node ();
-      out := node :: !out
-    end
-  in
-  iter_succs t (fun src targets ->
-      add src;
-      List.iter (fun (_, dst) -> add dst) targets);
+  let it = t.g_it in
+  let seen = Util.Bitset.create () in
+  let structural = ref [] in
+  let add_id nid = if Util.Bitset.add seen nid then structural := Intern.node_of it nid :: !structural in
+  let add node = add_id (Intern.node it node) in
+  iter_succ_ids t (fun src targets ->
+      add_id src;
+      List.iter (fun (_, dst) -> add_id dst) targets);
   Hashtbl.iter (fun node _ -> add node) t.seed_tbl;
-  Hashtbl.iter (fun node _ -> add node) t.sets;
-  (match t.sets_base with
-  | Some base ->
-      Hashtbl.iter (fun node _ -> if not (Hashtbl.mem t.sets_dead node) then add node) base
-  | None -> ());
   List.iter
     (fun op ->
       add op.op_recv;
       List.iter add op.op_args;
       Option.iter add op.op_out)
     t.op_list;
-  !out
+  let solved = ref [] in
+  for nid = Intern.node_count it - 1 downto 0 do
+    if non_empty (points_to_row t.sol nid) && not (Util.Bitset.mem seen nid) then
+      solved := Intern.node_of it nid :: !solved
+  done;
+  !structural @ !solved
 
 let edge_count t = t.edge_total
 
@@ -949,38 +875,42 @@ let pp_dot ppf t =
         op.op_args;
       Option.iter (fun out -> Fmt.pf ppf "  %s -> %s;@\n" op_node (location_id out)) op.op_out)
     (ops t);
-  iter_succs t (fun src targets ->
+  iter_succ_ids t (fun src targets ->
+      let src = location_id (Intern.node_of t.g_it src) in
       List.iter
-        (fun (kind, dst) ->
-          match kind with
-          | E_direct -> Fmt.pf ppf "  %s -> %s;@\n" (location_id src) (location_id dst)
-          | E_cast c -> Fmt.pf ppf "  %s -> %s [label=\"(%s)\"];@\n" (location_id src) (location_id dst) c)
+        (fun (k, dst) ->
+          let dst = location_id (Intern.node_of t.g_it dst) in
+          match kind_of_sym t k with
+          | E_direct -> Fmt.pf ppf "  %s -> %s;@\n" src dst
+          | E_cast c -> Fmt.pf ppf "  %s -> %s [label=\"(%s)\"];@\n" src dst c)
         targets);
-  Hashtbl.iter
-    (fun parent children ->
+  (* relation rows by ascending key id *)
+  let views rows = List.map (Intern.view_of t.g_it) (keys_of rows) in
+  List.iter
+    (fun view ->
       View_set.iter
-        (fun child ->
-          Fmt.pf ppf "  %s -> %s [style=dashed,label=child];@\n" (view_id parent) (view_id child))
-        children)
-    t.children_tbl;
-  Hashtbl.iter
-    (fun view ids ->
-      Int_set.iter (fun id -> Fmt.pf ppf "  %s -> \"id:0x%x\" [style=dashed];@\n" (view_id view) id) ids)
-    t.ids_tbl;
-  Hashtbl.iter
-    (fun holder roots ->
+        (fun child -> Fmt.pf ppf "  %s -> %s [style=dashed,label=child];@\n" (view_id view) (view_id child))
+        (children_of t view))
+    (views t.sol.sol_children);
+  List.iter
+    (fun view ->
+      Int_set.iter
+        (fun id -> Fmt.pf ppf "  %s -> \"id:0x%x\" [style=dashed];@\n" (view_id view) id)
+        (ids_of_view t view))
+    (views t.sol.sol_ids);
+  List.iter
+    (fun holder ->
       View_set.iter
         (fun root ->
-          Fmt.pf ppf "  \"%a\" -> %s [style=dashed,label=root];@\n" Node.pp_holder holder
-            (view_id root))
-        roots)
-    t.roots_tbl;
-  Hashtbl.iter
-    (fun view listeners ->
+          Fmt.pf ppf "  \"%a\" -> %s [style=dashed,label=root];@\n" Node.pp_holder holder (view_id root))
+        (roots_of_holder t holder))
+    (holders t);
+  List.iter
+    (fun view ->
       Listener_set.iter
         (fun (l, iface) ->
           Fmt.pf ppf "  %s -> \"%a\" [style=dashed,label=\"listener:%s\"];@\n" (view_id view)
             Node.pp_listener l iface)
-        listeners)
-    t.listeners_tbl;
+        (listeners_of_view t view))
+    (views_with_listeners t);
   Fmt.pf ppf "}@\n"

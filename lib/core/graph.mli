@@ -5,7 +5,15 @@
     edges ([->] in the paper) connect locations; the [=>] relationship
     edges of the paper are stored as relations over abstract views:
     parent-child, view=>id, holder=>root, view=>listener, and
-    root=>layout-id. *)
+    root=>layout-id.
+
+    The graph holds the program's constraints and the cold relations
+    (inflations, declarative handlers, declared fragments, root
+    layouts, transitions) structurally.  The solved points-to sets,
+    the hot relations and the taint plane live in one place: the
+    solver's id-level {!solution}, which the reads below decode when
+    they are called (points-to reads through a read index built on the
+    first of them). *)
 
 module VS : Set.S with type elt = Node.value
 
@@ -27,15 +35,6 @@ type op = {
   op_recv : Node.t;
   op_args : Node.t list;
   op_out : Node.t option;
-}
-
-(** Which view relations grew since the last {!take_rel_changes}. *)
-type rel_changes = {
-  rc_children : bool;
-  rc_ids : bool;
-  rc_roots : bool;
-  rc_onclick : bool;
-  rc_fragments : bool;
 }
 
 type t
@@ -100,10 +99,54 @@ val fresh_op_ids :
   out:int option ->
   op
 
-(** {1 Points-to sets} *)
+(** {1 The solution store}
 
-val add_value : t -> Node.t -> Node.value -> bool
-(** [true] iff the set grew. *)
+    A solve leaves its result here as bitset rows over interner ids —
+    the same arrays the interned engine solved in and a captured
+    {!Solve.solved} persists, so nothing is copied.  Points-to rows
+    are kept per direct-edge component representative ([sol_rep]; ids
+    past its end are their own representative); every other row is
+    keyed by its own id.  The naive reference encodes its structural
+    result into the same shape, with every node its own
+    representative. *)
+
+type rows = Util.Bitset.t option array
+(** Id-indexed rows; a missing or out-of-range slot is an empty row. *)
+
+type solution = {
+  sol_rep : int array;  (** node id -> representative of its points-to row *)
+  sol_sets : rows;  (** representative -> value ids *)
+  sol_children : rows;  (** view id -> child view ids *)
+  sol_parents : rows;  (** view id -> parent view ids *)
+  sol_ids : rows;  (** view id -> rid symbols ({!Intern.rid}) *)
+  sol_roots : rows;  (** holder id -> root view ids *)
+  sol_listeners : rows;  (** view id -> listener entry ids *)
+  sol_taints : rows;  (** node id -> tainted value ids *)
+}
+
+val empty_solution : solution
+
+val solution : t -> solution
+
+val set_solution : t -> solution -> unit
+(** Install a solve's result.  The rows are read in place, never
+    mutated. *)
+
+val row : rows -> int -> Util.Bitset.t option
+(** [None] for an id past the end. *)
+
+val points_to_row : solution -> int -> Util.Bitset.t option
+(** The points-to row of a node id, through its representative. *)
+
+(** {1 Points-to sets}
+
+    Points-to reads come in bulk right after a solve, so the first one
+    decodes every points-to row in one pass (each component's set
+    once, shared by its members) into a read index that lives until
+    the next {!set_solution} or {!reset_sets}.  Graphs nobody reads
+    through this API — a daemon's resident entries, warm-solve donors,
+    loaded snapshots — never build it.  The first read mutates the
+    graph: do not race it across domains. *)
 
 val set_of : t -> Node.t -> VS.t
 
@@ -113,24 +156,16 @@ val views_of : t -> Node.t -> Node.view_abs list
 
     The subset of each location's points-to set whose membership was
     justified (transitively) by an unknown-id marker.  Purely
-    diagnostic: solving never branches on taint, and both engines
-    compute the identical plane.  Invariant at fixpoint:
+    diagnostic: solving never branches on taint; one pass over the
+    store computes it after either engine.  Invariant:
     [taints_of t n ⊆ set_of t n]. *)
-
-val add_taint : t -> Node.t -> Node.value -> bool
-(** [true] iff the taint set grew.  The value need not be in the
-    points-to set yet (engines may taint ahead of the value landing). *)
 
 val taints_of : t -> Node.t -> VS.t
 
 val is_tainted : t -> Node.t -> Node.value -> bool
 
-val install_taints : t -> Node.t -> VS.t -> unit
-(** Wholesale row install (interned decode, snapshot restore).  An
-    empty set clears the row. *)
-
 val tainted_nodes : t -> (Node.t * VS.t) list
-(** Every location with a non-empty taint set, in unspecified order. *)
+(** Every location with a non-empty taint set, by ascending node id. *)
 
 val succs : t -> Node.t -> (edge_kind * Node.t) list
 (** The flow successors of a location added by {!add_edge}, newest
@@ -140,12 +175,10 @@ val succs : t -> Node.t -> (edge_kind * Node.t) list
 val seeds : t -> (Node.t * VS.t) list
 
 val reset_sets : t -> unit
-(** Clear all points-to sets and relations back to the seeded state
+(** Drop the solution and the cold relations, back to the seeded state
     (used to re-solve under a different configuration). *)
 
 (** {1 Relations} *)
-
-val add_child : t -> parent:Node.view_abs -> child:Node.view_abs -> bool
 
 val children_of : t -> Node.view_abs -> View_set.t
 
@@ -154,21 +187,17 @@ val parents_of : t -> Node.view_abs -> View_set.t
 val descendants : t -> include_self:bool -> Node.view_abs -> View_set.t
 (** Reflexive-or-strict transitive closure of parent-child, by BFS. *)
 
-val add_view_id : t -> Node.view_abs -> int -> bool
-
 val ids_of_view : t -> Node.view_abs -> Int_set.t
-
-val add_holder_root : t -> Node.holder -> Node.view_abs -> bool
 
 val roots_of_holder : t -> Node.holder -> View_set.t
 
 val holders : t -> Node.holder list
-
-val add_view_listener : t -> Node.view_abs -> Node.listener_abs -> iface:string -> bool
+(** Holders with at least one root, by ascending holder id. *)
 
 val listeners_of_view : t -> Node.view_abs -> Listener_set.t
 
 val views_with_listeners : t -> Node.view_abs list
+(** By ascending view id. *)
 
 val add_root_layout : t -> Node.view_abs -> int -> bool
 
@@ -190,9 +219,6 @@ val add_declared_fragment : t -> Node.view_abs -> string -> bool
 val declared_fragments_of : t -> Node.view_abs -> string list
 
 val views_with_declared_fragments : t -> Node.view_abs list
-
-val take_rel_changes : t -> rel_changes
-(** Which relations grew since the previous call; clears the flags. *)
 
 val add_transition : t -> from_:string -> to_:string -> bool
 (** Activity-transition edge (extension: STARTACTIVITY). *)
@@ -269,57 +295,22 @@ val frozen_flow : t -> flow_csr
 val ops_node_ids : t -> (int * int array * int) array
 (** Aligned with {!ops}: per op, (recv id, arg ids, out id or [-1]). *)
 
-(** {1 Solution installation (interned solver)}
-
-    The interned engine solves over dense ids and then decodes its
-    bitsets back into these structural tables, so every consumer of
-    the solved graph is engine-agnostic.  {!reset_solution_tables}
-    clears exactly the tables the id-level stores mirror (points-to
-    sets, children/parents, view ids, holder roots, listeners); cold
-    relations the interned engine maintains structurally (onclick,
-    declared fragments, root layouts, inflations, transitions) are
-    untouched. *)
-
-val reset_solution_tables : t -> unit
-
-val install_set : t -> Node.t -> VS.t -> unit
-
-val install_children : t -> Node.view_abs -> View_set.t -> unit
-
-val install_parents : t -> Node.view_abs -> View_set.t -> unit
-
-val install_ids : t -> Node.view_abs -> Int_set.t -> unit
-
-val install_roots : t -> Node.holder -> View_set.t -> unit
-
-val install_listeners : t -> Node.view_abs -> Listener_set.t -> unit
-
-val copy_solution_tables :
-  children:bool -> ids:bool -> roots:bool -> listeners:bool -> src:t -> t -> unit
-(** Warm materialisation: seed this graph's solution tables from
-    [src]'s, skipping the relations whose flag is [false] (the warm
-    solver rebuilds those wholesale); the caller then re-installs only
-    the dirty rows.  The points-to table is adopted as a read-only
-    base layer (O(1)) rather than copied — this graph's own installs
-    and removals shadow it — while the relation tables are copied. *)
-
-val remove_solution_row : t -> Node.t -> unit
-(** Drop a copied points-to row whose set emptied out (node no longer
-    reached after a patch). *)
-
 val allocs : t -> Node.alloc_site list
 
 val locations : t -> Node.t list
-(** Every location mentioned by an edge, seed, set, or op, each once.
-    Enumeration order: the endpoints of {!succs} edges first, by
-    ascending source id (each source, then its successors newest
-    first); then seeded, solved and op-touching locations not yet
-    listed.  Building the same graph twice gives the same order. *)
+(** Every location mentioned by an edge, seed, op, or solved set, each
+    once.  Enumeration order: the structural part first — a walk over
+    the endpoints of {!succs} edges (by ascending source id), then the
+    seeded locations, then the op nodes (newest op first), listed in
+    reverse walk order — followed by the locations only the solve
+    reached, by ascending node id.  Building the same graph twice gives
+    the same order. *)
 
 val edge_count : t -> int
 
 val pp_dot : t Fmt.t
 (** Graphviz rendering of the solved graph: locations, op nodes, flow
     edges, and relationship edges (Figures 3-4 style).  Locations come
-    in {!locations} order, op nodes in creation order, and flow edges
-    (those {!succs} lists) by ascending source id. *)
+    in {!locations} order, op nodes in creation order, flow edges
+    (those {!succs} lists) by ascending source id, and relationship
+    edges by ascending key id. *)

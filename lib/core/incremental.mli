@@ -10,10 +10,9 @@
     patched app; [result'.stats] reports [warm_solve], [dirty_comps],
     [reused_comps] and, when the warm guard refused, [fallback].
 
-    Caveats: a {!Solve.solved} aliases live solver state — its donor
-    graph must never be re-solved, and warm chains sharing an interner
-    must run single-threaded (the interner is not safe against
-    concurrent minting). *)
+    Caveat: a {!Solve.solved} aliases live solver state, and warm
+    chains sharing an interner must run single-threaded (the interner
+    is not safe against concurrent minting). *)
 
 val analyze_solved :
   ?config:Config.t -> ?fallback:string -> Framework.App.t -> Analysis.t * Solve.solved

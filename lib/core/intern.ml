@@ -246,7 +246,7 @@ type t = {
       (** context dimension: packed ⟨base node id, ctx⟩ -> id of the
           context clone of the base node.  Clones live in the ordinary
           node pool (they ARE the [$ctx]-renamed variables), so every
-          decoder, snapshot and materialization loop covers them with
+          decoder, snapshot and solution-store read covers them with
           no extra machinery; this table only makes the second and
           later sightings of a pair an int-keyed hit instead of a
           string allocation plus a node hash. *)
@@ -334,8 +334,8 @@ let pack hi lo =
 (* Context clones.  The id is minted by interning the actual renamed
    node ([name ^ "$" ^ ctx] — '$' cannot occur in source identifiers),
    so a clone id and the id the inlining path would assign to the same
-   renamed variable are THE SAME pool entry: the materialization naming
-   contract is the mint itself.  The ⟨base, ctx⟩ key is packed with
+   renamed variable are THE SAME pool entry: the naming contract
+   between the two paths is the mint itself.  The ⟨base, ctx⟩ key is packed with
    {!pack}; only [N_var] bases carry contexts — fields and returns are
    shared across clones, and a non-var base decays to itself. *)
 (* Every clone id below the table bound reuses one preallocated suffix
@@ -381,6 +381,10 @@ let find_value t v =
   let fid = match t.shared with Some sh -> shared_value_id sh v | None -> -1 in
   if fid >= 0 then Some fid
   else Option.map (fun id -> t.wm_values + id) (Value_pool.find_opt t.values v)
+
+let find_view t w = View_pool.find_opt t.views w
+
+let find_holder t h = Holder_pool.find_opt t.holders h
 
 let listener t entry = Listener_pool.intern t.listeners entry
 
@@ -431,7 +435,7 @@ let view_of_value_id t vid = iarr_get t.value2view vid
 let value_of_view_id t wid = iarr_get t.view2value wid
 
 (* Counters for [Solve.stats].  Totals span both tiers, keeping every
-   [0 .. count-1] materialization loop and snapshot dump decodable. *)
+   [0 .. count-1] decode loop and snapshot dump decodable. *)
 let value_count t = t.wm_values + Value_pool.count t.values
 
 let view_count t = View_pool.count t.views

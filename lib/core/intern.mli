@@ -16,7 +16,7 @@
     interner mints itself start at the watermark.  Analysis results
     are bit-identical whether a symbol resolves in the shared or the
     private tier (the watermark only relabels ids, and everything
-    observable is materialized structurally); the differential
+    observable is decoded structurally); the differential
     batteries in [test/test_shared_intern.ml] pin this.  Every fresh
     extraction ([Extract.run] without [?interner]) sits on
     {!shared_tier}; a fully private interner ([create ()]) exists for
@@ -96,7 +96,7 @@ val ctx_node : t -> base:int -> ctx:int -> int
 (** The context clone of node [base] under context [ctx] (a clone
     number > 0): the id of the [N_var (mid, name ^ "$" ^ ctx)] node the
     inlining path would have interned for the same clone.  Clones live
-    in the ordinary node pool — decoders, snapshots and materialization
+    in the ordinary node pool — decoders, snapshots and solution reads
     need no special handling — and repeat sightings of a ⟨base, ctx⟩
     pair resolve through a packed int-keyed cache with no string
     allocation.  Non-[N_var] bases (fields, returns) are
@@ -133,6 +133,10 @@ val rid : t -> int -> int
 val find_node : t -> Node.t -> int option
 
 val find_value : t -> Node.value -> int option
+
+val find_view : t -> Node.view_abs -> int option
+
+val find_holder : t -> Node.holder -> int option
 
 val rid_opt : t -> int -> int option
 

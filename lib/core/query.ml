@@ -24,7 +24,7 @@
    walk evaluates exactly that equation, reading the cached forward
    solution when it reaches a generator.  Every fallback (generator
    hit, condensed-graph cycle through cast edges, exhausted budget)
-   substitutes [sd_sols], which IS the fixpoint — so substitution
+   substitutes the captured points-to row, which IS the fixpoint — so substitution
    preserves equality and the backward answer is bit-identical to the
    forward projection by construction.  The differential battery in
    [test/test_query.ml] checks this across the corpus, random, cyclic
@@ -79,7 +79,7 @@ let default_budget = 65536
 let build_reverse (sd : Solve.solved) =
   let n = sd.Solve.sd_csr_n in
   let row = sd.Solve.sd_row and edst = sd.Solve.sd_edst and ekind = sd.Solve.sd_ekind in
-  let nrep = sd.Solve.sd_nrep in
+  let nrep = sd.Solve.sd_solution.Graph.sol_rep in
   let seen = Hashtbl.create 1024 in
   let edges = ref [] in
   let count = Array.make (n + 1) 0 in
@@ -158,9 +158,7 @@ let interner t = t.sd.Solve.sd_it
 (* The cached forward solution of a representative — the fallback and
    generator base case.  Treat as read-only (aliased). *)
 let cached t r =
-  if r >= 0 && r < Array.length t.sd.Solve.sd_sols then
-    match t.sd.Solve.sd_sols.(r) with Some b -> b | None -> t.empty
-  else t.empty
+  match Graph.row t.sd.Solve.sd_solution.Graph.sol_sets r with Some b -> b | None -> t.empty
 
 let rec backsolve t fuel r =
   match Hashtbl.find_opt t.memo r with
@@ -236,8 +234,6 @@ let points_to ?budget t node = Option.map (decode_values t) (points_to_bits ?bud
    registrations, listener registrations) demand-driven — no solver
    runs, no interner growth. *)
 
-let row rows i = if i >= 0 && i < Array.length rows then rows.(i) else None
-
 let views_of_listener t l =
   let it = t.sd.Solve.sd_it in
   (* entry ids whose listener abstraction matches, over every interface *)
@@ -249,9 +245,9 @@ let views_of_listener t l =
   if Util.Bitset.is_empty entries then []
   else begin
     let acc = ref [] in
-    let rows = t.sd.Solve.sd_listeners in
+    let rows = t.sd.Solve.sd_solution.Graph.sol_listeners in
     for wid = Intern.view_count it - 1 downto 0 do
-      match row rows wid with
+      match Graph.row rows wid with
       | Some b when Util.Bitset.intersects b entries -> acc := Intern.view_of it wid :: !acc
       | _ -> ()
     done;
@@ -263,13 +259,13 @@ let views_of_listener t l =
 let displayable_bits t hid =
   let acc = Util.Bitset.create () in
   let pending = Queue.create () in
-  (match row t.sd.Solve.sd_roots hid with
+  (match Graph.row t.sd.Solve.sd_solution.Graph.sol_roots hid with
   | None -> ()
   | Some roots ->
       Util.Bitset.iter (fun wid -> if Util.Bitset.add acc wid then Queue.add wid pending) roots);
   while not (Queue.is_empty pending) do
     let wid = Queue.pop pending in
-    match row t.sd.Solve.sd_children wid with
+    match Graph.row t.sd.Solve.sd_solution.Graph.sol_children wid with
     | None -> ()
     | Some kids ->
         Util.Bitset.iter (fun k -> if Util.Bitset.add acc k then Queue.add k pending) kids
@@ -282,7 +278,7 @@ let activities_of_id t name =
     match Intern.rid_opt it raw with
     | None -> None
     | Some sym -> (
-        match row t.sd.Solve.sd_by_id sym with
+        match Graph.row t.sd.Solve.sd_by_id sym with
         | Some b when not (Util.Bitset.is_empty b) -> Some b
         | _ -> None)
   in

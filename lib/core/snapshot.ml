@@ -2,7 +2,9 @@
    processes).  A snapshot is a versioned JSON document: the interner
    pools in id order, the frozen flow CSR, per-representative solution
    bitsets, relation rows, dynamic return dependencies and per-op write
-   targets, plus the donor graph's cold structural tables.  Replaying
+   targets, plus the captured graph's cold structural tables and taint
+   rows.  Loading installs the rows as the graph's solution store as
+   they are, with no decoding.  Replaying
    the value pool in id order recreates the value AND view pools
    exactly — interning a value and its paired view is atomic with
    respect to other interns, so the relative order of view allocations
@@ -144,7 +146,7 @@ let jrows rows =
 let jpairs a = J.List (Array.to_list (Array.map (fun (x, y) -> J.List [ J.Int x; J.Int y ]) a))
 
 let to_json (sd : Solve.solved) =
-  let it = sd.Solve.sd_it in
+  let it = sd.Solve.sd_it and sol = sd.Solve.sd_solution in
   J.Obj
     [
       ("magic", J.String magic);
@@ -165,7 +167,7 @@ let to_json (sd : Solve.solved) =
       ("node_total", J.Int sd.sd_node_total);
       ("value_total", J.Int sd.sd_value_total);
       ("csr_n", J.Int sd.sd_csr_n);
-      ("nrep", jints sd.sd_nrep);
+      ("nrep", jints sol.sol_rep);
       ("row", jints sd.sd_row);
       ("edst", jints sd.sd_edst);
       ("ekind", jints sd.sd_ekind);
@@ -178,13 +180,13 @@ let to_json (sd : Solve.solved) =
                 (fun (site, recv, args, out) ->
                   J.List [ jop_site site; J.Int recv; jints args; J.Int out ])
                 sd.sd_ops)) );
-      ("sols", jrows sd.sd_sols);
-      ("children", jrows sd.sd_children);
-      ("parents", jrows sd.sd_parents);
-      ("ids", jrows sd.sd_ids);
+      ("sols", jrows sol.sol_sets);
+      ("children", jrows sol.sol_children);
+      ("parents", jrows sol.sol_parents);
+      ("ids", jrows sol.sol_ids);
       ("by_id", jrows sd.sd_by_id);
-      ("roots", jrows sd.sd_roots);
-      ("listeners", jrows sd.sd_listeners);
+      ("roots", jrows sol.sol_roots);
+      ("listeners", jrows sol.sol_listeners);
       ("holder_ids", J.List (List.map (fun i -> J.Int i) sd.sd_holder_ids));
       ( "ret_deps",
         J.List
@@ -444,43 +446,10 @@ let of_json j =
     check_csr ~csr_n ~row ~edst ~ekind ~casts:(Array.length cast_names);
     let rows ?size what ~rows ~members = drows ~what ?size ~rows ~members (dfield what j) in
     let sols = rows ~size:node_total "sols" ~rows:nodes ~members:values in
-    let children = rows "children" ~rows:views ~members:views in
-    let parents = rows "parents" ~rows:views ~members:views in
-    let ids = rows "ids" ~rows:views ~members:rids in
     let by_id = rows "by_id" ~rows:rids ~members:views in
-    let roots = rows "roots" ~rows:(Intern.holder_count it) ~members:views in
-    let listeners = rows "listeners" ~rows:views ~members:(Intern.listener_count it) in
-    (* Donor graph: structural solution tables decoded from the id
-       level, plus the cold tables.  Never re-solved. *)
+    (* The captured graph: the cold tables, the seeds, and the rows
+       above as its solution store. *)
     let graph = Graph.create ~interner:it () in
-    for nid = 0 to node_total - 1 do
-      let rep = if nid < csr_n then nrep.(nid) else nid in
-      match sols.(rep) with
-      | Some b when not (Util.Bitset.is_empty b) ->
-          Graph.install_set graph (Intern.node_of it nid)
-            (Util.Bitset.fold
-               (fun vid acc -> Graph.VS.add (Intern.value_of it vid) acc)
-               b Graph.VS.empty)
-      | _ -> ()
-    done;
-    let view_set b =
-      Util.Bitset.fold (fun wid acc -> Graph.View_set.add (Intern.view_of it wid) acc) b
-        Graph.View_set.empty
-    in
-    let each rows f = Array.iteri (fun i o -> match o with Some b -> f i b | None -> ()) rows in
-    each children (fun wid b -> Graph.install_children graph (Intern.view_of it wid) (view_set b));
-    each parents (fun wid b -> Graph.install_parents graph (Intern.view_of it wid) (view_set b));
-    each ids (fun wid b ->
-        Graph.install_ids graph (Intern.view_of it wid)
-          (Util.Bitset.fold
-             (fun sym acc -> Graph.Int_set.add (Intern.rid_of it sym) acc)
-             b Graph.Int_set.empty));
-    each roots (fun hid b -> Graph.install_roots graph (Intern.holder_of it hid) (view_set b));
-    each listeners (fun wid b ->
-        Graph.install_listeners graph (Intern.view_of it wid)
-          (Util.Bitset.fold
-             (fun eid acc -> Graph.Listener_set.add (Intern.listener_of it eid) acc)
-             b Graph.Listener_set.empty));
     List.iter
       (function
         | J.List [ s; layout; views ] ->
@@ -511,27 +480,48 @@ let of_json j =
             List.iter (fun l -> ignore (Graph.add_root_layout graph view (dint l))) (dlist lids)
         | _ -> bad "bad root-layout entry")
       (dlist (dfield "root_layouts" j));
-    (* Optional: absent in version-1 snapshots (nothing was tainted). *)
-    (match J.member "taints" j with
-    | None -> ()
-    | Some rows ->
-        List.iter
-          (function
-            | J.List [ n; vs ] ->
-                Graph.install_taints graph (dnode n)
-                  (List.fold_left
-                     (fun acc v -> Graph.VS.add (dvalue v) acc)
-                     Graph.VS.empty (dlist vs))
-            | _ -> bad "bad taint entry")
-          (dlist rows));
-    (* Replay the seed pairs into the donor graph: the captured graph
+    (* Optional: absent in version-1 snapshots (nothing was tainted).
+       Rows name structural nodes and values, each of which must be in
+       the captured pools. *)
+    let captured what find ~total x =
+      match find it x with
+      | Some id when id < total -> id
+      | _ -> bad "taints: %s not in the captured pool" what
+    in
+    let taints = Array.make node_total None in
+    List.iter
+      (function
+        | J.List [ n; vs ] ->
+            let nid = captured "node" Intern.find_node ~total:node_total (dnode n) in
+            let b = Option.value taints.(nid) ~default:(Util.Bitset.create ()) in
+            List.iter
+              (fun v ->
+                ignore
+                  (Util.Bitset.add b (captured "value" Intern.find_value ~total:value_total (dvalue v))))
+              (dlist vs);
+            taints.(nid) <- Some b
+        | _ -> bad "bad taint entry")
+      (match J.member "taints" j with Some rows -> dlist rows | None -> []);
+    let solution =
+      {
+        Graph.sol_rep = nrep;
+        sol_sets = sols;
+        sol_children = rows "children" ~rows:views ~members:views;
+        sol_parents = rows "parents" ~rows:views ~members:views;
+        sol_ids = rows "ids" ~rows:views ~members:rids;
+        sol_roots = rows "roots" ~rows:(Intern.holder_count it) ~members:views;
+        sol_listeners = rows "listeners" ~rows:views ~members:(Intern.listener_count it);
+        sol_taints = taints;
+      }
+    in
+    Graph.set_solution graph solution;
+    (* Replay the seed pairs into the graph: the captured graph
        carried them, and [Graph.has_top] — which the warm guard and the
        taint pass key on — is reconstituted as a side effect. *)
     let seeds = dpairs (dfield "seeds" j) in
     Array.iter
       (fun (nid, vid) -> Graph.seed graph (Intern.node_of it nid) (Intern.value_of it vid))
       seeds;
-    ignore (Graph.take_rel_changes graph);
     Ok
       {
         Solve.sd_config = config;
@@ -547,7 +537,6 @@ let of_json j =
         sd_node_total = node_total;
         sd_value_total = value_total;
         sd_csr_n = csr_n;
-        sd_nrep = nrep;
         sd_row = row;
         sd_edst = edst;
         sd_ekind = ekind;
@@ -561,7 +550,7 @@ let of_json j =
                      (dop_site site, dint recv, dints args, dint out)
                  | _ -> bad "bad op")
                (dlist (dfield "ops" j)));
-        sd_sols = sols;
+        sd_solution = solution;
         sd_sols_mask =
           (let mask = Util.Bitset.create () in
            Array.iteri
@@ -569,12 +558,7 @@ let of_json j =
                match o with Some _ -> ignore (Util.Bitset.add mask i) | None -> ())
              sols;
            mask);
-        sd_children = children;
-        sd_parents = parents;
-        sd_ids = ids;
         sd_by_id = by_id;
-        sd_roots = roots;
-        sd_listeners = listeners;
         sd_holder_ids =
           List.map
             (did ~what:"holder_ids" ~pool:(Intern.holder_count it))

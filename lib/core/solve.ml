@@ -1,3 +1,13 @@
+(* The solver (Section 4.2/4.3).  Two engines reach one fixpoint: the
+   naive reference re-applies every rule over structural sets, the
+   interned production engine runs semi-naively over dense ids.  Either
+   way the result lands in one place, the graph's id-level solution
+   store ([Graph.solution]): the interned engine installs its own
+   bitset rows, the naive engine encodes its structural tables once at
+   fixpoint.  The taint pass then runs once over that store, and a
+   capturing solve ([run_solved]/[run_incremental]) persists the same
+   rows as a [solved]. *)
+
 type stats = {
   iterations : int;
   propagations : int;
@@ -37,18 +47,78 @@ let passes_cast hierarchy cls value =
     | Node.V_layout_id _ | Node.V_view_id _ -> false
     | Node.V_layout_top | Node.V_view_id_top -> false
 
+(* The naive reference keeps its solution in structural tables of its
+   own and encodes it into the graph's store once, at fixpoint. *)
 type state = {
   config : Config.t;
   app : Framework.App.t;
   graph : Graph.t;
   worklist : Node.t Util.Worklist.t;
+  sets : (Node.t, Graph.VS.t) Hashtbl.t;
+  children : (Node.view_abs, Graph.View_set.t) Hashtbl.t;
+  parents : (Node.view_abs, Graph.View_set.t) Hashtbl.t;
+  ids : (Node.view_abs, Graph.Int_set.t) Hashtbl.t;
+  roots : (Node.holder, Graph.View_set.t) Hashtbl.t;
+  listeners : (Node.view_abs, Graph.Listener_set.t) Hashtbl.t;
   mutable propagations : int;
   mutable op_applications : int;
   mutable dirty : bool;  (** a set or relation grew during the current op pass *)
 }
 
+let find_set tbl key ~default = Option.value (Hashtbl.find_opt tbl key) ~default
+
+let set_of state node = find_set state.sets node ~default:Graph.VS.empty
+
+(* Set-valued table update returning whether it grew ([Set.add]
+   returns its argument physically when the element is present). *)
+let add_to (type s elt) (module S : Set.S with type t = s and type elt = elt) tbl key v =
+  let existing = find_set tbl key ~default:S.empty in
+  let updated = S.add v existing in
+  if updated == existing then false
+  else begin
+    Hashtbl.replace tbl key updated;
+    true
+  end
+
+let add_value state node value = add_to (module Graph.VS) state.sets node value
+
+let children_of state view = find_set state.children view ~default:Graph.View_set.empty
+
+let parents_of state view = find_set state.parents view ~default:Graph.View_set.empty
+
+let add_child state ~parent ~child =
+  let grew = add_to (module Graph.View_set) state.children parent child in
+  if grew then ignore (add_to (module Graph.View_set) state.parents child parent);
+  grew
+
+let descendants state ~include_self view =
+  let visited = ref (if include_self then Graph.View_set.singleton view else Graph.View_set.empty) in
+  let queue = Queue.create () in
+  Queue.add view queue;
+  while not (Queue.is_empty queue) do
+    Graph.View_set.iter
+      (fun child ->
+        if not (Graph.View_set.mem child !visited) then begin
+          visited := Graph.View_set.add child !visited;
+          Queue.add child queue
+        end)
+      (children_of state (Queue.take queue))
+  done;
+  !visited
+
+let ids_of_view state view = find_set state.ids view ~default:Graph.Int_set.empty
+
+let add_view_id state view id = add_to (module Graph.Int_set) state.ids view id
+
+let roots_of_holder state holder = find_set state.roots holder ~default:Graph.View_set.empty
+
+let add_holder_root state holder root = add_to (module Graph.View_set) state.roots holder root
+
+let add_view_listener state view listener ~iface =
+  add_to (module Graph.Listener_set) state.listeners view (listener, iface)
+
 let push_value state node value =
-  if Graph.add_value state.graph node value then begin
+  if add_value state node value then begin
     Util.Worklist.add state.worklist node;
     state.dirty <- true
   end
@@ -61,7 +131,7 @@ let propagate_full state =
   let hierarchy = state.app.Framework.App.hierarchy in
   Util.Worklist.drain state.worklist (fun node ->
       state.propagations <- state.propagations + 1;
-      let values = Graph.set_of state.graph node in
+      let values = set_of state node in
       List.iter
         (fun (kind, dst) ->
           Graph.VS.iter
@@ -71,8 +141,7 @@ let propagate_full state =
                 | Graph.E_direct -> true
                 | Graph.E_cast cls -> passes_cast hierarchy cls value
               in
-              if passes && Graph.add_value state.graph dst value then
-                Util.Worklist.add state.worklist dst)
+              if passes && add_value state dst value then Util.Worklist.add state.worklist dst)
             values)
         (Graph.succs state.graph node))
 
@@ -80,20 +149,25 @@ let propagate_full state =
 let view_ids_at state node =
   Graph.VS.fold
     (fun v acc -> match v with Node.V_view_id id -> id :: acc | _ -> acc)
-    (Graph.set_of state.graph node) []
+    (set_of state node) []
 
 let layout_ids_at state node =
   Graph.VS.fold
     (fun v acc -> match v with Node.V_layout_id id -> id :: acc | _ -> acc)
-    (Graph.set_of state.graph node) []
+    (set_of state node) []
 
-let views_at state node = Graph.views_of state.graph node
+let views_at state node =
+  Graph.VS.fold
+    (fun v acc -> match Node.view_of_value v with Some view -> view :: acc | None -> acc)
+    (set_of state node) []
+
+let holders state = Hashtbl.fold (fun h _ acc -> h :: acc) state.roots []
 
 (* Unknown-id markers at an op input ([Inflate(⊤)] / [FindView(v, ⊤)]
    / [SetId(v, ⊤)]). *)
-let top_layout_at state node = Graph.VS.mem Node.V_layout_top (Graph.set_of state.graph node)
+let top_layout_at state node = Graph.VS.mem Node.V_layout_top (set_of state node)
 
-let top_view_id_at state node = Graph.VS.mem Node.V_view_id_top (Graph.set_of state.graph node)
+let top_view_id_at state node = Graph.VS.mem Node.V_view_id_top (set_of state node)
 
 (* Every [R.layout] id of the package: a ⊤ layout argument may name any
    of them (reflection, computed resource names). *)
@@ -116,7 +190,7 @@ let holders_at state node =
              && Framework.Views.is_dialog_class state.app.hierarchy site.a_cls ->
           Node.H_dialog site :: acc
       | _ -> acc)
-    (Graph.set_of state.graph node) []
+    (set_of state node) []
 
 (* Listener objects among the values at a location, restricted to
    those actually implementing the interface being registered. *)
@@ -135,20 +209,24 @@ let listeners_at state iface node =
           | Node.V_infl _ -> acc)
       | Node.V_act a when implements a -> Node.L_act a :: acc
       | _ -> acc)
-    (Graph.set_of state.graph node) []
+    (set_of state node) []
 
 let inflate_at state ~site lid =
   let package = state.app.Framework.App.package in
   match Layouts.Package.find_by_layout_id package lid with
   | None -> None
   | Some def ->
-      let already = Graph.find_inflation state.graph ~site ~layout:def.name <> None in
-      let views =
+      let views, facts =
         Inflate.instantiate state.graph
           ~resources:(Layouts.Package.resources package)
           ~site def
       in
-      if not already then state.dirty <- true;
+      Option.iter
+        (fun (f : Inflate.facts) ->
+          List.iter (fun (view, id) -> ignore (add_view_id state view id)) f.view_ids;
+          List.iter (fun (parent, child) -> ignore (add_child state ~parent ~child)) f.children;
+          state.dirty <- true)
+        facts;
       Some (Inflate.root views)
 
 (* The implicit callback of SETLISTENER: for handler [n] of the
@@ -184,7 +262,7 @@ let inject_handler_flows state view listener iface =
                   Graph.View_set.iter
                     (fun child ->
                       push_value state (Node.N_var (tmid, param)) (Node.V_view child))
-                    (Graph.children_of state.graph view)
+                    (children_of state view)
               | None -> ())
           | None -> ())
       | None -> ())
@@ -193,9 +271,9 @@ let inject_handler_flows state view listener iface =
 (* find(view, id): descendants (reflexively) of the receiver carrying
    the id — rule FINDVIEW1's [ancestorOf] + [=> id] conditions. *)
 let find_in_hierarchy state root id =
-  let scope = Graph.descendants state.graph ~include_self:true root in
+  let scope = descendants state ~include_self:true root in
   let carrying id =
-    Graph.View_set.filter (fun w -> Graph.Int_set.mem id (Graph.ids_of_view state.graph w)) scope
+    Graph.View_set.filter (fun w -> Graph.Int_set.mem id (ids_of_view state w)) scope
   in
   (* A view whose id row carries the ⊤ sentinel (SetId(v, ⊤)) matches
      any queried id.  The sentinel only enters rows on ⊤ graphs, so
@@ -208,8 +286,8 @@ let find_in_hierarchy state root id =
    view in scope carrying at least one id. *)
 let find_any_id state root =
   Graph.View_set.filter
-    (fun w -> not (Graph.Int_set.is_empty (Graph.ids_of_view state.graph w)))
-    (Graph.descendants state.graph ~include_self:true root)
+    (fun w -> not (Graph.Int_set.is_empty (ids_of_view state w)))
+    (descendants state ~include_self:true root)
 
 let apply_op state (op : Graph.op) =
   let g = state.graph in
@@ -234,7 +312,7 @@ let apply_op state (op : Graph.op) =
                   (match List.nth_opt op.op_args 1 with
                   | Some parent_arg ->
                       List.iter
-                        (fun parent -> mark state (Graph.add_child g ~parent ~child:root))
+                        (fun parent -> mark state (add_child state ~parent ~child:root))
                         (views_at state parent_arg)
                   | None -> ())
               | None -> ())
@@ -252,12 +330,12 @@ let apply_op state (op : Graph.op) =
               match inflate_at state ~site:op.site.o_site lid with
               | Some root ->
                   mark state (Graph.add_root_layout g root lid);
-                  List.iter (fun h -> mark state (Graph.add_holder_root g h root)) holders
+                  List.iter (fun h -> mark state (add_holder_root state h root)) holders
               | None -> ())
             lids;
           (* setContentView(View): rule ADDVIEW1 *)
           List.iter
-            (fun view -> List.iter (fun h -> mark state (Graph.add_holder_root g h view)) holders)
+            (fun view -> List.iter (fun h -> mark state (add_holder_root state h view)) holders)
             (views_at state arg))
         (List.nth_opt op.op_args 0)
   | Framework.Api.Add_view ->
@@ -266,7 +344,7 @@ let apply_op state (op : Graph.op) =
           List.iter
             (fun parent ->
               List.iter
-                (fun child -> mark state (Graph.add_child g ~parent ~child))
+                (fun child -> mark state (add_child state ~parent ~child))
                 (views_at state arg))
             (views_at state op.op_recv))
         (List.nth_opt op.op_args 0)
@@ -278,7 +356,7 @@ let apply_op state (op : Graph.op) =
              later query (see [find_in_hierarchy]). *)
           let ids = if top_view_id_at state arg then Node.top_view_id_raw :: ids else ids in
           List.iter
-            (fun view -> List.iter (fun id -> mark state (Graph.add_view_id g view id)) ids)
+            (fun view -> List.iter (fun id -> mark state (add_view_id state view id)) ids)
             (views_at state op.op_recv))
         (List.nth_opt op.op_args 0)
   | Framework.Api.Set_listener iface ->
@@ -289,7 +367,7 @@ let apply_op state (op : Graph.op) =
               List.iter
                 (fun listener ->
                   mark state
-                    (Graph.add_view_listener g view listener ~iface:iface.Framework.Listeners.i_name);
+                    (add_view_listener state view listener ~iface:iface.Framework.Listeners.i_name);
                   if state.config.Config.listener_callbacks then
                     inject_handler_flows state view listener iface)
                 (listeners_at state iface arg))
@@ -308,7 +386,7 @@ let apply_op state (op : Graph.op) =
               (fun h ->
                 Graph.View_set.iter
                   (fun root -> Graph.View_set.iter out_view (find root))
-                  (Graph.roots_of_holder g h))
+                  (roots_of_holder state h))
               (holders_at state op.op_recv)
           in
           List.iter
@@ -322,20 +400,20 @@ let apply_op state (op : Graph.op) =
           let results =
             match scope with
             | Framework.Api.Children when state.config.Config.findone_refinement ->
-                Graph.children_of g v
+                children_of state v
             | Framework.Api.Children | Framework.Api.Descendants ->
-                Graph.descendants g ~include_self:false v
+                descendants state ~include_self:false v
           in
           Graph.View_set.iter out_view results)
         (views_at state op.op_recv)
   | Framework.Api.Get_parent ->
       List.iter
-        (fun v -> Graph.View_set.iter out_view (Graph.parents_of g v))
+        (fun v -> Graph.View_set.iter out_view (parents_of state v))
         (views_at state op.op_recv)
   | Framework.Api.Pass_through ->
       (* the result stands for the receiver (e.g. a fragment manager
          for its activity) *)
-      Graph.VS.iter (fun value -> out value) (Graph.set_of g op.op_recv)
+      Graph.VS.iter (fun value -> out value) (set_of state op.op_recv)
   | Framework.Api.Fragment_add ->
       (* Fragment extension: the fragment's onCreateView callback runs
          and its resulting views are attached under the views carrying
@@ -350,7 +428,7 @@ let apply_op state (op : Graph.op) =
                 | Node.V_obj site when Framework.Views.is_fragment_class hierarchy site.a_cls ->
                     site :: acc
                 | _ -> acc)
-              (Graph.set_of g frag_arg) []
+              (set_of state frag_arg) []
         | _ -> []
       in
       let container_ids =
@@ -371,7 +449,7 @@ let apply_op state (op : Graph.op) =
                 List.fold_left
                   (fun acc id -> Graph.View_set.elements (find_in_hierarchy state root id) @ acc)
                   acc container_ids)
-              (Graph.roots_of_holder g h) [])
+              (roots_of_holder state h) [])
           (holders_at state op.op_recv)
       in
       List.iter
@@ -383,11 +461,11 @@ let apply_op state (op : Graph.op) =
           | Some (owner, m) ->
               let tmid = Node.mid_of_meth owner m in
               push_value state (Node.N_var (tmid, Jir.Ast.this_var)) (Node.V_obj fragment);
-              let created = Graph.views_of g (Node.N_ret tmid) in
+              let created = views_at state (Node.N_ret tmid) in
               List.iter
                 (fun parent ->
                   List.iter
-                    (fun child -> mark state (Graph.add_child g ~parent ~child))
+                    (fun child -> mark state (add_child state ~parent ~child))
                     created)
                 containers
           | None -> ())
@@ -401,7 +479,7 @@ let apply_op state (op : Graph.op) =
       List.iter
         (fun menu ->
           if Jir.Hierarchy.subtype hierarchy (Node.class_of_view menu) "Menu" then begin
-            mark state (Graph.add_child g ~parent:menu ~child:item);
+            mark state (add_child state ~parent:menu ~child:item);
             out_view item;
             (* add(group, itemId, order, title): the item id *)
             (match op.op_args with
@@ -410,7 +488,7 @@ let apply_op state (op : Graph.op) =
                 let ids =
                   if top_view_id_at state id_arg then Node.top_view_id_raw :: ids else ids
                 in
-                List.iter (fun id -> mark state (Graph.add_view_id g item id)) ids
+                List.iter (fun id -> mark state (add_view_id state item id)) ids
             | _ -> ());
             match menu with
             | Node.V_alloc site -> (
@@ -447,7 +525,7 @@ let apply_op state (op : Graph.op) =
                 | Node.V_obj site when Jir.Hierarchy.subtype hierarchy site.a_cls "Adapter" ->
                     site :: acc
                 | _ -> acc)
-              (Graph.set_of g arg) []
+              (set_of state arg) []
         | [] -> []
       in
       List.iter
@@ -467,8 +545,8 @@ let apply_op state (op : Graph.op) =
                       push_value state (Node.N_var (tmid, param)) (Node.V_view view)
                   | None -> ());
                   List.iter
-                    (fun child -> mark state (Graph.add_child g ~parent:view ~child))
-                    (Graph.views_of g (Node.N_ret tmid))
+                    (fun child -> mark state (add_child state ~parent:view ~child))
+                    (views_at state (Node.N_ret tmid))
               | None -> ())
             adapters)
         (views_at state op.op_recv)
@@ -480,7 +558,7 @@ let apply_op state (op : Graph.op) =
       let sources =
         Graph.VS.fold
           (fun v acc -> match v with Node.V_act a -> a :: acc | _ -> acc)
-          (Graph.set_of g op.op_recv) []
+          (set_of state op.op_recv) []
       in
       let targets =
         match op.op_args with
@@ -493,7 +571,7 @@ let apply_op state (op : Graph.op) =
                     site.a_cls :: acc
                 | Node.V_act a -> a :: acc
                 | _ -> acc)
-              (Graph.set_of g arg) []
+              (set_of state arg) []
       in
       List.iter
         (fun from_ ->
@@ -505,7 +583,6 @@ let apply_op state (op : Graph.op) =
    registered itself as an OnClickListener whose handler is that
    method. *)
 let register_declarative state holder view =
-  let g = state.graph in
   let hierarchy = state.app.Framework.App.hierarchy in
   let label = match holder with Node.H_act a -> a | Node.H_dialog site -> site.Node.a_cls in
   List.iter
@@ -519,7 +596,7 @@ let register_declarative state holder view =
             | Node.H_act a -> Node.L_act a
             | Node.H_dialog site -> Node.L_alloc site
           in
-          mark state (Graph.add_view_listener g view listener ~iface:"OnClickListener");
+          mark state (add_view_listener state view listener ~iface:"OnClickListener");
           if state.config.Config.listener_callbacks then begin
             let tmid = Node.mid_of_meth owner m in
             push_value state
@@ -535,16 +612,15 @@ let register_declarative state holder view =
     (Graph.onclicks_of state.graph view)
 
 let apply_declarative_handlers state =
-  let g = state.graph in
   List.iter
     (fun holder ->
       Graph.View_set.iter
         (fun root ->
           Graph.View_set.iter
             (fun view -> register_declarative state holder view)
-            (Graph.descendants g ~include_self:true root))
-        (Graph.roots_of_holder g holder))
-    (Graph.holders g)
+            (descendants state ~include_self:true root))
+        (roots_of_holder state holder))
+    (holders state)
 
 (* Declaratively placed fragments (<fragment android:name="F"/>): the
    platform instantiates F during inflation and attaches the views
@@ -567,8 +643,8 @@ let apply_declared_fragments state =
                   let tmid = Node.mid_of_meth owner m in
                   push_value state (Node.N_var (tmid, Jir.Ast.this_var)) (Node.V_obj fragment);
                   List.iter
-                    (fun child -> mark state (Graph.add_child g ~parent:view ~child))
-                    (Graph.views_of g (Node.N_ret tmid))
+                    (fun child -> mark state (add_child state ~parent:view ~child))
+                    (views_at state (Node.N_ret tmid))
               | None -> ())
             (Graph.declared_fragments_of g view)
       | Node.V_alloc _ -> ())
@@ -578,6 +654,34 @@ let seed_and_count state =
   List.iter
     (fun (node, values) -> Graph.VS.iter (fun v -> push_value state node v) values)
     (Graph.seeds state.graph)
+
+(* Encode the structural fixpoint into the graph's store — every node
+   its own representative — interning whatever the solve reached that
+   extraction never named (handler parameters injected by value). *)
+let encode state =
+  let it = Graph.interner state.graph in
+  let rows tbl key fold member =
+    let entries =
+      Hashtbl.fold
+        (fun k s acc ->
+          let b = Util.Bitset.create () in
+          fold (fun x () -> ignore (Util.Bitset.add b (member x))) s ();
+          (key k, b) :: acc)
+        tbl []
+    in
+    let a = Array.make (List.fold_left (fun n (k, _) -> max n (k + 1)) 0 entries) None in
+    List.iter (fun (k, b) -> a.(k) <- Some b) entries;
+    a
+  in
+  let view = Intern.view it in
+  let sol_sets = rows state.sets (Intern.node it) Graph.VS.fold (Intern.value it) in
+  let sol_children = rows state.children view Graph.View_set.fold view in
+  let sol_parents = rows state.parents view Graph.View_set.fold view in
+  let sol_ids = rows state.ids view Graph.Int_set.fold (Intern.rid it) in
+  let sol_roots = rows state.roots (Intern.holder it) Graph.View_set.fold view in
+  let sol_listeners = rows state.listeners view Graph.Listener_set.fold (Intern.listener it) in
+  Graph.set_solution state.graph
+    { Graph.empty_solution with sol_sets; sol_children; sol_parents; sol_ids; sol_roots; sol_listeners }
 
 (* The reference fixed point: re-apply every op against full sets each
    round until nothing changes. *)
@@ -602,6 +706,7 @@ let run_naive state =
   done;
   if !continue_ then
     Logs.warn (fun m -> m "solver hit the iteration cap (%d); result may be partial" !iterations);
+  encode state;
   !iterations
 
 (* ------------------------------------------------------------------ *)
@@ -614,10 +719,12 @@ let run_naive state =
    seen; solution sets, delta sets and the view relations become
    [Util.Bitset] over those ids, and the (static) flow edges are frozen
    into CSR int arrays.  Ops decode ids back to structural values only
-   at rule boundaries (hierarchy lookups, inflation, callbacks).  The
-   final solution is materialized back into the graph's structural
-   tables, so every downstream consumer (Analysis, Metrics, Export,
-   Diff, tests) is engine-agnostic. *)
+   at rule boundaries (hierarchy lookups, inflation, callbacks).  At
+   fixpoint the solver's own rows become the graph's solution store
+   ([isolution], no copy), and every downstream consumer (Analysis,
+   Metrics, Export, Diff, tests) decodes what it reads from them, so
+   it is engine-agnostic: the naive reference encodes its result into
+   the same store. *)
 
 (* Growable array of per-id bitsets; a slot is allocated on first use
    so untouched ids cost one word. *)
@@ -658,8 +765,6 @@ module Slots = struct
       b
     end
     else None
-
-  let iteri f t = Array.iteri (fun i o -> match o with Some b -> f i b | None -> ()) t.a
 
   let total_words t =
     Array.fold_left (fun acc o -> match o with Some b -> acc + Util.Bitset.words b | None -> acc) 0 t.a
@@ -713,6 +818,8 @@ type istate = {
   mutable irc_children : bool;
   mutable irc_ids : bool;
   mutable irc_roots : bool;
+  mutable irc_onclick : bool;  (** a fresh inflation added declarative handlers *)
+  mutable irc_fragments : bool;  (** a fresh inflation added declared fragments *)
   (* warm (incremental) solving: copy-on-write over a previous solution.
      Solution sets and relation rows restored from a prior [solved] are
      aliased, never mutated in place; a borrowed row is copied the first
@@ -731,11 +838,6 @@ type istate = {
   ibor_by_id : Util.Bitset.t;
   ibor_roots : Util.Bitset.t;
   ibor_listeners : Util.Bitset.t;
-  itouched_children : Util.Bitset.t;  (** relation rows written during a warm solve *)
-  itouched_parents : Util.Bitset.t;
-  itouched_ids : Util.Bitset.t;
-  itouched_roots : Util.Bitset.t;
-  itouched_listeners : Util.Bitset.t;
   (* write recording: while an op (or the declarative/fragment pseudo
      pass) runs, every rep it pushes to is logged, so a later patch that
      invalidates the op knows which components its values reached.
@@ -906,7 +1008,7 @@ let ipropagate st ~changed =
         changed rid
   done
 
-(* Relation updates (id-level mirrors of the [Graph.add_*] family). *)
+(* Relation updates. *)
 
 let iancestors st wid =
   let visited = Util.Bitset.create () in
@@ -963,18 +1065,10 @@ let rel_insert st slots bor i v =
       in
       Util.Bitset.add b v
 
-(* [rel_insert] for the relations with a structural table: every row
-   modified while warm is marked touched so the warm materialisation
-   re-installs exactly those rows. *)
-let rel_add st slots bor touched i v =
-  let grew = rel_insert st slots bor i v in
-  if grew && st.iwarm then ignore (Util.Bitset.add touched i);
-  grew
-
 let iadd_child st ~parent ~child =
-  let grew = rel_add st st.ichildren st.ibor_children st.itouched_children parent child in
+  let grew = rel_insert st st.ichildren st.ibor_children parent child in
   if grew then begin
-    ignore (rel_add st st.iparents st.ibor_parents st.itouched_parents child parent);
+    ignore (rel_insert st st.iparents st.ibor_parents child parent);
     st.irc_children <- true;
     if Hashtbl.length st.idesc_cache > 0 then
       Util.Bitset.iter (fun v -> Hashtbl.remove st.idesc_cache v) (iancestors st parent)
@@ -982,17 +1076,17 @@ let iadd_child st ~parent ~child =
 
 let iadd_view_id st wid raw =
   let sym = Intern.rid st.it raw in
-  if rel_add st st.iids st.ibor_ids st.itouched_ids wid sym then begin
+  if rel_insert st st.iids st.ibor_ids wid sym then begin
     ignore (rel_insert st st.iby_id st.ibor_by_id sym wid);
     st.irc_ids <- true
   end
 
 let iadd_holder_root st hid root =
   if Util.Bitset.add st.iholders_seen hid then st.iholder_ids <- hid :: st.iholder_ids;
-  if rel_add st st.iroots st.ibor_roots st.itouched_roots hid root then st.irc_roots <- true
+  if rel_insert st st.iroots st.ibor_roots hid root then st.irc_roots <- true
 
 let iadd_view_listener st wid entry =
-  ignore (rel_add st st.ilisteners st.ibor_listeners st.itouched_listeners wid entry)
+  ignore (rel_insert st st.ilisteners st.ibor_listeners wid entry)
 
 (* Value decoders over a location's solution set. *)
 
@@ -1067,28 +1161,33 @@ let ilisteners_at st iface nid =
       | _ -> ());
   List.rev !acc
 
-(* Inflation runs structurally ([Inflate] writes the graph-side layout
-   tables and memo); a fresh instantiation's subtree relations are then
-   imported into the id-level stores. *)
+(* Inflation runs structurally ([Inflate] writes the graph-side memo
+   and cold tables); a fresh instantiation's subtree facts are then
+   imported into the id-level stores, in layout order, which is the
+   order their views are minted in. *)
 let iinflate_at st ~site lid =
-  let g = st.igraph in
   let package = st.iapp.Framework.App.package in
   match Layouts.Package.find_by_layout_id package lid with
   | None -> None
   | Some def ->
-      let already = Graph.find_inflation g ~site ~layout:def.name <> None in
-      let views =
-        Inflate.instantiate g ~resources:(Layouts.Package.resources package) ~site def
+      let views, facts =
+        Inflate.instantiate st.igraph ~resources:(Layouts.Package.resources package) ~site def
       in
-      if not already then
-        List.iter
-          (fun w ->
-            let wid = Intern.view st.it w in
-            Graph.View_set.iter
-              (fun child -> iadd_child st ~parent:wid ~child:(Intern.view st.it child))
-              (Graph.children_of g w);
-            Graph.Int_set.iter (fun raw -> iadd_view_id st wid raw) (Graph.ids_of_view g w))
-          views;
+      Option.iter
+        (fun (f : Inflate.facts) ->
+          let view = Intern.view st.it in
+          List.iter
+            (fun (parent, child) ->
+              let parent = view parent in
+              iadd_child st ~parent ~child:(view child))
+            f.children;
+          List.iter (fun (w, raw) -> iadd_view_id st (view w) raw) f.view_ids;
+          (* a fresh subtree always grows both relations it carries *)
+          if f.children <> [] then st.irc_children <- true;
+          if f.view_ids <> [] then st.irc_ids <- true;
+          if f.onclick then st.irc_onclick <- true;
+          if f.fragments then st.irc_fragments <- true)
+        facts;
       Some (Inflate.root views)
 
 let iinject_handler_flows st wid listener iface =
@@ -1624,6 +1723,8 @@ let ifreeze config app graph =
     irc_children = false;
     irc_ids = false;
     irc_roots = false;
+    irc_onclick = false;
+    irc_fragments = false;
     iwarm = false;
     iborrowed = Util.Bitset.create ();
     imutated = Util.Bitset.create ();
@@ -1634,11 +1735,6 @@ let ifreeze config app graph =
     ibor_by_id = Util.Bitset.create ();
     ibor_roots = Util.Bitset.create ();
     ibor_listeners = Util.Bitset.create ();
-    itouched_children = Util.Bitset.create ();
-    itouched_parents = Util.Bitset.create ();
-    itouched_ids = Util.Bitset.create ();
-    itouched_roots = Util.Bitset.create ();
-    itouched_listeners = Util.Bitset.create ();
     irec_writer = -1;
     irec_targets = Array.init (Array.length iops + 2) (fun _ -> Util.Bitset.create ());
     ipropagations = 0;
@@ -1647,71 +1743,19 @@ let ifreeze config app graph =
     iunion_calls = 0;
   }
 
-(* Shared decoders for materialisation: bitsets back to structural
-   sets.  [decoder] memoizes per-representative value decoding — every
-   member of a direct-edge cycle provably saturates to the same set, so
-   each component's bitset is decoded once. *)
-let iview_set it b =
-  Util.Bitset.fold (fun wid acc -> Graph.View_set.add (Intern.view_of it wid) acc) b
-    Graph.View_set.empty
-
-let idecoder it =
-  let decoded = Hashtbl.create 64 in
-  fun rid b ->
-    match Hashtbl.find_opt decoded rid with
-    | Some vs -> vs
-    | None ->
-        let vs =
-          Util.Bitset.fold
-            (fun vid acc -> Graph.VS.add (Intern.value_of it vid) acc)
-            b Graph.VS.empty
-        in
-        Hashtbl.add decoded rid vs;
-        vs
-
-(* Write the final id-level solution back into the graph's structural
-   tables so every downstream consumer sees exactly what the structural
-   engines would have produced. *)
-let imaterialize st =
-  let g = st.igraph in
-  let it = st.it in
-  let view_set b = iview_set it b in
-  let non_empty f nid b = if not (Util.Bitset.is_empty b) then f nid b in
-  Graph.reset_solution_tables g;
-  (* Points-to sets are solved per SCC representative; expand back to
-     member nodes here (including ids minted mid-solve, which are their
-     own reps). *)
-  let decode = idecoder it in
-  for nid = 0 to Intern.node_count it - 1 do
-    let rid = irep st nid in
-    match Slots.find st.sols rid with
-    | Some b when not (Util.Bitset.is_empty b) ->
-        Graph.install_set g (Intern.node_of it nid) (decode rid b)
-    | _ -> ()
-  done;
-  Slots.iteri
-    (non_empty (fun wid b -> Graph.install_children g (Intern.view_of it wid) (view_set b)))
-    st.ichildren;
-  Slots.iteri
-    (non_empty (fun wid b -> Graph.install_parents g (Intern.view_of it wid) (view_set b)))
-    st.iparents;
-  Slots.iteri
-    (non_empty (fun wid b ->
-         Graph.install_ids g (Intern.view_of it wid)
-           (Util.Bitset.fold
-              (fun sym acc -> Graph.Int_set.add (Intern.rid_of it sym) acc)
-              b Graph.Int_set.empty)))
-    st.iids;
-  Slots.iteri
-    (non_empty (fun hid b -> Graph.install_roots g (Intern.holder_of it hid) (view_set b)))
-    st.iroots;
-  Slots.iteri
-    (non_empty (fun wid b ->
-         Graph.install_listeners g (Intern.view_of it wid)
-           (Util.Bitset.fold
-              (fun eid acc -> Graph.Listener_set.add (Intern.listener_of it eid) acc)
-              b Graph.Listener_set.empty)))
-    st.ilisteners
+(* The solver's rows, installed as the graph's solution store: no
+   copy — the captured [solved] aliases the same arrays. *)
+let isolution st =
+  {
+    Graph.empty_solution with
+    sol_rep = st.nrep;
+    sol_sets = st.sols.Slots.a;
+    sol_children = st.ichildren.Slots.a;
+    sol_parents = st.iparents.Slots.a;
+    sol_ids = st.iids.Slots.a;
+    sol_roots = st.iroots.Slots.a;
+    sol_listeners = st.ilisteners.Slots.a;
+  }
 
 type iret_target = IT_op of int | IT_frags
 
@@ -1775,13 +1819,13 @@ let iloop st ~record ~init config =
       set_writer (-1)
     end;
     ipropagate st ~changed:on_changed;
-    let rc = Graph.take_rel_changes st.igraph in
-    let rc_children = rc.Graph.rc_children || st.irc_children in
-    let rc_ids = rc.Graph.rc_ids || st.irc_ids in
-    let rc_roots = rc.Graph.rc_roots || st.irc_roots in
+    let rc_children = st.irc_children and rc_ids = st.irc_ids and rc_roots = st.irc_roots in
+    let rc_onclick = st.irc_onclick and rc_fragments = st.irc_fragments in
     st.irc_children <- false;
     st.irc_ids <- false;
     st.irc_roots <- false;
+    st.irc_onclick <- false;
+    st.irc_fragments <- false;
     if rc_children then begin
       List.iter schedule st.children_readers;
       pending_decl := true
@@ -1791,8 +1835,8 @@ let iloop st ~record ~init config =
       List.iter schedule st.roots_readers;
       pending_decl := true
     end;
-    if rc.Graph.rc_onclick then pending_decl := true;
-    if rc.Graph.rc_fragments then pending_frags := true
+    if rc_onclick then pending_decl := true;
+    if rc_fragments then pending_frags := true
   done;
   if work_remaining () then
     Logs.warn (fun m -> m "solver hit the iteration cap (%d); result may be partial" !iterations);
@@ -1836,7 +1880,7 @@ let istats st ~iterations ~warm_solve ~dirty_comps ~reused_comps ~fallback =
 let run_interned config (app : Framework.App.t) graph =
   let st = ifreeze config app graph in
   let iterations, _ret_deps = iloop st ~record:false ~init:(icold_init st) config in
-  imaterialize st;
+  Graph.set_solution graph (isolution st);
   istats st ~iterations ~warm_solve:false ~dirty_comps:0 ~reused_comps:0 ~fallback:None
 
 (* ------------------------------------------------------------------ *)
@@ -2001,10 +2045,9 @@ type edit_script = {
 type rd = RD_op of int | RD_frags
 
 (* A captured solution.  Treat every field as read-only: the bitsets
-   are shared (aliased) with later warm solves, and [sd_graph] is the
-   donor of structural solution tables for warm materialisation — it
-   must never be re-solved, or the tables every captured row aliases
-   would be clobbered. *)
+   are shared (aliased) with later warm solves and with [sd_graph]'s
+   solution store.  [sd_graph] carries the cold structural tables a
+   warm start restores and a snapshot writes. *)
 type solved = {
   sd_config : Config.t;
   sd_app_name : string;
@@ -2017,21 +2060,15 @@ type solved = {
   sd_node_total : int;  (** interned node count at capture *)
   sd_value_total : int;
   sd_csr_n : int;  (** nodes covered by the frozen CSR (freeze-time count) *)
-  sd_nrep : int array;
   sd_row : int array;
   sd_edst : int array;
   sd_ekind : int array;
   sd_cast_names : string array;
   sd_seeds : (int * int) array;
   sd_ops : (Node.op_site * int * int array * int) array;
-  sd_sols : Util.Bitset.t option array;  (** per representative; aliased, never mutated *)
-  sd_sols_mask : Util.Bitset.t;  (** bits of the [Some] slots of [sd_sols] *)
-  sd_children : Util.Bitset.t option array;
-  sd_parents : Util.Bitset.t option array;
-  sd_ids : Util.Bitset.t option array;
-  sd_by_id : Util.Bitset.t option array;
-  sd_roots : Util.Bitset.t option array;
-  sd_listeners : Util.Bitset.t option array;
+  sd_solution : Graph.solution;  (** the captured rows; aliased, never mutated *)
+  sd_sols_mask : Util.Bitset.t;  (** bits of the [Some] slots of the points-to rows *)
+  sd_by_id : Util.Bitset.t option array;  (** rid sym -> view ids carrying it *)
   sd_holder_ids : int list;  (** discovery order, newest first *)
   sd_ret_deps : (int * rd) list;  (** rep -> dynamic reader *)
   sd_targets : Util.Bitset.t array;
@@ -2058,7 +2095,7 @@ let solved_interner sd = sd.sd_it
    same out-of-range guard as [irep] (ids minted after freeze are their
    own singleton components), plus the identity fields a registry keys
    on. *)
-let solved_rep sd nid = if nid >= 0 && nid < sd.sd_csr_n then sd.sd_nrep.(nid) else nid
+let solved_rep sd nid = if nid >= 0 && nid < sd.sd_csr_n then sd.sd_solution.Graph.sol_rep.(nid) else nid
 
 let solved_app_name sd = sd.sd_app_name
 
@@ -2157,21 +2194,15 @@ let icapture st ?carry_map ?fps ?seeds ?reuse_ops ~config ~(app : Framework.App.
     sd_node_total = Intern.node_count st.it;
     sd_value_total = Intern.value_count st.it;
     sd_csr_n = st.csr_n;
-    sd_nrep = st.nrep;
     sd_row = fc.Graph.fc_row;
     sd_edst = fc.Graph.fc_edst;
     sd_ekind = fc.Graph.fc_ekind;
     sd_cast_names = st.cast_names;
     sd_seeds;
     sd_ops;
-    sd_sols;
+    sd_solution = Graph.solution st.igraph;
     sd_sols_mask;
-    sd_children = st.ichildren.Slots.a;
-    sd_parents = st.iparents.Slots.a;
-    sd_ids = st.iids.Slots.a;
     sd_by_id = st.iby_id.Slots.a;
-    sd_roots = st.iroots.Slots.a;
-    sd_listeners = st.ilisteners.Slots.a;
     sd_holder_ids = st.iholder_ids;
     sd_ret_deps;
     sd_targets;
@@ -2182,12 +2213,12 @@ let icapture st ?carry_map ?fps ?seeds ?reuse_ops ~config ~(app : Framework.App.
 
    A second plane over the solution: value [v] at node [n] is tainted
    when its presence may depend on how an unknown-id marker resolves.
-   Solving never branches on taint, so it is derivable from the solved
-   tables — one shared post-pass run identically after both
-   engines, which makes cross-engine bit-identity of the plane trivial,
-   keeps the warm-solve machinery entirely taint-free (⊤ graphs refuse
-   warm starts; see [warm_guard]), and costs nothing on ⊤-free apps
-   (the [has_top] guard).
+   Solving never branches on taint, so it is derivable from the
+   solution store — one shared pass over the id plane, run identically
+   after both engines, which makes cross-engine bit-identity of the
+   plane trivial, keeps the warm-solve machinery entirely taint-free
+   (⊤ graphs refuse warm starts; see [warm_guard]), and costs nothing
+   on ⊤-free apps (the [has_top] guard).
 
    The pass propagates over the FULL frozen flow CSR
    ([fc_row]/[fc_edst]), not the structural edge list: context-keyed
@@ -2213,56 +2244,45 @@ let compute_taints (app : Framework.App.t) graph =
   if Graph.has_top graph then begin
     let it = Graph.interner graph in
     let fc = Graph.frozen_flow graph in
+    let sol = Graph.solution graph in
     let hierarchy = app.Framework.App.hierarchy in
     let package = app.Framework.App.package in
     let n = Intern.node_count it in
-    (* The naive engine solves some nodes without ever interning
-       them (handler params injected by value, not by edge); the lift
-       rule must still see their sets, so append them after the
-       CSR-addressable prefix.  They have no flow edges and no op
-       references — only markers/lift/install touch them. *)
-    let extras =
-      Array.of_list
-        (List.filter (fun node -> Intern.find_node it node = None) (Graph.locations graph))
-    in
-    let structural =
-      Array.append (Array.init n (fun nid -> Intern.node_of it nid)) extras
-    in
-    let total = Array.length structural in
-    let set_at = Array.init total (fun i -> Graph.set_of graph structural.(i)) in
-    let taint = Array.make total Graph.VS.empty in
-    let w = ref Graph.View_set.empty in
+    let empty = Util.Bitset.create () in
+    let set_at nid = match Graph.points_to_row sol nid with Some b -> b | None -> empty in
+    let taint = Array.init n (fun _ -> Util.Bitset.create ()) in
     let changed = ref true in
-    let add nid v =
-      if
-        nid >= 0
-        && Graph.VS.mem v set_at.(nid)
-        && not (Graph.VS.mem v taint.(nid))
-      then begin
-        taint.(nid) <- Graph.VS.add v taint.(nid);
+    let add nid vid =
+      if nid >= 0 && Util.Bitset.mem (set_at nid) vid && Util.Bitset.add taint.(nid) vid then
         changed := true
-      end
     in
+    let w = Util.Bitset.create () in
     let grow_w view =
-      if not (Graph.View_set.mem view !w) then begin
-        w := Graph.View_set.add view !w;
-        changed := true
-      end
+      match Intern.find_view it view with
+      | Some wid -> if Util.Bitset.add w wid then changed := true
+      | None -> ()
     in
+    let has nid = function Some vid -> Util.Bitset.mem (set_at nid) vid | None -> false in
+    let exists_value nid p =
+      Util.Bitset.fold (fun vid acc -> acc || p (Intern.value_of it vid)) taint.(nid) false
+    in
+    let layout_top = Intern.find_value it Node.V_layout_top in
+    let view_id_top = Intern.find_value it Node.V_view_id_top in
+    let top_sym = Intern.rid_opt it Node.top_view_id_raw in
     (* Markers taint themselves. *)
-    for nid = 0 to total - 1 do
-      if Graph.VS.mem Node.V_layout_top set_at.(nid) then add nid Node.V_layout_top;
-      if Graph.VS.mem Node.V_view_id_top set_at.(nid) then add nid Node.V_view_id_top
-    done;
+    List.iter
+      (Option.iter (fun marker -> for nid = 0 to n - 1 do add nid marker done))
+      [ layout_top; view_id_top ];
     let edges () =
       for src = 0 to fc.Graph.fc_nodes - 1 do
-        if not (Graph.VS.is_empty taint.(src)) then
+        if not (Util.Bitset.is_empty taint.(src)) then
           for e = fc.Graph.fc_row.(src) to fc.Graph.fc_row.(src + 1) - 1 do
             let dst = fc.Graph.fc_edst.(e) in
             let k = fc.Graph.fc_ekind.(e) in
-            Graph.VS.iter
-              (fun v ->
-                if k < 0 || passes_cast hierarchy fc.Graph.fc_cast_names.(k) v then add dst v)
+            Util.Bitset.iter
+              (fun vid ->
+                if k < 0 || passes_cast hierarchy fc.Graph.fc_cast_names.(k) (Intern.value_of it vid)
+                then add dst vid)
               taint.(src)
           done
       done
@@ -2270,15 +2290,18 @@ let compute_taints (app : Framework.App.t) graph =
     let ops = Array.of_list (Graph.ops graph) in
     let ids = Graph.ops_node_ids graph in
     let taint_out_views out =
-      Graph.VS.iter
-        (fun v -> match v with Node.V_view _ -> add out v | _ -> ())
-        (if out >= 0 then set_at.(out) else Graph.VS.empty)
+      if out >= 0 then
+        Util.Bitset.iter (fun vid -> if Intern.view_of_value_id it vid >= 0 then add out vid) (set_at out)
     in
     let tainted_scope recv =
-      Graph.VS.exists
-        (fun v ->
-          match v with Node.V_view _ | Node.V_act _ | Node.V_obj _ -> true | _ -> false)
-        taint.(recv)
+      exists_value recv (function Node.V_view _ | Node.V_act _ | Node.V_obj _ -> true | _ -> false)
+    in
+    (* a view whose id row carries the ⊤ sentinel *)
+    let top_id_view vid =
+      let wid = Intern.view_of_value_id it vid in
+      match (top_sym, Graph.row sol.Graph.sol_ids wid) with
+      | Some sym, Some row -> Util.Bitset.mem row sym
+      | _ -> false
     in
     let op_rules () =
       Array.iteri
@@ -2296,13 +2319,13 @@ let compute_taints (app : Framework.App.t) graph =
                     | Some views -> List.iter grow_w views
                     | None -> ()
                   in
-                  if Graph.VS.mem Node.V_layout_top set_at.(a) then
+                  if has a layout_top then
                     List.iter
                       (fun (def : Layouts.Layout.def) -> mark_layout def.name)
                       (Layouts.Package.layouts package);
-                  Graph.VS.iter
-                    (fun v ->
-                      match v with
+                  Util.Bitset.iter
+                    (fun vid ->
+                      match Intern.value_of it vid with
                       | Node.V_layout_id lid -> (
                           match Layouts.Package.find_by_layout_id package lid with
                           | Some def -> mark_layout def.Layouts.Layout.name
@@ -2313,29 +2336,17 @@ let compute_taints (app : Framework.App.t) graph =
               match arg 0 with
               | None -> ()
               | Some a ->
-                  let top_query = Graph.VS.mem Node.V_view_id_top set_at.(a) in
                   let tainted_id =
-                    Graph.VS.exists
-                      (fun v -> match v with Node.V_view_id _ -> true | _ -> false)
-                      taint.(a)
+                    exists_value a (function Node.V_view_id _ -> true | _ -> false)
                   in
-                  if top_query || tainted_id || tainted_scope recv then taint_out_views out
+                  if has a view_id_top || tainted_id || tainted_scope recv then taint_out_views out
                   else if out >= 0 then
                     (* concrete query, but a result carrying the
                        ⊤ sentinel may have matched through it *)
-                    Graph.VS.iter
-                      (fun v ->
-                        match v with
-                        | Node.V_view view
-                          when Graph.Int_set.mem Node.top_view_id_raw
-                                 (Graph.ids_of_view graph view) ->
-                            add out v
-                        | _ -> ())
-                      set_at.(out))
+                    Util.Bitset.iter (fun vid -> if top_id_view vid then add out vid) (set_at out))
           | Framework.Api.Find_one _ | Framework.Api.Get_parent ->
               if tainted_scope recv then taint_out_views out
-          | Framework.Api.Pass_through ->
-              Graph.VS.iter (fun v -> add out v) taint.(recv)
+          | Framework.Api.Pass_through -> Util.Bitset.iter (fun vid -> add out vid) taint.(recv)
           | Framework.Api.Add_view | Framework.Api.Set_id | Framework.Api.Set_listener _
           | Framework.Api.Start_activity | Framework.Api.Fragment_add | Framework.Api.Menu_add
           | Framework.Api.Set_adapter ->
@@ -2343,13 +2354,12 @@ let compute_taints (app : Framework.App.t) graph =
         ops
     in
     let lift () =
-      for nid = 0 to total - 1 do
-        Graph.VS.iter
-          (fun v ->
-            match v with
-            | Node.V_view view when Graph.View_set.mem view !w -> add nid v
-            | _ -> ())
-          set_at.(nid)
+      for nid = 0 to n - 1 do
+        Util.Bitset.iter
+          (fun vid ->
+            let wid = Intern.view_of_value_id it vid in
+            if wid >= 0 && Util.Bitset.mem w wid then add nid vid)
+          (set_at nid)
       done
     in
     while !changed do
@@ -2358,10 +2368,8 @@ let compute_taints (app : Framework.App.t) graph =
       op_rules ();
       lift ()
     done;
-    for nid = 0 to total - 1 do
-      if not (Graph.VS.is_empty taint.(nid)) then
-        Graph.install_taints graph structural.(nid) taint.(nid)
-    done
+    let rows = Array.map (fun b -> if Util.Bitset.is_empty b then None else Some b) taint in
+    Graph.set_solution graph { sol with Graph.sol_taints = rows }
   end
 
 (* Full solve that also captures the solution for later warm restarts.
@@ -2371,7 +2379,7 @@ let run_solved ?fallback config (app : Framework.App.t) graph =
   Graph.reset_sets graph;
   let st = ifreeze config app graph in
   let iterations, ret_deps = iloop st ~record:true ~init:(icold_init st) config in
-  imaterialize st;
+  Graph.set_solution graph (isolution st);
   compute_taints app graph;
   let stats = istats st ~iterations ~warm_solve:false ~dirty_comps:0 ~reused_comps:0 ~fallback in
   (stats, icapture st ~config ~app ~ret_deps (fun _ -> None))
@@ -2430,64 +2438,6 @@ let iresolve_dependent = function
       true
   | _ -> false
 
-(* Warm materialisation: copy the previous solve's structural tables,
-   then re-install only what changed — rows of dirty or grown
-   components, nodes minted this solve, rows of relations rebuilt
-   wholesale, and relation rows touched while warm. *)
-let imaterialize_warm st ~prev ~dirty ~children_cleared ~ids_cleared ~roots_cleared
-    ~listeners_cleared =
-  let g = st.igraph in
-  let it = st.it in
-  let view_set b = iview_set it b in
-  Graph.reset_solution_tables g;
-  Graph.copy_solution_tables ~children:(not children_cleared) ~ids:(not ids_cleared)
-    ~roots:(not roots_cleared) ~listeners:(not listeners_cleared) ~src:prev.sd_graph g;
-  let decode = idecoder it in
-  (* When no component was invalidated or grown, only nodes minted
-     this solve can be stale — the copied rows cover the rest. *)
-  let lo =
-    if Util.Bitset.is_empty dirty && Util.Bitset.is_empty st.imutated then prev.sd_node_total
-    else 0
-  in
-  for nid = lo to Intern.node_count it - 1 do
-    let rid = irep st nid in
-    let stale =
-      nid >= prev.sd_node_total || Util.Bitset.mem dirty rid || Util.Bitset.mem st.imutated rid
-    in
-    if stale then
-      match Slots.find st.sols rid with
-      | Some b when not (Util.Bitset.is_empty b) ->
-          Graph.install_set g (Intern.node_of it nid) (decode rid b)
-      | _ ->
-          (* a copied row whose set emptied out (node dropped by the
-             patch) must not survive; removed nodes are provably dirty *)
-          if nid < prev.sd_node_total then Graph.remove_solution_row g (Intern.node_of it nid)
-  done;
-  let fixup cleared touched slots install =
-    if cleared then
-      Slots.iteri (fun i b -> if not (Util.Bitset.is_empty b) then install i b) slots
-    else
-      Util.Bitset.iter
-        (fun i -> match Slots.find slots i with Some b -> install i b | None -> ())
-        touched
-  in
-  fixup children_cleared st.itouched_children st.ichildren (fun wid b ->
-      Graph.install_children g (Intern.view_of it wid) (view_set b));
-  fixup children_cleared st.itouched_parents st.iparents (fun wid b ->
-      Graph.install_parents g (Intern.view_of it wid) (view_set b));
-  fixup ids_cleared st.itouched_ids st.iids (fun wid b ->
-      Graph.install_ids g (Intern.view_of it wid)
-        (Util.Bitset.fold
-           (fun sym acc -> Graph.Int_set.add (Intern.rid_of it sym) acc)
-           b Graph.Int_set.empty));
-  fixup roots_cleared st.itouched_roots st.iroots (fun hid b ->
-      Graph.install_roots g (Intern.holder_of it hid) (view_set b));
-  fixup listeners_cleared st.itouched_listeners st.ilisteners (fun wid b ->
-      Graph.install_listeners g (Intern.view_of it wid)
-        (Util.Bitset.fold
-           (fun eid acc -> Graph.Listener_set.add (Intern.listener_of it eid) acc)
-           b Graph.Listener_set.empty))
-
 (* Warm re-solve against a previous solution.  [graph] must be the
    patched app's graph extracted over [prev]'s interner; [edits] the
    edit script between [shape_of_solved prev] and [shape_of_graph
@@ -2503,7 +2453,8 @@ let run_incremental ~prev ~edits ?new_shape config (app : Framework.App.t) graph
       st.iwarm <- true;
       let op_count = Array.length st.iops in
       let old_op_count = Array.length prev.sd_ops in
-      let orep nid = if nid < prev.sd_csr_n then prev.sd_nrep.(nid) else nid in
+      let prev_sol = prev.sd_solution in
+      let orep = solved_rep prev in
       let new_seeds =
         match new_shape with Some s -> s.sh_seeds | None -> iseed_pairs st.it st.igraph
       in
@@ -2656,10 +2607,10 @@ let run_incremental ~prev ~edits ?new_shape config (app : Framework.App.t) graph
          (* Every previous slot index is still its own representative,
             so the whole slot array restores as one blit; only the
             dirty components are withheld. *)
-         let n = Array.length prev.sd_sols in
+         let n = Array.length prev_sol.sol_sets in
          if n > 0 then begin
            Slots.ensure st.sols (n - 1);
-           Array.blit prev.sd_sols 0 st.sols.Slots.a 0 n
+           Array.blit prev_sol.sol_sets 0 st.sols.Slots.a 0 n
          end;
          Util.Bitset.assign st.iborrowed prev.sd_sols_mask;
          reused := Util.Bitset.cardinal prev.sd_sols_mask;
@@ -2682,7 +2633,7 @@ let run_incremental ~prev ~edits ?new_shape config (app : Framework.App.t) graph
                  ignore (Util.Bitset.add st.iborrowed r);
                  incr reused
              | _ -> ())
-           prev.sd_sols);
+           prev_sol.sol_sets);
       let restore_rows slots bor rows =
         Array.iteri
           (fun i o ->
@@ -2694,20 +2645,20 @@ let run_incremental ~prev ~edits ?new_shape config (app : Framework.App.t) graph
           rows
       in
       if not !children_cleared then begin
-        restore_rows st.ichildren st.ibor_children prev.sd_children;
-        restore_rows st.iparents st.ibor_parents prev.sd_parents
+        restore_rows st.ichildren st.ibor_children prev_sol.sol_children;
+        restore_rows st.iparents st.ibor_parents prev_sol.sol_parents
       end;
       if not !ids_cleared then begin
-        restore_rows st.iids st.ibor_ids prev.sd_ids;
+        restore_rows st.iids st.ibor_ids prev_sol.sol_ids;
         restore_rows st.iby_id st.ibor_by_id prev.sd_by_id
       end;
       if not !roots_cleared then begin
-        restore_rows st.iroots st.ibor_roots prev.sd_roots;
+        restore_rows st.iroots st.ibor_roots prev_sol.sol_roots;
         st.iholder_ids <- prev.sd_holder_ids;
         List.iter (fun hid -> ignore (Util.Bitset.add st.iholders_seen hid)) prev.sd_holder_ids
       end;
       if not !listeners_cleared then
-        restore_rows st.ilisteners st.ibor_listeners prev.sd_listeners;
+        restore_rows st.ilisteners st.ibor_listeners prev_sol.sol_listeners;
       (* Cold structural tables (inflation memo, declarative handlers,
          fragment placeholders, root layouts) are restored only when
          both children and ids survive: a memo hit skips the id-level
@@ -2728,9 +2679,7 @@ let run_incremental ~prev ~edits ?new_shape config (app : Framework.App.t) graph
         List.iter
           (fun (view, lids) ->
             List.iter (fun lid -> ignore (Graph.add_root_layout graph view lid)) lids)
-          (Graph.root_layout_entries prev.sd_graph);
-        (* restoration must not look like solve-time growth *)
-        ignore (Graph.take_rel_changes graph)
+          (Graph.root_layout_entries prev.sd_graph)
       end;
       let iwarm_init ~schedule ~on_changed ~pending_decl ~pending_frags ~ret_deps:_ ~note_ret =
         List.iter
@@ -2817,9 +2766,7 @@ let run_incremental ~prev ~edits ?new_shape config (app : Framework.App.t) graph
         ipropagate st ~changed:on_changed
       in
       let iterations, ret_deps = iloop st ~record:true ~init:iwarm_init config in
-      imaterialize_warm st ~prev ~dirty ~children_cleared:!children_cleared
-        ~ids_cleared:!ids_cleared ~roots_cleared:!roots_cleared
-        ~listeners_cleared:!listeners_cleared;
+      Graph.set_solution graph (isolution st);
       let stats =
         istats st ~iterations ~warm_solve:true ~dirty_comps:(Util.Bitset.cardinal dirty)
           ~reused_comps:!reused ~fallback:None
@@ -2856,6 +2803,12 @@ let run config (app : Framework.App.t) graph =
           app;
           graph;
           worklist = Util.Worklist.create ();
+          sets = Hashtbl.create 256;
+          children = Hashtbl.create 64;
+          parents = Hashtbl.create 64;
+          ids = Hashtbl.create 64;
+          roots = Hashtbl.create 16;
+          listeners = Hashtbl.create 32;
           propagations = 0;
           op_applications = 0;
           dirty = false;

@@ -109,9 +109,10 @@ type rd = RD_op of int | RD_frags
 
 (** A captured solution.  The record is exposed for persistence
     ({!Snapshot}); treat every field as READ-ONLY — the bitsets are
-    aliased by later warm solves, and [sd_graph] donates structural
-    solution tables to warm materialisation, so it must never be
-    re-solved. *)
+    aliased by later warm solves and by [sd_graph]'s solution store.
+    [sd_graph] carries the cold structural tables (inflations,
+    declarative handlers, declared fragments, root layouts) and the
+    taint rows. *)
 type solved = {
   sd_config : Config.t;
   sd_app_name : string;
@@ -124,21 +125,17 @@ type solved = {
   sd_node_total : int;  (** interned node count at capture *)
   sd_value_total : int;
   sd_csr_n : int;  (** nodes covered by the frozen CSR *)
-  sd_nrep : int array;  (** node id -> SCC representative, sized [sd_csr_n] *)
   sd_row : int array;
   sd_edst : int array;
   sd_ekind : int array;
   sd_cast_names : string array;
   sd_seeds : (int * int) array;
   sd_ops : (Node.op_site * int * int array * int) array;
-  sd_sols : Util.Bitset.t option array;  (** per representative; aliased, never mutated *)
-  sd_sols_mask : Util.Bitset.t;  (** bits of the [Some] slots of [sd_sols] *)
-  sd_children : Util.Bitset.t option array;
-  sd_parents : Util.Bitset.t option array;
-  sd_ids : Util.Bitset.t option array;
-  sd_by_id : Util.Bitset.t option array;
-  sd_roots : Util.Bitset.t option array;
-  sd_listeners : Util.Bitset.t option array;
+  sd_solution : Graph.solution;
+      (** the captured rows — [sd_graph]'s solution store at capture,
+          its rep map sized [sd_csr_n]; aliased, never mutated *)
+  sd_sols_mask : Util.Bitset.t;  (** bits of the [Some] slots of the points-to rows *)
+  sd_by_id : Util.Bitset.t option array;  (** rid sym -> view ids carrying it *)
   sd_holder_ids : int list;  (** discovery order, newest first *)
   sd_ret_deps : (int * rd) list;  (** representative -> dynamic reader *)
   sd_targets : Util.Bitset.t array;

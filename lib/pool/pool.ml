@@ -8,6 +8,10 @@ let max_jobs = 127
 
 let default_jobs () = max 1 (min 8 (Domain.recommended_domain_count ()))
 
+let check_jobs jobs =
+  if jobs >= 1 && jobs <= max_jobs then Ok jobs
+  else Error (Printf.sprintf "%d is outside [1, %d]" jobs max_jobs)
+
 (* [consume] runs on the calling thread, so plain stores into the
    result slots are race-free; slot [i] holds input [i]'s outcome. *)
 let map ~jobs f xs =

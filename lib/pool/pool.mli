@@ -21,6 +21,12 @@ val max_jobs : int
 val default_jobs : unit -> int
 (** [Domain.recommended_domain_count ()] clamped to [\[1, 8\]]. *)
 
+val check_jobs : int -> (int, string) result
+(** The worker-count check every command line applies to its
+    [--jobs]: [Ok jobs] when [1 <= jobs <= max_jobs], else an error
+    naming the range.  A count past {!max_jobs} would fail to spawn its
+    domains mid-run. *)
+
 val run : jobs:int -> (unit -> 'a) list -> 'a outcome list
 (** [run ~jobs tasks] is [map ~jobs (fun f -> f ()) tasks]. *)
 

@@ -37,5 +37,6 @@ let () =
       ("project", Test_project.suite);
       ("misc", Test_misc.suite);
       ("pinned-views", Test_pinned_views.suite);
+      ("store", Test_store.suite);
       ("isomorphism", Test_isomorphism.suite);
     ]

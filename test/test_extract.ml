@@ -85,13 +85,11 @@ let test_callback_seeding () =
     graph_of
       {|class A extends Activity { method onCreate(): void { } method onResume(): void { } }|}
   in
+  let seeds = Graph.seeds g in
   let this_of name =
-    Graph.set_of g
-      (Node.N_var ({ Node.mid_cls = "A"; mid_name = name; mid_arity = 0 }, Jir.Ast.this_var))
+    let node = Node.N_var ({ Node.mid_cls = "A"; mid_name = name; mid_arity = 0 }, Jir.Ast.this_var) in
+    Option.value (List.assoc_opt node seeds) ~default:Graph.VS.empty
   in
-  Graph.reset_sets g;
-  (* apply seeds manually *)
-  List.iter (fun (n, vs) -> Graph.VS.iter (fun v -> ignore (Graph.add_value g n v)) vs) (Graph.seeds g);
   Alcotest.check Alcotest.bool "onCreate seeded" true
     (Graph.VS.mem (Node.V_act "A") (this_of "onCreate"));
   Alcotest.check Alcotest.bool "onResume seeded" true
@@ -105,10 +103,11 @@ let test_inherited_callback_seeding () =
       {|class Base extends Activity { method onCreate(): void { } }
         class Derived extends Base { }|}
   in
-  List.iter (fun (n, vs) -> Graph.VS.iter (fun v -> ignore (Graph.add_value g n v)) vs) (Graph.seeds g);
   let s =
-    Graph.set_of g
-      (Node.N_var ({ Node.mid_cls = "Base"; mid_name = "onCreate"; mid_arity = 0 }, Jir.Ast.this_var))
+    Option.value ~default:Graph.VS.empty
+      (List.assoc_opt
+         (Node.N_var ({ Node.mid_cls = "Base"; mid_name = "onCreate"; mid_arity = 0 }, Jir.Ast.this_var))
+         (Graph.seeds g))
   in
   Alcotest.check Alcotest.bool "both activities reach the shared onCreate" true
     (Graph.VS.mem (Node.V_act "Base") s && Graph.VS.mem (Node.V_act "Derived") s)

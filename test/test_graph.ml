@@ -9,12 +9,65 @@ let var name v = Node.N_var (mid name, v)
 let infl ?(path = []) ?(cls = "View") ?vid name =
   Node.V_infl { Node.v_site = site name; v_layout = "l"; v_path = path; v_cls = cls; v_vid = vid }
 
-let test_add_value_grows_once () =
+(* Rows over ids from (key, member) pairs. *)
+let rows pairs =
+  let n = List.fold_left (fun acc (k, _) -> max acc (k + 1)) 0 pairs in
+  let a = Array.make n None in
+  List.iter
+    (fun (k, m) ->
+      let b =
+        match a.(k) with
+        | Some b -> b
+        | None ->
+            let b = Util.Bitset.create () in
+            a.(k) <- Some b;
+            b
+      in
+      ignore (Util.Bitset.add b m))
+    pairs;
+  a
+
+(* Install a solution holding the given structural facts the way a
+   solve leaves one: rows over interned ids, read back on demand. *)
+let install g ?(rep = [||]) ?(values = []) ?(children = []) ?(ids = []) ?(roots = [])
+    ?(listeners = []) () =
+  let it = Graph.interner g in
+  let view = Intern.view it in
+  let sets = rows (List.map (fun (n, v) -> (Intern.node it n, Intern.value it v)) values) in
+  let children = List.map (fun (p, c) -> (view p, view c)) children in
+  let ids = rows (List.map (fun (v, raw) -> (view v, Intern.rid it raw)) ids) in
+  let roots = rows (List.map (fun (h, v) -> (Intern.holder it h, view v)) roots) in
+  let listeners = rows (List.map (fun (v, l) -> (view v, Intern.listener it l)) listeners) in
+  Graph.set_solution g
+    {
+      Graph.sol_rep = rep;
+      sol_sets = sets;
+      sol_children = rows children;
+      sol_parents = rows (List.map (fun (p, c) -> (c, p)) children);
+      sol_ids = ids;
+      sol_roots = roots;
+      sol_listeners = listeners;
+      sol_taints = [||];
+    }
+
+(* Points-to rows live on component representatives: a member reads
+   its representative's row, and a node the interner never saw reads
+   empty without being minted. *)
+let test_points_to_rows () =
   let g = Graph.create () in
-  let n = var "m" "x" in
-  Alcotest.check Alcotest.bool "first add" true (Graph.add_value g n (Node.V_view_id 1));
-  Alcotest.check Alcotest.bool "second add" false (Graph.add_value g n (Node.V_view_id 1));
-  Alcotest.check Alcotest.int "set size" 1 (Graph.VS.cardinal (Graph.set_of g n))
+  let a = var "m" "a" and b = var "m" "b" in
+  let ia = Graph.node_id g a and ib = Graph.node_id g b in
+  let rep = Array.init (max ia ib + 1) Fun.id in
+  rep.(ib) <- ia;
+  install g ~rep ~values:[ (a, Node.V_view_id 1); (a, Node.V_act "A") ] ();
+  Alcotest.check Alcotest.int "set size" 2 (Graph.VS.cardinal (Graph.set_of g a));
+  Alcotest.check Alcotest.bool "member reads its representative's row" true
+    (Graph.VS.equal (Graph.set_of g a) (Graph.set_of g b));
+  let nodes = Intern.node_count (Graph.interner g) in
+  Alcotest.check Alcotest.bool "unknown node is empty" true
+    (Graph.VS.is_empty (Graph.set_of g (var "m" "unseen")));
+  Alcotest.check Alcotest.int "reads do not mint" nodes (Intern.node_count (Graph.interner g));
+  Alcotest.check Alcotest.int "views" 0 (List.length (Graph.views_of g a))
 
 (* The dedup key is the endpoint pair; the kinds already present
    between the two ride in the table's value. *)
@@ -55,7 +108,8 @@ let test_seeds_survive_reset () =
   let g = Graph.create () in
   let n = var "m" "x" in
   Graph.seed g n (Node.V_act "A");
-  ignore (Graph.add_value g n (Node.V_view_id 9));
+  install g ~values:[ (n, Node.V_view_id 9) ] ();
+  Alcotest.check Alcotest.int "set read" 1 (Graph.VS.cardinal (Graph.set_of g n));
   Graph.reset_sets g;
   Alcotest.check Alcotest.int "sets cleared" 0 (Graph.VS.cardinal (Graph.set_of g n));
   Alcotest.check Alcotest.int "seed kept" 1 (List.length (Graph.seeds g))
@@ -63,57 +117,62 @@ let test_seeds_survive_reset () =
 let test_children_relation () =
   let g = Graph.create () in
   let p = infl "a" and c1 = infl ~path:[ 0 ] "a" and c2 = infl ~path:[ 1 ] "a" in
-  Alcotest.check Alcotest.bool "grew" true (Graph.add_child g ~parent:p ~child:c1);
-  Alcotest.check Alcotest.bool "idempotent" false (Graph.add_child g ~parent:p ~child:c1);
-  ignore (Graph.add_child g ~parent:p ~child:c2);
+  install g ~children:[ (p, c1); (p, c2) ] ();
   Alcotest.check Alcotest.int "children" 2 (Graph.View_set.cardinal (Graph.children_of g p));
   Alcotest.check Alcotest.bool "parents inverse" true
-    (Graph.View_set.mem p (Graph.parents_of g c1))
+    (Graph.View_set.mem p (Graph.parents_of g c1));
+  Alcotest.check Alcotest.bool "leaf has no children" true
+    (Graph.View_set.is_empty (Graph.children_of g c2))
 
 let test_descendants () =
   let g = Graph.create () in
   let a = infl "a" and b = infl ~path:[ 0 ] "a" and c = infl ~path:[ 0; 0 ] "a" in
-  ignore (Graph.add_child g ~parent:a ~child:b);
-  ignore (Graph.add_child g ~parent:b ~child:c);
+  install g ~children:[ (a, b); (b, c) ] ();
   Alcotest.check Alcotest.int "inclusive" 3
     (Graph.View_set.cardinal (Graph.descendants g ~include_self:true a));
   Alcotest.check Alcotest.int "strict" 2
     (Graph.View_set.cardinal (Graph.descendants g ~include_self:false a));
   Alcotest.check Alcotest.bool "transitive" true
-    (Graph.View_set.mem c (Graph.descendants g ~include_self:false a))
+    (Graph.View_set.mem c (Graph.descendants g ~include_self:false a));
+  Alcotest.check Alcotest.int "unknown view is only itself" 1
+    (Graph.View_set.cardinal (Graph.descendants g ~include_self:true (infl "z")))
 
 let test_descendants_cycle_safe () =
   (* The abstract parent-child relation can be cyclic (unlike the
      concrete heap); BFS must still terminate. *)
   let g = Graph.create () in
   let a = infl "a" and b = infl ~path:[ 0 ] "a" in
-  ignore (Graph.add_child g ~parent:a ~child:b);
-  ignore (Graph.add_child g ~parent:b ~child:a);
+  install g ~children:[ (a, b); (b, a) ] ();
   Alcotest.check Alcotest.int "cycle bounded" 2
-    (Graph.View_set.cardinal (Graph.descendants g ~include_self:true a))
+    (Graph.View_set.cardinal (Graph.descendants g ~include_self:true a));
+  Alcotest.check Alcotest.bool "strict closure reaches back round the cycle" true
+    (Graph.View_set.mem a (Graph.descendants g ~include_self:false a))
 
 let test_view_ids () =
   let g = Graph.create () in
   let v = infl "a" in
-  ignore (Graph.add_view_id g v 100);
-  ignore (Graph.add_view_id g v 200);
+  install g ~ids:[ (v, 100); (v, 200) ] ();
   Alcotest.check Alcotest.bool "both ids" true
     (Graph.Int_set.mem 100 (Graph.ids_of_view g v) && Graph.Int_set.mem 200 (Graph.ids_of_view g v))
 
 let test_holder_roots () =
   let g = Graph.create () in
   let v = infl "a" in
-  ignore (Graph.add_holder_root g (Node.H_act "A") v);
+  install g ~roots:[ (Node.H_act "A", v) ] ();
   Alcotest.check Alcotest.int "root" 1
     (Graph.View_set.cardinal (Graph.roots_of_holder g (Node.H_act "A")));
-  Alcotest.check Alcotest.int "holders" 1 (List.length (Graph.holders g))
+  Alcotest.check Alcotest.int "holders" 1 (List.length (Graph.holders g));
+  let holders = Intern.holder_count (Graph.interner g) in
+  Alcotest.check Alcotest.bool "unknown holder has no roots" true
+    (Graph.View_set.is_empty (Graph.roots_of_holder g (Node.H_act "B")));
+  Alcotest.check Alcotest.int "reads do not mint holders" holders
+    (Intern.holder_count (Graph.interner g))
 
 let test_listeners_relation () =
   let g = Graph.create () in
   let v = infl "a" in
   let l = Node.L_act "A" in
-  ignore (Graph.add_view_listener g v l ~iface:"OnClickListener");
-  ignore (Graph.add_view_listener g v l ~iface:"OnKeyListener");
+  install g ~listeners:[ (v, (l, "OnClickListener")); (v, (l, "OnKeyListener")) ] ();
   Alcotest.check Alcotest.int "two registrations" 2
     (Graph.Listener_set.cardinal (Graph.listeners_of_view g v));
   Alcotest.check Alcotest.int "views with listeners" 1 (List.length (Graph.views_with_listeners g))
@@ -141,7 +200,7 @@ let test_locations () =
 let test_dot_output () =
   let g = Graph.create () in
   Graph.add_edge g (var "m" "a") (var "m" "b");
-  ignore (Graph.add_child g ~parent:(infl "a") ~child:(infl ~path:[ 0 ] "a"));
+  install g ~children:[ (infl "a", infl ~path:[ 0 ] "a") ] ();
   let dot = Fmt.str "%a" Graph.pp_dot g in
   Alcotest.check Alcotest.bool "digraph wrapper" true
     (String.length dot > 20
@@ -333,7 +392,7 @@ let test_marked_donor_keeps_inlined_edges () =
 
 let suite =
   [
-    Alcotest.test_case "add_value grows once" `Quick test_add_value_grows_once;
+    Alcotest.test_case "points-to rows decode through representatives" `Quick test_points_to_rows;
     Alcotest.test_case "edge dedup by kind" `Quick test_edges_dedup;
     Alcotest.test_case "edge ids past the packing bound raise" `Quick test_edge_pack_bound;
     Alcotest.test_case "reset keeps seeds" `Quick test_seeds_survive_reset;

@@ -411,8 +411,12 @@ let qcheck_warm_equals_cold =
       in
       let warm, _ = Incremental.analyze_incremental ~prev:solved app' in
       if not warm.stats.Solve.warm_solve then QCheck.Test.fail_report "solve was not warm";
-      let d = Diff.compare (Analysis.analyze app') warm in
+      let cold = Analysis.analyze app' in
+      let d = Diff.compare cold warm in
       if not (Diff.is_empty d) then QCheck.Test.fail_reportf "solutions differ: %a" Diff.pp d;
+      (* every location's points-to set and every relation, read back
+         through the store the warm solve left *)
+      Same_solution.check (Printf.sprintf "warm vs cold (seed %d)" seed) cold warm;
       true)
 
 let qcheck_snapshot_roundtrip =
@@ -435,21 +439,38 @@ let qcheck_snapshot_roundtrip =
           in
           let warm, _ = Incremental.analyze_incremental ~prev:loaded app' in
           if not warm.stats.Solve.warm_solve then QCheck.Test.fail_report "solve was not warm";
-          let d = Diff.compare (Analysis.analyze app') warm in
+          let cold = Analysis.analyze app' in
+          let d = Diff.compare cold warm in
           if not (Diff.is_empty d) then QCheck.Test.fail_reportf "solutions differ: %a" Diff.pp d;
+          Same_solution.check (Printf.sprintf "loaded warm vs cold (seed %d)" seed) cold warm;
           true)
 
 (* Hostile snapshots: whatever a state file holds, [Snapshot.of_json]
    and [Snapshot.load] answer [Ok] or [Error] — never an exception, and
    never an allocation sized by an id read from the file — in bounded
-   time, and every integer mutation that loads also warm-starts.  The
-   seed document is a real ConnectBot snapshot. *)
-let fuzz_app = lazy (Corpus.Connectbot.app ())
-
-let fuzz_seed =
+   time, and every integer mutation that loads also warm-starts.  Each
+   mutation hits two seed documents: a real ConnectBot snapshot, and a
+   sound-mode (⊤) snapshot of a reflective app, whose taint rows get
+   mutated too. *)
+let fuzz_seeds =
   lazy
-    (let _, solved = Incremental.analyze_solved (Lazy.force fuzz_app) in
-     Snapshot.to_json solved)
+    (List.map
+       (fun app ->
+         let _, solved = Incremental.analyze_solved app in
+         (app, Snapshot.to_json solved))
+       [
+         Corpus.Connectbot.app ();
+         Corpus.Gen.reflective_app ~name:"FuzzTop" ~layouts:2 ~seed:11 ();
+       ])
+
+(* The ⊤ seed really carries taint rows for the fuzzers to mutate. *)
+let test_fuzz_seed_tainted () =
+  match Lazy.force fuzz_seeds with
+  | [ _; (_, top) ] -> (
+      match Util.Json.member "taints" top with
+      | Some (Util.Json.List (_ :: _)) -> ()
+      | _ -> Alcotest.fail "the sound-mode fuzz seed has no taint rows")
+  | _ -> Alcotest.fail "expected two fuzz seeds"
 
 let rec count_ints = function
   | Util.Json.Int _ -> 1
@@ -476,8 +497,8 @@ let fuzz_budget_s = 10.0
 (* A loaded snapshot must also warm-start: against the app it was
    taken from, the answer is a warm result or a fallback with a
    reason, never an exception. *)
-let warm_start prev =
-  let r, _ = Incremental.analyze_incremental ~prev (Lazy.force fuzz_app) in
+let warm_start app prev =
+  let r, _ = Incremental.analyze_incremental ~prev app in
   if not (r.stats.Solve.warm_solve || r.stats.Solve.fallback <> None) then
     QCheck.Test.fail_report "neither warm nor a fallback with a reason"
 
@@ -494,8 +515,6 @@ let qcheck_snapshot_int_mutations =
   QCheck.Test.make ~name:"hostile snapshots: integer mutations" ~count:300
     QCheck.(make Gen.(pair (int_range 0 1_000_000) (int_range 0 8)))
     (fun (pick, how) ->
-      let seed = Lazy.force fuzz_seed in
-      let k = pick mod count_ints seed in
       let hostile n =
         match how with
         | 0 -> 1 lsl 40
@@ -508,36 +527,43 @@ let qcheck_snapshot_int_mutations =
         | 7 -> n - 1
         | _ -> n * 1000
       in
-      let mutated = map_nth_int k hostile seed in
-      must_answer
-        (Printf.sprintf "integer #%d (mode %d)" k how)
-        (fun () ->
-          match Snapshot.of_json mutated with
-          | Error e -> Error e
-          | Ok prev -> Ok (warm_start prev)))
+      List.for_all
+        (fun (app, seed) ->
+          let k = pick mod count_ints seed in
+          let mutated = map_nth_int k hostile seed in
+          must_answer
+            (Printf.sprintf "%s integer #%d (mode %d)" app.Framework.App.name k how)
+            (fun () ->
+              match Snapshot.of_json mutated with
+              | Error e -> Error e
+              | Ok prev -> Ok (warm_start app prev)))
+        (Lazy.force fuzz_seeds))
 
 let qcheck_snapshot_byte_mutations =
   QCheck.Test.make ~name:"hostile snapshots: byte mutations" ~count:100
     QCheck.(make Gen.(int_range 0 1_000_000))
     (fun seed ->
       let rng = Util.Prng.create seed in
-      let bytes = Bytes.of_string (Util.Json.to_string (Lazy.force fuzz_seed)) in
-      for _ = 1 to 1 + Util.Prng.int rng 4 do
-        let at = Util.Prng.int rng (Bytes.length bytes) in
-        Bytes.set bytes at
-          (if Util.Prng.bool rng then Char.chr (Util.Prng.int rng 256)
-           else
-             let syntax = "0123456789-[]{}\",:e" in
-             syntax.[Util.Prng.int rng (String.length syntax)])
-      done;
-      let path = Filename.temp_file "gator_fuzz" ".json" in
-      Fun.protect
-        ~finally:(fun () -> Sys.remove path)
-        (fun () ->
-          Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc bytes);
-          must_answer
-            (Printf.sprintf "byte mutation (seed %d)" seed)
-            (fun () -> Snapshot.load path)))
+      List.for_all
+        (fun ((app : Framework.App.t), doc) ->
+          let bytes = Bytes.of_string (Util.Json.to_string doc) in
+          for _ = 1 to 1 + Util.Prng.int rng 4 do
+            let at = Util.Prng.int rng (Bytes.length bytes) in
+            Bytes.set bytes at
+              (if Util.Prng.bool rng then Char.chr (Util.Prng.int rng 256)
+               else
+                 let syntax = "0123456789-[]{}\",:e" in
+                 syntax.[Util.Prng.int rng (String.length syntax)])
+          done;
+          let path = Filename.temp_file "gator_fuzz" ".json" in
+          Fun.protect
+            ~finally:(fun () -> Sys.remove path)
+            (fun () ->
+              Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc bytes);
+              must_answer
+                (Printf.sprintf "%s byte mutation (seed %d)" app.name seed)
+                (fun () -> Snapshot.load path)))
+        (Lazy.force fuzz_seeds))
 
 let suite =
   [
@@ -559,6 +585,7 @@ let suite =
     Alcotest.test_case "context-keyed cs falls back" `Quick test_ctx_keyed_falls_back;
     QCheck_alcotest.to_alcotest qcheck_warm_equals_cold;
     QCheck_alcotest.to_alcotest qcheck_snapshot_roundtrip;
+    Alcotest.test_case "sound-mode fuzz seed carries taint rows" `Quick test_fuzz_seed_tainted;
     QCheck_alcotest.to_alcotest qcheck_snapshot_int_mutations;
     QCheck_alcotest.to_alcotest qcheck_snapshot_byte_mutations;
   ]

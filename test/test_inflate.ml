@@ -13,15 +13,23 @@ let () = Layouts.Layout.register resources layout
 
 let site = { Node.s_in = { Node.mid_cls = "C"; mid_name = "m"; mid_arity = 0 }; s_stmt = 3 }
 
+let instantiate ?(site = site) g = Inflate.instantiate g ~resources ~site layout
+
+(* The facts of a fresh instantiation; a memo hit has none. *)
+let fresh g =
+  match instantiate g with
+  | views, Some facts -> (views, facts)
+  | _, None -> Alcotest.fail "first instantiation returned no facts"
+
 let test_mints_all_nodes () =
   let g = Graph.create () in
-  let views = Inflate.instantiate g ~resources ~site layout in
+  let views, _ = fresh g in
   Alcotest.check Alcotest.int "one abstraction per layout node" 4 (List.length views);
   Alcotest.check Alcotest.int "recorded" 4 (List.length (Graph.inflated_views g))
 
 let test_root_first () =
   let g = Graph.create () in
-  let views = Inflate.instantiate g ~resources ~site layout in
+  let views, _ = fresh g in
   match Inflate.root views with
   | Node.V_infl i ->
       Alcotest.check Alcotest.string "root class" "RelativeLayout" i.v_cls;
@@ -30,35 +38,39 @@ let test_root_first () =
 
 let test_ids_assigned () =
   let g = Graph.create () in
-  let views = Inflate.instantiate g ~resources ~site layout in
+  let views, facts = fresh g in
   let flip = List.nth views 1 in
   let expected = Layouts.Resource.view_id resources "flip" in
-  Alcotest.check Alcotest.bool "flip id" true
-    (Graph.Int_set.mem expected (Graph.ids_of_view g flip));
-  Alcotest.check Alcotest.bool "root has no id" true
-    (Graph.Int_set.is_empty (Graph.ids_of_view g (Inflate.root views)))
+  Alcotest.check Alcotest.bool "flip id" true (List.mem (flip, expected) facts.Inflate.view_ids);
+  Alcotest.check Alcotest.bool "root has no id" false
+    (List.mem_assoc (Inflate.root views) facts.Inflate.view_ids);
+  Alcotest.check Alcotest.int "three ids" 3 (List.length facts.Inflate.view_ids)
 
 let test_edges_mirror_layout () =
   let g = Graph.create () in
-  let views = Inflate.instantiate g ~resources ~site layout in
+  let views, facts = fresh g in
   let root = Inflate.root views in
-  Alcotest.check Alcotest.int "root children" 2 (Graph.View_set.cardinal (Graph.children_of g root));
-  Alcotest.check Alcotest.int "all descendants" 4
-    (Graph.View_set.cardinal (Graph.descendants g ~include_self:true root))
+  let children_of v = List.filter_map (fun (p, c) -> if p = v then Some c else None) facts.Inflate.children in
+  Alcotest.check Alcotest.int "root children" 2 (List.length (children_of root));
+  Alcotest.check Alcotest.int "one edge per non-root view" 3 (List.length facts.Inflate.children);
+  Alcotest.check Alcotest.bool "children are minted views" true
+    (List.for_all (fun (p, c) -> List.mem p views && List.mem c views) facts.Inflate.children)
 
 let test_memoized () =
   let g = Graph.create () in
-  let a = Inflate.instantiate g ~resources ~site layout in
-  let b = Inflate.instantiate g ~resources ~site layout in
+  let a, _ = fresh g in
+  let b, facts = instantiate g in
   Alcotest.check Alcotest.bool "same list" true (a == b || a = b);
+  Alcotest.check Alcotest.bool "no facts on a memo hit" true (facts = None);
   Alcotest.check Alcotest.int "no duplicates" 4 (List.length (Graph.inflated_views g))
 
 let test_distinct_sites_distinct_views () =
   let g = Graph.create () in
   let other_site = { site with Node.s_stmt = 9 } in
-  let a = Inflate.instantiate g ~resources ~site layout in
-  let b = Inflate.instantiate g ~resources ~site:other_site layout in
+  let a, _ = instantiate g in
+  let b, facts = instantiate ~site:other_site g in
   Alcotest.check Alcotest.bool "fresh abstractions per site" true (List.for_all2 ( <> ) a b);
+  Alcotest.check Alcotest.bool "fresh facts per site" true (facts <> None);
   Alcotest.check Alcotest.int "both recorded" 8 (List.length (Graph.inflated_views g))
 
 let test_root_of_empty () =

@@ -64,6 +64,26 @@ let test_edge_cases () =
       | () -> Alcotest.fail "value_exn must raise on a failed outcome")
   | _ -> Alcotest.fail "wrong outcome count"
 
+(* The one worker-count check every command line applies: the bounds
+   are accepted, everything outside [1, max_jobs] is refused with the
+   range in the message. *)
+let test_check_jobs () =
+  List.iter
+    (fun jobs ->
+      Alcotest.(check (result int string)) (Printf.sprintf "%d accepted" jobs) (Ok jobs)
+        (Pool.check_jobs jobs))
+    [ 1; 2; Pool.default_jobs (); Pool.max_jobs ];
+  List.iter
+    (fun jobs ->
+      match Pool.check_jobs jobs with
+      | Ok _ -> Alcotest.failf "%d accepted" jobs
+      | Error msg ->
+          Alcotest.(check string)
+            (Printf.sprintf "%d refused" jobs)
+            (Printf.sprintf "%d is outside [1, %d]" jobs Pool.max_jobs)
+            msg)
+    [ 0; -1; Pool.max_jobs + 1; 140; min_int; max_int ]
+
 (* An oversized run fails to spawn its workers.  The workers it did
    start must be joined before the failure surfaces, or they would hold
    their domain slots and every later run in the process would fail. *)
@@ -350,6 +370,7 @@ let suite =
     Alcotest.test_case "sequential path matches" `Quick test_sequential_path_matches;
     Alcotest.test_case "exception isolation" `Quick test_exception_isolation;
     Alcotest.test_case "edge cases" `Quick test_edge_cases;
+    Alcotest.test_case "worker-count check" `Quick test_check_jobs;
     Alcotest.test_case "oversized run fails, later runs work" `Quick test_oversized_run_recovers;
     QCheck_alcotest.to_alcotest test_qcheck_run_on_stream;
     Alcotest.test_case "random apps engine x schedule matrix" `Quick test_random_matrix;

@@ -169,6 +169,43 @@ let test_snapshot_roundtrip_and_warm_refusal () =
       (* the fallback still solved correctly *)
       Same_solution.check "⊤ fallback solution" r warm)
 
+(* Taint rows name structural nodes and values; the loader takes only
+   those in the captured pools, and answers anything else with an
+   [Error], never an exception. *)
+let test_snapshot_taint_rows_checked () =
+  let _, solved = Incremental.analyze_solved (refl_app ()) in
+  let doc = Snapshot.to_json solved in
+  let with_taints rows =
+    match doc with
+    | Util.Json.Obj fields ->
+        Util.Json.Obj (List.map (fun (k, v) -> if k = "taints" then (k, rows) else (k, v)) fields)
+    | _ -> Alcotest.fail "snapshot is not an object"
+  in
+  let first_row =
+    match Util.Json.member "taints" doc with
+    | Some (Util.Json.List (Util.Json.List [ n; vs ] :: _)) -> (n, vs)
+    | _ -> Alcotest.fail "⊤ snapshot has no taint rows"
+  in
+  let unknown_node = Util.Json.List [ Util.Json.String "field"; Util.Json.String "no.such.field" ] in
+  let unknown_value = Util.Json.List [ Util.Json.String "act"; Util.Json.String "NoSuchActivity" ] in
+  List.iter
+    (fun (what, rows) ->
+      match Snapshot.of_json (with_taints rows) with
+      | Ok _ -> Alcotest.failf "%s: loaded" what
+      | Error _ -> ()
+      | exception e -> Alcotest.failf "%s: raised %s" what (Printexc.to_string e))
+    [
+      ("node outside the pool", Util.Json.List [ Util.Json.List [ unknown_node; snd first_row ] ]);
+      ( "value outside the pool",
+        Util.Json.List [ Util.Json.List [ fst first_row; Util.Json.List [ unknown_value ] ] ] );
+      ("malformed row", Util.Json.List [ Util.Json.Int 3 ]);
+    ];
+  match Snapshot.of_json (with_taints (Util.Json.List [])) with
+  | Ok loaded ->
+      Alcotest.(check int) "no taint rows, nothing tainted" 0
+        (List.length (Graph.tainted_nodes loaded.Solve.sd_graph))
+  | Error e -> Alcotest.failf "empty taint rows refused: %s" e
+
 let qcheck_random_reflective =
   QCheck.Test.make ~name:"random reflective apps: engines agree and stay sound" ~count:15
     QCheck.(make Gen.(int_range 0 1_000_000))
@@ -197,5 +234,7 @@ let suite =
     Alcotest.test_case "concrete queries see the ⊤ sentinel" `Quick test_sentinel_concrete_queries;
     Alcotest.test_case "snapshot round-trip + warm refusal" `Quick
       test_snapshot_roundtrip_and_warm_refusal;
+    Alcotest.test_case "snapshot taint rows are range-checked" `Quick
+      test_snapshot_taint_rows_checked;
     QCheck_alcotest.to_alcotest qcheck_random_reflective;
   ]
