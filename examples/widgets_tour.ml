@@ -109,7 +109,7 @@ let () =
   Fmt.pr "MainActivity can display:@.";
   List.iter
     (fun v -> Fmt.pr "  %a@." Gator.Node.pp_view v)
-    (Gator.Analysis.views_of_activity r "MainActivity");
+    (Gator.Analysis.views_of_holder r (Gator.Node.H_act "MainActivity"));
   Fmt.pr "@.interaction tuples (including dialog content):@.";
   List.iter
     (fun ix -> Fmt.pr "  %a@." Gator.Analysis.pp_interaction ix)

@@ -103,11 +103,16 @@ let pollution t =
 let roots_of_activity t activity =
   Graph.View_set.elements (Graph.roots_of_holder t.graph (Node.H_act activity))
 
-let views_of_activity t activity =
-  let sets =
-    List.map (Graph.descendants t.graph ~include_self:true) (roots_of_activity t activity)
-  in
-  Graph.View_set.elements (List.fold_left Graph.View_set.union Graph.View_set.empty sets)
+let views_of_holder t holder =
+  let it = Graph.interner t.graph in
+  match Intern.find_holder it holder with
+  | None -> []
+  | Some hid ->
+      List.sort Node.compare_view
+        (Util.Bitset.fold
+           (fun wid acc -> Intern.view_of it wid :: acc)
+           (Graph.holder_views (Graph.solution t.graph) hid)
+           [])
 
 let listeners_of_view t view = Graph.Listener_set.elements (Graph.listeners_of_view t.graph view)
 
@@ -118,14 +123,6 @@ type interaction = {
   ix_listener : Node.listener_abs;
   ix_handler : Node.mid;
 }
-
-let views_of_holder t holder =
-  let sets =
-    List.map
-      (Graph.descendants t.graph ~include_self:true)
-      (Graph.View_set.elements (Graph.roots_of_holder t.graph holder))
-  in
-  Graph.View_set.elements (List.fold_left Graph.View_set.union Graph.View_set.empty sets)
 
 let interactions t =
   let hierarchy = t.app.Framework.App.hierarchy in
@@ -165,7 +162,7 @@ let interactions t =
   let activity_tuples =
     List.concat_map
       (fun (cls : Jir.Ast.cls) ->
-        tuples_for_holder ~label:cls.c_name (views_of_activity t cls.c_name))
+        tuples_for_holder ~label:cls.c_name (views_of_holder t (Node.H_act cls.c_name)))
       (Framework.App.activity_classes t.app)
   in
   let dialog_tuples =

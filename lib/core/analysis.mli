@@ -76,9 +76,10 @@ val pollution : t -> int * int
 
 val roots_of_activity : t -> string -> Node.view_abs list
 
-val views_of_activity : t -> string -> Node.view_abs list
-(** Roots plus all their descendants: the GUI content the activity can
-    display. *)
+val views_of_holder : t -> Node.holder -> Node.view_abs list
+(** Roots plus all their descendants ({!Graph.holder_views}): the GUI
+    content the activity or dialog can display, sorted by
+    {!Node.compare_view}. *)
 
 val listeners_of_view : t -> Node.view_abs -> (Node.listener_abs * string) list
 (** Registrations with the interface name. *)

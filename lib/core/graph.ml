@@ -731,20 +731,30 @@ let children_of t view = decode_views t (view_row t t.sol.sol_children view)
 
 let parents_of t view = decode_views t (view_row t t.sol.sol_parents view)
 
+(* Grow [views] in place by every view reachable from it over the
+   child rows, by BFS: the one closure walk over [sol_children]. *)
+let closure sol views =
+  let queue = Queue.create () in
+  Util.Bitset.iter (fun wid -> Queue.add wid queue) views;
+  while not (Queue.is_empty queue) do
+    match row sol.sol_children (Queue.take queue) with
+    | Some cs -> Util.Bitset.iter (fun c -> if Util.Bitset.add views c then Queue.add c queue) cs
+    | None -> ()
+  done;
+  views
+
+let copy_row rows i =
+  match row rows i with Some b -> Util.Bitset.copy b | None -> Util.Bitset.create ()
+
+let holder_views sol hid = closure sol (copy_row sol.sol_roots hid)
+
 let descendants t ~include_self view =
   match Intern.find_view t.g_it view with
   | None -> if include_self then View_set.singleton view else View_set.empty
   | Some wid ->
-      let visited = Util.Bitset.create () in
-      if include_self then ignore (Util.Bitset.add visited wid);
-      let queue = Queue.create () in
-      Queue.add wid queue;
-      while not (Queue.is_empty queue) do
-        match row t.sol.sol_children (Queue.take queue) with
-        | Some cs -> Util.Bitset.iter (fun c -> if Util.Bitset.add visited c then Queue.add c queue) cs
-        | None -> ()
-      done;
-      decode_views t (Some visited)
+      let start = copy_row t.sol.sol_children wid in
+      if include_self then ignore (Util.Bitset.add start wid);
+      decode_views t (Some (closure t.sol start))
 
 let ids_of_view t view =
   match view_row t t.sol.sol_ids view with

@@ -138,6 +138,11 @@ val row : rows -> int -> Util.Bitset.t option
 val points_to_row : solution -> int -> Util.Bitset.t option
 (** The points-to row of a node id, through its representative. *)
 
+val holder_views : solution -> int -> Util.Bitset.t
+(** The displayable views of a holder id: its root views plus all
+    their descendants over the child rows, as a fresh bitset of view
+    ids ({!descendants} walks the same closure). *)
+
 (** {1 Points-to sets}
 
     Points-to reads come in bulk right after a solve, so the first one
@@ -185,7 +190,7 @@ val children_of : t -> Node.view_abs -> View_set.t
 val parents_of : t -> Node.view_abs -> View_set.t
 
 val descendants : t -> include_self:bool -> Node.view_abs -> View_set.t
-(** Reflexive-or-strict transitive closure of parent-child, by BFS. *)
+(** Reflexive-or-strict transitive closure of parent-child. *)
 
 val ids_of_view : t -> Node.view_abs -> Int_set.t
 

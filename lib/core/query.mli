@@ -1,15 +1,9 @@
-(** Demand-driven queries over a captured solution.
+(** Point queries over a captured solution.
 
-    A {!t} is a read-only view of a {!Solve.solved}: interner decode,
-    per-representative bitset lookup, and a reverse index of the
-    frozen CSR.  Point queries ({!points_to}) run the flow rules
-    backward from the query node — RECON-style demand evaluation —
-    reading the cached forward solution only at op-written
-    representatives (the recorded {!Solve.solved}[.sd_targets]
-    generator set), at condensed-graph cycles, and when the fuel
-    budget runs out.  Every fallback substitutes the forward fixpoint
-    itself, so answers are bit-identical to forward projections at any
-    budget; [test/test_query.ml] checks this differentially.
+    A {!t} is a read-only view of a {!Solve.solved}: every answer is a
+    lookup in the solver's id-level rows plus an interner decode, so
+    answers equal [Analysis]'s forward projections of the same state.
+    Creating a handle builds nothing.
 
     A query handle never mutates the solved state and never grows its
     interner (unknown keys use non-minting lookups), so handles over
@@ -20,54 +14,40 @@ type t
 
 type stats = {
   mutable q_queries : int;  (** point queries answered *)
-  mutable q_memo_hits : int;  (** representatives answered from the handle's memo *)
-  mutable q_expanded : int;  (** representatives expanded by the backward walk *)
-  mutable q_edges : int;  (** reverse condensed edges traversed *)
+  mutable q_memo_hits : int;
+  mutable q_expanded : int;
   mutable q_generator_hits : int;
-      (** op-written representatives answered from the cached forward fixpoint *)
-  mutable q_cycle_fallbacks : int;  (** cast-edge cycles in the condensed graph *)
-  mutable q_budget_fallbacks : int;  (** walks truncated by the fuel budget *)
+  mutable q_budget_fallbacks : int;
 }
+(** Only [q_queries] counts anything.  The other four fields always
+    read 0: they counted a backward walk that points-to reads no
+    longer run, and they remain so that the benchmark harness that
+    reports them still builds. *)
 
 val create : hierarchy:Jir.Hierarchy.t -> Solve.solved -> t
-(** Build the reverse condensed-edge index, per-representative seed
-    sets and generator set.  [hierarchy] drives cast filtering on
-    backward walks and must describe the same classes the solve saw
-    (guard with {!Solve.solved_class_fp} when it comes from a rebuilt
-    app). *)
+(** [hierarchy] is unused; the label stays for existing callers. *)
 
 val stats : t -> stats
-(** Cumulative counters since {!create}; the bench row uses these to
-    prove a warm point query ran demand-driven (no solver, bounded
-    expansions). *)
-
-val solved : t -> Solve.solved
+(** Cumulative counters since {!create}. *)
 
 val interner : t -> Intern.t
 
-val default_budget : int
-
 val points_to : ?budget:int -> t -> Node.t -> Node.value list option
-(** Values reaching the location, derived backward; [None] when the
-    node was never interned (unknown to this app's graph — the
-    protocol maps it to an [unknown-node] error).  [budget] caps
-    representative expansions per query; any value yields the same
-    answer, smaller budgets just read more from the cached solution.
-    Results are sorted by {!Node.compare_value}, matching
+(** Values reaching the location, read from its representative's row;
+    [None] when the node was never interned (unknown to this app's
+    graph — the protocol maps it to an [unknown-node] error).
+    [budget] has no effect; it stays for existing callers.  Results
+    are sorted by {!Node.compare_value}, matching
     [Analysis.values_at]. *)
-
-val points_to_bits : ?budget:int -> t -> Node.t -> Util.Bitset.t option
-(** Id-level variant; the returned bitset is owned by the handle's
-    memo — treat as read-only. *)
 
 val views_of_listener : t -> Node.listener_abs -> Node.view_abs list
 (** Views the listener is registered on (any interface), sorted by
     {!Node.compare_view}: the inverse of [Analysis.listeners_of_view],
-    read demand-driven from the solved registration rows. *)
+    read from the solved registration rows. *)
 
 val activities_of_id : t -> string -> string list
-(** Activity classes whose displayable view hierarchy (roots plus
-    descendants) contains a view carrying the named id, sorted;
-    unknown id names resolve to the empty list, matching the forward
-    projection.  Views whose id came from [SetId (v, ⊤)] carry the
-    unknown-id sentinel and match every queried name, known or not. *)
+(** Activity classes whose displayable views ({!Graph.holder_views})
+    contain a view carrying the named id, sorted; unknown id names
+    resolve to the empty list, matching the forward projection.  Views
+    whose id came from [SetId (v, ⊤)] carry the unknown-id sentinel
+    and match every queried name, known or not. *)

@@ -6,8 +6,9 @@
    the pre-patch or the post-patch registry entry, never a torn one
    (each answer carries the entry's generation so clients can tell
    which).  Loaded apps live in an in-memory registry of
-   [Solve.solved] states fronted by [Gator.Query] handles; queries run
-   backward from the query node and never mutate the solved state.
+   [Solve.solved] states fronted by [Gator.Query] handles; a query is
+   a lookup in the solver's rows and never mutates the solved state.
+   A request's [budget] is validated but has no effect.
 
    Crash recovery: with a state directory configured, every solve is
    persisted through [Snapshot] and every accepted patch's edits are
@@ -101,8 +102,8 @@ let recover_snapshot dir name (app : Framework.App.t) =
     match Gator.Snapshot.load path with
     | Error _ -> None
     | Ok solved ->
-        (* the query handle filters casts through [app]'s hierarchy;
-           only trust it when the class surface matches the capture *)
+        (* serve the capture only when the rebuilt app's class
+           surface matches it; otherwise re-solve *)
         if String.equal (Gator.Solve.solved_class_fp solved) (Gator.Solve.class_fp app) then
           Some solved
         else None
@@ -169,21 +170,14 @@ let find t name =
   | Some entry -> Ok entry
   | None -> Error (P.E_unknown_app, Printf.sprintf "app %S is not loaded" name)
 
-(* A patch replaces the query handle wholesale (the new solved state
-   needs a new reverse index), but the [stats] reply is cumulative per
-   loaded app: snapshot the retiring handle's counters into the fresh
-   one so a patch never silently zeroes the totals a client is
-   watching.  [Query.stats] itself stays "since create" — the
-   accumulation across generations is a daemon-level contract. *)
+(* A patch replaces the query handle wholesale (it fronts the new
+   solved state), but the [stats] reply is cumulative per loaded app:
+   carry the retiring handle's query count into the fresh one so a
+   patch never silently zeroes the total a client is watching.
+   [Query.stats] itself stays "since create" — the accumulation
+   across generations is a daemon-level contract. *)
 let carry_stats ~retiring ~fresh =
-  let open Gator.Query in
-  fresh.q_queries <- fresh.q_queries + retiring.q_queries;
-  fresh.q_memo_hits <- fresh.q_memo_hits + retiring.q_memo_hits;
-  fresh.q_expanded <- fresh.q_expanded + retiring.q_expanded;
-  fresh.q_edges <- fresh.q_edges + retiring.q_edges;
-  fresh.q_generator_hits <- fresh.q_generator_hits + retiring.q_generator_hits;
-  fresh.q_cycle_fallbacks <- fresh.q_cycle_fallbacks + retiring.q_cycle_fallbacks;
-  fresh.q_budget_fallbacks <- fresh.q_budget_fallbacks + retiring.q_budget_fallbacks
+  fresh.Gator.Query.q_queries <- fresh.Gator.Query.q_queries + retiring.Gator.Query.q_queries
 
 let apply_patch t entry edits =
   match Corpus.Patch.of_json edits with
@@ -227,11 +221,11 @@ let dispatch t request =
       | Ok (entry, source) ->
           P.ok ~generation:entry.e_generation
             (J.Obj [ ("app", J.String entry.e_name); ("source", J.String source) ]))
-  | P.R_points_to { app; node; budget } -> (
+  | P.R_points_to { app; node; budget = _ } -> (
       match find t app with
       | Error (code, msg) -> P.error code msg
       | Ok entry -> (
-          match Gator.Query.points_to ?budget entry.e_query node with
+          match Gator.Query.points_to entry.e_query node with
           | None ->
               P.error P.E_unknown_node
                 (Printf.sprintf "node %s is unknown to %s" (render Gator.Node.pp node) app)
@@ -276,12 +270,6 @@ let dispatch t request =
                [
                  ("app", J.String entry.e_name);
                  ("queries", J.Int s.Gator.Query.q_queries);
-                 ("expanded", J.Int s.Gator.Query.q_expanded);
-                 ("edges", J.Int s.Gator.Query.q_edges);
-                 ("memo_hits", J.Int s.Gator.Query.q_memo_hits);
-                 ("generator_hits", J.Int s.Gator.Query.q_generator_hits);
-                 ("cycle_fallbacks", J.Int s.Gator.Query.q_cycle_fallbacks);
-                 ("budget_fallbacks", J.Int s.Gator.Query.q_budget_fallbacks);
                ]))
 
 (* One request payload -> one response payload.  Total: any hostile or

@@ -49,6 +49,8 @@ type request =
   | R_list
   | R_load of string
   | R_points_to of { app : string; node : Gator.Node.t; budget : int option }
+      (** [budget] is validated (a non-negative int) and round-trips,
+          but has no effect: a points-to answer is a row lookup *)
   | R_views_of_listener of { app : string; listener : Gator.Node.listener_abs }
   | R_activities_of_id of { app : string; id : string }
   | R_patch of { app : string; edits : Util.Json.t }

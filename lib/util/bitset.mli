@@ -2,7 +2,7 @@
 
     The interned solver engine stores solution sets, delta sets and
     relationship tables as bitsets keyed by interner ids; the query
-    engine reads the same sets demand-driven.  Words are OCaml native
+    daemon reads the same sets in place.  Words are OCaml native
     ints ([Sys.int_size] usable bits), so every hot operation is
     word-level. *)
 

@@ -345,13 +345,18 @@ let parse_number cur =
     | None -> (
         match float_of_string_opt text with Some f -> Float f | None -> error cur "bad number")
 
-let rec parse_value cur =
+let max_depth = 512
+
+(* [depth] counts the arrays and objects open around the value. *)
+let rec parse_value ~depth cur =
   skip_ws cur;
   match peek cur with
   | Some 'n' -> literal cur "null" Null
   | Some 't' -> literal cur "true" (Bool true)
   | Some 'f' -> literal cur "false" (Bool false)
   | Some '"' -> String (parse_string cur)
+  | Some ('[' | '{') when depth >= max_depth ->
+      error cur (Printf.sprintf "arrays and objects nested deeper than %d" max_depth)
   | Some '[' ->
       advance cur;
       skip_ws cur;
@@ -361,7 +366,7 @@ let rec parse_value cur =
       end
       else
         let rec items acc =
-          let v = parse_value cur in
+          let v = parse_value ~depth:(depth + 1) cur in
           skip_ws cur;
           match peek cur with
           | Some ',' ->
@@ -386,7 +391,7 @@ let rec parse_value cur =
           let key = parse_string cur in
           skip_ws cur;
           expect cur ':';
-          let v = parse_value cur in
+          let v = parse_value ~depth:(depth + 1) cur in
           skip_ws cur;
           match peek cur with
           | Some ',' ->
@@ -404,7 +409,7 @@ let rec parse_value cur =
 let of_string src =
   let cur = { src; off = 0 } in
   match
-    let v = parse_value cur in
+    let v = parse_value ~depth:0 cur in
     skip_ws cur;
     if cur.off < String.length src then error cur "trailing content";
     v

@@ -23,9 +23,15 @@ val to_string : ?pretty:bool -> t -> string
 val pp : t Fmt.t
 (** Pretty (indented) form. *)
 
+val max_depth : int
+(** How deeply {!of_string} lets arrays and objects nest (512). *)
+
 val of_string : string -> (t, string) result
 (** Parses the full JSON value grammar (numbers are read as [Int] when
-    they are exact integers, [Float] otherwise).  [\uXXXX] escapes
+    they are exact integers, [Float] otherwise).  Arrays and objects
+    nested deeper than {!max_depth} are an [Error] at the offset of
+    the first bracket past it, so one hostile input cannot hold the
+    parser in a deep recursion.  [\uXXXX] escapes
     cover the BMP directly; a high/low surrogate pair of escapes is
     combined into the astral code point it denotes (unpaired
     surrogates are tolerated and byte-encoded individually). *)

@@ -224,6 +224,34 @@ let test_snapshot_corrupt () =
       | Error _ -> ()
       | Ok _ -> Alcotest.fail "foreign file loaded")
 
+(* A snapshot whose JSON nests past [Util.Json.max_depth] loads as an
+   [Error], like any other corrupt file; one level less still loads
+   (the loader ignores the extra field). *)
+let test_snapshot_too_deep () =
+  let app = inc_app () in
+  let _, solved = Incremental.analyze_solved app in
+  let rec nest n = if n = 0 then Util.Json.Null else Util.Json.List [ nest (n - 1) ] in
+  let load_with depth =
+    let doc =
+      match Snapshot.to_json solved with
+      | Util.Json.Obj fields -> Util.Json.Obj (fields @ [ ("deep", nest depth) ])
+      | _ -> Alcotest.fail "snapshot is not an object"
+    in
+    let path = Filename.temp_file "gator_snap" ".json" in
+    Fun.protect
+      ~finally:(fun () -> Sys.remove path)
+      (fun () ->
+        Out_channel.with_open_bin path (fun oc ->
+            Out_channel.output_string oc (Util.Json.to_string doc));
+        Snapshot.load path)
+  in
+  (match load_with (Util.Json.max_depth - 1) with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "snapshot at the depth bound refused: %s" e);
+  match load_with Util.Json.max_depth with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "snapshot nested past the depth bound loaded"
+
 let test_snapshot_stale_version () =
   let app = inc_app () in
   let _, solved = Incremental.analyze_solved app in
@@ -579,6 +607,7 @@ let suite =
     Alcotest.test_case "snapshot round-trip" `Quick test_snapshot_roundtrip;
     Alcotest.test_case "snapshot corrupt input" `Quick test_snapshot_corrupt;
     Alcotest.test_case "snapshot stale version" `Quick test_snapshot_stale_version;
+    Alcotest.test_case "snapshot nested past the depth bound" `Quick test_snapshot_too_deep;
     Alcotest.test_case "snapshot naming a removed solver" `Quick test_snapshot_removed_solver;
     Alcotest.test_case "snapshot pre-split compatibility" `Quick test_snapshot_pre_split_compat;
     Alcotest.test_case "fallback surfaced in stats" `Quick test_fallback_surfaced;

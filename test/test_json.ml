@@ -36,6 +36,29 @@ let test_errors () =
   bad "\"unterminated";
   bad "1 2"
 
+(* Nesting is bounded: [max_depth] levels parse, one more is an error
+   at the first bracket past the bound, for arrays and objects alike. *)
+let test_depth_bound () =
+  let arrays n = String.make n '[' ^ String.make n ']' in
+  let objects n =
+    String.concat "" (List.init n (fun _ -> {|{"a":|})) ^ "null" ^ String.make n '}'
+  in
+  List.iter
+    (fun (what, nest) ->
+      (match J.of_string (nest J.max_depth) with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "%s at max_depth refused: %s" what e);
+      match J.of_string (nest (J.max_depth + 1)) with
+      | Ok _ -> Alcotest.failf "%s past max_depth accepted" what
+      | Error e ->
+          let offset =
+            if what = "arrays" then J.max_depth else J.max_depth * String.length {|{"a":|}
+          in
+          Alcotest.(check bool)
+            (what ^ " error names the offset") true
+            (String.starts_with ~prefix:(Printf.sprintf "at offset %d:" offset) e))
+    [ ("arrays", arrays); ("objects", objects) ]
+
 let test_member () =
   let v = parse_ok {|{"x": {"y": 3}}|} in
   Alcotest.check Alcotest.bool "nested member" true
@@ -217,6 +240,7 @@ let suite =
     Alcotest.test_case "strings" `Quick test_strings;
     Alcotest.test_case "collections" `Quick test_collections;
     Alcotest.test_case "errors" `Quick test_errors;
+    Alcotest.test_case "nesting depth bound" `Quick test_depth_bound;
     Alcotest.test_case "member" `Quick test_member;
     Alcotest.test_case "numeric equality" `Quick test_numeric_equal;
     Alcotest.test_case "astral round-trip" `Quick test_astral_roundtrip;

@@ -121,4 +121,54 @@ let test_pinned () =
       Alcotest.check Alcotest.string label expected digest)
     pinned got
 
-let suite = [ Alcotest.test_case "structural views byte-identical to the pins" `Quick test_pinned ]
+(* The interaction tuples [gator --interactions] prints, per corpus
+   app and for Figure 1.  Taken from a build whose holder closure
+   unioned a per-root descendants walk. *)
+let interaction_pins =
+  [
+    ("APV", "fb2e86135cfe898765b07ea6be100ca2");
+    ("Astrid", "b1955a11960d938487bee0047e5cdd0e");
+    ("BarcodeScanner", "df941a307b7faa236425eca71cda8ec8");
+    ("Beem", "91e2075e5dfeaeaed456c345238803ee");
+    ("ConnectBot", "5eb095b91f2fd7a2f16d8ab02b6bf169");
+    ("FBReader", "e761e3589c511ae4612ecdb4b466ac8e");
+    ("K9", "af072cf37768529e40c5c098457feedf");
+    ("KeePassDroid", "eeee4e2f488a7856c71445e690181119");
+    ("Mileage", "04106f35942dc7a1da54ac91470ff6df");
+    ("MyTracks", "cb0239d94104b1db177bdad89f590db6");
+    ("NPR", "9348d582b4e104b957c3303f4897862e");
+    ("NotePad", "0afb852b5e3eb0dca747df892ae517cd");
+    ("OpenManager", "47f62cd32564d948401479626979ca7a");
+    ("OpenSudoku", "633468e7b3697fa917ec249e22cabe51");
+    ("SipDroid", "2b6c11e6340d49c4917c2e5b381b8538");
+    ("SuperGenPass", "419b2b41013dcb43955a46e0ec394be3");
+    ("TippyTipper", "2e5669d128d4344ca7e79e022db3b20d");
+    ("VLC", "048d5bc1273996770a000e1855c0e97d");
+    ("VuDroid", "2dda155c4b4da25eadbaf64f8b9b4e23");
+    ("XBMC", "ec0e5fb77c2e33124274cea32b068014");
+    ("Figure1", "7d983bb66ba28ba82ea26f7a23a7b316");
+  ]
+
+let test_interactions () =
+  let text app =
+    let r = Analysis.analyze app in
+    String.concat "\n" (List.map (Fmt.str "%a" Analysis.pp_interaction) (Analysis.interactions r))
+  in
+  let got =
+    List.map
+      (fun (spec : Corpus.Spec.t) -> (spec.Corpus.Spec.sp_name, Corpus.Apps.generate spec))
+      Corpus.Apps.specs
+    @ [ ("Figure1", Corpus.Connectbot.app ()) ]
+  in
+  Alcotest.check Alcotest.int "app count" (List.length interaction_pins) (List.length got);
+  List.iter2
+    (fun (name, expected) (name', app) ->
+      Alcotest.check Alcotest.string "app" name name';
+      Alcotest.check Alcotest.string name expected (hex (text app)))
+    interaction_pins got
+
+let suite =
+  [
+    Alcotest.test_case "structural views byte-identical to the pins" `Quick test_pinned;
+    Alcotest.test_case "interactions byte-identical to the pins" `Quick test_interactions;
+  ]

@@ -1,15 +1,13 @@
-(* The demand-driven query engine.  The backward walk must be
-   bit-identical to the forward fixpoint's projections — at EVERY fuel
-   budget, since each fallback (generator, cycle, budget) substitutes
-   the cached forward solution, which is exact.  The battery mirrors
+(* The query engine reads the solver's rows.  Every answer must equal
+   the forward projections [Analysis] reads from the same app, whatever
+   [budget] a caller passes (it has no effect).  The battery mirrors
    the three-engine differential in [test_intern.ml]: corpus apps,
    qcheck random apps, cycle-heavy apps, incrementally patched apps,
    sequentially and under the worker pool at jobs 1 and 4. *)
 open Gator
 
-(* Budgets to sweep: 0 forces pure cached reads, 1 and 7 truncate
-   mid-walk, the default runs the walk to completion. *)
-let budgets = [ 0; 1; 7; Query.default_budget ]
+(* Budgets to pass: none of them may change an answer. *)
+let budgets = [ 0; max_int ]
 
 let pp_values = Fmt.Dump.list Node.pp_value
 
@@ -20,25 +18,22 @@ let pp_views = Fmt.Dump.list Node.pp_view
    the same app — e.g. a cold solve vs a warm-captured state). *)
 let check_queries name (r : Analysis.t) solved =
   let hierarchy = r.Analysis.app.Framework.App.hierarchy in
-  let locations = Graph.locations r.Analysis.graph in
-  (* points-to at every location, at every budget, fresh handle each
-     so the memo can't mask budget behaviour *)
+  let q = Query.create ~hierarchy solved in
+  let it = Query.interner q in
+  (* points-to at every location, at every budget *)
   List.iter
-    (fun budget ->
-      let q = Query.create ~hierarchy solved in
+    (fun node ->
+      let expected = Analysis.values_at r node in
       List.iter
-        (fun node ->
-          let expected = Analysis.values_at r node in
+        (fun budget ->
           match Query.points_to ~budget q node with
           | None -> Alcotest.failf "%s[b=%d]: %a unknown to the query engine" name budget Node.pp node
           | Some got ->
               if List.compare Node.compare_value expected got <> 0 then
-                Alcotest.failf "%s[b=%d]: backward differs at %a:@.  forward  %a@.  backward %a"
-                  name budget Node.pp node pp_values expected pp_values got)
-        locations)
-    budgets;
-  let q = Query.create ~hierarchy solved in
-  let it = Query.interner q in
+                Alcotest.failf "%s[b=%d]: query differs at %a:@.  forward %a@.  query   %a" name
+                  budget Node.pp node pp_values expected pp_values got)
+        budgets)
+    (Graph.locations r.Analysis.graph);
   (* views-of-listener vs the inverse of the forward registration table *)
   let module LM = Map.Make (struct
     type t = Node.listener_abs
@@ -59,14 +54,14 @@ let check_queries name (r : Analysis.t) solved =
       let expected = List.sort Node.compare_view ws in
       let got = Query.views_of_listener q l in
       if List.compare Node.compare_view expected got <> 0 then
-        Alcotest.failf "%s: views-of-listener differs at %a:@.  forward  %a@.  backward %a" name
+        Alcotest.failf "%s: views-of-listener differs at %a:@.  forward %a@.  query   %a" name
           Node.pp_listener l pp_views expected pp_views got)
     !registered;
   Alcotest.(check (list reject))
     (name ^ ": unregistered listener answers empty")
     []
     (Query.views_of_listener q (Node.L_act "NoSuchListener_zzz"));
-  (* activities-of-id vs forward views_with_id x views_of_activity *)
+  (* activities-of-id vs forward views_with_id x views_of_holder *)
   let id_names =
     List.sort_uniq String.compare
       (List.filter_map
@@ -84,14 +79,14 @@ let check_queries name (r : Analysis.t) solved =
         List.sort_uniq String.compare
           (List.filter_map
              (fun (cls : Jir.Ast.cls) ->
-               let shown = Analysis.views_of_activity r cls.Jir.Ast.c_name in
+               let shown = Analysis.views_of_holder r (Node.H_act cls.Jir.Ast.c_name) in
                if List.exists (fun v -> mem v shown) with_id then Some cls.Jir.Ast.c_name
                else None)
              (Framework.App.activity_classes r.Analysis.app))
       in
       let got = Query.activities_of_id q id_name in
       if expected <> got then
-        Alcotest.failf "%s: activities-of-id %S differs:@.  forward  %a@.  backward %a" name
+        Alcotest.failf "%s: activities-of-id %S differs:@.  forward %a@.  query   %a" name
           id_name
           Fmt.(Dump.list string)
           expected
@@ -116,7 +111,7 @@ let test_corpus () =
     Corpus.Apps.specs
 
 let test_qcheck_random =
-  QCheck.Test.make ~count:8 ~name:"random app: backward = forward at every budget"
+  QCheck.Test.make ~count:8 ~name:"random app: reads equal rows"
     QCheck.(int_range 0 10_000)
     (fun seed ->
       let rng = Util.Prng.create seed in
@@ -124,8 +119,9 @@ let test_qcheck_random =
       ignore (check_app spec.Corpus.Spec.sp_name (Corpus.Gen.generate spec));
       true)
 
-(* Cycle-heavy apps: the condensed graph can still close cycles
-   through cast edges, exercising the backward walk's cycle fallback. *)
+(* Cycle-heavy apps: components with many members read one
+   representative's row, and cast edges can still close cycles in the
+   condensed graph. *)
 let test_cyclic () =
   let app =
     Corpus.Gen.cyclic_app ~name:"QCycle" ~chains:3 ~chain_len:9 ~two_cycles:2 ~bridges:4 ~seed:23
@@ -134,7 +130,7 @@ let test_cyclic () =
   ignore (check_app "QCycle" app)
 
 let test_qcheck_cyclic =
-  QCheck.Test.make ~count:8 ~name:"cyclic app: backward = forward at every budget"
+  QCheck.Test.make ~count:8 ~name:"random cyclic: reads equal rows"
     QCheck.(int_range 0 10_000)
     (fun seed ->
       let rng = Util.Prng.create seed in
@@ -143,8 +139,9 @@ let test_qcheck_cyclic =
       true)
 
 (* Incrementally patched apps: the query engine must be exact over a
-   WARM-captured state (whose sd_targets carry transitively), checked
-   against a cold from-scratch forward solve of the patched app. *)
+   WARM-captured state (whose rows alias the previous solve's),
+   checked against a cold from-scratch forward solve of the patched
+   app. *)
 let test_patched () =
   let base = Corpus.Gen.generate (Option.get (Corpus.Apps.by_name "XBMC")) in
   let _, solved0 = Incremental.analyze_solved base in
@@ -197,74 +194,119 @@ let test_jobs () =
       List.iter Pool.value_exn (Pool.run ~jobs tasks))
     [ 1; 4 ]
 
-(* The counters must prove the demand-driven claim: a default-budget
-   walk expands representatives backward and never falls back on
-   budget; a zero-budget walk reads only cached solutions. *)
+(* [q_queries] counts answered point queries; the walk counters the
+   benchmark still reads stay 0. *)
+let walk_counters (s : Query.stats) =
+  [ s.Query.q_memo_hits; s.Query.q_expanded; s.Query.q_generator_hits; s.Query.q_budget_fallbacks ]
+
 let test_stats_counters () =
   let app = Corpus.Gen.generate (Option.get (Corpus.Apps.by_name "XBMC")) in
   let r, solved = Incremental.analyze_solved app in
-  let hierarchy = app.Framework.App.hierarchy in
-  let q = Query.create ~hierarchy solved in
-  List.iter (fun node -> ignore (Query.points_to q node)) (Graph.locations r.Analysis.graph);
+  let q = Query.create ~hierarchy:app.Framework.App.hierarchy solved in
+  let locations = Graph.locations r.Analysis.graph in
+  List.iter (fun node -> ignore (Query.points_to q node)) locations;
   let s = Query.stats q in
-  Alcotest.(check bool) "queries counted" true (s.Query.q_queries > 0);
-  Alcotest.(check bool) "backward expansions happened" true (s.Query.q_expanded > 0);
-  Alcotest.(check int) "no budget fallback at default budget" 0 s.Query.q_budget_fallbacks;
-  let q0 = Query.create ~hierarchy solved in
-  List.iter
-    (fun node -> ignore (Query.points_to ~budget:0 q0 node))
-    (Graph.locations r.Analysis.graph);
-  let s0 = Query.stats q0 in
-  Alcotest.(check int) "budget 0 never expands" 0 s0.Query.q_expanded;
-  Alcotest.(check bool) "budget 0 falls back" true (s0.Query.q_budget_fallbacks > 0);
-  (* unknown nodes answer None without minting interner ids *)
+  Alcotest.(check int) "one count per query" (List.length locations) s.Query.q_queries;
+  Alcotest.(check (list int)) "walk counters stay 0" [ 0; 0; 0; 0 ] (walk_counters s);
+  (* unknown nodes answer None without minting interner ids or counting *)
   let before = Intern.node_count (Query.interner q) in
   Alcotest.(check bool) "unknown node is None" true
     (Query.points_to q (Node.N_field "no_such_field_zzz") = None);
-  Alcotest.(check int) "unknown node minted nothing" before (Intern.node_count (Query.interner q))
+  Alcotest.(check int) "unknown node minted nothing" before (Intern.node_count (Query.interner q));
+  Alcotest.(check int) "unknown node not counted" (List.length locations) s.Query.q_queries
 
 (* Counter semantics on a SHARED engine: monotone accumulation since
-   [create], never reset between queries.  A budget-starved query
-   leaves its fallback count behind — later default-budget queries on
-   the same handle add to the totals rather than clearing them (the
-   daemon relies on exactly this: its stats reply carries counters
-   across queries, and across patches by snapshotting; see
-   [test_server.ml]). *)
+   [create], never reset between queries, whatever the budget (the
+   daemon relies on exactly this: its stats reply carries the count
+   across queries, and across patches; see [test_server.ml]). *)
 let test_stats_accumulate_on_shared_engine () =
   let app = Corpus.Gen.generate (Option.get (Corpus.Apps.by_name "XBMC")) in
   let r, solved = Incremental.analyze_solved app in
   let q = Query.create ~hierarchy:app.Framework.App.hierarchy solved in
   let locations = Graph.locations r.Analysis.graph in
-  let snap () =
-    let s = Query.stats q in
-    (s.Query.q_queries, s.Query.q_expanded, s.Query.q_budget_fallbacks, s.Query.q_memo_hits)
-  in
-  (* round 1: budget-starved queries must record their fallbacks *)
   List.iter (fun node -> ignore (Query.points_to ~budget:0 q node)) locations;
-  let q1, e1, b1, _ = snap () in
-  Alcotest.(check int) "round 1 queries" (List.length locations) q1;
-  Alcotest.(check int) "round 1 never expands" 0 e1;
-  Alcotest.(check bool) "round 1 budget fallbacks recorded" true (b1 > 0);
-  (* round 2, same handle at default budget: counters accumulate on
-     top of round 1 — queries double, fallback count stays (memoized
-     fallback rows answer from the memo, adding hits, not fallbacks) *)
+  Alcotest.(check int) "round 1 queries" (List.length locations) (Query.stats q).Query.q_queries;
   List.iter (fun node -> ignore (Query.points_to q node)) locations;
-  let q2, e2, b2, m2 = snap () in
-  Alcotest.(check int) "queries accumulate" (2 * List.length locations) q2;
-  Alcotest.(check int) "fallbacks never reset" b1 b2;
-  Alcotest.(check bool) "memo hits grew" true (m2 > 0);
-  Alcotest.(check bool) "still no spontaneous reset" true (e2 >= e1)
+  let s = Query.stats q in
+  Alcotest.(check int) "queries accumulate" (2 * List.length locations) s.Query.q_queries;
+  Alcotest.(check (list int)) "walk counters stay 0" [ 0; 0; 0; 0 ] (walk_counters s)
+
+(* Relation queries on keys the app never interned: empty answers, and
+   no interner table grows. *)
+let test_unknown_keys_mint_nothing () =
+  let app = Corpus.Gen.generate (Option.get (Corpus.Apps.by_name "ConnectBot")) in
+  let _, solved = Incremental.analyze_solved app in
+  let q = Query.create ~hierarchy:app.Framework.App.hierarchy solved in
+  let it = Query.interner q in
+  let counts () =
+    [
+      Intern.node_count it;
+      Intern.value_count it;
+      Intern.view_count it;
+      Intern.listener_count it;
+      Intern.holder_count it;
+    ]
+  in
+  let before = counts () in
+  Alcotest.(check (list reject))
+    "unknown listener answers empty" []
+    (Query.views_of_listener q (Node.L_act "NoSuchListener_zzz"));
+  Alcotest.(check (list string)) "unknown id answers empty" []
+    (Query.activities_of_id q "no_such_id_zzz");
+  Alcotest.(check (list int)) "node, value, view, listener, holder counts" before (counts ())
+
+(* The holder closure ([Graph.holder_views], read through
+   [Analysis.views_of_holder]) against a per-root reference: a BFS
+   over the decoded child relation from each root, unioned. *)
+let check_holder_closure name (r : Analysis.t) =
+  let reference holder =
+    let seen = ref Graph.View_set.empty in
+    let rec visit v =
+      if not (Graph.View_set.mem v !seen) then begin
+        seen := Graph.View_set.add v !seen;
+        Graph.View_set.iter visit (Graph.children_of r.Analysis.graph v)
+      end
+    in
+    Graph.View_set.iter visit (Graph.roots_of_holder r.Analysis.graph holder);
+    Graph.View_set.elements !seen
+  in
+  List.iter
+    (fun holder ->
+      let expected = reference holder and got = Analysis.views_of_holder r holder in
+      if List.compare Node.compare_view expected got <> 0 then
+        Alcotest.failf "%s: holder closure differs at %a:@.  per-root %a@.  closure  %a" name
+          Node.pp_holder holder pp_views expected pp_views got)
+    (Graph.holders r.Analysis.graph)
+
+let test_holder_closure_corpus () =
+  List.iter
+    (fun (spec : Corpus.Spec.t) ->
+      check_holder_closure spec.Corpus.Spec.sp_name
+        (Analysis.analyze (Corpus.Gen.generate spec)))
+    Corpus.Apps.specs
+
+let test_qcheck_holder_closure =
+  QCheck.Test.make ~count:8 ~name:"holder closure, random cyclic apps"
+    QCheck.(int_range 0 10_000)
+    (fun seed ->
+      let name = Printf.sprintf "QHold_%d" seed in
+      let app = Corpus.Gen.random_cyclic_app ~name (Util.Prng.create seed) in
+      check_holder_closure name (Analysis.analyze app);
+      true)
 
 let suite =
   [
-    Alcotest.test_case "ConnectBot: backward = forward at every budget" `Quick test_connectbot;
-    Alcotest.test_case "cyclic app: backward = forward" `Quick test_cyclic;
+    Alcotest.test_case "ConnectBot: reads equal rows" `Quick test_connectbot;
+    Alcotest.test_case "cyclic app: reads equal rows" `Quick test_cyclic;
     Alcotest.test_case "patched apps: warm state queries = cold forward" `Quick test_patched;
     Alcotest.test_case "query stats counters" `Quick test_stats_counters;
     Alcotest.test_case "stats accumulate on a shared engine" `Quick
       test_stats_accumulate_on_shared_engine;
+    Alcotest.test_case "unknown keys mint nothing" `Quick test_unknown_keys_mint_nothing;
     QCheck_alcotest.to_alcotest test_qcheck_random;
     QCheck_alcotest.to_alcotest test_qcheck_cyclic;
-    Alcotest.test_case "corpus: backward = forward (all apps)" `Slow test_corpus;
+    QCheck_alcotest.to_alcotest test_qcheck_holder_closure;
+    Alcotest.test_case "corpus: reads equal rows (all apps)" `Slow test_corpus;
+    Alcotest.test_case "holder closure, corpus apps" `Slow test_holder_closure_corpus;
     Alcotest.test_case "random apps under pool (jobs 1/4)" `Slow test_jobs;
   ]

@@ -517,9 +517,9 @@ let test_crash_recovery () =
       Alcotest.(check (list string)) "answers identical after corrupt state" before (answers t3))
 
 (* The stats reply is cumulative per loaded app: a patch replaces the
-   query handle (fresh memo over the new solved state) but must NOT
-   zero the counters a client is watching — the daemon snapshots the
-   retiring handle's totals into the fresh one. *)
+   query handle (it fronts the new solved state) but must NOT zero the
+   count a client is watching — the daemon carries the retiring
+   handle's total into the fresh one. *)
 let test_stats_survive_patch () =
   let t = mk_server () in
   Alcotest.(check (option string)) "load ok" None (error_code (handle_json t (req_load "XBMC")));
@@ -547,12 +547,29 @@ let test_stats_survive_patch () =
   List.iter (fun node -> ignore (handle_json t (req_points_to "XBMC" node))) probes;
   Alcotest.(check int) "and keep accumulating" (2 * List.length probes) (stat_field "queries")
 
+(* A frame-cap-sized payload that is nothing but nested arrays: the
+   JSON depth bound turns it into a [parse] error envelope quickly,
+   and the daemon keeps serving. *)
+let test_deep_nesting_frame () =
+  let t = mk_server () in
+  let half = P.max_frame / 2 in
+  let payload = String.make half '[' ^ String.make half ']' in
+  let t0 = Unix.gettimeofday () in
+  let response = Server.Daemon.handle t payload in
+  let elapsed = Unix.gettimeofday () -. t0 in
+  (match J.of_string response with
+  | Ok j -> Alcotest.(check (option string)) "parse error" (Some "parse") (error_code j)
+  | Error e -> Alcotest.failf "unparsable response: %s" e);
+  if elapsed >= 1.0 then Alcotest.failf "nested frame held the daemon for %.2f s" elapsed;
+  Alcotest.(check (option string)) "still serving" None (error_code (handle_json t req_ping))
+
 let suite =
   [
     Alcotest.test_case "dispatch: answers, envelopes, survival" `Quick test_dispatch;
     Alcotest.test_case "stats survive a patch" `Quick test_stats_survive_patch;
     Alcotest.test_case "operand codecs round-trip" `Quick test_codecs;
     Alcotest.test_case "hostile frames against a live daemon" `Quick test_hostile_frames;
+    Alcotest.test_case "frame-sized nesting is refused fast" `Quick test_deep_nesting_frame;
     Alcotest.test_case "crash recovery from snapshot state" `Quick test_crash_recovery;
     Alcotest.test_case "concurrent queries during a patch" `Slow test_concurrent_patch;
     QCheck_alcotest.to_alcotest ~long:true test_fuzz;
