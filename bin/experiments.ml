@@ -347,7 +347,7 @@ let verify_reflection () =
     !resolutions polluted nonempty (List.length family)
 
 (* CI smoke: the interned engine must agree bit-for-bit with the naive
-   executable specification on the largest corpus app. *)
+   rule-table reference on the largest corpus app. *)
 let run_verify () =
   let with_solver solver = { Gator.Config.default with Gator.Config.solver } in
   let check name app =

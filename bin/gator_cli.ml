@@ -363,8 +363,9 @@ let () =
       & opt (enum engines) Gator.Config.default.Gator.Config.solver
       & info [ "solver" ] ~docv:"ENGINE"
           ~doc:
-            "Constraint-solver engine: $(b,naive) (executable specification) or $(b,interned) \
-             (semi-naive over dense ids and bitsets; default). Both produce the same solution.")
+            "Constraint-solver engine: $(b,naive) (the reference that interprets the rule table) \
+             or $(b,interned) (semi-naive over dense ids and bitsets; default). Both produce the \
+             same solution.")
   in
   let dot = Arg.(value & flag & info [ "dot" ] ~doc:"Dump the constraint graph in Graphviz form.") in
   let interactions =

@@ -31,17 +31,6 @@ let ops_of_kind t predicate =
 
 let op_receiver_views t (op : Graph.op) = Graph.views_of t.graph op.op_recv
 
-let op_receiver_holders t (op : Graph.op) =
-  Graph.VS.fold
-    (fun v acc ->
-      match v with
-      | Node.V_act a -> Node.H_act a :: acc
-      | Node.V_obj site when Framework.Views.is_dialog_class t.app.hierarchy site.a_cls ->
-          Node.H_dialog site :: acc
-      | _ -> acc)
-    (Graph.set_of t.graph op.op_recv)
-    []
-
 let op_child_views t (op : Graph.op) =
   match op.op_args with [] -> [] | arg :: _ -> Graph.views_of t.graph arg
 
@@ -63,28 +52,22 @@ let op_listeners t (op : Graph.op) =
         (Graph.set_of t.graph arg) []
   | _ -> []
 
-let all_views t =
-  let inflated = Graph.inflated_views t.graph in
-  let allocated =
-    List.filter_map
-      (fun (site : Node.alloc_site) ->
-        if Framework.Views.is_view_class t.app.hierarchy site.a_cls then Some (Node.V_alloc site)
-        else None)
-      (Graph.allocs t.graph)
-  in
-  inflated @ allocated
-
 let views_with_id t name =
   match Layouts.Resource.find_view_id (Layouts.Package.resources t.app.package) name with
   | None -> []
   | Some id ->
       (* a view whose id came from [SetId (v, ⊤)] carries the sentinel
          and may be any id, so it matches every concrete name *)
-      List.filter
-        (fun v ->
-          let ids = Graph.ids_of_view t.graph v in
-          Graph.Int_set.mem id ids || Graph.Int_set.mem Node.top_view_id_raw ids)
-        (all_views t)
+      let it = Graph.interner t.graph in
+      let syms = List.filter_map (Intern.rid_opt it) [ id; Node.top_view_id_raw ] in
+      let acc = ref [] in
+      Array.iteri
+        (fun wid row ->
+          match row with
+          | Some b when List.exists (Util.Bitset.mem b) syms -> acc := Intern.view_of it wid :: !acc
+          | _ -> ())
+        (Graph.solution t.graph).Graph.sol_ids;
+      List.sort Node.compare_view !acc
 
 (* Counted on the store's rows, without decoding: every location with
    a non-empty set is an interned node, and taint rows are subsets. *)

@@ -48,8 +48,6 @@ val ops_of_kind : t -> (Framework.Api.kind -> bool) -> Graph.op list
 
 val op_receiver_views : t -> Graph.op -> Node.view_abs list
 
-val op_receiver_holders : t -> Graph.op -> Node.holder list
-
 val op_child_views : t -> Graph.op -> Node.view_abs list
 (** Views reaching the first argument (AddView's child,
     SetContent's view). *)
@@ -63,9 +61,10 @@ val op_listeners : t -> Graph.op -> Node.listener_abs list
 (** {1 Structural queries} *)
 
 val views_with_id : t -> string -> Node.view_abs list
-(** All abstract views associated with the named view id, including
-    views whose id came from [SetId (v, ⊤)] (their concrete id is
-    unknown, so they match every name). *)
+(** All abstract views whose id row holds the named view id (inflated
+    views, views given the id by [setId], menu items), including views
+    whose id came from [SetId (v, ⊤)] (their concrete id is unknown, so
+    they match every name); sorted by {!Node.compare_view}. *)
 
 val pollution : t -> int * int
 (** [(polluted, nonempty)]: of the location nodes with a non-empty

@@ -6,12 +6,13 @@
     DESIGN.md. *)
 
 (** Fixed-point engine selection.  Both compute the same solution:
-    [Naive] re-applies every operation against full structural sets
-    each round until nothing changes (the executable specification the
-    differential tests compare against), and [Interned] (the default,
-    the production path) schedules only operations whose inputs grew,
-    over hash-consed dense integer ids with bitset solution sets and an
-    SCC-condensed CSR flow graph. *)
+    [Naive] interprets the rule table ({!Rules}), re-applying every
+    operation's rules against full structural sets each round until
+    nothing changes (the reference the differential tests compare
+    against), and [Interned] (the default, the production path)
+    schedules only operations whose inputs grew, over hash-consed
+    dense integer ids with bitset solution sets and an SCC-condensed
+    CSR flow graph. *)
 type solver = Naive | Interned
 
 val solver_name : solver -> string

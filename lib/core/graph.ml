@@ -654,12 +654,6 @@ let taints_of t node =
   | Some nid -> decode_values t (row t.sol.sol_taints nid)
   | None -> VS.empty
 
-let is_tainted t node value =
-  match (Intern.find_node t.g_it node, Intern.find_value t.g_it value) with
-  | Some nid, Some vid -> (
-      match row t.sol.sol_taints nid with Some b -> Util.Bitset.mem b vid | None -> false)
-  | _ -> false
-
 (* Ids [0, n) of [rows] holding a non-empty row, ascending. *)
 let keys_of rows =
   let acc = ref [] in

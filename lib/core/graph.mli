@@ -167,8 +167,6 @@ val views_of : t -> Node.t -> Node.view_abs list
 
 val taints_of : t -> Node.t -> VS.t
 
-val is_tainted : t -> Node.t -> Node.value -> bool
-
 val tainted_nodes : t -> (Node.t * VS.t) list
 (** Every location with a non-empty taint set, by ascending node id. *)
 

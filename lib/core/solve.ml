@@ -1,6 +1,7 @@
 (* The solver (Section 4.2/4.3).  Two engines reach one fixpoint: the
-   naive reference re-applies every rule over structural sets, the
-   interned production engine runs semi-naively over dense ids.  Either
+   naive reference ([Rules]) interprets the rule table over structural
+   sets, the interned production engine runs semi-naively over dense
+   ids, each rule written out by hand ([iapply_op]).  Either
    way the result lands in one place, the graph's id-level solution
    store ([Graph.solution]): the interned engine installs its own
    bitset rows, the naive engine encodes its structural tables once at
@@ -33,690 +34,16 @@ type stats = {
       (** why an incremental request fell back to a full solve, if it did *)
 }
 
-(* Can a value pass through a cast to [cls]?  Sound filtering: the
-   abstract object's dynamic class is known exactly, so the cast
-   succeeds iff it is a subtype of [cls].  Unknown classes pass. *)
-let passes_cast hierarchy cls value =
-  let compatible c = (not (Jir.Hierarchy.mem hierarchy c)) || Jir.Hierarchy.subtype hierarchy c cls in
-  if not (Jir.Hierarchy.mem hierarchy cls) then true
-  else
-    match value with
-    | Node.V_view v -> compatible (Node.class_of_view v)
-    | Node.V_obj a -> compatible a.a_cls
-    | Node.V_act a -> compatible a
-    | Node.V_layout_id _ | Node.V_view_id _ -> false
-    | Node.V_layout_top | Node.V_view_id_top -> false
-
-(* The naive reference keeps its solution in structural tables of its
-   own and encodes it into the graph's store once, at fixpoint. *)
-type state = {
-  config : Config.t;
-  app : Framework.App.t;
-  graph : Graph.t;
-  worklist : Node.t Util.Worklist.t;
-  sets : (Node.t, Graph.VS.t) Hashtbl.t;
-  children : (Node.view_abs, Graph.View_set.t) Hashtbl.t;
-  parents : (Node.view_abs, Graph.View_set.t) Hashtbl.t;
-  ids : (Node.view_abs, Graph.Int_set.t) Hashtbl.t;
-  roots : (Node.holder, Graph.View_set.t) Hashtbl.t;
-  listeners : (Node.view_abs, Graph.Listener_set.t) Hashtbl.t;
-  mutable propagations : int;
-  mutable op_applications : int;
-  mutable dirty : bool;  (** a set or relation grew during the current op pass *)
-}
-
-let find_set tbl key ~default = Option.value (Hashtbl.find_opt tbl key) ~default
-
-let set_of state node = find_set state.sets node ~default:Graph.VS.empty
-
-(* Set-valued table update returning whether it grew ([Set.add]
-   returns its argument physically when the element is present). *)
-let add_to (type s elt) (module S : Set.S with type t = s and type elt = elt) tbl key v =
-  let existing = find_set tbl key ~default:S.empty in
-  let updated = S.add v existing in
-  if updated == existing then false
-  else begin
-    Hashtbl.replace tbl key updated;
-    true
-  end
-
-let add_value state node value = add_to (module Graph.VS) state.sets node value
-
-let children_of state view = find_set state.children view ~default:Graph.View_set.empty
-
-let parents_of state view = find_set state.parents view ~default:Graph.View_set.empty
-
-let add_child state ~parent ~child =
-  let grew = add_to (module Graph.View_set) state.children parent child in
-  if grew then ignore (add_to (module Graph.View_set) state.parents child parent);
-  grew
-
-let descendants state ~include_self view =
-  let visited = ref (if include_self then Graph.View_set.singleton view else Graph.View_set.empty) in
-  let queue = Queue.create () in
-  Queue.add view queue;
-  while not (Queue.is_empty queue) do
-    Graph.View_set.iter
-      (fun child ->
-        if not (Graph.View_set.mem child !visited) then begin
-          visited := Graph.View_set.add child !visited;
-          Queue.add child queue
-        end)
-      (children_of state (Queue.take queue))
-  done;
-  !visited
-
-let ids_of_view state view = find_set state.ids view ~default:Graph.Int_set.empty
-
-let add_view_id state view id = add_to (module Graph.Int_set) state.ids view id
-
-let roots_of_holder state holder = find_set state.roots holder ~default:Graph.View_set.empty
-
-let add_holder_root state holder root = add_to (module Graph.View_set) state.roots holder root
-
-let add_view_listener state view listener ~iface =
-  add_to (module Graph.Listener_set) state.listeners view (listener, iface)
-
-let push_value state node value =
-  if add_value state node value then begin
-    Util.Worklist.add state.worklist node;
-    state.dirty <- true
-  end
-
-let mark state changed = if changed then state.dirty <- true
-
-(* Worklist propagation of points-to sets along flow edges, pushing
-   full sets (naive solver). *)
-let propagate_full state =
-  let hierarchy = state.app.Framework.App.hierarchy in
-  Util.Worklist.drain state.worklist (fun node ->
-      state.propagations <- state.propagations + 1;
-      let values = set_of state node in
-      List.iter
-        (fun (kind, dst) ->
-          Graph.VS.iter
-            (fun value ->
-              let passes =
-                match kind with
-                | Graph.E_direct -> true
-                | Graph.E_cast cls -> passes_cast hierarchy cls value
-              in
-              if passes && add_value state dst value then Util.Worklist.add state.worklist dst)
-            values)
-        (Graph.succs state.graph node))
-
-(* Values at the argument location of an op, view-id constants only. *)
-let view_ids_at state node =
-  Graph.VS.fold
-    (fun v acc -> match v with Node.V_view_id id -> id :: acc | _ -> acc)
-    (set_of state node) []
-
-let layout_ids_at state node =
-  Graph.VS.fold
-    (fun v acc -> match v with Node.V_layout_id id -> id :: acc | _ -> acc)
-    (set_of state node) []
-
-let views_at state node =
-  Graph.VS.fold
-    (fun v acc -> match Node.view_of_value v with Some view -> view :: acc | None -> acc)
-    (set_of state node) []
-
-let holders state = Hashtbl.fold (fun h _ acc -> h :: acc) state.roots []
-
-(* Unknown-id markers at an op input ([Inflate(⊤)] / [FindView(v, ⊤)]
-   / [SetId(v, ⊤)]). *)
-let top_layout_at state node = Graph.VS.mem Node.V_layout_top (set_of state node)
-
-let top_view_id_at state node = Graph.VS.mem Node.V_view_id_top (set_of state node)
-
-(* Every [R.layout] id of the package: a ⊤ layout argument may name any
-   of them (reflection, computed resource names). *)
-let all_layout_ids state =
-  let package = state.app.Framework.App.package in
-  let resources = Layouts.Package.resources package in
-  List.filter_map
-    (fun (def : Layouts.Layout.def) -> Layouts.Resource.find_layout_id resources def.name)
-    (Layouts.Package.layouts package)
-
-(* Content holders among the values at a location: activities, plus
-   dialog objects when the extension is enabled. *)
-let holders_at state node =
-  Graph.VS.fold
-    (fun v acc ->
-      match v with
-      | Node.V_act a -> Node.H_act a :: acc
-      | Node.V_obj site
-        when state.config.Config.model_dialogs
-             && Framework.Views.is_dialog_class state.app.hierarchy site.a_cls ->
-          Node.H_dialog site :: acc
-      | _ -> acc)
-    (set_of state node) []
-
-(* Listener objects among the values at a location, restricted to
-   those actually implementing the interface being registered. *)
-let listeners_at state iface node =
-  let implements cls =
-    Jir.Hierarchy.subtype state.app.Framework.App.hierarchy cls iface.Framework.Listeners.i_name
-  in
-  Graph.VS.fold
-    (fun v acc ->
-      match v with
-      | Node.V_obj site when implements site.a_cls -> Node.L_alloc site :: acc
-      | Node.V_view view when implements (Node.class_of_view view) ->
-          (* custom view classes can be their own listeners *)
-          (match view with
-          | Node.V_alloc site -> Node.L_alloc site :: acc
-          | Node.V_infl _ -> acc)
-      | Node.V_act a when implements a -> Node.L_act a :: acc
-      | _ -> acc)
-    (set_of state node) []
-
-let inflate_at state ~site lid =
-  let package = state.app.Framework.App.package in
-  match Layouts.Package.find_by_layout_id package lid with
-  | None -> None
-  | Some def ->
-      let views, facts =
-        Inflate.instantiate state.graph
-          ~resources:(Layouts.Package.resources package)
-          ~site def
-      in
-      Option.iter
-        (fun (f : Inflate.facts) ->
-          List.iter (fun (view, id) -> ignore (add_view_id state view id)) f.view_ids;
-          List.iter (fun (parent, child) -> ignore (add_child state ~parent ~child)) f.children;
-          state.dirty <- true)
-        facts;
-      Some (Inflate.root views)
-
-(* The implicit callback of SETLISTENER: for handler [n] of the
-   listener's class, inject listener -> this_n and view -> view-param_n
-   (the [y.n(x)] modeling at the end of Section 3). *)
-let inject_handler_flows state view listener iface =
-  let hierarchy = state.app.Framework.App.hierarchy in
-  let cls, listener_value =
-    match listener with
-    | Node.L_alloc site -> (site.Node.a_cls, Node.V_obj site)
-    | Node.L_act a -> (a, Node.V_act a)
-  in
-  List.iter
-    (fun (h : Framework.Listeners.handler) ->
-      match
-        Jir.Hierarchy.resolve hierarchy cls { Jir.Ast.mk_name = h.h_name; mk_arity = h.h_arity }
-      with
-      | Some (owner, m) ->
-          let tmid = Node.mid_of_meth owner m in
-          push_value state (Node.N_var (tmid, Jir.Ast.this_var)) listener_value;
-          (match h.h_view_param with
-          | Some k -> (
-              match List.nth_opt m.m_params k with
-              | Some (param, _) -> push_value state (Node.N_var (tmid, param)) (Node.V_view view)
-              | None -> ())
-          | None -> ());
-          (* adapter-view events: the item parameter receives the
-             registered view's children (item views) *)
-          (match h.h_item_param with
-          | Some k -> (
-              match List.nth_opt m.m_params k with
-              | Some (param, _) ->
-                  Graph.View_set.iter
-                    (fun child ->
-                      push_value state (Node.N_var (tmid, param)) (Node.V_view child))
-                    (children_of state view)
-              | None -> ())
-          | None -> ())
-      | None -> ())
-    iface.Framework.Listeners.i_handlers
-
-(* find(view, id): descendants (reflexively) of the receiver carrying
-   the id — rule FINDVIEW1's [ancestorOf] + [=> id] conditions. *)
-let find_in_hierarchy state root id =
-  let scope = descendants state ~include_self:true root in
-  let carrying id =
-    Graph.View_set.filter (fun w -> Graph.Int_set.mem id (ids_of_view state w)) scope
-  in
-  (* A view whose id row carries the ⊤ sentinel (SetId(v, ⊤)) matches
-     any queried id.  The sentinel only enters rows on ⊤ graphs, so
-     non-⊤ apps take the unchanged fast path. *)
-  if Graph.has_top state.graph then
-    Graph.View_set.union (carrying id) (carrying Node.top_view_id_raw)
-  else carrying id
-
-(* FindView(v, ⊤): the query may name any id, so it resolves to every
-   view in scope carrying at least one id. *)
-let find_any_id state root =
-  Graph.View_set.filter
-    (fun w -> not (Graph.Int_set.is_empty (ids_of_view state w)))
-    (descendants state ~include_self:true root)
-
-let apply_op state (op : Graph.op) =
-  let g = state.graph in
-  let out value = Option.iter (fun node -> push_value state node value) op.op_out in
-  let out_view view = out (Node.V_view view) in
-  match op.site.o_kind with
-  | Framework.Api.Inflate ->
-      let arg0 = List.nth_opt op.op_args 0 in
-      Option.iter
-        (fun arg ->
-          let lids = layout_ids_at state arg in
-          (* Inflate(⊤): the unresolved id may name any layout. *)
-          let lids = if top_layout_at state arg then all_layout_ids state @ lids else lids in
-          List.iter
-            (fun lid ->
-              match inflate_at state ~site:op.site.o_site lid with
-              | Some root ->
-                  mark state (Graph.add_root_layout g root lid);
-                  out_view root;
-                  (* inflate(id, parent): the new hierarchy may be
-                     attached to the given container. *)
-                  (match List.nth_opt op.op_args 1 with
-                  | Some parent_arg ->
-                      List.iter
-                        (fun parent -> mark state (add_child state ~parent ~child:root))
-                        (views_at state parent_arg)
-                  | None -> ())
-              | None -> ())
-            lids)
-        arg0
-  | Framework.Api.Set_content ->
-      let holders = holders_at state op.op_recv in
-      Option.iter
-        (fun arg ->
-          (* setContentView(int): rule INFLATE2 *)
-          let lids = layout_ids_at state arg in
-          let lids = if top_layout_at state arg then all_layout_ids state @ lids else lids in
-          List.iter
-            (fun lid ->
-              match inflate_at state ~site:op.site.o_site lid with
-              | Some root ->
-                  mark state (Graph.add_root_layout g root lid);
-                  List.iter (fun h -> mark state (add_holder_root state h root)) holders
-              | None -> ())
-            lids;
-          (* setContentView(View): rule ADDVIEW1 *)
-          List.iter
-            (fun view -> List.iter (fun h -> mark state (add_holder_root state h view)) holders)
-            (views_at state arg))
-        (List.nth_opt op.op_args 0)
-  | Framework.Api.Add_view ->
-      Option.iter
-        (fun arg ->
-          List.iter
-            (fun parent ->
-              List.iter
-                (fun child -> mark state (add_child state ~parent ~child))
-                (views_at state arg))
-            (views_at state op.op_recv))
-        (List.nth_opt op.op_args 0)
-  | Framework.Api.Set_id ->
-      Option.iter
-        (fun arg ->
-          let ids = view_ids_at state arg in
-          (* SetId(v, ⊤): record the sentinel; such a row matches any
-             later query (see [find_in_hierarchy]). *)
-          let ids = if top_view_id_at state arg then Node.top_view_id_raw :: ids else ids in
-          List.iter
-            (fun view -> List.iter (fun id -> mark state (add_view_id state view id)) ids)
-            (views_at state op.op_recv))
-        (List.nth_opt op.op_args 0)
-  | Framework.Api.Set_listener iface ->
-      Option.iter
-        (fun arg ->
-          List.iter
-            (fun view ->
-              List.iter
-                (fun listener ->
-                  mark state
-                    (add_view_listener state view listener ~iface:iface.Framework.Listeners.i_name);
-                  if state.config.Config.listener_callbacks then
-                    inject_handler_flows state view listener iface)
-                (listeners_at state iface arg))
-            (views_at state op.op_recv))
-        (List.nth_opt op.op_args 0)
-  | Framework.Api.Find_view ->
-      Option.iter
-        (fun arg ->
-          (* FINDVIEW1 starts from receiver views; FINDVIEW2 from the
-             roots of receiver activities/dialogs. *)
-          let over_scope find =
-            List.iter
-              (fun v -> Graph.View_set.iter out_view (find v))
-              (views_at state op.op_recv);
-            List.iter
-              (fun h ->
-                Graph.View_set.iter
-                  (fun root -> Graph.View_set.iter out_view (find root))
-                  (roots_of_holder state h))
-              (holders_at state op.op_recv)
-          in
-          List.iter
-            (fun id -> over_scope (fun root -> find_in_hierarchy state root id))
-            (view_ids_at state arg);
-          if top_view_id_at state arg then over_scope (fun root -> find_any_id state root))
-        (List.nth_opt op.op_args 0)
-  | Framework.Api.Find_one scope ->
-      List.iter
-        (fun v ->
-          let results =
-            match scope with
-            | Framework.Api.Children when state.config.Config.findone_refinement ->
-                children_of state v
-            | Framework.Api.Children | Framework.Api.Descendants ->
-                descendants state ~include_self:false v
-          in
-          Graph.View_set.iter out_view results)
-        (views_at state op.op_recv)
-  | Framework.Api.Get_parent ->
-      List.iter
-        (fun v -> Graph.View_set.iter out_view (parents_of state v))
-        (views_at state op.op_recv)
-  | Framework.Api.Pass_through ->
-      (* the result stands for the receiver (e.g. a fragment manager
-         for its activity) *)
-      Graph.VS.iter (fun value -> out value) (set_of state op.op_recv)
-  | Framework.Api.Fragment_add ->
-      (* Fragment extension: the fragment's onCreateView callback runs
-         and its resulting views are attached under the views carrying
-         the container id in the activity's hierarchy. *)
-      let hierarchy = state.app.Framework.App.hierarchy in
-      let fragments =
-        match op.op_args with
-        | _ :: frag_arg :: _ ->
-            Graph.VS.fold
-              (fun v acc ->
-                match v with
-                | Node.V_obj site when Framework.Views.is_fragment_class hierarchy site.a_cls ->
-                    site :: acc
-                | _ -> acc)
-              (set_of state frag_arg) []
-        | _ -> []
-      in
-      let container_ids =
-        match op.op_args with id_arg :: _ -> view_ids_at state id_arg | [] -> []
-      in
-      let top_container =
-        match op.op_args with id_arg :: _ -> top_view_id_at state id_arg | [] -> false
-      in
-      let containers =
-        List.concat_map
-          (fun h ->
-            Graph.View_set.fold
-              (fun root acc ->
-                let acc =
-                  if top_container then Graph.View_set.elements (find_any_id state root) @ acc
-                  else acc
-                in
-                List.fold_left
-                  (fun acc id -> Graph.View_set.elements (find_in_hierarchy state root id) @ acc)
-                  acc container_ids)
-              (roots_of_holder state h) [])
-          (holders_at state op.op_recv)
-      in
-      List.iter
-        (fun (fragment : Node.alloc_site) ->
-          match
-            Jir.Hierarchy.resolve hierarchy fragment.a_cls
-              { Jir.Ast.mk_name = "onCreateView"; mk_arity = 0 }
-          with
-          | Some (owner, m) ->
-              let tmid = Node.mid_of_meth owner m in
-              push_value state (Node.N_var (tmid, Jir.Ast.this_var)) (Node.V_obj fragment);
-              let created = views_at state (Node.N_ret tmid) in
-              List.iter
-                (fun parent ->
-                  List.iter
-                    (fun child -> mark state (add_child state ~parent ~child))
-                    created)
-                containers
-          | None -> ())
-        fragments
-  | Framework.Api.Menu_add ->
-      (* Menu extension: mint a MenuItem per site, attach it under each
-         receiver menu, and feed the owning activity's
-         onOptionsItemSelected callback with it. *)
-      let hierarchy = state.app.Framework.App.hierarchy in
-      let item = Node.V_alloc (Node.menu_item_site op.site.o_site) in
-      List.iter
-        (fun menu ->
-          if Jir.Hierarchy.subtype hierarchy (Node.class_of_view menu) "Menu" then begin
-            mark state (add_child state ~parent:menu ~child:item);
-            out_view item;
-            (* add(group, itemId, order, title): the item id *)
-            (match op.op_args with
-            | _ :: id_arg :: _ ->
-                let ids = view_ids_at state id_arg in
-                let ids =
-                  if top_view_id_at state id_arg then Node.top_view_id_raw :: ids else ids
-                in
-                List.iter (fun id -> mark state (add_view_id state item id)) ids
-            | _ -> ());
-            match menu with
-            | Node.V_alloc site -> (
-                match Node.menu_owner site with
-                | Some activity -> (
-                    match
-                      Jir.Hierarchy.resolve hierarchy activity
-                        {
-                          Jir.Ast.mk_name = fst Framework.Lifecycle.on_options_item_selected;
-                          mk_arity = snd Framework.Lifecycle.on_options_item_selected;
-                        }
-                    with
-                    | Some (owner, m) -> (
-                        let tmid = Node.mid_of_meth owner m in
-                        match m.m_params with
-                        | (param, _) :: _ ->
-                            push_value state (Node.N_var (tmid, param)) (Node.V_view item)
-                        | [] -> ())
-                    | None -> ())
-                | None -> ())
-            | Node.V_infl _ -> ()
-          end)
-        (views_at state op.op_recv)
-  | Framework.Api.Set_adapter ->
-      (* Adapter extension: run the adapter's getView callback and make
-         its returned views children of the adapter view. *)
-      let hierarchy = state.app.Framework.App.hierarchy in
-      let adapters =
-        match op.op_args with
-        | arg :: _ ->
-            Graph.VS.fold
-              (fun v acc ->
-                match v with
-                | Node.V_obj site when Jir.Hierarchy.subtype hierarchy site.a_cls "Adapter" ->
-                    site :: acc
-                | _ -> acc)
-              (set_of state arg) []
-        | [] -> []
-      in
-      List.iter
-        (fun view ->
-          List.iter
-            (fun (adapter : Node.alloc_site) ->
-              match
-                Jir.Hierarchy.resolve hierarchy adapter.a_cls
-                  { Jir.Ast.mk_name = "getView"; mk_arity = 3 }
-              with
-              | Some (owner, m) ->
-                  let tmid = Node.mid_of_meth owner m in
-                  push_value state (Node.N_var (tmid, Jir.Ast.this_var)) (Node.V_obj adapter);
-                  (* parent parameter is the adapter view *)
-                  (match List.nth_opt m.m_params 2 with
-                  | Some (param, _) ->
-                      push_value state (Node.N_var (tmid, param)) (Node.V_view view)
-                  | None -> ());
-                  List.iter
-                    (fun child -> mark state (add_child state ~parent:view ~child))
-                    (views_at state (Node.N_ret tmid))
-              | None -> ())
-            adapters)
-        (views_at state op.op_recv)
-  | Framework.Api.Start_activity ->
-      (* Extension: inter-component control flow.  Sources are the
-         activities the call may execute on; targets are the activity
-         tokens reaching the argument. *)
-      let hierarchy = state.app.Framework.App.hierarchy in
-      let sources =
-        Graph.VS.fold
-          (fun v acc -> match v with Node.V_act a -> a :: acc | _ -> acc)
-          (set_of state op.op_recv) []
-      in
-      let targets =
-        match op.op_args with
-        | [] -> []
-        | arg :: _ ->
-            Graph.VS.fold
-              (fun v acc ->
-                match v with
-                | Node.V_obj site when Framework.Views.is_activity_class hierarchy site.a_cls ->
-                    site.a_cls :: acc
-                | Node.V_act a -> a :: acc
-                | _ -> acc)
-              (set_of state arg) []
-      in
-      List.iter
-        (fun from_ ->
-          List.iter (fun to_ -> mark state (Graph.add_transition g ~from_ ~to_)) targets)
-        sources
-
-(* Declarative listeners (android:onClick): views in a holder's
-   hierarchy carrying an onClick handler name behave as if the holder
-   registered itself as an OnClickListener whose handler is that
-   method. *)
-let register_declarative state holder view =
-  let hierarchy = state.app.Framework.App.hierarchy in
-  let label = match holder with Node.H_act a -> a | Node.H_dialog site -> site.Node.a_cls in
-  List.iter
-    (fun handler_name ->
-      match
-        Jir.Hierarchy.resolve hierarchy label { Jir.Ast.mk_name = handler_name; mk_arity = 1 }
-      with
-      | Some (owner, m) ->
-          let listener =
-            match holder with
-            | Node.H_act a -> Node.L_act a
-            | Node.H_dialog site -> Node.L_alloc site
-          in
-          mark state (add_view_listener state view listener ~iface:"OnClickListener");
-          if state.config.Config.listener_callbacks then begin
-            let tmid = Node.mid_of_meth owner m in
-            push_value state
-              (Node.N_var (tmid, Jir.Ast.this_var))
-              (match holder with
-              | Node.H_act a -> Node.V_act a
-              | Node.H_dialog site -> Node.V_obj site);
-            match m.m_params with
-            | (param, _) :: _ -> push_value state (Node.N_var (tmid, param)) (Node.V_view view)
-            | [] -> ()
-          end
-      | None -> ())
-    (Graph.onclicks_of state.graph view)
-
-let apply_declarative_handlers state =
-  List.iter
-    (fun holder ->
-      Graph.View_set.iter
-        (fun root ->
-          Graph.View_set.iter
-            (fun view -> register_declarative state holder view)
-            (descendants state ~include_self:true root))
-        (roots_of_holder state holder))
-    (holders state)
-
-(* Declaratively placed fragments (<fragment android:name="F"/>): the
-   platform instantiates F during inflation and attaches the views
-   returned by F.onCreateView under the placeholder node. *)
-let apply_declared_fragments state =
-  let g = state.graph in
-  let hierarchy = state.app.Framework.App.hierarchy in
-  List.iter
-    (fun view ->
-      match view with
-      | Node.V_infl infl ->
-          List.iter
-            (fun cls ->
-              match
-                Jir.Hierarchy.resolve hierarchy cls
-                  { Jir.Ast.mk_name = "onCreateView"; mk_arity = 0 }
-              with
-              | Some (owner, m) ->
-                  let fragment = Node.declared_fragment_site cls infl in
-                  let tmid = Node.mid_of_meth owner m in
-                  push_value state (Node.N_var (tmid, Jir.Ast.this_var)) (Node.V_obj fragment);
-                  List.iter
-                    (fun child -> mark state (add_child state ~parent:view ~child))
-                    (views_at state (Node.N_ret tmid))
-              | None -> ())
-            (Graph.declared_fragments_of g view)
-      | Node.V_alloc _ -> ())
-    (Graph.views_with_declared_fragments g)
-
-let seed_and_count state =
-  List.iter
-    (fun (node, values) -> Graph.VS.iter (fun v -> push_value state node v) values)
-    (Graph.seeds state.graph)
-
-(* Encode the structural fixpoint into the graph's store — every node
-   its own representative — interning whatever the solve reached that
-   extraction never named (handler parameters injected by value). *)
-let encode state =
-  let it = Graph.interner state.graph in
-  let rows tbl key fold member =
-    let entries =
-      Hashtbl.fold
-        (fun k s acc ->
-          let b = Util.Bitset.create () in
-          fold (fun x () -> ignore (Util.Bitset.add b (member x))) s ();
-          (key k, b) :: acc)
-        tbl []
-    in
-    let a = Array.make (List.fold_left (fun n (k, _) -> max n (k + 1)) 0 entries) None in
-    List.iter (fun (k, b) -> a.(k) <- Some b) entries;
-    a
-  in
-  let view = Intern.view it in
-  let sol_sets = rows state.sets (Intern.node it) Graph.VS.fold (Intern.value it) in
-  let sol_children = rows state.children view Graph.View_set.fold view in
-  let sol_parents = rows state.parents view Graph.View_set.fold view in
-  let sol_ids = rows state.ids view Graph.Int_set.fold (Intern.rid it) in
-  let sol_roots = rows state.roots (Intern.holder it) Graph.View_set.fold view in
-  let sol_listeners = rows state.listeners view Graph.Listener_set.fold (Intern.listener it) in
-  Graph.set_solution state.graph
-    { Graph.empty_solution with sol_sets; sol_children; sol_parents; sol_ids; sol_roots; sol_listeners }
-
-(* The reference fixed point: re-apply every op against full sets each
-   round until nothing changes. *)
-let run_naive state =
-  seed_and_count state;
-  propagate_full state;
-  let ops = Graph.ops state.graph in
-  let iterations = ref 0 in
-  let continue_ = ref true in
-  while !continue_ && !iterations < state.config.Config.max_iterations do
-    incr iterations;
-    state.dirty <- false;
-    List.iter
-      (fun op ->
-        state.op_applications <- state.op_applications + 1;
-        apply_op state op)
-      ops;
-    apply_declarative_handlers state;
-    apply_declared_fragments state;
-    propagate_full state;
-    continue_ := state.dirty
-  done;
-  if !continue_ then
-    Logs.warn (fun m -> m "solver hit the iteration cap (%d); result may be partial" !iterations);
-  encode state;
-  !iterations
+let passes_cast = Rules.passes_cast
 
 (* ------------------------------------------------------------------ *)
 (* Interned engine: a semi-naive fixed point over dense integer ids.
    After seeding, every op runs once; from then on an op is re-applied
    only when a location it reads grew or a relation it consults
    changed.  Ops still read full sets when applied, so the solution is
-   identical to [run_naive]'s.  Every location, abstract value,
-   view, listener entry and holder is hash-consed ([Intern]) when first
-   seen; solution sets, delta sets and the view relations become
+   identical to the reference's ([Rules.run]).  Every location,
+   abstract value, view, listener entry and holder is hash-consed
+   ([Intern]) when first seen; solution sets, delta sets and the view relations become
    [Util.Bitset] over those ids, and the (static) flow edges are frozen
    into CSR int arrays.  Ops decode ids back to structural values only
    at rule boundaries (hierarchy lookups, inflation, callbacks).  At
@@ -2097,10 +1424,6 @@ let solved_interner sd = sd.sd_it
    on. *)
 let solved_rep sd nid = if nid >= 0 && nid < sd.sd_csr_n then sd.sd_solution.Graph.sol_rep.(nid) else nid
 
-let solved_app_name sd = sd.sd_app_name
-
-let solved_config sd = sd.sd_config
-
 let solved_class_fp sd = sd.sd_class_fp
 
 (* Capture the fixpoint reached by [st].  [carry] maps each write slot
@@ -2797,29 +2120,12 @@ let run config (app : Framework.App.t) graph =
       compute_taints app graph;
       stats
   | Config.Naive ->
-      let state =
-        {
-          config;
-          app;
-          graph;
-          worklist = Util.Worklist.create ();
-          sets = Hashtbl.create 256;
-          children = Hashtbl.create 64;
-          parents = Hashtbl.create 64;
-          ids = Hashtbl.create 64;
-          roots = Hashtbl.create 16;
-          listeners = Hashtbl.create 32;
-          propagations = 0;
-          op_applications = 0;
-          dirty = false;
-        }
-      in
-      let iterations = run_naive state in
+      let r = Rules.run config app graph in
       compute_taints app graph;
       {
-        iterations;
-        propagations = state.propagations;
-        op_applications = state.op_applications;
+        iterations = r.iterations;
+        propagations = r.propagations;
+        op_applications = r.op_applications;
         delta_pushes = 0;
         desc_cache_hits = 0;
         desc_cache_misses = 0;

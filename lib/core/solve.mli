@@ -163,10 +163,6 @@ val shape_of_solved : solved -> shape
 
 val solved_interner : solved -> Intern.t
 
-val solved_app_name : solved -> string
-
-val solved_config : solved -> Config.t
-
 val solved_class_fp : solved -> string
 (** Class-hierarchy fingerprint at capture; a registry reloading state
     from disk checks it against the freshly built app before trusting

@@ -19,6 +19,7 @@ let () =
       ("extract", Test_extract.suite);
       ("inflate", Test_inflate.suite);
       ("solve", Test_solve.suite);
+      ("rules", Test_rules.suite);
       ("intern", Test_intern.suite);
       ("shared-intern", Test_shared_intern.suite);
       ("ctx-keyed", Test_ctx_keyed.suite);

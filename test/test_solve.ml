@@ -243,19 +243,20 @@ let test_activity_as_listener () =
          interaction tuple is required; accept zero *)
       ()
 
+let dialog_code =
+  {|class A extends Activity {
+      method onCreate(): void { d = new MyDialog(); } }
+    class MyDialog extends Dialog {
+      method onCreate(): void {
+        v = new Button();
+        this.setContentView(v);
+        i = R.id.whatever;
+        w = this.findViewById(i);
+        v.setId(i);
+      } }|}
+
 let test_dialog_modeling () =
-  let code =
-    {|class A extends Activity {
-        method onCreate(): void { d = new MyDialog(); } }
-      class MyDialog extends Dialog {
-        method onCreate(): void {
-          v = new Button();
-          this.setContentView(v);
-          i = R.id.whatever;
-          w = this.findViewById(i);
-          v.setId(i);
-        } }|}
-  in
+  let code = dialog_code in
   let on = analyze code in
   check_classes "dialog content searched" [ "Button" ] (views on "MyDialog" "onCreate" 0 "w");
   let off = analyze ~config:{ Config.default with model_dialogs = false } code in
@@ -502,7 +503,9 @@ let test_options_menu () =
   | [ Gator.Node.V_alloc a ] -> Alcotest.check Alcotest.string "one item" "MenuItem" a.a_cls
   | other -> Alcotest.failf "expected one MenuItem, got %d views" (List.length other));
   (* getParent on the item recovers the menu *)
-  check_classes "item's parent menu" [ "Menu" ] (views r "A" "onOptionsItemSelected" 1 "m")
+  check_classes "item's parent menu" [ "Menu" ] (views r "A" "onOptionsItemSelected" 1 "m");
+  (* the batch id lookup sees the item Menu.add gave the id *)
+  check_classes "views with the item id" [ "MenuItem" ] (Analysis.views_with_id r "action_delete")
 
 let test_options_menu_dynamic () =
   let app =
