@@ -236,10 +236,9 @@ let verify_stream () =
     exit 1
   end;
   Printf.printf
-    "verify: stream = batch on %d generated apps (jobs %d, peak queue %d, %d steals, frozen tier \
-     %d+%d entries untouched)\n"
-    apps jobs stats.Pool.Stream.st_max_queued stats.Pool.Stream.st_steals (fst frozen_after)
-    (snd frozen_after)
+    "verify: stream = batch on %d generated apps (jobs %d, peak queue %d, frozen tier %d+%d \
+     entries untouched)\n"
+    apps jobs stats.Pool.Stream.st_max_queued (fst frozen_after) (snd frozen_after)
 
 (* CI smoke, part 5: sound mode on the reflection-heavy family.  The
    ⊤ markers make the static solution an over-approximation of every

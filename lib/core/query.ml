@@ -32,12 +32,12 @@ let create ~hierarchy:_ sd =
 
 let stats t = t.stats
 
-let interner t = t.sd.Solve.sd_it
+let interner t = Solve.solved_interner t.sd
 
 (* {1 Point queries} *)
 
 let points_to ?budget:_ t node =
-  let it = t.sd.Solve.sd_it in
+  let it = interner t in
   match Intern.find_node it node with
   | None -> None
   | Some nid ->
@@ -56,7 +56,7 @@ let points_to ?budget:_ t node =
    interner growth. *)
 
 let views_of_listener t l =
-  let it = t.sd.Solve.sd_it in
+  let it = interner t in
   (* entry ids whose listener abstraction matches, over every interface *)
   let entries = Util.Bitset.create () in
   for eid = 0 to Intern.listener_count it - 1 do
@@ -76,7 +76,7 @@ let views_of_listener t l =
   end
 
 let activities_of_id t name =
-  let it = t.sd.Solve.sd_it in
+  let it = interner t in
   let row_of raw =
     match Intern.rid_opt it raw with
     | None -> None

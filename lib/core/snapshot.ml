@@ -146,7 +146,7 @@ let jrows rows =
 let jpairs a = J.List (Array.to_list (Array.map (fun (x, y) -> J.List [ J.Int x; J.Int y ]) a))
 
 let to_json (sd : Solve.solved) =
-  let it = sd.Solve.sd_it and sol = sd.Solve.sd_solution in
+  let it = Solve.solved_interner sd and sol = sd.Solve.sd_solution and sh = sd.Solve.sd_shape in
   J.Obj
     [
       ("magic", J.String magic);
@@ -166,20 +166,20 @@ let to_json (sd : Solve.solved) =
       ("rids", J.List (List.init (Intern.rid_count it) (fun i -> J.Int (Intern.rid_of it i))));
       ("node_total", J.Int sd.sd_node_total);
       ("value_total", J.Int sd.sd_value_total);
-      ("csr_n", J.Int sd.sd_csr_n);
+      ("csr_n", J.Int sh.sh_nodes);
       ("nrep", jints sol.sol_rep);
-      ("row", jints sd.sd_row);
-      ("edst", jints sd.sd_edst);
-      ("ekind", jints sd.sd_ekind);
-      ("cast_names", jstrings sd.sd_cast_names);
-      ("seeds", jpairs sd.sd_seeds);
+      ("row", jints sh.sh_row);
+      ("edst", jints sh.sh_edst);
+      ("ekind", jints sh.sh_ekind);
+      ("cast_names", jstrings sh.sh_cast_names);
+      ("seeds", jpairs sh.sh_seeds);
       ( "ops",
         J.List
           (Array.to_list
              (Array.map
                 (fun (site, recv, args, out) ->
                   J.List [ jop_site site; J.Int recv; jints args; J.Int out ])
-                sd.sd_ops)) );
+                sh.sh_ops)) );
       ("sols", jrows sol.sol_sets);
       ("children", jrows sol.sol_children);
       ("parents", jrows sol.sol_parents);
@@ -533,31 +533,26 @@ let of_json j =
            so the warm guard always decides by layout fingerprint *)
         sd_package = Layouts.Package.create ();
         sd_graph = graph;
-        sd_it = it;
         sd_node_total = node_total;
         sd_value_total = value_total;
-        sd_csr_n = csr_n;
-        sd_row = row;
-        sd_edst = edst;
-        sd_ekind = ekind;
-        sd_cast_names = cast_names;
-        sd_seeds = seeds;
-        sd_ops =
-          Array.of_list
-            (List.map
-               (function
-                 | J.List [ site; recv; args; out ] ->
-                     (dop_site site, dint recv, dints args, dint out)
-                 | _ -> bad "bad op")
-               (dlist (dfield "ops" j)));
+        sd_shape =
+          {
+            Solve.sh_nodes = csr_n;
+            sh_row = row;
+            sh_edst = edst;
+            sh_ekind = ekind;
+            sh_cast_names = cast_names;
+            sh_seeds = seeds;
+            sh_ops =
+              Array.of_list
+                (List.map
+                   (function
+                     | J.List [ site; recv; args; out ] ->
+                         (dop_site site, dint recv, dints args, dint out)
+                     | _ -> bad "bad op")
+                   (dlist (dfield "ops" j)));
+          };
         sd_solution = solution;
-        sd_sols_mask =
-          (let mask = Util.Bitset.create () in
-           Array.iteri
-             (fun i o ->
-               match o with Some _ -> ignore (Util.Bitset.add mask i) | None -> ())
-             sols;
-           mask);
         sd_by_id = by_id;
         sd_holder_ids =
           List.map

@@ -147,24 +147,12 @@ type istate = {
   mutable irc_roots : bool;
   mutable irc_onclick : bool;  (** a fresh inflation added declarative handlers *)
   mutable irc_fragments : bool;  (** a fresh inflation added declared fragments *)
-  (* warm (incremental) solving: copy-on-write over a previous solution.
-     Solution sets and relation rows restored from a prior [solved] are
-     aliased, never mutated in place; a borrowed row is copied the first
-     time a write would grow it. *)
+  (* warm (incremental) solving: solution sets restored from a prior
+     [solved] are aliased, never mutated in place; a borrowed set is
+     copied the first time a write would grow it.  Relation rows are
+     copied at restore instead, so they are always owned. *)
   mutable iwarm : bool;
   iborrowed : Util.Bitset.t;  (** reps whose [sols] slot aliases the previous solution *)
-  imutated : Util.Bitset.t;  (** borrowed reps that were copied and then grew *)
-  icreated : Util.Bitset.t;
-      (** reps whose [sols] slot was first created during a warm solve;
-          together with [iborrowed] and [imutated] this covers every
-          populated slot, so capture derives its slot mask from three
-          small bitsets instead of scanning the slot array *)
-  ibor_children : Util.Bitset.t;
-  ibor_parents : Util.Bitset.t;
-  ibor_ids : Util.Bitset.t;
-  ibor_by_id : Util.Bitset.t;
-  ibor_roots : Util.Bitset.t;
-  ibor_listeners : Util.Bitset.t;
   (* write recording: while an op (or the declarative/fragment pseudo
      pass) runs, every rep it pushes to is logged, so a later patch that
      invalidates the op knows which components its values reached.
@@ -212,7 +200,6 @@ let idelta_slot st nid =
 let iown_sol st rid =
   let b = match Slots.find st.sols rid with Some b -> b | None -> assert false in
   Util.Bitset.remove st.iborrowed rid;
-  ignore (Util.Bitset.add st.imutated rid);
   let c = Util.Bitset.copy b in
   Slots.set st.sols rid c;
   c
@@ -233,11 +220,7 @@ let ipush st nid vid =
     in
     if not present then begin
       let slot =
-        if Util.Bitset.mem st.iborrowed rid then iown_sol st rid
-        else begin
-          ignore (Util.Bitset.add st.icreated rid);
-          Slots.get st.sols rid
-        end
+        if Util.Bitset.mem st.iborrowed rid then iown_sol st rid else Slots.get st.sols rid
       in
       ignore (Util.Bitset.add slot vid);
       ignore (Util.Bitset.add (idelta_slot st rid) vid);
@@ -303,7 +286,6 @@ let ipropagate st ~changed =
                st.idelta_pushes <- st.idelta_pushes + dcard;
                st.iunion_calls <- st.iunion_calls + 1;
                let into = Slots.get st.sols dst in
-               if st.iwarm then ignore (Util.Bitset.add st.icreated dst);
                (* A borrowed destination is copied only when the union
                   would actually grow it; [union_delta] on a borrowed
                   set that already holds the delta at most grows its
@@ -373,29 +355,13 @@ let idesc_cached st wid =
       Hashtbl.replace st.idesc_cache wid s;
       s
 
-(* Insert [v] into relation row [i], copy-on-write under a warm solve:
-   a borrowed row (aliased from the previous solution) is copied before
-   it grows. *)
-let rel_insert st slots bor i v =
-  match Slots.find slots i with
-  | Some b when Util.Bitset.mem b v -> false
-  | existing ->
-      let b =
-        match existing with
-        | Some b when st.iwarm && Util.Bitset.mem bor i ->
-            Util.Bitset.remove bor i;
-            let c = Util.Bitset.copy b in
-            Slots.set slots i c;
-            c
-        | Some b -> b
-        | None -> Slots.get slots i
-      in
-      Util.Bitset.add b v
+(* Insert [v] into relation row [i]; [true] when the row grew. *)
+let rel_insert slots i v = Util.Bitset.add (Slots.get slots i) v
 
 let iadd_child st ~parent ~child =
-  let grew = rel_insert st st.ichildren st.ibor_children parent child in
+  let grew = rel_insert st.ichildren parent child in
   if grew then begin
-    ignore (rel_insert st st.iparents st.ibor_parents child parent);
+    ignore (rel_insert st.iparents child parent);
     st.irc_children <- true;
     if Hashtbl.length st.idesc_cache > 0 then
       Util.Bitset.iter (fun v -> Hashtbl.remove st.idesc_cache v) (iancestors st parent)
@@ -403,17 +369,17 @@ let iadd_child st ~parent ~child =
 
 let iadd_view_id st wid raw =
   let sym = Intern.rid st.it raw in
-  if rel_insert st st.iids st.ibor_ids wid sym then begin
-    ignore (rel_insert st st.iby_id st.ibor_by_id sym wid);
+  if rel_insert st.iids wid sym then begin
+    ignore (rel_insert st.iby_id sym wid);
     st.irc_ids <- true
   end
 
 let iadd_holder_root st hid root =
   if Util.Bitset.add st.iholders_seen hid then st.iholder_ids <- hid :: st.iholder_ids;
-  if rel_insert st st.iroots st.ibor_roots hid root then st.irc_roots <- true
+  if rel_insert st.iroots hid root then st.irc_roots <- true
 
 let iadd_view_listener st wid entry =
-  ignore (rel_insert st st.ilisteners st.ibor_listeners wid entry)
+  ignore (rel_insert st.ilisteners wid entry)
 
 (* Value decoders over a location's solution set. *)
 
@@ -1054,14 +1020,6 @@ let ifreeze config app graph =
     irc_fragments = false;
     iwarm = false;
     iborrowed = Util.Bitset.create ();
-    imutated = Util.Bitset.create ();
-    icreated = Util.Bitset.create ();
-    ibor_children = Util.Bitset.create ();
-    ibor_parents = Util.Bitset.create ();
-    ibor_ids = Util.Bitset.create ();
-    ibor_by_id = Util.Bitset.create ();
-    ibor_roots = Util.Bitset.create ();
-    ibor_listeners = Util.Bitset.create ();
     irec_writer = -1;
     irec_targets = Array.init (Array.length iops + 2) (fun _ -> Util.Bitset.create ());
     ipropagations = 0;
@@ -1213,16 +1171,17 @@ let run_interned config (app : Framework.App.t) graph =
 (* ------------------------------------------------------------------ *)
 (* Incremental re-analysis.
 
-   A solve can be captured as a [solved]: the interner, the frozen flow
-   snapshot, the per-representative solution bitsets, relation rows,
-   dynamic return dependencies and per-op write targets.  When a
+   A solve can be captured as a [solved]: the shape it ran over (flow
+   CSR, seeds, ops), the per-representative solution bitsets, relation
+   rows, dynamic return dependencies and per-op write targets.  When a
    patched version of the app is extracted over the SAME interner
    (every node, value and view shared with the previous program keeps
    its id), an edit script between the two graph shapes drives a warm
    re-solve: only the condensation components forward-reachable from
-   the edits are reset and re-solved; every other component's solution
-   is restored by aliasing the previous bitsets (copy-on-write guards
-   them against later growth). *)
+   the edits are reset and re-solved; every other component's points-to
+   set is restored by aliasing the previous bitset (copy-on-write
+   guards it against later growth), and the relation rows are restored
+   by copying. *)
 
 (* Fingerprints guarding the warm path.  The class fingerprint covers
    everything CHA and subtype tests depend on; a mismatch forces a full
@@ -1230,90 +1189,70 @@ let run_interned config (app : Framework.App.t) graph =
    and callback parameter names: adding a handler method changes which
    flows a Set_listener injects WITHOUT changing any of that op's
    inputs, so a mismatch marks every resolve-dependent op suspect
-   rather than falling back. *)
-(* Fingerprints are pure functions of immutable program/package values,
-   yet a single warm re-solve consults them several times (guard,
-   suspect analysis, capture).  A one-slot-per-domain memo keyed on
-   physical identity makes every consultation after the first free;
-   per-domain slots keep it race-free under the parallel batch
-   driver. *)
-let fp_memo (type k) () : (k * string) option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
-
-let memoized key k compute =
-  let memo = Domain.DLS.get key in
-  match !memo with
-  | Some (k', fp) when k' == k -> fp
-  | _ ->
-      let fp = compute () in
-      memo := Some (k, fp);
-      fp
-
-let class_fp_memo : (Jir.Ast.program * string) option ref Domain.DLS.key = fp_memo ()
-
+   rather than falling back.  A warm re-solve computes each at most
+   once (guard, suspect analysis) and hands them to its capture. *)
 let class_fp (app : Framework.App.t) =
-  memoized class_fp_memo app.program (fun () ->
-      let b = Buffer.create 1024 in
+  let b = Buffer.create 1024 in
+  List.iter
+    (fun (c : Jir.Ast.cls) ->
+      Buffer.add_string b c.c_name;
+      Buffer.add_char b '\x01';
+      Buffer.add_string b (match c.c_kind with `Class -> "c" | `Interface -> "i");
+      Buffer.add_string b (Option.value c.c_super ~default:"");
+      Buffer.add_char b '\x01';
       List.iter
-        (fun (c : Jir.Ast.cls) ->
-          Buffer.add_string b c.c_name;
-          Buffer.add_char b '\x01';
-          Buffer.add_string b (match c.c_kind with `Class -> "c" | `Interface -> "i");
-          Buffer.add_string b (Option.value c.c_super ~default:"");
-          Buffer.add_char b '\x01';
-          List.iter
-            (fun i ->
-              Buffer.add_string b i;
-              Buffer.add_char b ',')
-            c.c_interfaces;
-          Buffer.add_char b '\n')
-        (List.sort
-           (fun (a : Jir.Ast.cls) (b : Jir.Ast.cls) -> String.compare a.c_name b.c_name)
-           app.program.p_classes);
-      Digest.to_hex (Digest.string (Buffer.contents b)))
+        (fun i ->
+          Buffer.add_string b i;
+          Buffer.add_char b ',')
+        c.c_interfaces;
+      Buffer.add_char b '\n')
+    (List.sort
+       (fun (a : Jir.Ast.cls) (b : Jir.Ast.cls) -> String.compare a.c_name b.c_name)
+       app.program.p_classes);
+  Digest.to_hex (Digest.string (Buffer.contents b))
 
-(* The method fingerprint guards only [Hierarchy.resolve] outcomes
-   (which methods exist, by class, name and arity): parameter renames
-   and body edits show up in the extracted graph and are covered by
-   the edit script instead.  Classes and methods are hashed in program
-   order — a pure reordering flips the fingerprint, which costs a
-   conservative suspect pass, never soundness. *)
-let method_fp_memo : (Jir.Ast.program * string) option ref Domain.DLS.key = fp_memo ()
-
+(* The method fingerprint guards [Hierarchy.resolve] outcomes (which
+   methods exist, by class, name and arity) and the parameter names
+   callback injection pushes into ([N_var (handler, param)]); body
+   edits show up in the extracted graph and are covered by the edit
+   script instead.  Classes and methods are hashed in program order — a
+   pure reordering flips the fingerprint, which costs a conservative
+   suspect pass, never soundness. *)
 let small_arities = Array.init 64 string_of_int
 
 let method_fp (app : Framework.App.t) =
-  memoized method_fp_memo app.program (fun () ->
-      let b = Buffer.create 4096 in
+  let b = Buffer.create 4096 in
+  List.iter
+    (fun (c : Jir.Ast.cls) ->
+      Buffer.add_string b c.c_name;
+      Buffer.add_char b '\x01';
       List.iter
-        (fun (c : Jir.Ast.cls) ->
-          Buffer.add_string b c.c_name;
-          Buffer.add_char b '\x01';
+        (fun (m : Jir.Ast.meth) ->
+          Buffer.add_string b m.m_name;
+          Buffer.add_char b '/';
+          let a = List.length m.m_params in
+          Buffer.add_string b (if a < 64 then small_arities.(a) else string_of_int a);
           List.iter
-            (fun (m : Jir.Ast.meth) ->
-              Buffer.add_string b m.m_name;
-              Buffer.add_char b '/';
-              let a = List.length m.m_params in
-              Buffer.add_string b (if a < 64 then small_arities.(a) else string_of_int a);
-              Buffer.add_char b ';')
-            c.c_methods;
-          Buffer.add_char b '\n')
-        app.program.p_classes;
-      Digest.to_hex (Digest.string (Buffer.contents b)))
-
-let layout_fp_memo : (Layouts.Package.t * string) option ref Domain.DLS.key = fp_memo ()
+            (fun (param, _) ->
+              Buffer.add_char b ',';
+              Buffer.add_string b param)
+            m.m_params;
+          Buffer.add_char b ';')
+        c.c_methods;
+      Buffer.add_char b '\n')
+    app.program.p_classes;
+  Digest.to_hex (Digest.string (Buffer.contents b))
 
 let layout_fp (app : Framework.App.t) =
-  memoized layout_fp_memo app.Framework.App.package (fun () ->
-      let b = Buffer.create 4096 in
-      List.iter
-        (fun (def : Layouts.Layout.def) ->
-          Buffer.add_string b def.name;
-          Buffer.add_char b '\x01';
-          Buffer.add_string b (Fmt.str "%a" Layouts.Layout.pp def);
-          Buffer.add_char b '\n')
-        (Layouts.Package.layouts app.Framework.App.package);
-      Digest.to_hex (Digest.string (Buffer.contents b)))
+  let b = Buffer.create 4096 in
+  List.iter
+    (fun (def : Layouts.Layout.def) ->
+      Buffer.add_string b def.name;
+      Buffer.add_char b '\x01';
+      Buffer.add_string b (Fmt.str "%a" Layouts.Layout.pp def);
+      Buffer.add_char b '\n')
+    (Layouts.Package.layouts app.Framework.App.package);
+  Digest.to_hex (Digest.string (Buffer.contents b))
 
 (* Seeds as sorted (node id, value id) pairs — the diffable form. *)
 let iseed_pairs it graph =
@@ -1371,10 +1310,12 @@ type edit_script = {
 (* Dynamic return dependency kinds, as persisted. *)
 type rd = RD_op of int | RD_frags
 
-(* A captured solution.  Treat every field as read-only: the bitsets
-   are shared (aliased) with later warm solves and with [sd_graph]'s
-   solution store.  [sd_graph] carries the cold structural tables a
-   warm start restores and a snapshot writes. *)
+(* A captured solution: the shape it was solved over plus the rows it
+   reached.  Treat every field as read-only: the points-to sets are
+   shared (aliased) with later warm solves, and every row with
+   [sd_graph]'s solution store.  [sd_graph] carries the interner, the
+   cold structural tables a warm start restores and a snapshot writes,
+   and the taint rows. *)
 type solved = {
   sd_config : Config.t;
   sd_app_name : string;
@@ -1383,18 +1324,10 @@ type solved = {
   sd_layout_fp : string;
   sd_package : Layouts.Package.t;
   sd_graph : Graph.t;
-  sd_it : Intern.t;
   sd_node_total : int;  (** interned node count at capture *)
   sd_value_total : int;
-  sd_csr_n : int;  (** nodes covered by the frozen CSR (freeze-time count) *)
-  sd_row : int array;
-  sd_edst : int array;
-  sd_ekind : int array;
-  sd_cast_names : string array;
-  sd_seeds : (int * int) array;
-  sd_ops : (Node.op_site * int * int array * int) array;
+  sd_shape : shape;  (** the flow CSR, seeds and ops the solve ran over *)
   sd_solution : Graph.solution;  (** the captured rows; aliased, never mutated *)
-  sd_sols_mask : Util.Bitset.t;  (** bits of the [Some] slots of the points-to rows *)
   sd_by_id : Util.Bitset.t option array;  (** rid sym -> view ids carrying it *)
   sd_holder_ids : int list;  (** discovery order, newest first *)
   sd_ret_deps : (int * rd) list;  (** rep -> dynamic reader *)
@@ -1405,34 +1338,23 @@ type solved = {
           it warm-started from *)
 }
 
-let shape_of_solved sd =
-  {
-    sh_nodes = sd.sd_csr_n;
-    sh_row = sd.sd_row;
-    sh_edst = sd.sd_edst;
-    sh_ekind = sd.sd_ekind;
-    sh_cast_names = sd.sd_cast_names;
-    sh_seeds = sd.sd_seeds;
-    sh_ops = sd.sd_ops;
-  }
+let shape_of_solved sd = sd.sd_shape
 
-let solved_interner sd = sd.sd_it
-
-(* Documented read-side accessors for [Query]: the rep map with the
-   same out-of-range guard as [irep] (ids minted after freeze are their
-   own singleton components), plus the identity fields a registry keys
-   on. *)
-let solved_rep sd nid = if nid >= 0 && nid < sd.sd_csr_n then sd.sd_solution.Graph.sol_rep.(nid) else nid
+let solved_interner sd = Graph.interner sd.sd_graph
 
 let solved_class_fp sd = sd.sd_class_fp
 
-(* Capture the fixpoint reached by [st].  [carry] maps each write slot
-   to its previous-solve target set (matched ops under a warm solve);
-   carried targets are mapped through the current representatives so
-   invalidation stays sound across repeated patches. *)
-let icapture st ?carry_map ?fps ?seeds ?reuse_ops ~config ~(app : Framework.App.t) ~ret_deps
-    carry =
-  let fc = Graph.frozen_flow st.igraph in
+(* The captured rep map, with the same out-of-range guard as [irep]:
+   ids minted after freeze are their own singleton components. *)
+let solved_rep sd nid =
+  if nid >= 0 && nid < sd.sd_shape.sh_nodes then sd.sd_solution.Graph.sol_rep.(nid) else nid
+
+(* Capture the fixpoint reached by [st] over [shape], the shape of
+   [st]'s graph.  [carry] maps each write slot to its previous-solve
+   target set (matched ops under a warm solve); carried targets are
+   mapped through the current representatives so invalidation stays
+   sound across repeated patches. *)
+let icapture st ?carry_map ?fps ~shape ~config ~(app : Framework.App.t) ~ret_deps carry =
   let op_count = Array.length st.iops in
   (* Carried-over targets are reps of the previous condensation; when
      no representative moved they are still reps, so the merge is a
@@ -1462,49 +1384,14 @@ let icapture st ?carry_map ?fps ?seeds ?reuse_ops ~config ~(app : Framework.App.
           acc targets)
       ret_deps []
   in
-  (* A matched op's tuple (site, recv ids, arg ids, out id) is exactly
-     what the multiset matching keyed on, so the previous capture's
-     entry can be shared instead of rebuilt. *)
-  let fresh_op i =
-    let op = st.iops.(i) in
-    (op.Graph.site, st.iop_recv.(i), st.iop_args.(i), st.iop_out.(i))
-  in
-  let sd_ops =
-    match reuse_ops with
-    | Some (prev_ops, new_to_old) ->
-        Array.init op_count (fun i ->
-            let oj = new_to_old.(i) in
-            if oj >= 0 then prev_ops.(oj) else fresh_op i)
-    | None -> Array.init op_count fresh_op
-  in
   (* Warm captures pass the fingerprints through: the guard already
      proved class/layout equal to the previous solve's and the method
      fingerprint was computed for the suspect analysis. *)
   let sd_class_fp, sd_method_fp, sd_layout_fp =
     match fps with Some t -> t | None -> (class_fp app, method_fp app, layout_fp app)
   in
-  let sd_seeds = match seeds with Some s -> s | None -> iseed_pairs st.it st.igraph in
-  (* The captured arrays alias the solver state's backing stores — the
+  (* The captured rows alias the solver state's backing stores — the
      state is dead once capture runs, so nothing mutates them later. *)
-  let sd_sols = st.sols.Slots.a in
-  (* Warm solves know exactly which slots are populated — still
-     borrowed, copied on write, or created this solve — so the mask is
-     a union of three small bitsets; a cold solve scans the array. *)
-  let sd_sols_mask =
-    if st.iwarm then begin
-      let mask = Util.Bitset.copy st.iborrowed in
-      Util.Bitset.union_delta ~into:mask st.imutated ~on_new:ignore;
-      Util.Bitset.union_delta ~into:mask st.icreated ~on_new:ignore;
-      mask
-    end
-    else begin
-      let mask = Util.Bitset.create () in
-      Array.iteri
-        (fun i o -> match o with Some _ -> ignore (Util.Bitset.add mask i) | None -> ())
-        sd_sols;
-      mask
-    end
-  in
   {
     sd_config = config;
     sd_app_name = app.Framework.App.name;
@@ -1513,18 +1400,10 @@ let icapture st ?carry_map ?fps ?seeds ?reuse_ops ~config ~(app : Framework.App.
     sd_layout_fp;
     sd_package = app.Framework.App.package;
     sd_graph = st.igraph;
-    sd_it = st.it;
     sd_node_total = Intern.node_count st.it;
     sd_value_total = Intern.value_count st.it;
-    sd_csr_n = st.csr_n;
-    sd_row = fc.Graph.fc_row;
-    sd_edst = fc.Graph.fc_edst;
-    sd_ekind = fc.Graph.fc_ekind;
-    sd_cast_names = st.cast_names;
-    sd_seeds;
-    sd_ops;
+    sd_shape = shape;
     sd_solution = Graph.solution st.igraph;
-    sd_sols_mask;
     sd_by_id = st.iby_id.Slots.a;
     sd_holder_ids = st.iholder_ids;
     sd_ret_deps;
@@ -1705,11 +1584,11 @@ let run_solved ?fallback config (app : Framework.App.t) graph =
   Graph.set_solution graph (isolution st);
   compute_taints app graph;
   let stats = istats st ~iterations ~warm_solve:false ~dirty_comps:0 ~reused_comps:0 ~fallback in
-  (stats, icapture st ~config ~app ~ret_deps (fun _ -> None))
+  (stats, icapture st ~shape:(shape_of_graph graph) ~config ~app ~ret_deps (fun _ -> None))
 
 (* Is a warm start sound?  Returns the reason to fall back, if any. *)
 let warm_guard prev config (app : Framework.App.t) graph =
-  if not (Graph.interner graph == prev.sd_it) then
+  if not (Graph.interner graph == solved_interner prev) then
     Some "graph was not extracted over the previous solve's interner"
   else if config <> prev.sd_config then Some "configuration changed"
   else if Graph.has_top graph || Graph.has_top prev.sd_graph then
@@ -1775,12 +1654,10 @@ let run_incremental ~prev ~edits ?new_shape config (app : Framework.App.t) graph
       let st = ifreeze config app graph in
       st.iwarm <- true;
       let op_count = Array.length st.iops in
-      let old_op_count = Array.length prev.sd_ops in
+      let old_op_count = Array.length prev.sd_shape.sh_ops in
       let prev_sol = prev.sd_solution in
       let orep = solved_rep prev in
-      let new_seeds =
-        match new_shape with Some s -> s.sh_seeds | None -> iseed_pairs st.it st.igraph
-      in
+      let new_shape = match new_shape with Some s -> s | None -> shape_of_graph graph in
       let new_method_fp = method_fp app in
       let methods_changed = new_method_fp <> prev.sd_method_fp in
       (* Dirty components: everything forward-reachable (over ALL edge
@@ -1837,7 +1714,7 @@ let run_incremental ~prev ~edits ?new_shape config (app : Framework.App.t) graph
       Array.iteri
         (fun oj ni ->
           if ni < 0 then begin
-            let (site : Node.op_site), _, _, _ = prev.sd_ops.(oj) in
+            let (site : Node.op_site), _, _, _ = prev.sd_shape.sh_ops.(oj) in
             dirty_old_targets oj;
             clear_for site.Node.o_kind
           end)
@@ -1924,64 +1801,41 @@ let run_incremental ~prev ~edits ?new_shape config (app : Framework.App.t) graph
       (* Restore the solution sets of clean components by aliasing: a
          previous slot at [r] means [r] was a representative; it is
          restorable when it still represents itself and is clean
-         (membership changes always dirty the affected reps). *)
+         (membership changes always dirty the affected reps).  The
+         previous slot itself is stored, so the restore allocates
+         nothing per set. *)
       let reused = ref 0 in
-      (if not !reps_moved then begin
-         (* Every previous slot index is still its own representative,
-            so the whole slot array restores as one blit; only the
-            dirty components are withheld. *)
-         let n = Array.length prev_sol.sol_sets in
-         if n > 0 then begin
-           Slots.ensure st.sols (n - 1);
-           Array.blit prev_sol.sol_sets 0 st.sols.Slots.a 0 n
-         end;
-         Util.Bitset.assign st.iborrowed prev.sd_sols_mask;
-         reused := Util.Bitset.cardinal prev.sd_sols_mask;
-         Util.Bitset.iter
-           (fun r ->
-             if r < n && Util.Bitset.mem prev.sd_sols_mask r then begin
-               st.sols.Slots.a.(r) <- None;
-               Util.Bitset.remove st.iborrowed r;
-               decr reused
-             end)
-           dirty
-       end
-       else
-         Array.iteri
-           (fun r slot ->
-             match slot with
-             | Some b
-               when r < prev.sd_node_total && irep st r = r && not (Util.Bitset.mem dirty r) ->
-                 Slots.set st.sols r b;
-                 ignore (Util.Bitset.add st.iborrowed r);
-                 incr reused
-             | _ -> ())
-           prev_sol.sol_sets);
-      let restore_rows slots bor rows =
+      let n = Array.length prev_sol.sol_sets in
+      if n > 0 then Slots.ensure st.sols (n - 1);
+      for r = 0 to min n prev.sd_node_total - 1 do
+        match prev_sol.sol_sets.(r) with
+        | Some _ as slot when irep st r = r && not (Util.Bitset.mem dirty r) ->
+            st.sols.Slots.a.(r) <- slot;
+            ignore (Util.Bitset.add st.iborrowed r);
+            incr reused
+        | _ -> ()
+      done;
+      (* Relation rows are few and small next to the points-to sets:
+         restoring copies them, so later growth writes in place. *)
+      let restore_rows slots rows =
         Array.iteri
-          (fun i o ->
-            match o with
-            | Some b ->
-                Slots.set slots i b;
-                ignore (Util.Bitset.add bor i)
-            | None -> ())
+          (fun i o -> Option.iter (fun b -> Slots.set slots i (Util.Bitset.copy b)) o)
           rows
       in
       if not !children_cleared then begin
-        restore_rows st.ichildren st.ibor_children prev_sol.sol_children;
-        restore_rows st.iparents st.ibor_parents prev_sol.sol_parents
+        restore_rows st.ichildren prev_sol.sol_children;
+        restore_rows st.iparents prev_sol.sol_parents
       end;
       if not !ids_cleared then begin
-        restore_rows st.iids st.ibor_ids prev_sol.sol_ids;
-        restore_rows st.iby_id st.ibor_by_id prev.sd_by_id
+        restore_rows st.iids prev_sol.sol_ids;
+        restore_rows st.iby_id prev.sd_by_id
       end;
       if not !roots_cleared then begin
-        restore_rows st.iroots st.ibor_roots prev_sol.sol_roots;
+        restore_rows st.iroots prev_sol.sol_roots;
         st.iholder_ids <- prev.sd_holder_ids;
         List.iter (fun hid -> ignore (Util.Bitset.add st.iholders_seen hid)) prev.sd_holder_ids
       end;
-      if not !listeners_cleared then
-        restore_rows st.ilisteners st.ibor_listeners prev_sol.sol_listeners;
+      if not !listeners_cleared then restore_rows st.ilisteners prev_sol.sol_listeners;
       (* Cold structural tables (inflation memo, declarative handlers,
          fragment placeholders, root layouts) are restored only when
          both children and ids survive: a memo hit skips the id-level
@@ -2025,7 +1879,7 @@ let run_incremental ~prev ~edits ?new_shape config (app : Framework.App.t) graph
             let r = irep st nid in
             if Util.Bitset.mem dirty r || not (Util.Bitset.mem st.iborrowed r) then
               ipush st nid vid)
-          new_seeds;
+          new_shape.sh_seeds;
         (* Restored components never emit deltas, so their outflow must
            be injected once: into dirty successors (reset to empty),
            and through edges that did not exist before.  Later growth
@@ -2106,9 +1960,7 @@ let run_incremental ~prev ~edits ?new_shape config (app : Framework.App.t) graph
       let sd =
         icapture st ?carry_map
           ~fps:(prev.sd_class_fp, new_method_fp, prev.sd_layout_fp)
-          ~seeds:new_seeds
-          ~reuse_ops:(prev.sd_ops, edits.es_new_to_old)
-          ~config ~app ~ret_deps carry
+          ~shape:new_shape ~config ~app ~ret_deps carry
       in
       (stats, sd)
 

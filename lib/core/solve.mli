@@ -72,9 +72,9 @@ val run : Config.t -> Framework.App.t -> Graph.t -> stats
     ([Extract.run ~interner]), {!Diff.edit_script} between the two
     {!shape}s drives {!run_incremental}: only the condensation
     components forward-reachable from the edits are re-solved, every
-    other component's solution is restored by aliasing the previous
-    bitsets.  The warm result is bit-identical to a from-scratch
-    solve. *)
+    other component's points-to set is restored by aliasing the
+    previous bitset, and the relation rows are restored by copying.
+    The warm result is bit-identical to a from-scratch solve. *)
 
 (** The diffable summary of a constraint graph: flow CSR, seeds, and
     operation nodes, all over interner ids. *)
@@ -107,12 +107,14 @@ type edit_script = {
     it grows. *)
 type rd = RD_op of int | RD_frags
 
-(** A captured solution.  The record is exposed for persistence
-    ({!Snapshot}); treat every field as READ-ONLY — the bitsets are
-    aliased by later warm solves and by [sd_graph]'s solution store.
-    [sd_graph] carries the cold structural tables (inflations,
-    declarative handlers, declared fragments, root layouts) and the
-    taint rows. *)
+(** A captured solution: the {!shape} it was solved over plus the rows
+    it reached.  The record is exposed for persistence ({!Snapshot});
+    treat every field as READ-ONLY — a warm solve started from it
+    borrows its points-to sets copy-on-write and copies its relation
+    rows, and [sd_graph]'s solution store aliases them all.
+    [sd_graph] carries the interner, the cold structural tables
+    (inflations, declarative handlers, declared fragments, root
+    layouts) and the taint rows. *)
 type solved = {
   sd_config : Config.t;
   sd_app_name : string;
@@ -121,20 +123,13 @@ type solved = {
   sd_layout_fp : string;
   sd_package : Layouts.Package.t;
   sd_graph : Graph.t;
-  sd_it : Intern.t;
   sd_node_total : int;  (** interned node count at capture *)
   sd_value_total : int;
-  sd_csr_n : int;  (** nodes covered by the frozen CSR *)
-  sd_row : int array;
-  sd_edst : int array;
-  sd_ekind : int array;
-  sd_cast_names : string array;
-  sd_seeds : (int * int) array;
-  sd_ops : (Node.op_site * int * int array * int) array;
+  sd_shape : shape;  (** the flow CSR, seeds and ops the solve ran over *)
   sd_solution : Graph.solution;
       (** the captured rows — [sd_graph]'s solution store at capture,
-          its rep map sized [sd_csr_n]; aliased, never mutated *)
-  sd_sols_mask : Util.Bitset.t;  (** bits of the [Some] slots of the points-to rows *)
+          its rep map sized [sd_shape.sh_nodes]; aliased, never
+          mutated *)
   sd_by_id : Util.Bitset.t option array;  (** rid sym -> view ids carrying it *)
   sd_holder_ids : int list;  (** discovery order, newest first *)
   sd_ret_deps : (int * rd) list;  (** representative -> dynamic reader *)
@@ -160,8 +155,10 @@ val layout_fp : Framework.App.t -> string
 val shape_of_graph : Graph.t -> shape
 
 val shape_of_solved : solved -> shape
+(** [sd_shape]. *)
 
 val solved_interner : solved -> Intern.t
+(** The interner of [sd_graph]. *)
 
 val solved_class_fp : solved -> string
 (** Class-hierarchy fingerprint at capture; a registry reloading state
@@ -186,12 +183,15 @@ val run_incremental :
 (** Warm re-solve.  [graph] must be the patched app's graph extracted
     over [prev]'s interner ([Extract.run ~interner]), [edits] the edit
     script from [shape_of_solved prev] to [shape_of_graph graph].
-    Passing that same new shape as [?new_shape] lets the warm path
-    reuse its seed pairs instead of re-deriving them from the graph.
-    Falls back to {!run_solved} (with [stats.fallback] set) when the
-    warm guard refuses: different interner, changed configuration,
-    changed class hierarchy, or changed layout resources.  Not
-    thread-safe against concurrent solves sharing the interner. *)
+    Passing that same new shape as [?new_shape] saves deriving it
+    again: the warm path reads its seed pairs and the result captures
+    it as its [sd_shape].  Clean components' points-to sets are
+    borrowed from [prev] and copied only when they grow; the relation
+    rows are copied at restore.  [prev] is never written.  Falls back
+    to {!run_solved} (with [stats.fallback] set) when the warm guard
+    refuses: different interner, changed configuration, changed class
+    hierarchy, or changed layout resources.  Not thread-safe against
+    concurrent solves sharing the interner. *)
 
 val warm_guard : solved -> Config.t -> Framework.App.t -> Graph.t -> string option
 (** The reason {!run_incremental} would fall back, if any. *)

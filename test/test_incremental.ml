@@ -150,6 +150,108 @@ let test_methods_changed_not_fallback () =
   in
   ignore (run_patch ~msg:"add-method" app solved patch)
 
+(* Figure 1 with [u = <param>;] at the top of the escape listener's
+   onClick, whose parameter is named [param]. *)
+let connectbot_with_param param =
+  let sub = "method onClick(r: View): void {" in
+  let src = Corpus.Connectbot.source in
+  let n = String.length sub in
+  let rec find i =
+    if i + n > String.length src then Alcotest.failf "%S not in the ConnectBot source" sub
+    else if String.sub src i n = sub then i
+    else find (i + 1)
+  in
+  let i = find 0 in
+  let code =
+    String.sub src 0 i
+    ^ Printf.sprintf "method onClick(%s: View): void {\n    u = %s;" param param
+    ^ String.sub src (i + n) (String.length src - i - n)
+  in
+  match
+    Framework.App.of_source ~name:"ConnectBot" ~code
+      ~layouts:
+        [
+          ("act_console", Corpus.Connectbot.act_console_xml);
+          ("item_terminal", Corpus.Connectbot.item_terminal_xml);
+        ]
+  with
+  | Ok app -> app
+  | Error e -> Alcotest.failf "patched ConnectBot does not build: %s" e
+
+(* Renaming a callback parameter changes no op's inputs, yet the
+   listener's handler injection now pushes the clicked view into a
+   different [N_var]: the method fingerprint covers parameter names,
+   so the Set_listener op is re-run and [u] still holds the button. *)
+let test_renamed_callback_param () =
+  let _, solved = Incremental.analyze_solved (connectbot_with_param "r") in
+  let renamed = connectbot_with_param "z" in
+  let warm, _ = Incremental.analyze_incremental ~prev:solved renamed in
+  check_warm ~msg:"renamed parameter" warm;
+  Same_solution.check "renamed parameter: warm vs cold" (Analysis.analyze renamed) warm
+
+(* A warm solve never writes to the state it starts from: points-to
+   sets are borrowed copy-on-write and relation rows are copied at
+   restore.  Every link of a warm chain must serialize after the whole
+   chain exactly as it did when it was captured, except that the
+   interner pools, which the chain shares and extends, may only have
+   grown at their ends. *)
+let interner_pools = [ "values"; "nodes"; "pool_listeners"; "pool_holders"; "rids" ]
+
+let rec is_prefix a b =
+  match (a, b) with
+  | [], _ -> true
+  | x :: a, y :: b -> x = y && is_prefix a b
+  | _ :: _, [] -> false
+
+let check_chain_keeps_prev ~msg app patches =
+  let _, solved = Incremental.analyze_solved app in
+  let _, links =
+    List.fold_left
+      (fun ((app, prev), links) patch ->
+        let app' = apply_patch app patch in
+        let warm, solved' = Incremental.analyze_incremental ~prev app' in
+        check_warm ~msg warm;
+        ((app', solved'), (solved', Snapshot.to_json solved') :: links))
+      ((app, solved), [ (solved, Snapshot.to_json solved) ])
+      patches
+  in
+  List.iteri
+    (fun k (sd, before) ->
+      let after = Snapshot.to_json sd in
+      match before with
+      | Util.Json.Obj fields ->
+          List.iter
+            (fun (name, value) ->
+              let kept =
+                match (value, Util.Json.member name after) with
+                | Util.Json.List a, Some (Util.Json.List b) when List.mem name interner_pools ->
+                    is_prefix a b
+                | _, after -> after = Some value
+              in
+              if not kept then
+                Alcotest.failf "%s: field %s of link %d changed during the chain" msg name k)
+            fields
+      | _ -> Alcotest.failf "%s: a snapshot is not a JSON object" msg)
+    links
+
+let test_warm_keeps_prev () =
+  check_chain_keeps_prev ~msg:"Inc chain" (inc_app ())
+    (List.map load_patch
+       [ "remove_view.json"; "cycle_split.json"; "rename_id.json"; "add_handler.json" ]);
+  check_chain_keeps_prev ~msg:"XBMC seed patch"
+    (Corpus.Gen.generate (Option.get (Corpus.Apps.by_name "XBMC")))
+    [
+      [
+        Corpus.Patch.Add_stmt
+          {
+            cls = "Activity_0";
+            meth = "onCreate";
+            arity = 0;
+            stmt = Jir.Ast.New ("verify_tmp", "android.widget.Button");
+          };
+      ];
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Edit-script audit: every relation kind shows up in the diff *)
 
@@ -603,6 +705,8 @@ let suite =
     Alcotest.test_case "patch chain (warm of warm)" `Quick test_patch_chain;
     Alcotest.test_case "config change falls back" `Quick test_config_change_falls_back;
     Alcotest.test_case "method addition stays warm" `Quick test_methods_changed_not_fallback;
+    Alcotest.test_case "renamed callback parameter" `Quick test_renamed_callback_param;
+    Alcotest.test_case "warm chains leave their prev intact" `Quick test_warm_keeps_prev;
     Alcotest.test_case "edit script covers all kinds" `Quick test_edit_script_kinds;
     Alcotest.test_case "snapshot round-trip" `Quick test_snapshot_roundtrip;
     Alcotest.test_case "snapshot corrupt input" `Quick test_snapshot_corrupt;
