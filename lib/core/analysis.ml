@@ -167,31 +167,44 @@ let interactions t =
           | Node.H_act a -> (a, Node.L_act a)
           | Node.H_dialog site -> (site.Node.a_cls, Node.L_alloc site)
         in
-        List.concat_map
+        List.filter_map
           (fun view ->
-            List.filter_map
-              (fun handler_name ->
-                match
-                  Jir.Hierarchy.resolve hierarchy label
-                    { Jir.Ast.mk_name = handler_name; mk_arity = 1 }
-                with
-                | Some (owner, m) ->
-                    Some
-                      {
-                        ix_activity = label;
-                        ix_view = view;
-                        ix_event = Framework.Listeners.Click;
-                        ix_listener = listener;
-                        ix_handler = Node.mid_of_meth owner m;
-                      }
-                | None -> None)
-              (Graph.onclicks_of t.graph view))
+            Option.bind (Inflate.onclick t.app.package view) (fun handler_name ->
+                let handler = { Jir.Ast.mk_name = handler_name; mk_arity = 1 } in
+                Jir.Hierarchy.resolve hierarchy label handler
+                |> Option.map (fun (owner, m) ->
+                       {
+                         ix_activity = label;
+                         ix_view = view;
+                         ix_event = Framework.Listeners.Click;
+                         ix_listener = listener;
+                         ix_handler = Node.mid_of_meth owner m;
+                       })))
           (views_of_holder t holder))
       (Graph.holders t.graph)
   in
   activity_tuples @ dialog_tuples @ declarative_tuples
 
-let transitions t = List.sort_uniq compare (Graph.transitions t.graph)
+(* STARTACTIVITY read over the solved sets: the activities at each
+   [startActivity] receiver, paired with the activities and
+   activity-class objects at its intent argument. *)
+let transitions t =
+  let hierarchy = t.app.Framework.App.hierarchy in
+  let classes keep node = List.filter_map keep (Graph.VS.elements (Graph.set_of t.graph node)) in
+  let activity = function Node.V_act a -> Some a | _ -> None in
+  let target = function
+    | Node.V_obj s when Framework.Views.is_activity_class hierarchy s.Node.a_cls -> Some s.a_cls
+    | v -> activity v
+  in
+  List.concat_map
+    (fun (op : Graph.op) ->
+      match (op.site.o_kind, op.op_args) with
+      | Framework.Api.Start_activity, intent :: _ ->
+          let targets = classes target intent in
+          List.concat_map (fun a -> List.map (fun b -> (a, b)) targets) (classes activity op.op_recv)
+      | _ -> [])
+    (ops t)
+  |> List.sort_uniq compare
 
 let pp_interaction ppf ix =
   Fmt.pf ppf "(%s, %a, %s, %a)" ix.ix_activity Node.pp_view ix.ix_view

@@ -103,8 +103,10 @@ val interactions : t -> interaction list
 val transitions : t -> (string * string) list
 (** Activity-transition edges (source activity, launched activity
     class) — the model SCanDroid/A3E-style tools consume (Section 6 of
-    the paper).  Extension: requires [startActivity] calls with
-    activity tokens. *)
+    the paper), sorted.  Extension: read from the solved sets at each
+    [startActivity] op — the activities at its receiver, paired with
+    the activities and activity-class objects at its intent
+    argument. *)
 
 val pp_interaction : interaction Fmt.t
 

@@ -20,8 +20,6 @@ end)
 
 module Int_set = Set.Make (Int)
 
-module String_set = Set.Make (String)
-
 type edge_kind = E_direct | E_cast of string
 
 (* Hashed-key tables with explicit equal/hash (the polymorphic hash
@@ -139,11 +137,9 @@ type t = {
   mutable points_to : (Node.t, VS.t) Hashtbl.t option;
       (** read index over [sol]'s points-to rows, decoded in one pass on
           the first points-to read and dropped with the solution *)
-  root_layout_tbl : (Node.view_abs, Int_set.t) Hashtbl.t;
   inflations : (Node.site * string, Node.view_abs list) Hashtbl.t;
-  transitions_tbl : (string * string, unit) Hashtbl.t;  (** activity transition edges *)
-  onclick_tbl : (Node.view_abs, String_set.t) Hashtbl.t;  (** android:onClick handler names *)
-  declared_fragments_tbl : (Node.view_abs, String_set.t) Hashtbl.t;  (** <fragment> classes *)
+      (** the inflation memo: (site, layout) -> minted views, in the
+          layout's preorder *)
   mutable g_has_top : bool;
       (** some seed introduced an unknown-id marker ([V_layout_top] /
           [V_view_id_top]); the warm guard refuses incremental starts
@@ -171,11 +167,7 @@ let create ?interner () =
     alloc_seen = Alloc_seen.create 64;
     sol = empty_solution;
     points_to = None;
-    root_layout_tbl = Hashtbl.create 16;
     inflations = Hashtbl.create 16;
-    transitions_tbl = Hashtbl.create 16;
-    onclick_tbl = Hashtbl.create 16;
-    declared_fragments_tbl = Hashtbl.create 16;
     g_has_top = false;
   }
 
@@ -702,21 +694,7 @@ let seeds t = Hashtbl.fold (fun node vs acc -> (node, vs) :: acc) t.seed_tbl []
 
 let reset_sets t =
   set_solution t empty_solution;
-  Hashtbl.reset t.root_layout_tbl;
-  Hashtbl.reset t.inflations;
-  Hashtbl.reset t.transitions_tbl;
-  Hashtbl.reset t.onclick_tbl;
-  Hashtbl.reset t.declared_fragments_tbl
-
-(* Generic set-valued relation update returning whether it grew. *)
-let add_to_set_tbl (type s elt) (module S : Set.S with type t = s and type elt = elt) tbl key v =
-  let existing = Option.value (Hashtbl.find_opt tbl key) ~default:S.empty in
-  let updated = S.add v existing in
-  if updated == existing then false
-  else begin
-    Hashtbl.replace tbl key updated;
-    true
-  end
+  Hashtbl.reset t.inflations
 
 let view_row t rows view =
   match Intern.find_view t.g_it view with Some wid -> row rows wid | None -> None
@@ -772,59 +750,17 @@ let listeners_of_view t view =
 
 let views_with_listeners t = List.map (Intern.view_of t.g_it) (keys_of t.sol.sol_listeners)
 
-let add_root_layout t view id = add_to_set_tbl (module Int_set) t.root_layout_tbl view id
-
-let layouts_of_root t view =
-  Option.value (Hashtbl.find_opt t.root_layout_tbl view) ~default:Int_set.empty
-
-let add_onclick t view handler = add_to_set_tbl (module String_set) t.onclick_tbl view handler
-
-let onclicks_of t view =
-  match Hashtbl.find_opt t.onclick_tbl view with
-  | Some s -> String_set.elements s
-  | None -> []
-
-let views_with_onclick t = Hashtbl.fold (fun v _ acc -> v :: acc) t.onclick_tbl []
-
-let add_declared_fragment t view cls =
-  add_to_set_tbl (module String_set) t.declared_fragments_tbl view cls
-
-let declared_fragments_of t view =
-  match Hashtbl.find_opt t.declared_fragments_tbl view with
-  | Some s -> String_set.elements s
-  | None -> []
-
-let views_with_declared_fragments t =
-  Hashtbl.fold (fun v _ acc -> v :: acc) t.declared_fragments_tbl []
-
-let add_transition t ~from_ ~to_ =
-  if Hashtbl.mem t.transitions_tbl (from_, to_) then false
-  else begin
-    Hashtbl.add t.transitions_tbl (from_, to_) ();
-    true
-  end
-
-let transitions t = Hashtbl.fold (fun edge () acc -> edge :: acc) t.transitions_tbl []
-
 let find_inflation t ~site ~layout = Hashtbl.find_opt t.inflations (site, layout)
 
 let record_inflation t ~site ~layout views = Hashtbl.replace t.inflations (site, layout) views
 
 let inflated_views t = Hashtbl.fold (fun _ views acc -> views @ acc) t.inflations []
 
-(* Enumeration of the cold relations (snapshot encoding and warm
-   restore).  Hashtbl fold order — callers must not depend on it. *)
+(* The memo's entries (snapshot encoding, warm restore and the
+   declarative passes), in Hashtbl order: callers must not depend on
+   it. *)
 let inflation_entries t =
   Hashtbl.fold (fun (site, layout) views acc -> (site, layout, views) :: acc) t.inflations []
-
-let onclick_entries t =
-  Hashtbl.fold (fun v s acc -> (v, String_set.elements s) :: acc) t.onclick_tbl []
-
-let declared_fragment_entries t =
-  Hashtbl.fold (fun v s acc -> (v, String_set.elements s) :: acc) t.declared_fragments_tbl []
-
-let root_layout_entries t =
-  Hashtbl.fold (fun v s acc -> (v, Int_set.elements s) :: acc) t.root_layout_tbl []
 
 let ops t = List.rev t.op_list
 

@@ -4,16 +4,20 @@
     Locations ({!Node.t}) carry points-to sets of abstract values; flow
     edges ([->] in the paper) connect locations; the [=>] relationship
     edges of the paper are stored as relations over abstract views:
-    parent-child, view=>id, holder=>root, view=>listener, and
-    root=>layout-id.
+    parent-child, view=>id, holder=>root and view=>listener.  The
+    paper's root=>layout-id edge needs no table: a root inflated view
+    names its layout.
 
-    The graph holds the program's constraints and the cold relations
-    (inflations, declarative handlers, declared fragments, root
-    layouts, transitions) structurally.  The solved points-to sets,
-    the hot relations and the taint plane live in one place: the
-    solver's id-level {!solution}, which the reads below decode when
-    they are called (points-to reads through a read index built on the
-    first of them). *)
+    The graph holds the program's constraints and one cold table, the
+    inflation memo.  The solved points-to sets, the hot relations and
+    the taint plane live in one place: the solver's id-level
+    {!solution}, which the reads below decode when they are called
+    (points-to reads through a read index built on the first of them).
+    Everything else the rules read about an inflated view (its
+    [android:onClick] handler, its [<fragment>] class) comes from its
+    layout node ({!Inflate.onclick}, {!Inflate.declared_fragment}), and
+    activity transitions are a read over the solved sets
+    ({!Analysis.transitions}). *)
 
 module VS : Set.S with type elt = Node.value
 
@@ -178,7 +182,7 @@ val succs : t -> Node.t -> (edge_kind * Node.t) list
 val seeds : t -> (Node.t * VS.t) list
 
 val reset_sets : t -> unit
-(** Drop the solution and the cold relations, back to the seeded state
+(** Drop the solution and the inflation memo, back to the seeded state
     (used to re-solve under a different configuration). *)
 
 (** {1 Relations} *)
@@ -202,32 +206,6 @@ val listeners_of_view : t -> Node.view_abs -> Listener_set.t
 val views_with_listeners : t -> Node.view_abs list
 (** By ascending view id. *)
 
-val add_root_layout : t -> Node.view_abs -> int -> bool
-
-val layouts_of_root : t -> Node.view_abs -> Int_set.t
-
-val add_onclick : t -> Node.view_abs -> string -> bool
-(** Declarative [android:onClick] handler name carried by an inflated
-    view. *)
-
-val onclicks_of : t -> Node.view_abs -> string list
-
-val views_with_onclick : t -> Node.view_abs list
-(** Views carrying at least one declarative handler — lets the solver
-    iterate handlers directly instead of scanning whole hierarchies. *)
-
-val add_declared_fragment : t -> Node.view_abs -> string -> bool
-(** Fragment class declared by a [<fragment>] placeholder node. *)
-
-val declared_fragments_of : t -> Node.view_abs -> string list
-
-val views_with_declared_fragments : t -> Node.view_abs list
-
-val add_transition : t -> from_:string -> to_:string -> bool
-(** Activity-transition edge (extension: STARTACTIVITY). *)
-
-val transitions : t -> (string * string) list
-
 (** {1 Inflation bookkeeping} *)
 
 val find_inflation : t -> site:Node.site -> layout:string -> Node.view_abs list option
@@ -237,18 +215,9 @@ val record_inflation : t -> site:Node.site -> layout:string -> Node.view_abs lis
 val inflated_views : t -> Node.view_abs list
 (** Every [V_infl] minted so far (Table 1's "views (I)"). *)
 
-(** {1 Cold-relation enumeration (snapshots, warm restarts)}
-
-    Entries of the relations maintained structurally during interned
-    solving, in unspecified order. *)
-
 val inflation_entries : t -> (Node.site * string * Node.view_abs list) list
-
-val onclick_entries : t -> (Node.view_abs * string list) list
-
-val declared_fragment_entries : t -> (Node.view_abs * string list) list
-
-val root_layout_entries : t -> (Node.view_abs * int list) list
+(** The memo's entries, in unspecified order (snapshots, warm
+    restarts, the declarative passes). *)
 
 (** {1 Inspection} *)
 

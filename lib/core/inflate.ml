@@ -37,12 +37,8 @@ let instantiate graph ~resources ~site (def : Layouts.Layout.def) =
             (match node.id with
             | Some id_name -> view_ids := (view, Layouts.Resource.view_id resources id_name) :: !view_ids
             | None -> ());
-            (match node.onclick with
-            | Some handler -> onclick := Graph.add_onclick graph view handler || !onclick
-            | None -> ());
-            (match node.fragment_class with
-            | Some cls -> fragments := Graph.add_declared_fragment graph view cls || !fragments
-            | None -> ());
+            if node.onclick <> None then onclick := true;
+            if node.fragment_class <> None then fragments := true;
             view)
           nodes
       in
@@ -61,3 +57,32 @@ let instantiate graph ~resources ~site (def : Layouts.Layout.def) =
 let root = function
   | [] -> invalid_arg "Inflate.root: empty inflation"
   | r :: _ -> r
+
+(* The layout node an inflated view was minted from: its layout's
+   (expanded) definition, at its path. *)
+let node_of package = function
+  | Node.V_infl v ->
+      Option.bind (Layouts.Package.find package v.Node.v_layout) (fun def ->
+          Layouts.Layout.find def v.v_path)
+  | Node.V_alloc _ -> None
+
+let onclick package view = Option.bind (node_of package view) (fun n -> n.Layouts.Layout.onclick)
+
+let declared_fragment package view =
+  Option.bind (node_of package view) (fun n -> n.Layouts.Layout.fragment_class)
+
+(* A memo entry's views are its layout's nodes in preorder, so one walk
+   of the layout tree pairs them, with no per-view lookup. *)
+let iter_memo graph package f =
+  let rec walk views (node : Layouts.Layout.node) =
+    match views with
+    | [] -> []
+    | view :: rest ->
+        f view node;
+        List.fold_left walk rest node.children
+  in
+  List.iter
+    (fun (_, layout, views) ->
+      Option.iter (fun (def : Layouts.Layout.def) -> ignore (walk views def.root))
+        (Layouts.Package.find package layout))
+    (Graph.inflation_entries graph)

@@ -51,7 +51,7 @@ type loc =
    interface [i] (a custom view as its allocated object). *)
 type sort =
   | Any | View | Layout_id | View_id | Is of Node.value | Activity | Obj of string | Menu
-  | Listener of string | Activity_token
+  | Listener of string
 
 (* Relations read either way: a premise with the first term unbound
    reads the inverse (parents, an id's carriers, a root's holders);
@@ -83,7 +83,6 @@ type conclusion =
   | Flow of loc * var
   | Add of rel * var * var
   | Listen of var * var * string  (** a registration under the named interface *)
-  | Transition of var * var
 
 (* [Round] entries fire once per round, after the ops. *)
 type entry = { rule : clause; on : on; conclusions : conclusion list }
@@ -186,9 +185,8 @@ let rules =
       [ unrefined; In (Recv, View, "v"); Desc (false, "v", "d") ] [ Flow (Out, "d") ];
     entry "GetParent" (is Get_parent) [ In (Recv, View, "v"); Rel (Child, "p", "v") ] [ Flow (Out, "p") ];
     entry "PassThrough" (is Pass_through) [ In (Recv, Any, "x") ] [ Flow (Out, "x") ];
-    (* Extensions (DESIGN §5) *)
-    entry "StartActivity" (is Start_activity)
-      [ In (Recv, Activity, "a"); In (Arg 0, Activity_token, "b") ] [ Transition ("a", "b") ];
+    (* Extensions (DESIGN §5); startActivity concludes nothing: its
+       transitions are a read over the solved sets *)
     entry "FragmentAdd this" (is Fragment_add) fragment [ Flow (This "m", "f") ];
     entry "FragmentAdd" (is Fragment_add)
       (in_holder @ fragment @ [ In (Ret "m", View, "c") ]) [ Add (Child, "d", "c") ];
@@ -280,8 +278,7 @@ let classify st sort v =
   match (sort, v) with
   | Any, _ | View, Node.V_view _ | Layout_id, Node.V_layout_id _ | View_id, Node.V_view_id _ -> Some v
   | Is w, _ -> if Node.equal_value v w then Some v else None
-  | (Activity | Activity_token), Node.V_act _ -> Some v
-  | Activity_token, Node.V_obj _ -> of_class Framework.Views.root_activity_class
+  | Activity, Node.V_act _ -> Some v
   | Obj super, Node.V_obj _ -> of_class super
   | Menu, Node.V_view _ -> of_class "Menu"
   | Listener iface, (Node.V_obj _ | Node.V_act _ | Node.V_view (Node.V_alloc _)) -> (
@@ -323,7 +320,8 @@ let resolve st env x callee =
         List.map (fun (h : Framework.Listeners.handler) -> (h.h_name, h.h_arity, Some h)) i.i_handlers
     | Onclick d -> (
         match value env d with
-        | Node.V_view v -> List.map (fun n -> (n, 1, None)) (Graph.onclicks_of st.graph v)
+        | Node.V_view v ->
+            List.map (fun n -> (n, 1, None)) (Option.to_list (Inflate.onclick st.app.package v))
         | _ -> [])
   in
   let resolve cls (name, arity, h) =
@@ -333,7 +331,7 @@ let resolve st env x callee =
   match class_of (value env x) with Some cls -> List.filter_map (resolve cls) targets | None -> []
 
 (* Lazy inflation (INFLATE1/2): a fresh subtree's ids and children
-   enter the relations, and its root maps to the layout id. *)
+   enter the relations. *)
 let inflate_at st (op : Graph.op) lid =
   match Layouts.Package.find_by_layout_id st.app.package lid with
   | None -> None
@@ -346,9 +344,7 @@ let inflate_at st (op : Graph.op) lid =
           List.iter (fun (p, c) -> relate st Child (Node.V_view p) (Node.V_view c)) f.children;
           st.dirty <- true)
         facts;
-      let root = Inflate.root views in
-      grew st (Graph.add_root_layout st.graph root lid) (fun () -> "root layout " ^ string_of_int lid);
-      Some (Node.V_view root)
+      Some (Node.V_view (Inflate.root views))
 
 let layout_ids st =
   let resources = Layouts.Package.resources st.app.package in
@@ -357,15 +353,16 @@ let layout_ids st =
       Option.map (fun l -> Node.V_layout_id l) (Layouts.Resource.find_layout_id resources def.name))
     (Layouts.Package.layouts st.app.package)
 
+(* The [<fragment>] placeholders of the inflation memo, each with its
+   fragment object. *)
 let declared st =
-  List.concat_map
-    (function
-      | Node.V_infl infl as d ->
-          List.map
-            (fun cls -> (Node.V_view d, Node.V_obj (Node.declared_fragment_site cls infl)))
-            (Graph.declared_fragments_of st.graph d)
-      | Node.V_alloc _ -> [])
-    (Graph.views_with_declared_fragments st.graph)
+  let acc = ref [] in
+  Inflate.iter_memo st.graph st.app.package (fun d node ->
+      match (d, node.Layouts.Layout.fragment_class) with
+      | Node.V_infl infl, Some cls ->
+          acc := (Node.V_view d, Node.V_obj (Node.declared_fragment_site cls infl)) :: !acc
+      | _ -> ());
+  !acc
 
 (* Bind [x] to each candidate, or test a bound [x]; ["_"] asks that
    one exists. *)
@@ -435,9 +432,6 @@ let conclude st op env = function
       let view = Option.get (Node.view_of_value (value env v)) in
       grew st (add_to (module Graph.Listener_set) st.listeners view (l, iface)) (fun () ->
           Fmt.str "%a listens to %a" Node.pp_listener l Node.pp_view view)
-  | Transition (a, b) ->
-      let from_ = Option.get (class_of (value env a)) and to_ = Option.get (class_of (value env b)) in
-      grew st (Graph.add_transition st.graph ~from_ ~to_) (fun () -> from_ ^ " -> " ^ to_)
 
 let apply st op (e : entry) =
   st.rule <- e.rule.name;

@@ -29,7 +29,6 @@ val step : Config.t -> Framework.App.t -> Graph.t -> string list * (string * int
     it.  Returns each fact the round adds, described and named by its
     entry — none iff the solution is closed under the rules — and, per
     name in {!names}, how many bindings satisfied its premises.  The
-    additions stay in the step's own tables, except root layouts and
-    transitions, which the graph keeps.  An inflation's subtree edges
+    additions stay in the step's own tables.  An inflation's subtree edges
     are taken as given: the graph hands them out only once per site
     and layout. *)

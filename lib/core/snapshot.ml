@@ -2,9 +2,11 @@
    processes).  A snapshot is a versioned JSON document: the interner
    pools in id order, the frozen flow CSR, per-representative solution
    bitsets, relation rows, dynamic return dependencies and per-op write
-   targets, plus the captured graph's cold structural tables and taint
-   rows.  Loading installs the rows as the graph's solution store as
-   they are, with no decoding.  Replaying
+   targets, plus the captured graph's inflation memo and taint rows.
+   Each pool is written at its size at capture, so a later warm solve
+   over the same interner cannot change a captured solve's file.
+   Loading installs the rows as the graph's solution store as they
+   are, with no decoding.  Replaying
    the value pool in id order recreates the value AND view pools
    exactly — interning a value and its paired view is atomic with
    respect to other interns, so the relative order of view allocations
@@ -18,8 +20,11 @@ let magic = "GATOR-SNAP"
    value tags) and the optional [taints] rows.  Version-1 snapshots —
    written before the markers existed — decode unchanged: they cannot
    contain the new tags, and a missing [taints] field means no node is
-   tainted. *)
-let version = 2
+   tainted.  Version 3 drops the [onclicks], [declared_fragments] and
+   [root_layouts] tables: handlers and fragment classes are read from
+   the layouts, and no reader needs a root's layout id.  The reader
+   skips those fields in older files. *)
+let version = 3
 
 let min_version = 1
 
@@ -156,14 +161,13 @@ let to_json (sd : Solve.solved) =
       ("class_fp", J.String sd.sd_class_fp);
       ("method_fp", J.String sd.sd_method_fp);
       ("layout_fp", J.String sd.sd_layout_fp);
-      ("values", J.List (List.init (Intern.value_count it) (fun i -> jvalue (Intern.value_of it i))));
-      ("nodes", J.List (List.init (Intern.node_count it) (fun i -> jnode (Intern.node_of it i))));
+      ("values", J.List (List.init sd.sd_value_total (fun i -> jvalue (Intern.value_of it i))));
+      ("nodes", J.List (List.init sd.sd_node_total (fun i -> jnode (Intern.node_of it i))));
       ( "pool_listeners",
-        J.List
-          (List.init (Intern.listener_count it) (fun i -> jlistener_entry (Intern.listener_of it i)))
+        J.List (List.init sd.sd_listener_total (fun i -> jlistener_entry (Intern.listener_of it i)))
       );
-      ("pool_holders", J.List (List.init (Intern.holder_count it) (fun i -> jholder (Intern.holder_of it i))));
-      ("rids", J.List (List.init (Intern.rid_count it) (fun i -> J.Int (Intern.rid_of it i))));
+      ("pool_holders", J.List (List.init sd.sd_holder_total (fun i -> jholder (Intern.holder_of it i))));
+      ("rids", J.List (List.init sd.sd_rid_total (fun i -> J.Int (Intern.rid_of it i))));
       ("node_total", J.Int sd.sd_node_total);
       ("value_total", J.Int sd.sd_value_total);
       ("csr_n", J.Int sh.sh_nodes);
@@ -201,23 +205,6 @@ let to_json (sd : Solve.solved) =
              (fun (site, layout, views) ->
                J.List [ jsite site; J.String layout; J.List (List.map jview views) ])
              (Graph.inflation_entries sd.sd_graph)) );
-      ( "onclicks",
-        J.List
-          (List.map
-             (fun (view, names) ->
-               J.List [ jview view; J.List (List.map (fun n -> J.String n) names) ])
-             (Graph.onclick_entries sd.sd_graph)) );
-      ( "declared_fragments",
-        J.List
-          (List.map
-             (fun (view, classes) ->
-               J.List [ jview view; J.List (List.map (fun c -> J.String c) classes) ])
-             (Graph.declared_fragment_entries sd.sd_graph)) );
-      ( "root_layouts",
-        J.List
-          (List.map
-             (fun (view, lids) -> J.List [ jview view; J.List (List.map (fun l -> J.Int l) lids) ])
-             (Graph.root_layout_entries sd.sd_graph)) );
       ( "taints",
         J.List
           (List.map
@@ -447,7 +434,7 @@ let of_json j =
     let rows ?size what ~rows ~members = drows ~what ?size ~rows ~members (dfield what j) in
     let sols = rows ~size:node_total "sols" ~rows:nodes ~members:values in
     let by_id = rows "by_id" ~rows:rids ~members:views in
-    (* The captured graph: the cold tables, the seeds, and the rows
+    (* The captured graph: the inflation memo, the seeds, and the rows
        above as its solution store. *)
     let graph = Graph.create ~interner:it () in
     List.iter
@@ -457,29 +444,6 @@ let of_json j =
               (List.map dview (dlist views))
         | _ -> bad "bad inflation entry")
       (dlist (dfield "inflations" j));
-    List.iter
-      (function
-        | J.List [ v; names ] ->
-            let view = dview v in
-            List.iter (fun n -> ignore (Graph.add_onclick graph view (dstr n))) (dlist names)
-        | _ -> bad "bad onclick entry")
-      (dlist (dfield "onclicks" j));
-    List.iter
-      (function
-        | J.List [ v; classes ] ->
-            let view = dview v in
-            List.iter
-              (fun c -> ignore (Graph.add_declared_fragment graph view (dstr c)))
-              (dlist classes)
-        | _ -> bad "bad declared-fragment entry")
-      (dlist (dfield "declared_fragments" j));
-    List.iter
-      (function
-        | J.List [ v; lids ] ->
-            let view = dview v in
-            List.iter (fun l -> ignore (Graph.add_root_layout graph view (dint l))) (dlist lids)
-        | _ -> bad "bad root-layout entry")
-      (dlist (dfield "root_layouts" j));
     (* Optional: absent in version-1 snapshots (nothing was tainted).
        Rows name structural nodes and values, each of which must be in
        the captured pools. *)
@@ -535,6 +499,9 @@ let of_json j =
         sd_graph = graph;
         sd_node_total = node_total;
         sd_value_total = value_total;
+        sd_listener_total = Intern.listener_count it;
+        sd_holder_total = Intern.holder_count it;
+        sd_rid_total = rids;
         sd_shape =
           {
             Solve.sh_nodes = csr_n;

@@ -147,6 +147,7 @@ type istate = {
   mutable irc_roots : bool;
   mutable irc_onclick : bool;  (** a fresh inflation added declarative handlers *)
   mutable irc_fragments : bool;  (** a fresh inflation added declared fragments *)
+  mutable idecl : bool;  (** the memo may hold an onClick or <fragment> node *)
   (* warm (incremental) solving: solution sets restored from a prior
      [solved] are aliased, never mutated in place; a borrowed set is
      copied the first time a write would grow it.  Relation rows are
@@ -454,10 +455,10 @@ let ilisteners_at st iface nid =
       | _ -> ());
   List.rev !acc
 
-(* Inflation runs structurally ([Inflate] writes the graph-side memo
-   and cold tables); a fresh instantiation's subtree facts are then
-   imported into the id-level stores, in layout order, which is the
-   order their views are minted in. *)
+(* Inflation runs structurally ([Inflate] writes the graph's memo); a
+   fresh instantiation's subtree facts are then imported into the
+   id-level stores, in layout order, which is the order their views
+   are minted in. *)
 let iinflate_at st ~site lid =
   let package = st.iapp.Framework.App.package in
   match Layouts.Package.find_by_layout_id package lid with
@@ -479,7 +480,8 @@ let iinflate_at st ~site lid =
           if f.children <> [] then st.irc_children <- true;
           if f.view_ids <> [] then st.irc_ids <- true;
           if f.onclick then st.irc_onclick <- true;
-          if f.fragments then st.irc_fragments <- true)
+          if f.fragments then st.irc_fragments <- true;
+          if f.onclick || f.fragments then st.idecl <- true)
         facts;
       Some (Inflate.root views)
 
@@ -555,7 +557,6 @@ let ifind_any_id st root f =
 
 let iapply_op st ~note_ret oi =
   let op = st.iops.(oi) in
-  let g = st.igraph in
   let hierarchy = st.iapp.Framework.App.hierarchy in
   let out_id = st.iop_out.(oi) in
   let out vid = if out_id >= 0 then ipush st out_id vid in
@@ -574,7 +575,6 @@ let iapply_op st ~note_ret oi =
               match iinflate_at st ~site:op.Graph.site.o_site lid with
               | Some root_view ->
                   let root = Intern.view st.it root_view in
-                  ignore (Graph.add_root_layout g root_view lid);
                   out_view root;
                   (match arg 1 with
                   | Some parent_arg ->
@@ -596,7 +596,6 @@ let iapply_op st ~note_ret oi =
               match iinflate_at st ~site:op.Graph.site.o_site lid with
               | Some root_view ->
                   let root = Intern.view st.it root_view in
-                  ignore (Graph.add_root_layout g root_view lid);
                   List.iter (fun h -> iadd_holder_root st h root) holders
               | None -> ())
             lids;
@@ -819,108 +818,71 @@ let iapply_op st ~note_ret oi =
               | None -> ())
             adapters)
         (iviews_at st recv)
-  | Framework.Api.Start_activity ->
-      let sources = ref [] in
-      iter_ivalues st recv (fun vid ->
-          match Intern.value_of st.it vid with
-          | Node.V_act a -> sources := a :: !sources
-          | _ -> ());
-      let targets = ref [] in
-      (match arg 0 with
-      | Some a ->
-          iter_ivalues st a (fun vid ->
-              match Intern.value_of st.it vid with
-              | Node.V_obj site when Framework.Views.is_activity_class hierarchy site.Node.a_cls ->
-                  targets := site.Node.a_cls :: !targets
-              | Node.V_act act -> targets := act :: !targets
-              | _ -> ())
-      | None -> ());
-      List.iter
-        (fun from_ ->
-          List.iter (fun to_ -> ignore (Graph.add_transition g ~from_ ~to_)) !targets)
-        !sources
+  | Framework.Api.Start_activity -> (* a read over the solved sets: [Analysis.transitions] *) ()
 
-let iregister_declarative st hid wid =
+let iregister_declarative st hid wid handler_name =
   let hierarchy = st.iapp.Framework.App.hierarchy in
-  let holder = Intern.holder_of st.it hid in
-  let view = Intern.view_of st.it wid in
-  let label = match holder with Node.H_act a -> a | Node.H_dialog site -> site.Node.a_cls in
-  List.iter
-    (fun handler_name ->
-      match
-        Jir.Hierarchy.resolve hierarchy label { Jir.Ast.mk_name = handler_name; mk_arity = 1 }
-      with
-      | Some (owner, m) ->
-          let listener =
-            match holder with
-            | Node.H_act a -> Node.L_act a
-            | Node.H_dialog site -> Node.L_alloc site
-          in
-          iadd_view_listener st wid (Intern.listener st.it (listener, "OnClickListener"));
-          if st.iconfig.Config.listener_callbacks then begin
-            let tmid = Node.mid_of_meth owner m in
-            ipush st
-              (Intern.node st.it (Node.N_var (tmid, Jir.Ast.this_var)))
-              (Intern.value st.it
-                 (match holder with
-                 | Node.H_act a -> Node.V_act a
-                 | Node.H_dialog site -> Node.V_obj site));
-            match m.m_params with
-            | (param, _) :: _ ->
-                ipush st
-                  (Intern.node st.it (Node.N_var (tmid, param)))
-                  (Intern.value_of_view_id st.it wid)
-            | [] -> ()
-          end
-      | None -> ())
-    (Graph.onclicks_of st.igraph view)
+  (* the holder is its own listener *)
+  let label, listener, self =
+    match Intern.holder_of st.it hid with
+    | Node.H_act a -> (a, Node.L_act a, Node.V_act a)
+    | Node.H_dialog site -> (site.Node.a_cls, Node.L_alloc site, Node.V_obj site)
+  in
+  match Jir.Hierarchy.resolve hierarchy label { Jir.Ast.mk_name = handler_name; mk_arity = 1 } with
+  | Some (owner, m) ->
+      iadd_view_listener st wid (Intern.listener st.it (listener, "OnClickListener"));
+      if st.iconfig.Config.listener_callbacks then begin
+        let tmid = Node.mid_of_meth owner m in
+        ipush st (Intern.node st.it (Node.N_var (tmid, Jir.Ast.this_var))) (Intern.value st.it self);
+        match m.m_params with
+        | (param, _) :: _ ->
+            let pnid = Intern.node st.it (Node.N_var (tmid, param)) in
+            ipush st pnid (Intern.value_of_view_id st.it wid)
+        | [] -> ()
+      end
+  | None -> ()
 
+(* The two declarative passes walk the inflation memo, once it may
+   hold such a node, and read each view's handler or fragment class
+   from its layout node. *)
 let iapply_declarative_handlers st =
   let holder_ids = List.rev st.iholder_ids in
-  List.iter
-    (fun view ->
-      let wid = Intern.view st.it view in
-      let above = iancestors st wid in
-      List.iter
-        (fun hid ->
-          let reaches =
-            match Slots.find st.iroots hid with
-            | None -> false
-            | Some roots ->
-                Util.Bitset.fold (fun r acc -> acc || Util.Bitset.mem above r) roots false
-          in
-          if reaches then iregister_declarative st hid wid)
-        holder_ids)
-    (Graph.views_with_onclick st.igraph)
+  if st.idecl then
+    Inflate.iter_memo st.igraph st.iapp.Framework.App.package (fun view node ->
+        match node.Layouts.Layout.onclick with
+        | None -> ()
+        | Some handler ->
+            let wid = Intern.view st.it view in
+            let above = iancestors st wid in
+            List.iter
+              (fun hid ->
+                match Slots.find st.iroots hid with
+                | Some roots when Util.Bitset.intersects roots above ->
+                    iregister_declarative st hid wid handler
+                | _ -> ())
+              holder_ids)
 
 let iapply_declared_fragments st ~note_ret =
   let hierarchy = st.iapp.Framework.App.hierarchy in
-  List.iter
-    (fun view ->
-      match view with
-      | Node.V_infl infl ->
-          let wid = Intern.view st.it view in
-          List.iter
-            (fun cls ->
-              match
-                Jir.Hierarchy.resolve hierarchy cls
-                  { Jir.Ast.mk_name = "onCreateView"; mk_arity = 0 }
-              with
-              | Some (owner, m) ->
-                  let fragment = Node.declared_fragment_site cls infl in
-                  let tmid = Node.mid_of_meth owner m in
-                  ipush st
-                    (Intern.node st.it (Node.N_var (tmid, Jir.Ast.this_var)))
-                    (Intern.value st.it (Node.V_obj fragment));
-                  let rn = Intern.node st.it (Node.N_ret tmid) in
-                  note_ret rn;
-                  List.iter
-                    (fun child -> iadd_child st ~parent:wid ~child)
-                    (iviews_at st rn)
-              | None -> ())
-            (Graph.declared_fragments_of st.igraph view)
-      | Node.V_alloc _ -> ())
-    (Graph.views_with_declared_fragments st.igraph)
+  if st.idecl then
+    Inflate.iter_memo st.igraph st.iapp.Framework.App.package (fun view node ->
+        match (view, node.Layouts.Layout.fragment_class) with
+        | Node.V_infl infl, Some cls -> (
+            match
+              Jir.Hierarchy.resolve hierarchy cls { Jir.Ast.mk_name = "onCreateView"; mk_arity = 0 }
+            with
+            | Some (owner, m) ->
+                let wid = Intern.view st.it view in
+                let fragment = Node.declared_fragment_site cls infl in
+                let tmid = Node.mid_of_meth owner m in
+                ipush st
+                  (Intern.node st.it (Node.N_var (tmid, Jir.Ast.this_var)))
+                  (Intern.value st.it (Node.V_obj fragment));
+                let rn = Intern.node st.it (Node.N_ret tmid) in
+                note_ret rn;
+                List.iter (fun child -> iadd_child st ~parent:wid ~child) (iviews_at st rn)
+            | None -> ())
+        | _ -> ())
 
 (* Which relations an op's rule consults beyond its recv/arg sets:
    FindView resolves ids over holder roots and their descendants;
@@ -1018,6 +980,7 @@ let ifreeze config app graph =
     irc_roots = false;
     irc_onclick = false;
     irc_fragments = false;
+    idecl = false;
     iwarm = false;
     iborrowed = Util.Bitset.create ();
     irec_writer = -1;
@@ -1314,8 +1277,8 @@ type rd = RD_op of int | RD_frags
    reached.  Treat every field as read-only: the points-to sets are
    shared (aliased) with later warm solves, and every row with
    [sd_graph]'s solution store.  [sd_graph] carries the interner, the
-   cold structural tables a warm start restores and a snapshot writes,
-   and the taint rows. *)
+   inflation memo a warm start restores and a snapshot writes, and the
+   taint rows. *)
 type solved = {
   sd_config : Config.t;
   sd_app_name : string;
@@ -1324,8 +1287,11 @@ type solved = {
   sd_layout_fp : string;
   sd_package : Layouts.Package.t;
   sd_graph : Graph.t;
-  sd_node_total : int;  (** interned node count at capture *)
+  sd_node_total : int;  (** interned pool sizes at capture *)
   sd_value_total : int;
+  sd_listener_total : int;
+  sd_holder_total : int;
+  sd_rid_total : int;
   sd_shape : shape;  (** the flow CSR, seeds and ops the solve ran over *)
   sd_solution : Graph.solution;  (** the captured rows; aliased, never mutated *)
   sd_by_id : Util.Bitset.t option array;  (** rid sym -> view ids carrying it *)
@@ -1402,6 +1368,9 @@ let icapture st ?carry_map ?fps ~shape ~config ~(app : Framework.App.t) ~ret_dep
     sd_graph = st.igraph;
     sd_node_total = Intern.node_count st.it;
     sd_value_total = Intern.value_count st.it;
+    sd_listener_total = Intern.listener_count st.it;
+    sd_holder_total = Intern.holder_count st.it;
+    sd_rid_total = Intern.rid_count st.it;
     sd_shape = shape;
     sd_solution = Graph.solution st.igraph;
     sd_by_id = st.iby_id.Slots.a;
@@ -1653,6 +1622,7 @@ let run_incremental ~prev ~edits ?new_shape config (app : Framework.App.t) graph
       Graph.reset_sets graph;
       let st = ifreeze config app graph in
       st.iwarm <- true;
+      st.idecl <- true (* the memo may be restored below *);
       let op_count = Array.length st.iops in
       let old_op_count = Array.length prev.sd_shape.sh_ops in
       let prev_sol = prev.sd_solution in
@@ -1836,28 +1806,14 @@ let run_incremental ~prev ~edits ?new_shape config (app : Framework.App.t) graph
         List.iter (fun hid -> ignore (Util.Bitset.add st.iholders_seen hid)) prev.sd_holder_ids
       end;
       if not !listeners_cleared then restore_rows st.ilisteners prev_sol.sol_listeners;
-      (* Cold structural tables (inflation memo, declarative handlers,
-         fragment placeholders, root layouts) are restored only when
-         both children and ids survive: a memo hit skips the id-level
-         subtree import, which is exactly what a suspect inflating op
-         would need to redo — and any such op clears children. *)
-      if not (!children_cleared || !ids_cleared) then begin
+      (* The inflation memo is restored only when both children and
+         ids survive: a memo hit skips the id-level subtree import,
+         which is exactly what a suspect inflating op would need to
+         redo — and any such op clears children. *)
+      if not (!children_cleared || !ids_cleared) then
         List.iter
           (fun (site, layout, views) -> Graph.record_inflation graph ~site ~layout views)
           (Graph.inflation_entries prev.sd_graph);
-        List.iter
-          (fun (view, names) ->
-            List.iter (fun n -> ignore (Graph.add_onclick graph view n)) names)
-          (Graph.onclick_entries prev.sd_graph);
-        List.iter
-          (fun (view, classes) ->
-            List.iter (fun c -> ignore (Graph.add_declared_fragment graph view c)) classes)
-          (Graph.declared_fragment_entries prev.sd_graph);
-        List.iter
-          (fun (view, lids) ->
-            List.iter (fun lid -> ignore (Graph.add_root_layout graph view lid)) lids)
-          (Graph.root_layout_entries prev.sd_graph)
-      end;
       let iwarm_init ~schedule ~on_changed ~pending_decl ~pending_frags ~ret_deps:_ ~note_ret =
         List.iter
           (fun (r, rdep) ->
@@ -1915,19 +1871,14 @@ let run_incremental ~prev ~edits ?new_shape config (app : Framework.App.t) graph
                     set)
           edits.es_added_edges;
         (* Schedule: added ops, suspects, writers of rebuilt relation
-           kinds, ops whose previous targets were reset, and every
-           Start_activity op (transitions are rebuilt each solve). *)
+           kinds and ops whose previous targets were reset. *)
         Array.iteri
           (fun oi (op : Graph.op) ->
             let oj = edits.es_new_to_old.(oi) in
             let kind = op.Graph.site.Node.o_kind in
-            let is_start =
-              match kind with Framework.Api.Start_activity -> true | _ -> false
-            in
             let rerun =
               oj < 0
               || Util.Bitset.mem suspect oi
-              || is_start
               || (!children_cleared && iwrites_children kind)
               || (!ids_cleared && iwrites_ids kind)
               || (!roots_cleared && iwrites_roots kind)

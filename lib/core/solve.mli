@@ -112,9 +112,10 @@ type rd = RD_op of int | RD_frags
     treat every field as READ-ONLY — a warm solve started from it
     borrows its points-to sets copy-on-write and copies its relation
     rows, and [sd_graph]'s solution store aliases them all.
-    [sd_graph] carries the interner, the cold structural tables
-    (inflations, declarative handlers, declared fragments, root
-    layouts) and the taint rows. *)
+    [sd_graph] carries the interner, the inflation memo and the taint
+    rows.  The interner may grow after capture (a later warm solve over
+    it mints more ids); the [_total] fields record each pool's size at
+    capture, which is all a snapshot writes. *)
 type solved = {
   sd_config : Config.t;
   sd_app_name : string;
@@ -125,6 +126,9 @@ type solved = {
   sd_graph : Graph.t;
   sd_node_total : int;  (** interned node count at capture *)
   sd_value_total : int;
+  sd_listener_total : int;
+  sd_holder_total : int;
+  sd_rid_total : int;
   sd_shape : shape;  (** the flow CSR, seeds and ops the solve ran over *)
   sd_solution : Graph.solution;
       (** the captured rows — [sd_graph]'s solution store at capture,

@@ -1,7 +1,8 @@
 (* The one solution comparator every engine differential uses: two
    analyses of the same app must agree on points-to sets, view
    relations (children, ids, listeners, onclick handlers, declared
-   fragments), holder roots, transitions, and the op-level [Diff]. *)
+   fragments), holder roots, transitions, and the op-level [Diff].
+   Handlers and fragment classes are read from each side's layouts. *)
 open Gator
 
 (* Every abstract view mentioned by a solution: inflated views, views
@@ -16,7 +17,6 @@ let all_views (r : Analysis.t) =
       acc (Graph.locations g)
   in
   let acc = List.fold_left add acc (Graph.views_with_listeners g) in
-  let acc = List.fold_left add acc (Graph.views_with_declared_fragments g) in
   List.fold_left
     (fun acc holder -> Graph.View_set.union acc (Graph.roots_of_holder g holder))
     acc (Graph.holders g)
@@ -51,9 +51,10 @@ let check name (a : Analysis.t) (b : Analysis.t) =
              (Graph.listeners_of_view a.graph view)
              (Graph.listeners_of_view b.graph view))
       then fail "listeners differ at %a" Node.pp_view view;
-      if Graph.onclicks_of a.graph view <> Graph.onclicks_of b.graph view then
+      let derived f (r : Analysis.t) = f r.app.Framework.App.package view in
+      if derived Inflate.onclick a <> derived Inflate.onclick b then
         fail "onclick handlers differ at %a" Node.pp_view view;
-      if Graph.declared_fragments_of a.graph view <> Graph.declared_fragments_of b.graph view then
+      if derived Inflate.declared_fragment a <> derived Inflate.declared_fragment b then
         fail "declared fragments differ at %a" Node.pp_view view)
     views;
   let holders (r : Analysis.t) = List.sort Node.compare_holder (Graph.holders r.graph) in
@@ -68,8 +69,7 @@ let check name (a : Analysis.t) (b : Analysis.t) =
              (Graph.roots_of_holder b.graph holder))
       then fail "roots differ at %a" Node.pp_holder holder)
     ha;
-  let ta = List.sort compare (Graph.transitions a.graph) in
-  let tb = List.sort compare (Graph.transitions b.graph) in
+  let ta = Analysis.transitions a and tb = Analysis.transitions b in
   if ta <> tb then fail "transitions differ (%d vs %d)" (List.length ta) (List.length tb);
   let d = Diff.compare a b in
   if not (Diff.is_empty d) then fail "op-level diff non-empty:@.%a" Diff.pp d

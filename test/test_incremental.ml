@@ -26,16 +26,16 @@ let apply_patch app patch =
   | Ok app' -> app'
   | Error e -> Alcotest.failf "patch failed to apply: %s" e
 
+(* `dune runtest` runs in test/, `dune exec test/main.exe` in the
+   project root — accept either. *)
+let find_file ~under file =
+  let candidates = [ Filename.concat under file; Filename.concat ("test/" ^ under) file ] in
+  match List.find_opt Sys.file_exists candidates with
+  | Some p -> p
+  | None -> Alcotest.failf "%s not found" file
+
 let load_patch file =
-  (* `dune runtest` runs in test/, `dune exec test/main.exe` in the
-     project root — accept either. *)
-  let candidates = [ Filename.concat "incremental" file; Filename.concat "test/incremental" file ] in
-  let path =
-    match List.find_opt Sys.file_exists candidates with
-    | Some p -> p
-    | None -> Alcotest.failf "patch %s not found" file
-  in
-  match Corpus.Patch.load path with
+  match Corpus.Patch.load (find_file ~under:"incremental" file) with
   | Ok p -> p
   | Error e -> Alcotest.failf "patch %s failed to parse: %s" file e
 
@@ -189,20 +189,73 @@ let test_renamed_callback_param () =
   check_warm ~msg:"renamed parameter" warm;
   Same_solution.check "renamed parameter: warm vs cold" (Analysis.analyze renamed) warm
 
+(* Declarative handlers and declared fragments are read from the
+   layouts, and transitions from the solved sets, so a warm restart
+   over apps that use them restores none of them: one statement
+   appended to [A.onCreate] must re-solve warm and agree with a cold
+   analysis, on a result that still shows the feature. *)
+let test_warm_declared_features () =
+  List.iter
+    (fun (msg, code, layouts, shows) ->
+      let app =
+        match Framework.App.of_source ~name:"T" ~code ~layouts with
+        | Ok app -> app
+        | Error e -> Alcotest.failf "%s: %s" msg e
+      in
+      let _, solved = Incremental.analyze_solved app in
+      let patched =
+        apply_patch app
+          [
+            Corpus.Patch.Add_stmt
+              { cls = "A"; meth = "onCreate"; arity = 0; stmt = Jir.Ast.New ("extra", "Button") };
+          ]
+      in
+      let warm, _ = Incremental.analyze_incremental ~prev:solved patched in
+      check_warm ~msg warm;
+      Same_solution.check msg (Analysis.analyze patched) warm;
+      Alcotest.check Alcotest.bool (msg ^ ": shown") true (shows warm))
+    [
+      ( "declarative onClick",
+        Test_solve.declarative_code,
+        Test_solve.declarative_layouts,
+        fun r -> Analysis.interactions r <> [] );
+      ( "declared fragment",
+        Test_solve.declared_fragment_code,
+        Test_solve.declared_fragment_layouts,
+        fun r -> Analysis.views_at r (Analysis.var ~cls:"A" ~meth:"onCreate" ~arity:0 "v") <> [] );
+      ( "transitions",
+        Test_solve.transitions_code,
+        [],
+        fun r -> Analysis.transitions r = [ ("A", "B") ] );
+    ]
+
+(* A state file the version-2 format wrote for examples/apps/todo
+   (android:onClick handler, activity transition), with its
+   [onclicks] and [root_layouts] tables: it still loads, and a warm
+   start from it agrees with a cold analysis. *)
+let test_snapshot_v2_todo () =
+  let fixture = find_file ~under:"incremental" "todo_state_v2.json" in
+  let app =
+    match Project.load (find_file ~under:".." "examples/apps/todo") with
+    | Ok app -> app
+    | Error e -> Alcotest.failf "todo: %s" e
+  in
+  match Snapshot.load fixture with
+  | Error e -> Alcotest.failf "version-2 todo state: %s" e
+  | Ok prev ->
+      let warm, _ = Incremental.analyze_incremental ~prev app in
+      check_warm ~msg:"todo v2" warm;
+      Same_solution.check "todo v2: warm vs cold" (Analysis.analyze app) warm;
+      Alcotest.check
+        (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.string))
+        "todo transitions" [ ("MainActivity", "DetailActivity") ] (Analysis.transitions warm)
+
 (* A warm solve never writes to the state it starts from: points-to
    sets are borrowed copy-on-write and relation rows are copied at
    restore.  Every link of a warm chain must serialize after the whole
-   chain exactly as it did when it was captured, except that the
-   interner pools, which the chain shares and extends, may only have
-   grown at their ends. *)
-let interner_pools = [ "values"; "nodes"; "pool_listeners"; "pool_holders"; "rids" ]
-
-let rec is_prefix a b =
-  match (a, b) with
-  | [], _ -> true
-  | x :: a, y :: b -> x = y && is_prefix a b
-  | _ :: _, [] -> false
-
+   chain exactly as it did when it was captured: the chain shares and
+   extends one interner, but a snapshot writes each pool only up to its
+   size at capture. *)
 let check_chain_keeps_prev ~msg app patches =
   let _, solved = Incremental.analyze_solved app in
   let _, links =
@@ -222,13 +275,7 @@ let check_chain_keeps_prev ~msg app patches =
       | Util.Json.Obj fields ->
           List.iter
             (fun (name, value) ->
-              let kept =
-                match (value, Util.Json.member name after) with
-                | Util.Json.List a, Some (Util.Json.List b) when List.mem name interner_pools ->
-                    is_prefix a b
-                | _, after -> after = Some value
-              in
-              if not kept then
+              if Util.Json.member name after <> Some value then
                 Alcotest.failf "%s: field %s of link %d changed during the chain" msg name k)
             fields
       | _ -> Alcotest.failf "%s: a snapshot is not a JSON object" msg)
@@ -706,6 +753,8 @@ let suite =
     Alcotest.test_case "config change falls back" `Quick test_config_change_falls_back;
     Alcotest.test_case "method addition stays warm" `Quick test_methods_changed_not_fallback;
     Alcotest.test_case "renamed callback parameter" `Quick test_renamed_callback_param;
+    Alcotest.test_case "warm restarts over declared features" `Quick test_warm_declared_features;
+    Alcotest.test_case "version-2 todo state warm-starts" `Quick test_snapshot_v2_todo;
     Alcotest.test_case "warm chains leave their prev intact" `Quick test_warm_keeps_prev;
     Alcotest.test_case "edit script covers all kinds" `Quick test_edit_script_kinds;
     Alcotest.test_case "snapshot round-trip" `Quick test_snapshot_roundtrip;

@@ -98,30 +98,6 @@ let test_fragment_manager_typing () =
   Alcotest.check Alcotest.(option string) "ft" (Some "FragmentTransaction")
     (Jir.Typing.class_of env "ft")
 
-(* ---------------- graph relations ---------------- *)
-
-let test_transitions_relation () =
-  let g = Gator.Graph.create () in
-  Alcotest.check Alcotest.bool "first" true (Gator.Graph.add_transition g ~from_:"A" ~to_:"B");
-  Alcotest.check Alcotest.bool "dup" false (Gator.Graph.add_transition g ~from_:"A" ~to_:"B");
-  Alcotest.check Alcotest.int "one edge" 1 (List.length (Gator.Graph.transitions g));
-  Gator.Graph.reset_sets g;
-  Alcotest.check Alcotest.int "reset clears" 0 (List.length (Gator.Graph.transitions g))
-
-let test_root_layout_relation () =
-  let g = Gator.Graph.create () in
-  let v =
-    Gator.Node.V_alloc
-      {
-        Gator.Node.a_site =
-          { s_in = { mid_cls = "C"; mid_name = "m"; mid_arity = 0 }; s_stmt = 0 };
-        a_cls = "Button";
-      }
-  in
-  ignore (Gator.Graph.add_root_layout g v 42);
-  Alcotest.check Alcotest.bool "recorded" true
-    (Gator.Graph.Int_set.mem 42 (Gator.Graph.layouts_of_root g v))
-
 (* ---------------- analysis misc ---------------- *)
 
 let test_flows_to () =
@@ -174,8 +150,6 @@ let suite =
     Alcotest.test_case "dialog interaction tuples" `Quick test_dialog_interaction_tuple;
     Alcotest.test_case "field shadowing" `Quick test_field_shadowing;
     Alcotest.test_case "fragment manager typing" `Quick test_fragment_manager_typing;
-    Alcotest.test_case "transitions relation" `Quick test_transitions_relation;
-    Alcotest.test_case "root layout relation" `Quick test_root_layout_relation;
     Alcotest.test_case "flows_to" `Quick test_flows_to;
     Alcotest.test_case "ops_of_kind" `Quick test_ops_of_kind;
     Alcotest.test_case "pretty-printer smoke" `Quick test_pp_smoke;

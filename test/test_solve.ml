@@ -322,27 +322,27 @@ let test_context_sensitivity_recursion_safe () =
   in
   Alcotest.check Alcotest.bool "terminates" true (r.stats.iterations >= 1)
 
+let transitions_code =
+  {|class A extends Activity {
+      method onCreate(): void {
+        b = new Button();
+        this.setContentView(b);
+        j = new Go();
+        j.init(this);
+        b.setOnClickListener(j);
+      } }
+    class B extends Activity { method onCreate(): void { } }
+    class Go implements OnClickListener {
+      field src: A;
+      method init(a: A): void { this.src = a; }
+      method onClick(v: View): void {
+        s = this.src;
+        t = new B();
+        s.startActivity(t);
+      } }|}
+
 let test_activity_transitions () =
-  let r =
-    analyze
-      {|class A extends Activity {
-          method onCreate(): void {
-            b = new Button();
-            this.setContentView(b);
-            j = new Go();
-            j.init(this);
-            b.setOnClickListener(j);
-          } }
-        class B extends Activity { method onCreate(): void { } }
-        class Go implements OnClickListener {
-          field src: A;
-          method init(a: A): void { this.src = a; }
-          method onClick(v: View): void {
-            s = this.src;
-            t = new B();
-            s.startActivity(t);
-          } }|}
-  in
+  let r = analyze transitions_code in
   Alcotest.check
     (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.string))
     "transition edge" [ ("A", "B") ] (Analysis.transitions r)
