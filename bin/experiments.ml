@@ -91,6 +91,35 @@ let verify_incremental name app patch =
                      reused of %d components)\n"
         name s.Gator.Solve.dirty_comps s.Gator.Solve.reused_comps s.Gator.Solve.scc_count)
 
+(* The same patch through the edit-proportional assembly, over the
+   live capture (a snapshot keeps no fragments): it must take the
+   fragment path, re-extract only the edited method, give the shape a
+   full re-extraction gives, and solve warm to the from-scratch
+   answer. *)
+let verify_fragments name app patch =
+  let config = Gator.Config.default in
+  let fail fmt = Fmt.kstr (fun s -> Fmt.epr "verify: %s@." s; exit 1) fmt in
+  let _, prev = Gator.Incremental.analyze_solved ~config app in
+  let patched = match Corpus.Patch.apply app patch with Ok p -> p | Error e -> fail "patch failed on %s: %s" name e in
+  match Gator.Incremental.assemble ~config ~prev patched with
+  | Error reason -> fail "fragment assembly declined on patched %s: %s" name reason
+  | Ok a ->
+      let shape = Gator.Solve.shape_of_graph a.a_graph in
+      let full = Gator.Extract.run ~interner:(Gator.Solve.solved_interner prev) config patched in
+      if shape <> Gator.Solve.shape_of_graph full then
+        fail "fragment-assembled shape DIFFERS from a full re-extraction on patched %s" name;
+      let e = Gator.Diff.edit_script ~old_:(Gator.Solve.shape_of_solved prev) ~new_:shape in
+      let stats, _ = Gator.Solve.run_incremental ~prev ~edits:e ~new_shape:shape config patched a.a_graph in
+      let warm = Gator.Analysis.make ~app:patched ~config ~graph:a.a_graph ~stats ~solve_seconds:0. in
+      let d = Gator.Diff.compare (Gator.Analysis.analyze ~config patched) warm in
+      if not (stats.Gator.Solve.warm_solve && Gator.Diff.is_empty d) then
+        fail "fragment-assembled warm solve DIFFERS from cold on patched %s" name;
+      Printf.printf
+        "verify: fragment patch on %s re-extracted %d of %d methods; shape = full re-extraction \
+         (%d+%d edges, %d+%d seeds)\n"
+        name a.a_reextracted a.a_methods (Array.length e.es_removed_edges) (Array.length e.es_added_edges)
+        (Array.length e.es_removed_seeds) (Array.length e.es_added_seeds)
+
 (* CI smoke, part 3: the query daemon's full dispatch — load XBMC,
    query a node, patch, re-query, shutdown — through the exact handler
    the socket loop runs.  The patched-in allocation must be invisible
@@ -405,7 +434,7 @@ let run_verify () =
   check_cs spec.Corpus.Spec.sp_name (Corpus.Gen.generate spec);
   check_cs "AliasHeavy"
     (Corpus.Gen.alias_heavy_app ~name:"AliasHeavy" ~groups:4 ~sites_per_group:5 ~seed:11 ());
-  verify_incremental spec.Corpus.Spec.sp_name (Corpus.Gen.generate spec)
+  let seed_patch =
     [
       Corpus.Patch.Add_stmt
         {
@@ -414,7 +443,10 @@ let run_verify () =
           arity = 0;
           stmt = Jir.Ast.New ("verify_tmp", "android.widget.Button");
         };
-    ];
+    ]
+  in
+  verify_incremental spec.Corpus.Spec.sp_name (Corpus.Gen.generate spec) seed_patch;
+  verify_fragments spec.Corpus.Spec.sp_name (Corpus.Gen.generate spec) seed_patch;
   (* a cycle-splitting edit moves SCC membership — the invalidation
      path the seed-level patch above never exercises; the ring-closing
      copy is located by scanning so the index tracks the generator *)

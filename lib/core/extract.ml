@@ -546,6 +546,33 @@ let seed_dialog_callbacks (app : Framework.App.t) graph =
           Framework.Lifecycle.dialog_callbacks)
     (Graph.allocs graph)
 
+(* Walk every method in program order — [each index ~owner meth]
+   emits its constraints — then run the two global seed passes.  At
+   inline depth 0 each method's log slice is recorded as its fragment
+   (a method's slice there depends only on its own body; deeper
+   extractions inline callee bodies into their callers' slices). *)
+let assemble config (app : Framework.App.t) graph each =
+  let starts = ref [] and index = ref 0 in
+  List.iter
+    (fun (cls : Jir.Ast.cls) ->
+      List.iter
+        (fun m ->
+          starts := Graph.cursor graph :: !starts;
+          each !index ~owner:cls.c_name m;
+          incr index)
+        cls.c_methods)
+    app.program.p_classes;
+  starts := Graph.cursor graph :: !starts;
+  List.iter (seed_activity_callbacks app graph) (Framework.App.activity_classes app);
+  if config.Config.model_dialogs then seed_dialog_callbacks app graph;
+  if config.Config.inline_depth = 0 then
+    Graph.set_fragments graph
+      {
+        fr_program = app.program;
+        fr_starts = Array.of_list (List.rev (Graph.cursor graph :: !starts));
+        fr_counts = Layouts.Resource.counts (Layouts.Package.resources app.package);
+      }
+
 let run ?interner config (app : Framework.App.t) =
   (* Clone names must be deterministic per extraction, not per process:
      two runs over the same app (e.g. the naive/interned equivalence
@@ -574,10 +601,68 @@ let run ?interner config (app : Framework.App.t) =
     else None
   in
   let memo = fresh_memo () in
-  List.iter
-    (fun (cls : Jir.Ast.cls) ->
-      List.iter (extract_meth config app graph ~keyed ~memo ~clones ~owner:cls.c_name) cls.c_methods)
-    app.program.p_classes;
-  List.iter (seed_activity_callbacks app graph) (Framework.App.activity_classes app);
-  if config.Config.model_dialogs then seed_dialog_callbacks app graph;
+  assemble config app graph (fun _ ~owner m -> extract_meth config app graph ~keyed ~memo ~clones ~owner m);
   graph
+
+(* Which methods of [app] must be re-extracted over [prev]'s
+   fragments: those whose record differs from the one [prev] extracted
+   (a class record [Corpus.Patch] left untouched is skipped whole).
+   The programs must align class for class and method for method on
+   everything the class and method fingerprints cover, and a changed
+   field declaration or return type reaches other methods' typing:
+   each declines. *)
+let edited_methods (fr : Graph.fragments) (app : Framework.App.t) =
+  let edited = ref [] in
+  let mark b _ = edited := b :: !edited in
+  let same_key (m : Jir.Ast.meth) (m' : Jir.Ast.meth) =
+    String.equal m.m_name m'.m_name
+    && List.equal (fun (p, _) (p', _) -> String.equal p p') m.m_params m'.m_params
+  in
+  let rec methods ms ms' =
+    match (ms, ms') with
+    | [], [] -> Ok ()
+    | (m : Jir.Ast.meth) :: ms, (m' : Jir.Ast.meth) :: ms' ->
+        if m == m' || Jir.Ast.equal_meth m m' then (mark false m; methods ms ms')
+        else if not (same_key m m') then Error "method set changed"
+        else if m.m_ret <> m'.m_ret then Error "a method's return type changed"
+        else (mark true m; methods ms ms')
+    | _ -> Error "method set changed"
+  in
+  let rec classes cs cs' =
+    match (cs, cs') with
+    | [], [] -> Ok ()
+    | (c : Jir.Ast.cls) :: cs, c' :: cs' when c == c' ->
+        List.iter (mark false) c.c_methods;
+        classes cs cs'
+    | (c : Jir.Ast.cls) :: cs, (c' : Jir.Ast.cls) :: cs' ->
+        if
+          not
+            (String.equal c.c_name c'.c_name && c.c_kind = c'.c_kind && c.c_super = c'.c_super
+           && c.c_interfaces = c'.c_interfaces)
+        then Error "class hierarchy changed"
+        else if c.c_fields <> c'.c_fields then Error "field declarations changed"
+        else Result.bind (methods c.c_methods c'.c_methods) (fun () -> classes cs cs')
+    | _ -> Error "class hierarchy changed"
+  in
+  Result.map
+    (fun () -> Array.of_list (List.rev !edited))
+    (classes fr.fr_program.p_classes app.program.p_classes)
+
+let reextract config (app : Framework.App.t) ~prev =
+  match Graph.fragments prev with
+  | None -> Error "the previous graph recorded no fragments"
+  | Some fr ->
+      Result.bind (edited_methods fr app) (fun edited ->
+          let graph = Graph.create ~interner:(Graph.interner prev) () in
+          let memo = fresh_memo () and clones = ref 0 in
+          assemble config app graph (fun i ~owner m ->
+              if edited.(i) then extract_meth config app graph ~keyed:None ~memo ~clones ~owner m
+              else Graph.replay graph ~from:prev fr.fr_starts.(i) fr.fr_starts.(i + 1));
+          (* [value_of_int] reads the tables: once they grew, by this
+             re-extraction or by anything else sharing the package
+             since [prev]'s extraction, an unedited method's integer
+             constant may name a resource *)
+          if Layouts.Resource.counts (Layouts.Package.resources app.package) <> fr.fr_counts then
+            Error "the resource tables grew since the previous extraction"
+          else if Graph.has_top graph then Error "unknown-id markers present"
+          else Ok (graph, edited))

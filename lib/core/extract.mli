@@ -14,6 +14,24 @@ val run : ?interner:Intern.t -> Config.t -> Framework.App.t -> Graph.t
     [?interner] pre-seeds the id pools so an incremental re-extraction
     keeps ids stable with the previous solve. *)
 
+val reextract :
+  Config.t -> Framework.App.t -> prev:Graph.t -> (Graph.t * bool array, string) result
+(** Warm assembly at inline depth 0: a graph for [app] over [prev]'s
+    interner that replays the fragment ({!Graph.fragments}) of every
+    method whose record is unchanged since [prev]'s extraction,
+    re-extracts the edited ones in place, then reruns the global seed
+    passes.  The logs, and so every derived table, come out as
+    {!run} [~interner] would build them.  Returns the graph with, per
+    method in program order, whether it was re-extracted.  Declines
+    with a reason when [prev] has no fragments; when a class's name,
+    kind or supertypes, or a method's name or parameter names, differ
+    from [prev]'s program position by position (what the class and
+    method fingerprints cover); when a field declaration or a return
+    type changed; when the resource tables grew since [prev]'s
+    extraction (through this re-extraction or anything else sharing
+    the layout package); or when an unknown-id marker is present.  [config] must be the one [prev]
+    was extracted under. *)
+
 val typing_envs : Framework.App.t -> (Node.mid * Jir.Typing.env) list
 (** Every method's typing environment as extraction builds it: call
     return types resolve through one CHA memo shared by all methods of

@@ -22,40 +22,6 @@ module Int_set = Set.Make (Int)
 
 type edge_kind = E_direct | E_cast of string
 
-(* Hashed-key tables with explicit equal/hash (the polymorphic hash
-   walks whole nested records and caps its traversal; these reuse the
-   explicit [Node] hashes).  Edge dedup runs over interned ids: the key
-   is the ⟨src, dst⟩ pair packed into one int ({!Intern.pack}), and the
-   value lists the edge kinds already present between the two — cast
-   syms, or [-1] for a direct edge.  A direct-only pair, by far the
-   common case, shares one constant list, so a fresh edge allocates
-   only its table bucket. *)
-module Edge_seen = Hashtbl.Make (struct
-  type t = int
-
-  let equal = Int.equal
-
-  let hash key = Node.mix (key lsr Intern.pack_bits) (key land ((1 lsl Intern.pack_bits) - 1))
-end)
-
-let direct_only = [ -1 ]
-
-let rec mem_sym (k : int) = function [] -> false | k' :: rest -> k = k' || mem_sym k rest
-
-(* Record edge [src -k-> dst]; [false] when it was already there. *)
-let edge_fresh seen src k dst =
-  let key = Intern.pack src dst in
-  match Edge_seen.find_opt seen key with
-  | None ->
-      Edge_seen.add seen key (if k < 0 then direct_only else [ k ]);
-      true
-  | Some syms ->
-      if mem_sym k syms then false
-      else begin
-        Edge_seen.replace seen key (k :: syms);
-        true
-      end
-
 module Alloc_seen = Hashtbl.Make (struct
   type t = Node.alloc_site
 
@@ -109,30 +75,47 @@ let empty_solution =
     sol_taints = [||];
   }
 
+(* Positions in the four extraction logs. *)
+type cursor = { c_edges : int; c_seeds : int; c_allocs : int; c_ops : int }
+
+type fragments = { fr_program : Jir.Ast.program; fr_starts : cursor array; fr_counts : int * int }
+
 type t = {
   g_it : Intern.t;
       (** hash-consing interner: every node touched by an edge, seed,
           or op gets a dense id at construction time, so the interned
           solver's freeze step is pure integer work *)
-  mutable isuccs : (int * int) list array;
-      (** every flow edge, structural and clone edges alike: src id ->
-          (cast sym or [-1], dst id), newest first *)
+  (* The extraction logs: every constraint extraction emitted, in
+     emission order, over interned ids.  The edge log keeps repeated
+     edges (the freeze deduplicates), so a slice of it replays exactly
+     as the statements that emitted it would. *)
+  mutable e_src : int array;
+  mutable e_kind : int array;  (** cast sym or [-1] *)
+  mutable e_dst : int array;
+  mutable e_n : int;
+  mutable e_cover : int;
+      (** one past the largest logged endpoint: {!add_edge_ids} takes
+          ids as given, so an edge may name an id the interner never
+          minted, and the CSR must still cover it *)
+  mutable s_node : int array;  (** seed log: node id ... *)
+  mutable s_value : Node.value array;  (** ... and its value *)
+  mutable s_n : int;
+  mutable a_log : Node.alloc_site array;  (** distinct allocation sites *)
+  mutable a_n : int;
+  alloc_seen : unit Alloc_seen.t;
+  mutable o_log : op array;
+  mutable o_ids : (int * int array * int) array;  (** per op: (recv id, arg ids, out id or -1) *)
+  mutable o_n : int;
+  mutable fragments : fragments option;
   mutable has_clone_edges : bool;
       (** {!add_edge_ids} ran: some edge may touch a context clone *)
   icast_tbl : (string, int) Hashtbl.t;  (** cast class -> dense sym *)
   mutable icast_names : string array;  (** cast sym -> class; grown by doubling *)
   mutable frozen : (int * flow_csr) option;
-      (** CSR snapshot memo, keyed by the edge count it was built at;
-          flow edges only grow during extraction, so re-solving reuses
-          the frozen arrays *)
-  mutable iop_ids : (int * int array * int) list;
-      (** per op, newest first: (recv id, arg ids, out id or -1) *)
-  edge_seen : int list Edge_seen.t;
-  mutable edge_total : int;
+      (** CSR snapshot memo, keyed by the edge-log length it was built
+          at; flow edges only grow during extraction, so re-solving
+          reuses the frozen arrays *)
   seed_tbl : (Node.t, VS.t) Hashtbl.t;
-  mutable op_list : op list;  (** reversed creation order *)
-  mutable alloc_list : Node.alloc_site list;  (** reversed creation order *)
-  alloc_seen : unit Alloc_seen.t;
   mutable sol : solution;  (** the last solve's id-level solution *)
   mutable points_to : (Node.t, VS.t) Hashtbl.t option;
       (** read index over [sol]'s points-to rows, decoded in one pass on
@@ -153,23 +136,49 @@ type t = {
 let create ?interner () =
   {
     g_it = (match interner with Some it -> it | None -> Intern.create ());
-    isuccs = [||];
+    e_src = [||];
+    e_kind = [||];
+    e_dst = [||];
+    e_n = 0;
+    e_cover = 0;
+    s_node = [||];
+    s_value = [||];
+    s_n = 0;
+    a_log = [||];
+    a_n = 0;
+    alloc_seen = Alloc_seen.create 64;
+    o_log = [||];
+    o_ids = [||];
+    o_n = 0;
+    fragments = None;
     has_clone_edges = false;
     icast_tbl = Hashtbl.create 8;
     icast_names = [||];
     frozen = None;
-    iop_ids = [];
-    edge_seen = Edge_seen.create 256;
-    edge_total = 0;
     seed_tbl = Hashtbl.create 128;
-    op_list = [];
-    alloc_list = [];
-    alloc_seen = Alloc_seen.create 64;
     sol = empty_solution;
     points_to = None;
     inflations = Hashtbl.create 16;
     g_has_top = false;
   }
+
+(* Room for one more log entry at [n]: logs grow by doubling, padded
+   with [fill]. *)
+let room arr n fill =
+  if n < Array.length arr then arr
+  else begin
+    let grown = Array.make (max 64 (2 * n)) fill in
+    Array.blit arr 0 grown 0 n;
+    grown
+  end
+
+let add_alloc t alloc =
+  if not (Alloc_seen.mem t.alloc_seen alloc) then begin
+    Alloc_seen.add t.alloc_seen alloc ();
+    t.a_log <- room t.a_log t.a_n alloc;
+    t.a_log.(t.a_n) <- alloc;
+    t.a_n <- t.a_n + 1
+  end
 
 (* Idempotent per site: inlined clones of a statement denote the same
    allocation abstraction.  The dedup table ([alloc_seen]) is part of
@@ -177,10 +186,7 @@ let create ?interner () =
    owning its own graph — cannot interleave allocation lists. *)
 let fresh_alloc t ~cls ~site =
   let alloc = { Node.a_site = site; a_cls = cls } in
-  if not (Alloc_seen.mem t.alloc_seen alloc) then begin
-    Alloc_seen.add t.alloc_seen alloc ();
-    t.alloc_list <- alloc :: t.alloc_list
-  end;
+  add_alloc t alloc;
   alloc
 
 let interner t = t.g_it
@@ -204,56 +210,66 @@ let cast_sym t cls =
 
 let kind_of_sym t k = if k < 0 then E_direct else E_cast t.icast_names.(k)
 
-(* Grow an id-indexed adjacency array to cover index [i]. *)
-let ensure_slot arr i =
-  let n = Array.length arr in
-  if i < n then arr
-  else begin
-    let grown = Array.make (max 256 (max (i + 1) (2 * n))) [] in
-    Array.blit arr 0 grown 0 n;
-    grown
-  end
+let push_op t op ids =
+  t.o_log <- room t.o_log t.o_n op;
+  t.o_ids <- room t.o_ids t.o_n ids;
+  t.o_log.(t.o_n) <- op;
+  t.o_ids.(t.o_n) <- ids;
+  t.o_n <- t.o_n + 1
 
 let fresh_op t ~kind ~site ~recv ~args ~out =
   let op = { site = { Node.o_site = site; o_kind = kind }; op_recv = recv; op_args = args; op_out = out } in
   let rid = node_id t recv in
   let aids = Array.of_list (List.map (node_id t) args) in
   let oid = match out with Some n -> node_id t n | None -> -1 in
-  t.iop_ids <- (rid, aids, oid) :: t.iop_ids;
-  t.op_list <- op :: t.op_list;
+  push_op t op (rid, aids, oid);
   op
 
 let push_edge t sid ksym did =
-  if edge_fresh t.edge_seen sid ksym did then begin
-    t.edge_total <- t.edge_total + 1;
-    t.isuccs <- ensure_slot t.isuccs sid;
-    t.isuccs.(sid) <- (ksym, did) :: t.isuccs.(sid)
-  end
+  let n = t.e_n in
+  if n = Array.length t.e_src then begin
+    t.e_src <- room t.e_src n 0;
+    t.e_kind <- room t.e_kind n 0;
+    t.e_dst <- room t.e_dst n 0
+  end;
+  t.e_src.(n) <- sid;
+  t.e_kind.(n) <- ksym;
+  t.e_dst.(n) <- did;
+  t.e_n <- n + 1;
+  let top = max sid did in
+  if top >= t.e_cover then t.e_cover <- top + 1
 
 let add_edge t ?(kind = E_direct) src dst =
   let sid = node_id t src and did = node_id t dst in
   let ksym = match kind with E_direct -> -1 | E_cast cls -> cast_sym t cls in
   push_edge t sid ksym did
 
-let seed t node value =
-  ignore (node_id t node);
+let seed_node t nid node value =
   (match value with
   | Node.V_layout_top | Node.V_view_id_top -> t.g_has_top <- true
   | _ -> ());
+  t.s_node <- room t.s_node t.s_n 0;
+  t.s_value <- room t.s_value t.s_n value;
+  t.s_node.(t.s_n) <- nid;
+  t.s_value.(t.s_n) <- value;
+  t.s_n <- t.s_n + 1;
   let existing = Option.value (Hashtbl.find_opt t.seed_tbl node) ~default:VS.empty in
   Hashtbl.replace t.seed_tbl node (VS.add value existing)
+
+let seed t node value = seed_node t (node_id t node) node value
 
 let has_top t = t.g_has_top
 
 (* Id-level emission (context-keyed extraction).  Every clone-body
    edge touches a context clone ({!Intern.ctx_node} marks them), and no
    structural edge of the same extraction does: the structural walk
-   never renames.  The frozen CSR is laid out from [isuccs], so the
-   interned solver sees the context-expanded flow graph, while the
+   never renames.  The frozen CSR is laid out from the edge log, so
+   the interned solver sees the context-expanded flow graph, while the
    structural views ([succs], [locations], [pp_dot]) hide the edges
    that touch a clone and stay context-insensitive; the clone rows are
    read from the solution store like any other node's. *)
 let add_edge_ids t ?(kind = E_direct) sid did =
+  ignore (Intern.pack sid did);
   let ksym = match kind with E_direct -> -1 | E_cast cls -> cast_sym t cls in
   push_edge t sid ksym did;
   t.has_clone_edges <- true
@@ -261,12 +277,12 @@ let add_edge_ids t ?(kind = E_direct) sid did =
 (* Seed statements are rare (allocations, id constants); decoding the
    id back keeps the seed table structural and identical between the
    keyed and inlining paths. *)
-let seed_id t nid value = seed t (Intern.node_of t.g_it nid) value
+let seed_id t nid value = seed_node t nid (Intern.node_of t.g_it nid) value
 
 (* The op record still carries structural nodes (decoded from the ids,
    so clone receivers surface with their [$n]-suffixed names exactly as
-   the inlining path records them); the id triple goes straight onto
-   [iop_ids] without re-interning. *)
+   the inlining path records them); the id triple is logged without
+   re-interning. *)
 let fresh_op_ids t ~kind ~site ~recv ~args ~out =
   let node_of id = Intern.node_of t.g_it id in
   let op =
@@ -277,9 +293,39 @@ let fresh_op_ids t ~kind ~site ~recv ~args ~out =
       op_out = Option.map node_of out;
     }
   in
-  t.iop_ids <- (recv, Array.of_list args, Option.value out ~default:(-1)) :: t.iop_ids;
-  t.op_list <- op :: t.op_list;
+  push_op t op (recv, Array.of_list args, Option.value out ~default:(-1));
   op
+
+(* ------------------------------------------------------------------ *)
+(* Fragments: per-method slices of the logs *)
+
+let cursor t = { c_edges = t.e_n; c_seeds = t.s_n; c_allocs = t.a_n; c_ops = t.o_n }
+
+let fragments t = t.fragments
+
+let set_fragments t fr = t.fragments <- Some fr
+
+(* Append the slice [lo, hi) of [from]'s logs, as if the statements
+   that emitted it ran again over [t]: cast syms go through [t]'s
+   table in log order, so they number exactly as a fresh extraction
+   numbers them. *)
+let replay t ~from lo hi =
+  for e = lo.c_edges to hi.c_edges - 1 do
+    let k = from.e_kind.(e) in
+    push_edge t from.e_src.(e) (if k < 0 then k else cast_sym t from.icast_names.(k)) from.e_dst.(e)
+  done;
+  for i = lo.c_seeds to hi.c_seeds - 1 do
+    let nid = from.s_node.(i) in
+    seed_node t nid (Intern.node_of t.g_it nid) from.s_value.(i)
+  done;
+  for i = lo.c_allocs to hi.c_allocs - 1 do
+    add_alloc t from.a_log.(i)
+  done;
+  for i = lo.c_ops to hi.c_ops - 1 do
+    push_op t from.o_log.(i) from.o_ids.(i)
+  done
+
+let cast_names t = Array.sub t.icast_names 0 (Hashtbl.length t.icast_tbl)
 
 (* Iterative Tarjan over the direct-edge subgraph ([ekind < 0]).  Cast
    edges are excluded: they filter, and collapsing a cast into a shared
@@ -360,48 +406,70 @@ let condense_direct n row edst ekind =
   done;
   (rep, !scc_count, !largest)
 
+(* Deduplication within one CSR row at a time, rows in ascending
+   order: a direct edge is seen when its destination's stamp names the
+   row (so the stamps never need clearing), and the rare cast edges go
+   through a table keyed by the packed (row, destination) pair. *)
+type dedup = { stamp : int array; casts : (int, int list) Hashtbl.t }
+
+let dedup n = { stamp = Array.make n (-1); casts = Hashtbl.create 16 }
+
+let fresh_in_row d row k dst =
+  if k < 0 then d.stamp.(dst) <> row && (d.stamp.(dst) <- row; true)
+  else
+    let key = Intern.pack row dst in
+    match Hashtbl.find_opt d.casts key with
+    | None ->
+        Hashtbl.add d.casts key [ k ];
+        true
+    | Some ks -> (not (List.mem k ks)) && (Hashtbl.replace d.casts key (k :: ks); true)
+
 (* Condensed CSR: every edge mapped through [rep], intra-component
    edges dropped (direct ones are subsumed by the shared component set;
    a cast edge inside a direct cycle only re-adds a subset of what the
-   direct path already carries), duplicates merged. *)
+   direct path already carries), duplicates merged.  Each
+   representative's members are bucketed in ascending order, so its
+   row lists its edges first-seen over (member, edge) order — the order
+   a single pass over every node's edges would give. *)
 let build_condensed n row edst ekind rep =
-  let seen = Edge_seen.create 256 in
-  let lists = Array.make n [] in
-  (* (kind, rep dst), newest first per rep *)
-  let total = ref 0 in
+  let mrow = Array.make (n + 1) 0 in
   for u = 0 to n - 1 do
-    let ru = rep.(u) in
-    for e = row.(u) to row.(u + 1) - 1 do
-      let rv = rep.(edst.(e)) in
-      if ru <> rv then begin
-        let k = ekind.(e) in
-        if edge_fresh seen ru k rv then begin
-          lists.(ru) <- (k, rv) :: lists.(ru);
-          incr total
-        end
-      end
-    done
+    mrow.(rep.(u) + 1) <- mrow.(rep.(u) + 1) + 1
+  done;
+  for r = 0 to n - 1 do
+    mrow.(r + 1) <- mrow.(r) + mrow.(r + 1)
+  done;
+  let members = Array.make n 0 in
+  let fill = Array.sub mrow 0 n in
+  for u = 0 to n - 1 do
+    let r = rep.(u) in
+    members.(fill.(r)) <- u;
+    fill.(r) <- fill.(r) + 1
   done;
   let crow = Array.make (n + 1) 0 in
-  for i = 0 to n - 1 do
-    crow.(i + 1) <- crow.(i) + List.length lists.(i)
+  let cdst = Array.make row.(n) 0 and ckind = Array.make row.(n) (-1) in
+  let d = dedup n in
+  let w = ref 0 in
+  for r = 0 to n - 1 do
+    crow.(r) <- !w;
+    for i = mrow.(r) to mrow.(r + 1) - 1 do
+      let u = members.(i) in
+      for e = row.(u) to row.(u + 1) - 1 do
+        let rv = rep.(edst.(e)) in
+        if rv <> r then begin
+          let k = ekind.(e) in
+          if fresh_in_row d r k rv then begin
+            cdst.(!w) <- rv;
+            ckind.(!w) <- k;
+            incr w
+          end
+        end
+      done
+    done
   done;
-  let cdst = Array.make !total 0 in
-  let ckind = Array.make !total (-1) in
-  for i = 0 to n - 1 do
-    let e = ref crow.(i + 1) in
-    List.iter
-      (fun (k, rv) ->
-        decr e;
-        cdst.(!e) <- rv;
-        ckind.(!e) <- k)
-      lists.(i)
-  done;
-  (crow, cdst, ckind)
+  crow.(n) <- !w;
+  (crow, Array.sub cdst 0 !w, Array.sub ckind 0 !w)
 
-(* CSR snapshot of the flow edges over the interned ids: [isuccs] keeps
-   each adjacency newest-first, so laying entries out backward from the
-   row boundary restores insertion order. *)
 (* Copy-chain substitution over context clones (offline variable
    substitution, restricted to ids {!Intern.ctx_clone_ids} certifies
    as flow-only).  A clone variable with exactly one incoming direct
@@ -433,7 +501,10 @@ let clone_subst t n row edst ekind =
         done
       done;
       let blocked = Array.make n false in
-      List.iter (fun (_, _, oid) -> if oid >= 0 && oid < n then blocked.(oid) <- true) t.iop_ids;
+      for i = 0 to t.o_n - 1 do
+        let _, _, oid = t.o_ids.(i) in
+        if oid >= 0 && oid < n then blocked.(oid) <- true
+      done;
       Hashtbl.iter
         (fun node _ ->
           match Intern.find_node t.g_it node with
@@ -476,27 +547,49 @@ let clone_subst t n row edst ekind =
       Array.iteri (fun i r -> if r <> i then incr count) sub;
       if !count = 0 then None else Some (sub, !count)
 
-let build_frozen_flow t =
-  let n = Intern.node_count t.g_it in
-  let m = Array.length t.isuccs in
+(* The flow CSR over the interned ids, laid out from the edge log:
+   entries are bucketed by source in log order, and each row keeps the
+   first occurrence of every (kind, destination) — the adjacency an
+   insertion-time dedup would have built. *)
+let covered t = max (Intern.node_count t.g_it) t.e_cover
+
+let build_frozen_flow ?(condense = build_condensed) t =
+  let n = covered t in
   let row = Array.make (n + 1) 0 in
-  for i = 0 to min m n - 1 do
-    row.(i + 1) <- List.length t.isuccs.(i)
+  for e = 0 to t.e_n - 1 do
+    let s = t.e_src.(e) in
+    row.(s + 1) <- row.(s + 1) + 1
   done;
   for i = 0 to n - 1 do
     row.(i + 1) <- row.(i) + row.(i + 1)
   done;
-  let edst = Array.make row.(n) 0 in
-  let ekind = Array.make row.(n) (-1) in
-  for i = 0 to min m n - 1 do
-    let e = ref row.(i + 1) in
-    List.iter
-      (fun (ksym, did) ->
-        decr e;
-        edst.(!e) <- did;
-        ekind.(!e) <- ksym)
-      t.isuccs.(i)
+  let raw = row.(n) in
+  let edst = Array.make raw 0 and ekind = Array.make raw (-1) in
+  let fill = Array.sub row 0 n in
+  for e = 0 to t.e_n - 1 do
+    let s = t.e_src.(e) in
+    let slot = fill.(s) in
+    fill.(s) <- slot + 1;
+    edst.(slot) <- t.e_dst.(e);
+    ekind.(slot) <- t.e_kind.(e)
   done;
+  (* compact each row in place: the write cursor never passes the read *)
+  let d = dedup n in
+  let w = ref 0 in
+  for s = 0 to n - 1 do
+    let lo = row.(s) and hi = row.(s + 1) in
+    row.(s) <- !w;
+    for e = lo to hi - 1 do
+      let k = ekind.(e) and dst = edst.(e) in
+      if fresh_in_row d s k dst then begin
+        edst.(!w) <- dst;
+        ekind.(!w) <- k;
+        incr w
+      end
+    done
+  done;
+  row.(n) <- !w;
+  let edst, ekind = if !w = raw then (edst, ekind) else (Array.sub edst 0 !w, Array.sub ekind 0 !w) in
   (* [row]/[edst]/[ekind] stay the true edges — the incremental shape
      diff and solved capture read them; substitution only rewrites the
      condensation input and patches the rep table. *)
@@ -504,7 +597,7 @@ let build_frozen_flow t =
     match clone_subst t n row edst ekind with
     | None ->
         let rep, scc_count, largest = condense_direct n row edst ekind in
-        let crow, cdst, ckind = build_condensed n row edst ekind rep in
+        let crow, cdst, ckind = condense n row edst ekind rep in
         (rep, scc_count, largest, crow, cdst, ckind)
     | Some (sub, subst_count) ->
         (* Rewritten edges: sources resolve through [sub]; edges into a
@@ -538,7 +631,7 @@ let build_frozen_flow t =
           done
         done;
         let rep, scc_count, largest = condense_direct n row2 edst2 ekind2 in
-        let crow, cdst, ckind = build_condensed n row2 edst2 ekind2 rep in
+        let crow, cdst, ckind = condense n row2 edst2 ekind2 rep in
         (* Substituted nodes alias their root's component: reads, op
            scheduling and solution reads all go through [fc_rep], so
            the aliasing is invisible outside the solver core.  They are
@@ -551,7 +644,7 @@ let build_frozen_flow t =
     fc_row = row;
     fc_edst = edst;
     fc_ekind = ekind;
-    fc_cast_names = Array.sub t.icast_names 0 (Hashtbl.length t.icast_tbl);
+    fc_cast_names = cast_names t;
     fc_rep = rep;
     fc_crow = crow;
     fc_cdst = cdst;
@@ -569,15 +662,17 @@ let build_frozen_flow t =
    turns that silent staleness into a crash at the memo hit. *)
 let frozen_flow t =
   match t.frozen with
-  | Some (at_edges, csr) when at_edges = t.edge_total ->
-      assert (Intern.node_count t.g_it >= csr.fc_nodes);
+  | Some (at_edges, csr) when at_edges = t.e_n ->
+      assert (covered t >= csr.fc_nodes);
       csr
   | _ ->
       let csr = build_frozen_flow t in
-      t.frozen <- Some (t.edge_total, csr);
+      t.frozen <- Some (t.e_n, csr);
       csr
 
-let ops_node_ids t = Array.of_list (List.rev t.iop_ids)
+let freeze_with ~condense t = build_frozen_flow ~condense t
+
+let ops_node_ids t = Array.sub t.o_ids 0 t.o_n
 
 (* Decode-on-read.  Solution reads go to the store (points-to reads
    through the index below): a points-to row lives on the node's
@@ -664,31 +759,31 @@ let views_of t node =
     (fun v acc -> match Node.view_of_value v with Some view -> view :: acc | None -> acc)
     (set_of t node) []
 
-(* The structural view of the flow edges: [isuccs] decoded, minus the
-   edges that touch a context clone (none exist unless {!add_edge_ids}
-   ran, so plain extractions skip the test). *)
+(* The structural view of the flow edges: the frozen rows, newest
+   first, minus the edges that touch a context clone (none exist
+   unless {!add_edge_ids} ran, so plain extractions skip the test). *)
 let is_clone t id = t.has_clone_edges && Intern.is_ctx_clone t.g_it id
 
-let rec decode_succs t = function
-  | [] -> []
-  | (k, did) :: rest ->
-      if is_clone t did then decode_succs t rest
-      else (kind_of_sym t k, Intern.node_of t.g_it did) :: decode_succs t rest
+let succ_ids t id =
+  let fc = frozen_flow t in
+  let acc = ref [] in
+  if id < fc.fc_nodes then
+    for e = fc.fc_row.(id) to fc.fc_row.(id + 1) - 1 do
+      if not (is_clone t fc.fc_edst.(e)) then acc := (fc.fc_ekind.(e), fc.fc_edst.(e)) :: !acc
+    done;
+  !acc
 
 let succs t node =
   match Intern.find_node t.g_it node with
-  | Some id when id < Array.length t.isuccs && not (is_clone t id) -> decode_succs t t.isuccs.(id)
+  | Some id when not (is_clone t id) ->
+      List.map (fun (k, did) -> (kind_of_sym t k, Intern.node_of t.g_it did)) (succ_ids t id)
   | _ -> []
 
 (* Structural edge sources in id order, each with its successor ids. *)
 let iter_succ_ids t f =
-  Array.iteri
-    (fun id targets ->
-      if targets <> [] && not (is_clone t id) then
-        match List.filter (fun (_, did) -> not (is_clone t did)) targets with
-        | [] -> ()
-        | succs -> f id succs)
-    t.isuccs
+  for id = 0 to (frozen_flow t).fc_nodes - 1 do
+    if not (is_clone t id) then match succ_ids t id with [] -> () | succs -> f id succs
+  done
 
 let seeds t = Hashtbl.fold (fun node vs acc -> (node, vs) :: acc) t.seed_tbl []
 
@@ -762,9 +857,9 @@ let inflated_views t = Hashtbl.fold (fun _ views acc -> views @ acc) t.inflation
 let inflation_entries t =
   Hashtbl.fold (fun (site, layout) views acc -> (site, layout, views) :: acc) t.inflations []
 
-let ops t = List.rev t.op_list
+let ops t = Array.to_list (Array.sub t.o_log 0 t.o_n)
 
-let allocs t = List.rev t.alloc_list
+let allocs t = Array.to_list (Array.sub t.a_log 0 t.a_n)
 
 (* The structural part (edge endpoints, seeds and op nodes, all
    interned at construction) is gathered newest first, then the
@@ -781,12 +876,12 @@ let locations t =
       add_id src;
       List.iter (fun (_, dst) -> add_id dst) targets);
   Hashtbl.iter (fun node _ -> add node) t.seed_tbl;
-  List.iter
-    (fun op ->
-      add op.op_recv;
-      List.iter add op.op_args;
-      Option.iter add op.op_out)
-    t.op_list;
+  for i = t.o_n - 1 downto 0 do
+    let op = t.o_log.(i) in
+    add op.op_recv;
+    List.iter add op.op_args;
+    Option.iter add op.op_out
+  done;
   let solved = ref [] in
   for nid = Intern.node_count it - 1 downto 0 do
     if non_empty (points_to_row t.sol nid) && not (Util.Bitset.mem seen nid) then
@@ -794,7 +889,9 @@ let locations t =
   done;
   !structural @ !solved
 
-let edge_count t = t.edge_total
+let edge_count t =
+  let fc = frozen_flow t in
+  fc.fc_row.(fc.fc_nodes)
 
 (* Graphviz output: locations as ellipses, ops as boxes, views as gray
    boxes (Figure 3/4 style). *)

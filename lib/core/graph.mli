@@ -62,7 +62,7 @@ val fresh_op :
   op
 
 val add_edge : t -> ?kind:edge_kind -> Node.t -> Node.t -> unit
-(** Idempotent. *)
+(** Idempotent: a repeated edge is logged but frozen once. *)
 
 val seed : t -> Node.t -> Node.value -> unit
 (** Record an initial value for a location (allocation results, id
@@ -78,7 +78,7 @@ val has_top : t -> bool
     The context-keyed extraction path walks clone bodies entirely in id
     space: endpoints are already interned (via {!Intern.ctx_node}), so
     these variants skip re-interning.  Both kinds of edge land in the
-    one id-level adjacency the frozen CSR is built from; every edge
+    one edge log the frozen CSR is built from; every edge
     [add_edge_ids] adds touches a context clone, and the structural
     views ({!succs}, {!locations}, {!pp_dot}) hide those edges, so they
     stay context-insensitive.
@@ -102,6 +102,49 @@ val fresh_op_ids :
   args:int list ->
   out:int option ->
   op
+
+(** {2 Extraction logs and per-method fragments}
+
+    Everything extraction emits lands, in emission order, in four
+    append-only logs over interned ids: flow edges (repeats included —
+    the freeze deduplicates), seeds, distinct allocation sites and
+    operation nodes.  At inline depth 0 a method's statements emit one
+    contiguous slice of each log that depends only on its body, the
+    class hierarchy and the resource tables: its {e fragment}.
+    {!Extract} records where each method's slice starts; an
+    incremental re-extraction replays the slices of unedited methods
+    from the previous graph instead of re-walking their bodies. *)
+
+type cursor = { c_edges : int; c_seeds : int; c_allocs : int; c_ops : int }
+(** Positions in the edge, seed, allocation and op logs.  An op's
+    position is its index in {!ops}. *)
+
+type fragments = {
+  fr_program : Jir.Ast.program;  (** the program extracted *)
+  fr_starts : cursor array;
+      (** one entry per method in program order (class order, then
+          method order): where its slice starts; then the start of
+          the global seed passes, then the end of the logs *)
+  fr_counts : int * int;
+      (** the resource tables' sizes ({!Layouts.Resource.counts}) when
+          the extraction finished *)
+}
+
+val cursor : t -> cursor
+(** The current end of the logs. *)
+
+val fragments : t -> fragments option
+(** [None] unless a depth-0 extraction recorded them (a graph loaded
+    from a snapshot has none). *)
+
+val set_fragments : t -> fragments -> unit
+
+val replay : t -> from:t -> cursor -> cursor -> unit
+(** [replay t ~from lo hi] appends [from]'s log slice [\[lo, hi)] to
+    [t], exactly as re-running the statements that emitted it would:
+    cast classes get [t]'s symbols in log order, allocation sites and
+    seeds go through [t]'s tables.  The two graphs must share an
+    interner. *)
 
 (** {1 The solution store}
 
@@ -177,7 +220,7 @@ val tainted_nodes : t -> (Node.t * VS.t) list
 val succs : t -> Node.t -> (edge_kind * Node.t) list
 (** The flow successors of a location added by {!add_edge}, newest
     first.  Clone edges added by {!add_edge_ids} are not listed.  One
-    interner lookup, then the id-level adjacency decoded. *)
+    interner lookup, then the node's row of {!frozen_flow} decoded. *)
 
 val seeds : t -> (Node.t * VS.t) list
 
@@ -264,6 +307,16 @@ val frozen_flow : t -> flow_csr
     the freeze (views discovered mid-solve) need no rebuild — they have
     no flow edges and act as singleton components. *)
 
+val freeze_with :
+  condense:(int -> int array -> int array -> int array -> int array -> int array * int array * int array) ->
+  t ->
+  flow_csr
+(** The freeze {!frozen_flow} performs, not memoized, with
+    [condense n row edst ekind rep] in place of its condensation step —
+    which buckets each representative's members and deduplicates
+    direct edges with a stamp array, cast edges with a small table.
+    For differential tests of that step against a reference. *)
+
 val ops_node_ids : t -> (int * int array * int) array
 (** Aligned with {!ops}: per op, (recv id, arg ids, out id or [-1]). *)
 
@@ -279,6 +332,8 @@ val locations : t -> Node.t list
     the same order. *)
 
 val edge_count : t -> int
+(** Distinct flow edges: the frozen CSR's size ({!frozen_flow}, built
+    if the log grew since the last freeze). *)
 
 val pp_dot : t Fmt.t
 (** Graphviz rendering of the solved graph: locations, op nodes, flow

@@ -23,10 +23,47 @@ val analyze_solved :
 
 val analyze_incremental :
   ?config:Config.t -> prev:Solve.solved -> Framework.App.t -> Analysis.t * Solve.solved
-(** Re-analyze a patched app warm: extract over [prev]'s interner,
-    diff the two graph shapes, re-solve only the dirty components.
-    Falls back to a full solve (with [stats.fallback] set) when [prev]
-    is unusable for the given app and configuration. *)
+(** Re-analyze a patched app warm: build the patched graph over
+    [prev]'s interner ({!assemble}, or a full [Extract.run ~interner]
+    when it declines — the reason is logged at info level), diff its
+    shape against [prev]'s ({!Diff.edit_script}), then re-solve only
+    the dirty components.  Falls back
+    to a full solve (with [stats.fallback] set) when [prev] is unusable
+    for the given app and configuration. *)
+
+(** {1 Edit-proportional assembly}
+
+    At inline depth 0, the graph of a patched app differs from the
+    previous one only in the edited methods' fragments (their slices
+    of the extraction logs, {!Graph.fragments}) and in the global seed
+    passes.  {!assemble} replays every unedited method's fragment from
+    [prev]'s graph, re-extracts only the edited methods
+    ({!Extract.reextract}).  The work left proportional to the app is
+    the replay itself (array appends, plus one seed-table insert per
+    seed), the freeze ({!Solve.shape_of_graph}) and the shape diff
+    ({!Diff.edit_script}: mostly a scan of identical rows).
+
+    It declines, and the caller re-extracts in full, when: the
+    configuration changed; the inline depth is positive; [prev]
+    recorded no fragments (it was loaded from a snapshot); [prev] or
+    the patched graph holds an unknown-id marker; a class or a
+    method's name or parameters changed (the class and method
+    fingerprints; compared position by position, without hashing);
+    a field declaration or a method's return type changed; the layout
+    package is another object; or the resource tables grew since
+    [prev]'s extraction, through the re-extraction or anything else
+    sharing the package (an unedited method's integer constant could
+    now name a resource). *)
+
+type assembly = {
+  a_graph : Graph.t;  (** the patched app's graph, over [prev]'s interner *)
+  a_reextracted : int;  (** methods re-extracted *)
+  a_methods : int;  (** methods in the app *)
+}
+
+val assemble : ?config:Config.t -> prev:Solve.solved -> Framework.App.t -> (assembly, string) result
+(** The edit-proportional graph for a warm re-solve of the patched
+    [app], or the reason it declined. *)
 
 val refusal_warning : Analysis.t -> string option
 (** The stderr warning for a warm start that fell back to a full solve

@@ -5,54 +5,38 @@ type facts = {
   fragments : bool;
 }
 
+(* The facts of an inflation of [def] whose views are [views]: ids in
+   preorder, parent-child pairs in layout edge order.  Each view names
+   its path, so the memo's list maps back onto the layout's nodes. *)
+let facts ~resources (def : Layouts.Layout.def) views =
+  let by_path = Hashtbl.create 16 in
+  List.iter (function Node.V_infl v as view -> Hashtbl.replace by_path v.Node.v_path view | Node.V_alloc _ -> ()) views;
+  let view path = Hashtbl.find by_path path in
+  let nodes = Layouts.Layout.nodes def in
+  {
+    children = List.map (fun (parent, child) -> (view parent, view child)) (Layouts.Layout.edges def);
+    view_ids =
+      List.filter_map
+        (fun (path, (node : Layouts.Layout.node)) ->
+          Option.map (fun id_name -> (view path, Layouts.Resource.view_id resources id_name)) node.id)
+        nodes;
+    onclick = List.exists (fun (_, (node : Layouts.Layout.node)) -> node.onclick <> None) nodes;
+    fragments = List.exists (fun (_, (node : Layouts.Layout.node)) -> node.fragment_class <> None) nodes;
+  }
+
 let instantiate graph ~resources ~site (def : Layouts.Layout.def) =
   match Graph.find_inflation graph ~site ~layout:def.name with
   | Some views -> (views, None)
   | None ->
-      let abs_of_path =
-        let tbl = Hashtbl.create 16 in
-        fun path (node : Layouts.Layout.node) ->
-          match Hashtbl.find_opt tbl path with
-          | Some v -> v
-          | None ->
-              let v =
-                Node.V_infl
-                  {
-                    Node.v_site = site;
-                    v_layout = def.name;
-                    v_path = path;
-                    v_cls = node.view_class;
-                    v_vid = node.id;
-                  }
-              in
-              Hashtbl.add tbl path v;
-              v
-      in
-      let nodes = Layouts.Layout.nodes def in
-      let view_ids = ref [] and onclick = ref false and fragments = ref false in
       let views =
         List.map
           (fun (path, (node : Layouts.Layout.node)) ->
-            let view = abs_of_path path node in
-            (match node.id with
-            | Some id_name -> view_ids := (view, Layouts.Resource.view_id resources id_name) :: !view_ids
-            | None -> ());
-            if node.onclick <> None then onclick := true;
-            if node.fragment_class <> None then fragments := true;
-            view)
-          nodes
-      in
-      let children =
-        List.map
-          (fun (parent_path, child_path) ->
-            match (Layouts.Layout.find def parent_path, Layouts.Layout.find def child_path) with
-            | Some parent_node, Some child_node ->
-                (abs_of_path parent_path parent_node, abs_of_path child_path child_node)
-            | _ -> assert false)
-          (Layouts.Layout.edges def)
+            Node.V_infl
+              { Node.v_site = site; v_layout = def.name; v_path = path; v_cls = node.view_class; v_vid = node.id })
+          (Layouts.Layout.nodes def)
       in
       Graph.record_inflation graph ~site ~layout:def.name views;
-      (views, Some { children; view_ids = List.rev !view_ids; onclick = !onclick; fragments = !fragments })
+      (views, Some (facts ~resources def views))
 
 let root = function
   | [] -> invalid_arg "Inflate.root: empty inflation"

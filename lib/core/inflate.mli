@@ -30,6 +30,11 @@ val instantiate :
     the first call for an (op, layout), the subtree's facts.
     Subsequent calls return the same list and [None]. *)
 
+val facts : resources:Layouts.Resource.t -> Layouts.Layout.def -> Node.view_abs list -> facts
+(** The facts of an inflation of a layout, re-derived from its views
+    in the memo (as {!instantiate} returned them): what the first
+    {!instantiate} call handed out, in the same order. *)
+
 val root : Node.view_abs list -> Node.view_abs
 (** Head of a non-empty preorder list.  @raise Invalid_argument on
     empty (a layout always has a root). *)

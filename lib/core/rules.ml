@@ -330,6 +330,10 @@ let resolve st env x callee =
   in
   match class_of (value env x) with Some cls -> List.filter_map (resolve cls) targets | None -> []
 
+let relate_facts st (f : Inflate.facts) =
+  List.iter (fun (v, id) -> relate st Id (Node.V_view v) (Node.V_view_id id)) f.view_ids;
+  List.iter (fun (p, c) -> relate st Child (Node.V_view p) (Node.V_view c)) f.children
+
 (* Lazy inflation (INFLATE1/2): a fresh subtree's ids and children
    enter the relations. *)
 let inflate_at st (op : Graph.op) lid =
@@ -339,9 +343,8 @@ let inflate_at st (op : Graph.op) lid =
       let resources = Layouts.Package.resources st.app.package in
       let views, facts = Inflate.instantiate st.graph ~resources ~site:op.site.o_site def in
       Option.iter
-        (fun (f : Inflate.facts) ->
-          List.iter (fun (v, id) -> relate st Id (Node.V_view v) (Node.V_view_id id)) f.view_ids;
-          List.iter (fun (p, c) -> relate st Child (Node.V_view p) (Node.V_view c)) f.children;
+        (fun f ->
+          relate_facts st f;
           st.dirty <- true)
         facts;
       Some (Node.V_view (Inflate.root views))
@@ -550,5 +553,15 @@ let step config app graph =
   load sol.sol_listeners (Intern.view_of it) (Intern.listener_of it) (fun v l ->
       ignore (add_to (module Graph.Listener_set) st.listeners v l));
   st.added <- Some [];
+  (* The memo hands a subtree's facts out on its first instantiation
+     only, so the round cannot re-derive them: relate every entry's. *)
+  st.rule <- "Inflate (memo)";
+  let package = st.app.package in
+  List.iter
+    (fun (_, layout, views) ->
+      Option.iter
+        (fun def -> relate_facts st (Inflate.facts ~resources:(Layouts.Package.resources package) def views))
+        (Layouts.Package.find package layout))
+    (Graph.inflation_entries graph);
   round st;
   (List.rev (Option.get st.added), List.mapi (fun i name -> (name, st.fired.(i))) names)

@@ -1836,6 +1836,14 @@ let run_incremental ~prev ~edits ?new_shape config (app : Framework.App.t) graph
             if Util.Bitset.mem dirty r || not (Util.Bitset.mem st.iborrowed r) then
               ipush st nid vid)
           new_shape.sh_seeds;
+        (* ... except an added seed: its value is new to the restored
+           set, and pushing it turns the borrowed set into an owned,
+           delta-emitting copy. *)
+        Array.iter
+          (fun (nid, vid) ->
+            let r = irep st nid in
+            if Util.Bitset.mem st.iborrowed r && not (Util.Bitset.mem dirty r) then ipush st nid vid)
+          edits.es_added_seeds;
         (* Restored components never emit deltas, so their outflow must
            be injected once: into dirty successors (reset to empty),
            and through edges that did not exist before.  Later growth

@@ -30,7 +30,9 @@ type entry = {
   mutable e_solved : Gator.Solve.solved;
   mutable e_query : Gator.Query.t;
   mutable e_generation : int;  (** bumped by every applied patch *)
-  mutable e_patches : J.t list;  (** accepted edit objects, oldest first *)
+  mutable e_patches : J.t list;
+      (** accepted edit objects, newest first; only {!persist} reads
+          them, so they are kept only with a state directory *)
 }
 
 type t = {
@@ -66,7 +68,7 @@ let persist t entry =
         let oc = open_out_bin path in
         Fun.protect
           ~finally:(fun () -> close_out_noerr oc)
-          (fun () -> output_string oc (J.to_string (J.List entry.e_patches)))
+          (fun () -> output_string oc (J.to_string (J.List (List.rev entry.e_patches))))
       end)
     t.state_dir
 
@@ -157,7 +159,7 @@ let load t name =
               e_solved = solved;
               e_query = Gator.Query.create ~hierarchy:app.Framework.App.hierarchy solved;
               e_generation = List.length patches;
-              e_patches = patches;
+              e_patches = List.rev patches;
             }
           in
           persist t entry;
@@ -193,8 +195,8 @@ let apply_patch t entry edits =
           entry.e_query <- Gator.Query.create ~hierarchy:app.Framework.App.hierarchy solved;
           carry_stats ~retiring ~fresh:(Gator.Query.stats entry.e_query);
           entry.e_generation <- entry.e_generation + 1;
-          entry.e_patches <-
-            entry.e_patches @ (match edits with J.List l -> l | e -> [ e ]);
+          if t.state_dir <> None then
+            entry.e_patches <- List.rev_append (match edits with J.List l -> l | e -> [ e ]) entry.e_patches;
           persist t entry;
           let s = r.Gator.Analysis.stats in
           logf t "patched %s -> generation %d (%s)" entry.e_name entry.e_generation

@@ -24,6 +24,7 @@ let () =
       ("shared-intern", Test_shared_intern.suite);
       ("ctx-keyed", Test_ctx_keyed.suite);
       ("incremental", Test_incremental.suite);
+      ("fragments", Test_fragments.suite);
       ("query", Test_query.suite);
       ("server", Test_server.suite);
       ("interp", Test_interp.suite);

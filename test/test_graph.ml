@@ -390,6 +390,54 @@ let test_marked_donor_keeps_inlined_edges () =
   if not (Edge_set.equal (edges warm) (edges (Extract.run inlined app))) then
     Alcotest.fail "warm inlined edges differ from a fresh extraction's"
 
+(* The stamp-array condensation against the hash-table reference:
+   the same first-seen rows, byte for byte, on every graph family the
+   solver freezes — plain corpus graphs, a cycle-heavy app, keyed cs-2
+   graphs (whose freeze runs the copy-chain substitution first) and
+   random graphs with repeated and cast edges. *)
+let same_condensation name g =
+  let fc = Graph.frozen_flow g in
+  let oracle = Graph.freeze_with ~condense:Condense_oracle.build_condensed g in
+  let check what a b = Alcotest.(check (array int)) (name ^ ": " ^ what) a b in
+  check "fc_rep" oracle.Graph.fc_rep fc.Graph.fc_rep;
+  check "fc_crow" oracle.fc_crow fc.fc_crow;
+  check "fc_cdst" oracle.fc_cdst fc.fc_cdst;
+  check "fc_ckind" oracle.fc_ckind fc.fc_ckind
+
+let cycle_heavy () =
+  Corpus.Gen.cyclic_app ~name:"CycleHeavy" ~chains:4 ~chain_len:24 ~two_cycles:6 ~bridges:8 ~seed:2014 ()
+
+let test_condensation_oracle () =
+  let keyed = { Config.default with Config.inline_depth = 2 } in
+  List.iter
+    (fun spec ->
+      let app = Corpus.Gen.generate spec in
+      same_condensation spec.Corpus.Spec.sp_name (Extract.run Config.default app))
+    Corpus.Apps.specs;
+  same_condensation "CycleHeavy" (Extract.run Config.default (cycle_heavy ()));
+  List.iter
+    (fun (name, app) -> same_condensation (name ^ "@cs2") (Extract.run keyed app))
+    [
+      ("CycleHeavy", cycle_heavy ());
+      ("AliasHeavy", Corpus.Gen.alias_heavy_app ~name:"AliasHeavy" ~groups:4 ~sites_per_group:5 ~seed:11 ());
+      ("ConnectBot", Corpus.Connectbot.app ());
+    ]
+
+let qcheck_condensation_oracle =
+  QCheck.Test.make ~name:"condensation equals the hash-table reference on random graphs" ~count:200
+    QCheck.(make Gen.(int_range 0 1_000_000))
+    (fun seed ->
+      let rng = Util.Prng.create seed in
+      let g = Graph.create () in
+      let n = 1 + Util.Prng.int rng 40 in
+      let node i = Node.N_field (Printf.sprintf "f%d" i) in
+      for _ = 1 to Util.Prng.int rng (4 * n) do
+        let kind = if Util.Prng.int rng 5 = 0 then Graph.E_cast (Printf.sprintf "C%d" (Util.Prng.int rng 3)) else Graph.E_direct in
+        Graph.add_edge g ~kind (node (Util.Prng.int rng n)) (node (Util.Prng.int rng n))
+      done;
+      same_condensation (Printf.sprintf "random %d" seed) g;
+      true)
+
 let suite =
   [
     Alcotest.test_case "points-to rows decode through representatives" `Quick test_points_to_rows;
@@ -407,6 +455,8 @@ let suite =
     Alcotest.test_case "locations" `Quick test_locations;
     Alcotest.test_case "dot output" `Quick test_dot_output;
     Alcotest.test_case "frozen flow: scc condensation" `Quick test_frozen_flow_condensation;
+    Alcotest.test_case "frozen flow: condensation equals its reference" `Quick test_condensation_oracle;
+    QCheck_alcotest.to_alcotest qcheck_condensation_oracle;
     Alcotest.test_case "frozen flow: memo invalidation" `Quick
       test_frozen_flow_memo_invalidation;
     Alcotest.test_case "skeleton succs and locations over the corpus" `Quick test_corpus_skeleton;

@@ -110,6 +110,29 @@ let test_certificate_bites () =
         "FindView re-derives it" true
         (List.exists (fun fact -> String.starts_with ~prefix:"FindView" fact) added)
 
+(* The same for a relation row: empty the child row of an inflated
+   view and one round re-derives it from the inflation memo. *)
+let test_certificate_child_row () =
+  let app = Corpus.Connectbot.app () in
+  let r = Analysis.analyze app in
+  let sol = Graph.solution r.graph in
+  let it = Graph.interner r.graph in
+  let wid =
+    List.find_map
+      (fun view ->
+        if Graph.View_set.is_empty (Graph.children_of r.graph view) then None else Intern.find_view it view)
+      (Graph.inflated_views r.graph)
+  in
+  let children = Array.copy sol.Graph.sol_children in
+  children.(Option.get wid) <- None;
+  Graph.set_solution r.graph { sol with Graph.sol_children = children };
+  match Rules.step Config.default app r.graph with
+  | [], _ -> Alcotest.fail "an emptied child row passes the certificate"
+  | added, _ ->
+      Alcotest.(check bool)
+        "inflation re-derives it" true
+        (List.exists (fun fact -> String.starts_with ~prefix:"Inflate" fact) added)
+
 (* Inflation, FindOne (refined and not), getParent and startActivity
    in one app: the corpus does not reach them all. *)
 let ops_app () =
@@ -157,5 +180,6 @@ let suite =
     Alcotest.test_case "certificate: ReflHeavy in sound mode" `Quick test_sound;
     QCheck_alcotest.to_alcotest test_qcheck;
     Alcotest.test_case "certificate rejects a missing fact" `Quick test_certificate_bites;
+    Alcotest.test_case "certificate rejects a missing child row" `Quick test_certificate_child_row;
     Alcotest.test_case "every entry fires" `Quick test_coverage;
   ]
