@@ -10,13 +10,17 @@
    DESIGN §15 are such clauses.  A [Config] gate is a premise like any
    other.
 
-   The evaluator knows no rule: it enumerates the bindings that
-   satisfy an entry's premises, left to right, and adds its
-   conclusions.  [run] is the naive reference solve: seed, then apply
-   every op's entries, the once-per-round entries and flow propagation
-   over full structural sets until a round adds nothing, and encode
-   the fixpoint into the graph's solution store.  [step] applies one
-   round to an installed solution and reports what it adds. *)
+   Both engines read this table.  The evaluator here knows no rule: it
+   enumerates the bindings that satisfy an entry's premises, left to
+   right, and adds its conclusions.  [run] is the naive reference
+   solve: seed, then apply every op's entries, the once-per-round
+   entries and flow propagation over full structural sets until a
+   round adds nothing, and encode the fixpoint into the graph's
+   solution store.  [step] applies one round to an installed solution
+   and reports what it adds.  The interned engine ([Solve]) stages the
+   same entries into closures over its id rows; the premise and
+   clause order below is the order it pushes values, mints ids and
+   inserts rows in, which the answers here do not depend on. *)
 
 module VS = Graph.VS
 
@@ -48,9 +52,10 @@ type loc =
 
 (* The values a premise binds at a location.  [Obj c]: non-view
    objects of a subclass of [c]; [Listener i]: objects implementing
-   interface [i] (a custom view as its allocated object). *)
+   interface [i] (a custom view as its allocated object); [Id_query]:
+   the view ids and the ⊤ id a find-view argument asks for. *)
 type sort =
-  | Any | View | Layout_id | View_id | Is of Node.value | Activity | Obj of string | Menu
+  | Any | View | Layout_id | View_id | Id_query | Is of Node.value | Activity | Obj of string | Menu
   | Listener of string
 
 (* Relations read either way: a premise with the first term unbound
@@ -73,6 +78,7 @@ type premise =
   | Inflate of var * var  (** the root of the layout inflated at the op's site, minted on first use *)
   | Callback of var * callee * var  (** a method the term's class resolves *)
   | Declared of var * var  (** a [<fragment>] placeholder and its fragment *)
+  | Onclick_view of var  (** an inflated view with an [android:onClick] handler *)
   | Item of var  (** the MenuItem minted at the op's site *)
   | Owner of var * var  (** the activity of an options menu *)
   | Any_of of clause list
@@ -110,72 +116,72 @@ let refined = Gate (fun c -> c.Config.findone_refinement)
 
 let unrefined = Gate (fun c -> not c.Config.findone_refinement)
 
+let dialogs = Gate (fun c -> c.Config.model_dialogs)
+
 let on_create_view = Named ("onCreateView", 0)
 
 (* {1 The table} *)
 
 let holder x h =
   Any_of
-    [ clause "Activity holder" [ In (x, Activity, h) ];
-      clause "Dialog holder" [ Gate (fun c -> c.Config.model_dialogs); In (x, Obj "Dialog", h) ] ]
+    [ clause "Activity holder" [ In (x, Activity, h) ]; clause "Dialog holder" [ dialogs; In (x, Obj "Dialog", h) ] ]
 
 let layout x l =
   Any_of
-    [ clause "Layout id" [ In (x, Layout_id, l) ];
-      clause "Inflate(⊤)" [ In (x, Is Node.V_layout_top, "_"); Layout l ] ]
+    [ clause "Inflate(⊤)" [ In (x, Is Node.V_layout_top, "_"); Layout l ];
+      clause "Layout id" [ In (x, Layout_id, l) ] ]
 
 let view_id x i =
   Any_of
-    [ clause "View id" [ In (x, View_id, i) ];
-      clause "SetId(⊤)" [ In (x, Is Node.V_view_id_top, "_"); Const (i, sentinel) ] ]
+    [ clause "SetId(⊤)" [ In (x, Is Node.V_view_id_top, "_"); Const (i, sentinel) ];
+      clause "View id" [ In (x, View_id, i) ] ]
 
-(* View [d] answers the id query at [q] (FINDVIEW's [=> id]): it
-   carries a queried id, or the sentinel of a [SetId(v, ⊤)], or the
-   query is ⊤ and it carries some id. *)
-let matches q d =
+(* View [d] under (or at) [root] answers the queried id [k]
+   (FINDVIEW's [=> id]): it carries [k], or the sentinel of a
+   [SetId(v, ⊤)], or [k] is ⊤ and it carries some id. *)
+let matches k root d =
   Any_of
-    [ clause "Id match" [ In (q, View_id, "k"); Rel (Id, d, "k") ];
-      clause "Sentinel match" [ In (q, View_id, "_"); Const ("k", sentinel); Rel (Id, d, "k") ];
-      clause "FindView(v, ⊤)" [ In (q, Is Node.V_view_id_top, "_"); Rel (Id, d, "_") ] ]
+    [ clause "Id match" [ Rel (Id, d, k); Desc (true, root, d) ];
+      clause "Sentinel match" [ Const ("s", sentinel); Rel (Id, d, "s"); Desc (true, root, d) ];
+      clause "FindView(v, ⊤)" [ Const (k, Node.V_view_id_top); Desc (true, root, d); Rel (Id, d, "_") ] ]
 
 let rules =
   let open Framework.Api in
   let set_listener (i : Framework.Listeners.iface) =
     let on = is (Set_listener i) in
     let registered = [ In (Recv, View, "v"); In (Arg 0, Listener i.i_name, "l") ] in
-    let handler = (callbacks :: registered) @ [ Callback ("l", Handlers i, "m") ] in
+    let handler = registered @ [ callbacks; Callback ("l", Handlers i, "m") ] in
     [ entry "SetListener" on registered [ Listen ("v", "l", i.i_name) ];
       entry "SetListener this" on handler [ Flow (This "m", "l") ];
       entry "SetListener view" on handler [ Flow (View_param "m", "v") ];
       entry "SetListener item" on (handler @ [ Rel (Child, "v", "c") ]) [ Flow (Item_param "m", "c") ] ]
   in
+  let inflated = [ layout (Arg 0) "l"; Inflate ("l", "r") ] in
+  let query = In (Arg 0, Id_query, "k") in
   (* [d] answers the query under a root of a receiver holder *)
-  let in_holder =
-    [ matches (Arg 0) "d"; Desc (true, "r", "d"); Rel (Root, "h", "r"); holder Recv "h" ]
-  in
+  let in_holder = [ query; holder Recv "h"; Rel (Root, "h", "r"); matches "k" "r" "d" ] in
   let fragment = [ In (Arg 1, Obj "Fragment", "f"); Callback ("f", on_create_view, "m") ] in
-  let item = [ In (Recv, Menu, "u"); Item "i" ] in
+  let item = [ Item "i"; In (Recv, Menu, "u") ] in
   let owner = [ Owner ("u", "a"); Callback ("a", Named Framework.Lifecycle.on_options_item_selected, "m") ] in
   let adapter =
     [ In (Recv, View, "v"); In (Arg 0, Obj "Adapter", "a"); Callback ("a", Named ("getView", 3), "m") ]
   in
-  let onclick = [ Rel (Root, "h", "r"); Desc (true, "r", "d"); Callback ("h", Onclick "d", "m") ] in
+  let onclick =
+    [ Onclick_view "d"; Rel (Root, "h", "r"); Desc (true, "r", "d"); Callback ("h", Onclick "d", "m") ]
+  in
   let declared = [ Declared ("d", "f"); Callback ("f", on_create_view, "m") ] in
   [
     (* Section 4.2 *)
-    entry "Inflate1" (is Inflate) [ layout (Arg 0) "l"; Inflate ("l", "r") ] [ Flow (Out, "r") ];
-    entry "Inflate attach" (is Inflate)
-      [ layout (Arg 0) "l"; Inflate ("l", "r"); In (Arg 1, View, "p") ] [ Add (Child, "p", "r") ];
-    entry "Inflate2" (is Set_content)
-      [ layout (Arg 0) "l"; Inflate ("l", "r"); holder Recv "h" ] [ Add (Root, "h", "r") ];
+    entry "Inflate1" (is Inflate) inflated [ Flow (Out, "r") ];
+    entry "Inflate attach" (is Inflate) (inflated @ [ In (Arg 1, View, "p") ]) [ Add (Child, "p", "r") ];
+    entry "Inflate2" (is Set_content) (inflated @ [ holder Recv "h" ]) [ Add (Root, "h", "r") ];
     entry "AddView1" (is Set_content) [ In (Arg 0, View, "v"); holder Recv "h" ] [ Add (Root, "h", "v") ];
     entry "AddView2" (is Add_view) [ In (Recv, View, "p"); In (Arg 0, View, "c") ] [ Add (Child, "p", "c") ];
     entry "SetId" (is Set_id) [ In (Recv, View, "v"); view_id (Arg 0) "i" ] [ Add (Id, "v", "i") ];
   ]
   @ List.concat_map set_listener Framework.Listeners.all
   @ [
-    entry "FindView1" (is Find_view)
-      [ matches (Arg 0) "d"; Desc (true, "v", "d"); In (Recv, View, "v") ] [ Flow (Out, "d") ];
+    entry "FindView1" (is Find_view) [ query; In (Recv, View, "v"); matches "k" "v" "d" ] [ Flow (Out, "d") ];
     entry "FindView2" (is Find_view) in_holder [ Flow (Out, "d") ];
     entry "FindView3 children" (is (Find_one Children))
       [ refined; In (Recv, View, "v"); Rel (Child, "v", "d") ] [ Flow (Out, "d") ];
@@ -189,20 +195,48 @@ let rules =
        transitions are a read over the solved sets *)
     entry "FragmentAdd this" (is Fragment_add) fragment [ Flow (This "m", "f") ];
     entry "FragmentAdd" (is Fragment_add)
-      (in_holder @ fragment @ [ In (Ret "m", View, "c") ]) [ Add (Child, "d", "c") ];
+      (fragment @ in_holder @ [ In (Ret "m", View, "c") ]) [ Add (Child, "d", "c") ];
     entry "MenuAdd" (is Menu_add) item [ Add (Child, "u", "i"); Flow (Out, "i") ];
     entry "MenuAdd id" (is Menu_add) (item @ [ view_id (Arg 1) "n" ]) [ Add (Id, "i", "n") ];
     entry "MenuAdd callback" (is Menu_add) (item @ owner) [ Flow (Param ("m", 0), "i") ];
     entry "SetAdapter callback" (is Set_adapter) adapter [ Flow (This "m", "a"); Flow (Param ("m", 2), "v") ];
     entry "SetAdapter" (is Set_adapter) (adapter @ [ In (Ret "m", View, "c") ]) [ Add (Child, "v", "c") ];
     entry "OnClick" Round onclick [ Listen ("d", "h", "OnClickListener") ];
-    entry "OnClick callback" Round (callbacks :: onclick)
-      [ Flow (This "m", "h"); Flow (Param ("m", 0), "d") ];
+    entry "OnClick callback" Round (onclick @ [ callbacks ]) [ Flow (This "m", "h"); Flow (Param ("m", 0), "d") ];
     entry "Declared fragment" Round declared [ Flow (This "m", "f") ];
     entry "Declared fragment views" Round (declared @ [ In (Ret "m", View, "c") ]) [ Add (Child, "d", "c") ];
   ]
 
 let names = !registry
+
+(* {1 Footprints} *)
+
+type footprint = { reads : rel list; writes : rel list; listens : bool; resolves : bool }
+
+let rec flatten = function
+  | Any_of cs :: rest -> List.concat_map (fun c -> flatten c.premises) cs @ flatten rest
+  | p :: rest -> p :: flatten rest
+  | [] -> []
+
+let entries_on kind = List.filter (fun e -> match e.on with Op p -> p kind | Round -> false) rules
+
+let round_entries = List.filter (fun e -> match e.on with Round -> true | Op _ -> false) rules
+
+let footprint kind =
+  let entries = entries_on kind in
+  let premises = List.concat_map (fun e -> flatten e.rule.premises) entries in
+  let conclusions = List.concat_map (fun e -> e.conclusions) entries in
+  let reads r = List.exists (function Rel (r', _, _) -> r' = r | Desc _ -> r = Child | _ -> false) premises in
+  let inflates = List.exists (function Inflate _ -> true | _ -> false) premises in
+  let writes r =
+    (inflates && r <> Root) || List.exists (function Add (r', _, _) -> r' = r | _ -> false) conclusions
+  in
+  {
+    reads = List.filter reads [ Child; Id; Root ];
+    writes = List.filter writes [ Child; Id; Root ];
+    listens = List.exists (function Listen _ -> true | _ -> false) conclusions;
+    resolves = List.exists (function Callback _ -> true | _ -> false) premises;
+  }
 
 (* {1 The evaluator} *)
 
@@ -277,6 +311,7 @@ let classify st sort v =
   in
   match (sort, v) with
   | Any, _ | View, Node.V_view _ | Layout_id, Node.V_layout_id _ | View_id, Node.V_view_id _ -> Some v
+  | Id_query, (Node.V_view_id _ | Node.V_view_id_top) -> Some v
   | Is w, _ -> if Node.equal_value v w then Some v else None
   | Activity, Node.V_act _ -> Some v
   | Obj super, Node.V_obj _ -> of_class super
@@ -357,7 +392,7 @@ let layout_ids st =
     (Layouts.Package.layouts st.app.package)
 
 (* The [<fragment>] placeholders of the inflation memo, each with its
-   fragment object. *)
+   fragment object, and its views with an [android:onClick] name. *)
 let declared st =
   let acc = ref [] in
   Inflate.iter_memo st.graph st.app.package (fun d node ->
@@ -366,6 +401,12 @@ let declared st =
           acc := (Node.V_view d, Node.V_obj (Node.declared_fragment_site cls infl)) :: !acc
       | _ -> ());
   !acc
+
+let onclick_views st =
+  let acc = ref [] in
+  Inflate.iter_memo st.graph st.app.package (fun d node ->
+      if Option.is_some node.Layouts.Layout.onclick then acc := Node.V_view d :: !acc);
+  List.rev !acc
 
 (* Bind [x] to each candidate, or test a bound [x]; ["_"] asks that
    one exists. *)
@@ -405,8 +446,9 @@ let rec prove st op env premises k =
                 (fun (a, s) -> choose ((x, V a) :: env) y (VS.to_seq s) k)
                 (List.of_seq (Hashtbl.to_seq (table st r))))
       | Desc (reflexive, a, d) -> (
-          match bound env a with
-          | Some (V v) -> choose env d (VS.to_seq (closure (table st Child) ~reflexive v)) k
+          (* both bound: walk up from [d], the short way *)
+          match (bound env a, bound env d) with
+          | Some (V v), None -> choose env d (VS.to_seq (closure (table st Child) ~reflexive v)) k
           | _ -> choose env a (VS.to_seq (closure (inverse st Child) ~reflexive (value env d))) k)
       | Const (x, v) -> choose env x (Seq.return v) k
       | Layout x -> choose env x (List.to_seq (layout_ids st)) k
@@ -416,6 +458,7 @@ let rec prove st op env premises k =
           | _ -> ())
       | Callback (x, callee, m) -> List.iter (bind m) (resolve st env x callee)
       | Declared (d, f) -> List.iter (fun (dv, fv) -> k ((f, V fv) :: (d, V dv) :: env)) (declared st)
+      | Onclick_view d -> List.iter (fun v -> bind d (V v)) (onclick_views st)
       | Item x ->
           let item (op : Graph.op) = V (Node.V_view (Node.V_alloc (Node.menu_item_site op.site.o_site))) in
           Option.iter (fun op -> bind x (item op)) op

@@ -2,8 +2,68 @@
     INFLATE1/2, ADDVIEW1/2, SETID, SETLISTENER and its handler
     callbacks, FINDVIEW1/2/3, plus the extensions of DESIGN §5 and the
     ⊤ rules of DESIGN §15 — and the reference engine that interprets
-    it ([Config.Naive]).  The interned engine ({!Solve}) implements the
-    same rules by hand; the differential tests compare the two. *)
+    it ([Config.Naive]).  The interned engine ({!Solve}) stages the
+    same entries into closures over its id rows, so the table is the
+    one statement of the rules; the premise and clause order is the
+    interned engine's evaluation order and does not change what the
+    reference derives. *)
+
+(** {1 The rule language} *)
+
+type var = string
+(** A bound term; a premise over a bound variable tests it, ["_"] only
+    asks that some match exists. *)
+
+(** The op's locations, and those of a method bound by [Callback]. *)
+type loc =
+  | Recv | Arg of int | Out | This of var | Param of var * int | View_param of var | Item_param of var
+  | Ret of var
+
+(** The values a premise binds at a location: [Obj c] non-view objects
+    of a subclass of [c]; [Listener i] objects implementing [i] (a
+    custom view as its allocated object); [Id_query] view ids and ⊤. *)
+type sort =
+  | Any | View | Layout_id | View_id | Id_query | Is of Node.value | Activity | Obj of string | Menu
+  | Listener of string
+
+(** Parent-child, view=>id, holder=>root; read either way. *)
+type rel = Child | Id | Root
+
+(** Methods by name, a listener interface's handlers, or the
+    [android:onClick] names a view carries. *)
+type callee = Named of (string * int) | Handlers of Framework.Listeners.iface | Onclick of var
+
+type premise =
+  | Gate of (Config.t -> bool)
+  | In of loc * sort * var
+  | Rel of rel * var * var
+  | Desc of bool * var * var  (** [Desc (reflexive, a, d)]: [d] lies under [a] (or is [a]) *)
+  | Const of var * Node.value
+  | Layout of var  (** every layout id of the package *)
+  | Inflate of var * var  (** the root of the layout inflated at the op's site *)
+  | Callback of var * callee * var  (** a method the term's class resolves *)
+  | Declared of var * var  (** a [<fragment>] placeholder and its fragment *)
+  | Onclick_view of var  (** an inflated view with an [android:onClick] handler *)
+  | Item of var  (** the MenuItem minted at the op's site *)
+  | Owner of var * var  (** the activity of an options menu *)
+  | Any_of of clause list
+
+and clause = { name : string; ix : int; premises : premise list }
+
+type conclusion =
+  | Flow of loc * var
+  | Add of rel * var * var
+  | Listen of var * var * string  (** a registration under the named interface *)
+
+type entry = { rule : clause; on : on; conclusions : conclusion list }
+
+and on = Op of (Framework.Api.kind -> bool) | Round  (** [Round]: once per round, after the ops *)
+
+val entries_on : Framework.Api.kind -> entry list
+(** The [Op] entries that fire on the kind, in table order. *)
+
+val round_entries : entry list
+(** The [Round] entries, in table order. *)
 
 val passes_cast : Jir.Hierarchy.t -> string -> Node.value -> bool
 (** Can a value pass through a cast to the class?  Sound filtering:
@@ -11,6 +71,16 @@ val passes_cast : Jir.Hierarchy.t -> string -> Node.value -> bool
 
 val names : string list
 (** Every entry and named premise clause of the table, once each. *)
+
+type footprint = {
+  reads : rel list;  (** relations a [Rel] or [Desc] premise reads *)
+  writes : rel list;  (** relations an [Add] conclusion or an [Inflate] premise writes *)
+  listens : bool;  (** registers listeners ([Listen]) *)
+  resolves : bool;  (** resolves a method ([Callback]) *)
+}
+
+val footprint : Framework.Api.kind -> footprint
+(** What an op kind's entries read and write, read off the table. *)
 
 type run = {
   iterations : int;  (** rounds until nothing grew *)

@@ -1,7 +1,8 @@
-(* The solver (Section 4.2/4.3).  Two engines reach one fixpoint: the
-   naive reference ([Rules]) interprets the rule table over structural
-   sets, the interned production engine runs semi-naively over dense
-   ids, each rule written out by hand ([iapply_op]).  Either
+(* The solver (Section 4.2/4.3).  Two engines reach one fixpoint from
+   one statement of the rules, the table in [Rules]: the naive
+   reference interprets it over structural sets, the interned
+   production engine stages it into closures at freeze and runs them
+   semi-naively over dense ids.  Either
    way the result lands in one place, the graph's id-level solution
    store ([Graph.solution]): the interned engine installs its own
    bitset rows, the naive engine encodes its structural tables once at
@@ -41,10 +42,11 @@ let passes_cast = Rules.passes_cast
    After seeding, every op runs once; from then on an op is re-applied
    only when a location it reads grew or a relation it consults
    changed.  Ops still read full sets when applied, so the solution is
-   identical to the reference's ([Rules.run]).  Every location,
+   identical to the reference's ([Rules.run]).  An op applies its
+   kind's table entries, staged once (below).  Every location,
    abstract value, view, listener entry and holder is hash-consed
-   ([Intern]) when first seen; solution sets, delta sets and the view relations become
-   [Util.Bitset] over those ids, and the (static) flow edges are frozen
+   ([Intern]) when first seen; solution sets, delta sets and the view
+   relations become [Util.Bitset] over those ids, and the (static) flow edges are frozen
    into CSR int arrays.  Ops decode ids back to structural values only
    at rule boundaries (hierarchy lookups, inflation, callbacks).  At
    fixpoint the solver's own rows become the graph's solution store
@@ -97,6 +99,18 @@ module Slots = struct
     Array.fold_left (fun acc o -> match o with Some b -> acc + Util.Bitset.words b | None -> acc) 0 t.a
 end
 
+(* A staged points-to premise's candidates. *)
+type buf = { mutable a : int array; mutable n : int }
+
+let buf_add b x =
+  if b.n = Array.length b.a then b.a <- Array.append b.a (Array.make (max 16 b.n) 0);
+  b.a.(b.n) <- x;
+  b.n <- b.n + 1
+
+(* A dynamic reader of a callback's return location: an op, or the
+   declared-fragment pass. *)
+type rd = RD_op of int | RD_frags
+
 type istate = {
   iconfig : Config.t;
   iapp : Framework.App.t;
@@ -127,9 +141,14 @@ type istate = {
   iop_args : int array array;
   iop_out : int array;  (** -1 = no out location *)
   op_reads : int list array;  (** SCC representative -> op indexes reading a member *)
-  children_readers : int list;
-  ids_readers : int list;
-  roots_readers : int list;
+  ifoot : Rules.footprint array;  (** per op, its kind's footprint *)
+  readers : int list array;  (** per relation ([rix]), the ops whose kind reads it *)
+  iop_rule : (istate -> unit) array;  (** per op, its kind's staged entries *)
+  mutable icur_op : int;  (** the op being applied, [-1] in a pass *)
+  env : int array;  (** the staged entries' variables *)
+  clos : Util.Bitset.t array;  (** per variable, the [Desc] closure taken when it was bound *)
+  bufs : buf array;  (** per points-to premise, its candidates *)
+  iret_deps : (int, rd list) Hashtbl.t;  (** rep -> dynamic readers of a return location *)
   (* view relations on ids *)
   ichildren : Slots.t;
   iparents : Slots.t;
@@ -142,9 +161,7 @@ type istate = {
   ilisteners : Slots.t;  (** view id -> listener entry ids *)
   mutable iholder_ids : int list;  (** discovery order, newest first *)
   iholders_seen : Util.Bitset.t;
-  mutable irc_children : bool;
-  mutable irc_ids : bool;
-  mutable irc_roots : bool;
+  grown : bool array;  (** per relation ([rix]), grown since the round's ops were scheduled *)
   mutable irc_onclick : bool;  (** a fresh inflation added declarative handlers *)
   mutable irc_fragments : bool;  (** a fresh inflation added declared fragments *)
   mutable idecl : bool;  (** the memo may hold an onClick or <fragment> node *)
@@ -167,6 +184,8 @@ type istate = {
   mutable idelta_pushes : int;
   mutable iunion_calls : int;
 }
+
+let rix = function Rules.Child -> 0 | Rules.Id -> 1 | Rules.Root -> 2
 
 let ienqueue st nid = if Util.Bitset.add st.npending nid then Queue.push nid st.nq
 
@@ -320,30 +339,21 @@ let ipropagate st ~changed =
 
 (* Relation updates. *)
 
-let iancestors st wid =
+(* The views reachable from [wid] over [slots] (parents or children),
+   [wid] itself when [reflexive] or on a cycle. *)
+let ireach slots ~reflexive wid =
   let visited = Util.Bitset.create () in
-  ignore (Util.Bitset.add visited wid);
+  if reflexive then ignore (Util.Bitset.add visited wid);
   let q = Queue.create () in
   Queue.push wid q;
   while not (Queue.is_empty q) do
-    let cur = Queue.pop q in
-    match Slots.find st.iparents cur with
-    | None -> ()
-    | Some ps -> Util.Bitset.iter (fun p -> if Util.Bitset.add visited p then Queue.push p q) ps
+    Option.iter
+      (Util.Bitset.iter (fun v -> if Util.Bitset.add visited v then Queue.push v q))
+      (Slots.find slots (Queue.pop q))
   done;
   visited
 
-let istrict_descendants st wid =
-  let visited = Util.Bitset.create () in
-  let q = Queue.create () in
-  Queue.push wid q;
-  while not (Queue.is_empty q) do
-    let cur = Queue.pop q in
-    match Slots.find st.ichildren cur with
-    | None -> ()
-    | Some cs -> Util.Bitset.iter (fun c -> if Util.Bitset.add visited c then Queue.push c q) cs
-  done;
-  visited
+let iancestors st wid = ireach st.iparents ~reflexive:true wid
 
 let idesc_cached st wid =
   match Hashtbl.find_opt st.idesc_cache wid with
@@ -352,7 +362,7 @@ let idesc_cached st wid =
       s
   | None ->
       st.idesc_misses <- st.idesc_misses + 1;
-      let s = istrict_descendants st wid in
+      let s = ireach st.ichildren ~reflexive:false wid in
       Hashtbl.replace st.idesc_cache wid s;
       s
 
@@ -363,7 +373,7 @@ let iadd_child st ~parent ~child =
   let grew = rel_insert st.ichildren parent child in
   if grew then begin
     ignore (rel_insert st.iparents child parent);
-    st.irc_children <- true;
+    st.grown.(rix Child) <- true;
     if Hashtbl.length st.idesc_cache > 0 then
       Util.Bitset.iter (fun v -> Hashtbl.remove st.idesc_cache v) (iancestors st parent)
   end
@@ -372,88 +382,15 @@ let iadd_view_id st wid raw =
   let sym = Intern.rid st.it raw in
   if rel_insert st.iids wid sym then begin
     ignore (rel_insert st.iby_id sym wid);
-    st.irc_ids <- true
+    st.grown.(rix Id) <- true
   end
 
 let iadd_holder_root st hid root =
   if Util.Bitset.add st.iholders_seen hid then st.iholder_ids <- hid :: st.iholder_ids;
-  if rel_insert st.iroots hid root then st.irc_roots <- true
+  if rel_insert st.iroots hid root then st.grown.(rix Root) <- true
 
 let iadd_view_listener st wid entry =
   ignore (rel_insert st.ilisteners wid entry)
-
-(* Value decoders over a location's solution set. *)
-
-(* All op-rule reads of a node's points-to set funnel through here;
-   the set lives on the component representative. *)
-let iter_ivalues st nid f =
-  match Slots.find st.sols (irep st nid) with None -> () | Some b -> Util.Bitset.iter f b
-
-(* Membership of a single abstract value (the ⊤ markers) at an op
-   input, without walking the set: on a ⊤ graph the marker was interned
-   at seeding time (or sits at its fixed shared-tier index), so a
-   [None] lookup means the value cannot be anywhere. *)
-let ihas_value st nid v =
-  match Intern.find_value st.it v with
-  | None -> false
-  | Some vid -> (
-      match Slots.find st.sols (irep st nid) with
-      | Some b -> Util.Bitset.mem b vid
-      | None -> false)
-
-let iall_layout_ids st =
-  let package = st.iapp.Framework.App.package in
-  let resources = Layouts.Package.resources package in
-  List.filter_map
-    (fun (def : Layouts.Layout.def) -> Layouts.Resource.find_layout_id resources def.name)
-    (Layouts.Package.layouts package)
-
-let irids_at st nid =
-  let acc = ref [] in
-  iter_ivalues st nid (fun vid ->
-      match Intern.value_of st.it vid with Node.V_view_id raw -> acc := raw :: !acc | _ -> ());
-  List.rev !acc
-
-let ilayouts_at st nid =
-  let acc = ref [] in
-  iter_ivalues st nid (fun vid ->
-      match Intern.value_of st.it vid with Node.V_layout_id raw -> acc := raw :: !acc | _ -> ());
-  List.rev !acc
-
-let iviews_at st nid =
-  let acc = ref [] in
-  iter_ivalues st nid (fun vid ->
-      let wid = Intern.view_of_value_id st.it vid in
-      if wid >= 0 then acc := wid :: !acc);
-  List.rev !acc
-
-let iholders_at st nid =
-  let acc = ref [] in
-  iter_ivalues st nid (fun vid ->
-      match Intern.value_of st.it vid with
-      | Node.V_act a -> acc := Intern.holder st.it (Node.H_act a) :: !acc
-      | Node.V_obj site
-        when st.iconfig.Config.model_dialogs
-             && Framework.Views.is_dialog_class st.iapp.Framework.App.hierarchy site.Node.a_cls ->
-          acc := Intern.holder st.it (Node.H_dialog site) :: !acc
-      | _ -> ());
-  List.rev !acc
-
-let ilisteners_at st iface nid =
-  let implements cls =
-    Jir.Hierarchy.subtype st.iapp.Framework.App.hierarchy cls iface.Framework.Listeners.i_name
-  in
-  let acc = ref [] in
-  iter_ivalues st nid (fun vid ->
-      match Intern.value_of st.it vid with
-      | Node.V_obj site when implements site.Node.a_cls -> acc := Node.L_alloc site :: !acc
-      | Node.V_view view when implements (Node.class_of_view view) -> (
-          match view with
-          | Node.V_alloc site -> acc := Node.L_alloc site :: !acc
-          | Node.V_infl _ -> ())
-      | Node.V_act a when implements a -> acc := Node.L_act a :: !acc
-      | _ -> ());
-  List.rev !acc
 
 (* Inflation runs structurally ([Inflate] writes the graph's memo); a
    fresh instantiation's subtree facts are then imported into the
@@ -477,428 +414,401 @@ let iinflate_at st ~site lid =
             f.children;
           List.iter (fun (w, raw) -> iadd_view_id st (view w) raw) f.view_ids;
           (* a fresh subtree always grows both relations it carries *)
-          if f.children <> [] then st.irc_children <- true;
-          if f.view_ids <> [] then st.irc_ids <- true;
+          if f.children <> [] then st.grown.(rix Child) <- true;
+          if f.view_ids <> [] then st.grown.(rix Id) <- true;
           if f.onclick then st.irc_onclick <- true;
           if f.fragments then st.irc_fragments <- true;
           if f.onclick || f.fragments then st.idecl <- true)
         facts;
       Some (Inflate.root views)
 
-let iinject_handler_flows st wid listener iface =
-  let hierarchy = st.iapp.Framework.App.hierarchy in
-  let cls, listener_vid =
-    match listener with
-    | Node.L_alloc site -> (site.Node.a_cls, Intern.value st.it (Node.V_obj site))
-    | Node.L_act a -> (a, Intern.value st.it (Node.V_act a))
-  in
-  List.iter
-    (fun (h : Framework.Listeners.handler) ->
-      match
-        Jir.Hierarchy.resolve hierarchy cls { Jir.Ast.mk_name = h.h_name; mk_arity = h.h_arity }
-      with
-      | Some (owner, m) ->
-          let tmid = Node.mid_of_meth owner m in
-          ipush st (Intern.node st.it (Node.N_var (tmid, Jir.Ast.this_var))) listener_vid;
-          (match h.h_view_param with
-          | Some k -> (
-              match List.nth_opt m.m_params k with
-              | Some (param, _) ->
-                  ipush st
-                    (Intern.node st.it (Node.N_var (tmid, param)))
-                    (Intern.value_of_view_id st.it wid)
-              | None -> ())
-          | None -> ());
-          (match h.h_item_param with
-          | Some k -> (
-              match List.nth_opt m.m_params k with
-              | Some (param, _) -> (
-                  let pnid = Intern.node st.it (Node.N_var (tmid, param)) in
-                  match Slots.find st.ichildren wid with
-                  | None -> ()
-                  | Some cs ->
-                      Util.Bitset.iter
-                        (fun c -> ipush st pnid (Intern.value_of_view_id st.it c))
-                        cs)
-              | None -> ())
-          | None -> ())
-      | None -> ())
-    iface.Framework.Listeners.i_handlers
+(* Register [target] as a reader of [nid]'s set, under its
+   representative: [on_changed] fires with representative ids. *)
+let inote_ret st target nid =
+  let rid = irep st nid in
+  let existing = Option.value (Hashtbl.find_opt st.iret_deps rid) ~default:[] in
+  if not (List.mem target existing) then Hashtbl.replace st.iret_deps rid (target :: existing)
 
-(* find(view, id) on ids: walk the (few) carriers of the id, keeping
-   those inside the receiver's reflexive descendant closure.  [sym] is
-   [None] when the queried raw id was never interned (no carrier) —
-   the query can still resolve through ⊤-sentinel rows below. *)
-let ifind st root sym f =
-  let strict = idesc_cached st root in
-  let walk s =
-    match Slots.find st.iby_id s with
-    | None -> ()
-    | Some carriers ->
-        Util.Bitset.iter (fun w -> if w = root || Util.Bitset.mem strict w then f w) carriers
-  in
-  (match sym with Some s -> walk s | None -> ());
-  (* a view whose id row carries the ⊤ sentinel matches any query *)
-  if Graph.has_top st.igraph then
-    match Intern.rid_opt st.it Node.top_view_id_raw with
-    | Some top_sym when sym <> Some top_sym -> walk top_sym
-    | _ -> ()
+(* ------------------------------------------------------------------ *)
+(* The rule table, staged.  Each op kind's [Op] entries of
+   [Rules.rules] compile once, when the module initialises, into one
+   closure over a solve's id rows, and the [Round] entries into one
+   closure per pass.  Entries that share a premise prefix (the table
+   builds them from the same premise values) share its loops: each
+   binding of the prefix runs the conclusions of the entries ending
+   there, then the longer entries, in table order.  Every variable is a
+   slot of the solve's preallocated environment ([env]), so binding
+   allocates nothing:
+   - a points-to premise copies its candidates into its own buffer
+     first (the set may grow under the loop, and that growth is the
+     op's next application's);
+   - a [Desc] premise reads the closure taken once, where the first of
+     its two variables was bound: an ancestor's descendants
+     ([idesc_cached]) or a descendant's ancestors;
+   - a [Callback] mints, per resolved method, the locations the rest
+     of its entries use, in order of use, and registers a [Ret] among
+     them as a dynamic dependency of the running op.
+   So the table's order is the order ops push values, mint ids and
+   insert rows in.  A premise shape the table does not use is refused
+   when the module initialises. *)
 
-(* find(view, ⊤): every view in scope carrying at least one id. *)
-let ifind_any_id st root f =
-  let strict = idesc_cached st root in
-  let visit w =
-    match Slots.find st.iids w with
-    | Some ids when not (Util.Bitset.is_empty ids) -> f w
-    | _ -> ()
-  in
-  visit root;
-  Util.Bitset.iter (fun w -> if w <> root then visit w) strict
+(* A variable's domain: view ids, value ids, value ids of listeners (a
+   custom view stands for its allocated object), raw layout ids, raw
+   view ids ([id_top] for the ⊤ query). *)
+type dom = D_view | D_value | D_listener | D_layout | D_id
 
-let iapply_op st ~note_ret oi =
-  let op = st.iops.(oi) in
-  let hierarchy = st.iapp.Framework.App.hierarchy in
-  let out_id = st.iop_out.(oi) in
-  let out vid = if out_id >= 0 then ipush st out_id vid in
-  let out_view wid = out (Intern.value_of_view_id st.it wid) in
-  let args = st.iop_args.(oi) in
-  let arg k = if k < Array.length args then Some args.(k) else None in
-  let recv = st.iop_recv.(oi) in
-  match op.Graph.site.o_kind with
-  | Framework.Api.Inflate ->
-      Option.iter
-        (fun a ->
-          let lids = ilayouts_at st a in
-          let lids = if ihas_value st a Node.V_layout_top then iall_layout_ids st @ lids else lids in
-          List.iter
-            (fun lid ->
-              match iinflate_at st ~site:op.Graph.site.o_site lid with
-              | Some root_view ->
-                  let root = Intern.view st.it root_view in
-                  out_view root;
-                  (match arg 1 with
-                  | Some parent_arg ->
-                      List.iter
-                        (fun parent -> iadd_child st ~parent ~child:root)
-                        (iviews_at st parent_arg)
-                  | None -> ())
-              | None -> ())
-            lids)
-        (arg 0)
-  | Framework.Api.Set_content ->
-      let holders = iholders_at st recv in
-      Option.iter
-        (fun a ->
-          let lids = ilayouts_at st a in
-          let lids = if ihas_value st a Node.V_layout_top then iall_layout_ids st @ lids else lids in
-          List.iter
-            (fun lid ->
-              match iinflate_at st ~site:op.Graph.site.o_site lid with
-              | Some root_view ->
-                  let root = Intern.view st.it root_view in
-                  List.iter (fun h -> iadd_holder_root st h root) holders
-              | None -> ())
-            lids;
-          List.iter
-            (fun view -> List.iter (fun h -> iadd_holder_root st h view) holders)
-            (iviews_at st a))
-        (arg 0)
-  | Framework.Api.Add_view ->
-      Option.iter
-        (fun a ->
-          List.iter
-            (fun parent ->
-              List.iter (fun child -> iadd_child st ~parent ~child) (iviews_at st a))
-            (iviews_at st recv))
-        (arg 0)
-  | Framework.Api.Set_id ->
-      Option.iter
-        (fun a ->
-          let ids = irids_at st a in
-          let ids =
-            if ihas_value st a Node.V_view_id_top then Node.top_view_id_raw :: ids else ids
-          in
-          List.iter
-            (fun wid -> List.iter (fun raw -> iadd_view_id st wid raw) ids)
-            (iviews_at st recv))
-        (arg 0)
-  | Framework.Api.Set_listener iface ->
-      Option.iter
-        (fun a ->
-          List.iter
-            (fun wid ->
-              List.iter
-                (fun listener ->
-                  iadd_view_listener st wid
-                    (Intern.listener st.it (listener, iface.Framework.Listeners.i_name));
-                  if st.iconfig.Config.listener_callbacks then
-                    iinject_handler_flows st wid listener iface)
-                (ilisteners_at st iface a))
-            (iviews_at st recv))
-        (arg 0)
-  | Framework.Api.Find_view ->
-      Option.iter
-        (fun a ->
-          let over_scope find =
-            List.iter (fun v -> find v) (iviews_at st recv);
-            List.iter
-              (fun h ->
-                match Slots.find st.iroots h with
-                | None -> ()
-                | Some roots -> Util.Bitset.iter (fun root -> find root) roots)
-              (iholders_at st recv)
-          in
-          List.iter
-            (fun raw ->
-              over_scope (fun root -> ifind st root (Intern.rid_opt st.it raw) out_view))
-            (irids_at st a);
-          if ihas_value st a Node.V_view_id_top then
-            over_scope (fun root -> ifind_any_id st root out_view))
-        (arg 0)
-  | Framework.Api.Find_one scope ->
-      List.iter
-        (fun v ->
-          match scope with
-          | Framework.Api.Children when st.iconfig.Config.findone_refinement -> (
-              match Slots.find st.ichildren v with
-              | None -> ()
-              | Some cs -> Util.Bitset.iter out_view cs)
-          | Framework.Api.Children | Framework.Api.Descendants ->
-              Util.Bitset.iter out_view (idesc_cached st v))
-        (iviews_at st recv)
-  | Framework.Api.Get_parent ->
-      List.iter
-        (fun v ->
-          match Slots.find st.iparents v with
-          | None -> ()
-          | Some ps -> Util.Bitset.iter out_view ps)
-        (iviews_at st recv)
-  | Framework.Api.Pass_through -> iter_ivalues st recv out
-  | Framework.Api.Fragment_add ->
-      let fragments =
-        match arg 1 with
-        | Some frag_arg ->
-            let acc = ref [] in
-            iter_ivalues st frag_arg (fun vid ->
-                match Intern.value_of st.it vid with
-                | Node.V_obj site when Framework.Views.is_fragment_class hierarchy site.Node.a_cls
-                  ->
-                    acc := site :: !acc
-                | _ -> ());
-            !acc
-        | None -> []
-      in
-      let container_ids = match arg 0 with Some id_arg -> irids_at st id_arg | None -> [] in
-      let top_container =
-        match arg 0 with
-        | Some id_arg -> ihas_value st id_arg Node.V_view_id_top
-        | None -> false
-      in
-      let containers =
-        List.concat_map
-          (fun h ->
-            match Slots.find st.iroots h with
-            | None -> []
-            | Some roots ->
-                Util.Bitset.fold
-                  (fun root acc ->
-                    let acc =
-                      if top_container then begin
-                        let elems = ref acc in
-                        ifind_any_id st root (fun w -> elems := w :: !elems);
-                        !elems
-                      end
-                      else acc
+let id_top = min_int
+
+(* A variable at compile time: its slot, and the closure later [Desc]
+   premises read (fixed once the table is staged). *)
+type slot = { ix : int; dom : dom; mutable anchor : [ `None | `Down | `Up ] }
+
+(* A method variable: the locations the entries use, each with its slot. *)
+type mslot = { mutable mlocs : (Rules.loc * int) list }
+
+type bound = S of slot | M of mslot
+
+(* The entries of a kind merged on shared premise prefixes. *)
+type tnode = { prem : Rules.premise; mutable concl : Rules.conclusion list; mutable kids : tnode list }
+
+let trie entries =
+  let rec insert nodes ps concl =
+    match ps with
+    | [] -> invalid_arg "Solve: an entry without premises"
+    | p :: rest ->
+        let n, nodes =
+          match List.find_opt (fun n -> n.prem == p) nodes with
+          | Some n -> (n, nodes)
+          | None ->
+              let n = { prem = p; concl = []; kids = [] } in
+              (n, nodes @ [ n ])
+        in
+        if rest = [] then n.concl <- n.concl @ concl else n.kids <- insert n.kids rest concl;
+        nodes
+  in
+  List.fold_left (fun nodes (e : Rules.entry) -> insert nodes e.rule.premises e.conclusions) [] entries
+
+let unsupported what = invalid_arg ("Solve: the staged engine has no " ^ what)
+
+(* Staged closures thread the state through rather than capture it,
+   so running them allocates nothing. *)
+let seq fs =
+  let rec run fs st = match fs with [] -> () | f :: rest -> f st; run rest st in
+  match fs with [ f ] -> f | fs -> run fs
+
+let rows visit slots i st = match Slots.find slots i with Some row -> Util.Bitset.iter_with visit st row | None -> ()
+
+let vid_of st s =
+  let v = st.env.(s.ix) in
+  match s.dom with
+  | D_view -> Intern.value_of_view_id st.it v
+  | D_listener -> (
+      match Intern.value_of st.it v with
+      | Node.V_view (Node.V_alloc site) -> Intern.value st.it (Node.V_obj site)
+      | _ -> v)
+  | D_value | D_layout | D_id -> v
+
+let class_of st s =
+  match Intern.value_of st.it (vid_of st s) with
+  | Node.V_view v -> Some (Node.class_of_view v)
+  | Node.V_obj site -> Some site.Node.a_cls
+  | Node.V_act a -> Some a
+  | _ -> None
+
+let holder_id st s =
+  Intern.holder st.it
+    (match Intern.value_of st.it st.env.(s.ix) with
+    | Node.V_obj site -> Node.H_dialog site
+    | Node.V_act a -> Node.H_act a
+    | _ -> unsupported "holder of this value")
+
+let listener_of st s =
+  match Intern.value_of st.it st.env.(s.ix) with
+  | Node.V_obj site | Node.V_view (Node.V_alloc site) -> Node.L_alloc site
+  | Node.V_act a -> Node.L_act a
+  | _ -> unsupported "listener of this value"
+
+(* Binding [s] to [v] takes the closure later [Desc] premises read. *)
+let put st s v =
+  st.env.(s.ix) <- v;
+  match s.anchor with
+  | `None -> ()
+  | `Down -> st.clos.(s.ix) <- idesc_cached st v
+  | `Up -> st.clos.(s.ix) <- iancestors st v
+
+(* Stage the tries; returns the closures, then the environment's and
+   the buffers' sizes. *)
+let stage tries =
+  let slots = ref 0 and buffers = ref 0 in
+  let next r = incr r; !r - 1 in
+  let fresh dom = { ix = next slots; dom; anchor = `None } in
+  let slot scope x = match List.assoc_opt x scope with Some (S s) -> Some s | _ -> None in
+  let bound scope x = match slot scope x with Some s -> s | None -> unsupported ("free " ^ x) in
+  let site st = st.iops.(st.icur_op).Graph.site.o_site in
+  let location scope (loc : Rules.loc) =
+    match loc with
+    | Recv -> fun st -> st.iop_recv.(st.icur_op)
+    | Out -> fun st -> st.iop_out.(st.icur_op)
+    | Arg k ->
+        fun st ->
+          let a = st.iop_args.(st.icur_op) in
+          if k < Array.length a then a.(k) else -1
+    | This m | Param (m, _) | View_param m | Item_param m | Ret m -> (
+        match List.assoc_opt m scope with
+        | Some (M ms) ->
+            let i =
+              match List.assoc_opt loc ms.mlocs with
+              | Some i -> i
+              | None ->
+                  let i = next slots in
+                  ms.mlocs <- ms.mlocs @ [ (loc, i) ];
+                  i
+            in
+            fun st -> st.env.(i)
+        | _ -> unsupported ("method " ^ m))
+  in
+  let rec nodes scope ns = seq (List.map (node scope) ns)
+  and node scope n =
+    premise scope n.prem (fun scope ->
+        let concl = List.map (conclude scope) n.concl in
+        seq (concl @ [ nodes scope n.kids ]))
+  and premises scope ps body =
+    match ps with [] -> body scope | p :: rest -> premise scope p (fun scope -> premises scope rest body)
+  (* [gen scope x dom body enum]: bind [x] to each value [enum] yields.
+     The continuation is compiled first, so the slot's anchor is known
+     when it is bound; [gen2] binds two variables at once. *)
+  and gen scope x dom body enum =
+    let s = fresh dom in
+    let k = body ((x, S s) :: scope) in
+    enum (fun st v ->
+        put st s v;
+        k st)
+  (* [gen] over relation rows: [enum k st] calls [k st] on each *)
+  and gen_rows scope x body enum = gen scope x D_view body enum
+  and gen2 scope (x, dx) (y, dy) body enum =
+    let sx = fresh dx and sy = fresh dy in
+    let k = body ((y, S sy) :: (x, S sx) :: scope) in
+    enum (fun st u v ->
+        put st sx u;
+        put st sy v;
+        k st)
+  and test scope body cond =
+    let k = body scope in
+    fun st -> if cond st then k st
+  and premise scope (p : Rules.premise) body =
+    match p with
+    | Gate g -> test scope body (fun st -> g st.iconfig)
+    | Any_of cs -> seq (List.map (fun (c : Rules.clause) -> premises scope c.premises body) cs)
+    | In (loc, Is v, "_") ->
+        let at = location scope loc in
+        test scope body (fun st ->
+            let n = at st in
+            n >= 0
+            &&
+            match (Intern.find_value st.it v, Slots.find st.sols (irep st n)) with
+            | Some vid, Some set -> Util.Bitset.mem set vid
+            | _ -> false)
+    | In (loc, sort, x) ->
+        if x = "_" || slot scope x <> None then unsupported "test of a points-to premise";
+        let at = location scope loc and bi = next buffers in
+        let dom =
+          match sort with
+          | View | Menu -> D_view
+          | Layout_id -> D_layout
+          | View_id | Id_query -> D_id
+          | Listener _ -> D_listener
+          | Any | Activity | Obj _ | Is _ -> D_value
+        in
+        (* add the candidate value [vid] is, if any *)
+        let candidate st vid =
+          let b = st.bufs.(bi) and h = st.iapp.Framework.App.hierarchy in
+          match (sort, Intern.value_of st.it vid) with
+          | View, Node.V_view _ -> buf_add b (Intern.view_of_value_id st.it vid)
+          | Menu, Node.V_view v when Jir.Hierarchy.subtype h (Node.class_of_view v) "Menu" ->
+              buf_add b (Intern.view_of_value_id st.it vid)
+          | Layout_id, Node.V_layout_id raw | (View_id | Id_query), Node.V_view_id raw -> buf_add b raw
+          | Id_query, Node.V_view_id_top -> buf_add b id_top
+          | Any, _ | Activity, Node.V_act _ -> buf_add b vid
+          | Is w, v when Node.equal_value v w -> buf_add b vid
+          | Obj c, Node.V_obj site when Jir.Hierarchy.subtype h site.Node.a_cls c -> buf_add b vid
+          | ( Listener i,
+              (Node.V_obj { Node.a_cls = c; _ } | Node.V_act c | Node.V_view (Node.V_alloc { Node.a_cls = c; _ })) )
+            when Jir.Hierarchy.subtype h c i ->
+              buf_add b vid
+          | _ -> ()
+        in
+        gen scope x dom body (fun k st ->
+            let nid = at st in
+            match if nid >= 0 then Slots.find st.sols (irep st nid) else None with
+            | None -> ()
+            | Some set ->
+                let b = st.bufs.(bi) in
+                b.n <- 0;
+                Util.Bitset.iter_with candidate st set;
+                for i = 0 to b.n - 1 do
+                  k st b.a.(i)
+                done)
+    | Rel (r, x, y) -> (
+        let value s st = st.env.(s.ix) in
+        match (r, slot scope x, slot scope y) with
+        | Child, Some sx, None -> gen_rows scope y body (fun visit st -> rows visit st.ichildren (value sx st) st)
+        | Child, None, Some sy -> gen_rows scope x body (fun visit st -> rows visit st.iparents (value sy st) st)
+        | Root, Some sh, None -> gen_rows scope y body (fun visit st -> rows visit st.iroots (holder_id st sh) st)
+        | Root, None, None ->
+            (* holders in discovery order, each as its own value *)
+            gen2 scope (x, D_value) (y, D_view) body (fun k st ->
+                List.iter
+                  (fun hid ->
+                    let self =
+                      match Intern.holder_of st.it hid with
+                      | Node.H_act a -> Node.V_act a
+                      | Node.H_dialog site -> Node.V_obj site
                     in
-                    List.fold_left
-                      (fun acc raw ->
-                        let elems = ref acc in
-                        ifind st root (Intern.rid_opt st.it raw) (fun w -> elems := w :: !elems);
-                        !elems)
-                      acc container_ids)
-                  roots [])
-          (iholders_at st recv)
-      in
-      List.iter
-        (fun (fragment : Node.alloc_site) ->
-          match
-            Jir.Hierarchy.resolve hierarchy fragment.a_cls
-              { Jir.Ast.mk_name = "onCreateView"; mk_arity = 0 }
-          with
-          | Some (owner, m) ->
-              let tmid = Node.mid_of_meth owner m in
-              ipush st
-                (Intern.node st.it (Node.N_var (tmid, Jir.Ast.this_var)))
-                (Intern.value st.it (Node.V_obj fragment));
-              let rn = Intern.node st.it (Node.N_ret tmid) in
-              note_ret rn;
-              let created = iviews_at st rn in
-              List.iter
-                (fun parent -> List.iter (fun child -> iadd_child st ~parent ~child) created)
-                containers
-          | None -> ())
-        fragments
-  | Framework.Api.Menu_add ->
-      let item_view = Node.V_alloc (Node.menu_item_site op.Graph.site.o_site) in
-      let item = Intern.view st.it item_view in
-      List.iter
-        (fun menu_wid ->
-          let menu = Intern.view_of st.it menu_wid in
-          if Jir.Hierarchy.subtype hierarchy (Node.class_of_view menu) "Menu" then begin
-            iadd_child st ~parent:menu_wid ~child:item;
-            out_view item;
-            (match arg 1 with
-            | Some id_arg ->
-                let ids = irids_at st id_arg in
-                let ids =
-                  if ihas_value st id_arg Node.V_view_id_top then Node.top_view_id_raw :: ids
-                  else ids
-                in
-                List.iter (fun raw -> iadd_view_id st item raw) ids
-            | None -> ());
-            match menu with
-            | Node.V_alloc site -> (
-                match Node.menu_owner site with
-                | Some activity -> (
-                    match
-                      Jir.Hierarchy.resolve hierarchy activity
-                        {
-                          Jir.Ast.mk_name = fst Framework.Lifecycle.on_options_item_selected;
-                          mk_arity = snd Framework.Lifecycle.on_options_item_selected;
-                        }
-                    with
-                    | Some (owner, m) -> (
-                        let tmid = Node.mid_of_meth owner m in
-                        match m.m_params with
-                        | (param, _) :: _ ->
-                            ipush st
-                              (Intern.node st.it (Node.N_var (tmid, param)))
-                              (Intern.value_of_view_id st.it item)
-                        | [] -> ())
-                    | None -> ())
+                    let h = Intern.value st.it self in
+                    rows (fun st r -> k st h r) st.iroots hid st)
+                  (List.rev st.iholder_ids))
+        | Id, None, Some sk ->
+            gen_rows scope x body (fun visit st ->
+                let raw = value sk st in
+                match if raw = id_top then None else Intern.rid_opt st.it raw with
+                | Some sym -> rows visit st.iby_id sym st
                 | None -> ())
-            | Node.V_infl _ -> ()
-          end)
-        (iviews_at st recv)
-  | Framework.Api.Set_adapter ->
-      let adapters =
-        match arg 0 with
-        | Some a ->
-            let acc = ref [] in
-            iter_ivalues st a (fun vid ->
-                match Intern.value_of st.it vid with
-                | Node.V_obj site when Jir.Hierarchy.subtype hierarchy site.Node.a_cls "Adapter" ->
-                    acc := site :: !acc
-                | _ -> ());
-            !acc
-        | None -> []
-      in
-      List.iter
-        (fun wid ->
-          List.iter
-            (fun (adapter : Node.alloc_site) ->
-              match
-                Jir.Hierarchy.resolve hierarchy adapter.a_cls
-                  { Jir.Ast.mk_name = "getView"; mk_arity = 3 }
-              with
-              | Some (owner, m) ->
-                  let tmid = Node.mid_of_meth owner m in
-                  ipush st
-                    (Intern.node st.it (Node.N_var (tmid, Jir.Ast.this_var)))
-                    (Intern.value st.it (Node.V_obj adapter));
-                  (match List.nth_opt m.m_params 2 with
-                  | Some (param, _) ->
-                      ipush st
-                        (Intern.node st.it (Node.N_var (tmid, param)))
-                        (Intern.value_of_view_id st.it wid)
-                  | None -> ());
-                  let rn = Intern.node st.it (Node.N_ret tmid) in
-                  note_ret rn;
-                  List.iter (fun child -> iadd_child st ~parent:wid ~child) (iviews_at st rn)
-              | None -> ())
-            adapters)
-        (iviews_at st recv)
-  | Framework.Api.Start_activity -> (* a read over the solved sets: [Analysis.transitions] *) ()
-
-let iregister_declarative st hid wid handler_name =
-  let hierarchy = st.iapp.Framework.App.hierarchy in
-  (* the holder is its own listener *)
-  let label, listener, self =
-    match Intern.holder_of st.it hid with
-    | Node.H_act a -> (a, Node.L_act a, Node.V_act a)
-    | Node.H_dialog site -> (site.Node.a_cls, Node.L_alloc site, Node.V_obj site)
-  in
-  match Jir.Hierarchy.resolve hierarchy label { Jir.Ast.mk_name = handler_name; mk_arity = 1 } with
-  | Some (owner, m) ->
-      iadd_view_listener st wid (Intern.listener st.it (listener, "OnClickListener"));
-      if st.iconfig.Config.listener_callbacks then begin
-        let tmid = Node.mid_of_meth owner m in
-        ipush st (Intern.node st.it (Node.N_var (tmid, Jir.Ast.this_var))) (Intern.value st.it self);
-        match m.m_params with
-        | (param, _) :: _ ->
-            let pnid = Intern.node st.it (Node.N_var (tmid, param)) in
-            ipush st pnid (Intern.value_of_view_id st.it wid)
-        | [] -> ()
-      end
-  | None -> ()
-
-(* The two declarative passes walk the inflation memo, once it may
-   hold such a node, and read each view's handler or fragment class
-   from its layout node. *)
-let iapply_declarative_handlers st =
-  let holder_ids = List.rev st.iholder_ids in
-  if st.idecl then
-    Inflate.iter_memo st.igraph st.iapp.Framework.App.package (fun view node ->
-        match node.Layouts.Layout.onclick with
-        | None -> ()
-        | Some handler ->
-            let wid = Intern.view st.it view in
-            let above = iancestors st wid in
+        | Id, Some sd, None when y = "_" ->
+            test scope body (fun st ->
+                not (Option.fold ~none:true ~some:Util.Bitset.is_empty (Slots.find st.iids (value sd st))))
+        | _ -> unsupported "relation premise of this shape")
+    | Desc (refl, a, d) -> (
+        (* [x] was bound before [y]: the scope lists the newest first *)
+        let rec earlier x y = function
+          | (z, _) :: rest -> if z = y then List.mem_assoc x rest else z <> x && earlier x y rest
+          | [] -> false
+        in
+        let anchor s dir =
+          if s.anchor <> `None && s.anchor <> dir then unsupported "variable anchored both ways";
+          s.anchor <- dir
+        in
+        match (slot scope a, slot scope d) with
+        | Some sa, None ->
+            anchor sa `Down;
+            gen scope d D_view body (fun k ->
+                let below st w = if not (refl && w = st.env.(sa.ix)) then k st w in
+                fun st ->
+                  if refl then k st st.env.(sa.ix);
+                  Util.Bitset.iter_with below st st.clos.(sa.ix))
+        | Some sa, Some sd when earlier a d scope ->
+            anchor sa `Down;
+            test scope body (fun st ->
+                (refl && st.env.(sd.ix) = st.env.(sa.ix)) || Util.Bitset.mem st.clos.(sa.ix) st.env.(sd.ix))
+        | Some sa, Some sd when refl ->
+            anchor sd `Up;
+            test scope body (fun st -> Util.Bitset.mem st.clos.(sd.ix) st.env.(sa.ix))
+        | _ -> unsupported "descendant premise of this shape")
+    | Const (x, c) -> (
+        let raw = match c with Node.V_view_id raw -> raw | Node.V_view_id_top -> id_top | _ -> unsupported "constant" in
+        match slot scope x with
+        | Some s -> test scope body (fun st -> st.env.(s.ix) = raw)
+        | None -> gen scope x D_id body (fun k st -> k st raw))
+    | Layout x ->
+        gen scope x D_layout body (fun k st ->
+            let package = st.iapp.Framework.App.package in
+            let resources = Layouts.Package.resources package in
             List.iter
-              (fun hid ->
-                match Slots.find st.iroots hid with
-                | Some roots when Util.Bitset.intersects roots above ->
-                    iregister_declarative st hid wid handler
-                | _ -> ())
-              holder_ids)
+              (fun (def : Layouts.Layout.def) -> Option.iter (k st) (Layouts.Resource.find_layout_id resources def.name))
+              (Layouts.Package.layouts package))
+    | Inflate (l, r) ->
+        let sl = bound scope l in
+        gen scope r D_view body (fun k st ->
+            Option.iter (fun root -> k st (Intern.view st.it root)) (iinflate_at st ~site:(site st) st.env.(sl.ix)))
+    | Item x ->
+        gen scope x D_view body (fun k st -> k st (Intern.view st.it (Node.V_alloc (Node.menu_item_site (site st)))))
+    | Owner (u, a) ->
+        let su = bound scope u in
+        gen scope a D_value body (fun k st ->
+            match Intern.view_of st.it st.env.(su.ix) with
+            | Node.V_alloc site -> Option.iter (fun o -> k st (Intern.value st.it (Node.V_act o))) (Node.menu_owner site)
+            | Node.V_infl _ -> ())
+    | Declared (d, f) ->
+        gen2 scope (d, D_view) (f, D_value) body (fun k st ->
+            Inflate.iter_memo st.igraph st.iapp.Framework.App.package (fun view n ->
+                match (view, n.fragment_class) with
+                | Node.V_infl infl, Some cls ->
+                    let fragment = Node.V_obj (Node.declared_fragment_site cls infl) in
+                    k st (Intern.view st.it view) (Intern.value st.it fragment)
+                | _ -> ()))
+    | Onclick_view d ->
+        gen scope d D_view body (fun k st ->
+            Inflate.iter_memo st.igraph st.iapp.Framework.App.package (fun view n ->
+                if Option.is_some n.onclick then k st (Intern.view st.it view)))
+    | Callback (x, callee, m) ->
+        let sx = bound scope x and ms = { mlocs = [] } in
+        let k = body ((m, M ms) :: scope) in
+        let targets =
+          match callee with
+          | Named (name, arity) -> Fun.const [ (name, arity, None) ]
+          | Handlers i ->
+              let hs = List.map (fun (h : Framework.Listeners.handler) -> (h.h_name, h.h_arity, Some h)) i.i_handlers in
+              Fun.const hs
+          | Onclick d ->
+              let sd = bound scope d in
+              fun st ->
+                let view = Intern.view_of st.it st.env.(sd.ix) in
+                Option.fold ~none:[] ~some:(fun n -> [ (n, 1, None) ]) (Inflate.onclick st.iapp.Framework.App.package view)
+        in
+        let resolved st cls (name, arity, h) =
+          match Jir.Hierarchy.resolve st.iapp.Framework.App.hierarchy cls { Jir.Ast.mk_name = name; mk_arity = arity } with
+          | None -> ()
+          | Some (owner, meth) ->
+              let mid = Node.mid_of_meth owner meth in
+              let node v = Intern.node st.it (Node.N_var (mid, v)) in
+              let param k = Option.fold ~none:(-1) ~some:(fun (p, _) -> node p) (Option.bind k (List.nth_opt meth.m_params)) in
+              let handler f = Option.bind h f in
+              List.iter
+                (fun ((loc : Rules.loc), i) ->
+                  st.env.(i) <-
+                    (match loc with
+                    | This _ -> node Jir.Ast.this_var
+                    | Param (_, k) -> param (Some k)
+                    | View_param _ -> param (handler (fun h -> h.Framework.Listeners.h_view_param))
+                    | Item_param _ -> param (handler (fun h -> h.Framework.Listeners.h_item_param))
+                    | Ret _ ->
+                        let n = Intern.node st.it (Node.N_ret mid) in
+                        inote_ret st (if st.icur_op >= 0 then RD_op st.icur_op else RD_frags) n;
+                        n
+                    | Recv | Arg _ | Out -> -1))
+                ms.mlocs;
+              k st
+        in
+        fun st -> Option.iter (fun cls -> List.iter (resolved st cls) (targets st)) (class_of st sx)
+  and conclude scope (c : Rules.conclusion) =
+    match c with
+    | Flow (loc, x) ->
+        let at = location scope loc and s = bound scope x in
+        fun st ->
+          let n = at st in
+          if n >= 0 then ipush st n (vid_of st s)
+    | Add (r, x, y) -> (
+        let sx = bound scope x and sy = bound scope y in
+        match r with
+        | Child -> fun st -> iadd_child st ~parent:st.env.(sx.ix) ~child:st.env.(sy.ix)
+        | Id -> fun st -> iadd_view_id st st.env.(sx.ix) st.env.(sy.ix)
+        | Root -> fun st -> iadd_holder_root st (holder_id st sx) st.env.(sy.ix))
+    | Listen (v, l, iface) ->
+        let sv = bound scope v and sl = bound scope l in
+        fun st -> iadd_view_listener st st.env.(sv.ix) (Intern.listener st.it (listener_of st sl, iface))
+  in
+  let staged = List.map (List.map (node [])) tries in
+  (staged, !slots, !buffers)
 
-let iapply_declared_fragments st ~note_ret =
-  let hierarchy = st.iapp.Framework.App.hierarchy in
-  if st.idecl then
-    Inflate.iter_memo st.igraph st.iapp.Framework.App.package (fun view node ->
-        match (view, node.Layouts.Layout.fragment_class) with
-        | Node.V_infl infl, Some cls -> (
-            match
-              Jir.Hierarchy.resolve hierarchy cls { Jir.Ast.mk_name = "onCreateView"; mk_arity = 0 }
-            with
-            | Some (owner, m) ->
-                let wid = Intern.view st.it view in
-                let fragment = Node.declared_fragment_site cls infl in
-                let tmid = Node.mid_of_meth owner m in
-                ipush st
-                  (Intern.node st.it (Node.N_var (tmid, Jir.Ast.this_var)))
-                  (Intern.value st.it (Node.V_obj fragment));
-                let rn = Intern.node st.it (Node.N_ret tmid) in
-                note_ret rn;
-                List.iter (fun child -> iadd_child st ~parent:wid ~child) (iviews_at st rn)
-            | None -> ())
-        | _ -> ())
+(* Each kind's staged entries and footprint, by [Framework.Api.kind_index],
+   and the two round passes (declarative handlers, declared fragments,
+   in table order). *)
+let kinds, rounds, env_size, buffer_count =
+  let kinds = Framework.Api.kinds in
+  let staged, slots, buffers = stage (trie Rules.round_entries :: List.map (fun k -> trie (Rules.entries_on k)) kinds) in
+  let per_kind = List.map2 (fun k s -> (seq s, Rules.footprint k)) kinds (List.tl staged) in
+  (Array.of_list per_kind, Array.of_list (List.hd staged), slots, buffers)
 
-(* Which relations an op's rule consults beyond its recv/arg sets:
-   FindView resolves ids over holder roots and their descendants;
-   FindOne/GetParent walk the hierarchy; SetListener re-injects handler
-   flows over the receiver's children (list-item propagation);
-   FragmentAdd resolves container ids over roots and hierarchies. *)
-let reads_children (op : Graph.op) =
-  match op.site.o_kind with
-  | Framework.Api.Find_view | Find_one _ | Get_parent | Set_listener _ | Fragment_add -> true
-  | _ -> false
-
-let reads_ids (op : Graph.op) =
-  match op.site.o_kind with Framework.Api.Find_view | Fragment_add -> true | _ -> false
-
-let reads_roots (op : Graph.op) =
-  match op.site.o_kind with Framework.Api.Find_view | Fragment_add -> true | _ -> false
+let of_kind k = kinds.(Framework.Api.kind_index k)
 
 (* Freeze: snapshot the graph's id-level structures.  Nodes were
    hash-consed as the graph was built, so everything here is integer
@@ -930,13 +840,12 @@ let ifreeze config app graph =
   for nid = 0 to csr_n - 1 do
     op_reads.(nid) <- List.rev op_reads.(nid)
   done;
-  let children_readers = ref [] and ids_readers = ref [] and roots_readers = ref [] in
-  Array.iteri
-    (fun oi op ->
-      if reads_children op then children_readers := oi :: !children_readers;
-      if reads_ids op then ids_readers := oi :: !ids_readers;
-      if reads_roots op then roots_readers := oi :: !roots_readers)
-    iops;
+  let per_kind = Array.map (fun (op : Graph.op) -> of_kind op.site.o_kind) iops in
+  let ifoot = Array.map snd per_kind in
+  let readers = Array.make 3 [] in
+  for oi = Array.length iops - 1 downto 0 do
+    List.iter (fun r -> readers.(rix r) <- oi :: readers.(rix r)) ifoot.(oi).reads
+  done;
   {
     iconfig = config;
     iapp = app;
@@ -961,9 +870,14 @@ let ifreeze config app graph =
     iop_args;
     iop_out;
     op_reads;
-    children_readers = List.rev !children_readers;
-    ids_readers = List.rev !ids_readers;
-    roots_readers = List.rev !roots_readers;
+    ifoot;
+    readers;
+    iop_rule = Array.map fst per_kind;
+    icur_op = -1;
+    env = Array.make env_size 0;
+    clos = Array.make env_size Util.Bitset.(create ());
+    bufs = Array.init buffer_count (fun _ -> { a = [||]; n = 0 });
+    iret_deps = Hashtbl.create 16;
     ichildren = Slots.create ();
     iparents = Slots.create ();
     idesc_cache = Hashtbl.create 64;
@@ -975,9 +889,7 @@ let ifreeze config app graph =
     ilisteners = Slots.create ();
     iholder_ids = [];
     iholders_seen = Util.Bitset.create ();
-    irc_children = false;
-    irc_ids = false;
-    irc_roots = false;
+    grown = Array.make 3 false;
     irc_onclick = false;
     irc_fragments = false;
     idecl = false;
@@ -1005,8 +917,6 @@ let isolution st =
     sol_listeners = st.ilisteners.Slots.a;
   }
 
-type iret_target = IT_op of int | IT_frags
-
 (* The interned fixed-point loop, shared by cold and warm solves.
    [init] performs the mode-specific setup (seeding and scheduling)
    once the worklist plumbing exists; [record] turns on write
@@ -1020,25 +930,17 @@ let iloop st ~record ~init config =
   let schedule oi = if Util.Bitset.add op_pending oi then Queue.push oi op_wl in
   let pending_decl = ref false in
   let pending_frags = ref false in
-  let ret_deps : (int, iret_target list) Hashtbl.t = Hashtbl.create 16 in
   (* [on_changed] fires with representative ids (the propagation
-     worklist lives in rep space), so dynamic return dependencies are
+     worklist lives in rep space), and dynamic return dependencies are
      registered under the rep too. *)
-  let note_ret target nid =
-    let rid = irep st nid in
-    let existing = Option.value (Hashtbl.find_opt ret_deps rid) ~default:[] in
-    if not (List.mem target existing) then Hashtbl.replace ret_deps rid (target :: existing)
-  in
   let on_changed nid =
     if nid < st.csr_n then List.iter schedule st.op_reads.(nid);
-    match Hashtbl.find_opt ret_deps nid with
+    match Hashtbl.find_opt st.iret_deps nid with
     | Some targets ->
-        List.iter
-          (function IT_op oi -> schedule oi | IT_frags -> pending_frags := true)
-          targets
+        List.iter (function RD_op oi -> schedule oi | RD_frags -> pending_frags := true) targets
     | None -> ()
   in
-  init ~schedule ~on_changed ~pending_decl ~pending_frags ~ret_deps ~note_ret;
+  init ~schedule ~on_changed ~pending_decl ~pending_frags;
   let set_writer w = if record then st.irec_writer <- w in
   let iterations = ref 0 in
   let work_remaining () =
@@ -1051,48 +953,46 @@ let iloop st ~record ~init config =
       Util.Bitset.remove op_pending oi;
       st.iop_applications <- st.iop_applications + 1;
       set_writer oi;
-      iapply_op st ~note_ret:(note_ret (IT_op oi)) oi;
+      st.icur_op <- oi;
+      st.iop_rule.(oi) st;
       set_writer (-1)
     done;
-    if !pending_decl then begin
-      pending_decl := false;
-      set_writer op_count;
-      iapply_declarative_handlers st;
-      set_writer (-1)
-    end;
-    if !pending_frags then begin
-      pending_frags := false;
-      set_writer (op_count + 1);
-      iapply_declared_fragments st ~note_ret:(note_ret IT_frags);
-      set_writer (-1)
-    end;
+    st.icur_op <- -1;
+    (* The passes walk the inflation memo, once it may hold an onClick
+       or <fragment> node. *)
+    let pass pending i =
+      if !pending then begin
+        pending := false;
+        set_writer (op_count + i);
+        if st.idecl then rounds.(i) st;
+        set_writer (-1)
+      end
+    in
+    pass pending_decl 0;
+    pass pending_frags 1;
     ipropagate st ~changed:on_changed;
-    let rc_children = st.irc_children and rc_ids = st.irc_ids and rc_roots = st.irc_roots in
-    let rc_onclick = st.irc_onclick and rc_fragments = st.irc_fragments in
-    st.irc_children <- false;
-    st.irc_ids <- false;
-    st.irc_roots <- false;
+    (* schedule the readers of each grown relation; the declarative
+       pass reads children and roots *)
+    Array.iteri
+      (fun r grown ->
+        if grown then begin
+          st.grown.(r) <- false;
+          List.iter schedule st.readers.(r);
+          if r <> rix Id then pending_decl := true
+        end)
+      st.grown;
+    if st.irc_onclick then pending_decl := true;
+    if st.irc_fragments then pending_frags := true;
     st.irc_onclick <- false;
-    st.irc_fragments <- false;
-    if rc_children then begin
-      List.iter schedule st.children_readers;
-      pending_decl := true
-    end;
-    if rc_ids then List.iter schedule st.ids_readers;
-    if rc_roots then begin
-      List.iter schedule st.roots_readers;
-      pending_decl := true
-    end;
-    if rc_onclick then pending_decl := true;
-    if rc_fragments then pending_frags := true
+    st.irc_fragments <- false
   done;
   if work_remaining () then
     Logs.warn (fun m -> m "solver hit the iteration cap (%d); result may be partial" !iterations);
-  (!iterations, ret_deps)
+  !iterations
 
 (* Cold start: push every seed, propagate, schedule every op and both
    declarative passes. *)
-let icold_init st ~schedule ~on_changed ~pending_decl ~pending_frags ~ret_deps:_ ~note_ret:_ =
+let icold_init st ~schedule ~on_changed ~pending_decl ~pending_frags =
   pending_decl := true;
   pending_frags := true;
   List.iter
@@ -1127,7 +1027,7 @@ let istats st ~iterations ~warm_solve ~dirty_comps ~reused_comps ~fallback =
 
 let run_interned config (app : Framework.App.t) graph =
   let st = ifreeze config app graph in
-  let iterations, _ret_deps = iloop st ~record:false ~init:(icold_init st) config in
+  let iterations = iloop st ~record:false ~init:(icold_init st) config in
   Graph.set_solution graph (isolution st);
   istats st ~iterations ~warm_solve:false ~dirty_comps:0 ~reused_comps:0 ~fallback:None
 
@@ -1270,9 +1170,6 @@ type edit_script = {
   es_new_to_old : int array;  (** new op index -> old, [-1] unmatched (added) *)
 }
 
-(* Dynamic return dependency kinds, as persisted. *)
-type rd = RD_op of int | RD_frags
-
 (* A captured solution: the shape it was solved over plus the rows it
    reached.  Treat every field as read-only: the points-to sets are
    shared (aliased) with later warm solves, and every row with
@@ -1320,7 +1217,7 @@ let solved_rep sd nid =
    target set (matched ops under a warm solve); carried targets are
    mapped through the current representatives so invalidation stays
    sound across repeated patches. *)
-let icapture st ?carry_map ?fps ~shape ~config ~(app : Framework.App.t) ~ret_deps carry =
+let icapture st ?carry_map ?fps ~shape ~config ~(app : Framework.App.t) carry =
   let op_count = Array.length st.iops in
   (* Carried-over targets are reps of the previous condensation; when
      no representative moved they are still reps, so the merge is a
@@ -1343,12 +1240,8 @@ let icapture st ?carry_map ?fps ~shape ~config ~(app : Framework.App.t) ~ret_dep
   in
   let sd_ret_deps =
     Hashtbl.fold
-      (fun rid targets acc ->
-        List.fold_left
-          (fun acc t ->
-            (rid, match t with IT_op oi -> RD_op oi | IT_frags -> RD_frags) :: acc)
-          acc targets)
-      ret_deps []
+      (fun rid targets acc -> List.fold_left (fun acc t -> (rid, t) :: acc) acc targets)
+      st.iret_deps []
   in
   (* Warm captures pass the fingerprints through: the guard already
      proved class/layout equal to the previous solve's and the method
@@ -1549,11 +1442,11 @@ let compute_taints (app : Framework.App.t) graph =
 let run_solved ?fallback config (app : Framework.App.t) graph =
   Graph.reset_sets graph;
   let st = ifreeze config app graph in
-  let iterations, ret_deps = iloop st ~record:true ~init:(icold_init st) config in
+  let iterations = iloop st ~record:true ~init:(icold_init st) config in
   Graph.set_solution graph (isolution st);
   compute_taints app graph;
   let stats = istats st ~iterations ~warm_solve:false ~dirty_comps:0 ~reused_comps:0 ~fallback in
-  (stats, icapture st ~shape:(shape_of_graph graph) ~config ~app ~ret_deps (fun _ -> None))
+  (stats, icapture st ~shape:(shape_of_graph graph) ~config ~app (fun _ -> None))
 
 (* Is a warm start sound?  Returns the reason to fall back, if any. *)
 let warm_guard prev config (app : Framework.App.t) graph =
@@ -1579,35 +1472,6 @@ let warm_guard prev config (app : Framework.App.t) graph =
     (not (app.Framework.App.package == prev.sd_package)) && layout_fp app <> prev.sd_layout_fp
   then Some "layout resources changed"
   else None
-
-(* Which view relations each op kind writes; a suspect or removed
-   writer leaves rows with no justification, so its kinds are rebuilt
-   wholesale.  [Inflate]/[Set_content] write children and ids through
-   the inflation import. *)
-let iwrites_children = function
-  | Framework.Api.Inflate | Framework.Api.Set_content | Framework.Api.Add_view
-  | Framework.Api.Fragment_add | Framework.Api.Menu_add | Framework.Api.Set_adapter ->
-      true
-  | _ -> false
-
-let iwrites_ids = function
-  | Framework.Api.Inflate | Framework.Api.Set_content | Framework.Api.Set_id
-  | Framework.Api.Menu_add ->
-      true
-  | _ -> false
-
-let iwrites_roots = function Framework.Api.Set_content -> true | _ -> false
-
-let iwrites_listeners = function Framework.Api.Set_listener _ -> true | _ -> false
-
-(* Ops whose rule consults [Hierarchy.resolve] (callback injection):
-   a method-set change can alter their effects with unchanged op
-   inputs. *)
-let iresolve_dependent = function
-  | Framework.Api.Set_listener _ | Framework.Api.Fragment_add | Framework.Api.Menu_add
-  | Framework.Api.Set_adapter ->
-      true
-  | _ -> false
 
 (* Warm re-solve against a previous solution.  [graph] must be the
    patched app's graph extracted over [prev]'s interner; [edits] the
@@ -1670,15 +1534,16 @@ let run_incremental ~prev ~edits ?new_shape config (app : Framework.App.t) graph
           prev.sd_targets.(i);
         !hit
       in
-      let children_cleared = ref false in
-      let ids_cleared = ref false in
-      let roots_cleared = ref false in
+      (* per relation ([rix]): its rows are rebuilt, not restored *)
+      let cleared = Array.make 3 false in
+      let children_cleared () = cleared.(rix Child) and roots_cleared () = cleared.(rix Root) in
+      let any_cleared = List.exists (fun r -> cleared.(rix r)) in
       let listeners_cleared = ref false in
-      let clear_for kind =
-        if iwrites_children kind then children_cleared := true;
-        if iwrites_ids kind then ids_cleared := true;
-        if iwrites_roots kind then roots_cleared := true;
-        if iwrites_listeners kind then listeners_cleared := true
+      (* A suspect or removed writer leaves rows with no justification,
+         so the relations its kind writes are rebuilt wholesale. *)
+      let clear_for (f : Rules.footprint) =
+        List.iter (fun r -> cleared.(rix r) <- true) f.writes;
+        if f.listens then listeners_cleared := true
       in
       (* Removed ops: recorded contributions are stale. *)
       Array.iteri
@@ -1686,7 +1551,7 @@ let run_incremental ~prev ~edits ?new_shape config (app : Framework.App.t) graph
           if ni < 0 then begin
             let (site : Node.op_site), _, _, _ = prev.sd_shape.sh_ops.(oj) in
             dirty_old_targets oj;
-            clear_for site.Node.o_kind
+            clear_for (snd (of_kind site.Node.o_kind))
           end)
         edits.es_old_to_new;
       (* Old dynamic return dependencies, re-keyed to surviving ops. *)
@@ -1717,12 +1582,11 @@ let run_incremental ~prev ~edits ?new_shape config (app : Framework.App.t) graph
       while !changed do
         changed := false;
         Array.iteri
-          (fun oi (op : Graph.op) ->
+          (fun oi (f : Rules.footprint) ->
             let oj = edits.es_new_to_old.(oi) in
             if oj >= 0 && not (Util.Bitset.mem suspect oi) then begin
-              let kind = op.Graph.site.Node.o_kind in
               let sus =
-                (methods_changed && iresolve_dependent kind)
+                (methods_changed && f.resolves)
                 || Util.Bitset.mem dirty (irep st st.iop_recv.(oi))
                 || Array.exists
                      (fun a -> Util.Bitset.mem dirty (irep st a))
@@ -1730,19 +1594,17 @@ let run_incremental ~prev ~edits ?new_shape config (app : Framework.App.t) graph
                 || List.exists
                      (fun r -> Util.Bitset.mem dirty (irep st r))
                      op_ret_reps.(oi)
-                || (!children_cleared && reads_children op)
-                || (!ids_cleared && reads_ids op)
-                || (!roots_cleared && reads_roots op)
+                || any_cleared f.reads
               in
               if sus then begin
                 ignore (Util.Bitset.add suspect oi);
                 dirty_old_targets oj;
-                clear_for kind;
+                clear_for f;
                 changed := true
               end
             end)
-          st.iops;
-        if (not !decl_suspect) && (!children_cleared || !roots_cleared) then begin
+          st.ifoot;
+        if (not !decl_suspect) && (children_cleared () || roots_cleared ()) then begin
           decl_suspect := true;
           changed := true
         end;
@@ -1754,7 +1616,7 @@ let run_incremental ~prev ~edits ?new_shape config (app : Framework.App.t) graph
         end;
         if
           (not !frags_suspect)
-          && (!children_cleared
+          && (children_cleared ()
              || List.exists (fun r -> Util.Bitset.mem dirty (irep st r)) !frags_dep_reps)
         then begin
           frags_suspect := true;
@@ -1763,7 +1625,7 @@ let run_incremental ~prev ~edits ?new_shape config (app : Framework.App.t) graph
         if !frags_suspect && not !frags_applied then begin
           frags_applied := true;
           dirty_old_targets (old_op_count + 1);
-          children_cleared := true;
+          cleared.(rix Child) <- true;
           changed := true
         end;
         close ()
@@ -1792,15 +1654,15 @@ let run_incremental ~prev ~edits ?new_shape config (app : Framework.App.t) graph
           (fun i o -> Option.iter (fun b -> Slots.set slots i (Util.Bitset.copy b)) o)
           rows
       in
-      if not !children_cleared then begin
+      if not (children_cleared ()) then begin
         restore_rows st.ichildren prev_sol.sol_children;
         restore_rows st.iparents prev_sol.sol_parents
       end;
-      if not !ids_cleared then begin
+      if not cleared.(rix Id) then begin
         restore_rows st.iids prev_sol.sol_ids;
         restore_rows st.iby_id prev.sd_by_id
       end;
-      if not !roots_cleared then begin
+      if not (roots_cleared ()) then begin
         restore_rows st.iroots prev_sol.sol_roots;
         st.iholder_ids <- prev.sd_holder_ids;
         List.iter (fun hid -> ignore (Util.Bitset.add st.iholders_seen hid)) prev.sd_holder_ids
@@ -1810,20 +1672,20 @@ let run_incremental ~prev ~edits ?new_shape config (app : Framework.App.t) graph
          ids survive: a memo hit skips the id-level subtree import,
          which is exactly what a suspect inflating op would need to
          redo — and any such op clears children. *)
-      if not (!children_cleared || !ids_cleared) then
+      if not (children_cleared () || cleared.(rix Id)) then
         List.iter
           (fun (site, layout, views) -> Graph.record_inflation graph ~site ~layout views)
           (Graph.inflation_entries prev.sd_graph);
-      let iwarm_init ~schedule ~on_changed ~pending_decl ~pending_frags ~ret_deps:_ ~note_ret =
+      let iwarm_init ~schedule ~on_changed ~pending_decl ~pending_frags =
         List.iter
           (fun (r, rdep) ->
             match rdep with
             | RD_op oj ->
                 if oj >= 0 && oj < old_op_count then begin
                   let oi = edits.es_old_to_new.(oj) in
-                  if oi >= 0 then note_ret (IT_op oi) r
+                  if oi >= 0 then inote_ret st (RD_op oi) r
                 end
-            | RD_frags -> note_ret IT_frags r)
+            | RD_frags -> inote_ret st RD_frags r)
           prev.sd_ret_deps;
         (* Seeds of dirty components refill their reset sets; seeds of
            unrestored (fresh) components fill them for the first time.
@@ -1881,27 +1743,24 @@ let run_incremental ~prev ~edits ?new_shape config (app : Framework.App.t) graph
         (* Schedule: added ops, suspects, writers of rebuilt relation
            kinds and ops whose previous targets were reset. *)
         Array.iteri
-          (fun oi (op : Graph.op) ->
+          (fun oi (f : Rules.footprint) ->
             let oj = edits.es_new_to_old.(oi) in
-            let kind = op.Graph.site.Node.o_kind in
             let rerun =
               oj < 0
               || Util.Bitset.mem suspect oi
-              || (!children_cleared && iwrites_children kind)
-              || (!ids_cleared && iwrites_ids kind)
-              || (!roots_cleared && iwrites_roots kind)
-              || (!listeners_cleared && iwrites_listeners kind)
+              || any_cleared f.writes
+              || (!listeners_cleared && f.listens)
               || target_dirty oj
             in
             if rerun then schedule oi)
-          st.iops;
+          st.ifoot;
         pending_decl :=
-          !decl_suspect || !listeners_cleared || !roots_cleared || target_dirty old_op_count;
+          !decl_suspect || !listeners_cleared || roots_cleared () || target_dirty old_op_count;
         pending_frags :=
-          !frags_suspect || !children_cleared || target_dirty (old_op_count + 1);
+          !frags_suspect || children_cleared () || target_dirty (old_op_count + 1);
         ipropagate st ~changed:on_changed
       in
-      let iterations, ret_deps = iloop st ~record:true ~init:iwarm_init config in
+      let iterations = iloop st ~record:true ~init:iwarm_init config in
       Graph.set_solution graph (isolution st);
       let stats =
         istats st ~iterations ~warm_solve:true ~dirty_comps:(Util.Bitset.cardinal dirty)
@@ -1919,7 +1778,7 @@ let run_incremental ~prev ~edits ?new_shape config (app : Framework.App.t) graph
       let sd =
         icapture st ?carry_map
           ~fps:(prev.sd_class_fp, new_method_fp, prev.sd_layout_fp)
-          ~shape:new_shape ~config ~app ~ret_deps carry
+          ~shape:new_shape ~config ~app carry
       in
       (stats, sd)
 

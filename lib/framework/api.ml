@@ -32,26 +32,51 @@ let kind_label = function
 
 (* Explicit ordering so op-site keyed maps need no polymorphic
    compare.  Interfaces are registry singletons identified by name. *)
+let tag = function
+  | Inflate -> 0
+  | Set_content -> 1
+  | Add_view -> 2
+  | Set_id -> 3
+  | Set_listener _ -> 4
+  | Find_view -> 5
+  | Find_one Descendants -> 6
+  | Find_one Children -> 7
+  | Get_parent -> 8
+  | Start_activity -> 9
+  | Pass_through -> 10
+  | Fragment_add -> 11
+  | Menu_add -> 12
+  | Set_adapter -> 13
+
 let compare_kind a b =
-  let tag = function
-    | Inflate -> 0
-    | Set_content -> 1
-    | Add_view -> 2
-    | Set_id -> 3
-    | Set_listener _ -> 4
-    | Find_view -> 5
-    | Find_one Descendants -> 6
-    | Find_one Children -> 7
-    | Get_parent -> 8
-    | Start_activity -> 9
-    | Pass_through -> 10
-    | Fragment_add -> 11
-    | Menu_add -> 12
-    | Set_adapter -> 13
-  in
   match (a, b) with
   | Set_listener x, Set_listener y -> String.compare x.Listeners.i_name y.Listeners.i_name
   | a, b -> Int.compare (tag a) (tag b)
+
+(* In [tag] order, one [Set_listener] per interface. *)
+let kinds =
+  [ Inflate; Set_content; Add_view; Set_id ]
+  @ List.map (fun i -> Set_listener i) Listeners.all
+  @ [
+      Find_view;
+      Find_one Descendants;
+      Find_one Children;
+      Get_parent;
+      Start_activity;
+      Pass_through;
+      Fragment_add;
+      Menu_add;
+      Set_adapter;
+    ]
+
+let kind_index = function
+  | Set_listener i ->
+      let rec pos n = function
+        | (j : Listeners.iface) :: rest -> if String.equal j.i_name i.Listeners.i_name then n else pos (n + 1) rest
+        | [] -> invalid_arg "Api.kind_index: unknown listener interface"
+      in
+      tag (Set_listener i) + pos 0 Listeners.all
+  | k -> if tag k < 4 then tag k else tag k + List.length Listeners.all - 1
 
 let pp_kind ppf = function
   | Set_listener i -> Fmt.pf ppf "SetListener(%s)" i.Listeners.i_name

@@ -59,6 +59,13 @@ val compare_kind : kind -> kind -> int
 (** Explicit ordering (listener interfaces compare by name), so
     op-site keyed maps need no polymorphic compare. *)
 
+val kinds : kind list
+(** Every kind, with one [Set_listener] per interface of
+    {!Listeners.all}. *)
+
+val kind_index : kind -> int
+(** The kind's position in {!kinds}. *)
+
 val pp_kind : kind Fmt.t
 
 val kind_label : kind -> string

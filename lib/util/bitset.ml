@@ -101,6 +101,16 @@ let iter f t =
     if w <> 0 then iter_word f (i * bits_per_word) w
   done
 
+let iter_with f x t =
+  for i = 0 to Array.length t.words - 1 do
+    let w = ref t.words.(i) in
+    while !w <> 0 do
+      let bit = !w land - !w in
+      f x ((i * bits_per_word) + ntz_pow2 bit);
+      w := !w lxor bit
+    done
+  done
+
 let fold f t init =
   let acc = ref init in
   iter (fun i -> acc := f i !acc) t;

@@ -35,6 +35,10 @@ val assign : t -> t -> unit
 val iter : (int -> unit) -> t -> unit
 (** Members in increasing order (lowest set bit first). *)
 
+val iter_with : ('a -> int -> unit) -> 'a -> t -> unit
+(** [iter_with f x t] is [iter (f x) t] without building [f x]: a
+    caller threads its state instead of capturing it in a closure. *)
+
 val fold : (int -> 'a -> 'a) -> t -> 'a -> 'a
 
 val elements : t -> int list

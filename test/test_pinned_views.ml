@@ -173,8 +173,54 @@ let test_interactions () =
       Alcotest.check Alcotest.string name expected (hex (text app)))
     interaction_pins got
 
+(* The solver's work counters: a change in the order ops push
+   values, mint ids or insert relation rows moves them even where the
+   solution stays the same.  One line per input, the five pinned apps
+   at both configs plus ReflHeavy in sound mode; a failure names the
+   counters it read. *)
+let counters_text config app =
+  let graph = Extract.run config app in
+  let s = Solve.run config app graph in
+  Printf.sprintf
+    "iterations=%d propagations=%d op_applications=%d delta_pushes=%d desc_hits=%d desc_misses=%d \
+     union_calls=%d bitset_words=%d values=%d nodes=%d"
+    s.iterations s.propagations s.op_applications s.delta_pushes s.desc_cache_hits
+    s.desc_cache_misses s.union_calls s.bitset_words s.interned_values s.interned_nodes
+
+let counter_inputs () =
+  List.concat_map
+    (fun (app_name, app) ->
+      List.map (fun (cfg_name, config) -> (Printf.sprintf "%s@%s" app_name cfg_name, config, app)) configs)
+    (apps ())
+  @ [ ("ReflHeavy@sound", Config.default, Corpus.Gen.reflective_app ~layouts:3 ~seed:42 ()) ]
+
+let counter_pins =
+  [
+    ("XBMC@default", "bbb0577a1a02b95e90102de79d16c38a");
+    ("XBMC@cs2", "cad4dea8d6b0d76cf9d8172eabfaeed2");
+    ("ConnectBot@default", "90c9c1e554e39d4026e3952f236c10eb");
+    ("ConnectBot@cs2", "8913ff06464585330d0f19659171b3e1");
+    ("Figure1@default", "96a153d45018134a5ffb7b4d4b5fcc28");
+    ("Figure1@cs2", "8b4c1042c4007b8934394eedd8886c7d");
+    ("Cyclic@default", "f4a0ce438f54bdda92488716277513ba");
+    ("Cyclic@cs2", "f4a0ce438f54bdda92488716277513ba");
+    ("Alias@default", "a20e9d2bcacf9f0bec52526916357fc6");
+    ("Alias@cs2", "06898c2629303d1d9dbd099ff85db4bf");
+    ("ReflHeavy@sound", "e7ac1cdb6c1ee42a2dbf5bdbf789233c");
+  ]
+
+let test_counters () =
+  let got = List.map (fun (label, config, app) -> (label, counters_text config app)) (counter_inputs ()) in
+  Alcotest.check Alcotest.int "input count" (List.length counter_pins) (List.length got);
+  List.iter2
+    (fun (label, expected) (label', text) ->
+      Alcotest.check Alcotest.string "label" label label';
+      Alcotest.check Alcotest.string (label ^ ": " ^ text) expected (hex text))
+    counter_pins got
+
 let suite =
   [
     Alcotest.test_case "structural views byte-identical to the pins" `Quick test_pinned;
     Alcotest.test_case "interactions byte-identical to the pins" `Quick test_interactions;
+    Alcotest.test_case "solver work counters byte-identical to the pins" `Quick test_counters;
   ]

@@ -172,6 +172,35 @@ let test_coverage () =
   | [] -> ()
   | dead -> Alcotest.failf "entries that never fire: %s" (String.concat ", " dead)
 
+(* Every kind's footprint, as the schedule and the warm path read it
+   off the table: an entry that changes what a kind reads, writes,
+   registers or resolves shows here. *)
+let test_footprints () =
+  let open Framework.Api in
+  let expected : kind -> Rules.rel list * Rules.rel list * bool * bool = function
+    | Inflate -> ([], [ Child; Id ], false, false)
+    | Set_content -> ([], [ Child; Id; Root ], false, false)
+    | Add_view -> ([], [ Child ], false, false)
+    | Set_id -> ([], [ Id ], false, false)
+    | Set_listener _ -> ([ Child ], [], true, true)
+    | Find_view -> ([ Child; Id; Root ], [], false, false)
+    | Find_one _ | Get_parent -> ([ Child ], [], false, false)
+    | Start_activity | Pass_through -> ([], [], false, false)
+    | Fragment_add -> ([ Child; Id; Root ], [ Child ], false, true)
+    | Menu_add -> ([], [ Child; Id ], false, true)
+    | Set_adapter -> ([], [ Child ], false, true)
+  in
+  let show (reads, writes, listens, resolves) =
+    let rels l = String.concat "," (List.map (function Rules.Child -> "child" | Id -> "id" | Root -> "root") l) in
+    Printf.sprintf "reads %s; writes %s; listens %b; resolves %b" (rels reads) (rels writes) listens resolves
+  in
+  List.iter
+    (fun k ->
+      let f = Rules.footprint k in
+      Alcotest.(check string)
+        (Fmt.str "%a" pp_kind k) (show (expected k)) (show (f.reads, f.writes, f.listens, f.resolves)))
+    kinds
+
 let suite =
   [
     Alcotest.test_case "certificate: corpus (20 apps)" `Quick test_corpus;
@@ -182,4 +211,5 @@ let suite =
     Alcotest.test_case "certificate rejects a missing fact" `Quick test_certificate_bites;
     Alcotest.test_case "certificate rejects a missing child row" `Quick test_certificate_child_row;
     Alcotest.test_case "every entry fires" `Quick test_coverage;
+    Alcotest.test_case "footprints read off the table" `Quick test_footprints;
   ]
