@@ -94,9 +94,10 @@ let verify_incremental name app patch =
 (* The same patch through the edit-proportional assembly, over the
    live capture (a snapshot keeps no fragments): it must take the
    fragment path, re-extract only the edited method, give the shape a
-   full re-extraction gives, and solve warm to the from-scratch
-   answer. *)
-let verify_fragments name app patch =
+   full re-extraction gives, freeze through the delta path [expect]
+   names to what a full freeze gives, and solve warm to the
+   from-scratch answer. *)
+let verify_fragments ?(expect = fun _ -> true) name app patch =
   let config = Gator.Config.default in
   let fail fmt = Fmt.kstr (fun s -> Fmt.epr "verify: %s@." s; exit 1) fmt in
   let _, prev = Gator.Incremental.analyze_solved ~config app in
@@ -104,6 +105,11 @@ let verify_fragments name app patch =
   match Gator.Incremental.assemble ~config ~prev patched with
   | Error reason -> fail "fragment assembly declined on patched %s: %s" name reason
   | Ok a ->
+      let freeze = a.a_freeze in
+      if not (expect freeze.fz_path) then
+        fail "fragment patch on %s froze through an unexpected path: %a" name Gator.Graph.pp_freeze_path freeze.fz_path;
+      if Gator.Graph.frozen_flow a.a_graph <> Gator.Graph.freeze_with a.a_graph then
+        fail "delta-frozen flow DIFFERS from a full freeze on patched %s" name;
       let shape = Gator.Solve.shape_of_graph a.a_graph in
       let full = Gator.Extract.run ~interner:(Gator.Solve.solved_interner prev) config patched in
       if shape <> Gator.Solve.shape_of_graph full then
@@ -116,9 +122,12 @@ let verify_fragments name app patch =
         fail "fragment-assembled warm solve DIFFERS from cold on patched %s" name;
       Printf.printf
         "verify: fragment patch on %s re-extracted %d of %d methods; shape = full re-extraction \
-         (%d+%d edges, %d+%d seeds)\n"
+         (%d+%d edges, %d+%d seeds); %s (%d condensed rows rebuilt) = full freeze\n"
         name a.a_reextracted a.a_methods (Array.length e.es_removed_edges) (Array.length e.es_added_edges)
         (Array.length e.es_removed_seeds) (Array.length e.es_added_seeds)
+        (Fmt.str "%a" Gator.Graph.pp_freeze_path freeze.fz_path)
+        freeze.fz_rows;
+      patched
 
 (* CI smoke, part 3: the query daemon's full dispatch — load XBMC,
    query a node, patch, re-query, shutdown — through the exact handler
@@ -446,7 +455,11 @@ let run_verify () =
     ]
   in
   verify_incremental spec.Corpus.Spec.sp_name (Corpus.Gen.generate spec) seed_patch;
-  verify_fragments spec.Corpus.Spec.sp_name (Corpus.Gen.generate spec) seed_patch;
+  (* the one-statement patch must take the delta freeze *)
+  ignore
+    (verify_fragments
+       ~expect:(function Gator.Graph.Full _ -> false | _ -> true)
+       spec.Corpus.Spec.sp_name (Corpus.Gen.generate spec) seed_patch);
   (* a cycle-splitting edit moves SCC membership — the invalidation
      path the seed-level patch above never exercises; the ring-closing
      copy is located by scanning so the index tracks the generator *)
@@ -465,11 +478,24 @@ let run_verify () =
         | Some i -> i
         | None -> failwith "ring-closing copy ch0_0 <- ch0_23 not found")
   in
-  verify_incremental "CycleHeavy" cycle_heavy
+  let ring_split =
     [
       Corpus.Patch.Remove_stmt
         { cls = "CycleHeavy_Activity"; meth = "onCreate"; arity = 0; index = ring_close };
-    ];
+    ]
+  in
+  verify_incremental "CycleHeavy" cycle_heavy ring_split;
+  (* the same split through the fragment path re-condenses the ring's
+     component alone, and closing the ring again merges it *)
+  let split_app =
+    verify_fragments ~expect:(( = ) Gator.Graph.Delta_split) "CycleHeavy (ring split)" cycle_heavy ring_split
+  in
+  ignore
+    (verify_fragments ~expect:(( = ) Gator.Graph.Delta_merged) "CycleHeavy (ring close)" split_app
+       [
+         Corpus.Patch.Add_stmt
+           { cls = "CycleHeavy_Activity"; meth = "onCreate"; arity = 0; stmt = Jir.Ast.Copy ("ch0_0", "ch0_23") };
+       ]);
   verify_reflection ();
   verify_daemon ();
   verify_stream ();

@@ -240,5 +240,6 @@ let apply_edit program = function
 let apply (app : Framework.App.t) patch =
   let* program = List.fold_left (fun acc e -> Result.bind acc (fun p -> apply_edit p e)) (Ok app.Framework.App.program) patch in
   (* The package is shared physically: an unchanged layout side keeps
-     the warm guard's pointer-equality fast path. *)
-  Ok (Framework.App.make ~name:app.Framework.App.name program app.Framework.App.package)
+     the warm guard's pointer-equality fast path.  A body edit keeps
+     every class and method key, so the hierarchy is reused. *)
+  Ok (Framework.App.with_program app program)

@@ -36,6 +36,8 @@ val load : string -> (t, string) result
 (** Read and parse a patch file. *)
 
 val apply : Framework.App.t -> t -> (Framework.App.t, string) result
-(** Apply the edits in order and rebuild the app.  The layout package
-    is shared physically with the input, preserving the incremental
-    warm guard's pointer-equality fast path. *)
+(** Apply the edits in order and rebuild the app
+    ({!Framework.App.with_program}: the hierarchy is reused unless a
+    class or method key changed).  The layout package is shared
+    physically with the input, preserving the incremental warm guard's
+    pointer-equality fast path. *)

@@ -8,6 +8,11 @@ type t = {
 let make ~name program package =
   { name; program; package; hierarchy = Api.hierarchy program }
 
+let with_program t program =
+  match Jir.Hierarchy.with_program t.hierarchy program with
+  | Some hierarchy -> { t with program; hierarchy }
+  | None -> make ~name:t.name program t.package
+
 let of_source ~name ~code ~layouts =
   match Jir.Parser.parse_program_result code with
   | Error e -> Error e

@@ -13,6 +13,12 @@ type t = private {
 val make : name:string -> Jir.Ast.program -> Layouts.Package.t -> t
 (** @raise Jir.Hierarchy.Hierarchy_error on duplicate/cyclic classes. *)
 
+val with_program : t -> Jir.Ast.program -> t
+(** [t] with another program and the same name and package.  The
+    hierarchy is reused ({!Jir.Hierarchy.with_program}) when no class
+    or method key changed, and rebuilt otherwise.
+    @raise Jir.Hierarchy.Hierarchy_error as {!make}. *)
+
 val of_source : name:string -> code:string -> layouts:(string * string) list -> (t, string) result
 (** Build an app from ALite source text and named XML layout texts. *)
 

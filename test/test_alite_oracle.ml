@@ -6,10 +6,22 @@
 
 let read_file path = In_channel.with_open_bin path In_channel.input_all
 
-(* Shipped examples, relative to the test's run directory. *)
+(* Shipped examples, found from the test executable rather than the
+   working directory: [dune runtest] copies them beside the build's
+   [test/], and the source tree is three levels above the executable
+   ([_build/default/test/main.exe]), wherever [dune exec] runs it
+   from. *)
 let example_files =
-  [ "../examples/apps/connectbot.alite"; "../examples/apps/todo/src/listeners.alite";
-    "../examples/apps/todo/src/main_activity.alite" ]
+  lazy
+    (let exe_dir = Filename.dirname Sys.executable_name in
+     let roots = [ Filename.concat exe_dir ".."; Filename.concat exe_dir "../../.." ] in
+     List.map
+       (fun file ->
+         match List.find_opt Sys.file_exists (List.map (fun root -> Filename.concat root file) roots) with
+         | Some path -> path
+         | None -> Alcotest.failf "%s not found from %s" file exe_dir)
+       [ "examples/apps/connectbot.alite"; "examples/apps/todo/src/listeners.alite";
+         "examples/apps/todo/src/main_activity.alite" ])
 
 (* The 20 corpus apps, rendered as the benchmark renders them. *)
 let corpus =
@@ -23,7 +35,7 @@ let sources =
   lazy
     (Lazy.force corpus
     @ [ ("ConnectBot", Corpus.Connectbot.source) ]
-    @ List.map (fun path -> (path, read_file path)) example_files)
+    @ List.map (fun path -> (path, read_file path)) (Lazy.force example_files))
 
 let describe = function
   | Ok p -> Fmt.str "Ok (%d classes)" (List.length p.Jir.Ast.p_classes)

@@ -93,6 +93,52 @@ let test_resolve () =
   Alcotest.check Alcotest.bool "platform has no bodies" true
     (Hierarchy.resolve h "Button" (key "m" 1) = None)
 
+(* A same-key program swaps its edited class records in: lookups hand
+   out the new bodies, the previous hierarchy keeps the old ones, and a
+   changed key refuses the swap. *)
+let test_with_program () =
+  let p = Parser.parse_program program_src in
+  let h = Hierarchy.create ~platform p in
+  let map_class name f = { Ast.p_classes = List.map (fun (c : Ast.cls) -> if c.c_name = name then f c else c) p.p_classes } in
+  let edited =
+    map_class "B" (fun c ->
+        { c with c_methods = List.map (fun (m : Ast.meth) -> { m with m_body = m.m_body @ [ Ast.Const_null "x" ] }) c.c_methods })
+  in
+  let body h = Option.map (fun (_, (m : Ast.meth)) -> List.length m.m_body) (Hierarchy.resolve h "C" (key "m" 1)) in
+  (match Hierarchy.with_program h edited with
+  | None -> Alcotest.fail "same keys: the hierarchy should be reused"
+  | Some h' ->
+      Alcotest.(check (option int)) "the new body" (Some 2) (body h');
+      Alcotest.(check (option int)) "the previous hierarchy keeps the old body" (Some 1) (body h);
+      Alcotest.(check (list string)) "CHA targets" [ "A"; "B"; "D" ]
+        (List.sort compare (List.map fst (Hierarchy.cha_targets h' ~recv_ty:None (key "m" 1))));
+      Alcotest.(check bool) "fields" true (Hierarchy.field_ty h' "C" "g" = Some (Ast.Tclass "Button")));
+  let refused what p' = Alcotest.(check bool) what true (Hierarchy.with_program h p' = None) in
+  refused "a new method"
+    (map_class "D" (fun c ->
+         { c with c_methods = c.c_methods @ [ { Ast.m_name = "n"; m_params = []; m_ret = None; m_locals = []; m_body = [] } ] }));
+  refused "a new supertype" (map_class "D" (fun c -> { c with c_super = Some "View" }));
+  refused "a new class"
+    { Ast.p_classes =
+        p.p_classes @ [ { c_name = "E"; c_kind = `Class; c_super = None; c_interfaces = []; c_fields = []; c_methods = [] } ] }
+
+(* Through a patch: an added statement reuses the hierarchy and
+   resolves to the patched body; an added method rebuilds it. *)
+let test_patch_reuses_hierarchy () =
+  let app = Corpus.Gen.generate (Option.get (Corpus.Apps.by_name "NotePad")) in
+  let resolved (app : Framework.App.t) name =
+    Option.map (fun (_, (m : Ast.meth)) -> m.m_body) (Hierarchy.resolve app.hierarchy "Activity_0" (key name 0))
+  in
+  let add_stmt = Corpus.Patch.Add_stmt { cls = "Activity_0"; meth = "onCreate"; arity = 0; stmt = Ast.Const_null "x" } in
+  let app' = Result.get_ok (Corpus.Patch.apply app [ add_stmt ]) in
+  let patched = Option.map (fun (m : Ast.meth) -> m.m_body)
+      (Ast.find_meth (Option.get (Ast.find_class app'.program "Activity_0")) (key "onCreate" 0)) in
+  Alcotest.(check bool) "resolve returns the patched body" true (resolved app' "onCreate" = patched);
+  Alcotest.(check bool) "the unpatched app keeps its body" true (resolved app "onCreate" <> patched);
+  let add_method = Corpus.Patch.Add_method { cls = "Activity_0"; name = "added"; params = []; body = [] } in
+  let app'' = Result.get_ok (Corpus.Patch.apply app' [ add_method ]) in
+  Alcotest.(check bool) "an added method resolves" true (resolved app'' "added" = Some [])
+
 let test_cha_targets () =
   let h = hierarchy () in
   let owners recv_ty = List.map fst (Hierarchy.cha_targets h ~recv_ty (key "m" 1)) in
@@ -373,6 +419,8 @@ let suite =
     Alcotest.test_case "superclass chain" `Quick test_superclass_chain;
     Alcotest.test_case "field type lookup" `Quick test_field_ty;
     Alcotest.test_case "dynamic resolve" `Quick test_resolve;
+    Alcotest.test_case "same-key program swaps class records" `Quick test_with_program;
+    Alcotest.test_case "a patch reuses the hierarchy unless a key changed" `Quick test_patch_reuses_hierarchy;
     Alcotest.test_case "CHA targets" `Quick test_cha_targets;
     Alcotest.test_case "CHA on interface type" `Quick test_cha_on_interface;
     Alcotest.test_case "duplicate types rejected" `Quick test_duplicate_rejected;
