@@ -17,20 +17,23 @@ val run : ?interner:Intern.t -> Config.t -> Framework.App.t -> Graph.t
 val reextract :
   Config.t -> Framework.App.t -> prev:Graph.t -> (Graph.t * bool array, string) result
 (** Warm assembly at inline depth 0: a graph for [app] over [prev]'s
-    interner that replays the fragment ({!Graph.fragments}) of every
-    method whose record is unchanged since [prev]'s extraction,
-    re-extracts the edited ones in place, then reruns the global seed
-    passes.  The logs, and so every derived table, come out as
+    interner that replays the fragments ({!Graph.fragments}) of each
+    run of methods whose records are unchanged since [prev]'s
+    extraction in one {!Graph.replay}, re-extracts the edited ones in
+    place, then replays the global seed passes' slice (the dialog
+    pass checks only the edited methods' new allocation sites).  The
+    logs, and so every derived table, come out as
     {!run} [~interner] would build them.  Returns the graph with, per
     method in program order, whether it was re-extracted.  Declines
     with a reason when [prev] has no fragments; when a class's name,
     kind or supertypes, or a method's name or parameter names, differ
     from [prev]'s program position by position (what the class and
     method fingerprints cover); when a field declaration or a return
-    type changed; when the resource tables grew since [prev]'s
+    type changed; when an edited class defines two methods with one
+    key; when the resource tables grew since [prev]'s
     extraction (through this re-extraction or anything else sharing
-    the layout package); or when an unknown-id marker is present.  [config] must be the one [prev]
-    was extracted under. *)
+    the layout package); or when an unknown-id marker is present.
+    [config] must be the one [prev] was extracted under. *)
 
 val typing_envs : Framework.App.t -> (Node.mid * Jir.Typing.env) list
 (** Every method's typing environment as extraction builds it: call
