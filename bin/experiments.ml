@@ -95,7 +95,8 @@ let verify_incremental name app patch =
    live capture (a snapshot keeps no fragments): it must take the
    fragment path, re-extract only the edited method, give the shape a
    full re-extraction gives, freeze through the delta path [expect]
-   names to what a full freeze gives, and solve warm to the
+   names to what a full freeze gives, take its edit script from the
+   freeze delta equal to a shape diff's, and solve warm to the
    from-scratch answer. *)
 let verify_fragments ?(expect = fun _ -> true) name app patch =
   let config = Gator.Config.default in
@@ -115,14 +116,20 @@ let verify_fragments ?(expect = fun _ -> true) name app patch =
       if shape <> Gator.Solve.shape_of_graph full then
         fail "fragment-assembled shape DIFFERS from a full re-extraction on patched %s" name;
       let e = Gator.Diff.edit_script ~old_:(Gator.Solve.shape_of_solved prev) ~new_:shape in
-      let stats, _ = Gator.Solve.run_incremental ~prev ~edits:e ~new_shape:shape config patched a.a_graph in
+      (match a.a_script with
+      | Gator.Incremental.From_delta -> ()
+      | From_diff reason -> fail "fragment patch on %s took its edit script from a shape diff (%s)" name reason);
+      if { a.a_edits with es_moved = None } <> e then
+        fail "edit script derived from the freeze delta DIFFERS from a shape diff on patched %s" name;
+      let stats, _ = Gator.Solve.run_incremental ~prev ~edits:a.a_edits ~new_shape:shape config patched a.a_graph in
       let warm = Gator.Analysis.make ~app:patched ~config ~graph:a.a_graph ~stats ~solve_seconds:0. in
       let d = Gator.Diff.compare (Gator.Analysis.analyze ~config patched) warm in
       if not (stats.Gator.Solve.warm_solve && Gator.Diff.is_empty d) then
         fail "fragment-assembled warm solve DIFFERS from cold on patched %s" name;
       Printf.printf
         "verify: fragment patch on %s re-extracted %d of %d methods; shape = full re-extraction \
-         (%d+%d edges, %d+%d seeds); %s (%d condensed rows rebuilt) = full freeze\n"
+         (%d+%d edges, %d+%d seeds); %s (%d condensed rows rebuilt) = full freeze; edit script from \
+         the freeze delta = shape diff\n"
         name a.a_reextracted a.a_methods (Array.length e.es_removed_edges) (Array.length e.es_added_edges)
         (Array.length e.es_removed_seeds) (Array.length e.es_added_seeds)
         (Fmt.str "%a" Gator.Graph.pp_freeze_path freeze.fz_path)
