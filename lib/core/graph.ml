@@ -1272,8 +1272,6 @@ let pp_freeze_path ppf = function
   | Delta_split -> Fmt.string ppf "delta freeze, component re-condensed"
   | Full reason -> Fmt.pf ppf "full freeze (%s)" reason
 
-let ops_node_ids t = Array.sub t.o_ids 0 t.o_n
-
 let op_table t =
   Array.init t.o_n (fun i ->
       let recv, args, out = t.o_ids.(i) in

@@ -229,9 +229,11 @@ val views_of : t -> Node.t -> Node.view_abs list
 
     The subset of each location's points-to set whose membership was
     justified (transitively) by an unknown-id marker.  Purely
-    diagnostic: solving never branches on taint; one pass over the
-    store computes it after either engine.  Invariant:
-    [taints_of t n ⊆ set_of t n]. *)
+    diagnostic: points-to never reads taint, so each engine derives
+    it from the rule table's taint stratum (DESIGN §15) once
+    points-to has reached its fixpoint.  Rows are node-keyed (the
+    interned engine's component members share their representative's
+    row).  Invariant: [taints_of t n ⊆ set_of t n]. *)
 
 val taints_of : t -> Node.t -> VS.t
 
@@ -398,11 +400,9 @@ val freeze_delta : t -> prev:t -> edited:bool array -> freeze_report
 
 val pp_freeze_path : freeze_path Fmt.t
 
-val ops_node_ids : t -> (int * int array * int) array
-(** Aligned with {!ops}: per op, (recv id, arg ids, out id or [-1]). *)
-
 val op_table : t -> (Node.op_site * int * int array * int) array
-(** Aligned with {!ops}: per op, its site and {!ops_node_ids}' ids. *)
+(** Aligned with {!ops}: per op, its site, receiver id, argument ids
+    and out id (or [-1]). *)
 
 val allocs : t -> Node.alloc_site list
 

@@ -10,17 +10,22 @@
    DESIGN §15 are such clauses.  A [Config] gate is a premise like any
    other.
 
-   Both engines read this table.  The evaluator here knows no rule: it
-   enumerates the bindings that satisfy an entry's premises, left to
-   right, and adds its conclusions.  [run] is the naive reference
+   A second, smaller table ([taint_rules]) derives sound mode's
+   imprecision taint from the points-to fixpoint: a stratum over a
+   taint relation and a set of tainted views.
+
+   Both engines read these tables.  The evaluator here knows no rule:
+   it enumerates the bindings that satisfy an entry's premises, left
+   to right, and adds its conclusions.  [run] is the naive reference
    solve: seed, then apply every op's entries, the once-per-round
    entries and flow propagation over full structural sets until a
-   round adds nothing, and encode the fixpoint into the graph's
-   solution store.  [step] applies one round to an installed solution
-   and reports what it adds.  The interned engine ([Solve]) stages the
-   same entries into closures over its id rows; the premise and
-   clause order below is the order it pushes values, mints ids and
-   inserts rows in, which the answers here do not depend on. *)
+   round adds nothing, then the taint stratum the same way, and
+   encode the fixpoint into the graph's solution store.  [step]
+   applies one round of both to an installed solution and reports
+   what it adds.  The interned engine ([Solve]) stages the same
+   entries into closures over its id rows; the premise and clause
+   order below is the order it pushes values, mints ids and inserts
+   rows in, which the answers here do not depend on. *)
 
 module VS = Graph.VS
 
@@ -44,11 +49,13 @@ let passes_cast hierarchy cls value =
    tests it; ["_"] only asks that some match exists. *)
 type var = string
 
-(* The op's locations, and those of a method bound by [Callback] (a
-   listener handler's view and item parameters among them). *)
+(* The op's locations, those of a method bound by [Callback] (a
+   listener handler's view and item parameters among them), and the
+   location an [Anywhere] entry is applied at. *)
 type loc =
   | Recv | Arg of int | Out | This of var | Param of var * int | View_param of var | Item_param of var
   | Ret of var
+  | Here
 
 (* The values a premise binds at a location.  [Obj c]: non-view
    objects of a subclass of [c]; [Listener i]: objects implementing
@@ -81,6 +88,9 @@ type premise =
   | Onclick_view of var  (** an inflated view with an [android:onClick] handler *)
   | Item of var  (** the MenuItem minted at the op's site *)
   | Owner of var * var  (** the activity of an options menu *)
+  | Tainted of loc * sort * var  (** like [In], over the location's taint *)
+  | Inflated of var * var  (** a view of the subtree inflated for layout [l] at the op's site, if any *)
+  | Tainted_view of var  (** a view of the tainted-view set *)
   | Any_of of clause list
 
 and clause = { name : string; ix : int; premises : premise list }
@@ -89,11 +99,14 @@ type conclusion =
   | Flow of loc * var
   | Add of rel * var * var
   | Listen of var * var * string  (** a registration under the named interface *)
+  | Taint of loc * var  (** taint the value at the location, when its points-to set holds it *)
+  | Taint_view of var  (** put the view in the tainted-view set *)
 
-(* [Round] entries fire once per round, after the ops. *)
+(* [Round] entries fire once per round, after the ops; [Anywhere]
+   entries (taint only) at every location, after the ops. *)
 type entry = { rule : clause; on : on; conclusions : conclusion list }
 
-and on = Op of (Framework.Api.kind -> bool) | Round
+and on = Op of (Framework.Api.kind -> bool) | Round | Anywhere
 
 let registry = ref []
 
@@ -207,6 +220,69 @@ let rules =
     entry "Declared fragment views" Round (declared @ [ In (Ret "m", View, "c") ]) [ Add (Child, "d", "c") ];
   ]
 
+(* {1 The taint stratum}
+
+   Sound mode's imprecision taint (DESIGN §15): value [v] at node [n]
+   is tainted when its presence may depend on how an unknown-id marker
+   resolves.  Taint is a relation inside points-to ([taint n ⊆ set n]:
+   a [Taint] conclusion holds only where the set holds the value), and
+   the views of a ⊤ inflation form a tainted-view set.  Nothing in
+   [rules] reads either, so both engines evaluate these entries as a
+   second stratum, once points-to has reached its fixpoint, and only
+   when the graph holds a marker.  Like points-to, taint flows along
+   every flow edge, cast-filtered, as part of each engine's
+   propagation.  The entries are the rest:
+   - a marker taints itself wherever it occurs;
+   - a ⊤ layout at an Inflate/SetContent puts every view inflated at
+     that site into the tainted-view set;
+   - a FindView queried with ⊤, or under a tainted view, taints the
+     views of its result; so does a FindOne or GetParent under a
+     tainted view;
+   - a FindView result carrying the ⊤ sentinel id is tainted (any
+     query matches it);
+   - PassThrough copies the receiver's taint;
+   - the lift taints a tainted view wherever it appears.
+   Only markers and views are ever tainted (no conclusion taints
+   anything else), so a tainted concrete layout or view id, or a
+   tainted activity or dialog scope, cannot arise and has no entry.
+   Relations, listener registrations and handler-parameter flows carry
+   no taint. *)
+let taint_rules =
+  let open Framework.Api in
+  let out_views = In (Out, View, "d") in
+  [
+    entry "Taint marker" Anywhere
+      [
+        Any_of
+          [
+            clause "Taint ⊤ layout" [ In (Here, Is Node.V_layout_top, "x") ];
+            clause "Taint ⊤ id" [ In (Here, Is Node.V_view_id_top, "x") ];
+          ];
+      ]
+      [ Taint (Here, "x") ];
+    entry "Taint Inflate(⊤)"
+      (Op (function Inflate | Set_content -> true | _ -> false))
+      [ In (Arg 0, Is Node.V_layout_top, "_"); Layout "l"; Inflated ("l", "v") ]
+      [ Taint_view "v" ];
+    entry "Taint FindView" (is Find_view)
+      [
+        Any_of
+          [
+            clause "Taint FindView(v, ⊤)" [ In (Arg 0, Is Node.V_view_id_top, "_") ];
+            clause "Taint FindView scope" [ Tainted (Recv, View, "_") ];
+          ];
+        out_views;
+      ]
+      [ Taint (Out, "d") ];
+    entry "Taint sentinel" (is Find_view) [ Const ("s", sentinel); out_views; Rel (Id, "d", "s") ] [ Taint (Out, "d") ];
+    entry "Taint FindOne/GetParent"
+      (Op (function Find_one _ | Get_parent -> true | _ -> false))
+      [ Tainted (Recv, View, "_"); out_views ]
+      [ Taint (Out, "d") ];
+    entry "Taint PassThrough" (is Pass_through) [ Tainted (Recv, Any, "x") ] [ Taint (Out, "x") ];
+    entry "Taint lift" Anywhere [ In (Here, View, "v"); Tainted_view "v" ] [ Taint (Here, "v") ];
+  ]
+
 let names = !registry
 
 (* {1 Footprints} *)
@@ -218,9 +294,15 @@ let rec flatten = function
   | p :: rest -> p :: flatten rest
   | [] -> []
 
-let entries_on kind = List.filter (fun e -> match e.on with Op p -> p kind | Round -> false) rules
+let on_kind kind = List.filter (fun e -> match e.on with Op p -> p kind | Round | Anywhere -> false)
 
-let round_entries = List.filter (fun e -> match e.on with Round -> true | Op _ -> false) rules
+let entries_on kind = on_kind kind rules
+
+let taint_entries_on kind = on_kind kind taint_rules
+
+let round_entries = List.filter (fun e -> match e.on with Round -> true | Op _ | Anywhere -> false) rules
+
+let anywhere_entries = List.filter (fun e -> match e.on with Anywhere -> true | Op _ | Round -> false) taint_rules
 
 let footprint kind =
   let entries = entries_on kind in
@@ -250,6 +332,10 @@ type state = {
   sets : (Node.t, VS.t) Hashtbl.t;
   rels : (Node.value, VS.t) Hashtbl.t array;  (** each relation, then its inverse *)
   listeners : (Node.view_abs, Graph.Listener_set.t) Hashtbl.t;
+  taints : (Node.t, VS.t) Hashtbl.t;
+  mutable tainted_views : VS.t;
+  tworklist : Node.t Util.Worklist.t;  (** nodes whose taint grew *)
+  mutable here : Node.t option;  (** where an [Anywhere] entry is applied *)
   fired : int array;  (** per name in [names] *)
   mutable rule : string;  (** the entry being applied *)
   mutable added : string list option;  (** what [step] reports *)
@@ -265,6 +351,8 @@ let inverse st r = st.rels.(match r with Child -> 1 | Id -> 3 | Root -> 5)
 let find tbl key = Option.value (Hashtbl.find_opt tbl key) ~default:VS.empty
 
 let set_of st node = find st.sets node
+
+let taint_of st node = find st.taints node
 
 (* Whether the set grew: [Set.add] returns its argument when [v] is in it. *)
 let add_to (type s elt) (module S : Set.S with type t = s and type elt = elt) tbl key v =
@@ -286,6 +374,17 @@ let add_values st node vs =
         Fmt.str "%a gets %a" Node.pp node Fmt.(Dump.list Node.pp_value) (VS.elements (VS.diff vs existing)))
   end;
   changed
+
+(* Taint stays inside points-to: only the values [node]'s set holds. *)
+let add_taint st node vs =
+  let vs = VS.inter vs (set_of st node) and existing = taint_of st node in
+  if not (VS.subset vs existing) then begin
+    Hashtbl.replace st.taints node (VS.union existing vs);
+    Util.Worklist.add st.tworklist node;
+    st.dirty <- true;
+    note st (fun () ->
+        Fmt.str "%a tainted with %a" Node.pp node Fmt.(Dump.list Node.pp_value) (VS.elements (VS.diff vs existing)))
+  end
 
 let relate st r x y =
   let changed = add_to (module VS) (table st r) x y in
@@ -329,7 +428,7 @@ let value env x = match bound env x with Some (V v) -> v | _ -> invalid_arg ("Ru
 
 let meth env x = match bound env x with Some (M (mid, m, h)) -> (mid, m, h) | _ -> invalid_arg ("Rules: " ^ x)
 
-let locate (op : Graph.op option) env loc =
+let locate st (op : Graph.op option) env loc =
   let mid x = match meth env x with mid, _, _ -> mid in
   let param x k =
     let mid, m, _ = meth env x in
@@ -345,6 +444,7 @@ let locate (op : Graph.op option) env loc =
   | View_param x -> param x (handler x (fun h -> h.h_view_param))
   | Item_param x -> param x (handler x (fun h -> h.h_item_param))
   | Ret x -> Some (Node.N_ret (mid x))
+  | Here -> st.here
 
 (* The methods [callee] names, resolved on the class of [x]'s value. *)
 let resolve st env x callee =
@@ -430,13 +530,16 @@ let rec prove st op env premises k =
       let k env = prove st op env rest k in
       let bind x t = k ((x, t) :: env) in
       let related tbl r x y = choose env y (VS.to_seq (find (tbl st r) (value env x))) k in
+      let within get loc sort x =
+        let set = Option.fold ~none:VS.empty ~some:get (locate st op env loc) in
+        match bound env x with
+        | Some (V v) -> if VS.mem v set && Option.is_some (classify st sort v) then k env
+        | _ -> choose env x (Seq.filter_map (classify st sort) (VS.to_seq set)) k
+      in
       match p with
       | Gate g -> if g st.config then k env
-      | In (loc, sort, x) -> (
-          let set = Option.fold ~none:VS.empty ~some:(set_of st) (locate op env loc) in
-          match bound env x with
-          | Some (V v) -> if VS.mem v set && Option.is_some (classify st sort v) then k env
-          | _ -> choose env x (Seq.filter_map (classify st sort) (VS.to_seq set)) k)
+      | In (loc, sort, x) -> within (set_of st) loc sort x
+      | Tainted (loc, sort, x) -> within (taint_of st) loc sort x
       | Rel (r, x, y) -> (
           match (bound env x, bound env y) with
           | Some _, _ -> related table r x y
@@ -465,12 +568,25 @@ let rec prove st op env premises k =
       | Owner (u, a) ->
           let owner = match value env u with Node.V_view (Node.V_alloc s) -> Node.menu_owner s | _ -> None in
           Option.iter (fun o -> bind a (V (Node.V_act o))) owner
+      | Inflated (l, v) -> (
+          match (op, value env l) with
+          | Some op, Node.V_layout_id lid ->
+              let views =
+                Option.bind (Layouts.Package.find_by_layout_id st.app.package lid) (fun def ->
+                    Graph.find_inflation st.graph ~site:op.site.o_site ~layout:def.Layouts.Layout.name)
+              in
+              List.iter (fun w -> bind v (V (Node.V_view w))) (Option.value views ~default:[])
+          | _ -> ())
+      | Tainted_view v -> (
+          match bound env v with
+          | Some (V w) -> if VS.mem w st.tainted_views then k env
+          | _ -> choose env v (VS.to_seq st.tainted_views) k)
       | Any_of clauses -> List.iter (fun c -> prove st op env c.premises (fire st c k)) clauses)
 
 let conclude st op env = function
   | Flow (loc, x) ->
       let flow n = if add_values st n (VS.singleton (value env x)) then st.dirty <- true in
-      Option.iter flow (locate op env loc)
+      Option.iter flow (locate st op env loc)
   | Add (r, x, y) -> relate st r (value env x) (value env y)
   | Listen (v, l, iface) ->
       let listener = function Node.V_obj s -> Node.L_alloc s | v -> Node.L_act (Option.get (class_of v)) in
@@ -478,39 +594,73 @@ let conclude st op env = function
       let view = Option.get (Node.view_of_value (value env v)) in
       grew st (add_to (module Graph.Listener_set) st.listeners view (l, iface)) (fun () ->
           Fmt.str "%a listens to %a" Node.pp_listener l Node.pp_view view)
+  | Taint (loc, x) -> Option.iter (fun n -> add_taint st n (VS.singleton (value env x))) (locate st op env loc)
+  | Taint_view x ->
+      (* the set is re-derived from the taint rows, so [step] does not
+         report it *)
+      let v = value env x in
+      if not (VS.mem v st.tainted_views) then begin
+        st.tainted_views <- VS.add v st.tainted_views;
+        st.dirty <- true
+      end
 
 let apply st op (e : entry) =
   st.rule <- e.rule.name;
   prove st op [] e.rule.premises (fire st e.rule (fun env -> List.iter (conclude st op env) e.conclusions))
 
 (* Worklist propagation of full sets along every frozen flow edge,
-   context clones' included. *)
-let propagate st =
+   context clones' included: [values] of each node [worklist] pops
+   reach its successors through [add], cast-filtered. *)
+let flow st worklist values add =
   let it = Graph.interner st.graph and fc = Graph.frozen_flow st.graph in
-  st.rule <- "flow";
-  Util.Worklist.drain st.worklist (fun node ->
-      st.propagations <- st.propagations + 1;
+  Util.Worklist.drain worklist (fun node ->
       match Intern.find_node it node with
       | Some src when src < fc.fc_nodes ->
-          let values = set_of st node in
+          let values = values node in
           for e = fc.fc_row.(src) to fc.fc_row.(src + 1) - 1 do
             let dst = Intern.node_of it fc.fc_edst.(e) and k = fc.fc_ekind.(e) in
             let moved =
               if k < 0 then values else VS.filter (passes_cast st.app.hierarchy fc.fc_cast_names.(k)) values
             in
-            ignore (add_values st dst moved)
+            add dst moved
           done
       | _ -> ())
 
-let round st =
-  st.dirty <- false;
+let propagate st =
+  st.rule <- "flow";
+  flow st st.worklist
+    (fun node ->
+      st.propagations <- st.propagations + 1;
+      set_of st node)
+    (fun dst moved -> ignore (add_values st dst moved))
+
+let apply_ops st entries ops =
   List.iter
     (fun (op : Graph.op) ->
-      st.op_applications <- st.op_applications + 1;
-      List.iter (fun e -> match e.on with Op p when p op.site.o_kind -> apply st (Some op) e | _ -> ()) rules)
-    (Graph.ops st.graph);
-  List.iter (fun e -> match e.on with Round -> apply st None e | Op _ -> ()) rules;
+      List.iter (fun e -> match e.on with Op p when p op.site.o_kind -> apply st (Some op) e | _ -> ()) entries)
+    ops
+
+let round st =
+  st.dirty <- false;
+  let ops = Graph.ops st.graph in
+  st.op_applications <- st.op_applications + List.length ops;
+  apply_ops st rules ops;
+  List.iter (apply st None) round_entries;
   propagate st
+
+(* One round of the taint stratum: the ops' entries, the [Anywhere]
+   entries at every location, then taint flow. *)
+let taint_round st =
+  st.dirty <- false;
+  apply_ops st taint_rules (Graph.ops st.graph);
+  Hashtbl.iter
+    (fun node _ ->
+      st.here <- Some node;
+      List.iter (apply st None) anywhere_entries)
+    st.sets;
+  st.here <- None;
+  st.rule <- "Taint flow";
+  flow st st.tworklist (taint_of st) (add_taint st)
 
 let start config app graph =
   {
@@ -521,6 +671,10 @@ let start config app graph =
     sets = Hashtbl.create 256;
     rels = Array.init 6 (fun _ -> Hashtbl.create 64);
     listeners = Hashtbl.create 32;
+    taints = Hashtbl.create 16;
+    tainted_views = VS.empty;
+    tworklist = Util.Worklist.create ();
+    here = None;
     fired = Array.make (List.length names) 0;
     rule = "";
     added = None;
@@ -548,7 +702,7 @@ let encode st =
     | _ -> invalid_arg "Rules.encode"
   in
   let rid = function Node.V_view_id raw -> Intern.rid it raw | _ -> invalid_arg "Rules.encode" in
-  Graph.set_solution st.graph
+  let sol =
     {
       Graph.empty_solution with
       sol_sets = rows st.sets (Intern.node it) VS.fold (Intern.value it);
@@ -558,6 +712,9 @@ let encode st =
       sol_roots = rows (table st Root) holder VS.fold view;
       sol_listeners = rows st.listeners (Intern.view it) Graph.Listener_set.fold (Intern.listener it);
     }
+  in
+  (* a tainted node and value are already interned, as a set's *)
+  Graph.set_solution st.graph { sol with sol_taints = rows st.taints (Intern.node it) VS.fold (Intern.value it) }
 
 type run = { iterations : int; propagations : int; op_applications : int }
 
@@ -571,6 +728,13 @@ let run config app graph =
   let iterations = loop 0 in
   if st.dirty || iterations = 0 then
     Logs.warn (fun m -> m "solver hit the iteration cap (%d); result may be partial" iterations);
+  if Graph.has_top graph then
+    while
+      taint_round st;
+      st.dirty
+    do
+      ()
+    done;
   encode st;
   { iterations; propagations = st.propagations; op_applications = st.op_applications }
 
@@ -588,7 +752,8 @@ let step config app graph =
   for nid = 0 to Intern.node_count it - 1 do
     let node = Intern.node_of it nid in
     let values b = VS.of_list (List.map (Intern.value_of it) (Util.Bitset.elements b)) in
-    Option.iter (fun b -> ignore (add_values st node (values b))) (Graph.points_to_row sol nid)
+    Option.iter (fun b -> ignore (add_values st node (values b))) (Graph.points_to_row sol nid);
+    Option.iter (fun b -> add_taint st node (values b)) (Graph.row sol.sol_taints nid)
   done;
   load sol.sol_children view view (relate st Child);
   load sol.sol_ids view (fun s -> Node.V_view_id (Intern.rid_of it s)) (relate st Id);
@@ -607,4 +772,5 @@ let step config app graph =
         (Layouts.Package.find package layout))
     (Graph.inflation_entries graph);
   round st;
+  if Graph.has_top graph then taint_round st;
   (List.rev (Option.get st.added), List.mapi (fun i name -> (name, st.fired.(i))) names)

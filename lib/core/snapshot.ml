@@ -481,7 +481,7 @@ let of_json j =
     Graph.set_solution graph solution;
     (* Replay the seed pairs into the graph: the captured graph
        carried them, and [Graph.has_top] — which the warm guard and the
-       taint pass key on — is reconstituted as a side effect. *)
+       taint stratum key on — is reconstituted as a side effect. *)
     let seeds = dpairs (dfield "seeds" j) in
     Array.iter
       (fun (nid, vid) -> Graph.seed graph (Intern.node_of it nid) (Intern.value_of it vid))

@@ -6,9 +6,10 @@
    way the result lands in one place, the graph's id-level solution
    store ([Graph.solution]): the interned engine installs its own
    bitset rows, the naive engine encodes its structural tables once at
-   fixpoint.  The taint pass then runs once over that store, and a
-   capturing solve ([run_solved]/[run_incremental]) persists the same
-   rows as a [solved]. *)
+   fixpoint.  Each engine derives sound mode's taint rows itself, from
+   the table's taint stratum, before installing, and a capturing solve
+   ([run_solved]/[run_incremental]) persists the same rows as a
+   [solved]. *)
 
 type stats = {
   iterations : int;
@@ -33,6 +34,9 @@ type stats = {
   reused_comps : int;  (** components whose solution sets were restored by aliasing (warm solves) *)
   fallback : string option;
       (** why an incremental request fell back to a full solve, if it did *)
+  taint_rounds : int;  (** rounds of the taint stratum (sound mode, interned solver, else 0) *)
+  taint_propagations : int;  (** taint-delta worklist pops (ditto) *)
+  taint_op_applications : int;  (** op applications of the taint entries (ditto) *)
 }
 
 let passes_cast = Rules.passes_cast
@@ -187,11 +191,19 @@ type istate = {
      declarative pass, [+1] for the fragment pass, [-1] off. *)
   mutable irec_writer : int;
   irec_targets : Util.Bitset.t array;
+  (* the taint stratum (sound mode), run on the points-to fixpoint; its
+     deltas reuse [ideltas] and the propagation worklist *)
+  itaints : Slots.t;  (** SCC representative -> tainted value ids, inside [sols] *)
+  itainted_views : Util.Bitset.t;  (** view ids *)
+  iwfresh : Util.Bitset.t;  (** value ids of the views tainted since the last lift *)
   (* counters *)
   mutable ipropagations : int;
   mutable iop_applications : int;
   mutable idelta_pushes : int;
   mutable iunion_calls : int;
+  mutable itaint_rounds : int;
+  mutable itaint_propagations : int;
+  mutable itaint_op_applications : int;
 }
 
 let rix = function Rules.Child -> 0 | Rules.Id -> 1 | Rules.Root -> 2
@@ -356,6 +368,60 @@ let ipropagate st ~changed =
         changed rid
   done
 
+(* Taint pushes land on the representative too, and only where its
+   set holds the value ([taint ⊆ set]). *)
+let itaint st nid vid =
+  let rid = irep st nid in
+  match Slots.find st.sols rid with
+  | Some set when Util.Bitset.mem set vid ->
+      if Util.Bitset.add (Slots.get st.itaints rid) vid then begin
+        ignore (Util.Bitset.add (idelta_slot st rid) vid);
+        ienqueue st rid
+      end
+  | _ -> ()
+
+(* A view with no value id is in no set: the lift has nothing to do. *)
+let itaint_view st wid =
+  if Util.Bitset.add st.itainted_views wid then begin
+    let vid = Intern.value_of_view_id st.it wid in
+    if vid >= 0 then ignore (Util.Bitset.add st.iwfresh vid)
+  end
+
+(* Merge [set ∩ mask] into [rid]'s taint, queueing what it adds. *)
+let itaint_inter st rid set mask =
+  if Util.Bitset.intersects set mask then begin
+    let grew = ref false in
+    Util.Bitset.inter_delta ~into:(Slots.get st.itaints rid) set mask ~on_new:(fun vid ->
+        grew := true;
+        ignore (Util.Bitset.add (idelta_slot st rid) vid));
+    if !grew then ienqueue st rid
+  end
+
+(* Taint flow: [ipropagate]'s schedule over the taint deltas.  A
+   member of a direct-edge SCC shares its representative's set, and a
+   direct edge copies taint unfiltered, so members share one taint row
+   too, and the condensed CSR carries it exactly: direct edges merge
+   the delta's words (kept inside the destination's set), cast edges
+   filter per value. *)
+let itaint_propagate st ~changed =
+  while not (Queue.is_empty st.nq) do
+    let rid = Queue.pop st.nq in
+    Util.Bitset.remove st.npending rid;
+    st.itaint_propagations <- st.itaint_propagations + 1;
+    match Slots.take st.ideltas rid with
+    | None -> ()
+    | Some d ->
+        if rid < st.csr_n then
+          for e = st.crow.(rid) to st.crow.(rid + 1) - 1 do
+            let dst = st.cdst.(e) and k = st.ckind.(e) in
+            if k >= 0 then Util.Bitset.iter (fun vid -> if cast_passes st k vid then itaint st dst vid) d
+            else match Slots.find st.sols dst with Some set -> itaint_inter st dst d set | None -> ()
+          done;
+        Util.Bitset.clear d;
+        st.free_deltas <- d :: st.free_deltas;
+        changed rid
+  done
+
 (* Relation updates. *)
 
 (* The views reachable from [wid] over [slots] (parents or children),
@@ -451,11 +517,12 @@ let inote_ret st target nid =
 (* ------------------------------------------------------------------ *)
 (* The rule table, staged.  Each op kind's [Op] entries of
    [Rules.rules] compile once, when the module initialises, into one
-   closure over a solve's id rows, and the [Round] entries into one
-   closure per pass.  Entries that share a premise prefix (the table
-   builds them from the same premise values) share its loops: each
-   binding of the prefix runs the conclusions of the entries ending
-   there, then the longer entries, in table order.  Every variable is a
+   closure over a solve's id rows, and so do its taint entries, if it
+   has any; the [Round] entries compile into one closure per pass.
+   Entries that share a premise prefix (the table builds them from the
+   same premise values) share its loops: each binding of the prefix
+   runs the conclusions of the entries ending there, then the longer
+   entries, in table order.  Every variable is a
    slot of the solve's preallocated environment ([env]), so binding
    allocates nothing:
    - a points-to premise copies its candidates into its own buffer
@@ -585,6 +652,7 @@ let stage tries =
             in
             fun st -> st.env.(i)
         | _ -> unsupported ("method " ^ m))
+    | Here -> unsupported "location of an Anywhere entry in an op entry"
   in
   let rec nodes scope ns = seq (List.map (node scope) ns)
   and node scope n =
@@ -618,55 +686,8 @@ let stage tries =
     match p with
     | Gate g -> test scope body (fun st -> g st.iconfig)
     | Any_of cs -> seq (List.map (fun (c : Rules.clause) -> premises scope c.premises body) cs)
-    | In (loc, Is v, "_") ->
-        let at = location scope loc in
-        test scope body (fun st ->
-            let n = at st in
-            n >= 0
-            &&
-            match (Intern.find_value st.it v, Slots.find st.sols (irep st n)) with
-            | Some vid, Some set -> Util.Bitset.mem set vid
-            | _ -> false)
-    | In (loc, sort, x) ->
-        if x = "_" || slot scope x <> None then unsupported "test of a points-to premise";
-        let at = location scope loc and bi = next buffers in
-        let dom =
-          match sort with
-          | View | Menu -> D_view
-          | Layout_id -> D_layout
-          | View_id | Id_query -> D_id
-          | Listener _ -> D_listener
-          | Any | Activity | Obj _ | Is _ -> D_value
-        in
-        (* add the candidate value [vid] is, if any *)
-        let candidate st vid =
-          let b = st.bufs.(bi) and h = st.iapp.Framework.App.hierarchy in
-          match (sort, Intern.value_of st.it vid) with
-          | View, Node.V_view _ -> buf_add b (Intern.view_of_value_id st.it vid)
-          | Menu, Node.V_view v when Jir.Hierarchy.subtype h (Node.class_of_view v) "Menu" ->
-              buf_add b (Intern.view_of_value_id st.it vid)
-          | Layout_id, Node.V_layout_id raw | (View_id | Id_query), Node.V_view_id raw -> buf_add b raw
-          | Id_query, Node.V_view_id_top -> buf_add b id_top
-          | Any, _ | Activity, Node.V_act _ -> buf_add b vid
-          | Is w, v when Node.equal_value v w -> buf_add b vid
-          | Obj c, Node.V_obj site when Jir.Hierarchy.subtype h site.Node.a_cls c -> buf_add b vid
-          | ( Listener i,
-              (Node.V_obj { Node.a_cls = c; _ } | Node.V_act c | Node.V_view (Node.V_alloc { Node.a_cls = c; _ })) )
-            when Jir.Hierarchy.subtype h c i ->
-              buf_add b vid
-          | _ -> ()
-        in
-        gen scope x dom body (fun k st ->
-            let nid = at st in
-            match if nid >= 0 then Slots.find st.sols (irep st nid) else None with
-            | None -> ()
-            | Some set ->
-                let b = st.bufs.(bi) in
-                b.n <- 0;
-                Util.Bitset.iter_with candidate st set;
-                for i = 0 to b.n - 1 do
-                  k st b.a.(i)
-                done)
+    | In (loc, sort, x) -> member scope body (fun st -> st.sols) loc sort x
+    | Tainted (loc, sort, x) -> member scope body (fun st -> st.itaints) loc sort x
     | Rel (r, x, y) -> (
         let value s st = st.env.(s.ix) in
         match (r, slot scope x, slot scope y) with
@@ -695,6 +716,12 @@ let stage tries =
         | Id, Some sd, None when y = "_" ->
             test scope body (fun st ->
                 not (Option.fold ~none:true ~some:Util.Bitset.is_empty (Slots.find st.iids (value sd st))))
+        | Id, Some sd, Some sk ->
+            test scope body (fun st ->
+                let raw = value sk st in
+                match ((if raw = id_top then None else Intern.rid_opt st.it raw), Slots.find st.iids (value sd st)) with
+                | Some sym, Some ids -> Util.Bitset.mem ids sym
+                | _ -> false)
         | _ -> unsupported "relation premise of this shape")
     | Desc (refl, a, d) -> (
         (* [x] was bound before [y]: the scope lists the newest first *)
@@ -738,6 +765,16 @@ let stage tries =
         let sl = bound scope l in
         gen scope r D_view body (fun k st ->
             Option.iter (fun root -> k st (Intern.view st.it root)) (iinflate_at st ~site:(site st) st.env.(sl.ix)))
+    | Inflated (l, v) ->
+        let sl = bound scope l in
+        gen scope v D_view body (fun k st ->
+            match Layouts.Package.find_by_layout_id st.iapp.Framework.App.package st.env.(sl.ix) with
+            | None -> ()
+            | Some def ->
+                Option.iter
+                  (List.iter (fun view -> Option.iter (k st) (Intern.find_view st.it view)))
+                  (Graph.find_inflation st.igraph ~site:(site st) ~layout:def.Layouts.Layout.name))
+    | Tainted_view _ -> unsupported "tainted-view premise in an op entry"
     | Item x ->
         gen scope x D_view body (fun k st -> k st (Intern.view st.it (Node.V_alloc (Node.menu_item_site (site st)))))
     | Owner (u, a) ->
@@ -793,11 +830,70 @@ let stage tries =
                         let n = Intern.node st.it (Node.N_ret mid) in
                         inote_ret st (if st.icur_op >= 0 then RD_op st.icur_op else RD_frags) n;
                         n
-                    | Recv | Arg _ | Out -> -1))
+                    | Recv | Arg _ | Out | Here -> -1))
                 ms.mlocs;
               k st
         in
         fun st -> Option.iter (fun cls -> List.iter (resolved st cls) (targets st)) (class_of st sx)
+  (* [member scope body rows loc sort x]: a premise over the points-to
+     ([sols]) or taint ([itaints]) row of [loc] *)
+  and member scope body rows loc sort x =
+    let at = location scope loc in
+    match (sort, x) with
+    | Is v, "_" ->
+        test scope body (fun st ->
+            let n = at st in
+            n >= 0
+            &&
+            match (Intern.find_value st.it v, Slots.find (rows st) (irep st n)) with
+            | Some vid, Some set -> Util.Bitset.mem set vid
+            | _ -> false)
+    | _ ->
+        if slot scope x <> None then unsupported "test of a points-to premise";
+        let bi = next buffers in
+        let dom =
+          match sort with
+          | View | Menu -> D_view
+          | Layout_id -> D_layout
+          | View_id | Id_query -> D_id
+          | Listener _ -> D_listener
+          | Any | Activity | Obj _ | Is _ -> D_value
+        in
+        (* add the candidate value [vid] is, if any *)
+        let candidate st vid =
+          let b = st.bufs.(bi) and h = st.iapp.Framework.App.hierarchy in
+          match (sort, Intern.value_of st.it vid) with
+          | View, Node.V_view _ -> buf_add b (Intern.view_of_value_id st.it vid)
+          | Menu, Node.V_view v when Jir.Hierarchy.subtype h (Node.class_of_view v) "Menu" ->
+              buf_add b (Intern.view_of_value_id st.it vid)
+          | Layout_id, Node.V_layout_id raw | (View_id | Id_query), Node.V_view_id raw -> buf_add b raw
+          | Id_query, Node.V_view_id_top -> buf_add b id_top
+          | Any, _ | Activity, Node.V_act _ -> buf_add b vid
+          | Is w, v when Node.equal_value v w -> buf_add b vid
+          | Obj c, Node.V_obj site when Jir.Hierarchy.subtype h site.Node.a_cls c -> buf_add b vid
+          | ( Listener i,
+              (Node.V_obj { Node.a_cls = c; _ } | Node.V_act c | Node.V_view (Node.V_alloc { Node.a_cls = c; _ })) )
+            when Jir.Hierarchy.subtype h c i ->
+              buf_add b vid
+          | _ -> ()
+        in
+        (* the buffer, filled with the candidates *)
+        let fill st =
+          let b = st.bufs.(bi) in
+          b.n <- 0;
+          let nid = at st in
+          (match if nid >= 0 then Slots.find (rows st) (irep st nid) else None with
+          | Some set -> Util.Bitset.iter_with candidate st set
+          | None -> ());
+          b
+        in
+        if x = "_" then test scope body (fun st -> (fill st).n > 0)
+        else
+          gen scope x dom body (fun k st ->
+              let b = fill st in
+              for i = 0 to b.n - 1 do
+                k st b.a.(i)
+              done)
   and conclude scope (c : Rules.conclusion) =
     match c with
     | Flow (loc, x) ->
@@ -814,20 +910,63 @@ let stage tries =
     | Listen (v, l, iface) ->
         let sv = bound scope v and sl = bound scope l in
         fun st -> iadd_view_listener st st.env.(sv.ix) (Intern.listener st.it (listener_of st sl, iface))
+    | Taint (loc, x) ->
+        let at = location scope loc and s = bound scope x in
+        fun st ->
+          let n = at st in
+          if n >= 0 then itaint st n (vid_of st s)
+    | Taint_view x ->
+        let s = bound scope x in
+        fun st -> itaint_view st st.env.(s.ix)
   in
   let staged = List.map (List.map (node [])) tries in
   (staged, !slots, !buffers)
 
-(* Each kind's staged entries and footprint, by [Framework.Api.kind_index],
-   and the two round passes (declarative handlers, declared fragments,
-   in table order). *)
+(* A kind's staged entries, its footprint, and its staged taint
+   entries, if it has any. *)
+type staged_kind = { k_rule : istate -> unit; k_foot : Rules.footprint; k_taint : (istate -> unit) option }
+
+(* Each kind's, by [Framework.Api.kind_index], and the two round passes
+   (declarative handlers, declared fragments, in table order). *)
 let kinds, rounds, env_size, buffer_count =
   let kinds = Framework.Api.kinds in
-  let staged, slots, buffers = stage (trie Rules.round_entries :: List.map (fun k -> trie (Rules.entries_on k)) kinds) in
-  let per_kind = List.map2 (fun k s -> (seq s, Rules.footprint k)) kinds (List.tl staged) in
+  let tries entries = List.map (fun k -> trie (entries k)) kinds in
+  let staged, slots, buffers =
+    stage ((trie Rules.round_entries :: tries Rules.entries_on) @ tries Rules.taint_entries_on)
+  in
+  let n = List.length kinds in
+  let nth i = List.nth staged i in
+  let per_kind =
+    List.mapi
+      (fun i k ->
+        let taint = nth (1 + n + i) in
+        {
+          k_rule = seq (nth (1 + i));
+          k_foot = Rules.footprint k;
+          k_taint = (if taint = [] then None else Some (seq taint));
+        })
+      kinds
+  in
   (Array.of_list per_kind, Array.of_list (List.hd staged), slots, buffers)
 
 let of_kind k = kinds.(Framework.Api.kind_index k)
+
+(* The [Anywhere] entries, staged as masks: each taints, at every
+   representative, the values of its set in a mask, either fixed
+   values (the markers) or the values of the tainted views (the
+   lift). *)
+let taint_marks, taint_lifts =
+  let anywhere (marks, lifts) (e : Rules.entry) =
+    let x = match e.conclusions with [ Taint (Here, x) ] -> x | _ -> unsupported "Anywhere conclusion" in
+    let rec masks (marks, lifts) = function
+      | [ Rules.Any_of cs ] -> List.fold_left (fun acc (c : Rules.clause) -> masks acc c.premises) (marks, lifts) cs
+      | [ Rules.In (Here, Is v, y) ] when y = x -> (marks @ [ v ], lifts)
+      | [ Rules.In (Here, View, y); Tainted_view z ] when y = x && z = x -> (marks, true)
+      | _ -> unsupported "Anywhere premise of this shape"
+    in
+    masks (marks, lifts) e.rule.premises
+  in
+  List.fold_left anywhere ([], false) Rules.anywhere_entries
 
 (* Readers index in rep space: a component's set growing must
    reschedule every op reading ANY member of it.  Ops are interned
@@ -878,7 +1017,7 @@ let ifreeze config app graph ~ops =
   let iop_out = Array.map (fun (_, _, _, oid) -> oid) ops in
   let op_rrow, op_rops = op_readers ~csr_n ~nrep iop_recv iop_args in
   let per_kind = Array.map (fun (site : Node.op_site) -> of_kind site.o_kind) iop_site in
-  let ifoot = Array.map snd per_kind in
+  let ifoot = Array.map (fun k -> k.k_foot) per_kind in
   let readers = Array.make 3 [] in
   for oi = Array.length iop_site - 1 downto 0 do
     List.iter (fun r -> readers.(rix r) <- oi :: readers.(rix r)) ifoot.(oi).reads
@@ -910,7 +1049,7 @@ let ifreeze config app graph ~ops =
     op_rops;
     ifoot;
     readers;
-    iop_rule = Array.map fst per_kind;
+    iop_rule = Array.map (fun k -> k.k_rule) per_kind;
     icur_op = -1;
     env = Array.make env_size 0;
     clos = Array.make env_size Util.Bitset.(create ());
@@ -938,25 +1077,85 @@ let ifreeze config app graph ~ops =
     iowned = [];
     irec_writer = -1;
     irec_targets = Array.init (Array.length iop_site + 2) (fun _ -> Util.Bitset.create ());
+    itaints = Slots.create ();
+    itainted_views = Util.Bitset.create ();
+    iwfresh = Util.Bitset.create ();
     ipropagations = 0;
     iop_applications = 0;
     idelta_pushes = 0;
     iunion_calls = 0;
+    itaint_rounds = 0;
+    itaint_propagations = 0;
+    itaint_op_applications = 0;
   }
 
+(* The taint stratum over the points-to fixpoint (DESIGN §15), run
+   semi-naively over representative rows: the marker mask once, then
+   rounds of the ops' staged taint entries (every op with any at
+   first, then the readers [op_rrow] lists of a representative whose
+   taint grew), the lift of the views tainted since the last one, and
+   taint flow, until nothing is pending.  Points-to no longer moves,
+   so each mask needs intersecting with every set only once. *)
+let itaint_stratum st =
+  let rule oi = (of_kind st.iop_site.(oi).Node.o_kind).k_taint in
+  let ops = Queue.create () and pending = Util.Bitset.create () in
+  let schedule oi = if Option.is_some (rule oi) && Util.Bitset.add pending oi then Queue.push oi ops in
+  let changed rid =
+    if rid < st.csr_n then
+      for e = st.op_rrow.(rid) to st.op_rrow.(rid + 1) - 1 do
+        schedule st.op_rops.(e)
+      done
+  in
+  let lift mask =
+    let sets = st.sols.Slots.a in
+    for rid = 0 to Array.length sets - 1 do
+      match sets.(rid) with Some set -> itaint_inter st rid set mask | None -> ()
+    done
+  in
+  let marks = Util.Bitset.create () in
+  List.iter
+    (fun v -> Option.iter (fun vid -> ignore (Util.Bitset.add marks vid)) (Intern.find_value st.it v))
+    taint_marks;
+  lift marks;
+  Array.iteri (fun oi _ -> schedule oi) st.iop_site;
+  while not (Queue.is_empty ops && Queue.is_empty st.nq && Util.Bitset.is_empty st.iwfresh) do
+    st.itaint_rounds <- st.itaint_rounds + 1;
+    while not (Queue.is_empty ops) do
+      let oi = Queue.pop ops in
+      Util.Bitset.remove pending oi;
+      st.itaint_op_applications <- st.itaint_op_applications + 1;
+      st.icur_op <- oi;
+      Option.iter (fun f -> f st) (rule oi)
+    done;
+    st.icur_op <- -1;
+    if taint_lifts && not (Util.Bitset.is_empty st.iwfresh) then lift st.iwfresh;
+    Util.Bitset.clear st.iwfresh;
+    itaint_propagate st ~changed
+  done
+
 (* The solver's rows, installed as the graph's solution store: no
-   copy — the captured [solved] aliases the same arrays. *)
+   copy — the captured [solved] aliases the same arrays.  Taint rows
+   are node-keyed, each member sharing its representative's row. *)
 let isolution st =
   {
-    Graph.empty_solution with
-    sol_rep = st.nrep;
+    Graph.sol_rep = st.nrep;
     sol_sets = st.sols.Slots.a;
     sol_children = st.ichildren.Slots.a;
     sol_parents = st.iparents.Slots.a;
     sol_ids = st.iids.Slots.a;
     sol_roots = st.iroots.Slots.a;
     sol_listeners = st.ilisteners.Slots.a;
+    sol_taints =
+      (if Graph.has_top st.igraph then
+         Array.init (Intern.node_count st.it) (fun nid -> Slots.find st.itaints (irep st nid))
+       else [||]);
   }
+
+(* Points-to has reached its fixpoint: derive the taint stratum, when
+   a marker may have let imprecision in, and install the rows. *)
+let iinstall st =
+  if Graph.has_top st.igraph then itaint_stratum st;
+  Graph.set_solution st.igraph (isolution st)
 
 (* The interned fixed-point loop, shared by cold and warm solves.
    [init] performs the mode-specific setup (seeding and scheduling)
@@ -1067,12 +1266,15 @@ let istats st ~iterations ~bitset_words ~warm_solve ~dirty_comps ~reused_comps ~
     dirty_comps;
     reused_comps;
     fallback;
+    taint_rounds = st.itaint_rounds;
+    taint_propagations = st.itaint_propagations;
+    taint_op_applications = st.itaint_op_applications;
   }
 
 let run_interned config (app : Framework.App.t) graph =
   let st = ifreeze config app graph ~ops:(Graph.op_table graph) in
   let iterations = iloop st ~record:false ~init:(icold_init st) config in
-  Graph.set_solution graph (isolution st);
+  iinstall st;
   istats st ~iterations ~bitset_words:(Slots.total_words st.sols) ~warm_solve:false ~dirty_comps:0
     ~reused_comps:0 ~fallback:None
 
@@ -1251,6 +1453,8 @@ let solved_interner sd = Graph.interner sd.sd_graph
 
 let solved_class_fp sd = sd.sd_class_fp
 
+let solved_config sd = sd.sd_config
+
 (* Against the program a capture was extracted from, when its graph
    kept its fragments; a loaded snapshot's did not, and its callers
    hash instead. *)
@@ -1326,170 +1530,6 @@ let icapture st ?carry_map ?fps ~shape ~sets ~words ~config ~(app : Framework.Ap
     sd_targets;
   }
 
-(* ------------------------------------------------------------------ *)
-(* Imprecision taint.
-
-   A second plane over the solution: value [v] at node [n] is tainted
-   when its presence may depend on how an unknown-id marker resolves.
-   Solving never branches on taint, so it is derivable from the
-   solution store — one shared pass over the id plane, run identically
-   after both engines, which makes cross-engine bit-identity of the
-   plane trivial, keeps the warm-solve machinery entirely taint-free
-   (⊤ graphs refuse warm starts; see [warm_guard]), and costs nothing
-   on ⊤-free apps (the [has_top] guard).
-
-   The pass propagates over the FULL frozen flow CSR
-   ([fc_row]/[fc_edst]), not the structural edge list: context-keyed
-   clone constraints exist only at the id level.  Taint is an invariant
-   subset of the solution ([taint n ⊆ set n]), maintained by the
-   membership guard in [add].
-
-   Rules (iterated to a fixpoint):
-   - a marker value taints itself wherever it occurs;
-   - a flow edge copies taint value-per-value, cast-filtered;
-   - Inflate/Set_content with ⊤ (or a tainted concrete id) at the
-     layout argument taints the whole subtree it inflated at that
-     site — tracked in the tainted-view set [w] and lifted back into
-     every solution set containing such a view;
-   - FindView(_, ⊤), or a FindView/FindOne/GetParent whose receiver
-     holds a tainted view or holder value, taints the views it
-     outputs; a FindView output carrying the ⊤ id-row sentinel
-     (SetId(v, ⊤)) is tainted too, since any query matches it;
-   - PassThrough copies the receiver's taints;
-   - relations (children, ids, roots, listeners) and handler-parameter
-     injections carry no taint. *)
-let compute_taints (app : Framework.App.t) graph =
-  if Graph.has_top graph then begin
-    let it = Graph.interner graph in
-    let fc = Graph.frozen_flow graph in
-    let sol = Graph.solution graph in
-    let hierarchy = app.Framework.App.hierarchy in
-    let package = app.Framework.App.package in
-    let n = Intern.node_count it in
-    let empty = Util.Bitset.create () in
-    let set_at nid = match Graph.points_to_row sol nid with Some b -> b | None -> empty in
-    let taint = Array.init n (fun _ -> Util.Bitset.create ()) in
-    let changed = ref true in
-    let add nid vid =
-      if nid >= 0 && Util.Bitset.mem (set_at nid) vid && Util.Bitset.add taint.(nid) vid then
-        changed := true
-    in
-    let w = Util.Bitset.create () in
-    let grow_w view =
-      match Intern.find_view it view with
-      | Some wid -> if Util.Bitset.add w wid then changed := true
-      | None -> ()
-    in
-    let has nid = function Some vid -> Util.Bitset.mem (set_at nid) vid | None -> false in
-    let exists_value nid p =
-      Util.Bitset.fold (fun vid acc -> acc || p (Intern.value_of it vid)) taint.(nid) false
-    in
-    let layout_top = Intern.find_value it Node.V_layout_top in
-    let view_id_top = Intern.find_value it Node.V_view_id_top in
-    let top_sym = Intern.rid_opt it Node.top_view_id_raw in
-    (* Markers taint themselves. *)
-    List.iter
-      (Option.iter (fun marker -> for nid = 0 to n - 1 do add nid marker done))
-      [ layout_top; view_id_top ];
-    let edges () =
-      for src = 0 to fc.Graph.fc_nodes - 1 do
-        if not (Util.Bitset.is_empty taint.(src)) then
-          for e = fc.Graph.fc_row.(src) to fc.Graph.fc_row.(src + 1) - 1 do
-            let dst = fc.Graph.fc_edst.(e) in
-            let k = fc.Graph.fc_ekind.(e) in
-            Util.Bitset.iter
-              (fun vid ->
-                if k < 0 || passes_cast hierarchy fc.Graph.fc_cast_names.(k) (Intern.value_of it vid)
-                then add dst vid)
-              taint.(src)
-          done
-      done
-    in
-    let ops = Array.of_list (Graph.ops graph) in
-    let ids = Graph.ops_node_ids graph in
-    let taint_out_views out =
-      if out >= 0 then
-        Util.Bitset.iter (fun vid -> if Intern.view_of_value_id it vid >= 0 then add out vid) (set_at out)
-    in
-    let tainted_scope recv =
-      exists_value recv (function Node.V_view _ | Node.V_act _ | Node.V_obj _ -> true | _ -> false)
-    in
-    (* a view whose id row carries the ⊤ sentinel *)
-    let top_id_view vid =
-      let wid = Intern.view_of_value_id it vid in
-      match (top_sym, Graph.row sol.Graph.sol_ids wid) with
-      | Some sym, Some row -> Util.Bitset.mem row sym
-      | _ -> false
-    in
-    let op_rules () =
-      Array.iteri
-        (fun i (op : Graph.op) ->
-          let recv, args, out = ids.(i) in
-          let arg k = if k < Array.length args then Some args.(k) else None in
-          match op.Graph.site.Node.o_kind with
-          | Framework.Api.Inflate | Framework.Api.Set_content -> (
-              match arg 0 with
-              | None -> ()
-              | Some a ->
-                  let site = op.Graph.site.Node.o_site in
-                  let mark_layout name =
-                    match Graph.find_inflation graph ~site ~layout:name with
-                    | Some views -> List.iter grow_w views
-                    | None -> ()
-                  in
-                  if has a layout_top then
-                    List.iter
-                      (fun (def : Layouts.Layout.def) -> mark_layout def.name)
-                      (Layouts.Package.layouts package);
-                  Util.Bitset.iter
-                    (fun vid ->
-                      match Intern.value_of it vid with
-                      | Node.V_layout_id lid -> (
-                          match Layouts.Package.find_by_layout_id package lid with
-                          | Some def -> mark_layout def.Layouts.Layout.name
-                          | None -> ())
-                      | _ -> ())
-                    taint.(a))
-          | Framework.Api.Find_view -> (
-              match arg 0 with
-              | None -> ()
-              | Some a ->
-                  let tainted_id =
-                    exists_value a (function Node.V_view_id _ -> true | _ -> false)
-                  in
-                  if has a view_id_top || tainted_id || tainted_scope recv then taint_out_views out
-                  else if out >= 0 then
-                    (* concrete query, but a result carrying the
-                       ⊤ sentinel may have matched through it *)
-                    Util.Bitset.iter (fun vid -> if top_id_view vid then add out vid) (set_at out))
-          | Framework.Api.Find_one _ | Framework.Api.Get_parent ->
-              if tainted_scope recv then taint_out_views out
-          | Framework.Api.Pass_through -> Util.Bitset.iter (fun vid -> add out vid) taint.(recv)
-          | Framework.Api.Add_view | Framework.Api.Set_id | Framework.Api.Set_listener _
-          | Framework.Api.Start_activity | Framework.Api.Fragment_add | Framework.Api.Menu_add
-          | Framework.Api.Set_adapter ->
-              ())
-        ops
-    in
-    let lift () =
-      for nid = 0 to n - 1 do
-        Util.Bitset.iter
-          (fun vid ->
-            let wid = Intern.view_of_value_id it vid in
-            if wid >= 0 && Util.Bitset.mem w wid then add nid vid)
-          (set_at nid)
-      done
-    in
-    while !changed do
-      changed := false;
-      edges ();
-      op_rules ();
-      lift ()
-    done;
-    let rows = Array.map (fun b -> if Util.Bitset.is_empty b then None else Some b) taint in
-    Graph.set_solution graph { sol with Graph.sol_taints = rows }
-  end
-
 (* Full solve that also captures the solution for later warm restarts.
    Always runs the interned engine (the captured state is id-level);
    bit-identical to [run] under the interned solver. *)
@@ -1498,8 +1538,7 @@ let run_solved ?fallback config (app : Framework.App.t) graph =
   let ops = Graph.op_table graph in
   let st = ifreeze config app graph ~ops in
   let iterations = iloop st ~record:true ~init:(icold_init st) config in
-  Graph.set_solution graph (isolution st);
-  compute_taints app graph;
+  iinstall st;
   let words = Slots.total_words st.sols in
   let stats = istats st ~iterations ~bitset_words:words ~warm_solve:false ~dirty_comps:0 ~reused_comps:0 ~fallback in
   let sets = Array.fold_left (fun n o -> if Option.is_some o then n + 1 else n) 0 st.sols.Slots.a in
@@ -1514,9 +1553,10 @@ let warm_guard prev config (app : Framework.App.t) graph =
   else if config <> prev.sd_config then Some "configuration changed"
   else if Graph.has_top graph || Graph.has_top prev.sd_graph then
     (* A ⊤ marker makes op effects depend on the whole layout table
-       and the whole id index, which the shape diff does not model —
-       and the taint plane would have to be re-derived anyway.  Sound
-       mode always re-solves from scratch. *)
+       and the whole id index, which the shape diff does not model, so
+       sound mode always re-solves from scratch.  The taint stratum is
+       not the obstacle: it reads only the final rows, and [iinstall]
+       runs it after a warm loop as after a cold one. *)
     Some "unknown-id markers present: sound mode is not warm-startable"
   else if config.Config.inline_depth > 0 && config.Config.solver = Config.Interned then
     (* Context-keyed graphs carry their clone constraints only in the
@@ -1626,7 +1666,7 @@ let run_incremental ~prev ~edits ?new_shape config (app : Framework.App.t) graph
           if ni < 0 then begin
             let (site : Node.op_site), _, _, _ = prev.sd_shape.sh_ops.(oj) in
             dirty_old_targets oj;
-            clear_for (snd (of_kind site.Node.o_kind))
+            clear_for (of_kind site.Node.o_kind).k_foot
           end)
         edits.es_old_to_new;
       (* Old dynamic return dependencies, re-keyed to surviving ops. *)
@@ -1845,7 +1885,7 @@ let run_incremental ~prev ~edits ?new_shape config (app : Framework.App.t) graph
         ipropagate st ~changed:on_changed
       in
       let iterations = iloop st ~record:true ~init:iwarm_init config in
-      Graph.set_solution graph (isolution st);
+      iinstall st;
       (* the words of the sets created or taken over, at their final size *)
       let words =
         List.fold_left
@@ -1876,12 +1916,9 @@ let run config (app : Framework.App.t) graph =
   Graph.reset_sets graph;
   match config.Config.solver with
   | Config.Interned ->
-      let stats = run_interned config app graph in
-      compute_taints app graph;
-      stats
+      run_interned config app graph
   | Config.Naive ->
       let r = Rules.run config app graph in
-      compute_taints app graph;
       {
         iterations = r.iterations;
         propagations = r.propagations;
@@ -1901,4 +1938,7 @@ let run config (app : Framework.App.t) graph =
         dirty_comps = 0;
         reused_comps = 0;
         fallback = None;
+        taint_rounds = 0;
+        taint_propagations = 0;
+        taint_op_applications = 0;
       }

@@ -58,12 +58,20 @@ type stats = {
       (** set when an incremental request could not warm-start (stale
           snapshot, changed configuration or hierarchy, corrupt state
           file) and a full solve ran instead; carries the reason *)
+  taint_rounds : int;
+      (** rounds of the taint stratum (sound mode: the graph holds an
+          unknown-id marker), each the ops' pending taint entries, the
+          lift and taint flow; [0] without markers and under the naive
+          engine, like the two below *)
+  taint_propagations : int;  (** taint-delta worklist pops *)
+  taint_op_applications : int;  (** op applications of the taint entries *)
 }
 
 val run : Config.t -> Framework.App.t -> Graph.t -> stats
-(** Mutates the graph's points-to sets and relations.  Safe to re-run:
-    sets are reset from the seeds first.  The engine is selected by
-    [config.solver]; both produce the same solution. *)
+(** Mutates the graph's points-to sets and relations, and its taint
+    rows when it holds an unknown-id marker.  Safe to re-run: sets are
+    reset from the seeds first.  The engine is selected by
+    [config.solver]; both produce the same solution, taint included. *)
 
 (** {1 Incremental re-analysis}
 
@@ -173,6 +181,10 @@ val shape_of_solved : solved -> shape
 
 val solved_interner : solved -> Intern.t
 (** The interner of [sd_graph]. *)
+
+val solved_config : solved -> Config.t
+(** The configuration the capture was solved under; a registry
+    reloading state from disk serves it only under its own. *)
 
 val solved_class_fp : solved -> string
 (** Class-hierarchy fingerprint at capture; a registry reloading state

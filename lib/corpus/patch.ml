@@ -163,8 +163,9 @@ let load path =
 
 let map_meth_body f (m : Jir.Ast.meth) = { m with Jir.Ast.m_body = f m.Jir.Ast.m_body }
 
+(* Rewrite the method [cls.meth/arity] with [f], which may refuse. *)
 let update_meth ~cls ~meth ~arity f (program : Jir.Ast.program) =
-  let hit = ref false in
+  let hit = ref false and refused = ref None in
   let classes =
     List.map
       (fun (c : Jir.Ast.cls) ->
@@ -177,15 +178,22 @@ let update_meth ~cls ~meth ~arity f (program : Jir.Ast.program) =
                 (fun (m : Jir.Ast.meth) ->
                   if m.m_name = meth && List.length m.m_params = arity then begin
                     hit := true;
-                    f m
+                    match f m with
+                    | Ok m -> m
+                    | Error e ->
+                        refused := Some e;
+                        m
                   end
                   else m)
                 c.c_methods;
           })
       program.Jir.Ast.p_classes
   in
-  if !hit then Ok { Jir.Ast.p_classes = classes }
-  else Error (Printf.sprintf "no method %s.%s/%d" cls meth arity)
+  match !refused with
+  | Some e -> Error e
+  | None ->
+      if !hit then Ok { Jir.Ast.p_classes = classes }
+      else Error (Printf.sprintf "no method %s.%s/%d" cls meth arity)
 
 let apply_edit program = function
   | Rename_view_id { from_; to_ } ->
@@ -210,10 +218,16 @@ let apply_edit program = function
          it in the same method, so every later site changes name; the
          diff soundly treats those ops as removed + added. *)
       update_meth ~cls ~meth ~arity
-        (map_meth_body (fun body -> List.filteri (fun i _ -> i <> index) body))
+        (fun m ->
+          let length = List.length m.Jir.Ast.m_body in
+          if index < 0 || index >= length then
+            Error
+              (Printf.sprintf "remove_stmt: %s.%s/%d has no statement %d (its body has %d)" cls meth arity index
+                 length)
+          else Ok (map_meth_body (List.filteri (fun i _ -> i <> index)) m))
         program
   | Add_stmt { cls; meth; arity; stmt } ->
-      update_meth ~cls ~meth ~arity (map_meth_body (fun body -> body @ [ stmt ])) program
+      update_meth ~cls ~meth ~arity (fun m -> Ok (map_meth_body (fun body -> body @ [ stmt ]) m)) program
   | Add_method { cls; name; params; body } ->
       let m =
         {

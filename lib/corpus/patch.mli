@@ -19,9 +19,11 @@ type edit =
   | Rename_view_id of { from_ : string; to_ : string }
       (** Retarget every [x = R.id.from_] read to another id. *)
   | Remove_stmt of { cls : string; meth : string; arity : int; index : int }
-      (** Drop the statement at [index].  Later statements of the same
-          method shift index, so their sites are treated as removed +
-          added by the diff — sound, at some extra invalidation. *)
+      (** Drop the statement at [index]; an index outside the body is
+          an [Error] naming the method, the index and the body's
+          length.  Later statements of the same method shift index, so
+          their sites are treated as removed + added by the diff —
+          sound, at some extra invalidation. *)
   | Add_stmt of { cls : string; meth : string; arity : int; stmt : Jir.Ast.stmt }
       (** Append a statement to the method body. *)
   | Add_method of { cls : string; name : string; params : string list; body : Jir.Ast.stmt list }

@@ -14,8 +14,9 @@
    persisted through [Snapshot] and every accepted patch's edits are
    persisted verbatim; a restarted daemon replays the edits over the
    regenerated corpus app and serves the snapshot directly — answering
-   queries without re-solving — as long as the rebuilt app's class
-   fingerprint matches the captured one.  Any recovery failure
+   queries without re-solving — as long as it was captured under the
+   daemon's configuration and the rebuilt app's class fingerprint
+   matches the captured one.  Any recovery failure
    (missing, corrupt or stale files) falls back to a fresh full solve;
    hostile state files are [Error]s, never crashes. *)
 
@@ -97,18 +98,20 @@ let recover_patches dir name base =
             | Error _ -> None))
     | Ok _ -> None
 
+(* The persisted solve, served only when it was captured under the
+   daemon's configuration and the rebuilt app's class surface matches
+   it; otherwise the reason to re-solve. *)
 let recover_snapshot dir name (app : Framework.App.t) =
   let path = snap_path dir name in
-  if not (Sys.file_exists path) then None
+  if not (Sys.file_exists path) then Error "no snapshot"
   else
     match Gator.Snapshot.load path with
-    | Error _ -> None
+    | Error e -> Error ("unreadable snapshot: " ^ e)
     | Ok solved ->
-        (* serve the capture only when the rebuilt app's class
-           surface matches it; otherwise re-solve *)
-        if String.equal (Gator.Solve.solved_class_fp solved) (Gator.Solve.class_fp app) then
-          Some solved
-        else None
+        if Gator.Solve.solved_config solved <> config then Error "snapshot captured under another configuration"
+        else if not (String.equal (Gator.Solve.solved_class_fp solved) (Gator.Solve.class_fp app)) then
+          Error "class hierarchy changed since the snapshot"
+        else Ok solved
 
 (* ------------------------------------------------------------------ *)
 (* Registry *)
@@ -141,8 +144,10 @@ let load t name =
             match t.state_dir with
             | Some dir when patches != [] || Sys.file_exists (snap_path dir name) -> (
                 match recover_snapshot dir name app with
-                | Some solved -> (Some solved, "snapshot")
-                | None -> (None, "solved"))
+                | Ok solved -> (Some solved, "snapshot")
+                | Error reason ->
+                    logf t "%s: re-solving (%s)" name reason;
+                    (None, "solved"))
             | _ -> (None, "solved")
           in
           let solved =

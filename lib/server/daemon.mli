@@ -7,9 +7,10 @@
     response envelope.  With a state directory configured, solves and
     accepted patch edits are persisted; a restarted daemon replays the
     edits over the regenerated corpus app and serves the snapshot
-    directly, without re-solving (falling back to a full solve when
-    recovery fails the class-fingerprint guard or the files are
-    corrupt). *)
+    directly, without re-solving (falling back to a full solve, with
+    the reason logged, when the snapshot was captured under another
+    configuration, the class fingerprint no longer matches, or the
+    files are corrupt). *)
 
 type t
 

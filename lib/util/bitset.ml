@@ -146,6 +146,20 @@ let union_delta ~into src ~on_new =
     end
   done
 
+(* Merge [a ∩ b] into [into], calling [on_new] for each element newly
+   added: [union_delta] restricted to [b], for a plane that must stay
+   inside another (the solver's taint rows inside points-to). *)
+let inter_delta ~into a b ~on_new =
+  let n = min (Array.length a.words) (Array.length b.words) in
+  if n > 0 then ensure into (n - 1);
+  for i = 0 to n - 1 do
+    let nw = a.words.(i) land b.words.(i) land lnot into.words.(i) in
+    if nw <> 0 then begin
+      into.words.(i) <- into.words.(i) lor nw;
+      iter_word on_new (i * bits_per_word) nw
+    end
+  done
+
 (* Is every member of [a] already in [b]?  Word-level; the warm
    (incremental) solver uses this as its would-grow test before
    copying a borrowed solution set. *)

@@ -51,6 +51,10 @@ val union_delta : into:t -> t -> on_new:(int -> unit) -> unit
     element newly added to [into] (the semi-naive propagation
     primitive: only genuinely fresh bits are visited). *)
 
+val inter_delta : into:t -> t -> t -> on_new:(int -> unit) -> unit
+(** [inter_delta ~into a b ~on_new] merges [a ∩ b] into [into];
+    [on_new] fires once for each element newly added. *)
+
 val subset : t -> t -> bool
 (** [subset a b]: is every member of [a] already in [b]? *)
 

@@ -1,6 +1,6 @@
 (* The one solution comparator every engine differential uses: two
-   analyses of the same app must agree on points-to sets, view
-   relations (children, ids, listeners, onclick handlers, declared
+   analyses of the same app must agree on points-to sets, taint rows,
+   view relations (children, ids, listeners, onclick handlers, declared
    fragments), holder roots, transitions, and the op-level [Diff].
    Handlers and fragment classes are read from each side's layouts. *)
 open Gator
@@ -38,6 +38,14 @@ let check name (a : Analysis.t) (b : Analysis.t) =
         fail "points-to sets differ at %a (%d vs %d values)" Node.pp node (Graph.VS.cardinal va)
           (Graph.VS.cardinal vb))
     locations;
+  (* Taint rows, node by node, over every node either side taints. *)
+  let tainted (r : Analysis.t) = List.map fst (Graph.tainted_nodes r.graph) in
+  List.iter
+    (fun node ->
+      let ta = Graph.taints_of a.graph node and tb = Graph.taints_of b.graph node in
+      if not (Graph.VS.equal ta tb) then
+        fail "taint rows differ at %a (%d vs %d values)" Node.pp node (Graph.VS.cardinal ta) (Graph.VS.cardinal tb))
+    (List.sort_uniq Node.compare (tainted a @ tainted b));
   let views = Graph.View_set.union (all_views a) (all_views b) in
   Graph.View_set.iter
     (fun view ->

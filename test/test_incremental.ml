@@ -26,6 +26,26 @@ let apply_patch app patch =
   | Ok app' -> app'
   | Error e -> Alcotest.failf "patch failed to apply: %s" e
 
+(* A [Remove_stmt] outside the body is refused, naming the method, the
+   index and the body's length; the last statement still goes. *)
+let test_remove_out_of_range () =
+  let app = inc_app () in
+  let length = List.length (Option.get (find_method app ~cls:"Inc_Activity" ~name:"onCreate" ~arity:0)).m_body in
+  let remove index = [ Corpus.Patch.Remove_stmt { cls = "Inc_Activity"; meth = "onCreate"; arity = 0; index } ] in
+  List.iter
+    (fun index ->
+      match Corpus.Patch.apply app (remove index) with
+      | Ok _ -> Alcotest.failf "index %d applied" index
+      | Error e ->
+          Alcotest.(check string)
+            (Printf.sprintf "index %d" index)
+            (Printf.sprintf "remove_stmt: Inc_Activity.onCreate/0 has no statement %d (its body has %d)" index length)
+            e)
+    [ length; length + 1; -1 ];
+  let app' = apply_patch app (remove (length - 1)) in
+  Alcotest.(check int) "the last statement goes" (length - 1)
+    (List.length (Option.get (find_method app' ~cls:"Inc_Activity" ~name:"onCreate" ~arity:0)).m_body)
+
 (* `dune runtest` runs in test/, `dune exec test/main.exe` in the
    project root — accept either. *)
 let find_file ~under file =
@@ -792,6 +812,7 @@ let suite =
     Alcotest.test_case "patch: rename id" `Quick test_patch_rename_id;
     Alcotest.test_case "patch: remove view" `Quick test_patch_remove_view;
     Alcotest.test_case "patch: cycle split" `Quick test_patch_cycle_split;
+    Alcotest.test_case "patch: an out-of-range remove is refused" `Quick test_remove_out_of_range;
     Alcotest.test_case "patch chain (warm of warm)" `Quick test_patch_chain;
     Alcotest.test_case "config change falls back" `Quick test_config_change_falls_back;
     Alcotest.test_case "method addition stays warm" `Quick test_methods_changed_not_fallback;

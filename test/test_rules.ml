@@ -133,6 +133,34 @@ let test_certificate_child_row () =
         "inflation re-derives it" true
         (List.exists (fun fact -> String.starts_with ~prefix:"Inflate" fact) added)
 
+(* The same for taint: clear any one tainted node's row of ReflHeavy
+   and one round of the taint entries re-derives it. *)
+let test_certificate_taint_row () =
+  let app = Corpus.Gen.reflective_app ~layouts:3 ~seed:42 () in
+  let r = Analysis.analyze app in
+  let sol = Graph.solution r.graph and it = Graph.interner r.graph in
+  let tainted = Graph.tainted_nodes r.graph in
+  if tainted = [] then Alcotest.fail "ReflHeavy has no taint rows";
+  (* a fact reads "<entry>: <node> tainted with <values>" *)
+  let about node fact =
+    String.starts_with ~prefix:"Taint" fact
+    &&
+    match String.index_opt fact ':' with
+    | Some i ->
+        let rest = String.sub fact (i + 1) (String.length fact - i - 1) in
+        String.starts_with ~prefix:(Fmt.str " %a tainted with" Node.pp node) rest
+    | None -> false
+  in
+  List.iter
+    (fun (node, _) ->
+      let taints = Array.copy sol.Graph.sol_taints in
+      taints.(Option.get (Intern.find_node it node)) <- None;
+      Graph.set_solution r.graph { sol with Graph.sol_taints = taints };
+      let added, _ = Rules.step Config.default app r.graph in
+      if not (List.exists (about node) added) then
+        Alcotest.failf "a cleared taint row at %a passes the certificate" Node.pp node)
+    tainted
+
 (* Inflation, FindOne (refined and not), getParent and startActivity
    in one app: the corpus does not reach them all. *)
 let ops_app () =
@@ -155,8 +183,9 @@ let ops_app () =
       class B extends Activity { method onCreate(): void { } }|}
 
 (* Every entry fires somewhere: certificate rounds over the corpus, the
-   extension apps, ReflHeavy and the ops app (also at the baseline
-   configuration, for the unrefined FindOne entry). *)
+   extension apps, ReflHeavy, the ops app (also at the baseline
+   configuration, for the unrefined FindOne entry) and the taint ops
+   app. *)
 let test_coverage () =
   let rounds =
     Lazy.force corpus_fired
@@ -165,6 +194,7 @@ let test_coverage () =
         certify "ReflHeavy" (Corpus.Gen.reflective_app ~layouts:3 ~seed:42 ());
         certify "ops" (ops_app ());
         certify ~config:Config.baseline "ops, baseline" (ops_app ());
+        certify "taint ops" (Test_sound.taint_ops_app ());
       ]
   in
   let fires name = List.exists (fun fired -> List.assoc name fired > 0) rounds in
@@ -210,6 +240,7 @@ let suite =
     QCheck_alcotest.to_alcotest test_qcheck;
     Alcotest.test_case "certificate rejects a missing fact" `Quick test_certificate_bites;
     Alcotest.test_case "certificate rejects a missing child row" `Quick test_certificate_child_row;
+    Alcotest.test_case "certificate rejects a missing taint row" `Quick test_certificate_taint_row;
     Alcotest.test_case "every entry fires" `Quick test_coverage;
     Alcotest.test_case "footprints read off the table" `Quick test_footprints;
   ]

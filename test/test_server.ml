@@ -571,6 +571,12 @@ let test_stats_survive_patch () =
   List.iter (fun node -> ignore (handle_json t (req_points_to "XBMC" node))) probes;
   Alcotest.(check int) "and keep accumulating" (2 * List.length probes) (stat_field "queries")
 
+let on_create () =
+  Option.get
+    (Jir.Ast.find_meth
+       (Option.get (Jir.Ast.find_class (xbmc ()).program "Activity_0"))
+       { Jir.Ast.mk_name = "onCreate"; mk_arity = 0 })
+
 (* A patch reply says how the warm start was built, every fallback
    with its reason: a resident solve assembles from fragments and
    takes its edit script from the freeze delta; a reverted patch too. *)
@@ -586,14 +592,8 @@ let test_patch_route () =
       ("edit_script", "freeze delta");
     ]
     (route_of (patch patch_edits));
-  let on_create =
-    Option.get
-      (Jir.Ast.find_meth
-         (Option.get (Jir.Ast.find_class (xbmc ()).program "Activity_0"))
-         { Jir.Ast.mk_name = "onCreate"; mk_arity = 0 })
-  in
   (* the added statement landed at the end of the body *)
-  let index = List.length on_create.m_body in
+  let index = List.length (on_create ()).m_body in
   let revert =
     J.List
       [
@@ -617,30 +617,65 @@ let test_patch_route () =
     ]
     (route_of reply)
 
-(* A patch whose warm start the guard refuses: the daemon recovers a
-   solve captured under another configuration, and its next patch runs
-   a full solve.  The reply names the fallback, and its route says the
-   edit script went unused rather than naming one. *)
-let test_patch_route_fallback () =
+(* A snapshot captured under another configuration is not served: the
+   daemon re-solves under its own and persists that, so its next patch
+   starts warm and a restarted daemon serves the new snapshot.  (The
+   route of a warm start the guard refuses, [unused (full solve: ...)],
+   is pinned through [Incremental.analyze_patch] in
+   test_incremental.) *)
+let test_snapshot_other_config () =
   with_state_dir (fun state_dir ->
       let config = { Gator.Config.default with cast_filtering = false } in
       let _, solved = Gator.Incremental.analyze_solved ~config (xbmc ()) in
       Unix.mkdir state_dir 0o755;
       Gator.Snapshot.save solved (Filename.concat state_dir "XBMC.snap.json");
+      let source t =
+        match ok_payload (handle_json t (req_load "XBMC")) with
+        | Some ok -> J.member "source" ok
+        | None -> Alcotest.fail "load failed"
+      in
       let t = mk_server ~state_dir () in
-      (match ok_payload (handle_json t (req_load "XBMC")) with
-      | Some ok ->
-          Alcotest.(check bool) "recovered from the snapshot" true (J.member "source" ok = Some (J.String "snapshot"))
-      | None -> Alcotest.fail "load failed");
+      Alcotest.(check bool) "re-solved" true (source t = Some (J.String "solved"));
       Alcotest.(check (list (pair string string)))
-        "fallback route"
+        "warm route"
         [
-          ("assembly", "declined (configuration changed)");
-          ("freeze", "full freeze");
-          ("edit_script", "unused (full solve: configuration changed)");
-          ("fallback", "configuration changed");
+          ("assembly", "1 of 3012 methods re-extracted");
+          ("freeze", "delta freeze, partition kept");
+          ("edit_script", "freeze delta");
         ]
-        (route_of (handle_json t (P.request_to_json (P.R_patch { app = "XBMC"; edits = patch_edits })))))
+        (route_of (handle_json t (P.request_to_json (P.R_patch { app = "XBMC"; edits = patch_edits }))));
+      Alcotest.(check bool) "the re-solved state is served on restart" true
+        (source (mk_server ~state_dir ()) = Some (J.String "snapshot")))
+
+(* A [remove_stmt] outside the method's body is an error reply, and
+   the app stays at its generation. *)
+let test_patch_out_of_range () =
+  let t = mk_server () in
+  Alcotest.(check (option string)) "load ok" None (error_code (handle_json t (req_load "XBMC")));
+  let remove index =
+    J.List
+      [
+        J.Obj
+          [
+            ("edit", J.String "remove_stmt");
+            ("cls", J.String "Activity_0");
+            ("meth", J.String "onCreate");
+            ("arity", J.Int 0);
+            ("index", J.Int index);
+          ];
+      ]
+  in
+  let patch edits = handle_json t (P.request_to_json (P.R_patch { app = "XBMC"; edits })) in
+  let body = List.length (on_create ()).m_body in
+  List.iter
+    (fun index ->
+      Alcotest.(check (option string))
+        (Printf.sprintf "index %d refused" index)
+        (Some "bad-params")
+        (error_code (patch (remove index)));
+      Alcotest.(check (option int)) "generation unchanged" (Some 0) (generation (handle_json t (req_load "XBMC"))))
+    [ body; body + 5; -1 ];
+  Alcotest.(check (option int)) "the last statement goes" (Some 1) (generation (patch (remove (body - 1))))
 
 (* A frame-cap-sized payload that is nothing but nested arrays: the
    JSON depth bound turns it into a [parse] error envelope quickly,
@@ -663,7 +698,8 @@ let suite =
     Alcotest.test_case "dispatch: answers, envelopes, survival" `Quick test_dispatch;
     Alcotest.test_case "stats survive a patch" `Quick test_stats_survive_patch;
     Alcotest.test_case "a patch reply names its route" `Quick test_patch_route;
-    Alcotest.test_case "a refused warm start's reply names its fallback" `Quick test_patch_route_fallback;
+    Alcotest.test_case "a snapshot under another configuration is re-solved" `Quick test_snapshot_other_config;
+    Alcotest.test_case "an out-of-range remove_stmt is an error" `Quick test_patch_out_of_range;
     Alcotest.test_case "operand codecs round-trip" `Quick test_codecs;
     Alcotest.test_case "hostile frames against a live daemon" `Quick test_hostile_frames;
     Alcotest.test_case "frame-sized nesting is refused fast" `Quick test_deep_nesting_frame;
