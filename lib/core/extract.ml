@@ -58,29 +58,50 @@ type cha_facts = {
   mutable may_reach_platform : bool option;
 }
 
-type cha_cache = (string option * string * int, cha_facts) Hashtbl.t
+(* A call signature: receiver type ([None] = untyped, which CHA
+   resolves to every method of the key), name and arity. *)
+module Cha_key = struct
+  type t = string option * string * int
+
+  let equal (r1, n1, a1) (r2, n2, a2) =
+    Int.equal a1 a2 && String.equal n1 n2 && Option.equal String.equal r1 r2
+
+  let hash (r, n, a) =
+    let hr = match r with None -> 0 | Some r -> Node.hash_string r in
+    Node.mix (Node.mix hr (Node.hash_string n)) a
+end
+
+module Cha_memo = Hashtbl.Make (Cha_key)
+
+module Mid_tbl = Hashtbl.Make (struct
+  type t = Node.mid
+
+  let equal a b = Node.compare_mid a b = 0
+
+  let hash = Node.hash_mid
+end)
 
 (* Per-run caches shared by the structural walk, the inliner and the
    template compiler: CHA facts per call signature, and typing
    environments per method (the inliner re-derives the callee env once
    per clone; templates would re-derive it once per build). *)
 type ex_memo = {
-  cha : cha_cache;
-  envs : (Node.mid, Jir.Typing.env) Hashtbl.t;
+  cha : cha_facts Cha_memo.t;
+  envs : Jir.Typing.env Mid_tbl.t;
 }
 
-let fresh_memo () = { cha = Hashtbl.create 256; envs = Hashtbl.create 256 }
+let fresh_memo () = { cha = Cha_memo.create 256; envs = Mid_tbl.create 256 }
 
 let cha_facts hierarchy memo recv_ty name arity =
   let ck = (recv_ty, name, arity) in
-  match Hashtbl.find_opt memo.cha ck with
+  match Cha_memo.find_opt memo.cha ck with
   | Some facts -> facts
   | None ->
       let key = { Jir.Ast.mk_name = name; mk_arity = arity } in
       let facts =
         { targets = Jir.Hierarchy.cha_targets hierarchy ~recv_ty key; may_reach_platform = None }
       in
-      Hashtbl.add memo.cha ck facts;
+      Cha_memo.add memo.cha ck facts;
       facts
 
 (* Only call sites read a receiver type, so a method's environment is
@@ -88,14 +109,14 @@ let cha_facts hierarchy memo recv_ty name arity =
    no call are never typed. *)
 let lazy_typing_env (app : Framework.App.t) memo ~mid ~owner (m : Jir.Ast.meth) =
   lazy
-    (match Hashtbl.find_opt memo.envs mid with
+    (match Mid_tbl.find_opt memo.envs mid with
     | Some env -> env
     | None ->
         let cha_targets ~recv_ty name arity =
           (cha_facts app.hierarchy memo recv_ty name arity).targets
         in
         let env = Framework.App.typing_env ~cha_targets app ~owner m in
-        Hashtbl.add memo.envs mid env;
+        Mid_tbl.add memo.envs mid env;
         env)
 
 let typing_envs (app : Framework.App.t) =
@@ -220,7 +241,7 @@ and tinline = {
   ti_ret : int Lazy.t;  (** lazy: result-discarded never-returning calls intern no [$ret] *)
 }
 
-type tcache = (Node.mid, tinstr array) Hashtbl.t
+type tcache = tinstr array Mid_tbl.t
 
 let build_template config (app : Framework.App.t) graph ~memo ~owner (target : Jir.Ast.meth) =
   let mid = Node.mid_of_meth owner target in
@@ -298,11 +319,11 @@ let rec expand_template config app graph (tcache : tcache) ~memo ~kctx ~owner
     (target : Jir.Ast.meth) =
   let mid = Node.mid_of_meth owner target in
   let instrs =
-    match Hashtbl.find_opt tcache mid with
+    match Mid_tbl.find_opt tcache mid with
     | Some t -> t
     | None ->
         let t = build_template config app graph ~memo ~owner target in
-        Hashtbl.add tcache mid t;
+        Mid_tbl.add tcache mid t;
         t
   in
   let it = Graph.interner graph in
@@ -599,7 +620,7 @@ let run ?interner config (app : Framework.App.t) =
      base ids of this graph's interner. *)
   let keyed =
     if config.Config.inline_depth > 0 && config.Config.solver = Config.Interned then
-      Some (Hashtbl.create 64 : tcache)
+      Some (Mid_tbl.create 64 : tcache)
     else None
   in
   let memo = fresh_memo () in

@@ -37,33 +37,102 @@ module type KEY = sig
   val hash : t -> int
 
   val dummy : t
-  (** fills unused backward-array slots; never exposed *)
+  (** fills empty table slots and unused reverse-array slots; never
+      returned for a minted id *)
 end
 
+(* Two dense ids packed into one int key, [hi] in the upper bits.  Both
+   must lie in [0, 2^pack_bits): a larger id would alias another pair's
+   key, so it is refused instead of truncated. *)
+let pack_bits = 31
+
+let pack hi lo =
+  if hi lsr pack_bits <> 0 || lo lsr pack_bits <> 0 then
+    invalid_arg "Intern.pack: id past the packing bound";
+  (hi lsl pack_bits) lor lo
+
 module Pool (K : KEY) = struct
-  module H = Hashtbl.Make (K)
+  (* Open addressing with linear probing over a power-of-two table.  A
+     slot is two words: the key ([keys]) and one int ([meta]) packing
+     the key's 31-bit hash above its 31-bit id, [-1] when empty.  A
+     probe compares the packed hash before it calls [K.equal], so a
+     probe run costs one int comparison per foreign slot; growth
+     re-slots entries by their stored hashes and never calls [K.hash].
+     The table grows at 3/4 load, so an empty slot always ends a probe,
+     and [back] (id -> key, in first-intern order) grows with it. *)
+  type t = {
+    mutable keys : K.t array;
+    mutable meta : int array;
+    mutable back : K.t array;  (** length = the count that triggers growth *)
+    mutable count : int;
+    bound : int;
+  }
 
-  type t = { fwd : int H.t; mutable back : K.t array; mutable count : int }
+  let hash_mask = (1 lsl pack_bits) - 1
 
-  let create () = { fwd = H.create 256; back = Array.make 64 K.dummy; count = 0 }
+  let create ?(id_bound = 1 lsl pack_bits) slots =
+    if id_bound < 1 || id_bound > 1 lsl pack_bits then invalid_arg "Intern.Pool.create: id bound";
+    if slots < 4 || slots land (slots - 1) <> 0 then invalid_arg "Intern.Pool.create: slots";
+    {
+      keys = Array.make slots K.dummy;
+      meta = Array.make slots (-1);
+      back = Array.make (slots / 4 * 3) K.dummy;
+      count = 0;
+      bound = id_bound;
+    }
 
-  let find_opt t k = H.find_opt t.fwd k
+  (* The slot holding [k] (hash [h]), or the empty slot ending its
+     run.  Every operand is a parameter, so a probe allocates nothing. *)
+  let rec probe keys meta mask k h i =
+    let m = Array.unsafe_get meta i in
+    if m < 0 || (m lsr pack_bits = h && K.equal (Array.unsafe_get keys i) k) then i
+    else probe keys meta mask k h ((i + 1) land mask)
 
-  (* Assign the next dense id; the caller has checked absence. *)
-  let add t k =
-    let id = t.count in
-    let n = Array.length t.back in
-    if id >= n then begin
-      let back = Array.make (2 * n) K.dummy in
-      Array.blit t.back 0 back 0 n;
-      t.back <- back
-    end;
-    t.back.(id) <- k;
-    H.add t.fwd k id;
-    t.count <- id + 1;
-    id
+  let slot t k h =
+    let mask = Array.length t.meta - 1 in
+    probe t.keys t.meta mask k h (h land mask)
 
-  let intern t k = match find_opt t k with Some id -> id | None -> add t k
+  let grow t =
+    let n = Array.length t.meta in
+    let keys = Array.make (2 * n) K.dummy and meta = Array.make (2 * n) (-1) in
+    let mask = (2 * n) - 1 in
+    for j = 0 to n - 1 do
+      let m = Array.unsafe_get t.meta j in
+      if m >= 0 then begin
+        let i = ref ((m lsr pack_bits) land mask) in
+        while Array.unsafe_get meta !i >= 0 do
+          i := (!i + 1) land mask
+        done;
+        Array.unsafe_set meta !i m;
+        Array.unsafe_set keys !i (Array.unsafe_get t.keys j)
+      end
+    done;
+    let back = Array.make (Array.length t.back * 2) K.dummy in
+    Array.blit t.back 0 back 0 t.count;
+    t.keys <- keys;
+    t.meta <- meta;
+    t.back <- back
+
+  let intern t k =
+    let h = K.hash k land hash_mask in
+    let i = slot t k h in
+    let m = Array.unsafe_get t.meta i in
+    if m >= 0 then m land hash_mask
+    else begin
+      let id = t.count in
+      if id >= t.bound then invalid_arg "Intern.Pool.intern: id bound reached";
+      Array.unsafe_set t.meta i ((h lsl pack_bits) lor id);
+      Array.unsafe_set t.keys i k;
+      t.back.(id) <- k;
+      t.count <- id + 1;
+      if id + 1 = Array.length t.back then grow t;
+      id
+    end
+
+  let find_opt t k =
+    let h = K.hash k land hash_mask in
+    let m = Array.unsafe_get t.meta (slot t k h) in
+    if m >= 0 then Some (m land hash_mask) else None
 
   let get t id = t.back.(id)
 
@@ -270,11 +339,11 @@ let create ?shared () =
     wm_rids;
     frozen_values;
     frozen_rids;
-    values = Value_pool.create ();
-    views = View_pool.create ();
-    nodes = Node_pool.create ();
-    listeners = Listener_pool.create ();
-    holders = Holder_pool.create ();
+    values = Value_pool.create 64;
+    views = View_pool.create 64;
+    nodes = Node_pool.create 256;
+    listeners = Listener_pool.create 16;
+    holders = Holder_pool.create 16;
     value2view = iarr_create ();
     view2value = iarr_create ();
     rid_fwd = Hashtbl.create 64;
@@ -292,44 +361,32 @@ let watermarks t = (t.wm_values, t.wm_rids)
    recursing, so the mutual call terminates by lookup.  Frozen values
    are plain id constants, never [V_view], so the recursion only ever
    touches the private tier; cross maps are keyed by watermarked
-   (global) ids. *)
+   (global) ids.  A pool mints exactly when the id it returns is its
+   previous count. *)
 let rec value t (v : Node.value) =
   let fid = match t.shared with Some sh -> shared_value_id sh v | None -> -1 in
   if fid >= 0 then fid
   else
-    match Value_pool.find_opt t.values v with
-    | Some id -> t.wm_values + id
-    | None ->
-        let id = t.wm_values + Value_pool.add t.values v in
-        (match v with
-        | Node.V_view w -> iarr_set t.value2view id (view t w)
-        | _ -> ());
-        id
+    let fresh = Value_pool.count t.values in
+    let local = Value_pool.intern t.values v in
+    let id = t.wm_values + local in
+    (if local = fresh then match v with Node.V_view w -> iarr_set t.value2view id (view t w) | _ -> ());
+    id
 
 and view t (w : Node.view_abs) =
-  match View_pool.find_opt t.views w with
-  | Some id -> id
-  | None ->
-      let id = View_pool.add t.views w in
-      let vid = value t (Node.V_view w) in
-      iarr_set t.view2value id vid;
-      (* [value] found [V_view w] missing and recursed back here only
-         if it allocated the entry itself; either way the cross map
-         below is consistent. *)
-      iarr_set t.value2view vid id;
-      id
+  let fresh = View_pool.count t.views in
+  let id = View_pool.intern t.views w in
+  if id = fresh then begin
+    let vid = value t (Node.V_view w) in
+    iarr_set t.view2value id vid;
+    (* [value] found [V_view w] missing and recursed back here only
+       if it minted the entry itself; either way the cross map below
+       is consistent. *)
+    iarr_set t.value2view vid id
+  end;
+  id
 
 let node t n = Node_pool.intern t.nodes n
-
-(* Two dense ids packed into one int key, [hi] in the upper bits.  Both
-   must lie in [0, 2^pack_bits): a larger id would alias another pair's
-   key, so it is refused instead of truncated. *)
-let pack_bits = 31
-
-let pack hi lo =
-  if hi lsr pack_bits <> 0 || lo lsr pack_bits <> 0 then
-    invalid_arg "Intern.pack: id past the packing bound";
-  (hi lsl pack_bits) lor lo
 
 (* Context clones.  The id is minted by interning the actual renamed
    node ([name ^ "$" ^ ctx] — '$' cannot occur in source identifiers),

@@ -33,6 +33,51 @@
 
 type t
 
+(** {1 The id pool}
+
+    One open-addressed table per key domain (values, views, nodes,
+    listeners, holders).  Exposed for the differential tests against a
+    reference interner; analysis code goes through the functions
+    below. *)
+
+module type KEY = sig
+  type t
+
+  val equal : t -> t -> bool
+
+  val hash : t -> int
+
+  val dummy : t
+  (** fills unused slots of the id -> key array; never returned for a
+      minted id *)
+end
+
+module Pool (K : KEY) : sig
+  type t
+
+  val create : ?id_bound:int -> int -> t
+  (** [create slots] starts with a table of [slots] slots (a power of
+      two, at least 4); it doubles at 3/4 load.  Ids are dense, from 0,
+      in first-intern order.  [?id_bound] (default and maximum [2^31])
+      is the first id the pool refuses; a smaller bound lets a test
+      reach the refusal.
+      @raise Invalid_argument on a bad size or bound. *)
+
+  val intern : t -> K.t -> int
+  (** The key's id, minting the next one on first sight.  Hashes the
+      key once.
+      @raise Invalid_argument when the next id would reach the bound. *)
+
+  val find_opt : t -> K.t -> int option
+  (** The key's id if already minted; never mints. *)
+
+  val get : t -> int -> K.t
+  (** The key of a minted id. *)
+
+  val count : t -> int
+  (** Ids minted so far. *)
+end
+
 (** {1 The frozen shared tier} *)
 
 type shared

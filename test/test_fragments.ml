@@ -8,13 +8,22 @@ open Gator
 
 let config = Config.default
 
-(* Methods with a body, with the variables they mention. *)
+(* Methods with a body, with the variables they mention.  A patch
+   edits every method of its key ([Corpus.Patch.apply] applies it to
+   each twin), so of twins only the shortest is a site: a statement
+   index drawn from its body exists in all of them. *)
 let sites (app : Framework.App.t) =
+  let key (m : Jir.Ast.meth) = (m.m_name, List.length m.m_params) in
   List.concat_map
     (fun (c : Jir.Ast.cls) ->
+      let has_shorter_twin (m : Jir.Ast.meth) =
+        List.exists
+          (fun (m' : Jir.Ast.meth) -> key m' = key m && List.length m'.m_body < List.length m.m_body)
+          c.c_methods
+      in
       List.filter_map
         (fun (m : Jir.Ast.meth) ->
-          if m.m_body = [] then None
+          if m.m_body = [] || has_shorter_twin m then None
           else
             let vars = List.sort_uniq compare (List.concat_map Jir.Ast.stmt_vars m.m_body) in
             Some (c.c_name, m, vars))

@@ -119,6 +119,147 @@ let test_interner_roundtrip () =
   done
 
 (* ------------------------------------------------------------------ *)
+(* Intern.Pool vs a reference interner *)
+
+(* Int keys under a chosen hash, counting the pool's calls: the pool
+   hashes a key once per operation (growth re-slots by stored hashes),
+   and compares the stored hash before it calls [equal]. *)
+module Counted (H : sig
+  val hash : int -> int
+end) =
+struct
+  type t = int
+
+  let equals = ref 0
+
+  let hashes = ref 0
+
+  let equal a b =
+    incr equals;
+    Int.equal a b
+
+  let hash k =
+    incr hashes;
+    H.hash k
+
+  let dummy = -1
+end
+
+module Spread = Counted (struct
+  let hash = Hashtbl.hash
+end)
+
+(* Negative hashes: the pool must mask them, not read them as empty. *)
+module Negative = Counted (struct
+  let hash k = lnot (Hashtbl.hash k)
+end)
+
+(* One probe run for every key. *)
+module Constant = Counted (struct
+  let hash _ = 7
+end)
+
+(* Distinct 31-bit hashes that agree in their low 12 bits: every key
+   starts its probe at one slot of any table up to 4096 slots, and only
+   the stored hash tells the keys of a run apart. *)
+module Low_bits = Counted (struct
+  let hash k = k lsl 12
+end)
+
+module Pool_diff (K : sig
+  include Intern.KEY with type t = int
+
+  val equals : int ref
+
+  val hashes : int ref
+end) =
+struct
+  module P = Intern.Pool (K)
+
+  (* A random stream of interns, lookups (half of them of absent
+     keys), decodes and counts over [keys] distinct keys, starting
+     from [slots] slots; returns the number of lookups that found
+     their key. *)
+  let run what ~slots ~keys rng =
+    let p = P.create slots in
+    let ids = Hashtbl.create 64 and back = Hashtbl.create 64 in
+    let hits = ref 0 and calls = ref 0 in
+    K.equals := 0;
+    K.hashes := 0;
+    let key () = Util.Prng.int rng keys in
+    for _ = 1 to 3 * keys do
+      match Util.Prng.int rng 10 with
+      | 0 | 1 | 2 | 3 | 4 | 5 ->
+          let k = key () in
+          incr calls;
+          let expected =
+            match Hashtbl.find_opt ids k with
+            | Some id ->
+                incr hits;
+                id
+            | None ->
+                let id = Hashtbl.length ids in
+                Hashtbl.add ids k id;
+                Hashtbl.add back id k;
+                id
+          in
+          Alcotest.(check int) (what ^ ": intern") expected (P.intern p k)
+      | 6 | 7 ->
+          let k = if Util.Prng.bool rng then key () else keys + key () in
+          incr calls;
+          let expected = Hashtbl.find_opt ids k in
+          if Option.is_some expected then incr hits;
+          Alcotest.(check (option int)) (what ^ ": find_opt") expected (P.find_opt p k);
+          Alcotest.(check int) (what ^ ": a lookup mints nothing") (Hashtbl.length ids) (P.count p)
+      | 8 when Hashtbl.length ids > 0 ->
+          let id = Util.Prng.int rng (Hashtbl.length ids) in
+          Alcotest.(check int) (what ^ ": get") (Hashtbl.find back id) (P.get p id)
+      | _ -> Alcotest.(check int) (what ^ ": count") (Hashtbl.length ids) (P.count p)
+    done;
+    for id = 0 to Hashtbl.length ids - 1 do
+      Alcotest.(check int) (what ^ ": get, first-intern order") (Hashtbl.find back id) (P.get p id)
+    done;
+    Alcotest.(check int) (what ^ ": one hash per operation") !calls !K.hashes;
+    !hits
+end
+
+module Spread_diff = Pool_diff (Spread)
+module Negative_diff = Pool_diff (Negative)
+module Constant_diff = Pool_diff (Constant)
+module Low_bits_diff = Pool_diff (Low_bits)
+
+let qcheck_pool =
+  QCheck.Test.make ~count:30 ~name:"qcheck: Intern.Pool = reference interner"
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Util.Prng.create seed in
+      let what name = Printf.sprintf "%s (seed %d)" name seed in
+      let slots = if Util.Prng.bool rng then 4 else 16 in
+      (* up to 4000 keys: nine doublings from 4 slots *)
+      ignore (Spread_diff.run (what "spread") ~slots ~keys:(Util.Prng.int_in rng 1 4000) rng);
+      ignore (Negative_diff.run (what "negative") ~slots ~keys:(Util.Prng.int_in rng 1 1000) rng);
+      ignore (Constant_diff.run (what "constant") ~slots ~keys:(Util.Prng.int_in rng 1 300) rng);
+      let hits = Low_bits_diff.run (what "low bits") ~slots ~keys:(Util.Prng.int_in rng 1 2000) rng in
+      Alcotest.(check int) (what "low bits: one equal per hit") hits !Low_bits.equals;
+      true)
+
+let test_pool_id_bound () =
+  let module P = Intern.Pool (Spread) in
+  let p = P.create ~id_bound:10 4 in
+  for k = 0 to 9 do
+    Alcotest.(check int) "below the bound" k (P.intern p (100 + k))
+  done;
+  Alcotest.check_raises "the bound's id" (Invalid_argument "Intern.Pool.intern: id bound reached") (fun () ->
+      ignore (P.intern p 999));
+  Alcotest.(check int) "a refused key is not minted" 10 (P.count p);
+  Alcotest.(check (option int)) "nor found" None (P.find_opt p 999);
+  Alcotest.(check int) "minted keys still resolve" 5 (P.intern p 105);
+  Alcotest.check_raises "a bound past 2^31" (Invalid_argument "Intern.Pool.create: id bound") (fun () ->
+      ignore (P.create ~id_bound:((1 lsl Intern.pack_bits) + 1) 4));
+  Alcotest.check_raises "a size not a power of two" (Invalid_argument "Intern.Pool.create: slots") (fun () ->
+      ignore (P.create 12))
+
+(* ------------------------------------------------------------------ *)
 (* Engine differential: naive = interned *)
 
 let engines = [ Config.Naive; Config.Interned ]
@@ -321,6 +462,8 @@ let suite =
     Alcotest.test_case "bitset union_delta semantics" `Quick test_bitset_union_delta;
     Alcotest.test_case "bitset physical identity (same)" `Quick test_bitset_same;
     Alcotest.test_case "interner round-trip and dense ids" `Quick test_interner_roundtrip;
+    QCheck_alcotest.to_alcotest qcheck_pool;
+    Alcotest.test_case "pool id bound" `Quick test_pool_id_bound;
     Alcotest.test_case "interned solver is the default" `Quick test_interned_is_default;
     Alcotest.test_case "ConnectBot: naive and interned agree" `Quick test_connectbot_engines;
     Alcotest.test_case "ConnectBot equivalence (all configs)" `Quick test_connectbot_all_configs;

@@ -151,6 +151,36 @@ let overloads_src =
    class C { method go(): void { a = new A(); b = new B(); k = 1; p = a.get(); q = b.get();\n\
   \           r = a.get(k); u = w; t = u.get(); w = new B(); } }"
 
+(* One (name, arity) called on an untyped receiver and on a typed one,
+   in both orders, next to an overload by arity: the memo must key the
+   receiver's absence apart from every receiver type, and keep the
+   arity.  An untyped receiver resolves to every [get/0], and typing
+   takes the first target's return: [A]'s [Button]. *)
+let receivers_src =
+  "class A { method get(): Button { x = new Button(); return x; }\n\
+  \           method get(n: int): TextView { y = new TextView(); return y; } }\n\
+   class B { method get(): ImageView { z = new ImageView(); return z; } }\n\
+   class C { method typed_first(): void { b = new B(); q = b.get(); x = new A(); x = 3; p = x.get(); }\n\
+  \           method untyped_first(): void { x = new A(); x = 3; p = x.get(); b = new B(); q = b.get();\n\
+  \             a = new A(); k = 1; r = a.get(k); s = a.get(); } }"
+
+let test_memo_keys () =
+  match Framework.App.of_source ~name:"Receivers" ~code:receivers_src ~layouts:[] with
+  | Error e -> Alcotest.failf "Receivers: %s" e
+  | Ok app ->
+      same_envs "Receivers" app;
+      List.iter
+        (fun ((mid : Gator.Node.mid), env) ->
+          if mid.mid_cls = "C" then begin
+            check_ty env "p" (Some (Ast.Tclass "Button"));
+            check_ty env "q" (Some (Ast.Tclass "ImageView"))
+          end;
+          if mid.mid_name = "untyped_first" then begin
+            check_ty env "r" (Some (Ast.Tclass "TextView"));
+            check_ty env "s" (Some (Ast.Tclass "Button"))
+          end)
+        (Gator.Extract.typing_envs app)
+
 let test_shared_cha_corpus () =
   List.iter
     (fun spec -> same_envs spec.Corpus.Spec.sp_name (Corpus.Apps.generate spec))
@@ -194,5 +224,6 @@ let suite =
       test_long_chain_reaches_fixpoint;
     Alcotest.test_case "least_common_superclass" `Quick test_lcs;
     Alcotest.test_case "shared CHA memo = direct CHA over the corpus" `Quick test_shared_cha_corpus;
+    Alcotest.test_case "CHA memo keys receiver presence and arity" `Quick test_memo_keys;
     QCheck_alcotest.to_alcotest qcheck_shared_cha_random;
   ]
