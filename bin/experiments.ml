@@ -296,9 +296,8 @@ let verify_stream () =
 let verify_reflection () =
   let layouts = 3 in
   let app = Corpus.Gen.reflective_app ~name:"ReflHeavy" ~layouts ~seed:2014 () in
-  let analyze config = Gator.Analysis.analyze ~config app in
-  let naive = analyze { Gator.Config.default with solver = Gator.Config.Naive } in
-  if not (Gator.Graph.has_top naive.Gator.Analysis.graph) then begin
+  let reference = Gator.Analysis.reference app in
+  if not (Gator.Graph.has_top reference.Gator.Analysis.graph) then begin
     Fmt.epr "verify: ReflHeavy minted no unknown-id markers@.";
     exit 1
   end;
@@ -312,17 +311,17 @@ let verify_reflection () =
          (Gator.Graph.tainted_nodes r.Gator.Analysis.graph))
   in
   let check_same label candidate =
-    let d = Gator.Diff.compare naive candidate in
+    let d = Gator.Diff.compare reference candidate in
     if not (Gator.Diff.is_empty d) then begin
       Fmt.epr "verify: %s solution DIFFERS from naive on ReflHeavy:@.%a@." label Gator.Diff.pp d;
       exit 1
     end;
-    if taint_table naive <> taint_table candidate then begin
+    if taint_table reference <> taint_table candidate then begin
       Fmt.epr "verify: %s taint table DIFFERS from naive on ReflHeavy@." label;
       exit 1
     end
   in
-  check_same "interned" (analyze { Gator.Config.default with solver = Gator.Config.Interned });
+  check_same "interned" (Gator.Analysis.analyze app);
   (* the soundness anchor: every concrete resolution of the reflective
      lookups must be covered by the one static solution *)
   let layout_cands =
@@ -341,7 +340,7 @@ let verify_reflection () =
         (fun top_view ->
           incr resolutions;
           let options = { Dynamic.Interp.default_options with top_layout; top_view } in
-          let c = Dynamic.Oracle.check naive (Dynamic.Interp.run ~options app) in
+          let c = Dynamic.Oracle.check reference (Dynamic.Interp.run ~options app) in
           if not (Dynamic.Oracle.is_sound c) then begin
             Fmt.epr "verify: sound mode UNSOUND on ReflHeavy at layout=%s view=%s:@.%a@."
               (Option.value ~default:"-" top_layout)
@@ -384,7 +383,7 @@ let verify_reflection () =
     Fmt.epr "verify: reflective family solved differently at jobs 1 vs jobs 4@.";
     exit 1
   end;
-  let polluted, nonempty = Gator.Analysis.pollution naive in
+  let polluted, nonempty = Gator.Analysis.pollution reference in
   Printf.printf
     "verify: sound mode covers all %d oracle resolutions on ReflHeavy (engines \
      bit-identical with taints, %d/%d sets top-polluted, jobs 1 = jobs 4 on %d reflective apps)\n"
@@ -393,11 +392,10 @@ let verify_reflection () =
 (* CI smoke: the interned engine must agree bit-for-bit with the naive
    rule-table reference on the largest corpus app. *)
 let run_verify () =
-  let with_solver solver = { Gator.Config.default with Gator.Config.solver } in
   let check name app =
-    let naive = Gator.Analysis.analyze ~config:(with_solver Gator.Config.Naive) app in
-    let interned = Gator.Analysis.analyze ~config:(with_solver Gator.Config.Interned) app in
-    let d = Gator.Diff.compare naive interned in
+    let reference = Gator.Analysis.reference app in
+    let interned = Gator.Analysis.analyze app in
+    let d = Gator.Diff.compare reference interned in
     if Gator.Diff.is_empty d then begin
       let s = Gator.Metrics.solver_stats interned in
       Printf.printf
@@ -431,9 +429,9 @@ let run_verify () =
   let check_cs name app =
     List.iter
       (fun depth ->
-        let cs solver = { Gator.Config.default with Gator.Config.inline_depth = depth; solver } in
-        let keyed = Gator.Analysis.analyze ~config:(cs Gator.Config.Interned) app in
-        let inlined = Gator.Analysis.analyze ~config:(cs Gator.Config.Naive) app in
+        let config = { Gator.Config.default with Gator.Config.inline_depth = depth } in
+        let keyed = Gator.Analysis.analyze ~config app in
+        let inlined = Gator.Analysis.reference ~config app in
         let d = Gator.Diff.compare keyed inlined in
         if not (Gator.Diff.is_empty d) then begin
           Fmt.epr

@@ -30,16 +30,16 @@ let load code_path layout_paths =
    the new solved state back.  The stats line surfaces which path ran
    and why; a warm start also says how its graph and edit script were
    built (the route). *)
-let analyze_with_state ~config ~state app =
+let analyze_with_state ~state app =
   let result, solved, route =
     let cold (result, solved) = (result, solved, None) in
     if Sys.file_exists state then
       match Gator.Snapshot.load state with
       | Ok prev ->
-          let result, solved, route = Gator.Incremental.analyze_patch ~config ~prev app in
+          let result, solved, route = Gator.Incremental.analyze_patch ~prev app in
           (result, solved, Some route)
-      | Error reason -> cold (Gator.Incremental.analyze_solved ~config ~fallback:reason app)
-    else cold (Gator.Incremental.analyze_solved ~config app)
+      | Error reason -> cold (Gator.Incremental.analyze_solved ~fallback:reason app)
+    else cold (Gator.Incremental.analyze_solved app)
   in
   Gator.Snapshot.save solved state;
   (result, route)
@@ -54,7 +54,7 @@ let pp_incremental_stats ppf (r : Gator.Analysis.t) =
           s.Gator.Solve.dirty_comps s.Gator.Solve.reused_comps s.Gator.Solve.scc_count
       else Fmt.pf ppf "incremental: full solve (no usable state)@."
 
-let analyze_one ~config ~dump_dot ~show_interactions ~show_diagnostics ~run_dynamic ~json
+let analyze_one ~dump_dot ~show_interactions ~show_diagnostics ~run_dynamic ~json
     ~state code_path layout_paths =
   match load code_path layout_paths with
   | Error e -> Error e
@@ -76,9 +76,9 @@ let analyze_one ~config ~dump_dot ~show_interactions ~show_diagnostics ~run_dyna
       else begin
         let r =
           match state with
-          | None -> Gator.Analysis.analyze ~config app
+          | None -> Gator.Analysis.analyze app
           | Some state ->
-              let r, route = analyze_with_state ~config ~state app in
+              let r, route = analyze_with_state ~state app in
               (* a refused warm start, or a step of one that fell back,
                  is invisible in the answers; surface it on stderr even
                  under --json / --quiet *)
@@ -127,9 +127,8 @@ let analyze_one ~config ~dump_dot ~show_interactions ~show_diagnostics ~run_dyna
         Ok (Buffer.contents buf)
       end
 
-let run code_paths layout_paths solver dump_dot show_interactions show_diagnostics run_dynamic
+let run code_paths layout_paths dump_dot show_interactions show_diagnostics run_dynamic
     json jobs incremental state_path =
-  let config = { Gator.Config.default with solver } in
   let state =
     match (incremental, state_path) with
     | false, _ -> None
@@ -143,7 +142,7 @@ let run code_paths layout_paths solver dump_dot show_interactions show_diagnosti
     exit 2
   end;
   let analyze path =
-    analyze_one ~config ~dump_dot ~show_interactions ~show_diagnostics ~run_dynamic ~json ~state
+    analyze_one ~dump_dot ~show_interactions ~show_diagnostics ~run_dynamic ~json ~state
       path layout_paths
   in
   match code_paths with
@@ -365,17 +364,6 @@ let () =
       & info [ "l"; "layout" ] ~docv:"XML"
           ~doc:"Layout XML file; its basename (minus extension) is the layout name. Repeatable.")
   in
-  let solver =
-    let engines = [ ("naive", Gator.Config.Naive); ("interned", Gator.Config.Interned) ] in
-    Arg.(
-      value
-      & opt (enum engines) Gator.Config.default.Gator.Config.solver
-      & info [ "solver" ] ~docv:"ENGINE"
-          ~doc:
-            "Constraint-solver engine: $(b,naive) (the reference that interprets the rule table) \
-             or $(b,interned) (semi-naive over dense ids and bitsets; default). Both produce the \
-             same solution.")
-  in
   let dot = Arg.(value & flag & info [ "dot" ] ~doc:"Dump the constraint graph in Graphviz form.") in
   let interactions =
     Arg.(value & flag & info [ "interactions" ] ~doc:"Print (activity, view, event, handler) tuples.")
@@ -419,7 +407,7 @@ let () =
   in
   let term =
     Term.(
-      const run $ code $ layouts $ solver $ dot $ interactions $ diagnostics $ dynamic $ json
+      const run $ code $ layouts $ dot $ interactions $ diagnostics $ dynamic $ json
       $ jobs $ incremental $ state_path)
   in
   let analyze_cmd =

@@ -13,6 +13,40 @@ let analyze ?(config = Config.default) app =
   let solve_seconds = Unix.gettimeofday () -. start in
   { app; config; graph; stats; solve_seconds }
 
+(* The rule-table reference: clone bodies inlined as program text, then
+   the table interpreted round by round to its fixpoint. *)
+let reference ?interner ?(config = Config.default) app =
+  let start = Unix.gettimeofday () in
+  let graph = Extract.run_inlined ?interner config app in
+  let r = Rules.run config app graph in
+  let solve_seconds = Unix.gettimeofday () -. start in
+  let stats =
+    {
+      Solve.iterations = r.iterations;
+      propagations = r.propagations;
+      op_applications = r.op_applications;
+      delta_pushes = 0;
+      desc_cache_hits = 0;
+      desc_cache_misses = 0;
+      interned_values = 0;
+      interned_nodes = 0;
+      bitset_words = 0;
+      union_calls = 0;
+      scc_count = 0;
+      largest_scc = 0;
+      ctx_count = 0;
+      ctx_keys = 0;
+      warm_solve = false;
+      dirty_comps = 0;
+      reused_comps = 0;
+      fallback = None;
+      taint_rounds = 0;
+      taint_propagations = 0;
+      taint_op_applications = 0;
+    }
+  in
+  { app; config; graph; stats; solve_seconds }
+
 let make ~app ~config ~graph ~stats ~solve_seconds = { app; config; graph; stats; solve_seconds }
 
 let var ~cls ~meth ~arity v =

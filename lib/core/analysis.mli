@@ -19,6 +19,16 @@ type t = private {
 
 val analyze : ?config:Config.t -> Framework.App.t -> t
 
+val reference : ?interner:Intern.t -> ?config:Config.t -> Framework.App.t -> t
+(** The reference {!analyze} is checked against: the same
+    configuration, extracted with clone bodies inlined as program text
+    ({!Extract.run_inlined}) and solved by interpreting the rule table
+    ({!Rules.run}).  Its solution is {!analyze}'s at every
+    configuration; its [stats] count only the table's rounds,
+    propagations and op applications, every other counter reads [0].
+    [?interner] replaces the fresh interner over the shared tier, as
+    {!Extract.run}'s does. *)
+
 val make :
   app:Framework.App.t ->
   config:Config.t ->

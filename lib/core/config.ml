@@ -1,7 +1,3 @@
-type solver = Naive | Interned
-
-let solver_name = function Naive -> "naive" | Interned -> "interned"
-
 type t = {
   cast_filtering : bool;
   findone_refinement : bool;
@@ -9,7 +5,6 @@ type t = {
   model_dialogs : bool;
   inline_depth : int;
   max_iterations : int;
-  solver : solver;
 }
 
 let default =
@@ -20,7 +15,6 @@ let default =
     model_dialogs = true;
     inline_depth = 0;
     max_iterations = 1000;
-    solver = Interned;
   }
 
 let baseline =
@@ -31,5 +25,4 @@ let baseline =
     model_dialogs = false;
     inline_depth = 0;
     max_iterations = 1000;
-    solver = Interned;
   }

@@ -5,18 +5,6 @@
     switch exists for the ablation benchmarks documented in
     DESIGN.md. *)
 
-(** Fixed-point engine selection.  Both compute the same solution:
-    [Naive] interprets the rule table ({!Rules}), re-applying every
-    operation's rules against full structural sets each round until
-    nothing changes (the reference the differential tests compare
-    against), and [Interned] (the default, the production path)
-    schedules only operations whose inputs grew, over hash-consed
-    dense integer ids with bitset solution sets and an SCC-condensed
-    CSR flow graph. *)
-type solver = Naive | Interned
-
-val solver_name : solver -> string
-
 type t = {
   cast_filtering : bool;
       (** Drop abstract objects that cannot pass a [(C) x] cast.  The
@@ -39,13 +27,12 @@ type t = {
           value flow.  [0] (the default) reproduces the paper's
           context-insensitive analysis; the paper's Section 5 notes
           context sensitivity as the cure for the XBMC receivers
-          outlier — see the ablation benches.  The [Interned] solver
-          expands clone bodies in id space (each ⟨variable, clone⟩
-          pair interned once); the [Naive] reference re-extracts them
-          as [$n]-suffixed program text.  The two are bit-identical at
-          every depth. *)
+          outlier — see the ablation benches.  Extraction expands clone
+          bodies in id space (each ⟨variable, clone⟩ pair interned
+          once); the rule-table reference ({!Analysis.reference})
+          re-extracts them as [$n]-suffixed program text.  The two are
+          bit-identical at every depth. *)
   max_iterations : int;  (** fixed-point safety valve *)
-  solver : solver;  (** fixed-point engine; results are identical *)
 }
 
 val default : t

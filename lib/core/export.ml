@@ -67,7 +67,6 @@ let interaction (ix : Analysis.interaction) =
 let config (c : Config.t) =
   J.Obj
     [
-      ("solver", J.String (Config.solver_name c.solver));
       ("cast_filtering", J.Bool c.cast_filtering);
       ("findone_refinement", J.Bool c.findone_refinement);
       ("listener_callbacks", J.Bool c.listener_callbacks);

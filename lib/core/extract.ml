@@ -172,7 +172,7 @@ let call_info config hierarchy ~memo env ~depth ~stack recv name arity =
   in
   (app_targets, may_reach_platform, inlinable)
 
-(* Context-keyed clone expansion (interned engine at inline depth > 0):
+(* Context-keyed clone expansion ([run] at inline depth > 0):
    clone bodies are expanded in id space.  Each inlinable method is
    compiled ONCE per extraction into an id-level template — statements
    resolved to base node ids, CHA facts and the depth-independent part
@@ -596,12 +596,15 @@ let assemble config (app : Framework.App.t) graph each =
     Graph.set_fragments graph
       (fragments_of app (Array.of_list (List.rev (Graph.cursor graph :: !starts))) ~dialogs)
 
-let run ?interner config (app : Framework.App.t) =
+(* [~keyed:true] expands clones in id space (the production path);
+   [~keyed:false] inlines their program text, the rule-table
+   reference's extraction. *)
+let extract ?interner ~keyed config (app : Framework.App.t) =
   (* Clone names must be deterministic per extraction, not per process:
-     two runs over the same app (e.g. the naive/interned equivalence
-     tests, or Diff) must name inlined variables identically.  The
-     counter lives here rather than at module level so extractions
-     running concurrently on separate domains cannot interleave. *)
+     two runs over the same app (e.g. the reference equivalence tests,
+     or Diff) must name inlined variables identically.  The counter
+     lives here rather than at module level so extractions running
+     concurrently on separate domains cannot interleave. *)
   let clones = ref 0 in
   let interner =
     match interner with
@@ -614,21 +617,19 @@ let run ?interner config (app : Framework.App.t) =
         Intern.create ~shared:(Intern.shared_tier ()) ()
   in
   let graph = Graph.create ~interner () in
-  (* The interned engine expands clones in id space; the naive
-     reference never reads the id-level stores, so it always inlines
-     program text.  The template cache is per-extraction: it captures
-     base ids of this graph's interner. *)
-  let keyed =
-    if config.Config.inline_depth > 0 && config.Config.solver = Config.Interned then
-      Some (Mid_tbl.create 64 : tcache)
-    else None
-  in
+  (* The template cache is per-extraction: it captures base ids of
+     this graph's interner. *)
+  let keyed = if keyed && config.Config.inline_depth > 0 then Some (Mid_tbl.create 64 : tcache) else None in
   let memo = fresh_memo () in
   assemble config app graph (fun _ ~owner m -> extract_meth config app graph ~keyed ~memo ~clones ~owner m);
   (* a cold solve reads the seed table first thing: build it with the
      graph, as extraction always has *)
   Graph.index_seeds graph;
   graph
+
+let run ?interner config app = extract ?interner ~keyed:true config app
+
+let run_inlined ?interner config app = extract ?interner ~keyed:false config app
 
 (* Two methods with one key share their locations and allocation
    sites ([Node.mid_of_meth]), so an edited one's slice would depend

@@ -12,7 +12,14 @@ val run : ?interner:Intern.t -> Config.t -> Framework.App.t -> Graph.t
 (** Build the (unsolved) constraint graph: locations, flow edges,
     operation nodes, allocation sites, and initial-value seeds.
     [?interner] pre-seeds the id pools so an incremental re-extraction
-    keeps ids stable with the previous solve. *)
+    keeps ids stable with the previous solve.  At [inline_depth > 0]
+    clone bodies are expanded in id space ({!Intern.ctx_node}). *)
+
+val run_inlined : ?interner:Intern.t -> Config.t -> Framework.App.t -> Graph.t
+(** {!run} with clone bodies inlined as [$n]-renamed program text
+    instead: the extraction of the rule-table reference
+    ({!Analysis.reference}), bit-identical in solution to {!run}'s at
+    every depth. *)
 
 val reextract :
   Config.t -> Framework.App.t -> prev:Graph.t -> (Graph.t * bool array, string) result

@@ -655,7 +655,7 @@ let build_condensed n row edst ekind rep =
   (crow, Array.sub cdst 0 !w, Array.sub ckind 0 !w)
 
 (* Copy-chain substitution over context clones (offline variable
-   substitution, restricted to ids {!Intern.ctx_clone_ids} certifies
+   substitution, restricted to ids {!Intern.is_ctx_clone} certifies
    as flow-only).  A clone variable with exactly one incoming direct
    edge, no incoming cast edge, no seed and no op writing it provably
    saturates to its predecessor's set, so it needs no bitset of its
@@ -665,69 +665,71 @@ let build_condensed n row edst ekind rep =
    the solve over the expanded graph collapses back towards the
    context-insensitive size.  Every clone node still reads a solution
    (its root's row, through [fc_rep]), keeping the result bit-identical
-   to the inlining path; non-keyed graphs have no clone ids and skip
-   this entirely. *)
+   to the inlining path; an interner that minted no context key has no
+   clone ids and skips this entirely.  Candidates are visited in mint
+   order, so a pure copy cycle demotes its first-minted member. *)
 let clone_subst t n row edst ekind =
-  match Intern.ctx_clone_ids t.g_it with
-  | [] -> None
-  | clone_ids ->
-      let direct_in = Array.make n 0 in
-      let cast_in = Array.make n false in
-      let pred = Array.make n (-1) in
-      for i = 0 to n - 1 do
-        for e = row.(i) to row.(i + 1) - 1 do
-          let d = edst.(e) in
-          if ekind.(e) < 0 then begin
-            direct_in.(d) <- direct_in.(d) + 1;
-            pred.(d) <- i
-          end
-          else cast_in.(d) <- true
-        done
-      done;
-      let blocked = Array.make n false in
-      for i = 0 to t.o_n - 1 do
-        let _, _, oid = t.o_ids.(i) in
-        if oid >= 0 && oid < n then blocked.(oid) <- true
-      done;
-      for i = 0 to t.s_n - 1 do
-        let id = t.s_node.(i) in
-        if id < n then blocked.(id) <- true
-      done;
-      let cand = Array.make n false in
-      List.iter
-        (fun id ->
-          if
-            id < n && direct_in.(id) = 1 && (not cast_in.(id)) && (not blocked.(id))
-            && pred.(id) <> id
-          then cand.(id) <- true)
-        clone_ids;
-      (* Chase chains to their first non-substituted node; a defining
-         cycle (pure copy loop with no outside edge) demotes the link
-         where it closes, which the solver then treats normally. *)
-      let sub = Array.init n Fun.id in
-      let state = Array.make n 0 in
-      let rec resolve i =
-        if not cand.(i) then i
-        else if state.(i) = 2 then sub.(i)
-        else if state.(i) = 1 then begin
-          cand.(i) <- false;
-          i
+  if Intern.ctx_key_count t.g_it = 0 then None
+  else begin
+    let direct_in = Array.make n 0 in
+    let cast_in = Array.make n false in
+    let pred = Array.make n (-1) in
+    for i = 0 to n - 1 do
+      for e = row.(i) to row.(i + 1) - 1 do
+        let d = edst.(e) in
+        if ekind.(e) < 0 then begin
+          direct_in.(d) <- direct_in.(d) + 1;
+          pred.(d) <- i
         end
-        else begin
-          state.(i) <- 1;
-          let r = resolve pred.(i) in
-          state.(i) <- 2;
-          if cand.(i) then begin
-            sub.(i) <- r;
-            r
-          end
-          else i
+        else cast_in.(d) <- true
+      done
+    done;
+    let blocked = Array.make n false in
+    for i = 0 to t.o_n - 1 do
+      let _, _, oid = t.o_ids.(i) in
+      if oid >= 0 && oid < n then blocked.(oid) <- true
+    done;
+    for i = 0 to t.s_n - 1 do
+      let id = t.s_node.(i) in
+      if id < n then blocked.(id) <- true
+    done;
+    let cand = Array.make n false in
+    for id = 0 to n - 1 do
+      if
+        Intern.is_ctx_clone t.g_it id && direct_in.(id) = 1 && (not cast_in.(id)) && (not blocked.(id))
+        && pred.(id) <> id
+      then cand.(id) <- true
+    done;
+    (* Chase chains to their first non-substituted node; a defining
+       cycle (pure copy loop with no outside edge) demotes the link
+       where it closes, which the solver then treats normally. *)
+    let sub = Array.init n Fun.id in
+    let state = Array.make n 0 in
+    let rec resolve i =
+      if not cand.(i) then i
+      else if state.(i) = 2 then sub.(i)
+      else if state.(i) = 1 then begin
+        cand.(i) <- false;
+        i
+      end
+      else begin
+        state.(i) <- 1;
+        let r = resolve pred.(i) in
+        state.(i) <- 2;
+        if cand.(i) then begin
+          sub.(i) <- r;
+          r
         end
-      in
-      List.iter (fun id -> if id < n then ignore (resolve id)) clone_ids;
-      let count = ref 0 in
-      Array.iteri (fun i r -> if r <> i then incr count) sub;
-      if !count = 0 then None else Some (sub, !count)
+        else i
+      end
+    in
+    for id = 0 to n - 1 do
+      if cand.(id) then ignore (resolve id)
+    done;
+    let count = ref 0 in
+    Array.iteri (fun i r -> if r <> i then incr count) sub;
+    if !count = 0 then None else Some (sub, !count)
+  end
 
 (* The flow CSR over the interned ids, laid out from the edge log:
    entries are bucketed by source in log order, and each row keeps the

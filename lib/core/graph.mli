@@ -174,9 +174,9 @@ val alloc_at : t -> int -> Node.alloc_site
     {!Solve.solved} persists, so nothing is copied.  Points-to rows
     are kept per direct-edge component representative ([sol_rep]; ids
     past its end are their own representative); every other row is
-    keyed by its own id.  The naive reference encodes its structural
-    result into the same shape, with every node its own
-    representative. *)
+    keyed by its own id.  The rule-table reference ({!Rules.run})
+    encodes its structural result into the same shape, with every
+    node its own representative. *)
 
 type rows = Util.Bitset.t option array
 (** Id-indexed rows; a missing or out-of-range slot is an empty row. *)

@@ -508,13 +508,3 @@ let rid_count t = t.wm_rids + t.rid_local
 let ctx_count t = Hashtbl.length t.ctx_seen
 
 let ctx_key_count t = Hashtbl.length t.ctx_fwd
-
-(* Ids minted as renamed clone variables (decayed entries — fields and
-   returns, whose clone key aliases the base id — are excluded).  Only
-   extraction mints these, so membership is a sound "this node can only
-   be written through its flow edges" certificate for the solver's
-   copy-chain substitution: seeds and op outs are checked separately by
-   the caller, and every dynamic push (handler injection, declarative
-   passes) targets structural base nodes. *)
-let ctx_clone_ids t =
-  Hashtbl.fold (fun key id acc -> if id <> key lsr pack_bits then id :: acc else acc) t.ctx_fwd []

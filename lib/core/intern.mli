@@ -150,7 +150,11 @@ val ctx_node : t -> base:int -> ctx:int -> int
 
 val is_ctx_clone : t -> int -> bool
 (** Was node id minted by {!ctx_node} as a renamed clone variable?
-    Decayed keys (fields, returns) are not clones. *)
+    Decayed keys (fields, returns) are not clones.  Only extraction
+    mints these, so a clone is only ever written through its static
+    flow edges, seeds, or op outputs — never by handler injection or
+    the declarative passes, which target structural base nodes — and
+    the solver may substitute single-pred clones away. *)
 
 val pack_bits : int
 (** Width of each half of a {!pack}ed key (31). *)
@@ -235,11 +239,3 @@ val ctx_count : t -> int
 
 val ctx_key_count : t -> int
 (** Distinct ⟨node, ctx⟩ keys interned via {!ctx_node}. *)
-
-val ctx_clone_ids : t -> int list
-(** Node ids minted by {!ctx_node} as renamed clone variables (decayed
-    field/return keys excluded).  These ids are only ever written
-    through their static flow edges, seeds, or op outputs — never by
-    handler injection or the declarative passes, which target
-    structural base nodes — so the solver may substitute single-pred
-    members away.  Unordered. *)

@@ -17,7 +17,6 @@ type table1_row = {
 
 type solver_row = {
   sv_app : string;
-  sv_solver : string;
   sv_ops : int;
   sv_iterations : int;
   sv_op_applications : int;
@@ -128,7 +127,6 @@ let solver_stats (r : Analysis.t) =
   let op_count = List.length (Graph.ops r.graph) in
   {
     sv_app = r.app.Framework.App.name;
-    sv_solver = Config.solver_name r.config.Config.solver;
     sv_ops = op_count;
     sv_iterations = stats.Solve.iterations;
     sv_op_applications = stats.Solve.op_applications;

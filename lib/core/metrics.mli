@@ -39,7 +39,6 @@ type table2_row = {
     naive re-iteration. *)
 type solver_row = {
   sv_app : string;
-  sv_solver : string;  (** "naive" or "interned" *)
   sv_ops : int;
   sv_iterations : int;
   sv_op_applications : int;
@@ -49,15 +48,14 @@ type solver_row = {
   sv_delta_pushes : int;
   sv_desc_hits : int;
   sv_desc_misses : int;
-  sv_interned_values : int;
-      (** distinct abstract values hash-consed; [0] for the naive engine *)
+  sv_interned_values : int;  (** distinct abstract values hash-consed *)
   sv_bitset_words : int;  (** words allocated across solution bitsets *)
   sv_union_calls : int;  (** word-level unions on direct flow edges *)
-  sv_scc_count : int;  (** direct-edge flow SCCs at freeze; [0] for the naive engine *)
-  sv_largest_scc : int;  (** largest direct-edge SCC; [0] for the naive engine *)
+  sv_scc_count : int;  (** direct-edge flow SCCs at freeze *)
+  sv_largest_scc : int;  (** largest direct-edge SCC *)
   sv_ctx_count : int;
       (** call-string contexts minted by the context-keyed extraction;
-          [0] for the naive engine or at inline depth 0 *)
+          [0] at inline depth 0 *)
   sv_ctx_keys : int;  (** distinct ⟨node, ctx⟩ keys interned; [0] likewise *)
   sv_warm : bool;  (** solved by the incremental (warm) path *)
   sv_dirty_comps : int;  (** components re-solved by a warm solve; [0] when cold *)

@@ -3,7 +3,7 @@
     callbacks, FINDVIEW1/2/3, plus the extensions of DESIGN §5 and the
     ⊤ rules of DESIGN §15 — then sound mode's imprecision taint as a
     second stratum, and the reference engine that interprets both
-    ([Config.Naive]).  The interned engine ({!Solve}) stages the same
+    (reached through {!Analysis.reference}).  The interned engine ({!Solve}) stages the same
     entries into closures over its id rows, so the tables are the one
     statement of the rules; the premise and clause order is the
     interned engine's evaluation order and does not change what the

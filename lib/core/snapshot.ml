@@ -127,7 +127,7 @@ let jconfig (c : Config.t) =
       retired "inline_body_limit";
       retired "ctx_keyed";
       ("max_iterations", J.Int c.max_iterations);
-      ("solver", J.String (Config.solver_name c.solver));
+      ("solver", J.String "interned");
       retired "jobs";
       retired "incremental";
       retired "shared_intern";
@@ -319,6 +319,9 @@ let dconfig j =
           bad "retired config field %s must be %s, not %s" name (J.to_string value)
             (J.to_string v))
     retired_fields;
+  (* every capture ran the interned engine; a file written while the
+     solver was selectable may still name the rule-table reference *)
+  (match dstr (dfield "solver" j) with "naive" | "interned" -> () | s -> bad "unknown solver %s" s);
   {
     Config.cast_filtering = bool_field "cast_filtering";
     findone_refinement = bool_field "findone_refinement";
@@ -326,11 +329,6 @@ let dconfig j =
     model_dialogs = bool_field "model_dialogs";
     inline_depth = dint (dfield "inline_depth" j);
     max_iterations = dint (dfield "max_iterations" j);
-    solver =
-      (match dstr (dfield "solver" j) with
-      | "naive" -> Config.Naive
-      | "interned" -> Config.Interned
-      | s -> bad "unknown solver %s" s);
   }
 
 let dints j = Array.of_list (List.map dint (dlist j))

@@ -1,15 +1,11 @@
-(* The solver (Section 4.2/4.3).  Two engines reach one fixpoint from
-   one statement of the rules, the table in [Rules]: the naive
-   reference interprets it over structural sets, the interned
-   production engine stages it into closures at freeze and runs them
-   semi-naively over dense ids.  Either
-   way the result lands in one place, the graph's id-level solution
-   store ([Graph.solution]): the interned engine installs its own
-   bitset rows, the naive engine encodes its structural tables once at
-   fixpoint.  Each engine derives sound mode's taint rows itself, from
-   the table's taint stratum, before installing, and a capturing solve
-   ([run_solved]/[run_incremental]) persists the same rows as a
-   [solved]. *)
+(* The solver (Section 4.2/4.3).  It stages the rule table in [Rules]
+   into closures at freeze and runs them semi-naively over dense ids;
+   the table's interpreter, [Rules.run], is the reference it must
+   agree with ([Analysis.reference]).  The result lands in the graph's
+   id-level solution store ([Graph.solution]) as the solver's own
+   bitset rows, sound mode's taint rows included (the table's taint
+   stratum), and a capturing solve ([run_solved]/[run_incremental])
+   persists the same rows as a [solved]. *)
 
 type stats = {
   iterations : int;
@@ -18,23 +14,22 @@ type stats = {
   delta_pushes : int;
   desc_cache_hits : int;
   desc_cache_misses : int;
-  interned_values : int;  (** distinct interned abstract values (interned solver, else 0) *)
-  interned_nodes : int;  (** distinct interned locations (interned solver, else 0) *)
-  bitset_words : int;  (** words allocated across solution-set bitsets (interned solver, else 0) *)
-  union_calls : int;  (** word-level bitset union calls on direct edges (interned solver, else 0) *)
-  scc_count : int;  (** direct-edge flow SCCs at freeze time (interned solver, else 0) *)
-  largest_scc : int;  (** members in the largest direct-edge SCC (interned solver, else 0) *)
+  interned_values : int;  (** distinct interned abstract values *)
+  interned_nodes : int;  (** distinct interned locations *)
+  bitset_words : int;  (** words allocated across solution-set bitsets *)
+  union_calls : int;  (** word-level bitset union calls on direct edges *)
+  scc_count : int;  (** direct-edge flow SCCs at freeze time *)
+  largest_scc : int;  (** members in the largest direct-edge SCC *)
   ctx_count : int;
       (** distinct call-string contexts (clone numbers) minted by the
-          context-keyed extraction (interned solver at inline depth
-          > 0, else 0) *)
+          context-keyed extraction (inline depth > 0, else 0) *)
   ctx_keys : int;  (** distinct ⟨node, ctx⟩ keys interned (ditto) *)
   warm_solve : bool;  (** solved incrementally from a previous solution *)
   dirty_comps : int;  (** condensation components invalidated by the edit script (warm solves) *)
   reused_comps : int;  (** components whose solution sets were restored by aliasing (warm solves) *)
   fallback : string option;
       (** why an incremental request fell back to a full solve, if it did *)
-  taint_rounds : int;  (** rounds of the taint stratum (sound mode, interned solver, else 0) *)
+  taint_rounds : int;  (** rounds of the taint stratum (sound mode, else 0) *)
   taint_propagations : int;  (** taint-delta worklist pops (ditto) *)
   taint_op_applications : int;  (** op applications of the taint entries (ditto) *)
 }
@@ -56,8 +51,8 @@ let passes_cast = Rules.passes_cast
    fixpoint the solver's own rows become the graph's solution store
    ([isolution], no copy), and every downstream consumer (Analysis,
    Metrics, Export, Diff, tests) decodes what it reads from them, so
-   it is engine-agnostic: the naive reference encodes its result into
-   the same store. *)
+   it is engine-agnostic: the rule-table reference encodes its result
+   into the same store. *)
 
 (* Growable array of per-id bitsets; a slot is allocated on first use
    so untouched ids cost one word. *)
@@ -1271,7 +1266,8 @@ let istats st ~iterations ~bitset_words ~warm_solve ~dirty_comps ~reused_comps ~
     taint_op_applications = st.itaint_op_applications;
   }
 
-let run_interned config (app : Framework.App.t) graph =
+let run config (app : Framework.App.t) graph =
+  Graph.reset_sets graph;
   let st = ifreeze config app graph ~ops:(Graph.op_table graph) in
   let iterations = iloop st ~record:false ~init:(icold_init st) config in
   iinstall st;
@@ -1530,9 +1526,8 @@ let icapture st ?carry_map ?fps ~shape ~sets ~words ~config ~(app : Framework.Ap
     sd_targets;
   }
 
-(* Full solve that also captures the solution for later warm restarts.
-   Always runs the interned engine (the captured state is id-level);
-   bit-identical to [run] under the interned solver. *)
+(* Full solve that also captures the solution for later warm restarts;
+   bit-identical to [run]. *)
 let run_solved ?fallback config (app : Framework.App.t) graph =
   Graph.reset_sets graph;
   let ops = Graph.op_table graph in
@@ -1558,7 +1553,7 @@ let warm_guard prev config (app : Framework.App.t) graph =
        not the obstacle: it reads only the final rows, and [iinstall]
        runs it after a warm loop as after a cold one. *)
     Some "unknown-id markers present: sound mode is not warm-startable"
-  else if config.Config.inline_depth > 0 && config.Config.solver = Config.Interned then
+  else if config.Config.inline_depth > 0 then
     (* Context-keyed graphs carry their clone constraints only in the
        id-level stores, so the structural shape diff cannot see them —
        and clone numbers are minted per extraction, so a patched app
@@ -1911,34 +1906,3 @@ let run_incremental ~prev ~edits ?new_shape config (app : Framework.App.t) graph
           ~shape:new_shape ~sets:st.isets ~words ~config ~app carry
       in
       (stats, sd)
-
-let run config (app : Framework.App.t) graph =
-  Graph.reset_sets graph;
-  match config.Config.solver with
-  | Config.Interned ->
-      run_interned config app graph
-  | Config.Naive ->
-      let r = Rules.run config app graph in
-      {
-        iterations = r.iterations;
-        propagations = r.propagations;
-        op_applications = r.op_applications;
-        delta_pushes = 0;
-        desc_cache_hits = 0;
-        desc_cache_misses = 0;
-        interned_values = 0;
-        interned_nodes = 0;
-        bitset_words = 0;
-        union_calls = 0;
-        scc_count = 0;
-        largest_scc = 0;
-        ctx_count = 0;
-        ctx_keys = 0;
-        warm_solve = false;
-        dirty_comps = 0;
-        reused_comps = 0;
-        fallback = None;
-        taint_rounds = 0;
-        taint_propagations = 0;
-        taint_op_applications = 0;
-      }

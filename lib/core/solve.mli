@@ -8,38 +8,30 @@ type stats = {
   iterations : int;  (** operation-pass rounds until fixpoint *)
   propagations : int;  (** total worklist pops *)
   op_applications : int;
-      (** op-node rule applications; the naive solver performs
-          [iterations * |ops|], the interned solver only re-applies ops
-          whose inputs grew *)
+      (** op-node rule applications: only ops whose inputs grew are
+          re-applied, against the rule-table reference's
+          [iterations * |ops|] *)
   delta_pushes : int;
-      (** values pushed from delta sets along flow edges (interned
-          solver); [0] under the naive solver *)
+      (** values pushed from delta sets along flow edges *)
   desc_cache_hits : int;
-      (** descendants-closure memo hits (interned solver); [0] under
-          the naive solver *)
-  desc_cache_misses : int;  (** descendants-closure memo misses; likewise *)
+      (** descendants-closure memo hits *)
+  desc_cache_misses : int;  (** descendants-closure memo misses *)
   interned_values : int;
-      (** distinct abstract values hash-consed by the interned engine;
-          [0] under the naive engine *)
-  interned_nodes : int;  (** distinct interned locations; [0] under the naive engine *)
+      (** distinct abstract values hash-consed *)
+  interned_nodes : int;  (** distinct interned locations *)
   bitset_words : int;
-      (** words allocated across solution-set bitsets at fixpoint; [0]
-          under the naive engine *)
+      (** words allocated across solution-set bitsets at fixpoint *)
   union_calls : int;
-      (** word-level bitset unions performed on direct flow edges; [0]
-          under the naive engine *)
+      (** word-level bitset unions performed on direct flow edges *)
   scc_count : int;
       (** strongly connected components of the direct-edge flow graph
-          at freeze time (singletons included); [0] under the
-          naive engine *)
+          at freeze time (singletons included) *)
   largest_scc : int;
       (** member count of the largest direct-edge SCC — every cycle
-          this size collapses to one shared bitset; [0] under the
-          naive engine *)
+          this size collapses to one shared bitset *)
   ctx_count : int;
       (** distinct call-string contexts (clone numbers) minted by the
-          context-keyed extraction; [0] under the naive engine or at
-          inline depth 0 *)
+          context-keyed extraction; [0] at inline depth 0 *)
   ctx_keys : int;
       (** distinct ⟨node, ctx⟩ keys interned by the context-keyed
           extraction (the id-space footprint context sensitivity added);
@@ -61,8 +53,8 @@ type stats = {
   taint_rounds : int;
       (** rounds of the taint stratum (sound mode: the graph holds an
           unknown-id marker), each the ops' pending taint entries, the
-          lift and taint flow; [0] without markers and under the naive
-          engine, like the two below *)
+          lift and taint flow; [0] without markers, like the two
+          below *)
   taint_propagations : int;  (** taint-delta worklist pops *)
   taint_op_applications : int;  (** op applications of the taint entries *)
 }
@@ -70,8 +62,9 @@ type stats = {
 val run : Config.t -> Framework.App.t -> Graph.t -> stats
 (** Mutates the graph's points-to sets and relations, and its taint
     rows when it holds an unknown-id marker.  Safe to re-run: sets are
-    reset from the seeds first.  The engine is selected by
-    [config.solver]; both produce the same solution, taint included. *)
+    reset from the seeds first.  The solution, taint included, is the
+    rule table's fixpoint: {!Analysis.reference} interprets the same
+    table. *)
 
 (** {1 Incremental re-analysis}
 
@@ -193,9 +186,7 @@ val solved_class_fp : solved -> string
 
 val run_solved : ?fallback:string -> Config.t -> Framework.App.t -> Graph.t -> stats * solved
 (** Full solve that also captures the solution for warm restarts.
-    Always uses the interned engine regardless of [config.solver] (the
-    captured state is id-level); the installed solution is identical
-    either way.  [?fallback] is threaded into [stats.fallback] when
+    The installed solution is {!run}'s.  [?fallback] is threaded into [stats.fallback] when
     this full solve is standing in for a refused warm start. *)
 
 val run_incremental :
@@ -215,9 +206,7 @@ val run_incremental :
     borrowed from [prev] and copied only when they grow; the relation
     rows are copied at restore.  [prev] is never written.  Falls back
     to {!run_solved} (with [stats.fallback] set) when the warm guard
-    refuses: different interner, changed configuration, changed class
-    hierarchy, or changed layout resources.  Not thread-safe against
-    concurrent solves sharing the interner. *)
-
-val warm_guard : solved -> Config.t -> Framework.App.t -> Graph.t -> string option
-(** The reason {!run_incremental} would fall back, if any. *)
+    refuses: different interner, changed configuration, unknown-id
+    markers, inline depth > 0, changed class hierarchy, or changed
+    layout resources.  Not thread-safe against concurrent solves
+    sharing the interner. *)

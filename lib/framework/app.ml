@@ -37,8 +37,6 @@ let filter_classes t predicate =
 
 let activity_classes t = filter_classes t Views.is_activity_class
 
-let dialog_classes t = filter_classes t Views.is_dialog_class
-
 let listener_classes t = filter_classes t Listeners.is_listener_class
 
 let view_classes t = filter_classes t Views.is_view_class

@@ -26,8 +26,6 @@ val activity_classes : t -> Jir.Ast.cls list
 (** Application classes that are (transitive) subclasses of
     [Activity]. *)
 
-val dialog_classes : t -> Jir.Ast.cls list
-
 val listener_classes : t -> Jir.Ast.cls list
 
 val view_classes : t -> Jir.Ast.cls list

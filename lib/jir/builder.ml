@@ -1,7 +1,5 @@
 let tclass c = Ast.Tclass c
 
-let tint = Ast.Tint
-
 let new_ x c = Ast.New (x, c)
 
 let copy x y = Ast.Copy (x, y)

@@ -4,8 +4,6 @@
 
 val tclass : string -> Ast.ty
 
-val tint : Ast.ty
-
 (** Statement constructors (thin wrappers with readable names). *)
 
 val new_ : string -> string -> Ast.stmt

@@ -14,16 +14,6 @@ type path = int list
 let node ?id ?onclick ?fragment ?(children = []) view_class =
   { view_class; id; children; include_of = None; onclick; fragment_class = fragment }
 
-let include_node ?id layout =
-  {
-    view_class = "include";
-    id;
-    children = [];
-    include_of = Some layout;
-    onclick = None;
-    fragment_class = None;
-  }
-
 let merge_root = "merge"
 
 let def ~name root = { name; root }

@@ -29,10 +29,6 @@ type path = int list
 
 val node : ?id:string -> ?onclick:string -> ?fragment:string -> ?children:node list -> string -> node
 
-val include_node : ?id:string -> string -> node
-(** [include_node ~id "detail"] is [<include layout="@layout/detail"
-    android:id="@+id/..." />]. *)
-
 val merge_root : string
 (** The tag of a [<merge>] root element. *)
 

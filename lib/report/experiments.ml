@@ -95,9 +95,6 @@ let run_stream ?(jobs = Pool.default_jobs ()) ?high ?low ?(timings = true) ?(fai
     ~consume:(fun _i spec outcome -> emit (jsonl_row ~timings (result_of_outcome spec outcome)))
     ()
 
-let corpus_runs results =
-  List.filter_map (fun r -> Result.to_option r.cs_run) results
-
 (* A failed app still occupies its row: name, the captured exception,
    dashes for the metric columns the task never produced. *)
 let failed_row ~columns name err =
@@ -170,7 +167,7 @@ let table2 ?(timings = true) results =
 let solver_stats results =
   let header =
     [
-      "App"; "solver"; "mode"; "ops"; "rounds"; "op applies"; "naive equiv"; "saved";
+      "App"; "mode"; "ops"; "rounds"; "op applies"; "naive equiv"; "saved";
       "propagations"; "delta pushes"; "desc cache"; "values"; "set words"; "unions"; "sccs";
       "max scc"; "ctxs"; "ctx keys";
     ]
@@ -199,7 +196,6 @@ let solver_stats results =
             in
             [
               s.sv_app;
-              s.sv_solver;
               mode;
               Table.cell_int s.sv_ops;
               Table.cell_int s.sv_iterations;

@@ -62,9 +62,6 @@ val run_stream :
     A failing app emits its [ok:false] row and the stream keeps
     flowing. *)
 
-val corpus_runs : corpus_result list -> corpus_run list
-(** The successful runs, in corpus order. *)
-
 val table1 : corpus_result list -> string
 (** Table 1: application features and constraint-graph populations. *)
 

@@ -47,14 +47,6 @@ let rpc c request =
     | Error fe -> Error (Fmt.str "%a" P.pp_frame_error fe)
   with exn -> Error (Printexc.to_string exn)
 
-let rpc_raw c payload =
-  try
-    P.write_frame c.oc payload;
-    match P.read_frame c.ic with
-    | Ok response -> Ok response
-    | Error fe -> Error (Fmt.str "%a" P.pp_frame_error fe)
-  with exn -> Error (Printexc.to_string exn)
-
 (* One-shot convenience: connect, one request, close.  Retries the
    connect by default so `gator query` right after `gator serve &`
    (the CI smoke) waits out the daemon's preload solve. *)

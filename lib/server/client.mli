@@ -17,10 +17,6 @@ val rpc : t -> Util.Json.t -> (Util.Json.t, string) result
     transport failure; protocol-level failures arrive as [Ok] error
     envelopes. *)
 
-val rpc_raw : t -> string -> (string, string) result
-(** Raw payload variant, for the fuzz tests (malformed bytes on
-    purpose). *)
-
 val request : ?attempts:int -> socket:string -> Util.Json.t -> (Util.Json.t, string) result
 (** One-shot: connect (retrying while the daemon binds; default 200
     attempts, 50ms apart), one [rpc], close. *)

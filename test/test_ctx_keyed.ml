@@ -1,21 +1,20 @@
 (* Context-keyed interned solving: the three-way differential.
 
-   At inline depth > 0 the interned engine walks clone bodies in id
-   space instead of re-extracting them as [$n]-suffixed program text,
-   which is the naive reference's route.  Its correctness oracle is
-   exact equivalence with that inlining path, on either interner tier:
+   At inline depth > 0 extraction walks clone bodies in id space
+   instead of re-extracting them as [$n]-suffixed program text, which
+   is the rule-table reference's route ([Analysis.reference]).  Its
+   correctness oracle is exact equivalence with that inlining path, on
+   either interner tier:
    for every app and every depth,
-     naive-inlined  =  context-keyed (shared tier)
-                    =  context-keyed (private tier)
+     reference-inlined  =  context-keyed (shared tier)
+                        =  context-keyed (private tier)
    over points-to sets, view relations, holder roots, transitions, and
    the op-level Diff.  The batteries cover the fixed corpus, random
    spec-driven apps, cycle-heavy apps, and the alias-heavy family
    built specifically to make context sensitivity change answers. *)
 open Gator
 
-let inlined depth = { Config.default with Config.solver = Config.Naive; inline_depth = depth }
-
-let keyed depth = { Config.default with Config.solver = Config.Interned; inline_depth = depth }
+let cs depth = { Config.default with inline_depth = depth }
 
 (* The differential proper: all three runs at the given depth, all
    three pairs compared. *)
@@ -23,16 +22,13 @@ let three_way ?(depths = [ 1; 2 ]) name app =
   List.iter
     (fun depth ->
       let tag = Printf.sprintf "%s@cs%d" name depth in
-      let rs = Analysis.analyze ~config:(inlined depth) app in
-      let rk = Analysis.analyze ~config:(keyed depth) app in
-      let rp = Private_tier.analyze ~config:(keyed depth) app in
-      Same_solution.check (tag ^ " keyed vs naive-inlined") rk rs;
-      Same_solution.check (tag ^ " private-tier keyed vs naive-inlined") rp rs;
+      let rs = Analysis.reference ~config:(cs depth) app in
+      let rk = Analysis.analyze ~config:(cs depth) app in
+      let rp = Private_tier.analyze ~config:(cs depth) app in
+      Same_solution.check (tag ^ " keyed vs reference-inlined") rk rs;
+      Same_solution.check (tag ^ " private-tier keyed vs reference-inlined") rp rs;
       Same_solution.check (tag ^ " keyed vs private-tier keyed") rk rp;
-      (* counter plumbing: only the keyed runs mint contexts, both
-         tiers mint the same, and they mint exactly as many as the
-         inlining path mints clones *)
-      Alcotest.check Alcotest.int (tag ^ " naive run has no ctx keys") 0 rs.stats.Solve.ctx_keys;
+      (* counter plumbing: both tiers mint the same contexts *)
       Alcotest.check Alcotest.int (tag ^ " tiers mint the same contexts") rk.stats.Solve.ctx_count
         rp.stats.Solve.ctx_count;
       Alcotest.check Alcotest.int (tag ^ " tiers mint the same ctx keys") rk.stats.Solve.ctx_keys
@@ -101,8 +97,8 @@ let test_alias_precision () =
     float_of_int (List.fold_left ( + ) 0 sized) /. float_of_int (max 1 (List.length sized))
   in
   let base = avg_recv (Analysis.analyze ~config:Config.default app) in
-  let cs2 = avg_recv (Analysis.analyze ~config:(keyed 2) app) in
-  let cs2_inlined = avg_recv (Analysis.analyze ~config:(inlined 2) app) in
+  let cs2 = avg_recv (Analysis.analyze ~config:(cs 2) app) in
+  let cs2_inlined = avg_recv (Analysis.reference ~config:(cs 2) app) in
   Alcotest.check (Alcotest.float 1e-9) "keyed and inlined report the same averages" cs2_inlined cs2;
   Alcotest.check Alcotest.bool
     (Printf.sprintf "baseline merges the group (%.2f >= %d)" base sites)

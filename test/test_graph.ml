@@ -292,8 +292,10 @@ module Node_set = Set.Make (Node)
 let csr_edges g =
   let it = Graph.interner g in
   let clones = Hashtbl.create 64 in
-  List.iter (fun id -> Hashtbl.replace clones id ()) (Intern.ctx_clone_ids it);
   let fc = Graph.frozen_flow g in
+  for id = 0 to fc.Graph.fc_nodes - 1 do
+    if Intern.is_ctx_clone it id then Hashtbl.replace clones id ()
+  done;
   let skeleton = ref Edge_set.empty and clone_edges = ref 0 in
   for src = 0 to fc.Graph.fc_nodes - 1 do
     for e = fc.Graph.fc_row.(src) to fc.Graph.fc_row.(src + 1) - 1 do
@@ -363,32 +365,54 @@ let test_corpus_skeleton () =
       check_skeleton (name ^ "@cs2") keyed_cs2 app)
     Corpus.Apps.specs
 
-(* A naive-solver re-extraction can walk the inlining path over a
-   donor interner whose clone ids a keyed (interned) run marked.  The
-   inliner renames structurally, so its [$n] edges are ordinary edges
-   and must stay in the structural views. *)
-let test_marked_donor_keeps_inlined_edges () =
-  let app = Corpus.Connectbot.app () in
-  let keyed = { Config.default with inline_depth = 2 } in
-  let inlined = { keyed with solver = Config.Naive } in
-  let donor = Graph.interner (Extract.run keyed app) in
-  let warm = Extract.run ~interner:donor inlined app in
-  let edges g =
-    List.fold_left
-      (fun acc src ->
-        List.fold_left (fun acc (kind, dst) -> Edge_set.add (src, kind, dst) acc) acc (Graph.succs g src))
-      Edge_set.empty (Graph.locations g)
+(* Copy-chain substitution over a pure copy cycle of clone variables:
+   each context of [spin] clones [a] and [b], each the other's only
+   source.  Candidates are visited in mint order, so the first-minted
+   member of each cycle is the one demoted: it keeps its own row and
+   the other aliases it.  (Demoting the later-minted member would
+   leave both on that member's row; leaving the pair unsubstituted
+   condenses it onto the smaller id, the same rows.) *)
+let test_clone_cycle_demotes_first_minted () =
+  let code =
+    {|class Main extends Activity {
+  method spin(): void {
+    a = b;
+    b = a;
+  }
+  method onCreate(): void {
+    this.spin();
+    this.spin();
+  }
+}|}
   in
-  let marked =
-    List.filter
-      (fun n -> match Intern.find_node donor n with Some id -> Intern.is_ctx_clone donor id | None -> false)
-      (Graph.locations warm)
+  let app =
+    match Framework.App.of_source ~name:"CloneCycle" ~code ~layouts:[] with
+    | Ok app -> app
+    | Error e -> Alcotest.failf "CloneCycle: %s" e
   in
-  Alcotest.check Alcotest.bool "inlined clones carry the donor's marks" true (marked <> []);
-  Alcotest.check Alcotest.int "every inlined edge is listed" (Graph.edge_count warm)
-    (Edge_set.cardinal (edges warm));
-  if not (Edge_set.equal (edges warm) (edges (Extract.run inlined app))) then
-    Alcotest.fail "warm inlined edges differ from a fresh extraction's"
+  let g = Extract.run { Config.default with inline_depth = 2 } app in
+  let it = Graph.interner g in
+  let fc = Graph.frozen_flow g in
+  let members name =
+    List.filter_map
+      (fun id ->
+        match Intern.node_of it id with
+        | Node.N_var (_, v) when Intern.is_ctx_clone it id && String.starts_with ~prefix:(name ^ "$") v ->
+            Some (String.sub v 2 (String.length v - 2), id)
+        | _ -> None)
+      (List.init fc.Graph.fc_nodes Fun.id)
+  in
+  let a = members "a" and b = members "b" in
+  Alcotest.check Alcotest.int "two contexts clone [a]" 2 (List.length a);
+  List.iter
+    (fun (ctx, ida) ->
+      let idb = List.assoc ctx b in
+      let first = min ida idb and second = max ida idb in
+      Alcotest.check Alcotest.int (Printf.sprintf "$%s: the first-minted member keeps its row" ctx) first
+        fc.Graph.fc_rep.(first);
+      Alcotest.check Alcotest.int (Printf.sprintf "$%s: the other aliases it" ctx) first
+        fc.Graph.fc_rep.(second))
+    a
 
 (* The stamp-array condensation against the hash-table reference:
    the same first-seen rows, byte for byte, on every graph family the
@@ -460,6 +484,6 @@ let suite =
     Alcotest.test_case "frozen flow: memo invalidation" `Quick
       test_frozen_flow_memo_invalidation;
     Alcotest.test_case "skeleton succs and locations over the corpus" `Quick test_corpus_skeleton;
-    Alcotest.test_case "inlined edges over a marked donor interner stay listed" `Quick
-      test_marked_donor_keeps_inlined_edges;
+    Alcotest.test_case "a clone copy cycle demotes its first-minted member" `Quick
+      test_clone_cycle_demotes_first_minted;
   ]

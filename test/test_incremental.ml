@@ -474,6 +474,51 @@ let test_snapshot_removed_solver () =
             (Incremental.refusal_warning r);
           check_same_solution ~msg:"removed-solver fallback" (Analysis.analyze app) r)
 
+(* State files keep their [solver] field: a default-config capture
+   writes ["interned"], and its bytes are pinned by digest so older
+   readers keep reading it; a file naming the rule-table reference
+   (["naive"]) loads and warm-starts like any other, since every
+   capture ran the interned engine; and the version-2 fixture still
+   loads. *)
+let test_snapshot_solver_field () =
+  let saved app =
+    let _, solved = Incremental.analyze_solved app in
+    let path = Filename.temp_file "gator_snap" ".json" in
+    Fun.protect
+      ~finally:(fun () -> Sys.remove path)
+      (fun () ->
+        Snapshot.save solved path;
+        In_channel.with_open_bin path In_channel.input_all)
+  in
+  List.iter
+    (fun (name, app, digest) ->
+      let bytes = saved app in
+      Alcotest.check Alcotest.bool (name ^ ": names the interned engine") true
+        (contains ~sub:{|"solver":"interned"|} bytes);
+      Alcotest.check Alcotest.string (name ^ ": bytes as before") digest (Digest.to_hex (Digest.string bytes)))
+    [
+      ("Inc", inc_app (), "047104148e35c3889bbffdefd5879678");
+      ("ConnectBot", Corpus.Connectbot.app (), "4059e9fc52c469b138d9dae5865ec43e");
+    ];
+  let app = inc_app () in
+  let _, solved = Incremental.analyze_solved app in
+  let with_naive = function
+    | "config", Util.Json.Obj cfields ->
+        ( "config",
+          Util.Json.Obj
+            (List.map (function "solver", _ -> ("solver", Util.Json.String "naive") | f -> f) cfields) )
+    | f -> f
+  in
+  (match Snapshot.to_json solved with
+  | Util.Json.Obj fields -> (
+      match Snapshot.of_json (Util.Json.Obj (List.map with_naive fields)) with
+      | Error e -> Alcotest.failf "state naming the reference refused: %s" e
+      | Ok prev -> ignore (run_patch ~msg:"naive-named state" app prev (load_patch "add_handler.json")))
+  | _ -> Alcotest.fail "snapshot is not an object");
+  match Snapshot.load (find_file ~under:"incremental" "todo_state_v2.json") with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "version-2 todo state: %s" e
+
 (* A warm start from a state file: a snapshot keeps no fragments, so
    the assembly declines and the edit script comes from a shape diff.
    The CLI's [--incremental] prints the route on stderr as
@@ -826,6 +871,7 @@ let suite =
     Alcotest.test_case "snapshot stale version" `Quick test_snapshot_stale_version;
     Alcotest.test_case "snapshot nested past the depth bound" `Quick test_snapshot_too_deep;
     Alcotest.test_case "snapshot naming a removed solver" `Quick test_snapshot_removed_solver;
+    Alcotest.test_case "snapshot solver field: bytes kept, naive loads warm" `Quick test_snapshot_solver_field;
     Alcotest.test_case "a state-file warm start names its route" `Quick test_state_file_route;
     Alcotest.test_case "a refused state-file warm start names its fallback" `Quick test_state_file_route_fallback;
     Alcotest.test_case "snapshot pre-split compatibility" `Quick test_snapshot_pre_split_compat;

@@ -2,13 +2,12 @@
    the bitset domain must agree operation-for-operation with a
    reference [Set.Make (Int)]; the hash-consing [Intern] pools must
    assign dense ids that round-trip; and the interned engine must
-   produce the same solution as the naive reference engine — on random
+   produce the same solution as the rule-table reference
+   ([Analysis.reference]) — on random
    apps, on the corpus, and under a worker-domain pool — down to
    byte-identical reports.  (The shared frozen tier has its own
    differential suite in [test_shared_intern.ml].) *)
 open Gator
-
-let with_solver solver config = { config with Config.solver }
 
 (* ------------------------------------------------------------------ *)
 (* Bitset vs Set.Make (Int) *)
@@ -260,22 +259,14 @@ let test_pool_id_bound () =
       ignore (P.create 12))
 
 (* ------------------------------------------------------------------ *)
-(* Engine differential: naive = interned *)
+(* Engine differential: reference = interned *)
 
-let engines = [ Config.Naive; Config.Interned ]
-
-let analyze_with solver app = Analysis.analyze ~config:(with_solver solver Config.default) app
-
-(* Solve [app] with both engines, check they agree, and return the
-   naive reference. *)
+(* Solve [app] with the reference and the interned engine, check they
+   agree, and return the reference. *)
 let check_engines name app =
-  let reference = analyze_with Config.Naive app in
-  Same_solution.check (name ^ "[naive vs interned]") reference (analyze_with Config.Interned app);
+  let reference = Analysis.reference app in
+  Same_solution.check (name ^ "[reference vs interned]") reference (Analysis.analyze app);
   reference
-
-let test_interned_is_default () =
-  Alcotest.check Alcotest.string "default solver" "interned"
-    (Config.solver_name Config.default.Config.solver)
 
 let test_connectbot_engines () = ignore (check_engines "ConnectBot" (Corpus.Connectbot.app ()))
 
@@ -284,9 +275,8 @@ let test_connectbot_all_configs () =
   let app = Corpus.Connectbot.app () in
   List.iter
     (fun (label, config) ->
-      let naive = Analysis.analyze ~config:(with_solver Config.Naive config) app in
-      let interned = Analysis.analyze ~config:(with_solver Config.Interned config) app in
-      Same_solution.check ("ConnectBot(" ^ label ^ ")") naive interned)
+      Same_solution.check ("ConnectBot(" ^ label ^ ")") (Analysis.reference ~config app)
+        (Analysis.analyze ~config app))
     [
       ("default", Config.default);
       ("baseline", Config.baseline);
@@ -300,41 +290,36 @@ let test_connectbot_all_configs () =
 let xbmc_runs =
   lazy
     (let app = Corpus.Gen.generate (Option.get (Corpus.Apps.by_name "XBMC")) in
-     let n = analyze_with Config.Naive app in
-     let r = analyze_with Config.Interned app in
+     let n = Analysis.reference app in
+     let r = Analysis.analyze app in
      Same_solution.check "XBMC" n r;
      (n, r))
 
 (* On XBMC the interned engine's semi-naive schedule applies strictly
-   fewer op rules than the naive [rounds * |ops|] re-iteration, and
-   fewer than its own round count times |ops|. *)
+   fewer op rules than the reference's [rounds * |ops|] re-iteration,
+   and fewer than its own round count times |ops|. *)
 let test_xbmc_work_counters () =
   let n, r = Lazy.force xbmc_runs in
   let s = r.stats in
   let ops = List.length (Graph.ops n.graph) in
-  Alcotest.check Alcotest.int "naive applies rounds*|ops|"
+  Alcotest.check Alcotest.int "reference applies rounds*|ops|"
     (n.stats.Solve.iterations * ops)
     n.stats.Solve.op_applications;
-  Alcotest.check Alcotest.bool "interned applies fewer ops than naive" true
+  Alcotest.check Alcotest.bool "interned applies fewer ops than the reference" true
     (s.Solve.op_applications < n.stats.Solve.op_applications);
   Alcotest.check Alcotest.bool "interned beats its own rounds*|ops| bound" true
     (s.Solve.op_applications < s.Solve.iterations * ops);
   Alcotest.check Alcotest.bool "delta pushes recorded" true (s.Solve.delta_pushes > 0);
-  Alcotest.check Alcotest.int "naive records no delta pushes" 0 n.stats.Solve.delta_pushes;
   Alcotest.check Alcotest.bool "descendants cache exercised" true (s.Solve.desc_cache_hits > 0)
 
-(* The interned engine reports its interner and bitset work; the naive
-   engine reports zeroed interner counters. *)
+(* The interned engine reports its interner and bitset work. *)
 let test_interned_work_counters () =
-  let n, r = Lazy.force xbmc_runs in
+  let _, r = Lazy.force xbmc_runs in
   let s = r.stats in
   Alcotest.check Alcotest.bool "values interned" true (s.Solve.interned_values > 0);
   Alcotest.check Alcotest.bool "nodes interned" true (s.Solve.interned_nodes > 0);
   Alcotest.check Alcotest.bool "bitset words allocated" true (s.Solve.bitset_words > 0);
-  Alcotest.check Alcotest.bool "word-level unions performed" true (s.Solve.union_calls > 0);
-  Alcotest.check Alcotest.int "naive reports no interner work" 0
-    (n.stats.Solve.interned_values + n.stats.Solve.bitset_words + n.stats.Solve.union_calls
-   + n.stats.Solve.delta_pushes + n.stats.Solve.desc_cache_hits)
+  Alcotest.check Alcotest.bool "word-level unions performed" true (s.Solve.union_calls > 0)
 
 let test_qcheck_engines =
   QCheck.Test.make ~count:10 ~name:"random app: naive = interned"
@@ -346,17 +331,15 @@ let test_qcheck_engines =
       true)
 
 (* Corpus through both engines: the solutions must render to
-   byte-identical tables (solver identity only shows up in the solver
-   column of the work-counter report), sequentially and with jobs=4. *)
+   byte-identical tables, sequentially and with jobs=4. *)
 let test_corpus_reports_identical () =
   let reference = Report.Experiments.run_corpus ~config:Config.default ~jobs:1 () in
   List.iter
-    (fun solver ->
-      let config = with_solver solver Config.default in
+    (fun (engine, run) ->
       List.iter
         (fun jobs ->
-          let label = Printf.sprintf "%s/jobs=%d" (Config.solver_name solver) jobs in
-          let candidate = Report.Experiments.run_corpus ~config ~jobs () in
+          let label = Printf.sprintf "%s/jobs=%d" engine jobs in
+          let candidate = run jobs in
           Alcotest.check Alcotest.string (label ^ ": table1 bytes")
             (Report.Experiments.table1 reference)
             (Report.Experiments.table1 candidate);
@@ -364,12 +347,14 @@ let test_corpus_reports_identical () =
             (Report.Experiments.table2 ~timings:false reference)
             (Report.Experiments.table2 ~timings:false candidate))
         [ 1; 4 ])
-    engines;
+    [
+      ("reference", fun jobs -> Reference_corpus.run ~jobs ());
+      ("interned", fun jobs -> Report.Experiments.run_corpus ~jobs ());
+    ];
   (* the interned work-counter report itself is schedule-independent *)
-  let interned = with_solver Config.Interned Config.default in
   Alcotest.check Alcotest.string "interned solverstats bytes, jobs 1 = jobs 4"
-    (Report.Experiments.solver_stats (Report.Experiments.run_corpus ~config:interned ~jobs:1 ()))
-    (Report.Experiments.solver_stats (Report.Experiments.run_corpus ~config:interned ~jobs:4 ()))
+    (Report.Experiments.solver_stats (Report.Experiments.run_corpus ~jobs:1 ()))
+    (Report.Experiments.solver_stats (Report.Experiments.run_corpus ~jobs:4 ()))
 
 (* ------------------------------------------------------------------ *)
 (* SCC condensation: cycle-heavy apps *)
@@ -410,17 +395,13 @@ let test_scc_stats_and_midsolve_minting () =
     Corpus.Gen.cyclic_app ~name:"CycStats" ~chains:2 ~chain_len ~two_cycles:1 ~bridges:2 ~seed:5
       ()
   in
-  let r = analyze_with Config.Interned app in
+  let r = Analysis.analyze app in
   let s = r.stats in
   Alcotest.check Alcotest.bool "sccs counted" true (s.Solve.scc_count > 0);
   Alcotest.check Alcotest.bool "a ring condensed" true (s.Solve.largest_scc >= chain_len);
   let fc = Graph.frozen_flow r.graph in
   Alcotest.check Alcotest.bool "nodes minted after freeze" true
-    (s.Solve.interned_nodes > fc.Graph.fc_nodes);
-  (* the naive engine reports no condensation *)
-  let n = analyze_with Config.Naive app in
-  Alcotest.check Alcotest.int "naive reports no sccs" 0
-    (n.stats.Solve.scc_count + n.stats.Solve.largest_scc)
+    (s.Solve.interned_nodes > fc.Graph.fc_nodes)
 
 let test_qcheck_cyclic_engines =
   QCheck.Test.make ~count:10 ~name:"cyclic app: naive = interned"
@@ -433,7 +414,7 @@ let test_qcheck_cyclic_engines =
 
 (* Cycle-heavy batch under the worker pool: the condensed engine's
    solution must be independent of domain scheduling.  Every pooled
-   interned run is checked against a sequential naive reference. *)
+   interned run is checked against a sequential reference run. *)
 let test_cyclic_jobs () =
   let mk i =
     Corpus.Gen.cyclic_app
@@ -442,11 +423,11 @@ let test_cyclic_jobs () =
       ~chain_len:(3 + i) ~two_cycles:(i mod 3) ~bridges:i ~seed:(900 + i) ()
   in
   let apps = List.init 6 mk in
-  let references = List.map (analyze_with Config.Naive) apps in
+  let references = List.map (fun app -> Analysis.reference app) apps in
   List.iter
     (fun jobs ->
       let outcomes =
-        Pool.run ~jobs (List.map (fun app () -> analyze_with Config.Interned app) apps)
+        Pool.run ~jobs (List.map (fun app () -> Analysis.analyze app) apps)
       in
       List.iteri
         (fun i outcome ->
@@ -464,7 +445,6 @@ let suite =
     Alcotest.test_case "interner round-trip and dense ids" `Quick test_interner_roundtrip;
     QCheck_alcotest.to_alcotest qcheck_pool;
     Alcotest.test_case "pool id bound" `Quick test_pool_id_bound;
-    Alcotest.test_case "interned solver is the default" `Quick test_interned_is_default;
     Alcotest.test_case "ConnectBot: naive and interned agree" `Quick test_connectbot_engines;
     Alcotest.test_case "ConnectBot equivalence (all configs)" `Quick test_connectbot_all_configs;
     Alcotest.test_case "XBMC work counters" `Quick test_xbmc_work_counters;

@@ -1,11 +1,9 @@
 (* Domain-pool batch analysis: the parallel drivers must be
    observationally identical to the sequential loop — bit-identical
    solutions and byte-identical reports across the engine x schedule
-   matrix ({naive, interned} x {jobs 1, 2, 4}) — and a crashing or
+   matrix ({reference, interned} x {jobs 1, 2, 4}) — and a crashing or
    malformed app must fail alone without taking the batch down. *)
 open Gator
-
-let with_solver solver config = { config with Config.solver }
 
 let contains s sub =
   let n = String.length sub in
@@ -177,30 +175,29 @@ let check_batches_identical label reference candidate =
     (runs_exn reference) (runs_exn candidate)
 
 let test_corpus_matrix () =
-  let configs =
-    List.map
-      (fun solver -> (Config.solver_name solver, with_solver solver Config.default))
-      [ Config.Naive; Config.Interned ]
-    (* context-keyed cs-2 (interned default) and the naive reference's
-       inlining cs-2: both must be deterministic across schedules, and
-       byte-identical to each other at any jobs level *)
-    @ [
-        ("keyed-cs2", { Config.default with inline_depth = 2 });
-        ("inlined-cs2", { Config.default with inline_depth = 2; solver = Config.Naive });
-      ]
+  let cs2 = { Config.default with inline_depth = 2 } in
+  let runs =
+    [
+      ("reference", fun jobs -> Reference_corpus.run ~jobs ());
+      ("interned", fun jobs -> Report.Experiments.run_corpus ~jobs ());
+      (* context-keyed cs-2 and the reference's inlining cs-2: both
+         must be deterministic across schedules, and byte-identical to
+         each other at any jobs level *)
+      ("keyed-cs2", fun jobs -> Report.Experiments.run_corpus ~config:cs2 ~jobs ());
+      ("inlined-cs2", fun jobs -> Reference_corpus.run ~config:cs2 ~jobs ());
+    ]
   in
   let batches =
     List.map
-      (fun (tag, config) ->
-        let reference = Report.Experiments.run_corpus ~config ~jobs:1 () in
+      (fun (tag, run) ->
+        let reference = run 1 in
         List.iter
           (fun jobs ->
             let label = Printf.sprintf "%s/jobs=%d" tag jobs in
-            let candidate = Report.Experiments.run_corpus ~config ~jobs () in
-            check_batches_identical label reference candidate)
+            check_batches_identical label reference (run jobs))
           [ 2; 4 ];
         (tag, reference))
-      configs
+      runs
   in
   (* cross-engine: the keyed cs-2 corpus run solves exactly what the
      inlining cs-2 run solves (solver-stats columns differ — the keyed
@@ -225,36 +222,29 @@ let test_random_matrix () =
   let rng = Util.Prng.create 7741 in
   for i = 1 to 6 do
     let spec = Corpus.Gen.random_spec ~name:(Printf.sprintf "PoolRandom_%d" i) rng in
-    let analyze solver () =
-      Analysis.analyze ~config:(with_solver solver Config.default) (Corpus.Gen.generate spec)
-    in
-    let reference = analyze Config.Naive () in
+    let reference () = Analysis.reference (Corpus.Gen.generate spec) in
+    let interned () = Analysis.analyze (Corpus.Gen.generate spec) in
+    let first = reference () in
     List.iter
       (fun jobs ->
-        let outcomes = Pool.run ~jobs [ analyze Config.Naive; analyze Config.Interned ] in
+        let outcomes = Pool.run ~jobs [ reference; interned ] in
         List.iter
           (fun outcome ->
             let candidate = Pool.value_exn outcome in
             Same_solution.check
               (Printf.sprintf "%s/jobs=%d" spec.Corpus.Spec.sp_name jobs)
-              reference candidate)
+              first candidate)
           outcomes)
       [ 2; 4 ];
     (* the cs-2 pair through the same schedules: pooled context-keyed
        and pooled inlining runs against a sequential inlining cs-2 *)
-    let cs2 solver () =
-      Analysis.analyze
-        ~config:{ (with_solver solver Config.default) with inline_depth = 2 }
-        (Corpus.Gen.generate spec)
-    in
-    let reference_cs2 =
-      Analysis.analyze
-        ~config:{ (with_solver Config.Naive Config.default) with inline_depth = 2 }
-        (Corpus.Gen.generate spec)
-    in
+    let config = { Config.default with inline_depth = 2 } in
+    let keyed () = Analysis.analyze ~config (Corpus.Gen.generate spec) in
+    let inlined () = Analysis.reference ~config (Corpus.Gen.generate spec) in
+    let reference_cs2 = inlined () in
     List.iter
       (fun jobs ->
-        let outcomes = Pool.run ~jobs [ cs2 Config.Interned; cs2 Config.Naive ] in
+        let outcomes = Pool.run ~jobs [ keyed; inlined ] in
         List.iter
           (fun outcome ->
             Same_solution.check
@@ -326,10 +316,11 @@ let test_batch_determinism () =
   (* inline_depth > 0 exercises the per-run clone counter: under the
      old process-global counter, concurrent extractions interleave
      clone names and reports differ run to run *)
+  let cs depth = { Config.default with inline_depth = depth } in
+  let keyed depth () = Report.Experiments.run_corpus ~config:(cs depth) ~jobs:4 () in
   List.iter
-    (fun config ->
-      let first = Report.Experiments.run_corpus ~config ~jobs:4 () in
-      let second = Report.Experiments.run_corpus ~config ~jobs:4 () in
+    (fun run ->
+      let first = run () and second = run () in
       Alcotest.check Alcotest.string "table1 byte-identical"
         (Report.Experiments.table1 first) (Report.Experiments.table1 second);
       Alcotest.check Alcotest.string "table2 byte-identical"
@@ -339,13 +330,13 @@ let test_batch_determinism () =
         (Report.Experiments.solver_stats first)
         (Report.Experiments.solver_stats second))
     [
-      Config.default;
-      { Config.default with inline_depth = 1 };
-      (* context-keyed cs-2 and the naive reference's inlining cs-2:
-         clone numbering and ⟨node, ctx⟩ minting must not depend on
-         the schedule either *)
-      { Config.default with inline_depth = 2 };
-      { Config.default with inline_depth = 2; solver = Config.Naive };
+      keyed 0;
+      keyed 1;
+      (* context-keyed cs-2 and the reference's inlining cs-2: clone
+         numbering and ⟨node, ctx⟩ minting must not depend on the
+         schedule either *)
+      keyed 2;
+      (fun () -> Reference_corpus.run ~config:(cs 2) ~jobs:4 ());
     ]
 
 let test_qcheck_pool_equivalence =
@@ -354,14 +345,13 @@ let test_qcheck_pool_equivalence =
     (fun seed ->
       let rng = Util.Prng.create seed in
       let spec = Corpus.Gen.random_spec ~name:(Printf.sprintf "QPool_%d" seed) rng in
-      let analyze solver () =
-        Analysis.analyze ~config:(with_solver solver Config.default) (Corpus.Gen.generate spec)
-      in
-      let reference = analyze Config.Naive () in
-      let outcomes = Pool.run ~jobs:2 [ analyze Config.Naive; analyze Config.Interned ] in
+      let reference () = Analysis.reference (Corpus.Gen.generate spec) in
+      let interned () = Analysis.analyze (Corpus.Gen.generate spec) in
+      let first = reference () in
+      let outcomes = Pool.run ~jobs:2 [ reference; interned ] in
       List.for_all
         (fun outcome ->
-          Diff.is_empty (Diff.compare reference (Pool.value_exn outcome)))
+          Diff.is_empty (Diff.compare first (Pool.value_exn outcome)))
         outcomes)
 
 let suite =

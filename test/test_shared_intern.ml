@@ -8,8 +8,13 @@
    worker pools. *)
 open Gator
 
-let with_solver solver = { Config.default with Config.solver }
-let engines = [ Config.Naive; Config.Interned ]
+(* The rule-table reference and the interned engine, each on the
+   shared tier and on a private interner. *)
+let engines =
+  [
+    ("reference", (fun app -> Analysis.reference app), fun app -> Private_tier.reference app);
+    ("interned", (fun app -> Analysis.analyze app), fun app -> Private_tier.analyze app);
+  ]
 let lbase = Layouts.Resource.layout_base
 let vbase = Layouts.Resource.view_base
 
@@ -150,12 +155,10 @@ let test_no_mint_through_analysis_and_queries () =
 
 let check_shared_private name app =
   List.iter
-    (fun solver ->
-      let shared = Analysis.analyze ~config:(with_solver solver) app in
-      let private_ = Private_tier.analyze ~config:(with_solver solver) app in
+    (fun (engine, shared, private_) ->
       Same_solution.check
-        (Printf.sprintf "%s[%s: shared vs private]" name (Config.solver_name solver))
-        shared private_)
+        (Printf.sprintf "%s[%s: shared vs private]" name engine)
+        (shared app) (private_ app))
     engines
 
 let test_corpus_apps_shared_private () =
@@ -193,7 +196,7 @@ let test_watermark_boundary_app () =
       let app = Corpus.Apps.generate spec in
       (* rids are minted by the interned solve (one per view-id fact),
          so inspect the interner behind an interned-engine analysis *)
-      let r = Analysis.analyze ~config:(with_solver Config.Interned) app in
+      let r = Analysis.analyze app in
       let it = Graph.interner r.Analysis.graph in
       (* the last id of the frozen view window is reachable either way
          (the ⊤ sentinel sits after it, at the last frozen rid) *)

@@ -19,9 +19,9 @@
      and warm starts refuse ⊤ state with a pinned reason. *)
 open Gator
 
-let engines = [ Config.Naive; Config.Interned ]
-
-let with_solver solver = { Config.default with Config.solver }
+(* The rule-table reference and the interned engine, by name. *)
+let engines =
+  [ ("reference", fun app -> Analysis.reference app); ("interned", fun app -> Analysis.analyze app) ]
 
 let refl_app ?(layouts = 3) ?(seed = 42) () = Corpus.Gen.reflective_app ~layouts ~seed ()
 
@@ -32,14 +32,11 @@ let sorted_taints r =
 
 let test_engines_agree () =
   let app = refl_app () in
-  let reference = Analysis.analyze ~config:(with_solver Config.Naive) app in
+  let reference = Analysis.reference app in
   Alcotest.(check bool) "⊤ markers detected" true (Graph.has_top reference.Analysis.graph);
   List.iter
-    (fun solver ->
-      let candidate = Analysis.analyze ~config:(with_solver solver) app in
-      Same_solution.check
-        (Printf.sprintf "reflective[naive vs %s]" (Config.solver_name solver))
-        reference candidate)
+    (fun (engine, analyze) ->
+      Same_solution.check (Printf.sprintf "reflective[reference vs %s]" engine) reference (analyze app))
     engines
 
 (* Soundness anchor: sweep every candidate resolution of the ⊤
@@ -188,8 +185,8 @@ let test_snapshot_taint_rows_checked () =
         (List.length (Graph.tainted_nodes loaded.Solve.sd_graph))
   | Error e -> Alcotest.failf "empty taint rows refused: %s" e
 
-(* The taint plane, differentially: the naive reference derives taint
-   from the table's taint entries on its own, so naive = interned
+(* The taint plane, differentially: the rule-table reference derives
+   taint from the table's taint entries on its own, so reference = interned
    ([Same_solution.check] compares the rows node by node) checks the
    staged stratum; and one more round of the table, taint entries
    included, adds nothing to the interned rows. *)
@@ -199,15 +196,15 @@ let qcheck_random_reflective =
     (fun seed ->
       let rng = Util.Prng.create seed in
       let app = Corpus.Gen.random_reflective_app rng in
-      let reference = Analysis.analyze ~config:(with_solver Config.Naive) app in
+      let reference = Analysis.reference app in
       List.iter
-        (fun solver ->
-          let candidate = Analysis.analyze ~config:(with_solver solver) app in
+        (fun (engine, analyze) ->
+          let candidate = analyze app in
           Same_solution.check (Printf.sprintf "random reflective engines, seed %d" seed) reference candidate;
           match Rules.step Config.default app candidate.Analysis.graph with
           | [], _ -> ()
           | added, _ ->
-              QCheck.Test.fail_reportf "seed %d, %s: one more round adds@.%a" seed (Config.solver_name solver)
+              QCheck.Test.fail_reportf "seed %d, %s: one more round adds@.%a" seed engine
                 Fmt.(list ~sep:cut string)
                 added)
         engines;
@@ -301,10 +298,10 @@ let test_taint_entries_pinned () =
     ]
   in
   List.iter
-    (fun solver ->
-      let r = Analysis.analyze ~config:(with_solver solver) (taint_ops_app ()) in
+    (fun (engine, analyze) ->
+      let r = analyze (taint_ops_app ()) in
       Alcotest.(check (list string))
-        (Config.solver_name solver) expected
+        engine expected
         (List.map
            (fun (n, vs) -> Fmt.str "%a -> %a" Node.pp n Fmt.(list ~sep:(any " ") Node.pp_value) vs)
            (sorted_taints r)))

@@ -9,11 +9,30 @@
    markers the way it draws them) and random reflective apps. *)
 open Gator
 
+(* Each run extracts, solves in place, and analyzes end to end. *)
+type run = {
+  extract : Framework.App.t -> Graph.t;
+  solve : Framework.App.t -> Graph.t -> unit;
+  analyze : Framework.App.t -> Analysis.t;
+}
+
+let engine config =
+  {
+    extract = Extract.run config;
+    solve = (fun app g -> ignore (Solve.run config app g));
+    analyze = Analysis.analyze ~config;
+  }
+
 let configs =
   [
-    ("default", Config.default);
-    ("cs2", { Config.default with inline_depth = 2 });
-    ("naive", { Config.default with solver = Config.Naive });
+    ("default", engine Config.default);
+    ("cs2", engine { Config.default with inline_depth = 2 });
+    ( "reference",
+      {
+        extract = Extract.run_inlined Config.default;
+        solve = (fun app g -> ignore (Rules.run Config.default app g));
+        analyze = Analysis.reference ~config:Config.default;
+      } );
   ]
 
 let node_id graph node =
@@ -21,10 +40,10 @@ let node_id graph node =
   | Some id -> id
   | None -> Alcotest.failf "location %a is not interned" Node.pp node
 
-let check_locations name config app =
-  let graph = Extract.run config app in
+let check_locations name run app =
+  let graph = run.extract app in
   let unsolved = Graph.locations graph in
-  ignore (Solve.run config app graph);
+  run.solve app graph;
   let solved = Graph.locations graph in
   let rec split prefix rest =
     match (prefix, rest) with
@@ -148,7 +167,7 @@ let test_modes_pollution () =
 let test_corpus_locations () =
   List.iter
     (fun (label, app) ->
-      List.iter (fun (cfg, config) -> check_locations (label ^ "@" ^ cfg) config app) configs)
+      List.iter (fun (cfg, run) -> check_locations (label ^ "@" ^ cfg) run app) configs)
     [
       ("Figure1", Corpus.Connectbot.app ());
       ("XBMC", Corpus.Apps.generate (Option.get (Corpus.Apps.by_name "XBMC")));
@@ -169,10 +188,10 @@ let qcheck_random_apps =
       List.iter
         (fun (kind, app) ->
           List.iter
-            (fun (cfg, config) ->
+            (fun (cfg, run) ->
               let name = Printf.sprintf "%s %d@%s" kind seed cfg in
-              check_locations name config app;
-              check_pollution name (Analysis.analyze ~config app))
+              check_locations name run app;
+              check_pollution name (run.analyze app))
             configs)
         apps;
       true)
