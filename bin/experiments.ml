@@ -307,8 +307,8 @@ let verify_reflection () =
          (fun (node, vs) ->
            ( Fmt.str "%a" Gator.Node.pp node,
              List.sort compare
-               (List.map (Fmt.str "%a" Gator.Node.pp_value) (Gator.Graph.VS.elements vs)) ))
-         (Gator.Graph.tainted_nodes r.Gator.Analysis.graph))
+               (List.map (Fmt.str "%a" Gator.Node.pp_value) vs) ))
+         (Gator.Reader.tainted_nodes r.Gator.Analysis.graph))
   in
   let check_same label candidate =
     let d = Gator.Diff.compare reference candidate in
@@ -360,8 +360,7 @@ let verify_reflection () =
           (fun node ->
             Fmt.str "%a = %a" Gator.Node.pp node
               Fmt.(Dump.list Gator.Node.pp_value)
-              (List.sort Gator.Node.compare_value
-                 (Gator.Graph.VS.elements (Gator.Graph.set_of graph node))))
+              (Gator.Reader.points_to graph node))
           (Gator.Graph.locations graph)),
       taint_table r,
       Gator.Analysis.pollution r )

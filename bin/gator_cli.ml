@@ -121,7 +121,7 @@ let analyze_one ~dump_dot ~show_interactions ~show_diagnostics ~run_dynamic ~jso
               (List.length outcome.observations)
               Dynamic.Oracle.pp_coverage coverage
           end;
-          if dump_dot then Fmt.pf ppf "@.%a@." Gator.Graph.pp_dot r.graph
+          if dump_dot then Fmt.pf ppf "@.%a@." Gator.Reader.pp_dot r.graph
         end;
         Format.pp_print_flush ppf ();
         Ok (Buffer.contents buf)

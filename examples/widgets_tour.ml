@@ -117,8 +117,8 @@ let () =
   (* menu items *)
   Fmt.pr "@.menu items of MainActivity:@.";
   let menu = Gator.Node.V_alloc (Gator.Node.menu_site "MainActivity") in
-  Gator.Graph.View_set.iter
+  List.iter
     (fun item -> Fmt.pr "  %a@." Gator.Node.pp_view item)
-    (Gator.Graph.children_of r.graph menu);
+    (Gator.Reader.children r.graph menu);
   let outcome = Dynamic.Interp.run app in
   Fmt.pr "@.dynamic oracle: %a@." Dynamic.Oracle.pp_coverage (Dynamic.Oracle.check r outcome)

@@ -52,24 +52,22 @@ let make ~app ~config ~graph ~stats ~solve_seconds = { app; config; graph; stats
 let var ~cls ~meth ~arity v =
   Node.N_var ({ Node.mid_cls = cls; mid_name = meth; mid_arity = arity }, v)
 
-let values_at t node = Graph.VS.elements (Graph.set_of t.graph node)
+let values_at t node = Reader.points_to t.graph node
 
-let views_at t node = Graph.views_of t.graph node
+let views_at t node = Reader.views_at t.graph node
 
-let flows_to t value node = Graph.VS.mem value (Graph.set_of t.graph node)
+let flows_to t value node = List.exists (Node.equal_value value) (values_at t node)
 
 let ops t = Graph.ops t.graph
 
 let ops_of_kind t predicate =
   List.filter (fun (op : Graph.op) -> predicate op.site.o_kind) (ops t)
 
-let op_receiver_views t (op : Graph.op) = Graph.views_of t.graph op.op_recv
+let op_receiver_views t (op : Graph.op) = views_at t op.op_recv
 
-let op_child_views t (op : Graph.op) =
-  match op.op_args with [] -> [] | arg :: _ -> Graph.views_of t.graph arg
+let op_child_views t (op : Graph.op) = match op.op_args with [] -> [] | arg :: _ -> views_at t arg
 
-let op_result_views t (op : Graph.op) =
-  match op.op_out with Some node -> Graph.views_of t.graph node | None -> []
+let op_result_views t (op : Graph.op) = match op.op_out with Some node -> views_at t node | None -> []
 
 let op_listeners t (op : Graph.op) =
   match (op.site.o_kind, op.op_args) with
@@ -77,61 +75,34 @@ let op_listeners t (op : Graph.op) =
       let implements cls =
         Jir.Hierarchy.subtype t.app.hierarchy cls iface.Framework.Listeners.i_name
       in
-      Graph.VS.fold
-        (fun v acc ->
+      List.fold_left
+        (fun acc v ->
           match v with
           | Node.V_obj site when implements site.a_cls -> Node.L_alloc site :: acc
           | Node.V_act a when implements a -> Node.L_act a :: acc
           | _ -> acc)
-        (Graph.set_of t.graph arg) []
+        [] (values_at t arg)
   | _ -> []
 
 let views_with_id t name =
-  match Layouts.Resource.find_view_id (Layouts.Package.resources t.app.package) name with
-  | None -> []
-  | Some id ->
-      (* a view whose id came from [SetId (v, ⊤)] carries the sentinel
-         and may be any id, so it matches every concrete name *)
-      let it = Graph.interner t.graph in
-      let syms = List.filter_map (Intern.rid_opt it) [ id; Node.top_view_id_raw ] in
-      let acc = ref [] in
-      Array.iteri
-        (fun wid row ->
-          match row with
-          | Some b when List.exists (Util.Bitset.mem b) syms -> acc := Intern.view_of it wid :: !acc
-          | _ -> ())
-        (Graph.solution t.graph).Graph.sol_ids;
-      List.sort Node.compare_view !acc
+  Reader.views (Graph.interner t.graph) (Some (Reader.id_carriers t.graph t.app.package name))
 
 (* Counted on the store's rows, without decoding: every location with
-   a non-empty set is an interned node, and taint rows are subsets. *)
+   a non-empty set is an interned node, and a taint row is a subset of
+   its node's set. *)
 let pollution t =
   let sol = Graph.solution t.graph in
-  let non_empty = function Some b -> not (Util.Bitset.is_empty b) | None -> false in
-  let polluted = ref 0 and nonempty = ref 0 in
+  let nonempty = ref 0 in
   for nid = 0 to Intern.node_count (Graph.interner t.graph) - 1 do
-    if non_empty (Graph.points_to_row sol nid) then begin
-      incr nonempty;
-      if non_empty (Graph.row sol.Graph.sol_taints nid) then incr polluted
-    end
+    match Graph.points_to_row sol nid with Some b when not (Util.Bitset.is_empty b) -> incr nonempty | _ -> ()
   done;
-  (!polluted, !nonempty)
+  (List.length (Graph.keys sol.Graph.sol_taints), !nonempty)
 
-let roots_of_activity t activity =
-  Graph.View_set.elements (Graph.roots_of_holder t.graph (Node.H_act activity))
+let roots_of_activity t activity = Reader.roots t.graph (Node.H_act activity)
 
-let views_of_holder t holder =
-  let it = Graph.interner t.graph in
-  match Intern.find_holder it holder with
-  | None -> []
-  | Some hid ->
-      List.sort Node.compare_view
-        (Util.Bitset.fold
-           (fun wid acc -> Intern.view_of it wid :: acc)
-           (Graph.holder_views (Graph.solution t.graph) hid)
-           [])
+let views_of_holder t holder = Reader.holder_views t.graph holder
 
-let listeners_of_view t view = Graph.Listener_set.elements (Graph.listeners_of_view t.graph view)
+let listeners_of_view t view = Reader.listeners t.graph view
 
 type interaction = {
   ix_activity : string;
@@ -224,7 +195,7 @@ let interactions t =
    activity-class objects at its intent argument. *)
 let transitions t =
   let hierarchy = t.app.Framework.App.hierarchy in
-  let classes keep node = List.filter_map keep (Graph.VS.elements (Graph.set_of t.graph node)) in
+  let classes keep node = List.filter_map keep (values_at t node) in
   let activity = function Node.V_act a -> Some a | _ -> None in
   let target = function
     | Node.V_obj s when Framework.Views.is_activity_class hierarchy s.Node.a_cls -> Some s.a_cls

@@ -4,7 +4,11 @@
     {!Framework.App.t}, then ask where views flow, which views carry
     which ids, which listeners handle events on which views, and the
     (activity, view, event, handler) interaction tuples that Section 6
-    of the paper describes as input to testing and security tools. *)
+    of the paper describes as input to testing and security tools.
+
+    Every read decodes the solver's rows through {!Reader}, the decoder
+    {!Query}'s daemon reads share, so a batch answer and a daemon
+    answer over the same state are equal by construction. *)
 
 type t = private {
   app : Framework.App.t;
@@ -44,6 +48,7 @@ val make :
 val var : cls:string -> meth:string -> arity:int -> string -> Node.t
 
 val values_at : t -> Node.t -> Node.value list
+(** {!Reader.points_to}. *)
 
 val views_at : t -> Node.t -> Node.view_abs list
 
@@ -74,7 +79,8 @@ val views_with_id : t -> string -> Node.view_abs list
 (** All abstract views whose id row holds the named view id (inflated
     views, views given the id by [setId], menu items), including views
     whose id came from [SetId (v, ⊤)] (their concrete id is unknown, so
-    they match every name); sorted by {!Node.compare_view}. *)
+    they match every name, declared or not: {!Reader.id_carriers});
+    sorted by {!Node.compare_view}. *)
 
 val pollution : t -> int * int
 (** [(polluted, nonempty)]: of the location nodes with a non-empty

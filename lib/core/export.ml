@@ -95,13 +95,13 @@ let solution (r : Analysis.t) =
                  Option.map
                    (fun name -> J.String name)
                    (Layouts.Resource.view_name (Layouts.Package.resources r.app.package) id))
-               (Graph.Int_set.elements (Graph.ids_of_view g v))) );
-        ("children", views (Graph.View_set.elements (Graph.children_of g v)));
+               (Reader.ids g v)) );
+        ("children", views (Reader.children g v));
         ( "listeners",
           J.List
             (List.map
                (fun (l, iface) -> J.Obj [ ("listener", listener l); ("interface", J.String iface) ])
-               (Graph.Listener_set.elements (Graph.listeners_of_view g v))) );
+               (Reader.listeners g v)) );
       ]
   in
   let activities =

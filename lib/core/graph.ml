@@ -4,22 +4,6 @@ module VS = Set.Make (struct
   let compare = Node.compare_value
 end)
 
-module View_set = Set.Make (struct
-  type t = Node.view_abs
-
-  let compare = Node.compare_view
-end)
-
-module Listener_set = Set.Make (struct
-  type t = Node.listener_abs * string
-
-  let compare (l1, i1) (l2, i2) =
-    let c = Node.compare_listener l1 l2 in
-    if c <> 0 then c else String.compare i1 i2
-end)
-
-module Int_set = Set.Make (Int)
-
 type edge_kind = E_direct | E_cast of string
 
 module Alloc_seen = Hashtbl.Make (struct
@@ -136,9 +120,7 @@ type t = {
       (** the structural seed table, folded from the seed log on the
           first read and dropped when a seed is logged *)
   mutable sol : solution;  (** the last solve's id-level solution *)
-  mutable points_to : (Node.t, VS.t) Hashtbl.t option;
-      (** read index over [sol]'s points-to rows, decoded in one pass on
-          the first points-to read and dropped with the solution *)
+  mutable read_index : Node.value list array option;  (** {!read_index}'s memo, dropped with [sol] *)
   inflations : (Node.site * string, Node.view_abs list) Hashtbl.t;
       (** the inflation memo: (site, layout) -> minted views, in the
           layout's preorder *)
@@ -179,7 +161,7 @@ let create ?interner () =
     frozen = None;
     seed_tbl = None;
     sol = empty_solution;
-    points_to = None;
+    read_index = None;
     inflations = Hashtbl.create 16;
     g_has_top = false;
   }
@@ -329,7 +311,7 @@ let has_top t = t.g_has_top
    structural edge of the same extraction does: the structural walk
    never renames.  The frozen CSR is laid out from the edge log, so
    the interned solver sees the context-expanded flow graph, while the
-   structural views ([succs], [locations], [pp_dot]) hide the edges
+   structural views ([succs], [locations], [Reader.pp_dot]) hide the edges
    that touch a clone and stay context-insensitive; the clone rows are
    read from the solution store like any other node's. *)
 let add_edge_ids t ?(kind = E_direct) sid did =
@@ -1279,16 +1261,14 @@ let op_table t =
       let recv, args, out = t.o_ids.(i) in
       (t.o_log.(i).site, recv, args, out))
 
-(* Decode-on-read.  Solution reads go to the store (points-to reads
-   through the index below): a points-to row lives on the node's
-   component representative (ids past [sol_rep] are their own), every
-   other row on its key's id.  A key the interner never saw has an
-   empty row. *)
+(* The solution store.  A points-to row lives on the node's component
+   representative (ids past [sol_rep] are their own), every other row
+   on its key's id.  A key the interner never saw has an empty row. *)
 let row (rows : rows) i = if i >= 0 && i < Array.length rows then rows.(i) else None
 
-let rep_of sol nid = if nid < Array.length sol.sol_rep then sol.sol_rep.(nid) else nid
+let rep sol nid = if nid < Array.length sol.sol_rep then sol.sol_rep.(nid) else nid
 
-let points_to_row sol nid = row sol.sol_sets (rep_of sol nid)
+let points_to_row sol nid = row sol.sol_sets (rep sol nid)
 
 let non_empty = function Some b -> not (Util.Bitset.is_empty b) | None -> false
 
@@ -1296,73 +1276,22 @@ let solution t = t.sol
 
 let set_solution t sol =
   t.sol <- sol;
-  t.points_to <- None
+  t.read_index <- None
 
-let decode_values t = function
-  | None -> VS.empty
-  | Some b -> Util.Bitset.fold (fun vid acc -> VS.add (Intern.value_of t.g_it vid) acc) b VS.empty
-
-let decode_views t = function
-  | None -> View_set.empty
-  | Some b ->
-      Util.Bitset.fold (fun wid acc -> View_set.add (Intern.view_of t.g_it wid) acc) b View_set.empty
-
-(* Points-to reads come in bulk right after a solve (metrics, then
-   per-location queries).  Decoding a row per read costs several cold
-   memory hops plus a sort: against a table decoded moments before,
-   the benchmark's per-read latency measured 1.5x at the median and
-   2.5x at the 99th percentile (perfbench paper and modes, 2-core
-   host).  So the first read decodes every row once, each component's
-   set shared by its members. *)
-let points_to t =
-  match t.points_to with
-  | Some tbl -> tbl
+let read_index t ~build =
+  match t.read_index with
+  | Some index -> index
   | None ->
-      let it = t.g_it in
-      let tbl = Hashtbl.create 256 in
-      let decoded = Array.make (Array.length t.sol.sol_sets) None in
-      for nid = 0 to Intern.node_count it - 1 do
-        let r = rep_of t.sol nid in
-        match row t.sol.sol_sets r with
-        | Some b when not (Util.Bitset.is_empty b) ->
-            let vs =
-              match decoded.(r) with
-              | Some vs -> vs
-              | None ->
-                  let vs = decode_values t (Some b) in
-                  decoded.(r) <- Some vs;
-                  vs
-            in
-            Hashtbl.replace tbl (Intern.node_of it nid) vs
-        | _ -> ()
-      done;
-      t.points_to <- Some tbl;
-      tbl
+      let index = build t in
+      t.read_index <- Some index;
+      index
 
-let set_of t node = Option.value (Hashtbl.find_opt (points_to t) node) ~default:VS.empty
-
-let taints_of t node =
-  match Intern.find_node t.g_it node with
-  | Some nid -> decode_values t (row t.sol.sol_taints nid)
-  | None -> VS.empty
-
-(* Ids [0, n) of [rows] holding a non-empty row, ascending. *)
-let keys_of rows =
+let keys rows =
   let acc = ref [] in
   for i = Array.length rows - 1 downto 0 do
     if non_empty rows.(i) then acc := i :: !acc
   done;
   !acc
-
-let tainted_nodes t =
-  List.map
-    (fun nid -> (Intern.node_of t.g_it nid, decode_values t t.sol.sol_taints.(nid)))
-    (keys_of t.sol.sol_taints)
-
-let views_of t node =
-  VS.fold
-    (fun v acc -> match Node.view_of_value v with Some view -> view :: acc | None -> acc)
-    (set_of t node) []
 
 (* The structural view of the flow edges: the frozen rows, newest
    first, minus the edges that touch a context clone (none exist
@@ -1396,13 +1325,6 @@ let reset_sets t =
   set_solution t empty_solution;
   Hashtbl.reset t.inflations
 
-let view_row t rows view =
-  match Intern.find_view t.g_it view with Some wid -> row rows wid | None -> None
-
-let children_of t view = decode_views t (view_row t t.sol.sol_children view)
-
-let parents_of t view = decode_views t (view_row t t.sol.sol_parents view)
-
 (* Grow [views] in place by every view reachable from it over the
    child rows, by BFS: the one closure walk over [sol_children]. *)
 let closure sol views =
@@ -1415,40 +1337,12 @@ let closure sol views =
   done;
   views
 
-let copy_row rows i =
-  match row rows i with Some b -> Util.Bitset.copy b | None -> Util.Bitset.create ()
+let holder_views sol hid =
+  closure sol (match row sol.sol_roots hid with Some b -> Util.Bitset.copy b | None -> Util.Bitset.create ())
 
-let holder_views sol hid = closure sol (copy_row sol.sol_roots hid)
+let holders t = List.map (Intern.holder_of t.g_it) (keys t.sol.sol_roots)
 
-let descendants t ~include_self view =
-  match Intern.find_view t.g_it view with
-  | None -> if include_self then View_set.singleton view else View_set.empty
-  | Some wid ->
-      let start = copy_row t.sol.sol_children wid in
-      if include_self then ignore (Util.Bitset.add start wid);
-      decode_views t (Some (closure t.sol start))
-
-let ids_of_view t view =
-  match view_row t t.sol.sol_ids view with
-  | Some b -> Util.Bitset.fold (fun sym acc -> Int_set.add (Intern.rid_of t.g_it sym) acc) b Int_set.empty
-  | None -> Int_set.empty
-
-let roots_of_holder t holder =
-  match Intern.find_holder t.g_it holder with
-  | Some hid -> decode_views t (row t.sol.sol_roots hid)
-  | None -> View_set.empty
-
-let holders t = List.map (Intern.holder_of t.g_it) (keys_of t.sol.sol_roots)
-
-let listeners_of_view t view =
-  match view_row t t.sol.sol_listeners view with
-  | Some b ->
-      Util.Bitset.fold
-        (fun eid acc -> Listener_set.add (Intern.listener_of t.g_it eid) acc)
-        b Listener_set.empty
-  | None -> Listener_set.empty
-
-let views_with_listeners t = List.map (Intern.view_of t.g_it) (keys_of t.sol.sol_listeners)
+let views_with_listeners t = List.map (Intern.view_of t.g_it) (keys t.sol.sol_listeners)
 
 let find_inflation t ~site ~layout = Hashtbl.find_opt t.inflations (site, layout)
 
@@ -1497,62 +1391,3 @@ let locations t =
 let edge_count t =
   let fc = frozen_flow t in
   fc.fc_row.(fc.fc_nodes)
-
-(* Graphviz output: locations as ellipses, ops as boxes, views as gray
-   boxes (Figure 3/4 style). *)
-let pp_dot ppf t =
-  let location_id node = Fmt.str "%S" (Fmt.str "%a" Node.pp node) in
-  let view_id view = Fmt.str "%S" (Fmt.str "%a" Node.pp_view view) in
-  Fmt.pf ppf "digraph constraint_graph {@\n  rankdir=LR;@\n";
-  List.iter
-    (fun node -> Fmt.pf ppf "  %s [shape=ellipse];@\n" (location_id node))
-    (locations t);
-  List.iter
-    (fun op ->
-      let op_node = Fmt.str "%S" (Fmt.str "%a" Node.pp_op_site op.site) in
-      Fmt.pf ppf "  %s [shape=box,style=bold];@\n" op_node;
-      Fmt.pf ppf "  %s -> %s [label=recv];@\n" (location_id op.op_recv) op_node;
-      List.iteri
-        (fun i arg -> Fmt.pf ppf "  %s -> %s [label=\"arg%d\"];@\n" (location_id arg) op_node i)
-        op.op_args;
-      Option.iter (fun out -> Fmt.pf ppf "  %s -> %s;@\n" op_node (location_id out)) op.op_out)
-    (ops t);
-  iter_succ_ids t (fun src targets ->
-      let src = location_id (Intern.node_of t.g_it src) in
-      List.iter
-        (fun (k, dst) ->
-          let dst = location_id (Intern.node_of t.g_it dst) in
-          match kind_of_sym t k with
-          | E_direct -> Fmt.pf ppf "  %s -> %s;@\n" src dst
-          | E_cast c -> Fmt.pf ppf "  %s -> %s [label=\"(%s)\"];@\n" src dst c)
-        targets);
-  (* relation rows by ascending key id *)
-  let views rows = List.map (Intern.view_of t.g_it) (keys_of rows) in
-  List.iter
-    (fun view ->
-      View_set.iter
-        (fun child -> Fmt.pf ppf "  %s -> %s [style=dashed,label=child];@\n" (view_id view) (view_id child))
-        (children_of t view))
-    (views t.sol.sol_children);
-  List.iter
-    (fun view ->
-      Int_set.iter
-        (fun id -> Fmt.pf ppf "  %s -> \"id:0x%x\" [style=dashed];@\n" (view_id view) id)
-        (ids_of_view t view))
-    (views t.sol.sol_ids);
-  List.iter
-    (fun holder ->
-      View_set.iter
-        (fun root ->
-          Fmt.pf ppf "  \"%a\" -> %s [style=dashed,label=root];@\n" Node.pp_holder holder (view_id root))
-        (roots_of_holder t holder))
-    (holders t);
-  List.iter
-    (fun view ->
-      Listener_set.iter
-        (fun (l, iface) ->
-          Fmt.pf ppf "  %s -> \"%a\" [style=dashed,label=\"listener:%s\"];@\n" (view_id view)
-            Node.pp_listener l iface)
-        (listeners_of_view t view))
-    (views_with_listeners t);
-  Fmt.pf ppf "}@\n"

@@ -11,8 +11,9 @@
     The graph holds the program's constraints and one cold table, the
     inflation memo.  The solved points-to sets, the hot relations and
     the taint plane live in one place: the solver's id-level
-    {!solution}, which the reads below decode when they are called
-    (points-to reads through a read index built on the first of them).
+    {!solution}.  This module keeps those rows and the row-level
+    helpers; {!Reader} is the one decoder of them into structural
+    answers, for batch and daemon clients alike.
     Everything else the rules read about an inflated view (its
     [android:onClick] handler, its [<fragment>] class) comes from its
     layout node ({!Inflate.onclick}, {!Inflate.declared_fragment}), and
@@ -20,14 +21,8 @@
     ({!Analysis.transitions}). *)
 
 module VS : Set.S with type elt = Node.value
-
-module View_set : Set.S with type elt = Node.view_abs
-
-module Listener_set : Set.S with type elt = Node.listener_abs * string
-(** Registrations: the listener together with the interface name it
-    was registered under. *)
-
-module Int_set : Set.S with type elt = int
+(** Value sets of the structural seed table ({!seeds}) and the
+    rule-table reference's working sets. *)
 
 type edge_kind =
   | E_direct
@@ -80,7 +75,7 @@ val has_top : t -> bool
     these variants skip re-interning.  Both kinds of edge land in the
     one edge log the frozen CSR is built from; every edge
     [add_edge_ids] adds touches a context clone, and the structural
-    views ({!succs}, {!locations}, {!pp_dot}) hide those edges, so they
+    views ({!succs}, {!locations}, {!Reader.pp_dot}) hide those edges, so they
     stay context-insensitive.
     [seed_id] and [fresh_op_ids] decode back to structural nodes (seeds
     and op records are rare and must match the inlining path
@@ -203,42 +198,33 @@ val set_solution : t -> solution -> unit
 val row : rows -> int -> Util.Bitset.t option
 (** [None] for an id past the end. *)
 
+val rep : solution -> int -> int
+(** The representative whose points-to row a node id reads. *)
+
 val points_to_row : solution -> int -> Util.Bitset.t option
 (** The points-to row of a node id, through its representative. *)
+
+val keys : rows -> int list
+(** The ids holding a non-empty row, ascending. *)
 
 val holder_views : solution -> int -> Util.Bitset.t
 (** The displayable views of a holder id: its root views plus all
     their descendants over the child rows, as a fresh bitset of view
-    ids ({!descendants} walks the same closure). *)
+    ids. *)
 
-(** {1 Points-to sets}
+val holders : t -> Node.holder list
+(** Holders with at least one root, by ascending holder id. *)
 
-    Points-to reads come in bulk right after a solve, so the first one
-    decodes every points-to row in one pass (each component's set
-    once, shared by its members) into a read index that lives until
-    the next {!set_solution} or {!reset_sets}.  Graphs nobody reads
-    through this API — a daemon's resident entries, warm-solve donors,
-    loaded snapshots — never build it.  The first read mutates the
-    graph: do not race it across domains. *)
+val views_with_listeners : t -> Node.view_abs list
+(** By ascending view id. *)
 
-val set_of : t -> Node.t -> VS.t
+val read_index : t -> build:(t -> Node.value list array) -> Node.value list array
+(** The points-to read index {!Reader.points_to} reads: [build]'s
+    decode of the rows, run by the first call after a {!set_solution}
+    and kept until the next.  The first call mutates the graph: do not
+    race it across domains. *)
 
-val views_of : t -> Node.t -> Node.view_abs list
-
-(** {2 Imprecision taint}
-
-    The subset of each location's points-to set whose membership was
-    justified (transitively) by an unknown-id marker.  Purely
-    diagnostic: points-to never reads taint, so each engine derives
-    it from the rule table's taint stratum (DESIGN §15) once
-    points-to has reached its fixpoint.  Rows are node-keyed (the
-    interned engine's component members share their representative's
-    row).  Invariant: [taints_of t n ⊆ set_of t n]. *)
-
-val taints_of : t -> Node.t -> VS.t
-
-val tainted_nodes : t -> (Node.t * VS.t) list
-(** Every location with a non-empty taint set, by ascending node id. *)
+(** {1 Flow edges and seeds} *)
 
 val succs : t -> Node.t -> (edge_kind * Node.t) list
 (** The flow successors of a location added by {!add_edge}, newest
@@ -261,27 +247,6 @@ val seed_pairs : t -> (int * int) array
 val reset_sets : t -> unit
 (** Drop the solution and the inflation memo, back to the seeded state
     (used to re-solve under a different configuration). *)
-
-(** {1 Relations} *)
-
-val children_of : t -> Node.view_abs -> View_set.t
-
-val parents_of : t -> Node.view_abs -> View_set.t
-
-val descendants : t -> include_self:bool -> Node.view_abs -> View_set.t
-(** Reflexive-or-strict transitive closure of parent-child. *)
-
-val ids_of_view : t -> Node.view_abs -> Int_set.t
-
-val roots_of_holder : t -> Node.holder -> View_set.t
-
-val holders : t -> Node.holder list
-(** Holders with at least one root, by ascending holder id. *)
-
-val listeners_of_view : t -> Node.view_abs -> Listener_set.t
-
-val views_with_listeners : t -> Node.view_abs list
-(** By ascending view id. *)
 
 (** {1 Inflation bookkeeping} *)
 
@@ -418,10 +383,3 @@ val locations : t -> Node.t list
 val edge_count : t -> int
 (** Distinct flow edges: the frozen CSR's size ({!frozen_flow}, built
     if the log grew since the last freeze). *)
-
-val pp_dot : t Fmt.t
-(** Graphviz rendering of the solved graph: locations, op nodes, flow
-    edges, and relationship edges (Figures 3-4 style).  Locations come
-    in {!locations} order, op nodes in creation order, flow edges
-    (those {!succs} lists) by ascending source id, and relationship
-    edges by ascending key id. *)

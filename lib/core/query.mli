@@ -1,9 +1,10 @@
 (** Point queries over a captured solution.
 
     A {!t} is a read-only view of a {!Solve.solved}: every answer is a
-    lookup in the solver's id-level rows plus an interner decode, so
-    answers equal [Analysis]'s forward projections of the same state.
-    Creating a handle builds nothing.
+    {!Reader} read of the captured graph, whose store holds the
+    captured rows, so answers equal [Analysis]'s forward projections
+    of the same state.  Points-to rows are decoded per call: a handle
+    never builds the batch read index.
 
     A query handle never mutates the solved state and never grows its
     interner (unknown keys use non-minting lookups), so handles over
@@ -33,21 +34,21 @@ val stats : t -> stats
 val interner : t -> Intern.t
 
 val points_to : ?budget:int -> t -> Node.t -> Node.value list option
-(** Values reaching the location, read from its representative's row;
-    [None] when the node was never interned (unknown to this app's
-    graph — the protocol maps it to an [unknown-node] error).
-    [budget] has no effect; it stays for existing callers.  Results
-    are sorted by {!Node.compare_value}, matching
-    [Analysis.values_at]. *)
+(** {!Reader.find_points_to}: values reaching the location, sorted by
+    {!Node.compare_value}; [None] when the node was never interned
+    (unknown to this app's graph — the protocol maps it to an
+    [unknown-node] error).  [budget] has no effect; it stays for
+    existing callers. *)
 
 val views_of_listener : t -> Node.listener_abs -> Node.view_abs list
-(** Views the listener is registered on (any interface), sorted by
-    {!Node.compare_view}: the inverse of [Analysis.listeners_of_view],
-    read from the solved registration rows. *)
+(** {!Reader.views_with_listener}: views the listener is registered on
+    (any interface), sorted by {!Node.compare_view} — the inverse of
+    [Analysis.listeners_of_view]. *)
 
 val activities_of_id : t -> string -> string list
 (** Activity classes whose displayable views ({!Graph.holder_views})
-    contain a view carrying the named id, sorted; unknown id names
-    resolve to the empty list, matching the forward projection.  Views
-    whose id came from [SetId (v, ⊤)] carry the unknown-id sentinel
-    and match every queried name, known or not. *)
+    contain a view carrying the named id ({!Reader.id_carriers}, which
+    [Analysis.views_with_id] reads too), sorted.  Views whose id came
+    from [SetId (v, ⊤)] carry the unknown-id sentinel and match every
+    queried name, declared or not; without such views an undeclared
+    name answers the empty list. *)

@@ -29,6 +29,13 @@
 
 module VS = Graph.VS
 
+(* A view's listener registrations: the listener with its interface. *)
+module Registrations = Set.Make (struct
+  type t = Node.listener_abs * string
+
+  let compare (l1, i1) (l2, i2) = match Node.compare_listener l1 l2 with 0 -> String.compare i1 i2 | c -> c
+end)
+
 (* Can a value pass through a cast to [cls]?  Sound filtering: the
    abstract object's dynamic class is known exactly, so the cast
    succeeds iff it is a subtype of [cls].  Unknown classes pass. *)
@@ -81,6 +88,7 @@ type premise =
   | Desc of bool * var * var
       (** [Desc (reflexive, a, d)]: [d] lies under [a] (or is [a]); walks down from a bound [a], else up *)
   | Const of var * Node.value
+  | Unlike of var * Node.value  (** the bound term is not this constant *)
   | Layout of var  (** every layout id of the package *)
   | Inflate of var * var  (** the root of the layout inflated at the op's site, minted on first use *)
   | Callback of var * callee * var  (** a method the term's class resolves *)
@@ -150,12 +158,14 @@ let view_id x i =
       clause "View id" [ In (x, View_id, i) ] ]
 
 (* View [d] under (or at) [root] answers the queried id [k]
-   (FINDVIEW's [=> id]): it carries [k], or the sentinel of a
-   [SetId(v, ⊤)], or [k] is ⊤ and it carries some id. *)
+   (FINDVIEW's [=> id]): it carries [k], or [k] is concrete and [d]
+   carries the sentinel of a [SetId(v, ⊤)], or [k] is ⊤ and [d]
+   carries some id (the sentinel among them). *)
 let matches k root d =
   Any_of
     [ clause "Id match" [ Rel (Id, d, k); Desc (true, root, d) ];
-      clause "Sentinel match" [ Const ("s", sentinel); Rel (Id, d, "s"); Desc (true, root, d) ];
+      clause "Sentinel match"
+        [ Unlike (k, Node.V_view_id_top); Const ("s", sentinel); Rel (Id, d, "s"); Desc (true, root, d) ];
       clause "FindView(v, ⊤)" [ Const (k, Node.V_view_id_top); Desc (true, root, d); Rel (Id, d, "_") ] ]
 
 let rules =
@@ -331,7 +341,7 @@ type state = {
   worklist : Node.t Util.Worklist.t;
   sets : (Node.t, VS.t) Hashtbl.t;
   rels : (Node.value, VS.t) Hashtbl.t array;  (** each relation, then its inverse *)
-  listeners : (Node.view_abs, Graph.Listener_set.t) Hashtbl.t;
+  listeners : (Node.view_abs, Registrations.t) Hashtbl.t;
   taints : (Node.t, VS.t) Hashtbl.t;
   mutable tainted_views : VS.t;
   tworklist : Node.t Util.Worklist.t;  (** nodes whose taint grew *)
@@ -554,6 +564,7 @@ let rec prove st op env premises k =
           | Some (V v), None -> choose env d (VS.to_seq (closure (table st Child) ~reflexive v)) k
           | _ -> choose env a (VS.to_seq (closure (inverse st Child) ~reflexive (value env d))) k)
       | Const (x, v) -> choose env x (Seq.return v) k
+      | Unlike (x, v) -> if not (Node.equal_value (value env x) v) then k env
       | Layout x -> choose env x (List.to_seq (layout_ids st)) k
       | Inflate (l, r) -> (
           match (op, value env l) with
@@ -592,7 +603,7 @@ let conclude st op env = function
       let listener = function Node.V_obj s -> Node.L_alloc s | v -> Node.L_act (Option.get (class_of v)) in
       let l = listener (value env l) in
       let view = Option.get (Node.view_of_value (value env v)) in
-      grew st (add_to (module Graph.Listener_set) st.listeners view (l, iface)) (fun () ->
+      grew st (add_to (module Registrations) st.listeners view (l, iface)) (fun () ->
           Fmt.str "%a listens to %a" Node.pp_listener l Node.pp_view view)
   | Taint (loc, x) -> Option.iter (fun n -> add_taint st n (VS.singleton (value env x))) (locate st op env loc)
   | Taint_view x ->
@@ -710,7 +721,7 @@ let encode st =
       sol_parents = rows (inverse st Child) view VS.fold view;
       sol_ids = rows (table st Id) view VS.fold rid;
       sol_roots = rows (table st Root) holder VS.fold view;
-      sol_listeners = rows st.listeners (Intern.view it) Graph.Listener_set.fold (Intern.listener it);
+      sol_listeners = rows st.listeners (Intern.view it) Registrations.fold (Intern.listener it);
     }
   in
   (* a tainted node and value are already interned, as a set's *)
@@ -759,7 +770,7 @@ let step config app graph =
   load sol.sol_ids view (fun s -> Node.V_view_id (Intern.rid_of it s)) (relate st Id);
   load sol.sol_roots holder view (relate st Root);
   load sol.sol_listeners (Intern.view_of it) (Intern.listener_of it) (fun v l ->
-      ignore (add_to (module Graph.Listener_set) st.listeners v l));
+      ignore (add_to (module Registrations) st.listeners v l));
   st.added <- Some [];
   (* The memo hands a subtree's facts out on its first instantiation
      only, so the round cannot re-derive them: relate every entry's. *)

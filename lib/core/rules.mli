@@ -42,6 +42,7 @@ type premise =
   | Rel of rel * var * var
   | Desc of bool * var * var  (** [Desc (reflexive, a, d)]: [d] lies under [a] (or is [a]) *)
   | Const of var * Node.value
+  | Unlike of var * Node.value  (** the bound term is not this constant *)
   | Layout of var  (** every layout id of the package *)
   | Inflate of var * var  (** the root of the layout inflated at the op's site *)
   | Callback of var * callee * var  (** a method the term's class resolves *)

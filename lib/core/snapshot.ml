@@ -208,9 +208,8 @@ let to_json (sd : Solve.solved) =
       ( "taints",
         J.List
           (List.map
-             (fun (node, vs) ->
-               J.List [ jnode node; J.List (List.map jvalue (Graph.VS.elements vs)) ])
-             (Graph.tainted_nodes sd.sd_graph)) );
+             (fun (node, vs) -> J.List [ jnode node; J.List (List.map jvalue vs) ])
+             (Reader.tainted_nodes sd.sd_graph)) );
     ]
 
 (* ------------------------------------------------------------------ *)

@@ -626,6 +626,7 @@ let stage tries =
   let slot scope x = match List.assoc_opt x scope with Some (S s) -> Some s | _ -> None in
   let bound scope x = match slot scope x with Some s -> s | None -> unsupported ("free " ^ x) in
   let site st = st.iop_site.(st.icur_op).o_site in
+  let id_raw = function Node.V_view_id raw -> raw | Node.V_view_id_top -> id_top | _ -> unsupported "constant" in
   let location scope (loc : Rules.loc) =
     match loc with
     | Recv -> fun st -> st.iop_recv.(st.icur_op)
@@ -745,10 +746,13 @@ let stage tries =
             test scope body (fun st -> Util.Bitset.mem st.clos.(sd.ix) st.env.(sa.ix))
         | _ -> unsupported "descendant premise of this shape")
     | Const (x, c) -> (
-        let raw = match c with Node.V_view_id raw -> raw | Node.V_view_id_top -> id_top | _ -> unsupported "constant" in
+        let raw = id_raw c in
         match slot scope x with
         | Some s -> test scope body (fun st -> st.env.(s.ix) = raw)
         | None -> gen scope x D_id body (fun k st -> k st raw))
+    | Unlike (x, c) ->
+        let s = bound scope x and raw = id_raw c in
+        test scope body (fun st -> st.env.(s.ix) <> raw)
     | Layout x ->
         gen scope x D_layout body (fun k st ->
             let package = st.iapp.Framework.App.package in

@@ -306,7 +306,7 @@ let figures () =
       Buffer.add_string buf (Printf.sprintf "  [%s] %s\n" (if ok then "ok" else "FAIL") name))
     (connectbot_facts r);
   Buffer.add_string buf "\nConstraint graph (Graphviz):\n";
-  Buffer.add_string buf (Fmt.str "%a" Gator.Graph.pp_dot r.graph);
+  Buffer.add_string buf (Fmt.str "%a" Gator.Reader.pp_dot r.graph);
   Buffer.contents buf
 
 let ablations () =

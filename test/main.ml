@@ -26,6 +26,7 @@ let () =
       ("incremental", Test_incremental.suite);
       ("fragments", Test_fragments.suite);
       ("query", Test_query.suite);
+      ("reader", Test_reader.suite);
       ("server", Test_server.suite);
       ("interp", Test_interp.suite);
       ("oracle", Test_oracle.suite);

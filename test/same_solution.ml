@@ -9,17 +9,10 @@ open Gator
    inside points-to sets, relation keys, and holder roots. *)
 let all_views (r : Analysis.t) =
   let g = r.graph in
-  let add acc view = Graph.View_set.add view acc in
-  let acc = List.fold_left add Graph.View_set.empty (Graph.inflated_views g) in
-  let acc =
-    List.fold_left
-      (fun acc node -> List.fold_left add acc (Graph.views_of g node))
-      acc (Graph.locations g)
-  in
-  let acc = List.fold_left add acc (Graph.views_with_listeners g) in
-  List.fold_left
-    (fun acc holder -> Graph.View_set.union acc (Graph.roots_of_holder g holder))
-    acc (Graph.holders g)
+  Graph.inflated_views g
+  @ List.concat_map (Reader.views_at g) (Graph.locations g)
+  @ Graph.views_with_listeners g
+  @ List.concat_map (Reader.roots g) (Graph.holders g)
 
 let check name (a : Analysis.t) (b : Analysis.t) =
   let fail fmt = Alcotest.failf ("%s: " ^^ fmt) name in
@@ -33,32 +26,25 @@ let check name (a : Analysis.t) (b : Analysis.t) =
   in
   List.iter
     (fun node ->
-      let va = Graph.set_of a.graph node and vb = Graph.set_of b.graph node in
-      if not (Graph.VS.equal va vb) then
-        fail "points-to sets differ at %a (%d vs %d values)" Node.pp node (Graph.VS.cardinal va)
-          (Graph.VS.cardinal vb))
+      let va = Reader.points_to a.graph node and vb = Reader.points_to b.graph node in
+      if va <> vb then
+        fail "points-to sets differ at %a (%d vs %d values)" Node.pp node (List.length va) (List.length vb))
     locations;
   (* Taint rows, node by node, over every node either side taints. *)
-  let tainted (r : Analysis.t) = List.map fst (Graph.tainted_nodes r.graph) in
+  let tainted (r : Analysis.t) = List.map fst (Reader.tainted_nodes r.graph) in
   List.iter
     (fun node ->
-      let ta = Graph.taints_of a.graph node and tb = Graph.taints_of b.graph node in
-      if not (Graph.VS.equal ta tb) then
-        fail "taint rows differ at %a (%d vs %d values)" Node.pp node (Graph.VS.cardinal ta) (Graph.VS.cardinal tb))
+      let ta = Reader.taints a.graph node and tb = Reader.taints b.graph node in
+      if ta <> tb then
+        fail "taint rows differ at %a (%d vs %d values)" Node.pp node (List.length ta) (List.length tb))
     (List.sort_uniq Node.compare (tainted a @ tainted b));
-  let views = Graph.View_set.union (all_views a) (all_views b) in
-  Graph.View_set.iter
+  let views = List.sort_uniq Node.compare_view (all_views a @ all_views b) in
+  List.iter
     (fun view ->
-      if not (Graph.View_set.equal (Graph.children_of a.graph view) (Graph.children_of b.graph view))
-      then fail "children differ at %a" Node.pp_view view;
-      if not (Graph.Int_set.equal (Graph.ids_of_view a.graph view) (Graph.ids_of_view b.graph view))
-      then fail "ids differ at %a" Node.pp_view view;
-      if
-        not
-          (Graph.Listener_set.equal
-             (Graph.listeners_of_view a.graph view)
-             (Graph.listeners_of_view b.graph view))
-      then fail "listeners differ at %a" Node.pp_view view;
+      let differ read = read a.graph view <> read b.graph view in
+      if differ Reader.children then fail "children differ at %a" Node.pp_view view;
+      if differ Reader.ids then fail "ids differ at %a" Node.pp_view view;
+      if differ Reader.listeners then fail "listeners differ at %a" Node.pp_view view;
       let derived f (r : Analysis.t) = f r.app.Framework.App.package view in
       if derived Inflate.onclick a <> derived Inflate.onclick b then
         fail "onclick handlers differ at %a" Node.pp_view view;
@@ -71,11 +57,8 @@ let check name (a : Analysis.t) (b : Analysis.t) =
     fail "holder populations differ (%d vs %d)" (List.length ha) (List.length hb);
   List.iter
     (fun holder ->
-      if
-        not
-          (Graph.View_set.equal (Graph.roots_of_holder a.graph holder)
-             (Graph.roots_of_holder b.graph holder))
-      then fail "roots differ at %a" Node.pp_holder holder)
+      if Reader.roots a.graph holder <> Reader.roots b.graph holder then
+        fail "roots differ at %a" Node.pp_holder holder)
     ha;
   let ta = Analysis.transitions a and tb = Analysis.transitions b in
   if ta <> tb then fail "transitions differ (%d vs %d)" (List.length ta) (List.length tb);

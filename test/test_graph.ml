@@ -60,14 +60,16 @@ let test_points_to_rows () =
   let rep = Array.init (max ia ib + 1) Fun.id in
   rep.(ib) <- ia;
   install g ~rep ~values:[ (a, Node.V_view_id 1); (a, Node.V_act "A") ] ();
-  Alcotest.check Alcotest.int "set size" 2 (Graph.VS.cardinal (Graph.set_of g a));
+  Alcotest.check Alcotest.int "set size" 2 (List.length (Reader.points_to g a));
   Alcotest.check Alcotest.bool "member reads its representative's row" true
-    (Graph.VS.equal (Graph.set_of g a) (Graph.set_of g b));
+    (Reader.points_to g a = Reader.points_to g b);
+  Alcotest.check Alcotest.bool "indexed read = decode on call" true
+    (Reader.find_points_to g b = Some (Reader.points_to g b));
   let nodes = Intern.node_count (Graph.interner g) in
-  Alcotest.check Alcotest.bool "unknown node is empty" true
-    (Graph.VS.is_empty (Graph.set_of g (var "m" "unseen")));
+  Alcotest.check Alcotest.bool "unknown node is empty" true (Reader.points_to g (var "m" "unseen") = []);
+  Alcotest.check Alcotest.bool "unknown node is None" true (Reader.find_points_to g (var "m" "unseen") = None);
   Alcotest.check Alcotest.int "reads do not mint" nodes (Intern.node_count (Graph.interner g));
-  Alcotest.check Alcotest.int "views" 0 (List.length (Graph.views_of g a))
+  Alcotest.check Alcotest.int "views" 0 (List.length (Reader.views_at g a))
 
 (* The dedup key is the endpoint pair; the kinds already present
    between the two ride in the table's value. *)
@@ -109,62 +111,58 @@ let test_seeds_survive_reset () =
   let n = var "m" "x" in
   Graph.seed g n (Node.V_act "A");
   install g ~values:[ (n, Node.V_view_id 9) ] ();
-  Alcotest.check Alcotest.int "set read" 1 (Graph.VS.cardinal (Graph.set_of g n));
+  Alcotest.check Alcotest.int "set read" 1 (List.length (Reader.points_to g n));
   Graph.reset_sets g;
-  Alcotest.check Alcotest.int "sets cleared" 0 (Graph.VS.cardinal (Graph.set_of g n));
+  Alcotest.check Alcotest.int "sets cleared" 0 (List.length (Reader.points_to g n));
   Alcotest.check Alcotest.int "seed kept" 1 (List.length (Graph.seeds g))
 
 let test_children_relation () =
   let g = Graph.create () in
   let p = infl "a" and c1 = infl ~path:[ 0 ] "a" and c2 = infl ~path:[ 1 ] "a" in
   install g ~children:[ (p, c1); (p, c2) ] ();
-  Alcotest.check Alcotest.int "children" 2 (Graph.View_set.cardinal (Graph.children_of g p));
+  Alcotest.check Alcotest.int "children" 2 (List.length (Reader.children g p));
+  let it = Graph.interner g in
   Alcotest.check Alcotest.bool "parents inverse" true
-    (Graph.View_set.mem p (Graph.parents_of g c1));
-  Alcotest.check Alcotest.bool "leaf has no children" true
-    (Graph.View_set.is_empty (Graph.children_of g c2))
+    (Graph.row (Graph.solution g).Graph.sol_parents (Intern.view it c1) <> None);
+  Alcotest.check Alcotest.bool "leaf has no children" true (Reader.children g c2 = [])
 
+(* The holder closure: a holder's roots and every view below them. *)
 let test_descendants () =
   let g = Graph.create () in
   let a = infl "a" and b = infl ~path:[ 0 ] "a" and c = infl ~path:[ 0; 0 ] "a" in
-  install g ~children:[ (a, b); (b, c) ] ();
-  Alcotest.check Alcotest.int "inclusive" 3
-    (Graph.View_set.cardinal (Graph.descendants g ~include_self:true a));
-  Alcotest.check Alcotest.int "strict" 2
-    (Graph.View_set.cardinal (Graph.descendants g ~include_self:false a));
-  Alcotest.check Alcotest.bool "transitive" true
-    (Graph.View_set.mem c (Graph.descendants g ~include_self:false a));
-  Alcotest.check Alcotest.int "unknown view is only itself" 1
-    (Graph.View_set.cardinal (Graph.descendants g ~include_self:true (infl "z")))
+  install g ~children:[ (a, b); (b, c) ] ~roots:[ (Node.H_act "A", b) ] ();
+  let shown = Reader.holder_views g (Node.H_act "A") in
+  Alcotest.check Alcotest.int "root and its subtree" 2 (List.length shown);
+  Alcotest.check Alcotest.bool "transitive, not upward" true (List.mem c shown && not (List.mem a shown));
+  Alcotest.check Alcotest.int "unknown holder shows nothing" 0
+    (List.length (Reader.holder_views g (Node.H_act "Z")))
 
 let test_descendants_cycle_safe () =
   (* The abstract parent-child relation can be cyclic (unlike the
      concrete heap); BFS must still terminate. *)
   let g = Graph.create () in
   let a = infl "a" and b = infl ~path:[ 0 ] "a" in
-  install g ~children:[ (a, b); (b, a) ] ();
-  Alcotest.check Alcotest.int "cycle bounded" 2
-    (Graph.View_set.cardinal (Graph.descendants g ~include_self:true a));
-  Alcotest.check Alcotest.bool "strict closure reaches back round the cycle" true
-    (Graph.View_set.mem a (Graph.descendants g ~include_self:false a))
+  install g ~children:[ (a, b); (b, a) ] ~roots:[ (Node.H_act "A", b) ] ();
+  Alcotest.check Alcotest.int "cycle bounded, reaching back round it" 2
+    (List.length (Reader.holder_views g (Node.H_act "A")))
 
 let test_view_ids () =
   let g = Graph.create () in
   let v = infl "a" in
   install g ~ids:[ (v, 100); (v, 200) ] ();
   Alcotest.check Alcotest.bool "both ids" true
-    (Graph.Int_set.mem 100 (Graph.ids_of_view g v) && Graph.Int_set.mem 200 (Graph.ids_of_view g v))
+    (Reader.ids g v = [ 100; 200 ])
 
 let test_holder_roots () =
   let g = Graph.create () in
   let v = infl "a" in
   install g ~roots:[ (Node.H_act "A", v) ] ();
   Alcotest.check Alcotest.int "root" 1
-    (Graph.View_set.cardinal (Graph.roots_of_holder g (Node.H_act "A")));
+    (List.length (Reader.roots g (Node.H_act "A")));
   Alcotest.check Alcotest.int "holders" 1 (List.length (Graph.holders g));
   let holders = Intern.holder_count (Graph.interner g) in
   Alcotest.check Alcotest.bool "unknown holder has no roots" true
-    (Graph.View_set.is_empty (Graph.roots_of_holder g (Node.H_act "B")));
+    (Reader.roots g (Node.H_act "B") = []);
   Alcotest.check Alcotest.int "reads do not mint holders" holders
     (Intern.holder_count (Graph.interner g))
 
@@ -174,7 +172,7 @@ let test_listeners_relation () =
   let l = Node.L_act "A" in
   install g ~listeners:[ (v, (l, "OnClickListener")); (v, (l, "OnKeyListener")) ] ();
   Alcotest.check Alcotest.int "two registrations" 2
-    (Graph.Listener_set.cardinal (Graph.listeners_of_view g v));
+    (List.length (Reader.listeners g v));
   Alcotest.check Alcotest.int "views with listeners" 1 (List.length (Graph.views_with_listeners g))
 
 let test_inflation_memo () =
@@ -201,7 +199,7 @@ let test_dot_output () =
   let g = Graph.create () in
   Graph.add_edge g (var "m" "a") (var "m" "b");
   install g ~children:[ (infl "a", infl ~path:[ 0 ] "a") ] ();
-  let dot = Fmt.str "%a" Graph.pp_dot g in
+  let dot = Fmt.str "%a" Reader.pp_dot g in
   Alcotest.check Alcotest.bool "digraph wrapper" true
     (String.length dot > 20
     && String.sub dot 0 7 = "digraph"

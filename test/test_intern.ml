@@ -94,7 +94,7 @@ let test_interner_roundtrip () =
       Alcotest.check Alcotest.bool "node id round-trips" true
         (Node.compare (Intern.node_of it nid) node = 0);
       Alcotest.check Alcotest.int "node re-intern is stable" nid (Intern.node it node);
-      Graph.VS.iter
+      List.iter
         (fun v ->
           let vid = Intern.value it v in
           Hashtbl.replace seen vid ();
@@ -109,7 +109,7 @@ let test_interner_roundtrip () =
               Alcotest.check Alcotest.int "value<->view maps invert" vid
                 (Intern.value_of_view_id it wid)
           | _ -> ())
-        (Graph.set_of r.graph node))
+        (Reader.points_to r.graph node))
     (Graph.locations r.graph);
   (* ids are dense: every id below the pool count was assigned *)
   Alcotest.check Alcotest.int "value ids are dense" (Intern.value_count it) (Hashtbl.length seen);

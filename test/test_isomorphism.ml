@@ -76,10 +76,10 @@ let isomorphism =
                   && Gator.Node.class_of_view abs = o.Dynamic.Heap.cls
                   && (match o.Dynamic.Heap.vid with
                      | Some vid ->
-                         Gator.Graph.Int_set.mem vid (Gator.Graph.ids_of_view r.graph abs)
-                     | None -> Gator.Graph.Int_set.is_empty (Gator.Graph.ids_of_view r.graph abs))
+                         List.mem vid (Gator.Reader.ids r.graph abs)
+                     | None -> Gator.Reader.ids r.graph abs = [])
                   && List.length o.Dynamic.Heap.children
-                     = Gator.Graph.View_set.cardinal (Gator.Graph.children_of r.graph abs)
+                     = List.length (Gator.Reader.children r.graph abs)
               | None -> false)
             concrete_views
         in

@@ -1,5 +1,5 @@
 (* Byte pins for what an extracted graph shows.  The flow adjacency is
-   stored once, as interned ids: [Graph.locations] and [Graph.pp_dot]
+   stored once, as interned ids: [Graph.locations] and [Reader.pp_dot]
    decode it with context-clone edges hidden, and the snapshot file
    dumps the id-level CSR.  The digests were taken from a build that
    kept a separate structural edge table beside the id table, so a
@@ -68,7 +68,7 @@ let digests () =
           [
             (label "locations unsolved", unsolved);
             (label "locations", hex (locations_text graph));
-            (label "dot", hex (Fmt.str "%a" Graph.pp_dot graph));
+            (label "dot", hex (Fmt.str "%a" Reader.pp_dot graph));
             (label "snapshot", snapshot);
           ])
         configs)

@@ -119,6 +119,14 @@ let test_qcheck_random =
       ignore (check_app spec.Corpus.Spec.sp_name (Corpus.Gen.generate spec));
       true)
 
+(* A reflective app (sound mode): [SetId (v, ⊤)] carriers match every
+   id name, the undeclared "no_such_id_zzz" included, in the daemon's
+   reads and the batch projection alike. *)
+let test_reflective () =
+  let r, _ = check_app "ReflHeavy" (Corpus.Gen.reflective_app ~layouts:3 ~seed:42 ()) in
+  Alcotest.(check bool) "some view carries the ⊤ sentinel" true
+    (Analysis.views_with_id r "no_such_id_zzz" <> [])
+
 (* Cycle-heavy apps: components with many members read one
    representative's row, and cast edges can still close cycles in the
    condensed graph. *)
@@ -260,15 +268,15 @@ let test_unknown_keys_mint_nothing () =
    over the decoded child relation from each root, unioned. *)
 let check_holder_closure name (r : Analysis.t) =
   let reference holder =
-    let seen = ref Graph.View_set.empty in
+    let seen = Hashtbl.create 16 in
     let rec visit v =
-      if not (Graph.View_set.mem v !seen) then begin
-        seen := Graph.View_set.add v !seen;
-        Graph.View_set.iter visit (Graph.children_of r.Analysis.graph v)
+      if not (Hashtbl.mem seen v) then begin
+        Hashtbl.replace seen v ();
+        List.iter visit (Reader.children r.Analysis.graph v)
       end
     in
-    Graph.View_set.iter visit (Graph.roots_of_holder r.Analysis.graph holder);
-    Graph.View_set.elements !seen
+    List.iter visit (Reader.roots r.Analysis.graph holder);
+    List.sort Node.compare_view (Hashtbl.fold (fun v () acc -> v :: acc) seen [])
   in
   List.iter
     (fun holder ->
@@ -298,6 +306,7 @@ let suite =
   [
     Alcotest.test_case "ConnectBot: reads equal rows" `Quick test_connectbot;
     Alcotest.test_case "cyclic app: reads equal rows" `Quick test_cyclic;
+    Alcotest.test_case "reflective app: reads equal rows, ⊤ ids included" `Quick test_reflective;
     Alcotest.test_case "patched apps: warm state queries = cold forward" `Quick test_patched;
     Alcotest.test_case "query stats counters" `Quick test_stats_counters;
     Alcotest.test_case "stats accumulate on a shared engine" `Quick

@@ -28,7 +28,7 @@ let refl_app ?(layouts = 3) ?(seed = 42) () = Corpus.Gen.reflective_app ~layouts
 let sorted_taints r =
   List.sort
     (fun (n1, _) (n2, _) -> Node.compare n1 n2)
-    (List.map (fun (n, vs) -> (n, Graph.VS.elements vs)) (Graph.tainted_nodes r.Analysis.graph))
+    (Reader.tainted_nodes r.Analysis.graph)
 
 let test_engines_agree () =
   let app = refl_app () in
@@ -81,20 +81,20 @@ let test_taint_meaningful () =
   (* taint ⊆ solution at every node *)
   List.iter
     (fun (node, vs) ->
-      Graph.VS.iter
+      List.iter
         (fun v ->
-          if not (Graph.VS.mem v (Graph.set_of r.Analysis.graph node)) then
+          if not (List.mem v (Reader.points_to r.Analysis.graph node)) then
             Alcotest.failf "taint outside solution at %a: %a" Node.pp node Node.pp_value v)
         vs)
-    (Graph.tainted_nodes r.Analysis.graph);
+    (Reader.tainted_nodes r.Analysis.graph);
   (* the concrete activity's find result is exact: untainted *)
   let x = Analysis.var ~cls:"Refl_Concrete" ~meth:"onCreate" ~arity:0 "x" in
   Alcotest.(check bool) "concrete activity untainted" true
-    (Graph.VS.is_empty (Graph.taints_of r.Analysis.graph x));
+    (Reader.taints r.Analysis.graph x = []);
   (* the reflective find-by-⊤ result is polluted *)
   let v = Analysis.var ~cls:"Refl_Activity" ~meth:"onCreate" ~arity:0 "v" in
   Alcotest.(check bool) "⊤ find result tainted" false
-    (Graph.VS.is_empty (Graph.taints_of r.Analysis.graph v))
+    (Reader.taints r.Analysis.graph v = [])
 
 let test_sentinel_concrete_queries () =
   let app = refl_app () in
@@ -127,7 +127,7 @@ let test_snapshot_roundtrip_and_warm_refusal () =
   | Ok loaded ->
       Alcotest.(check bool) "has_top survives the codec" true
         (Graph.has_top (loaded.Solve.sd_graph));
-      let taints g = List.length (Graph.tainted_nodes g) in
+      let taints g = List.length (Reader.tainted_nodes g) in
       Alcotest.(check int) "taint rows survive the codec"
         (taints r.Analysis.graph)
         (taints (loaded.Solve.sd_graph));
@@ -182,7 +182,7 @@ let test_snapshot_taint_rows_checked () =
   match Snapshot.of_json (with_taints (Util.Json.List [])) with
   | Ok loaded ->
       Alcotest.(check int) "no taint rows, nothing tainted" 0
-        (List.length (Graph.tainted_nodes loaded.Solve.sd_graph))
+        (List.length (Reader.tainted_nodes loaded.Solve.sd_graph))
   | Error e -> Alcotest.failf "empty taint rows refused: %s" e
 
 (* The taint plane, differentially: the rule-table reference derives
