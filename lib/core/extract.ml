@@ -622,9 +622,6 @@ let extract ?interner ~keyed config (app : Framework.App.t) =
   let keyed = if keyed && config.Config.inline_depth > 0 then Some (Mid_tbl.create 64 : tcache) else None in
   let memo = fresh_memo () in
   assemble config app graph (fun _ ~owner m -> extract_meth config app graph ~keyed ~memo ~clones ~owner m);
-  (* a cold solve reads the seed table first thing: build it with the
-     graph, as extraction always has *)
-  Graph.index_seeds graph;
   graph
 
 let run ?interner config app = extract ?interner ~keyed:true config app

@@ -1,9 +1,3 @@
-module VS = Set.Make (struct
-  type t = Node.value
-
-  let compare = Node.compare_value
-end)
-
 type edge_kind = E_direct | E_cast of string
 
 module Alloc_seen = Hashtbl.Make (struct
@@ -116,14 +110,12 @@ type t = {
       (** CSR snapshot memo, keyed by the edge-log length it was built
           at; flow edges only grow during extraction, so re-solving
           reuses the frozen arrays *)
-  mutable seed_tbl : (Node.t, VS.t) Hashtbl.t option;
-      (** the structural seed table, folded from the seed log on the
-          first read and dropped when a seed is logged *)
   mutable sol : solution;  (** the last solve's id-level solution *)
   mutable read_index : Node.value list array option;  (** {!read_index}'s memo, dropped with [sol] *)
   inflations : (Node.site * string, Node.view_abs list) Hashtbl.t;
       (** the inflation memo: (site, layout) -> minted views, in the
-          layout's preorder *)
+          layout's preorder; unseeded, as its fold orders the exported
+          view list and the snapshot's [inflations] bytes *)
   mutable g_has_top : bool;
       (** some seed introduced an unknown-id marker ([V_layout_top] /
           [V_view_id_top]); the warm guard refuses incremental starts
@@ -159,10 +151,9 @@ let create ?interner () =
     icast_tbl = Hashtbl.create 8;
     icast_names = [||];
     frozen = None;
-    seed_tbl = None;
     sol = empty_solution;
     read_index = None;
-    inflations = Hashtbl.create 16;
+    inflations = Hashtbl.create ~random:false 16;
     g_has_top = false;
   }
 
@@ -251,7 +242,7 @@ let add_edge t ?(kind = E_direct) src dst =
   let ksym = match kind with E_direct -> -1 | E_cast cls -> cast_sym t cls in
   push_edge t sid ksym did
 
-let seed_node t nid value =
+let seed_id t nid value =
   (match value with
   | Node.V_layout_top | Node.V_view_id_top -> t.g_has_top <- true
   | _ -> ());
@@ -261,28 +252,9 @@ let seed_node t nid value =
   t.s_node.(t.s_n) <- nid;
   t.s_value.(t.s_n) <- value;
   t.s_vid.(t.s_n) <- -1;
-  t.s_n <- t.s_n + 1;
-  t.seed_tbl <- None
+  t.s_n <- t.s_n + 1
 
-let seed t node value = seed_node t (node_id t node) value
-
-(* The table is folded in log order into a table of the initial size,
-   so its bucket layout, and so the order a cold solve pushes the
-   seeds in, is the one logging each seed into it would give. *)
-let seed_table t =
-  match t.seed_tbl with
-  | Some tbl -> tbl
-  | None ->
-      let tbl = Hashtbl.create 128 in
-      for i = 0 to t.s_n - 1 do
-        let node = Intern.node_of t.g_it t.s_node.(i) in
-        let existing = Option.value (Hashtbl.find_opt tbl node) ~default:VS.empty in
-        Hashtbl.replace tbl node (VS.add t.s_value.(i) existing)
-      done;
-      t.seed_tbl <- Some tbl;
-      tbl
-
-let index_seeds t = ignore (seed_table t)
+let seed t node value = seed_id t (node_id t node) value
 
 (* A seed's value id: interned (hashed) once per log entry, and a
    replayed entry brings its id along. *)
@@ -319,10 +291,6 @@ let add_edge_ids t ?(kind = E_direct) sid did =
   let ksym = match kind with E_direct -> -1 | E_cast cls -> cast_sym t cls in
   push_edge t sid ksym did;
   t.has_clone_edges <- true
-
-(* The seed table decodes the id back when it is folded, so it stays
-   structural and identical between the keyed and inlining paths. *)
-let seed_id t nid value = seed_node t nid value
 
 (* The op record still carries structural nodes (decoded from the ids,
    so clone receivers surface with their [$n]-suffixed names exactly as
@@ -459,7 +427,6 @@ let replay t ~from lo hi =
     t.s_vid <- blit_log from.s_vid lo.c_seeds t.s_vid t.s_n ns 0;
     t.s_value <- blit_log from.s_value lo.c_seeds t.s_value t.s_n ns from.s_value.(lo.c_seeds);
     t.s_n <- t.s_n + ns;
-    t.seed_tbl <- None;
     if from.g_has_top then
       for i = lo.c_seeds to hi.c_seeds - 1 do
         match from.s_value.(i) with Node.V_layout_top | Node.V_view_id_top -> t.g_has_top <- true | _ -> ()
@@ -1319,26 +1286,50 @@ let iter_succ_ids t f =
     if not (is_clone t id) then match succ_ids t id with [] -> () | succs -> f id succs
   done
 
-let seeds t = Hashtbl.fold (fun node vs acc -> (node, vs) :: acc) (seed_table t) []
+(* The stated order over the log's positions: sort by node (then
+   position), rank each node, sort by rank (then value).  One int array
+   allocates less than grouping through a table. *)
+let seeds t =
+  let n = t.s_n and node = t.s_node in
+  let pos = Array.init n Fun.id in
+  Array.sort (fun i j -> match Int.compare node.(i) node.(j) with 0 -> Int.compare i j | c -> c) pos;
+  let starts k = k = 0 || node.(pos.(k - 1)) <> node.(pos.(k)) in
+  let nodes = ref 0 in
+  Array.iteri (fun k _ -> if starts k then incr nodes) pos;
+  let rec size b = if !nodes > 2 * b then size (2 * b) else b in
+  let mask = size 128 - 1 and rank = Array.make n 0 in
+  (* descending bucket, then the node's first position *)
+  let first i = ((mask - (Hashtbl.hash (Intern.node_of t.g_it node.(i)) land mask)) * n) + i in
+  Array.iteri (fun k i -> rank.(i) <- (if starts k then first i else rank.(pos.(k - 1)))) pos;
+  Array.sort (fun i j -> match Int.compare rank.(i) rank.(j) with 0 -> Node.compare_value t.s_value.(i) t.s_value.(j) | c -> c) pos;
+  Array.fold_right
+    (fun i acc ->
+      let v = t.s_value.(i) in
+      match acc with
+      | (m, (w :: _ as vs)) :: rest when m = node.(i) -> if Node.compare_value v w = 0 then acc else (m, v :: vs) :: rest
+      | _ -> (node.(i), [ v ]) :: acc)
+    pos []
 
 let reset_sets t =
   set_solution t empty_solution;
   Hashtbl.reset t.inflations
 
-(* Grow [views] in place by every view reachable from it over the
-   child rows, by BFS: the one closure walk over [sol_children]. *)
-let closure sol views =
+(* Grow [views] in place by every view reachable from it over [rel]'s
+   rows, by BFS: the one closure walk over the view relations. *)
+let closure rel views =
   let queue = Queue.create () in
   Util.Bitset.iter (fun wid -> Queue.add wid queue) views;
   while not (Queue.is_empty queue) do
-    match row sol.sol_children (Queue.take queue) with
+    match row rel (Queue.take queue) with
     | Some cs -> Util.Bitset.iter (fun c -> if Util.Bitset.add views c then Queue.add c queue) cs
     | None -> ()
   done;
   views
 
 let holder_views sol hid =
-  closure sol (match row sol.sol_roots hid with Some b -> Util.Bitset.copy b | None -> Util.Bitset.create ())
+  closure sol.sol_children (match row sol.sol_roots hid with Some b -> Util.Bitset.copy b | None -> Util.Bitset.create ())
+
+let ancestors sol views = closure sol.sol_parents (Util.Bitset.copy views)
 
 let holders t = List.map (Intern.holder_of t.g_it) (keys t.sol.sol_roots)
 
@@ -1351,8 +1342,7 @@ let record_inflation t ~site ~layout views = Hashtbl.replace t.inflations (site,
 let inflated_views t = Hashtbl.fold (fun _ views acc -> views @ acc) t.inflations []
 
 (* The memo's entries (snapshot encoding, warm restore and the
-   declarative passes), in Hashtbl order: callers must not depend on
-   it. *)
+   declarative passes), in the unseeded table's fold order. *)
 let inflation_entries t =
   Hashtbl.fold (fun (site, layout) views acc -> (site, layout, views) :: acc) t.inflations []
 
@@ -1370,16 +1360,15 @@ let locations t =
   let seen = Util.Bitset.create () in
   let structural = ref [] in
   let add_id nid = if Util.Bitset.add seen nid then structural := Intern.node_of it nid :: !structural in
-  let add node = add_id (Intern.node it node) in
   iter_succ_ids t (fun src targets ->
       add_id src;
       List.iter (fun (_, dst) -> add_id dst) targets);
-  Hashtbl.iter (fun node _ -> add node) (seed_table t);
+  List.iter (fun (nid, _) -> add_id nid) (List.rev (seeds t));
   for i = t.o_n - 1 downto 0 do
-    let op = t.o_log.(i) in
-    add op.op_recv;
-    List.iter add op.op_args;
-    Option.iter add op.op_out
+    let rid, aids, oid = t.o_ids.(i) in
+    add_id rid;
+    Array.iter add_id aids;
+    if oid >= 0 then add_id oid
   done;
   let solved = ref [] in
   for nid = Intern.node_count it - 1 downto 0 do

@@ -20,10 +20,6 @@
     activity transitions are a read over the solved sets
     ({!Analysis.transitions}). *)
 
-module VS : Set.S with type elt = Node.value
-(** Value sets of the structural seed table ({!seeds}) and the
-    rule-table reference's working sets. *)
-
 type edge_kind =
   | E_direct
   | E_cast of string  (** flow through [x = (C) y]; may filter *)
@@ -77,9 +73,9 @@ val has_top : t -> bool
     [add_edge_ids] adds touches a context clone, and the structural
     views ({!succs}, {!locations}, {!Reader.pp_dot}) hide those edges, so they
     stay context-insensitive.
-    [seed_id] and [fresh_op_ids] decode back to structural nodes (seeds
-    and op records are rare and must match the inlining path
-    byte-for-byte). *)
+    [seed_id] logs a clone id as the inlining path would: it is the
+    renamed variable's id.  [fresh_op_ids] decodes back to structural
+    nodes (op records must match the inlining path byte-for-byte). *)
 
 val add_edge_ids : t -> ?kind:edge_kind -> int -> int -> unit
 (** [add_edge_ids t src_id dst_id] — idempotent, same dedup key as
@@ -212,6 +208,10 @@ val holder_views : solution -> int -> Util.Bitset.t
     their descendants over the child rows, as a fresh bitset of view
     ids. *)
 
+val ancestors : solution -> Util.Bitset.t -> Util.Bitset.t
+(** The given view ids and every view above them over the parent rows,
+    as a fresh bitset: the argument is not written. *)
+
 val holders : t -> Node.holder list
 (** Holders with at least one root, by ascending holder id. *)
 
@@ -231,14 +231,16 @@ val succs : t -> Node.t -> (edge_kind * Node.t) list
     first.  Clone edges added by {!add_edge_ids} are not listed.  One
     interner lookup, then the node's row of {!frozen_flow} decoded. *)
 
-val seeds : t -> (Node.t * VS.t) list
-(** The seeded locations with their initial values, in the order of a
-    table folded from the seed log on the first read (a cold solve
-    pushes them in this order). *)
-
-val index_seeds : t -> unit
-(** Fold the seed table {!seeds} reads now rather than on the first
-    read. *)
+val seeds : t -> (int * Node.value list) list
+(** The seeded node ids, each once with its distinct values in
+    {!Node.compare_value} order, read off the seed log: the cold solve
+    and the reference push in this order.  Nodes come by descending
+    [Hashtbl.hash (Intern.node_of it nid) land (b - 1)], [b] the bucket
+    count a 128-bucket stdlib table reaches for that many keys (doubled
+    while over [2b]), ties in first-log order: an unseeded table's fold.
+    The counters pinned in [perfbench/expected/modes.json] follow it;
+    log order would be simpler, but needs a benchmark change re-pinning
+    them first. *)
 
 val seed_pairs : t -> (int * int) array
 (** The seed log as sorted, deduplicated (node id, value id)
@@ -258,8 +260,8 @@ val inflated_views : t -> Node.view_abs list
 (** Every [V_infl] minted so far (Table 1's "views (I)"). *)
 
 val inflation_entries : t -> (Node.site * string * Node.view_abs list) list
-(** The memo's entries, in unspecified order (snapshots, warm
-    restarts, the declarative passes). *)
+(** The memo's entries (snapshots, warm restarts, the declarative
+    passes), in the fold order of the memo's unseeded table. *)
 
 (** {1 Inspection} *)
 
@@ -375,10 +377,9 @@ val locations : t -> Node.t list
 (** Every location mentioned by an edge, seed, op, or solved set, each
     once.  Enumeration order: the structural part first — a walk over
     the endpoints of {!succs} edges (by ascending source id), then the
-    seeded locations, then the op nodes (newest op first), listed in
-    reverse walk order — followed by the locations only the solve
-    reached, by ascending node id.  Building the same graph twice gives
-    the same order. *)
+    seeded locations (reverse {!seeds} order), then the op nodes (newest
+    op first), listed in reverse walk order — followed by the locations
+    only the solve reached, by ascending node id: no table's seed. *)
 
 val edge_count : t -> int
 (** Distinct flow edges: the frozen CSR's size ({!frozen_flow}, built

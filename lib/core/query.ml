@@ -31,12 +31,13 @@ let views_of_listener t l = Reader.views_with_listener (graph t) l
 let activities_of_id t name =
   let g = graph t in
   let carriers = Reader.id_carriers ~by_id:t.sd.Solve.sd_by_id g t.sd.Solve.sd_package name in
+  (* a holder shows a carrier iff one of its roots is above one *)
   let sol = Graph.solution g and acc = ref [] in
-  if not (Util.Bitset.is_empty carriers) then
-    List.iter
-      (fun hid ->
-        match Intern.holder_of (interner t) hid with
-        | Node.H_act a when Util.Bitset.intersects (Graph.holder_views sol hid) carriers -> acc := a :: !acc
-        | _ -> ())
-      t.sd.Solve.sd_holder_ids;
+  let above = Graph.ancestors sol carriers in
+  List.iter
+    (fun hid ->
+      match (Intern.holder_of (interner t) hid, Graph.row sol.Graph.sol_roots hid) with
+      | Node.H_act a, Some roots when Util.Bitset.intersects roots above -> acc := a :: !acc
+      | _ -> ())
+    t.sd.Solve.sd_holder_ids;
   List.sort_uniq String.compare !acc

@@ -22,11 +22,12 @@ let keyed find rows dec g key =
    measured 1.5-2.5x the latency of a table decoded moments before
    (perfbench paper and modes), so the first one decodes every row into
    an array made with an immediate element (a young one forces a minor
-   collection). *)
+   collection), one slot per interned node: the row store's doubled
+   tail holds no row. *)
 let build_index g =
   let it = Graph.interner g and sets = (Graph.solution g).Graph.sol_sets in
-  let index = Array.make (Array.length sets) [] in
-  Array.iteri (fun r row -> if Option.is_some row then index.(r) <- values it row) sets;
+  let index = Array.make (min (Array.length sets) (Intern.node_count it)) [] in
+  Array.iteri (fun r _ -> if Option.is_some sets.(r) then index.(r) <- values it sets.(r)) index;
   index
 
 let points_to g node =
@@ -84,7 +85,10 @@ let id_carriers ?by_id g package name =
           carriers)
   | None ->
       let carry wid b = if List.exists (Util.Bitset.mem b) syms then ignore (Util.Bitset.add carriers wid) in
-      Array.iteri (fun wid -> Option.iter (carry wid)) (Graph.solution g).Graph.sol_ids;
+      let rows = (Graph.solution g).Graph.sol_ids in
+      for wid = 0 to min (Array.length rows) (Intern.view_count it) - 1 do
+        Option.iter (carry wid) rows.(wid)
+      done;
       carriers
 
 let views_with_listener g l =

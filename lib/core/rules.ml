@@ -27,7 +27,11 @@
    order below is the order it pushes values, mints ids and inserts
    rows in, which the answers here do not depend on. *)
 
-module VS = Graph.VS
+module VS = Set.Make (struct
+  type t = Node.value
+
+  let compare = Node.compare_value
+end)
 
 (* A view's listener registrations: the listener with its interface. *)
 module Registrations = Set.Make (struct
@@ -731,7 +735,8 @@ type run = { iterations : int; propagations : int; op_applications : int }
 
 let run config app graph =
   let st = start config app graph in
-  List.iter (fun (n, values) -> ignore (add_values st n values)) (Graph.seeds graph);
+  let it = Graph.interner graph in
+  List.iter (fun (nid, values) -> ignore (add_values st (Intern.node_of it nid) (VS.of_list values))) (Graph.seeds graph);
   propagate st;
   let rec loop i =
     if i < config.Config.max_iterations then (round st; if st.dirty then loop (i + 1) else i + 1) else i

@@ -150,7 +150,9 @@ type istate = {
   env : int array;  (** the staged entries' variables *)
   clos : Util.Bitset.t array;  (** per variable, the [Desc] closure taken when it was bound *)
   bufs : buf array;  (** per points-to premise, its candidates *)
-  iret_deps : (int, rd list) Hashtbl.t;  (** rep -> dynamic readers of a return location *)
+  iret_deps : (int, rd list) Hashtbl.t;
+      (** rep -> dynamic readers of a return location; unseeded, as its
+          fold orders [sd_ret_deps], so the snapshot's [ret_deps] *)
   (* view relations on ids *)
   ichildren : Slots.t;
   iparents : Slots.t;
@@ -1053,7 +1055,7 @@ let ifreeze config app graph ~ops =
     env = Array.make env_size 0;
     clos = Array.make env_size Util.Bitset.(create ());
     bufs = Array.init buffer_count (fun _ -> { a = [||]; n = 0 });
-    iret_deps = Hashtbl.create 16;
+    iret_deps = Hashtbl.create ~random:false 16;
     ichildren = Slots.create ();
     iparents = Slots.create ();
     idesc_cache = Hashtbl.create 64;
@@ -1238,9 +1240,7 @@ let icold_init st ~schedule ~on_changed ~pending_decl ~pending_frags =
   pending_decl := true;
   pending_frags := true;
   List.iter
-    (fun (node, values) ->
-      let nid = Intern.node st.it node in
-      Graph.VS.iter (fun v -> ipush st nid (Intern.value st.it v)) values)
+    (fun (nid, values) -> List.iter (fun v -> ipush st nid (Intern.value st.it v)) values)
     (Graph.seeds st.igraph);
   ipropagate st ~changed:on_changed;
   Array.iteri (fun oi _ -> schedule oi) st.iop_site

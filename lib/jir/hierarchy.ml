@@ -19,6 +19,9 @@ type node = {
 
 type t = {
   nodes : (string, node) Hashtbl.t;
+  mutable declared : string list;
+      (** every type name, newest first: {!add_node} order reversed
+          (platform types, then program classes) *)
   anc_cache : (string, SS.t) Hashtbl.t;
   mutable sub_index : (string, string list) Hashtbl.t option;
       (** every type's reflexive-transitive subtypes, filled in one pass
@@ -36,11 +39,13 @@ type t = {
 let add_node t node =
   if Hashtbl.mem t.nodes node.n_name then
     raise (Hierarchy_error (Printf.sprintf "duplicate type name %s" node.n_name));
-  Hashtbl.add t.nodes node.n_name node
+  Hashtbl.add t.nodes node.n_name node;
+  t.declared <- node.n_name :: t.declared
 
 let parents node = (match node.n_super with Some s -> [ s ] | None -> []) @ node.n_interfaces
 
-(* Detect cycles over the extends/implements graph. *)
+(* Detect cycles over the extends/implements graph, visiting types in
+   declaration order: the error names the first cycle member reached. *)
 let check_acyclic t =
   let module State = struct
     type mark = White | Gray | Black
@@ -59,7 +64,7 @@ let check_acyclic t =
             List.iter visit (parents node);
             Hashtbl.replace marks name State.Black)
   in
-  Hashtbl.iter (fun name _ -> visit name) t.nodes
+  List.iter visit (List.rev t.declared)
 
 (* One pass over the program.  Classes are visited last to first, so
    each list comes out in class order with no reversal; a class with
@@ -80,6 +85,7 @@ let create ?(platform = []) program =
   let t =
     {
       nodes = Hashtbl.create 128;
+      declared = [];
       anc_cache = Hashtbl.create 128;
       sub_index = None;
       (* at most one binding per method, and a table resizes only
@@ -116,7 +122,7 @@ let kind t name = Option.map (fun n -> n.n_kind) (Hashtbl.find_opt t.nodes name)
 let is_application t name =
   match Hashtbl.find_opt t.nodes name with Some { n_cls = Some _; _ } -> true | _ -> false
 
-let types t = Hashtbl.fold (fun name _ acc -> name :: acc) t.nodes []
+let types t = List.rev t.declared
 
 let application_classes t = t.program.Ast.p_classes
 
@@ -151,18 +157,18 @@ let superclass_chain t name =
 let subtype t sub sup = sub = sup || SS.mem sup (ancestors_set t sub)
 
 (* Each type joins the list of every ancestor and of itself, visiting
-   [nodes] in [Hashtbl.iter] order: every list comes out newest-visited
-   first, the order a per-type [Hashtbl.fold] filter would give. *)
+   types newest-declared first: every list comes out in declaration
+   order, the order of {!types}. *)
 let build_sub_index t =
   let index = Hashtbl.create (Hashtbl.length t.nodes) in
   let push sup n =
     Hashtbl.replace index sup (n :: Option.value (Hashtbl.find_opt index sup) ~default:[])
   in
-  Hashtbl.iter
-    (fun n _ ->
+  List.iter
+    (fun n ->
       push n n;
       SS.iter (fun sup -> push sup n) (ancestors_set t n))
-    t.nodes;
+    t.declared;
   t.sub_index <- Some index;
   index
 

@@ -17,7 +17,9 @@ type decl = {
 type t
 
 exception Hierarchy_error of string
-(** Raised by {!create} on duplicate type names or inheritance cycles. *)
+(** Raised by {!create} on duplicate type names or inheritance cycles
+    (the message names the first cycle member reached in declaration
+    order). *)
 
 val create : ?platform:decl list -> Ast.program -> t
 (** Build the hierarchy for a program together with platform
@@ -47,7 +49,9 @@ val is_application : t -> string -> bool
 (** [true] iff the type came from the program (has bodies). *)
 
 val types : t -> string list
-(** All known type names, application and platform. *)
+(** All known type names in declaration order: the platform
+    declarations as given, then the program's classes in program
+    order. *)
 
 val application_classes : t -> Ast.cls list
 
@@ -71,9 +75,10 @@ val subtypes : t -> string -> string list
     too; a name with none gets [[]].
 
     Order contract: the list is [List.filter (fun n -> subtype t n name)
-    (types t)] — the order of {!types}, which is fixed for a given
-    program and platform.  Callers depend on it: {!cha_targets} keeps
-    it, and extraction mints node ids in that order.
+    (types t)] — declaration order, which depends on the program and
+    platform alone (no table's seed).  Callers depend on it:
+    {!cha_targets} keeps it, and extraction mints node ids in that
+    order.
 
     Cost: the first call fills every type's list in one pass, in time
     proportional to the sum of the ancestor-set sizes; each call after

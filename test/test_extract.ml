@@ -80,22 +80,23 @@ let test_unknown_receiver_gets_both () =
   let g = graph_of code in
   Alcotest.check (Alcotest.list Alcotest.string) "platform op kept" [ "FindView" ] (kinds g)
 
+(* A location's initial values, as {!Graph.seeds} lists them. *)
+let seed_values g node =
+  match Intern.find_node (Graph.interner g) node with
+  | Some nid -> Option.value (List.assoc_opt nid (Graph.seeds g)) ~default:[]
+  | None -> []
+
 let test_callback_seeding () =
   let g =
     graph_of
       {|class A extends Activity { method onCreate(): void { } method onResume(): void { } }|}
   in
-  let seeds = Graph.seeds g in
   let this_of name =
-    let node = Node.N_var ({ Node.mid_cls = "A"; mid_name = name; mid_arity = 0 }, Jir.Ast.this_var) in
-    Option.value (List.assoc_opt node seeds) ~default:Graph.VS.empty
+    seed_values g (Node.N_var ({ Node.mid_cls = "A"; mid_name = name; mid_arity = 0 }, Jir.Ast.this_var))
   in
-  Alcotest.check Alcotest.bool "onCreate seeded" true
-    (Graph.VS.mem (Node.V_act "A") (this_of "onCreate"));
-  Alcotest.check Alcotest.bool "onResume seeded" true
-    (Graph.VS.mem (Node.V_act "A") (this_of "onResume"));
-  Alcotest.check Alcotest.bool "random method not seeded" true
-    (Graph.VS.is_empty (this_of "helper"))
+  Alcotest.check Alcotest.bool "onCreate seeded" true (List.mem (Node.V_act "A") (this_of "onCreate"));
+  Alcotest.check Alcotest.bool "onResume seeded" true (List.mem (Node.V_act "A") (this_of "onResume"));
+  Alcotest.check Alcotest.bool "random method not seeded" true (this_of "helper" = [])
 
 let test_inherited_callback_seeding () =
   let g =
@@ -104,13 +105,10 @@ let test_inherited_callback_seeding () =
         class Derived extends Base { }|}
   in
   let s =
-    Option.value ~default:Graph.VS.empty
-      (List.assoc_opt
-         (Node.N_var ({ Node.mid_cls = "Base"; mid_name = "onCreate"; mid_arity = 0 }, Jir.Ast.this_var))
-         (Graph.seeds g))
+    seed_values g (Node.N_var ({ Node.mid_cls = "Base"; mid_name = "onCreate"; mid_arity = 0 }, Jir.Ast.this_var))
   in
   Alcotest.check Alcotest.bool "both activities reach the shared onCreate" true
-    (Graph.VS.mem (Node.V_act "Base") s && Graph.VS.mem (Node.V_act "Derived") s)
+    (List.mem (Node.V_act "Base") s && List.mem (Node.V_act "Derived") s)
 
 let test_call_edges () =
   let g =
@@ -153,13 +151,11 @@ let test_resource_constants () =
   in
   let g = Extract.run Config.default app in
   let m = { Node.mid_cls = "A"; mid_name = "onCreate"; mid_arity = 0 } in
-  let seed_values v =
-    List.assoc_opt (Node.N_var (m, v)) (Graph.seeds g) |> Option.value ~default:Graph.VS.empty
-  in
+  let seed_values v = seed_values g (Node.N_var (m, v)) in
   Alcotest.check Alcotest.bool "layout id seeded" true
-    (Graph.VS.exists (function Node.V_layout_id _ -> true | _ -> false) (seed_values "x"));
+    (List.exists (function Node.V_layout_id _ -> true | _ -> false) (seed_values "x"));
   Alcotest.check Alcotest.bool "view id seeded" true
-    (Graph.VS.exists (function Node.V_view_id _ -> true | _ -> false) (seed_values "y"))
+    (List.exists (function Node.V_view_id _ -> true | _ -> false) (seed_values "y"))
 
 let test_int_constant_as_resource () =
   (* An integer literal equal to a registered resource constant is
@@ -173,11 +169,8 @@ let test_int_constant_as_resource () =
   in
   let g = Extract.run Config.default app in
   let m = { Node.mid_cls = "A"; mid_name = "onCreate"; mid_arity = 0 } in
-  let seeds = List.assoc_opt (Node.N_var (m, "x")) (Graph.seeds g) in
   Alcotest.check Alcotest.bool "literal recognized as layout id" true
-    (match seeds with
-    | Some vs -> Graph.VS.mem (Node.V_layout_id Layouts.Resource.layout_base) vs
-    | None -> false)
+    (List.mem (Node.V_layout_id Layouts.Resource.layout_base) (seed_values g (Node.N_var (m, "x"))))
 
 let suite =
   [

@@ -632,31 +632,48 @@ let test_cast_renumbering () =
   Alcotest.(check bool) "the new class numbers before an old one" true
     (names.(Array.length names - 1) <> "brand.NewCast")
 
-(* The seed table is folded from the log on its first read: the order
-   it lists seeds in (a cold solve's push order) is the one logging
-   each seed straight into a table gives, whenever it is read. *)
+(* [Graph.seeds] states its order: the fold of an unseeded stdlib
+   table with 128 initial buckets that the seed log is copied into, in
+   log order.  The oracle is that table; the stated order must match it
+   through every resize, on synthetic logs, on every corpus app at
+   depth 0 and context-keyed depth 2, and on an assembled graph. *)
+let eager_seeds g =
+  let it = Graph.interner g in
+  let eager = Hashtbl.create ~random:false 128 in
+  for i = 0 to (Graph.cursor g).Graph.c_seeds - 1 do
+    let nid, value = Graph.seed_at g i in
+    let node = Intern.node_of it nid in
+    let values = Option.value (Hashtbl.find_opt eager node) ~default:[] in
+    Hashtbl.replace eager node (List.sort_uniq Node.compare_value (value :: values))
+  done;
+  Hashtbl.fold (fun node values acc -> (node, values) :: acc) eager []
+
+let listed_seeds g = List.map (fun (nid, values) -> (Intern.node_of (Graph.interner g) nid, values)) (Graph.seeds g)
+
+let same_seeds =
+  List.equal (fun (n, a) (m, b) -> n = m && List.equal (fun v w -> Node.compare_value v w = 0) a b)
+
 let test_lazy_seed_table () =
+  let check what g = Alcotest.(check bool) what true (same_seeds (eager_seeds g) (listed_seeds g)) in
   let g = Graph.create () in
-  let eager = Hashtbl.create 128 in
-  let seed node value =
-    Graph.seed g node value;
-    Hashtbl.replace eager node
-      (Graph.VS.add value (Option.value (Hashtbl.find_opt eager node) ~default:Graph.VS.empty))
-  in
-  let listed () = Hashtbl.fold (fun node vs acc -> (node, vs) :: acc) eager [] in
-  let check what =
-    Alcotest.(check bool) what true (List.equal (fun (n, a) (m, b) -> n = m && Graph.VS.equal a b) (listed ()) (Graph.seeds g))
-  in
   let var i = Node.N_var ({ Node.mid_cls = "C"; mid_name = "m"; mid_arity = 0 }, Printf.sprintf "v%d" (i mod 300)) in
   for i = 0 to 499 do
-    seed (var i) (Node.V_view_id i)
+    Graph.seed g (var i) (Node.V_view_id i);
+    (* the table resizes as its 257th key arrives *)
+    if i = 255 || i = 256 then check (Printf.sprintf "%d keys" (i + 1)) g
   done;
-  check "after 500 seeds";
+  check "after 500 seeds" g;
   for i = 500 to 999 do
-    seed (var (7 * i)) (Node.V_view_id (i mod 41))
+    Graph.seed g (var (7 * i)) (Node.V_view_id (i mod 41))
   done;
-  check "after 500 more, read in between";
-  (* an assembled graph's table lists as a full extraction's does *)
+  check "after 500 more, read in between" g;
+  List.iter
+    (fun (spec : Corpus.Spec.t) ->
+      let app = Corpus.Gen.generate spec in
+      check (spec.sp_name ^ "@0") (Extract.run config app);
+      check (spec.sp_name ^ "@cs2") (Extract.run { config with inline_depth = 2 } app))
+    Corpus.Apps.specs;
+  (* an assembled graph lists its seeds as a full extraction does *)
   let app = corpus_app "ConnectBot" in
   let _, prev = Incremental.analyze_solved ~config app in
   let (cls, (m : Jir.Ast.meth), vars) = (sites app).(3) in
@@ -667,8 +684,8 @@ let test_lazy_seed_table () =
   in
   let a = Result.get_ok (Incremental.assemble ~config ~prev app') in
   let full = Extract.run ~interner:(Solve.solved_interner prev) config app' in
-  Alcotest.(check bool) "assembled = full extraction, in order" true
-    (List.equal (fun (n, a) (m, b) -> n = m && Graph.VS.equal a b) (Graph.seeds full) (Graph.seeds a.a_graph))
+  check "assembled graph" a.a_graph;
+  Alcotest.(check bool) "assembled = full extraction, in order" true (same_seeds (listed_seeds full) (listed_seeds a.a_graph))
 
 (* Every reason the delta freeze falls back to a full one for. *)
 let test_full_freeze_reasons () =

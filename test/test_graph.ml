@@ -340,7 +340,10 @@ let check_skeleton name config app =
     let with_edges =
       Edge_set.fold (fun (s, _, d) acc -> Node_set.add s (Node_set.add d acc)) expected Node_set.empty
     in
-    let with_seeds = List.fold_left (fun acc (n, _) -> Node_set.add n acc) with_edges (Graph.seeds g) in
+    let it = Graph.interner g in
+    let with_seeds =
+      List.fold_left (fun acc (nid, _) -> Node_set.add (Intern.node_of it nid) acc) with_edges (Graph.seeds g)
+    in
     List.fold_left add_op with_seeds (Graph.ops g)
   in
   let got_locations = Node_set.of_list locations in

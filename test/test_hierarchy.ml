@@ -164,6 +164,29 @@ let test_cycle_rejected () =
   | exception Hierarchy.Hierarchy_error _ -> ()
   | _ -> Alcotest.fail "expected a cycle error"
 
+(* Every walk over the types follows declaration order (platform, then
+   program classes), so no list or error text depends on a table's
+   seed. *)
+let test_declaration_order () =
+  let h = hierarchy () in
+  let names = Alcotest.(list string) in
+  Alcotest.check names "types"
+    [ "Object"; "View"; "ViewGroup"; "TextView"; "Button"; "OnClickListener"; "A"; "B"; "C"; "D" ]
+    (Hierarchy.types h);
+  Alcotest.check names "subtypes of View" [ "View"; "ViewGroup"; "TextView"; "Button"; "A"; "B"; "C" ]
+    (Hierarchy.subtypes h "View");
+  Alcotest.check names "subtypes of OnClickListener" [ "OnClickListener"; "B"; "C" ]
+    (Hierarchy.subtypes h "OnClickListener");
+  let cycle src =
+    match Hierarchy.create (Parser.parse_program src) with
+    | exception Hierarchy.Hierarchy_error msg -> msg
+    | _ -> Alcotest.fail "expected a cycle error"
+  in
+  Alcotest.(check string) "first declared member named" "inheritance cycle through A"
+    (cycle "class A extends B { } class B extends A { }");
+  Alcotest.(check string) "either way round" "inheritance cycle through B"
+    (cycle "class B extends A { } class A extends B { }")
+
 let test_unknown_super_tolerated () =
   let h = Hierarchy.create (Parser.parse_program "class A extends Mystery { }") in
   Alcotest.check Alcotest.bool "A known" true (Hierarchy.mem h "A");
@@ -425,6 +448,7 @@ let suite =
     Alcotest.test_case "CHA on interface type" `Quick test_cha_on_interface;
     Alcotest.test_case "duplicate types rejected" `Quick test_duplicate_rejected;
     Alcotest.test_case "cycles rejected" `Quick test_cycle_rejected;
+    Alcotest.test_case "types walked in declaration order" `Quick test_declaration_order;
     Alcotest.test_case "unknown supertype tolerated" `Quick test_unknown_super_tolerated;
     Alcotest.test_case "iter_methods" `Quick test_iter_methods;
     Alcotest.test_case "indexed lookups equal the scans on the corpus" `Quick

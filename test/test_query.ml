@@ -94,6 +94,25 @@ let check_queries name (r : Analysis.t) solved =
           got)
     ("no_such_id_zzz" :: id_names)
 
+(* Does [r]'s child relation nest (some view has a grandchild) and
+   close a cycle (some view is its own strict descendant)?  Walking up
+   from an id's carriers must then stop at views already seen. *)
+let nested_cyclic_children (r : Analysis.t) =
+  let g = r.Analysis.graph in
+  let it = Graph.interner g in
+  let views = List.init (Intern.view_count it) (Intern.view_of it) in
+  let children = Reader.children g in
+  let strict_descendant v =
+    let seen = Hashtbl.create 16 in
+    let rec visit w =
+      Node.compare_view w v = 0
+      || ((not (Hashtbl.mem seen w)) && (Hashtbl.replace seen w (); List.exists visit (children w)))
+    in
+    List.exists visit (children v)
+  in
+  List.exists (fun v -> List.exists (fun c -> children c <> []) (children v)) views
+  && List.exists strict_descendant views
+
 (* Full solve that captures state, checked against its own projections. *)
 let check_app name app =
   let r, solved = Incremental.analyze_solved app in
@@ -105,10 +124,14 @@ let check_app name app =
 let test_connectbot () = ignore (check_app "ConnectBot" (Corpus.Connectbot.app ()))
 
 let test_corpus () =
-  List.iter
-    (fun (spec : Corpus.Spec.t) ->
-      ignore (check_app spec.Corpus.Spec.sp_name (Corpus.Gen.generate spec)))
-    Corpus.Apps.specs
+  let nested_cyclic =
+    List.filter
+      (fun (spec : Corpus.Spec.t) ->
+        let r, _ = check_app spec.Corpus.Spec.sp_name (Corpus.Gen.generate spec) in
+        nested_cyclic_children r)
+      Corpus.Apps.specs
+  in
+  Alcotest.(check bool) "some app's child relation nests and cycles" true (nested_cyclic <> [])
 
 let test_qcheck_random =
   QCheck.Test.make ~count:8 ~name:"random app: reads equal rows"
