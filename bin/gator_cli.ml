@@ -248,8 +248,8 @@ let serve_cmd =
       & opt (some string) None
       & info [ "state-dir" ] ~docv:"DIR"
           ~doc:
-            "Persist solved state (snapshots + accepted patch edits) here; a restarted daemon \
-             recovers loaded apps from it without re-solving.")
+            "Persist accepted patch edits here; a restarted daemon replays them over the \
+             regenerated app and re-solves, so its next patch is warm.")
   in
   let preload =
     Arg.(

@@ -1451,10 +1451,6 @@ let shape_of_solved sd = sd.sd_shape
 
 let solved_interner sd = Graph.interner sd.sd_graph
 
-let solved_class_fp sd = sd.sd_class_fp
-
-let solved_config sd = sd.sd_config
-
 (* Against the program a capture was extracted from, when its graph
    kept its fragments; a loaded snapshot's did not, and its callers
    hash instead. *)

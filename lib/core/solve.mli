@@ -175,15 +175,6 @@ val shape_of_solved : solved -> shape
 val solved_interner : solved -> Intern.t
 (** The interner of [sd_graph]. *)
 
-val solved_config : solved -> Config.t
-(** The configuration the capture was solved under; a registry
-    reloading state from disk serves it only under its own. *)
-
-val solved_class_fp : solved -> string
-(** Class-hierarchy fingerprint at capture; a registry reloading state
-    from disk checks it against the freshly built app before trusting
-    hierarchy-dependent answers (cast filtering). *)
-
 val run_solved : ?fallback:string -> Config.t -> Framework.App.t -> Graph.t -> stats * solved
 (** Full solve that also captures the solution for warm restarts.
     The installed solution is {!run}'s.  [?fallback] is threaded into [stats.fallback] when

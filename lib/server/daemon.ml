@@ -10,14 +10,11 @@
    a lookup in the solver's rows and never mutates the solved state.
    A request's [budget] is validated but has no effect.
 
-   Crash recovery: with a state directory configured, every solve is
-   persisted through [Snapshot] and every accepted patch's edits are
-   persisted verbatim; a restarted daemon replays the edits over the
-   regenerated corpus app and serves the snapshot directly — answering
-   queries without re-solving — as long as it was captured under the
-   daemon's configuration and the rebuilt app's class fingerprint
-   matches the captured one.  Any recovery failure
-   (missing, corrupt or stale files) falls back to a fresh full solve;
+   Crash recovery: with a state directory configured, every accepted
+   patch's edits are persisted verbatim, and nothing else; a restarted
+   daemon regenerates the corpus app, replays the edits and re-solves,
+   so its first patch is as warm as a resident one.  A defective edit
+   log is discarded with its reason logged and the base app is solved;
    hostile state files are [Error]s, never crashes. *)
 
 module J = Util.Json
@@ -55,14 +52,11 @@ let logf t fmt =
 (* ------------------------------------------------------------------ *)
 (* Persistence *)
 
-let snap_path dir name = Filename.concat dir (name ^ ".snap.json")
-
 let patches_path dir name = Filename.concat dir (name ^ ".patches.json")
 
 let persist t entry =
   Option.iter
     (fun dir ->
-      Gator.Snapshot.save entry.e_solved (snap_path dir entry.e_name);
       let path = patches_path dir entry.e_name in
       if entry.e_patches = [] then begin if Sys.file_exists path then Sys.remove path end
       else begin
@@ -73,13 +67,11 @@ let persist t entry =
       end)
     t.state_dir
 
-(* Persisted patch edits, replayed over the regenerated base app so
-   the registry's app matches the snapshotted solution's source.  Any
-   defect (unreadable, unparsable, inapplicable) discards recovery of
-   the patches AND the snapshot — the entry re-solves from base. *)
+(* Persisted patch edits, replayed over the regenerated base app, or
+   why they cannot be (unreadable, unparsable, a bad edit, inapplicable). *)
 let recover_patches dir name base =
   let path = patches_path dir name in
-  if not (Sys.file_exists path) then Some (base, [])
+  if not (Sys.file_exists path) then Ok (base, [])
   else
     let read () =
       let ic = open_in_bin path in
@@ -87,31 +79,19 @@ let recover_patches dir name base =
         ~finally:(fun () -> close_in_noerr ic)
         (fun () -> really_input_string ic (in_channel_length ic))
     in
-    match J.of_string (try read () with _ -> "\255") with
-    | Error _ -> None
-    | Ok (J.List edits as j) -> (
-        match Corpus.Patch.of_json j with
-        | Error _ -> None
-        | Ok patch -> (
-            match Corpus.Patch.apply base patch with
-            | Ok app -> Some (app, edits)
-            | Error _ -> None))
-    | Ok _ -> None
-
-(* The persisted solve, served only when it was captured under the
-   daemon's configuration and the rebuilt app's class surface matches
-   it; otherwise the reason to re-solve. *)
-let recover_snapshot dir name (app : Framework.App.t) =
-  let path = snap_path dir name in
-  if not (Sys.file_exists path) then Error "no snapshot"
-  else
-    match Gator.Snapshot.load path with
-    | Error e -> Error ("unreadable snapshot: " ^ e)
-    | Ok solved ->
-        if Gator.Solve.solved_config solved <> config then Error "snapshot captured under another configuration"
-        else if not (String.equal (Gator.Solve.solved_class_fp solved) (Gator.Solve.class_fp app)) then
-          Error "class hierarchy changed since the snapshot"
-        else Ok solved
+    match read () with
+    | exception ((Sys_error _ | End_of_file) as e) -> Error ("unreadable: " ^ Printexc.to_string e)
+    | text -> (
+        match J.of_string text with
+        | Error e -> Error ("unparsable: " ^ e)
+        | Ok (J.List edits as j) -> (
+            match Corpus.Patch.of_json j with
+            | Error e -> Error ("bad edit: " ^ e)
+            | Ok patch -> (
+                match Corpus.Patch.apply base patch with
+                | Ok app -> Ok (app, edits)
+                | Error e -> Error ("inapplicable: " ^ e)))
+        | Ok _ -> Error "not a list of edits")
 
 (* ------------------------------------------------------------------ *)
 (* Registry *)
@@ -121,10 +101,9 @@ let corpus_app name =
   | Some spec -> Some (Corpus.Gen.generate spec)
   | None -> None
 
-(* Load an entry: recover app+patches+snapshot from the state
-   directory when possible, full-solve otherwise, and persist the
-   result either way.  Returns the entry and where its solution came
-   from ("registry" | "snapshot" | "solved"). *)
+(* Load an entry: the base app plus any persisted edits, solved.
+   Returns the entry and where its solution came from ("registry" |
+   "replayed" | "solved"). *)
 let load t name =
   match Hashtbl.find_opt t.registry name with
   | Some entry -> Ok (entry, "registry")
@@ -137,26 +116,12 @@ let load t name =
             | None -> (base, [])
             | Some dir -> (
                 match recover_patches dir name base with
-                | Some recovered -> recovered
-                | None -> (base, []))
-          in
-          let solved, source =
-            match t.state_dir with
-            | Some dir when patches != [] || Sys.file_exists (snap_path dir name) -> (
-                match recover_snapshot dir name app with
-                | Ok solved -> (Some solved, "snapshot")
+                | Ok recovered -> recovered
                 | Error reason ->
-                    logf t "%s: re-solving (%s)" name reason;
-                    (None, "solved"))
-            | _ -> (None, "solved")
+                    logf t "%s: persisted edits discarded (%s); solving the base app" name reason;
+                    (base, []))
           in
-          let solved =
-            match solved with
-            | Some solved -> solved
-            | None ->
-                let _, solved = Gator.Incremental.analyze_solved ~config app in
-                solved
-          in
+          let _, solved = Gator.Incremental.analyze_solved ~config app in
           let entry =
             {
               e_name = name;
@@ -167,8 +132,8 @@ let load t name =
               e_patches = List.rev patches;
             }
           in
-          persist t entry;
           Hashtbl.replace t.registry name entry;
+          let source = if patches = [] then "solved" else "replayed" in
           logf t "loaded %s (%s, generation %d)" name source entry.e_generation;
           Ok (entry, source))
 

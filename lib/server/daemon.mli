@@ -4,13 +4,11 @@
     Requests are handled serially on a single thread, so an
     incremental patch is atomic with respect to queries — every
     answer reflects exactly one registry generation, reported in the
-    response envelope.  With a state directory configured, solves and
-    accepted patch edits are persisted; a restarted daemon replays the
-    edits over the regenerated corpus app and serves the snapshot
-    directly, without re-solving (falling back to a full solve, with
-    the reason logged, when the snapshot was captured under another
-    configuration, the class fingerprint no longer matches, or the
-    files are corrupt). *)
+    response envelope.  With a state directory configured, accepted
+    patch edits are persisted; a restarted daemon replays them over
+    the regenerated corpus app and re-solves, so its first patch takes
+    the warm fragment route.  An edit log that cannot be replayed is
+    discarded, with the reason logged, and the base app is solved. *)
 
 type t
 
@@ -34,5 +32,5 @@ type entry
 
 val load : t -> string -> (entry * string, Protocol.error_code * string) result
 (** Load (or return the already-registered) corpus app.  The string is
-    the solution's source: ["registry"], ["snapshot"] (crash
-    recovery), or ["solved"]. *)
+    the solution's source: ["registry"], ["replayed"] (crash recovery
+    replayed at least one persisted edit), or ["solved"]. *)

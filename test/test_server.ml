@@ -3,8 +3,8 @@
    serving), a qcheck byte-mutation fuzzer over valid request frames,
    concurrency/consistency (queries racing an incremental patch see
    exactly the pre- or post-patch answer, identified by generation),
-   and crash recovery (a restarted daemon reloads Snapshot state and
-   answers identically without re-solving). *)
+   and crash recovery (a restarted daemon replays its edit log,
+   answers identically and patches warm). *)
 
 module J = Util.Json
 module P = Server.Protocol
@@ -463,9 +463,9 @@ let test_concurrent_patch () =
         nodes)
 
 (* ------------------------------------------------------------------ *)
-(* Crash recovery: a fresh daemon over the same state directory serves
-   the patched solution from its snapshot, without re-solving, and
-   answers byte-identically. *)
+(* Crash recovery: a fresh daemon over the same state directory replays
+   the persisted edits, answers as a cold analysis of base plus edits,
+   and patches warm at once. *)
 
 (* [f state_dir] over a fresh state directory, removed afterwards. *)
 let with_state_dir f =
@@ -489,56 +489,62 @@ let test_crash_recovery () =
           Gator.Node.N_field "f";
         ]
       in
+      let patch t = handle_json t (P.request_to_json (P.R_patch { app = "XBMC"; edits = patch_edits })) in
+      let load t =
+        let reply = handle_json t (req_load "XBMC") in
+        match ok_payload reply with
+        | Some ok -> (J.member "source" ok, generation reply)
+        | None -> Alcotest.failf "load failed: %s" (to_s reply)
+      in
+      (* each answer as a payload, or the error code a client sees *)
+      let answers t =
+        List.map
+          (fun n ->
+            let reply = handle_json t (req_points_to "XBMC" n) in
+            match (ok_payload reply, error_code reply) with
+            | Some ok, _ -> Ok ok
+            | None, code -> Error (Option.value code ~default:"<none>"))
+          nodes
+      in
+      let check_answers what expected got =
+        Alcotest.(check bool) what true (List.equal (Result.equal ~ok:J.equal ~error:String.equal) expected got)
+      in
       let t1 = mk_server ~state_dir () in
-      Alcotest.(check (option string)) "load" None (error_code (handle_json t1 (req_load "XBMC")));
-      Alcotest.(check (option string))
-        "patch" None
-        (error_code
-           (handle_json t1 (P.request_to_json (P.R_patch { app = "XBMC"; edits = patch_edits }))));
-      let answers t = List.map (fun n -> handle t (req_points_to "XBMC" n)) nodes in
+      Alcotest.(check bool) "fresh load" true (load t1 = (Some (J.String "solved"), Some 0));
+      Alcotest.(check (option string)) "patch" None (error_code (patch t1));
       let before = answers t1 in
+      check_answers "answers equal a cold analysis of base plus edits"
+        (local_answers (Result.get_ok (Corpus.Patch.apply (xbmc ()) (patch_of_edits patch_edits))) nodes)
+        before;
+      Alcotest.(check (list string)) "the state directory holds only the edit log" [ "XBMC.patches.json" ]
+        (Array.to_list (Sys.readdir state_dir));
+      (* a snapshot left by an older build is neither read nor deleted *)
+      let snap = Filename.concat state_dir "XBMC.snap.json" in
+      Out_channel.with_open_bin snap (fun oc -> output_string oc "{\"corrupt\": true");
       (* "crash": drop the daemon on the floor, start a new one cold *)
       let t2 = mk_server ~state_dir () in
-      let load2 = handle_json t2 (req_load "XBMC") in
-      Alcotest.(check (option string)) "recovered load" None (error_code load2);
-      Alcotest.(check (option int)) "patch generation survives" (Some 1) (generation load2);
-      (match J.member "ok" load2 with
-      | Some ok -> (
-          match J.member "source" ok with
-          | Some (J.String "snapshot") -> ()
-          | other ->
-              Alcotest.failf "expected snapshot recovery, got %s"
-                (match other with Some j -> to_s j | None -> "<none>"))
-      | None -> Alcotest.fail "load response has no ok payload");
-      Alcotest.(check (list string)) "answers identical after restart" before (answers t2);
-      (* corrupt snapshot: recovery falls back to a full solve but the
-         answers are STILL identical (the patches replay) *)
-      let snap = Filename.concat state_dir "XBMC.snap.json" in
-      let oc = open_out snap in
-      output_string oc "{\"corrupt\": true";
-      close_out oc;
-      let t3 = mk_server ~state_dir () in
-      let load3 = handle_json t3 (req_load "XBMC") in
-      Alcotest.(check (option string)) "corrupt-state load" None (error_code load3);
-      (match J.member "ok" load3 with
-      | Some ok -> (
-          match J.member "source" ok with
-          | Some (J.String "solved") -> ()
-          | other ->
-              Alcotest.failf "expected full-solve fallback, got %s"
-                (match other with Some j -> to_s j | None -> "<none>"))
-      | None -> Alcotest.fail "load response has no ok payload");
-      Alcotest.(check (list string)) "answers identical after corrupt state" before (answers t3);
-      (* a snapshot keeps no fragments: the next patch re-extracts in
-         full, and its reply says so *)
+      Alcotest.(check bool) "replayed at generation 1" true (load t2 = (Some (J.String "replayed"), Some 1));
+      check_answers "answers identical after restart" before (answers t2);
+      let reply = patch t2 in
+      Alcotest.(check bool) "first patch after the restart is warm" true
+        (Option.bind (ok_payload reply) (J.member "warm") = Some (J.Bool true));
       Alcotest.(check (list (pair string string)))
-        "recovered patch route"
+        "first patch after the restart takes the fragment route"
         [
-          ("assembly", "declined (the previous solve recorded no fragments)");
-          ("freeze", "full freeze");
-          ("edit_script", "shape diff (full re-extraction)");
+          ("assembly", "1 of 3012 methods re-extracted");
+          ("freeze", "delta freeze, partition kept");
+          ("edit_script", "freeze delta");
         ]
-        (route_of (handle_json t2 (P.request_to_json (P.R_patch { app = "XBMC"; edits = patch_edits })))))
+        (route_of reply);
+      Alcotest.(check string) "old snapshot untouched" "{\"corrupt\": true"
+        (In_channel.with_open_bin snap In_channel.input_all);
+      (* a corrupt edit log is discarded: the base app, at generation 0 *)
+      Out_channel.with_open_bin (Filename.concat state_dir "XBMC.patches.json") (fun oc ->
+          output_string oc "[{\"edit\": ");
+      let t3 = mk_server ~state_dir () in
+      Alcotest.(check bool) "corrupt edit log: solved at generation 0" true
+        (load t3 = (Some (J.String "solved"), Some 0));
+      check_answers "corrupt edit log: the base app's answers" (local_answers (xbmc ()) nodes) (answers t3))
 
 (* The stats reply is cumulative per loaded app: a patch replaces the
    query handle (it fronts the new solved state) but must NOT zero the
@@ -617,36 +623,6 @@ let test_patch_route () =
     ]
     (route_of reply)
 
-(* A snapshot captured under another configuration is not served: the
-   daemon re-solves under its own and persists that, so its next patch
-   starts warm and a restarted daemon serves the new snapshot.  (The
-   route of a warm start the guard refuses, [unused (full solve: ...)],
-   is pinned through [Incremental.analyze_patch] in
-   test_incremental.) *)
-let test_snapshot_other_config () =
-  with_state_dir (fun state_dir ->
-      let config = { Gator.Config.default with cast_filtering = false } in
-      let _, solved = Gator.Incremental.analyze_solved ~config (xbmc ()) in
-      Unix.mkdir state_dir 0o755;
-      Gator.Snapshot.save solved (Filename.concat state_dir "XBMC.snap.json");
-      let source t =
-        match ok_payload (handle_json t (req_load "XBMC")) with
-        | Some ok -> J.member "source" ok
-        | None -> Alcotest.fail "load failed"
-      in
-      let t = mk_server ~state_dir () in
-      Alcotest.(check bool) "re-solved" true (source t = Some (J.String "solved"));
-      Alcotest.(check (list (pair string string)))
-        "warm route"
-        [
-          ("assembly", "1 of 3012 methods re-extracted");
-          ("freeze", "delta freeze, partition kept");
-          ("edit_script", "freeze delta");
-        ]
-        (route_of (handle_json t (P.request_to_json (P.R_patch { app = "XBMC"; edits = patch_edits }))));
-      Alcotest.(check bool) "the re-solved state is served on restart" true
-        (source (mk_server ~state_dir ()) = Some (J.String "snapshot")))
-
 (* A [remove_stmt] outside the method's body is an error reply, and
    the app stays at its generation. *)
 let test_patch_out_of_range () =
@@ -698,12 +674,11 @@ let suite =
     Alcotest.test_case "dispatch: answers, envelopes, survival" `Quick test_dispatch;
     Alcotest.test_case "stats survive a patch" `Quick test_stats_survive_patch;
     Alcotest.test_case "a patch reply names its route" `Quick test_patch_route;
-    Alcotest.test_case "a snapshot under another configuration is re-solved" `Quick test_snapshot_other_config;
     Alcotest.test_case "an out-of-range remove_stmt is an error" `Quick test_patch_out_of_range;
     Alcotest.test_case "operand codecs round-trip" `Quick test_codecs;
     Alcotest.test_case "hostile frames against a live daemon" `Quick test_hostile_frames;
     Alcotest.test_case "frame-sized nesting is refused fast" `Quick test_deep_nesting_frame;
-    Alcotest.test_case "crash recovery from snapshot state" `Quick test_crash_recovery;
+    Alcotest.test_case "crash recovery replays the edit log" `Quick test_crash_recovery;
     Alcotest.test_case "concurrent queries during a patch" `Slow test_concurrent_patch;
     QCheck_alcotest.to_alcotest ~long:true test_fuzz;
   ]
