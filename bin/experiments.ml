@@ -48,56 +48,42 @@ let run_precision () =
 
 (* CI smoke, part 2: a warm (incremental) re-solve of a patched app
    must be bit-identical to a from-scratch solve of the same app —
-   checked through a snapshot round-trip, on a seed-level patch of the
-   corpus outlier and on a cycle-splitting edit of a cycle-heavy app
-   (the worst case for the condensation-based invalidation). *)
+   checked on a seed-level patch of the corpus outlier and on a
+   cycle-splitting edit of a cycle-heavy app (the worst case for the
+   condensation-based invalidation). *)
 let verify_incremental name app patch =
   let config = Gator.Config.default in
-  let _, solved = Gator.Incremental.analyze_solved ~config app in
-  let state = Filename.temp_file "gator_verify" ".json" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove state)
-    (fun () ->
-      Gator.Snapshot.save solved state;
-      let prev =
-        match Gator.Snapshot.load state with
-        | Ok prev -> prev
-        | Error e ->
-            Fmt.epr "verify: snapshot round-trip failed on %s: %s@." name e;
-            exit 1
-      in
-      let patched =
-        match Corpus.Patch.apply app patch with
-        | Ok patched -> patched
-        | Error e ->
-            Fmt.epr "verify: patch failed to apply on %s: %s@." name e;
-            exit 1
-      in
-      let warm, _ = Gator.Incremental.analyze_incremental ~config ~prev patched in
-      let cold = Gator.Analysis.analyze ~config patched in
-      let d = Gator.Diff.compare cold warm in
-      if not (Gator.Diff.is_empty d) then begin
-        Fmt.epr "verify: warm solution DIFFERS from cold on patched %s:@.%a@." name Gator.Diff.pp
-          d;
+  let _, prev = Gator.Incremental.analyze_solved ~config app in
+  let patched =
+    match Corpus.Patch.apply app patch with
+    | Ok patched -> patched
+    | Error e ->
+        Fmt.epr "verify: patch failed to apply on %s: %s@." name e;
         exit 1
-      end;
-      let s = warm.Gator.Analysis.stats in
-      if not s.Gator.Solve.warm_solve then begin
-        Fmt.epr "verify: incremental solve of patched %s was not warm (fallback: %s)@." name
-          (Option.value ~default:"-" s.Gator.Solve.fallback);
-        exit 1
-      end;
-      Printf.printf "verify: incremental (warm) = from-scratch on patched %s (%d dirty / %d \
-                     reused of %d components)\n"
-        name s.Gator.Solve.dirty_comps s.Gator.Solve.reused_comps s.Gator.Solve.scc_count)
+  in
+  let warm, _ = Gator.Incremental.analyze_incremental ~config ~prev patched in
+  let cold = Gator.Analysis.analyze ~config patched in
+  let d = Gator.Diff.compare cold warm in
+  if not (Gator.Diff.is_empty d) then begin
+    Fmt.epr "verify: warm solution DIFFERS from cold on patched %s:@.%a@." name Gator.Diff.pp d;
+    exit 1
+  end;
+  let s = warm.Gator.Analysis.stats in
+  if not s.Gator.Solve.warm_solve then begin
+    Fmt.epr "verify: incremental solve of patched %s was not warm (fallback: %s)@." name
+      (Option.value ~default:"-" s.Gator.Solve.fallback);
+    exit 1
+  end;
+  Printf.printf "verify: incremental (warm) = from-scratch on patched %s (%d dirty / %d \
+                 reused of %d components)\n"
+    name s.Gator.Solve.dirty_comps s.Gator.Solve.reused_comps s.Gator.Solve.scc_count
 
-(* The same patch through the edit-proportional assembly, over the
-   live capture (a snapshot keeps no fragments): it must take the
-   fragment path, re-extract only the edited method, give the shape a
-   full re-extraction gives, freeze through the delta path [expect]
-   names to what a full freeze gives, take its edit script from the
-   freeze delta equal to a shape diff's, and solve warm to the
-   from-scratch answer. *)
+(* The same patch through the edit-proportional assembly: it must
+   take the fragment path, re-extract only the edited method, give
+   the shape a full re-extraction gives, freeze through the delta
+   path [expect] names to what a full freeze gives, take its edit
+   script from the freeze delta equal to a shape diff's, and solve
+   warm to the from-scratch answer. *)
 let verify_fragments ?(expect = fun _ -> true) name app patch =
   let config = Gator.Config.default in
   let fail fmt = Fmt.kstr (fun s -> Fmt.epr "verify: %s@." s; exit 1) fmt in

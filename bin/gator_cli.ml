@@ -25,37 +25,8 @@ let load code_path layout_paths =
    stays in submission order no matter which worker finishes first.
    Every failure mode — unreadable file, parse error, failed
    diagnostics, analysis crash — is an [Error]. *)
-(* Incremental mode: warm-start from a state file when one exists and
-   loads, fall back to a recorded full solve otherwise, and always save
-   the new solved state back.  The stats line surfaces which path ran
-   and why; a warm start also says how its graph and edit script were
-   built (the route). *)
-let analyze_with_state ~state app =
-  let result, solved, route =
-    let cold (result, solved) = (result, solved, None) in
-    if Sys.file_exists state then
-      match Gator.Snapshot.load state with
-      | Ok prev ->
-          let result, solved, route = Gator.Incremental.analyze_patch ~prev app in
-          (result, solved, Some route)
-      | Error reason -> cold (Gator.Incremental.analyze_solved ~fallback:reason app)
-    else cold (Gator.Incremental.analyze_solved app)
-  in
-  Gator.Snapshot.save solved state;
-  (result, route)
-
-let pp_incremental_stats ppf (r : Gator.Analysis.t) =
-  let s = r.Gator.Analysis.stats in
-  match s.Gator.Solve.fallback with
-  | Some reason -> Fmt.pf ppf "incremental: full solve (fallback: %s)@." reason
-  | None ->
-      if s.Gator.Solve.warm_solve then
-        Fmt.pf ppf "incremental: warm solve, %d dirty / %d reused of %d components@."
-          s.Gator.Solve.dirty_comps s.Gator.Solve.reused_comps s.Gator.Solve.scc_count
-      else Fmt.pf ppf "incremental: full solve (no usable state)@."
-
-let analyze_one ~dump_dot ~show_interactions ~show_diagnostics ~run_dynamic ~json
-    ~state code_path layout_paths =
+let analyze_one ~dump_dot ~show_interactions ~show_diagnostics ~run_dynamic ~json code_path
+    layout_paths =
   match load code_path layout_paths with
   | Error e -> Error e
   | Ok app ->
@@ -74,22 +45,7 @@ let analyze_one ~dump_dot ~show_interactions ~show_diagnostics ~run_dynamic ~jso
         Error (Buffer.contents buf ^ "diagnostics reported errors")
       end
       else begin
-        let r =
-          match state with
-          | None -> Gator.Analysis.analyze app
-          | Some state ->
-              let r, route = analyze_with_state ~state app in
-              (* a refused warm start, or a step of one that fell back,
-                 is invisible in the answers; surface it on stderr even
-                 under --json / --quiet *)
-              Option.iter (Fmt.epr "warning: %s@.") (Gator.Incremental.refusal_warning r);
-              Option.iter
-                (Fmt.epr "incremental: %a@."
-                   (Gator.Incremental.pp_route ?fallback:r.Gator.Analysis.stats.Gator.Solve.fallback))
-                route;
-              if not json then pp_incremental_stats ppf r;
-              r
-        in
+        let r = Gator.Analysis.analyze app in
         if json then Buffer.add_string buf (Gator.Export.to_string ~pretty:true r ^ "\n")
         else begin
           Fmt.pf ppf "%a@.@." Gator.Analysis.pp_summary r;
@@ -128,22 +84,10 @@ let analyze_one ~dump_dot ~show_interactions ~show_diagnostics ~run_dynamic ~jso
       end
 
 let run code_paths layout_paths dump_dot show_interactions show_diagnostics run_dynamic
-    json jobs incremental state_path =
-  let state =
-    match (incremental, state_path) with
-    | false, _ -> None
-    | true, Some path -> Some path
-    | true, None ->
-        Fmt.epr "error: --incremental requires --state FILE@.";
-        exit 2
-  in
-  if Option.is_some state && List.length code_paths > 1 then begin
-    Fmt.epr "error: --incremental analyzes a single program (one state file, one app)@.";
-    exit 2
-  end;
+    json jobs =
   let analyze path =
-    analyze_one ~dump_dot ~show_interactions ~show_diagnostics ~run_dynamic ~json ~state
-      path layout_paths
+    analyze_one ~dump_dot ~show_interactions ~show_diagnostics ~run_dynamic ~json path
+      layout_paths
   in
   match code_paths with
   | [ single ] -> (
@@ -388,27 +332,10 @@ let () =
             "Worker domains for batch (multi-program) runs. Defaults to the recommended domain \
              count capped at 8; 1 forces the sequential path.")
   in
-  let incremental =
-    Arg.(
-      value & flag
-      & info [ "incremental" ]
-          ~doc:
-            "Re-analyze incrementally against the state file given by $(b,--state): warm-start \
-             from the previous solution, re-solve only the components the edit touched, and save \
-             the updated state back. Falls back to a full solve (reported, never an error) when \
-             the state is missing, corrupt, or stale.")
-  in
-  let state_path =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "state" ] ~docv:"FILE"
-          ~doc:"Solved-state file for $(b,--incremental) (created on first run).")
-  in
   let term =
     Term.(
       const run $ code $ layouts $ dot $ interactions $ diagnostics $ dynamic $ json
-      $ jobs $ incremental $ state_path)
+      $ jobs)
   in
   let analyze_cmd =
     Cmd.v (Cmd.info "analyze" ~doc:"Analyze ALite programs and print the computed GUI models.") term

@@ -130,6 +130,9 @@ let typing_envs (app : Framework.App.t) =
         cls.c_methods)
     app.program.p_classes
 
+(* Bound on the body size (statement count) of callees eligible for
+   context-sensitive separation at [inline_depth > 0]; larger callees
+   share their locals context-insensitively. *)
 let inline_body_limit = 24
 
 let call_info config hierarchy ~memo env ~depth ~stack recv name arity =

@@ -48,8 +48,3 @@ val typing_envs : Framework.App.t -> (Node.mid * Jir.Typing.env) list
     the app.  Class and method order.  Equal, method by method, to
     {!Framework.App.typing_env}, which resolves every call afresh; the
     typing differential holds the two together. *)
-
-val inline_body_limit : int
-(** Bound on the body size (statement count) of callees eligible for
-    context-sensitive separation at [inline_depth > 0]; larger callees
-    share their locals context-insensitively. *)

@@ -115,7 +115,7 @@ type t = {
   inflations : (Node.site * string, Node.view_abs list) Hashtbl.t;
       (** the inflation memo: (site, layout) -> minted views, in the
           layout's preorder; unseeded, as its fold orders the exported
-          view list and the snapshot's [inflations] bytes *)
+          view list *)
   mutable g_has_top : bool;
       (** some seed introduced an unknown-id marker ([V_layout_top] /
           [V_view_id_top]); the warm guard refuses incremental starts
@@ -1341,8 +1341,8 @@ let record_inflation t ~site ~layout views = Hashtbl.replace t.inflations (site,
 
 let inflated_views t = Hashtbl.fold (fun _ views acc -> views @ acc) t.inflations []
 
-(* The memo's entries (snapshot encoding, warm restore and the
-   declarative passes), in the unseeded table's fold order. *)
+(* The memo's entries (warm restore and the declarative passes), in
+   the unseeded table's fold order. *)
 let inflation_entries t =
   Hashtbl.fold (fun (site, layout) views acc -> (site, layout, views) :: acc) t.inflations []
 

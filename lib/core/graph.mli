@@ -128,8 +128,7 @@ val cursor : t -> cursor
 (** The current end of the logs. *)
 
 val fragments : t -> fragments option
-(** [None] unless a depth-0 extraction recorded them (a graph loaded
-    from a snapshot has none). *)
+(** [None] unless a depth-0 extraction recorded them. *)
 
 val set_fragments : t -> fragments -> unit
 
@@ -260,8 +259,8 @@ val inflated_views : t -> Node.view_abs list
 (** Every [V_infl] minted so far (Table 1's "views (I)"). *)
 
 val inflation_entries : t -> (Node.site * string * Node.view_abs list) list
-(** The memo's entries (snapshots, warm restarts, the declarative
-    passes), in the fold order of the memo's unseeded table. *)
+(** The memo's entries (warm restarts, the declarative passes), in
+    the fold order of the memo's unseeded table. *)
 
 (** {1 Inspection} *)
 

@@ -1,10 +1,10 @@
 (* Incremental analysis orchestration: solve-and-capture, then warm
    re-solves of patched apps over the shared interner. *)
 
-let analyze_solved ?(config = Config.default) ?fallback app =
+let analyze_solved ?(config = Config.default) app =
   let start = Unix.gettimeofday () in
   let graph = Extract.run config app in
-  let stats, solved = Solve.run_solved ?fallback config app graph in
+  let stats, solved = Solve.run_solved config app graph in
   let solve_seconds = Unix.gettimeofday () -. start in
   (Analysis.make ~app ~config ~graph ~stats ~solve_seconds, solved)
 
@@ -25,7 +25,6 @@ let assemble ?(config = Config.default) ~prev (app : Framework.App.t) =
     if config <> prev.Solve.sd_config then Some "configuration changed"
     else if config.Config.inline_depth > 0 then
       Some "inline depth > 0: a method's slice holds its inlined callees"
-    else if Graph.fragments prev.sd_graph = None then Some "the previous solve recorded no fragments"
     else if Graph.has_top prev.sd_graph then Some "unknown-id markers present"
     else if app.package != prev.sd_package then Some "the layout package is not the previous solve's"
     else None
@@ -80,9 +79,6 @@ let route_fields ?fallback (route : (assembly, string) result) =
         ("edit_script", script (From_diff "full re-extraction"));
       ]
 
-let pp_route ?fallback ppf route =
-  Fmt.(list ~sep:(any "; ") (pair ~sep:(any ": ") string string)) ppf (route_fields ?fallback route)
-
 let analyze_patch ?(config = Config.default) ~prev app =
   let start = Unix.gettimeofday () in
   let assembly = assemble ~config ~prev app in
@@ -105,14 +101,3 @@ let analyze_patch ?(config = Config.default) ~prev app =
 let analyze_incremental ?config ~prev app =
   let result, solved, _ = analyze_patch ?config ~prev app in
   (result, solved)
-
-(* The CLI's --incremental mode must never fall back to a full solve
-   silently: a warm-start refusal is invisible in the output tables
-   (answers are identical either way), so the only honest channel is a
-   warning on stderr.  Rendering lives here so tests can pin the exact
-   message without driving the binary. *)
-let refusal_warning (r : Analysis.t) =
-  match r.Analysis.stats.Solve.fallback with
-  | None -> None
-  | Some reason ->
-      Some (Printf.sprintf "incremental: warm start refused (%s); ran a full solve" reason)

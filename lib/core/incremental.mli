@@ -14,12 +14,9 @@
     chains sharing an interner must run single-threaded (the interner
     is not safe against concurrent minting). *)
 
-val analyze_solved :
-  ?config:Config.t -> ?fallback:string -> Framework.App.t -> Analysis.t * Solve.solved
+val analyze_solved : ?config:Config.t -> Framework.App.t -> Analysis.t * Solve.solved
 (** Full analysis that also captures the solution for later warm
-    restarts.  [?fallback] threads a refusal reason into the stats when
-    this call replaces a failed warm start (e.g. a corrupt state
-    file). *)
+    restarts. *)
 
 val analyze_incremental :
   ?config:Config.t -> prev:Solve.solved -> Framework.App.t -> Analysis.t * Solve.solved
@@ -51,8 +48,7 @@ val analyze_incremental :
     {!Diff.edit_script}, and [a_script] says which and why.
 
     It declines, and the caller re-extracts in full, when: the
-    configuration changed; the inline depth is positive; [prev]
-    recorded no fragments (it was loaded from a snapshot); [prev] or
+    configuration changed; the inline depth is positive; [prev] or
     the patched graph holds an unknown-id marker; a class or a
     method's name or parameters changed (the class and method
     fingerprints; compared position by position, without hashing);
@@ -100,15 +96,4 @@ val route_fields : ?fallback:string -> (assembly, string) result -> (string * st
     (from the freeze delta, or by a shape diff and why).  With
     [fallback] (the solve's [stats.fallback]: the warm guard refused),
     [edit_script] reads [unused (full solve: <fallback>)], since the
-    solve ran cold.  The daemon's [patch] reply carries them;
-    {!pp_route} renders them. *)
-
-val pp_route : ?fallback:string -> (assembly, string) result Fmt.t
-(** [route_fields] on one line: [assembly: ...; freeze: ...; edit_script: ...]. *)
-
-val refusal_warning : Analysis.t -> string option
-(** The stderr warning for a warm start that fell back to a full solve
-    ([stats.fallback] set), or [None] for a clean warm/cold run.  The
-    CLI's [--incremental] prints this unconditionally (even under
-    [--json]) so a refusal is never silent; tests pin the message
-    here. *)
+    solve ran cold.  The daemon's [patch] reply carries them. *)

@@ -315,7 +315,7 @@ type t = {
       (** context dimension: packed ⟨base node id, ctx⟩ -> id of the
           context clone of the base node.  Clones live in the ordinary
           node pool (they ARE the [$ctx]-renamed variables), so every
-          decoder, snapshot and solution-store read covers them with
+          decoder and solution-store read covers them with
           no extra machinery; this table only makes the second and
           later sightings of a pair an int-keyed hit instead of a
           string allocation plus a node hash. *)
@@ -492,7 +492,7 @@ let view_of_value_id t vid = iarr_get t.value2view vid
 let value_of_view_id t wid = iarr_get t.view2value wid
 
 (* Counters for [Solve.stats].  Totals span both tiers, keeping every
-   [0 .. count-1] decode loop and snapshot dump decodable. *)
+   [0 .. count-1] decode loop decodable. *)
 let value_count t = t.wm_values + Value_pool.count t.values
 
 let view_count t = View_pool.count t.views

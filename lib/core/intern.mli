@@ -20,7 +20,7 @@
     batteries in [test/test_shared_intern.ml] pin this.  Every fresh
     extraction ([Extract.run] without [?interner]) sits on
     {!shared_tier}; a fully private interner ([create ()]) exists for
-    those batteries and for snapshot replay.
+    those batteries.
 
     Determinism contract: private ids are assigned in first-intern
     order, and the interned engine interns from deterministic sources
@@ -141,8 +141,8 @@ val ctx_node : t -> base:int -> ctx:int -> int
 (** The context clone of node [base] under context [ctx] (a clone
     number > 0): the id of the [N_var (mid, name ^ "$" ^ ctx)] node the
     inlining path would have interned for the same clone.  Clones live
-    in the ordinary node pool — decoders, snapshots and solution reads
-    need no special handling — and repeat sightings of a ⟨base, ctx⟩
+    in the ordinary node pool — decoders and solution reads need no
+    special handling — and repeat sightings of a ⟨base, ctx⟩
     pair resolve through a packed int-keyed cache with no string
     allocation.  Non-[N_var] bases (fields, returns) are
     context-insensitive and decay to [base]; every other result is
@@ -215,11 +215,11 @@ val view_of_value_id : t -> int -> int
 val value_of_view_id : t -> int -> int
 (** View id -> id of its [V_view] wrapping (always set). *)
 
-(** {1 Counters} (for {!Solve.stats} and snapshot sizing)
+(** {1 Counters} (for {!Solve.stats})
 
     Totals span both tiers: [value_count] counts the frozen window
-    plus private mints, so [0 .. count-1] enumeration loops and
-    snapshot dumps stay decodable. *)
+    plus private mints, so [0 .. count-1] enumeration loops stay
+    decodable. *)
 
 val value_count : t -> int
 

@@ -152,7 +152,7 @@ type istate = {
   bufs : buf array;  (** per points-to premise, its candidates *)
   iret_deps : (int, rd list) Hashtbl.t;
       (** rep -> dynamic readers of a return location; unseeded, as its
-          fold orders [sd_ret_deps], so the snapshot's [ret_deps] *)
+          fold orders [sd_ret_deps] *)
   (* view relations on ids *)
   ichildren : Slots.t;
   iparents : Slots.t;
@@ -1299,9 +1299,10 @@ let run config (app : Framework.App.t) graph =
    and callback parameter names: adding a handler method changes which
    flows a Set_listener injects WITHOUT changing any of that op's
    inputs, so a mismatch marks every resolve-dependent op suspect
-   rather than falling back.  A warm re-solve computes each at most
-   once (guard, suspect analysis) and hands them to its capture. *)
-let class_fp (app : Framework.App.t) =
+   rather than falling back.  Nothing stores them: a warm re-solve
+   hashes the captured program and the patched one only when their
+   keys differ ([same_keys]). *)
+let class_fp (program : Jir.Ast.program) =
   let b = Buffer.create 1024 in
   List.iter
     (fun (c : Jir.Ast.cls) ->
@@ -1318,7 +1319,7 @@ let class_fp (app : Framework.App.t) =
       Buffer.add_char b '\n')
     (List.sort
        (fun (a : Jir.Ast.cls) (b : Jir.Ast.cls) -> String.compare a.c_name b.c_name)
-       app.program.p_classes);
+       program.Jir.Ast.p_classes);
   Digest.to_hex (Digest.string (Buffer.contents b))
 
 (* The method fingerprint guards [Hierarchy.resolve] outcomes (which
@@ -1330,7 +1331,7 @@ let class_fp (app : Framework.App.t) =
    suspect pass, never soundness. *)
 let small_arities = Array.init 64 string_of_int
 
-let method_fp (app : Framework.App.t) =
+let method_fp (program : Jir.Ast.program) =
   let b = Buffer.create 4096 in
   List.iter
     (fun (c : Jir.Ast.cls) ->
@@ -1350,10 +1351,10 @@ let method_fp (app : Framework.App.t) =
           Buffer.add_char b ';')
         c.c_methods;
       Buffer.add_char b '\n')
-    app.program.p_classes;
+    program.Jir.Ast.p_classes;
   Digest.to_hex (Digest.string (Buffer.contents b))
 
-let layout_fp (app : Framework.App.t) =
+let layout_fp package =
   let b = Buffer.create 4096 in
   List.iter
     (fun (def : Layouts.Layout.def) ->
@@ -1361,13 +1362,13 @@ let layout_fp (app : Framework.App.t) =
       Buffer.add_char b '\x01';
       Buffer.add_string b (Fmt.str "%a" Layouts.Layout.pp def);
       Buffer.add_char b '\n')
-    (Layouts.Package.layouts app.Framework.App.package);
+    (Layouts.Package.layouts package);
   Digest.to_hex (Digest.string (Buffer.contents b))
 
 (* Equal class keys, position by position, imply an equal class
    fingerprint, and equal method keys an equal method fingerprint: a
    warm patch that edited bodies only compares keys (pointer-equal
-   classes skip) instead of hashing the whole program. *)
+   classes skip) instead of hashing both programs. *)
 let same_keys ~methods (p : Jir.Ast.program) (p' : Jir.Ast.program) =
   List.equal
     (fun (c : Jir.Ast.cls) (c' : Jir.Ast.cls) ->
@@ -1418,21 +1419,14 @@ type edit_script = {
    reached.  Treat every field as read-only: the points-to sets are
    shared (aliased) with later warm solves, and every row with
    [sd_graph]'s solution store.  [sd_graph] carries the interner, the
-   inflation memo a warm start restores and a snapshot writes, and the
-   taint rows. *)
+   inflation memo a warm start restores, the taint rows and, at inline
+   depth 0, the fragments naming the program it was extracted from. *)
 type solved = {
   sd_config : Config.t;
   sd_app_name : string;
-  sd_class_fp : string;
-  sd_method_fp : string;
-  sd_layout_fp : string;
   sd_package : Layouts.Package.t;
   sd_graph : Graph.t;
-  sd_node_total : int;  (** interned pool sizes at capture *)
-  sd_value_total : int;
-  sd_listener_total : int;
-  sd_holder_total : int;
-  sd_rid_total : int;
+  sd_node_total : int;  (** interned node count at capture *)
   sd_shape : shape;  (** the flow CSR, seeds and ops the solve ran over *)
   sd_solution : Graph.solution;  (** the captured rows; aliased, never mutated *)
   sd_sets : int;  (** points-to sets in [sd_solution] *)
@@ -1451,13 +1445,21 @@ let shape_of_solved sd = sd.sd_shape
 
 let solved_interner sd = Graph.interner sd.sd_graph
 
-(* Against the program a capture was extracted from, when its graph
-   kept its fragments; a loaded snapshot's did not, and its callers
-   hash instead. *)
-let solved_keys_match ~methods sd (app : Framework.App.t) =
+(* The program a capture was extracted from: every depth-0 extraction
+   records it with its fragments, and the warm guard refuses a deeper
+   capture before it asks. *)
+let captured_program sd =
   match Graph.fragments sd.sd_graph with
-  | Some fr -> same_keys ~methods fr.Graph.fr_program app.Framework.App.program
-  | None -> false
+  | Some fr -> fr.Graph.fr_program
+  | None -> invalid_arg "Solve: a capture without fragments"
+
+(* Do the captured program and [app]'s differ in what the class (and,
+   with [~methods], the method) fingerprint covers?  Keys first; both
+   programs are hashed only when some key differs. *)
+let fp_changed ~methods sd (app : Framework.App.t) =
+  let captured = captured_program sd and program = app.Framework.App.program in
+  (not (same_keys ~methods captured program))
+  && if methods then method_fp program <> method_fp captured else class_fp program <> class_fp captured
 
 (* The captured rep map, with the same out-of-range guard as [irep]:
    ids minted after freeze are their own singleton components. *)
@@ -1469,7 +1471,7 @@ let solved_rep sd nid =
    target set (matched ops under a warm solve); carried targets are
    mapped through the current representatives so invalidation stays
    sound across repeated patches. *)
-let icapture st ?carry_map ?fps ~shape ~sets ~words ~config ~(app : Framework.App.t) carry =
+let icapture st ?carry_map ~shape ~sets ~words ~config ~(app : Framework.App.t) carry =
   let op_count = Array.length st.iop_site in
   (* Carried-over targets are reps of the previous condensation; when
      no representative moved they are still reps, so the merge is a
@@ -1495,27 +1497,14 @@ let icapture st ?carry_map ?fps ~shape ~sets ~words ~config ~(app : Framework.Ap
       (fun rid targets acc -> List.fold_left (fun acc t -> (rid, t) :: acc) acc targets)
       st.iret_deps []
   in
-  (* Warm captures pass the fingerprints through: the guard already
-     proved class/layout equal to the previous solve's and the method
-     fingerprint was computed for the suspect analysis. *)
-  let sd_class_fp, sd_method_fp, sd_layout_fp =
-    match fps with Some t -> t | None -> (class_fp app, method_fp app, layout_fp app)
-  in
   (* The captured rows alias the solver state's backing stores — the
      state is dead once capture runs, so nothing mutates them later. *)
   {
     sd_config = config;
     sd_app_name = app.Framework.App.name;
-    sd_class_fp;
-    sd_method_fp;
-    sd_layout_fp;
     sd_package = app.Framework.App.package;
     sd_graph = st.igraph;
     sd_node_total = Intern.node_count st.it;
-    sd_value_total = Intern.value_count st.it;
-    sd_listener_total = Intern.listener_count st.it;
-    sd_holder_total = Intern.holder_count st.it;
-    sd_rid_total = Intern.rid_count st.it;
     sd_shape = shape;
     sd_solution = Graph.solution st.igraph;
     sd_sets = sets;
@@ -1557,14 +1546,14 @@ let warm_guard prev config (app : Framework.App.t) graph =
     (* Context-keyed graphs carry their clone constraints only in the
        id-level stores, so the structural shape diff cannot see them —
        and clone numbers are minted per extraction, so a patched app
-       renumbers ⟨node, ctx⟩ keys wholesale.  A cs snapshot therefore
+       renumbers ⟨node, ctx⟩ keys wholesale.  A cs capture therefore
        always re-solves from scratch; test_incremental pins that this
        fallback stays bit-identical. *)
     Some "context-keyed solve: clone constraints are invisible to the shape diff"
-  else if (not (solved_keys_match ~methods:false prev app)) && class_fp app <> prev.sd_class_fp then
-    Some "class hierarchy changed"
+  else if fp_changed ~methods:false prev app then Some "class hierarchy changed"
   else if
-    (not (app.Framework.App.package == prev.sd_package)) && layout_fp app <> prev.sd_layout_fp
+    app.Framework.App.package != prev.sd_package
+    && layout_fp app.Framework.App.package <> layout_fp prev.sd_package
   then Some "layout resources changed"
   else None
 
@@ -1587,10 +1576,7 @@ let run_incremental ~prev ~edits ?new_shape config (app : Framework.App.t) graph
       let old_op_count = Array.length prev.sd_shape.sh_ops in
       let prev_sol = prev.sd_solution in
       let orep = solved_rep prev in
-      let new_method_fp =
-        if solved_keys_match ~methods:true prev app then prev.sd_method_fp else method_fp app
-      in
-      let methods_changed = new_method_fp <> prev.sd_method_fp in
+      let methods_changed = fp_changed ~methods:true prev app in
       (* Dirty components: everything forward-reachable (over ALL edge
          kinds of the new condensation) from the edit set. *)
       let dirty = Util.Bitset.create () in
@@ -1900,9 +1886,4 @@ let run_incremental ~prev ~edits ?new_shape config (app : Framework.App.t) graph
         else Some prev.sd_targets.(old_op_count + 1)
       in
       let carry_map = if reps_moved then Some (irep st) else None in
-      let sd =
-        icapture st ?carry_map
-          ~fps:(prev.sd_class_fp, new_method_fp, prev.sd_layout_fp)
-          ~shape:new_shape ~sets:st.isets ~words ~config ~app carry
-      in
-      (stats, sd)
+      (stats, icapture st ?carry_map ~shape:new_shape ~sets:st.isets ~words ~config ~app carry)

@@ -47,9 +47,10 @@ type stats = {
       (** components whose previous solution sets were restored by
           aliasing (warm solves, else [0]) *)
   fallback : string option;
-      (** set when an incremental request could not warm-start (stale
-          snapshot, changed configuration or hierarchy, corrupt state
-          file) and a full solve ran instead; carries the reason *)
+      (** set when the warm guard refused an incremental request
+          (changed configuration, hierarchy or layouts, unknown-id
+          markers, inline depth > 0) and a full solve ran instead;
+          carries the reason *)
   taint_rounds : int;
       (** rounds of the taint stratum (sound mode: the graph holds an
           unknown-id marker), each the ops' pending taint entries, the
@@ -114,28 +115,21 @@ type edit_script = {
     it grows. *)
 type rd = RD_op of int | RD_frags
 
-(** A captured solution: the {!shape} it was solved over plus the rows
-    it reached.  The record is exposed for persistence ({!Snapshot});
-    treat every field as READ-ONLY — a warm solve started from it
-    borrows its points-to sets copy-on-write and copies its relation
-    rows, and [sd_graph]'s solution store aliases them all.
-    [sd_graph] carries the interner, the inflation memo and the taint
-    rows.  The interner may grow after capture (a later warm solve over
-    it mints more ids); the [_total] fields record each pool's size at
-    capture, which is all a snapshot writes. *)
+(** A captured solution, held in memory: the {!shape} it was solved
+    over plus the rows it reached.  Treat every field as READ-ONLY — a
+    warm solve started from it borrows its points-to sets copy-on-write
+    and copies its relation rows, and [sd_graph]'s solution store
+    aliases them all.  [sd_graph] carries the interner, the inflation
+    memo, the taint rows and, at inline depth 0, the fragments naming
+    the program it was extracted from, against which the warm guard
+    compares a patched program.  The interner may grow after capture
+    (a later warm solve over it mints more ids). *)
 type solved = {
   sd_config : Config.t;
   sd_app_name : string;
-  sd_class_fp : string;
-  sd_method_fp : string;
-  sd_layout_fp : string;
   sd_package : Layouts.Package.t;
   sd_graph : Graph.t;
   sd_node_total : int;  (** interned node count at capture *)
-  sd_value_total : int;
-  sd_listener_total : int;
-  sd_holder_total : int;
-  sd_rid_total : int;
   sd_shape : shape;  (** the flow CSR, seeds and ops the solve ran over *)
   sd_solution : Graph.solution;
       (** the captured rows — [sd_graph]'s solution store at capture,
@@ -153,19 +147,6 @@ type solved = {
           [|ops|] and [|ops|+1]: representatives the writer pushed
           values to (transitive across warm restarts) *)
 }
-
-val class_fp : Framework.App.t -> string
-(** Fingerprint of the class hierarchy (names, kinds, supertypes);
-    a mismatch with a captured solve forces a full re-solve. *)
-
-val method_fp : Framework.App.t -> string
-(** Fingerprint of the method surface (names, arities, parameter
-    names); a mismatch makes resolve-dependent ops suspect but keeps
-    the warm path. *)
-
-val layout_fp : Framework.App.t -> string
-(** Fingerprint of the layout resources; a mismatch forces a full
-    re-solve. *)
 
 val shape_of_graph : Graph.t -> shape
 
@@ -199,5 +180,10 @@ val run_incremental :
     to {!run_solved} (with [stats.fallback] set) when the warm guard
     refuses: different interner, changed configuration, unknown-id
     markers, inline depth > 0, changed class hierarchy, or changed
-    layout resources.  Not thread-safe against concurrent solves
-    sharing the interner. *)
+    layout resources.  The hierarchy and layouts are compared against
+    [prev]'s program and package: key by key, hashing both sides
+    only where a key differs or the package is another object.  A
+    changed method surface (names, arities, parameter names) keeps
+    the warm path but re-solves every op whose callee resolution may
+    have changed.  Not thread-safe against concurrent solves sharing
+    the interner. *)

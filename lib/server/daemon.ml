@@ -11,11 +11,12 @@
    A request's [budget] is validated but has no effect.
 
    Crash recovery: with a state directory configured, every accepted
-   patch's edits are persisted verbatim, and nothing else; a restarted
-   daemon regenerates the corpus app, replays the edits and re-solves,
-   so its first patch is as warm as a resident one.  A defective edit
-   log is discarded with its reason logged and the base app is solved;
-   hostile state files are [Error]s, never crashes. *)
+   patch request's edits are persisted verbatim, one log entry per
+   request, and nothing else; a restarted daemon regenerates the
+   corpus app, replays the edits and re-solves, at the generation the
+   entries count, so its first patch is as warm as a resident one.  A
+   defective edit log is discarded with its reason logged and the base
+   app is solved; hostile logs are [Error]s, never crashes. *)
 
 module J = Util.Json
 module P = Protocol
@@ -29,8 +30,9 @@ type entry = {
   mutable e_query : Gator.Query.t;
   mutable e_generation : int;  (** bumped by every applied patch *)
   mutable e_patches : J.t list;
-      (** accepted edit objects, newest first; only {!persist} reads
-          them, so they are kept only with a state directory *)
+      (** the edit lists of accepted patch requests, newest first; only
+          {!persist} reads them, so they are kept only with a state
+          directory *)
 }
 
 type t = {
@@ -54,21 +56,26 @@ let logf t fmt =
 
 let patches_path dir name = Filename.concat dir (name ^ ".patches.json")
 
+(* The log is written whole to a temporary file that is then renamed
+   over it, so a write cut short leaves the previous log intact. *)
 let persist t entry =
   Option.iter
     (fun dir ->
       let path = patches_path dir entry.e_name in
-      if entry.e_patches = [] then begin if Sys.file_exists path then Sys.remove path end
-      else begin
-        let oc = open_out_bin path in
-        Fun.protect
-          ~finally:(fun () -> close_out_noerr oc)
-          (fun () -> output_string oc (J.to_string (J.List (List.rev entry.e_patches))))
-      end)
+      let tmp = path ^ ".tmp" in
+      Out_channel.with_open_bin tmp (fun oc ->
+          output_string oc (J.to_string (J.List (List.rev entry.e_patches))));
+      Sys.rename tmp path)
     t.state_dir
 
-(* Persisted patch edits, replayed over the regenerated base app, or
-   why they cannot be (unreadable, unparsable, a bad edit, inapplicable). *)
+(* A log entry is one request's list of edits.  A log written before
+   entries were grouped by request is a flat list of edit objects: each
+   counts as a request of one edit. *)
+let entry_edits = function J.List edits -> edits | edit -> [ edit ]
+
+(* Persisted patch requests, replayed over the regenerated base app,
+   or why they cannot be (unreadable, unparsable, a bad edit,
+   inapplicable). *)
 let recover_patches dir name base =
   let path = patches_path dir name in
   if not (Sys.file_exists path) then Ok (base, [])
@@ -84,14 +91,15 @@ let recover_patches dir name base =
     | text -> (
         match J.of_string text with
         | Error e -> Error ("unparsable: " ^ e)
-        | Ok (J.List edits as j) -> (
-            match Corpus.Patch.of_json j with
+        | Ok (J.List entries) -> (
+            let entries = List.map entry_edits entries in
+            match Corpus.Patch.of_json (J.List (List.concat entries)) with
             | Error e -> Error ("bad edit: " ^ e)
             | Ok patch -> (
                 match Corpus.Patch.apply base patch with
-                | Ok app -> Ok (app, edits)
+                | Ok app -> Ok (app, List.map (fun edits -> J.List edits) entries)
                 | Error e -> Error ("inapplicable: " ^ e)))
-        | Ok _ -> Error "not a list of edits")
+        | Ok _ -> Error "not a list of patch requests")
 
 (* ------------------------------------------------------------------ *)
 (* Registry *)
@@ -165,8 +173,7 @@ let apply_patch t entry edits =
           entry.e_query <- Gator.Query.create ~hierarchy:app.Framework.App.hierarchy solved;
           carry_stats ~retiring ~fresh:(Gator.Query.stats entry.e_query);
           entry.e_generation <- entry.e_generation + 1;
-          if t.state_dir <> None then
-            entry.e_patches <- List.rev_append (match edits with J.List l -> l | e -> [ e ]) entry.e_patches;
+          if t.state_dir <> None then entry.e_patches <- edits :: entry.e_patches;
           persist t entry;
           let s = r.Gator.Analysis.stats in
           logf t "patched %s -> generation %d (%s)" entry.e_name entry.e_generation

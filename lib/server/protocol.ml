@@ -11,8 +11,7 @@
    {"ok": <payload>, "generation"?: n} or
    {"error": {"code": <slug>, "message": <text>}}.  Every hostile
    input maps to a structured error envelope — the daemon itself never
-   dies on a request (the [Snapshot.load] discipline, applied to the
-   wire). *)
+   dies on a request. *)
 
 module J = Util.Json
 

@@ -350,9 +350,6 @@ let test_declines () =
   (let keyed = { config with Config.inline_depth = 1 } in
    let _, prev = Incremental.analyze_solved ~config:keyed app in
    declines "inline depth 1" ~config:keyed ~prev app "inline depth > 0: a method's slice holds its inlined callees");
-  (match Snapshot.of_json (Snapshot.to_json prev) with
-  | Ok loaded -> declines "a loaded snapshot" ~prev:loaded app "the previous solve recorded no fragments"
-  | Error e -> Alcotest.failf "snapshot: %s" e);
   (let refl = Corpus.Gen.reflective_app ~layouts:3 ~seed:42 () in
    let _, prev = Incremental.analyze_solved ~config refl in
    declines "unknown-id markers" ~prev refl "unknown-id markers present");
@@ -696,10 +693,9 @@ let test_full_freeze_reasons () =
   let _, prev = Incremental.analyze_solved ~config app in
   let app' = Result.get_ok (Corpus.Patch.apply app [ add_copy "Activity_0" "x" "y" ]) in
   let graph, edited = Result.get_ok (Extract.reextract config app' ~prev:prev.sd_graph) in
-  (match Snapshot.of_json (Snapshot.to_json prev) with
-  | Ok loaded ->
-      full "a loaded snapshot" "a graph recorded no fragments" (Graph.freeze_delta graph ~prev:loaded.sd_graph ~edited)
-  | Error e -> Alcotest.failf "snapshot: %s" e);
+  (* a depth-1 extraction records no fragments *)
+  (let keyed = Extract.run ~interner:(Solve.solved_interner prev) { config with Config.inline_depth = 1 } app in
+   full "a previous graph without fragments" "a graph recorded no fragments" (Graph.freeze_delta graph ~prev:keyed ~edited));
   (let unfrozen = Extract.run ~interner:(Solve.solved_interner prev) config app in
    let graph, edited = Result.get_ok (Extract.reextract config app' ~prev:unfrozen) in
    full "an unfrozen previous graph" "the previous graph's frozen flow is missing or stale"

@@ -1,7 +1,7 @@
 (* Byte pins for what an extracted graph shows.  The flow adjacency is
    stored once, as interned ids: [Graph.locations] and [Reader.pp_dot]
-   decode it with context-clone edges hidden, and the snapshot file
-   dumps the id-level CSR.  The digests were taken from a build that
+   decode it with context-clone edges hidden.  The digests were taken
+   from a build that
    kept a separate structural edge table beside the id table, so a
    drift in the clone filter, the decode order or the node-id minting
    order shows up here as a changed byte.  The solved [locations] and
@@ -9,12 +9,9 @@
    id-level store (the solve-only locations and the relation edges
    now come in ascending id order instead of hash-table order); each
    new text equals the old one as a sorted multiset of lines.  The
-   snapshot pins were re-taken when the method fingerprint started
-   covering parameter names (each file differed from the one before
-   only in its [method_fp] value), and again at snapshot version 3:
-   each file differs from the one before only in its [version] and in
-   lacking the [onclicks], [declared_fragments] and [root_layouts]
-   fields. *)
+   id-space pins ([Id_space]: the interner's pools and the captured
+   rows) were taken from the build that last wrote solved state to
+   state files, whose own file digests they replace. *)
 
 open Gator
 
@@ -47,7 +44,7 @@ let locations_text graph =
 (* Four digests per app and config: the unsolved graph's locations
    (sets are still empty, so only the edge decode contributes), then
    after a capturing solve the locations, the dot rendering and the
-   snapshot file. *)
+   captured id space. *)
 let digests () =
   List.concat_map
     (fun (app_name, app) ->
@@ -57,19 +54,11 @@ let digests () =
           let graph = Extract.run config app in
           let unsolved = hex (locations_text graph) in
           let _, solved = Solve.run_solved config app graph in
-          let path = Filename.temp_file "gator_pinned" ".json" in
-          let snapshot =
-            Fun.protect
-              ~finally:(fun () -> Sys.remove path)
-              (fun () ->
-                Snapshot.save solved path;
-                Digest.to_hex (Digest.file path))
-          in
           [
             (label "locations unsolved", unsolved);
             (label "locations", hex (locations_text graph));
             (label "dot", hex (Fmt.str "%a" Reader.pp_dot graph));
-            (label "snapshot", snapshot);
+            (label "id space", hex (Id_space.pools (Graph.interner graph) ^ Id_space.rows solved));
           ])
         configs)
     (apps ())
@@ -79,43 +68,43 @@ let pinned =
     ("XBMC@default locations unsolved", "dd56cdf4ffc533f9340a4394abc34a25");
     ("XBMC@default locations", "979931631747e0850c8bd428aef36db9");
     ("XBMC@default dot", "760007d9b77aa27be44cedb057d663ec");
-    ("XBMC@default snapshot", "f979bce3025dcd4c51979fc049ed63ff");
+    ("XBMC@default id space", "47d58f485b05d9055278b8e051882684");
     ("XBMC@cs2 locations unsolved", "8e5a11dad02728d66caed58916dec21b");
     ("XBMC@cs2 locations", "293a672f46a085ce374513aec14f3355");
     ("XBMC@cs2 dot", "be1f8ae8e018d4dc097704bc9f95bde7");
-    ("XBMC@cs2 snapshot", "6c6678756760a632b316c6dbab56c26c");
+    ("XBMC@cs2 id space", "e272bfb0ec5b99a74d4e2f00380d9efe");
     ("ConnectBot@default locations unsolved", "924df44f9904e89fefd58c7eb8981acb");
     ("ConnectBot@default locations", "bc5bcec4ce0fe473903ddb1fa387fb6d");
     ("ConnectBot@default dot", "13536a6d800858e684e33c246cc020d6");
-    ("ConnectBot@default snapshot", "90061726b53f82cb98b4169e60091d2c");
+    ("ConnectBot@default id space", "d2f56d14731a17833a1e9d02441f88d3");
     ("ConnectBot@cs2 locations unsolved", "cc9efae2a3a3e88895ce55a69fdbbeff");
     ("ConnectBot@cs2 locations", "cc866dab83744c784e0395ec5f655ef3");
     ("ConnectBot@cs2 dot", "a2a79cb20a6249e30d3708c089734021");
-    ("ConnectBot@cs2 snapshot", "c4c2d54647830fe63ebb05a6229e3f6d");
+    ("ConnectBot@cs2 id space", "1b006a04597918fe529b69ec39b3153e");
     ("Figure1@default locations unsolved", "d3cc2103c5d9b944e92382b18f7f6a9f");
     ("Figure1@default locations", "634deeba35e37c268d3c0269aecbf0f2");
     ("Figure1@default dot", "575a77e6f772e1f27ae50c7015c979d0");
-    ("Figure1@default snapshot", "4059e9fc52c469b138d9dae5865ec43e");
+    ("Figure1@default id space", "ec2b21214b1c1fb0b67dc5ecbb546040");
     ("Figure1@cs2 locations unsolved", "b53157c342df5ce293a6e71e211940ab");
     ("Figure1@cs2 locations", "3d77e09fe09fa595588c57f1fe1e10d4");
     ("Figure1@cs2 dot", "4a5bc65a0e3d949607313842b63d2b53");
-    ("Figure1@cs2 snapshot", "05d3985dd3dbed54665ba0b4c1b94369");
+    ("Figure1@cs2 id space", "d241d11ab17df98a8d2f3ff93b910e6c");
     ("Cyclic@default locations unsolved", "1a7aba40323dbffc042d0f04af1062b5");
     ("Cyclic@default locations", "55494abf8fe24a759ae7bb2d68f97d1e");
     ("Cyclic@default dot", "f4a1efd685bf688379a33fc9ed38d489");
-    ("Cyclic@default snapshot", "c889ae4f3f381110e66909beaaa499ce");
+    ("Cyclic@default id space", "5b622ae7f1dc3154b753eeb606441847");
     ("Cyclic@cs2 locations unsolved", "1a7aba40323dbffc042d0f04af1062b5");
     ("Cyclic@cs2 locations", "55494abf8fe24a759ae7bb2d68f97d1e");
     ("Cyclic@cs2 dot", "f4a1efd685bf688379a33fc9ed38d489");
-    ("Cyclic@cs2 snapshot", "4575cbeec0ec21b13b1601a93feeddd0");
+    ("Cyclic@cs2 id space", "5b622ae7f1dc3154b753eeb606441847");
     ("Alias@default locations unsolved", "bba7f1710ac70adc3d21b8b1a85f2205");
     ("Alias@default locations", "bba7f1710ac70adc3d21b8b1a85f2205");
     ("Alias@default dot", "3bb02cdc7d836a37a9a39e7ae8abd490");
-    ("Alias@default snapshot", "504914eb73a622f4c71376468c741773");
+    ("Alias@default id space", "81d739df6da5713c8ee2611e07e30656");
     ("Alias@cs2 locations unsolved", "c99a82c741a2ff31ee86d2f412182e77");
     ("Alias@cs2 locations", "fa2fdf22faf362f02be7ebb6b18c8333");
     ("Alias@cs2 dot", "b84d66f020911dda51bbb361ab043399");
-    ("Alias@cs2 snapshot", "212839fbc04f8cda102ff5db42bcac6f");
+    ("Alias@cs2 id space", "9739d08bba2c842ecf86172d54966f5a");
   ]
 
 let test_pinned () =

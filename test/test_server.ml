@@ -4,7 +4,8 @@
    concurrency/consistency (queries racing an incremental patch see
    exactly the pre- or post-patch answer, identified by generation),
    and crash recovery (a restarted daemon replays its edit log,
-   answers identically and patches warm). *)
+   answers identically and patches warm, at the generation it had
+   reached; a byte-mutated log still loads). *)
 
 module J = Util.Json
 module P = Server.Protocol
@@ -338,18 +339,19 @@ let test_fuzz =
 
 let xbmc () = Corpus.Gen.generate (Option.get (Corpus.Apps.by_name "XBMC"))
 
-let patch_edits =
-  J.List
+(* An [add_stmt] of [x = new Button] at the end of
+   [Activity_0.onCreate]. *)
+let add_button x =
+  J.Obj
     [
-      J.Obj
-        [
-          ("edit", J.String "add_stmt");
-          ("cls", J.String "Activity_0");
-          ("meth", J.String "onCreate");
-          ("arity", J.Int 0);
-          ("stmt", J.Obj [ ("new", J.List [ J.String "srv_tmp"; J.String "android.widget.Button" ]) ]);
-        ];
+      ("edit", J.String "add_stmt");
+      ("cls", J.String "Activity_0");
+      ("meth", J.String "onCreate");
+      ("arity", J.Int 0);
+      ("stmt", J.Obj [ ("new", J.List [ J.String x; J.String "android.widget.Button" ]) ]);
     ]
+
+let patch_edits = J.List [ add_button "srv_tmp" ]
 
 let patch_of_edits edits =
   match Corpus.Patch.of_json edits with
@@ -546,6 +548,99 @@ let test_crash_recovery () =
         (load t3 = (Some (J.String "solved"), Some 0));
       check_answers "corrupt edit log: the base app's answers" (local_answers (xbmc ()) nodes) (answers t3))
 
+(* The edit log holds one entry per accepted patch request, so a
+   restart answers at the generation the daemon had reached, however
+   many edits each request carried; it is replaced whole through a
+   temporary file, whose leftover from a crashed write [load] ignores;
+   and a log in the older flat form (one edit object per entry) still
+   replays, at a generation per edit. *)
+let test_edit_log_generations () =
+  with_state_dir (fun state_dir ->
+      let log = Filename.concat state_dir "XBMC.patches.json" in
+      let load t =
+        let reply = handle_json t (req_load "XBMC") in
+        (Option.bind (ok_payload reply) (J.member "source"), generation reply)
+      in
+      let only_the_log () =
+        Alcotest.(check (list string)) "the state directory holds only the edit log" [ "XBMC.patches.json" ]
+          (Array.to_list (Sys.readdir state_dir))
+      in
+      let t1 = mk_server ~state_dir () in
+      Alcotest.(check bool) "fresh load" true (load t1 = (Some (J.String "solved"), Some 0));
+      let two_edits = J.List [ add_button "log_a"; add_button "log_b" ] in
+      let reply = handle_json t1 (P.request_to_json (P.R_patch { app = "XBMC"; edits = two_edits })) in
+      Alcotest.(check (option int)) "a two-edit patch is one generation" (Some 1) (generation reply);
+      only_the_log ();
+      Out_channel.with_open_bin (log ^ ".tmp") (fun oc -> output_string oc "[[{\"edit\": ");
+      let t2 = mk_server ~state_dir () in
+      Alcotest.(check bool) "replayed at generation 1 past a leftover temporary file" true
+        (load t2 = (Some (J.String "replayed"), Some 1));
+      let reply = handle_json t2 (P.request_to_json (P.R_patch { app = "XBMC"; edits = patch_edits })) in
+      Alcotest.(check (option int)) "the next patch" (Some 2) (generation reply);
+      only_the_log ();
+      Alcotest.(check bool) "replayed at generation 2" true
+        (load (mk_server ~state_dir ()) = (Some (J.String "replayed"), Some 2));
+      Out_channel.with_open_bin log (fun oc ->
+          output_string oc (J.to_string (J.List [ add_button "log_a"; add_button "log_b"; add_button "log_c" ])));
+      Alcotest.(check bool) "a flat log replays, a generation per edit" true
+        (load (mk_server ~state_dir ()) = (Some (J.String "replayed"), Some 3)))
+
+(* Hostile edit logs: whatever bytes the log holds, [load] answers
+   [ok], from the replayed log or the base app, raises nothing and
+   returns in bounded time. *)
+let log_entry = J.List [ add_button "log_a" ]
+
+let log_fragments =
+  [| "["; "]"; "{"; "}"; ","; ":"; "\""; "null"; "0"; "7"; "-1"; "1e999"; "99999999999999999999"; "[]";
+     "\"edit\""; "\"add_stmt\""; "\"remove_stmt\""; "\"add_method\""; "\"rename_view_id\""; "\"index\"";
+     "\"onCreate\""; "\"Activity_1\""; "," ^ J.to_string log_entry |]
+
+let valid_log =
+  J.to_string
+    (J.List
+       [
+         log_entry;
+         J.List
+           [
+             add_button "log_b";
+             J.Obj
+               [
+                 ("edit", J.String "remove_stmt");
+                 ("cls", J.String "Activity_0");
+                 ("meth", J.String "onCreate");
+                 ("arity", J.Int 0);
+                 ("index", J.Int 0);
+               ];
+           ];
+       ])
+
+let test_fuzz_edit_log =
+  QCheck.Test.make ~count:20 ~name:"byte-mutation fuzz over the edit log"
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      with_state_dir (fun state_dir ->
+          let rng = Util.Prng.create seed in
+          let text = ref valid_log in
+          for _ = 1 to 1 + Util.Prng.int rng 4 do
+            text := Byte_mutation.mutate ~fragments:log_fragments rng !text
+          done;
+          let t = mk_server ~state_dir () in
+          Out_channel.with_open_bin (Filename.concat state_dir "XBMC.patches.json") (fun oc ->
+              output_string oc !text);
+          let t0 = Unix.gettimeofday () in
+          let reply =
+            match Server.Daemon.handle t (to_s (req_load "XBMC")) with
+            | reply -> reply
+            | exception e -> QCheck.Test.fail_reportf "load raised %s on %S" (Printexc.to_string e) !text
+          in
+          let dt = Unix.gettimeofday () -. t0 in
+          if dt > 10.0 then QCheck.Test.fail_reportf "load took %.1fs on %S" dt !text;
+          match Result.map ok_payload (J.of_string reply) with
+          | Ok (Some ok)
+            when List.mem (J.member "source" ok) [ Some (J.String "replayed"); Some (J.String "solved") ] ->
+              true
+          | _ -> QCheck.Test.fail_reportf "load answered %s on %S" reply !text))
+
 (* The stats reply is cumulative per loaded app: a patch replaces the
    query handle (it fronts the new solved state) but must NOT zero the
    count a client is watching — the daemon carries the retiring
@@ -679,6 +774,8 @@ let suite =
     Alcotest.test_case "hostile frames against a live daemon" `Quick test_hostile_frames;
     Alcotest.test_case "frame-sized nesting is refused fast" `Quick test_deep_nesting_frame;
     Alcotest.test_case "crash recovery replays the edit log" `Quick test_crash_recovery;
+    Alcotest.test_case "the edit log counts patch requests" `Quick test_edit_log_generations;
+    QCheck_alcotest.to_alcotest test_fuzz_edit_log;
     Alcotest.test_case "concurrent queries during a patch" `Slow test_concurrent_patch;
     QCheck_alcotest.to_alcotest ~long:true test_fuzz;
   ]

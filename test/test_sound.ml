@@ -15,8 +15,7 @@
      everywhere;
    - concrete queries still see the [SetId (v, ⊤)] sentinel carrier,
      through [Analysis] and through [Query];
-   - solved state round-trips through the snapshot codec with taints,
-     and warm starts refuse ⊤ state with a pinned reason. *)
+   - warm starts refuse a ⊤ capture with a pinned reason. *)
 open Gator
 
 (* The rule-table reference and the interned engine, by name. *)
@@ -119,71 +118,18 @@ let test_sentinel_concrete_queries () =
         (List.mem "Refl_Activity" acts))
     [ 0; 1; 2 ]
 
-let test_snapshot_roundtrip_and_warm_refusal () =
+(* A ⊤ capture refuses warm starts with a pinned reason, and the full
+   solve it falls back to agrees with a cold one. *)
+let test_warm_refusal () =
   let app = refl_app () in
   let r, solved = Incremental.analyze_solved app in
-  (match Snapshot.of_json (Snapshot.to_json solved) with
-  | Error e -> Alcotest.failf "round trip failed: %s" e
-  | Ok loaded ->
-      Alcotest.(check bool) "has_top survives the codec" true
-        (Graph.has_top (loaded.Solve.sd_graph));
-      let taints g = List.length (Reader.tainted_nodes g) in
-      Alcotest.(check int) "taint rows survive the codec"
-        (taints r.Analysis.graph)
-        (taints (loaded.Solve.sd_graph));
-      (* ⊤ state refuses warm starts with a pinned reason... *)
-      let warm, _ = Incremental.analyze_incremental ~prev:loaded app in
-      Alcotest.(check bool) "warm start fell back" false warm.Analysis.stats.Solve.warm_solve;
-      Alcotest.(check (option string))
-        "refusal reason pinned"
-        (Some "unknown-id markers present: sound mode is not warm-startable")
-        warm.Analysis.stats.Solve.fallback;
-      (* ...and the CLI warning renders the reason verbatim *)
-      Alcotest.(check (option string))
-        "stderr warning pinned"
-        (Some
-           "incremental: warm start refused (unknown-id markers present: sound mode is not \
-            warm-startable); ran a full solve")
-        (Incremental.refusal_warning warm);
-      (* the fallback still solved correctly *)
-      Same_solution.check "⊤ fallback solution" r warm)
-
-(* Taint rows name structural nodes and values; the loader takes only
-   those in the captured pools, and answers anything else with an
-   [Error], never an exception. *)
-let test_snapshot_taint_rows_checked () =
-  let _, solved = Incremental.analyze_solved (refl_app ()) in
-  let doc = Snapshot.to_json solved in
-  let with_taints rows =
-    match doc with
-    | Util.Json.Obj fields ->
-        Util.Json.Obj (List.map (fun (k, v) -> if k = "taints" then (k, rows) else (k, v)) fields)
-    | _ -> Alcotest.fail "snapshot is not an object"
-  in
-  let first_row =
-    match Util.Json.member "taints" doc with
-    | Some (Util.Json.List (Util.Json.List [ n; vs ] :: _)) -> (n, vs)
-    | _ -> Alcotest.fail "⊤ snapshot has no taint rows"
-  in
-  let unknown_node = Util.Json.List [ Util.Json.String "field"; Util.Json.String "no.such.field" ] in
-  let unknown_value = Util.Json.List [ Util.Json.String "act"; Util.Json.String "NoSuchActivity" ] in
-  List.iter
-    (fun (what, rows) ->
-      match Snapshot.of_json (with_taints rows) with
-      | Ok _ -> Alcotest.failf "%s: loaded" what
-      | Error _ -> ()
-      | exception e -> Alcotest.failf "%s: raised %s" what (Printexc.to_string e))
-    [
-      ("node outside the pool", Util.Json.List [ Util.Json.List [ unknown_node; snd first_row ] ]);
-      ( "value outside the pool",
-        Util.Json.List [ Util.Json.List [ fst first_row; Util.Json.List [ unknown_value ] ] ] );
-      ("malformed row", Util.Json.List [ Util.Json.Int 3 ]);
-    ];
-  match Snapshot.of_json (with_taints (Util.Json.List [])) with
-  | Ok loaded ->
-      Alcotest.(check int) "no taint rows, nothing tainted" 0
-        (List.length (Reader.tainted_nodes loaded.Solve.sd_graph))
-  | Error e -> Alcotest.failf "empty taint rows refused: %s" e
+  let warm, _ = Incremental.analyze_incremental ~prev:solved app in
+  Alcotest.(check bool) "warm start fell back" false warm.Analysis.stats.Solve.warm_solve;
+  Alcotest.(check (option string))
+    "refusal reason pinned"
+    (Some "unknown-id markers present: sound mode is not warm-startable")
+    warm.Analysis.stats.Solve.fallback;
+  Same_solution.check "⊤ fallback solution" r warm
 
 (* The taint plane, differentially: the rule-table reference derives
    taint from the table's taint entries on its own, so reference = interned
@@ -315,9 +261,6 @@ let suite =
     Alcotest.test_case "taint is a meaningful strict subset" `Quick test_taint_meaningful;
     Alcotest.test_case "every taint entry, pinned" `Quick test_taint_entries_pinned;
     Alcotest.test_case "concrete queries see the ⊤ sentinel" `Quick test_sentinel_concrete_queries;
-    Alcotest.test_case "snapshot round-trip + warm refusal" `Quick
-      test_snapshot_roundtrip_and_warm_refusal;
-    Alcotest.test_case "snapshot taint rows are range-checked" `Quick
-      test_snapshot_taint_rows_checked;
+    Alcotest.test_case "a ⊤ capture refuses warm starts" `Quick test_warm_refusal;
     QCheck_alcotest.to_alcotest qcheck_random_reflective;
   ]
