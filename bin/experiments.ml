@@ -516,8 +516,9 @@ let jobs_arg =
     & opt (some Jobs_arg.conv) None
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:
-          "Worker domains for the per-app batch. Defaults to the recommended domain count capped \
-           at 8; 1 runs the exact sequential path.")
+          "Workers for the per-app batch, from 1 to 127, counting the calling thread: a run \
+           spawns N-1 domains. Defaults to the recommended domain count capped at 8; 1 runs the \
+           exact sequential path.")
 
 let fail_apps_arg =
   Arg.(

@@ -1,6 +1,7 @@
 (* Command-line frontend: analyze one or more ALite programs (files or
    project directories) and print the computed GUI models.  With
-   several inputs the analyses run on a worker-domain pool (--jobs);
+   several inputs the analyses run on a worker pool (--jobs, the calling
+   thread included);
    an input that fails to load or crashes its analysis renders as a
    FAILED section while the other inputs still produce output. *)
 
@@ -242,8 +243,9 @@ let stream_cmd =
       & opt (some Jobs_arg.conv) None
       & info [ "j"; "jobs" ] ~docv:"N"
           ~doc:
-            "Worker domains, from 1 to 127. Defaults to the recommended domain count capped at \
-             8; 1 forces the exact sequential loop.")
+            "Workers, from 1 to 127, counting the calling thread: a run spawns N-1 domains and \
+             the caller runs tasks too. Defaults to the recommended domain count capped at 8; 1 \
+             forces the exact sequential loop.")
   in
   let high =
     Arg.(
@@ -252,7 +254,7 @@ let stream_cmd =
       & info [ "high" ] ~docv:"N"
           ~doc:
             "High watermark: production pauses once this many tasks are queued unstarted \
-             (default: 2*jobs).")
+             (default: max(2*jobs, 4)).")
   in
   let low =
     Arg.(
@@ -284,8 +286,9 @@ let stream_cmd =
     (Cmd.info "stream"
        ~doc:
          "Stream generated applications through the analysis pipeline: bounded backpressure \
-          queue, work-stealing worker domains, one JSONL row per app in completion order, \
-          failures isolated as ok:false rows. Exits non-zero if any app failed.")
+          queue, work-stealing workers (the calling thread and N-1 domains), one JSONL row per \
+          app in completion order, failures isolated as ok:false rows. Exits non-zero if any app \
+          failed.")
     Term.(
       ret
         (const run_stream $ apps $ seed $ jobs $ high $ low $ out $ fail_apps
@@ -329,8 +332,9 @@ let () =
       & opt (some Jobs_arg.conv) None
       & info [ "j"; "jobs" ] ~docv:"N"
           ~doc:
-            "Worker domains for batch (multi-program) runs. Defaults to the recommended domain \
-             count capped at 8; 1 forces the sequential path.")
+            "Workers for batch (multi-program) runs, from 1 to 127, counting the calling thread: \
+             a run spawns N-1 domains. Defaults to the recommended domain count capped at 8; 1 \
+             forces the sequential path.")
   in
   let term =
     Term.(

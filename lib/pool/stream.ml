@@ -1,18 +1,20 @@
 (* Streaming driver: a bounded producer/consumer pipeline over worker
    domains, and the pool's only worker loop.
 
-   The driver thread owns both ends: it pulls tasks from [produce]
-   and hands finished outcomes to [consume] in completion order, so
-   results can be spilled (e.g. to JSONL) as they arrive instead of
-   accumulating.  Backpressure is a high/low watermark gate on the
-   number of queued-but-unstarted tasks: production pauses when the
-   backlog reaches [high] and resumes once workers drain it to [low],
-   bounding in-flight memory regardless of corpus size.
+   The calling thread is worker 0, so a run at [jobs] spawns [jobs -
+   1] domains.  It pulls tasks from [produce] and hands finished
+   outcomes to [consume] in completion order, so results are spilled
+   as they arrive instead of accumulating.  Backpressure is a high/low
+   watermark gate on the queued-but-unstarted backlog: production
+   pauses at [high] and resumes once the backlog drains to [low],
+   bounding in-flight memory regardless of corpus size.  While the
+   gate is closed the caller runs tasks itself; it sleeps only at the
+   end of the stream, waiting for the workers' last outcomes.
 
-   Workers each own a deque; the driver deals new tasks round-robin
+   Each worker owns a deque; the caller deals new tasks round-robin
    and an idle worker steals from a sibling's tail before sleeping,
    so one slow task cannot strand its queue.  All queue state hides
-   behind one mutex — tasks are whole-app analyses, so contention on
+   behind one mutex: tasks are whole-app analyses, so contention on
    the scheduler lock is noise. *)
 
 type stats = {
@@ -26,13 +28,13 @@ type stats = {
 type ('a, 'b) state = {
   mutex : Mutex.t;
   work_available : Condition.t;  (** workers wait here for tasks *)
-  progress : Condition.t;  (** the driver waits here for drain/completions *)
+  progress : Condition.t;  (** the caller waits here for the last completions *)
   deques : (int * 'a) Queue.t array;  (** per-worker task deques *)
   results : (int * 'a * 'b Outcome.outcome) Queue.t;  (** completed, unconsumed *)
   mutable queued : int;  (** tasks dealt but not yet started *)
   mutable max_queued : int;
   mutable steals : int;
-  mutable eof : bool;  (** the producer is exhausted (or the driver failed) *)
+  mutable eof : bool;  (** the producer is exhausted (or the caller failed) *)
 }
 
 (* Take a task: own deque first (front), then steal from the sibling
@@ -77,8 +79,6 @@ let worker_loop st w work =
     | None -> Mutex.unlock st.mutex
     | Some (i, payload) ->
         st.queued <- st.queued - 1;
-        (* the gate may reopen on this drain *)
-        Condition.signal st.progress;
         Mutex.unlock st.mutex;
         let outcome = Outcome.run_task (fun () -> work payload) in
         Mutex.lock st.mutex;
@@ -140,9 +140,14 @@ let run ~jobs ?high ?low ~produce ~work ~consume () =
     let workers = ref [] in
     let produced = ref 0 and consumed = ref 0 and failures = ref 0 in
     let gate_open = ref true in
+    let finish i payload outcome =
+      incr consumed;
+      if failed outcome then incr failures;
+      consume i payload outcome
+    in
     Fun.protect
       ~finally:(fun () ->
-        (* Reached on driver failure too (a failed spawn, a raising
+        (* Reached on the caller's failure too (a failed spawn, a raising
            [produce]/[consume]): declare EOF so the workers started so
            far drain what is queued and exit, then join them. *)
         Mutex.lock st.mutex;
@@ -151,59 +156,54 @@ let run ~jobs ?high ?low ~produce ~work ~consume () =
         Mutex.unlock st.mutex;
         List.iter Domain.join !workers)
       (fun () ->
-        for w = 0 to jobs - 1 do
+        for w = 1 to jobs - 1 do
           workers := Domain.spawn (fun () -> worker_loop st w work) :: !workers
         done;
         let rec drive () =
           Mutex.lock st.mutex;
           (* 1. drain completions (consume runs outside the lock) *)
-          let ready = Queue.take_opt st.results in
-          match ready with
+          match Queue.take_opt st.results with
           | Some (i, payload, outcome) ->
               Mutex.unlock st.mutex;
-              incr consumed;
-              if failed outcome then incr failures;
-              consume i payload outcome;
+              finish i payload outcome;
               drive ()
-          | None ->
+          | None -> (
               (* 2. hysteresis gate *)
               if st.queued >= high then gate_open := false
               else if st.queued <= low then gate_open := true;
-              if st.eof then begin
-                if !consumed = !produced then Mutex.unlock st.mutex
-                else begin
-                  Condition.wait st.progress st.mutex;
-                  Mutex.unlock st.mutex;
-                  drive ()
-                end
-              end
-              else if not !gate_open then begin
-                Condition.wait st.progress st.mutex;
-                Mutex.unlock st.mutex;
-                drive ()
-              end
-              else begin
+              if !gate_open && not st.eof then begin
                 (* 3. produce one task; the pull runs outside the lock
                    (generators may be expensive) *)
                 Mutex.unlock st.mutex;
-                let i = !produced in
-                match produce i with
+                let next = produce !produced in
+                Mutex.lock st.mutex;
+                (match next with
                 | None ->
-                    Mutex.lock st.mutex;
                     st.eof <- true;
-                    Condition.broadcast st.work_available;
-                    Mutex.unlock st.mutex;
-                    drive ()
+                    Condition.broadcast st.work_available
                 | Some payload ->
+                    Queue.add (!produced, payload) st.deques.(!produced mod jobs);
                     incr produced;
-                    Mutex.lock st.mutex;
-                    Queue.add (i, payload) st.deques.(i mod jobs);
                     st.queued <- st.queued + 1;
                     if st.queued > st.max_queued then st.max_queued <- st.queued;
-                    Condition.signal st.work_available;
-                    Mutex.unlock st.mutex;
-                    drive ()
+                    Condition.signal st.work_available);
+                Mutex.unlock st.mutex;
+                drive ()
               end
+              else
+                (* 4. a closed gate leaves a backlog to run here; only
+                   past EOF can every deque be empty *)
+                match take st 0 with
+                | Some (i, payload) ->
+                    st.queued <- st.queued - 1;
+                    Mutex.unlock st.mutex;
+                    finish i payload (Outcome.run_task (fun () -> work payload));
+                    drive ()
+                | None when !consumed = !produced -> Mutex.unlock st.mutex
+                | None ->
+                    Condition.wait st.progress st.mutex;
+                    Mutex.unlock st.mutex;
+                    drive ())
         in
         drive ());
     {

@@ -27,12 +27,12 @@ let run_one config fail_apps spec =
     cr_table2 = Gator.Metrics.table2 analysis;
   }
 
-let result_of_outcome spec (outcome : _ Pool.outcome) =
-  {
-    cs_spec = spec;
-    cs_seconds = outcome.Pool.oc_seconds;
-    cs_run = Result.map_error (fun e -> e.Pool.err_exn) outcome.Pool.oc_result;
-  }
+(* A task's value, or the text of the exception it raised. *)
+let captured (outcome : _ Pool.outcome) =
+  Result.map_error (fun e -> e.Pool.err_exn) outcome.Pool.oc_result
+
+let result_of_outcome spec outcome =
+  { cs_spec = spec; cs_seconds = outcome.Pool.oc_seconds; cs_run = captured outcome }
 
 let run_specs ?(config = Gator.Config.default) ?(jobs = Pool.default_jobs ()) ?(fail_apps = [])
     specs =
@@ -40,26 +40,25 @@ let run_specs ?(config = Gator.Config.default) ?(jobs = Pool.default_jobs ()) ?(
 
 let run_corpus ?config ?jobs ?fail_apps () = run_specs ?config ?jobs ?fail_apps Corpus.Apps.specs
 
-(* One JSONL row per app: the Table 1 populations and Table 2 averages
-   for a success, [ok:false] plus the captured exception for a
-   failure.  With [~timings:false] the row is a pure function of the
-   analysis solution, so streaming and batch runs of the same spec
-   compare byte-for-byte. *)
-let jsonl_row ?(timings = true) result =
+(* One JSONL row per app, from the app's two Table 1/2 rows: the
+   Table 1 populations and Table 2 averages for a success, [ok:false]
+   plus the captured exception for a failure.  With [~timings:false]
+   the row is a pure function of the analysis solution, so streaming
+   and batch runs of the same spec compare byte-for-byte. *)
+let jsonl_of_tables ?(timings = true) spec seconds tables =
   let module J = Util.Json in
   let jopt = function None -> J.Null | Some f -> J.Float f in
   let fields =
-    match result.cs_run with
+    match tables with
     | Error err ->
         [
-          ("app", J.String result.cs_spec.Corpus.Spec.sp_name);
+          ("app", J.String spec.Corpus.Spec.sp_name);
           ("ok", J.Bool false);
           ("error", J.String ("FAILED: " ^ err));
         ]
-    | Ok run ->
-        let t1 = run.cr_table1 and t2 = run.cr_table2 in
+    | Ok ((t1 : Gator.Metrics.table1_row), (t2 : Gator.Metrics.table2_row)) ->
         [
-          ("app", J.String t1.Gator.Metrics.t1_app);
+          ("app", J.String t1.t1_app);
           ("ok", J.Bool true);
           ("classes", J.Int t1.t1_classes);
           ("methods", J.Int t1.t1_methods);
@@ -73,26 +72,34 @@ let jsonl_row ?(timings = true) result =
           ("addview_ops", J.Int t1.t1_addview_ops);
           ("setid_ops", J.Int t1.t1_setid_ops);
           ("setlistener_ops", J.Int t1.t1_setlistener_ops);
-          ("receivers", jopt t2.Gator.Metrics.t2_receivers);
+          ("receivers", jopt t2.t2_receivers);
           ("parameters", jopt t2.t2_parameters);
           ("results", jopt t2.t2_results);
           ("listeners_avg", jopt t2.t2_listeners);
         ]
   in
-  let fields = if timings then fields @ [ ("seconds", J.Float result.cs_seconds) ] else fields in
+  let fields = if timings then fields @ [ ("seconds", J.Float seconds) ] else fields in
   J.to_string (J.Obj fields)
 
+let jsonl_row ?timings result =
+  jsonl_of_tables ?timings result.cs_spec result.cs_seconds
+    (Result.map (fun run -> (run.cr_table1, run.cr_table2)) result.cs_run)
+
 (* Streaming ingestion: [apps] generated specs pulled on demand,
-   analyzed across [jobs] domains behind {!Pool.Stream}'s watermark
-   gate, each row emitted the moment its task completes.  Nothing is
-   retained per app beyond its JSONL line, so the stream's footprint
-   is bounded by the gate, not the corpus size. *)
+   analyzed across [jobs] domains (the calling one included) behind
+   {!Pool.Stream}'s watermark gate, each row emitted the moment its
+   task completes.  A task hands back only its two Table 1/2 rows, so
+   no analysis outlives its task and the stream's footprint is bounded
+   by the gate, not the corpus size. *)
 let run_stream ?(jobs = Pool.default_jobs ()) ?high ?low ?(timings = true) ?(fail_apps = [])
     ?(seed = 42) ~apps ~emit () =
   Pool.Stream.run ~jobs ?high ?low
     ~produce:(fun i -> if i < apps then Some (Corpus.Gen.stream_spec ~seed i) else None)
-    ~work:(run_one Gator.Config.default fail_apps)
-    ~consume:(fun _i spec outcome -> emit (jsonl_row ~timings (result_of_outcome spec outcome)))
+    ~work:(fun spec ->
+      let run = run_one Gator.Config.default fail_apps spec in
+      (run.cr_table1, run.cr_table2))
+    ~consume:(fun _i spec outcome ->
+      emit (jsonl_of_tables ~timings spec outcome.Pool.oc_seconds (captured outcome)))
     ()
 
 (* A failed app still occupies its row: name, the captured exception,

@@ -34,12 +34,23 @@ val run_corpus :
   ?config:Gator.Config.t -> ?jobs:int -> ?fail_apps:string list -> unit -> corpus_result list
 (** {!run_specs} over all 20 corpus apps. *)
 
+val jsonl_of_tables :
+  ?timings:bool ->
+  Corpus.Spec.t ->
+  float ->
+  (Gator.Metrics.table1_row * Gator.Metrics.table2_row, string) result ->
+  string
+(** [jsonl_of_tables spec seconds tables] is the one row printer: a
+    JSON object (single line, no newline) per app, with the Table 1
+    populations and Table 2 averages of [Ok (t1, t2)], or [ok:false]
+    and the captured exception text of [Error].  [seconds] is the
+    task wall time, printed unless [~timings:false]; without it the
+    row is a pure function of the analysis solution, so streaming and
+    batch runs then compare byte-for-byte. *)
+
 val jsonl_row : ?timings:bool -> corpus_result -> string
-(** One JSON object (single line, no newline) per app: Table 1
-    populations + Table 2 averages for a success, [ok:false] and the
-    captured exception for a failure.  [~timings:false] omits the
-    wall-time field, making the row a pure function of the analysis
-    solution — streaming and batch runs then compare byte-for-byte. *)
+(** {!jsonl_of_tables} on a batch result's spec, wall time and
+    Table 1/2 rows. *)
 
 val run_stream :
   ?jobs:int ->
@@ -54,13 +65,14 @@ val run_stream :
   Pool.Stream.stats
 (** Streaming ingestion of [apps] generated applications
     ({!Corpus.Gen.stream_spec} with [seed]) at the default config:
-    specs are pulled on
-    demand behind {!Pool.Stream}'s high/low watermark gate, analyzed
-    across the worker domains, and each app's {!jsonl_row} is handed
-    to [emit] the moment its task completes (completion order!), so
-    memory stays bounded by the gate rather than the stream length.
-    A failing app emits its [ok:false] row and the stream keeps
-    flowing. *)
+    specs are pulled on demand behind {!Pool.Stream}'s high/low
+    watermark gate and analyzed on [jobs] domains, the calling one
+    included.  Each task hands back only its app's two Table 1/2
+    rows, not the analysis, and the app's {!jsonl_of_tables} row is
+    handed to [emit] on the calling thread as its task completes
+    (completion order!), so memory stays bounded by the gate rather
+    than the stream length.  A failing app emits its [ok:false] row
+    and the stream keeps flowing. *)
 
 val table1 : corpus_result list -> string
 (** Table 1: application features and constraint-graph populations. *)
